@@ -601,21 +601,6 @@ def sample_xd(field, d, count, seed, max_tries=None, classify_fibres=False):
     return out
 
 
-def xd_acceptance_fraction(field, d, n, seed):
-    """Empirical in_XD fraction over n uniform draws from the B_D box."""
-    from .rng import det_rng
-
-    bounds = tuple(w * 2 * d for w in WEIGHTS)
-    rng = det_rng(seed, "xd-fraction")
-    hits = 0
-    for _ in range(n):
-        b = tuple(
-            Poly(field, [field.random(rng) for _ in range(k + 1)]) for k in bounds
-        )
-        hits += in_xd_fast(field, b, d)
-    return Fraction(hits, n)
-
-
 # -- stabilizer side of the 2-torsion identity --
 
 

@@ -37,9 +37,6 @@ class Place:
     def is_infinite(self):
         return self.poly is None
 
-    def qv(self):
-        return self.field.order**self.degree
-
     def residue_field(self):
         """k(v) as an extension of the constant field (cached per place)."""
         if self.is_infinite or self.degree == 1:

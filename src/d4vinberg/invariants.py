@@ -46,17 +46,6 @@ def primitives(ctx: D4Context, v: VElem):
     return c2, c4, pf, c6
 
 
-def pi_std(ctx: D4Context, v: VElem):
-    """Invariants in the fixed diagonal normalization (u = (1,1,1,1)).
-
-    Any valid calibration differs from this one by the documented unit
-    rescaling, so discriminant-vanishing statements (and all density
-    counts) may use it at any p >= 5 without the slice machinery.
-    """
-    c2, c4, pf, c6 = primitives(ctx, v)
-    return (c2, c4, pf, c6)
-
-
 def _trace_generic(a):
     acc = a[0][0]
     for i in range(1, len(a)):
@@ -500,11 +489,6 @@ def _nilpotent_branches(ctx, c_syms, plane):
     return out
 
 
-def _eval_sym(poly: MPoly, cs):
-    out = poly.eval(tuple(cs))
-    return out
-
-
 def _search_chart_functions(ctx, c_syms, branches, seed):
     """Find (xi, eta) with the cubic relation, for the diagonal unit ansatz."""
     f = ctx.field
@@ -515,10 +499,10 @@ def _search_chart_functions(ctx, c_syms, branches, seed):
         cs = [f.random(rng) for _ in range(5)]
         vals = (
             [c for c in cs[:3]],
-            _eval_sym(c2s, cs),
-            _eval_sym(c4s, cs),
-            _eval_sym(pfs, cs),
-            _eval_sym(c6s, cs),
+            c2s.eval(cs),
+            c4s.eval(cs),
+            pfs.eval(cs),
+            c6s.eval(cs),
         )
         pts.append(vals)
 

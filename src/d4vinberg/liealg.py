@@ -275,7 +275,6 @@ class D4Context:
         self.E = self._velem_from_matrix_int(E_MATRIX_INT)
         self.e_subreg = self._velem_from_matrix_int(E_SUBREG_INT)
         self._w0_vmaps = {}
-        self._w0_label_perms = {name: w0_label_perm(name) for name in W0_PERMS}
 
     # -- construction of bases --
 
@@ -378,15 +377,6 @@ class D4Context:
     def theta(self, m):
         return mat_mul(mat_mul(self.s_matrix, m), self.s_matrix)
 
-    def g_v_parts(self, m):
-        """Split m in h into (g part, V part)."""
-        f = self.field
-        half = f.inv_int(2)
-        tm = self.theta(m)
-        gp = [[(a + b) * half for a, b in zip(r1, r2)] for r1, r2 in zip(m, tm)]
-        vp = [[(a - b) * half for a, b in zip(r1, r2)] for r1, r2 in zip(m, tm)]
-        return gp, vp
-
     # -- cocharacters --
 
     def cochar_matrix(self, exps, scale=1):
@@ -463,9 +453,6 @@ class D4Context:
         for gen in reversed(gens):
             v = self.act_gen(gen, v)
         return v
-
-    def w0_label_action(self, name):
-        return self._w0_label_perms[name]
 
     # -- invariant-free classification helpers --
 

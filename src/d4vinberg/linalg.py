@@ -18,20 +18,8 @@ def identity(field, n):
     return out
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_neg(a):
-    return [[-x for x in row] for row in a]
-
-
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
 
 
 def mat_mul(a, b):

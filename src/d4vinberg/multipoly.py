@@ -4,15 +4,28 @@ Monomials map exponent tuples to coefficients.  Used for the closed-form
 quartic discriminant (integer coefficients, evaluated over arbitrary
 commutative rings) and for the symbolic invariant restrictions to the
 Kostant and subregular charts during calibration.
+
+``MPoly.eval`` is the one evaluator.  On first use a polynomial compiles a
+plan (the highest exponent of each variable, and each monomial as its
+coefficient and (variable, exponent) factors); evaluation builds one power
+table per variable and forms one product per monomial.  The ring is a
+``(mul, add, scale)`` triple, so the same plan runs over Python ring
+elements and over the vectorized representations in ``numkernels``.
 """
+
+import operator
+
+# Python's operators: ints, FElem, Poly, RatFunc, MPoly
+PY_RING = (operator.mul, operator.add, operator.mul)
 
 
 class MPoly:
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_plan")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
         self.terms = {}
+        self._plan = None
         if terms:
             for e, c in terms.items():
                 if _nonzero(c):
@@ -100,18 +113,41 @@ class MPoly:
                 out[tuple(ne)] = coef
         return MPoly(self.nvars, out)
 
-    def eval(self, args):
-        """Evaluate at a point; args supply +,*,- and accept int multiples."""
-        acc = None
+    def _compile(self):
+        tops = [0] * self.nvars
+        monos = []
         for e, c in self.terms.items():
-            term = c
-            for x, k in zip(args, e):
-                for _ in range(k):
-                    term = term * x
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return 0
-        return acc
+            factors = tuple((i, k) for i, k in enumerate(e) if k)
+            for i, k in factors:
+                tops[i] = max(tops[i], k)
+            monos.append((c, factors))
+        return tops, monos
+
+    def eval(self, args, ring=PY_RING):
+        """Value at the point args over a commutative ring.
+
+        ring = (mul, add, scale), with scale(c, x) the multiple of x by a
+        coefficient c.  A constant term enters as the bare coefficient, and
+        the zero polynomial evaluates to 0.
+        """
+        mul, add, scale = ring
+        if self._plan is None:
+            self._plan = self._compile()
+        tops, monos = self._plan
+        powers = []
+        for x, top in zip(args, tops):
+            row = [None, x]
+            for _ in range(top - 1):
+                row.append(mul(row[-1], x))
+            powers.append(row)
+        acc = None
+        for c, factors in monos:
+            term = None
+            for i, k in factors:
+                term = powers[i][k] if term is None else mul(term, powers[i][k])
+            term = c if term is None else scale(c, term)
+            acc = term if acc is None else add(acc, term)
+        return 0 if acc is None else acc
 
     def substitute(self, i, repl):
         """Substitute variable i by an MPoly in the same variables."""

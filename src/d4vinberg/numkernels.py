@@ -4,6 +4,17 @@ Everything here is exact integer arithmetic on int64 arrays reduced mod p.
 Length-2 local rings O_v/(pi^2) are equal-characteristic, so they are dual
 numbers k[eps]/(eps^2); ring elements are (value, eps-part) array pairs.
 Small extension residue fields use index tables.
+
+Delta and its gradient are evaluated only through ``MPoly.eval``; this
+module supplies one ``(mul, add, scale)`` ring adapter per representation:
+mod-p int64 arrays (``mod_ring``), dual-number array pairs (``dual_ring``),
+``GFTable`` index tables (``GFTable.ring``), batched (N, deg+1) polynomial
+arrays (``batch_ring``) and int-list polynomials (``intlist_ring``).
+
+The int64 kernels are exact only for p < MAX_P = 2**28: the widest sum is
+the eps part of ``_dtrace_prod``, 128 products of residues, and
+128 (p - 1)^2 < 2^63.  The numpy ring adapters and ``beta_mc_prime`` reject
+larger p.
 """
 
 import numpy as np
@@ -13,56 +24,42 @@ from .linalg import pfaffian_terms
 from .quartic import delta_mpoly, delta_gradient
 from .rng import det_rng
 
-
-def delta_monomials():
-    """[(int coefficient, (e_p2, e_p4, e_q4, e_p6))] of Delta."""
-    return [(c, e) for c, e in delta_mpoly().monomials()]
+MAX_P = 2**28
+BETA_CHUNK = 20000  # samples per Philox stream of beta_mc_prime
 
 
-def gradient_monomials():
-    return [
-        [(c, e) for c, e in g.monomials()] for g in delta_gradient()
-    ]
+def _check_p(p):
+    if not 2 <= p < MAX_P:
+        raise ValueError(f"p = {p} outside the exact int64 range p < {MAX_P}")
 
 
-def _eval_monomials_mod(monos, arrays, p):
-    """Evaluate a monomial list on value arrays mod p (vectorized)."""
-    max_exp = [0, 0, 0, 0]
-    for _, e in monos:
-        for i in range(4):
-            max_exp[i] = max(max_exp[i], e[i])
-    powers = []
-    for arr, top in zip(arrays, max_exp):
-        row = [np.ones_like(arr)]
-        for _ in range(top):
-            row.append(row[-1] * arr % p)
-        powers.append(row)
-    out = np.zeros_like(arrays[0])
-    for c, e in monos:
-        term = np.full_like(arrays[0], c % p)
-        for i in range(4):
-            if e[i]:
-                term = term * powers[i][e[i]] % p
-        out = (out + term) % p
-    return out
+def mod_ring(p):
+    """Ring of int64 residue arrays mod p."""
+    _check_p(p)
+    return (
+        lambda a, b: a * b % p,
+        lambda a, b: (a + b) % p,
+        lambda c, a: c % p * a % p,
+    )
+
+
+def _alpha_counts(q, ring, zero=0):
+    """(N0, N2) over a field of q elements coded 0..q-1: points of
+    {Delta = 0} and of {Delta = 0, grad Delta = 0}."""
+    rng = np.arange(q, dtype=np.int64)
+    grids = np.meshgrid(rng, rng, rng, rng, indexing="ij")
+    arrays = [g.reshape(-1) for g in grids]
+    on = delta_mpoly().eval(arrays, ring) == zero
+    sub = [a[on] for a in arrays]
+    acc = np.ones(len(sub[0]), dtype=bool)
+    for g in delta_gradient():
+        acc &= g.eval(sub, ring) == zero
+    return int(on.sum()), int(acc.sum())
 
 
 def alpha_counts_prime(p):
-    """(N0, N2) over F_p: points of {Delta = 0} and of {Delta = 0, grad = 0}."""
-    rng = np.arange(p, dtype=np.int64)
-    grids = np.meshgrid(rng, rng, rng, rng, indexing="ij")
-    arrays = [g.reshape(-1) for g in grids]
-    delta = _eval_monomials_mod(delta_monomials(), arrays, p)
-    on = delta == 0
-    n0 = int(on.sum())
-    grad_zero = on.copy()
-    sub = [a[on] for a in arrays]
-    acc = np.ones(int(on.sum()), dtype=bool)
-    for monos in gradient_monomials():
-        g = _eval_monomials_mod(monos, sub, p)
-        acc &= g == 0
-    n2 = int(acc.sum())
-    return n0, n2
+    """(N0, N2) over F_p."""
+    return _alpha_counts(p, mod_ring(p))
 
 
 def alpha_lift_prime(p):
@@ -80,7 +77,7 @@ def alpha_brute_prime(p):
     """Exhaustive count over all p^8 residues of B(O/pi^2) with Delta = 0
     mod pi^2 (literal dual-number evaluation at every point); the oracle
     for the lift strategy."""
-    monos = delta_monomials()
+    ring = dual_ring(p)
     total = p**8
     count = 0
     chunk = 2 * 10**6
@@ -92,9 +89,8 @@ def alpha_brute_prime(p):
         for _ in range(8):
             digits.append(rest % p)
             rest = rest // p
-        arr0 = digits[0:4]
-        arr1 = digits[4:8]
-        d0, d1 = _eval_monomials_dual(monos, arr0, arr1, p)
+        b = list(zip(digits[0:4], digits[4:8]))
+        d0, d1 = delta_mpoly().eval(b, ring)
         count += int(((d0 == 0) & (d1 == 0)).sum())
     return count
 
@@ -111,61 +107,27 @@ class GFTable:
         elems = sorted(field, key=field.to_int)
         self.add = np.zeros((q, q), dtype=np.int64)
         self.mul = np.zeros((q, q), dtype=np.int64)
-        self.neg = np.zeros(q, dtype=np.int64)
         for a in elems:
             ia = field.to_int(a)
-            self.neg[ia] = field.to_int(-a)
             for b in elems:
                 ib = field.to_int(b)
                 self.add[ia, ib] = field.to_int(a + b)
                 self.mul[ia, ib] = field.to_int(a * b)
-        self.int_embed = np.array(
+        embed = np.array(
             [field.to_int(field.elem(k)) for k in range(field.char)], dtype=np.int64
         )
-
-    def embed_int(self, k):
-        return int(self.int_embed[k % self.field.char])
-
-    def eval_monomials(self, monos, arrays):
-        q = self.q
-        max_exp = [0, 0, 0, 0]
-        for _, e in monos:
-            for i in range(4):
-                max_exp[i] = max(max_exp[i], e[i])
-        one = self.field.to_int(self.field.one)
-        powers = []
-        for arr, top in zip(arrays, max_exp):
-            row = [np.full_like(arr, one)]
-            for _ in range(top):
-                row.append(self.mul[row[-1], arr])
-            powers.append(row)
-        out = np.full_like(arrays[0], self.field.to_int(self.field.zero))
-        for c, e in monos:
-            term = np.full_like(arrays[0], self.embed_int(c))
-            for i in range(4):
-                if e[i]:
-                    term = self.mul[term, powers[i][e[i]]]
-            out = self.add[out, term]
-        return out
+        add, mul, p = self.add, self.mul, field.char
+        self.ring = (
+            lambda a, b: mul[a, b],
+            lambda a, b: add[a, b],
+            lambda c, a: mul[embed[c % p], a],
+        )
 
 
 def alpha_counts_table(field):
     """(N0, N2) over a small extension field via index tables."""
     tab = GFTable(field)
-    q = tab.q
-    rng = np.arange(q, dtype=np.int64)
-    grids = np.meshgrid(rng, rng, rng, rng, indexing="ij")
-    arrays = [g.reshape(-1) for g in grids]
-    zero = field.to_int(field.zero)
-    delta = tab.eval_monomials(delta_monomials(), arrays)
-    on = delta == zero
-    n0 = int(on.sum())
-    sub = [a[on] for a in arrays]
-    acc = np.ones(n0, dtype=bool)
-    for monos in gradient_monomials():
-        g = tab.eval_monomials(monos, sub)
-        acc &= g == zero
-    return n0, int(acc.sum())
+    return _alpha_counts(tab.q, tab.ring, field.to_int(field.zero))
 
 
 # -- dual-number invariant pipeline for the beta Monte Carlo --
@@ -209,6 +171,16 @@ def _dscale(k, a, p):
     return (k * a[0] % p, k * a[1] % p)
 
 
+def dual_ring(p):
+    """Ring of dual-number pairs (value array, eps array) mod p."""
+    _check_p(p)
+    return (
+        lambda a, b: _dmul(a, b, p),
+        lambda a, b: _dadd(a, b, p),
+        lambda c, a: _dscale(c % p, a, p),
+    )
+
+
 def _dmatmul(a, b, p):
     m0 = np.matmul(a[0], b[0]) % p
     m1 = (np.matmul(a[0], b[1]) + np.matmul(a[1], b[0])) % p
@@ -225,25 +197,26 @@ def _dtrace_prod(a, b, p):
     return (t0, t1)
 
 
-def beta_mc_prime(p, n_samples, seed, chunk=20000):
+def beta_mc_prime(p, n_samples, seed):
     """Monte Carlo count of {x in V(O/pi^2) : Delta(pi(x)) = 0 mod pi^2}.
 
     Samples uniform dual-number coordinates, pushes them through the matrix
     invariants (even charpoly + Pfaffian, diagonal normalization) and the
-    quartic discriminant.  Returns the hit count.
+    quartic discriminant.  Returns the hit count.  Batch i of BETA_CHUNK
+    samples draws from the Philox stream (seed, "beta-mc", i).
     """
+    ring = dual_ring(p)
     inv2 = pow(2, p - 2, p)
     inv4 = pow(4, p - 2, p)
     inv6 = pow(6, p - 2, p)
     pf_terms = pfaffian_terms(8)
     signs = np.array([s for s, _ in pf_terms], dtype=np.int64)
     idx = np.array([[list(pair) for pair in pairs] for _, pairs in pf_terms])
-    monos = delta_monomials()
     hits = 0
     done = 0
     batch_index = 0
     while done < n_samples:
-        size = min(chunk, n_samples - done)
+        size = min(BETA_CHUNK, n_samples - done)
         rng = det_rng(seed, "beta-mc", batch_index)
         batch_index += 1
         coords = rng.integers(0, p, size=(size, 16, 2), dtype=np.int64)
@@ -279,33 +252,10 @@ def beta_mc_prime(p, n_samples, seed, chunk=20000):
             prod = _dmul(prod, (h0, h1), p)
         pf0 = (prod[0] * signs).sum(axis=1) % p
         pf1 = (prod[1] * signs).sum(axis=1) % p
-        b_arrays0 = [e2[0], e4[0], pf0, e6[0]]
-        b_arrays1 = [e2[1], e4[1], pf1, e6[1]]
-        d0, d1 = _eval_monomials_dual(monos, b_arrays0, b_arrays1, p)
+        d0, d1 = delta_mpoly().eval((e2, e4, (pf0, pf1), e6), ring)
         hits += int(((d0 == 0) & (d1 == 0)).sum())
         done += size
     return hits
-
-
-def _eval_monomials_dual(monos, arr0, arr1, p):
-    max_exp = [0, 0, 0, 0]
-    for _, e in monos:
-        for i in range(4):
-            max_exp[i] = max(max_exp[i], e[i])
-    powers = []
-    for a0, a1, top in zip(arr0, arr1, max_exp):
-        row = [(np.ones_like(a0), np.zeros_like(a0))]
-        for _ in range(top):
-            row.append(_dmul(row[-1], (a0, a1), p))
-        powers.append(row)
-    out = (np.zeros_like(arr0[0]), np.zeros_like(arr0[0]))
-    for c, e in monos:
-        term = (np.full_like(arr0[0], c % p), np.zeros_like(arr0[0]))
-        for i in range(4):
-            if e[i]:
-                term = _dmul(term, powers[i][e[i]], p)
-        out = _dadd(out, term, p)
-    return out
 
 
 # -- batched polynomial pipeline for the delta_B Monte Carlo --
@@ -322,31 +272,29 @@ def _batched_polymul(a, b, p):
     return out
 
 
-def delta_poly_batch(p, coeff_arrays):
-    """Batched Delta for polynomial coefficient tuples (arrays (N, deg+1))."""
-    monos = delta_monomials()
-    max_exp = [0, 0, 0, 0]
-    for _, e in monos:
-        for i in range(4):
-            max_exp[i] = max(max_exp[i], e[i])
-    n = coeff_arrays[0].shape[0]
-    powers = []
-    for arr, top in zip(coeff_arrays, max_exp):
-        row = [np.ones((n, 1), dtype=np.int64)]
-        for _ in range(top):
-            row.append(_batched_polymul(row[-1], arr, p))
-        powers.append(row)
-    target_len = 1 + sum(
-        (arr.shape[1] - 1) * top for arr, top in zip(coeff_arrays, max_exp)
-    )
-    out = np.zeros((n, target_len), dtype=np.int64)
-    for c, e in monos:
-        term = np.full((n, 1), c % p, dtype=np.int64)
-        for i in range(4):
-            if e[i]:
-                term = _batched_polymul(term, powers[i][e[i]], p)
-        out[:, : term.shape[1]] = (out[:, : term.shape[1]] + term) % p
+def _batched_polyadd(a, b, p):
+    if a.shape[1] < b.shape[1]:
+        a, b = b, a
+    out = a.copy()
+    out[:, : b.shape[1]] = (out[:, : b.shape[1]] + b) % p
     return out
+
+
+def batch_ring(p):
+    """Ring of polynomial batches: (N, deg+1) coefficient arrays mod p."""
+    _check_p(p)
+    return (
+        lambda a, b: _batched_polymul(a, b, p),
+        lambda a, b: _batched_polyadd(a, b, p),
+        lambda c, a: c % p * a % p,
+    )
+
+
+def delta_poly_batch(p, coeff_arrays):
+    """Batched Delta for polynomial coefficient tuples (arrays (N, deg+1),
+    lowest degree first).  Row i holds the coefficients of Delta of tuple i,
+    up to the highest degree a monomial of Delta can reach."""
+    return delta_mpoly().eval(coeff_arrays, batch_ring(p))
 
 
 def squarefree_int_list(coeffs, p):
@@ -404,6 +352,24 @@ def _il_mul(a, b, p):
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
     return _il_trim(out)
+
+
+def _il_add(a, b, p):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] = (out[i] + y) % p
+    return _il_trim(out)
+
+
+def intlist_ring(p):
+    """Ring of mod-p polynomials as int lists (lowest degree first)."""
+    return (
+        lambda a, b: _il_mul(a, b, p),
+        lambda a, b: _il_add(a, b, p),
+        lambda c, a: _il_trim([c * y % p for y in a]),
+    )
 
 
 def _il_divmod(a, b, p):
@@ -554,25 +520,4 @@ def il_factor(coeffs, p, seed=0):
 
 def delta_poly_intlists(p, coeff_lists):
     """Delta for four mod-p polynomials given as int lists (low first)."""
-    monos = delta_monomials()
-    max_exp = [0, 0, 0, 0]
-    for _, e in monos:
-        for i in range(4):
-            max_exp[i] = max(max_exp[i], e[i])
-    powers = []
-    for cs, top in zip(coeff_lists, max_exp):
-        row = [[1]]
-        for _ in range(top):
-            row.append(_il_mul(row[-1], cs, p))
-        powers.append(row)
-    out = []
-    for c, e in monos:
-        term = [c % p]
-        for i in range(4):
-            if e[i]:
-                term = _il_mul(term, powers[i][e[i]], p)
-        if len(term) > len(out):
-            out, term = term, out
-        for i, v in enumerate(term):
-            out[i] = (out[i] + v) % p
-    return _il_trim(out)
+    return delta_mpoly().eval(coeff_lists, intlist_ring(p))

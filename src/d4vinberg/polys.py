@@ -161,14 +161,6 @@ class Poly:
             [i * c for i, c in enumerate(self.coeffs)][1:],
         )
 
-    def shift_compose(self, a):
-        """self(x + a)."""
-        x_plus_a = Poly(self.field, [a, self.field.one])
-        result = Poly(self.field)
-        for c in reversed(self.coeffs):
-            result = result * x_plus_a + c
-        return result
-
     def reversed(self, at_degree=None):
         """Coefficient reversal x^n * self(1/x) padded to at_degree."""
         n = self.degree if at_degree is None else at_degree

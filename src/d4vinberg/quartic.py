@@ -4,9 +4,11 @@ The basic object is f(t) = t^4 + p2 t^3 + p4 t^2 + p6 t + q4^2 (the
 homogeneous convention: weights (1,2,2,3) on (p2,p4,q4,p6) with t of weight
 2 rescale f by weight 12).  Delta(b) = disc(f) is expanded once over the
 integers from the Sylvester resultant Res(f, f') and cached as a sparse
-integer polynomial, so it can be evaluated exactly over any commutative
-ring: field elements, F_q[t] coefficients, length-2 local rings, or numpy
-residue arrays.
+integer polynomial.  Its ``MPoly.eval`` plan is compiled once, so Delta is
+evaluated exactly over any commutative ring by the same code: field
+elements, F_q[t] coefficients and rational functions through Python's
+operators, and numpy residue arrays, dual numbers, index tables and int-list
+polynomials through the ring adapters in ``numkernels``.
 """
 
 from functools import lru_cache
@@ -82,12 +84,6 @@ def disc_univariate(f: polys.Poly):
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     val = res * f.lead().inverse()
     return val if sign > 0 else -val
-
-
-def is_squarefree(f: polys.Poly) -> bool:
-    """Squarefree-and-separable test via gcd(f, f'); the correction at the
-    infinite place is degree bookkeeping and lives with the curve models."""
-    return polys.is_squarefree(f)
 
 
 @lru_cache(maxsize=1)

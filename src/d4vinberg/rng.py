@@ -2,8 +2,9 @@
 
 Every stochastic routine in the package draws from a Philox generator keyed
 by SHA-256 of (seed, job, index).  Philox is counter-based, so identical
-(seed, job, index) triples give byte-identical streams on every platform and
-regardless of how work is split into batches.
+(seed, job, index) triples give byte-identical streams on every platform.
+Batched routines key one stream per batch index at a fixed batch size, so
+their results depend on that size: it is a module constant, not an option.
 """
 
 import hashlib
@@ -20,7 +21,3 @@ def det_rng(seed: int, job: str, index: int = 0) -> np.random.Generator:
     """Generator for the (seed, job, index) stream."""
     return np.random.Generator(np.random.Philox(key=philox_key(seed, job, index)))
 
-
-def randint(rng: np.random.Generator, lo: int, hi: int) -> int:
-    """Uniform python int in [lo, hi)."""
-    return int(rng.integers(lo, hi))

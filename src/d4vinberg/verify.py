@@ -1,11 +1,14 @@
 """Verification suites: one callable per acceptance criterion.
 
 Every suite returns {"criterion", "passed", "seconds", "details"}; hard
-mathematical failures raise AssertionError inside the suite and are reported
-as passed = False with the message.  The CLI and the acceptance tests both
-run these, so reports and pytest agree by construction.
+mathematical failures raise AssertionError inside the suite.  Any exception
+a suite raises is reported as passed = False with details {"failure":
+message, "type": exception class name}, so one failing suite never discards
+the others' results.  The CLI and the acceptance tests both run these, so
+reports and pytest agree by construction.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -38,18 +41,19 @@ W0_NAMES = ("e", "s12.34", "s13.24", "s14.23")
 
 def _suite(name):
     def wrap(fn):
+        @functools.wraps(fn)
         def run(*args, **kwargs):
-            start = time.time()
+            start = time.perf_counter()
             try:
                 details = fn(*args, **kwargs)
                 passed = True
-            except AssertionError as exc:
-                details = {"failure": str(exc)}
+            except Exception as exc:
+                details = {"failure": str(exc), "type": type(exc).__name__}
                 passed = False
             return {
                 "criterion": name,
                 "passed": passed,
-                "seconds": round(time.time() - start, 3),
+                "seconds": round(time.perf_counter() - start, 3),
                 "details": details,
             }
 

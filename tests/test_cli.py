@@ -85,3 +85,17 @@ def test_failure_is_structured(monkeypatch, capsys):
     data = json.loads(out)
     assert not data["passed"]
     assert data["failure"]["type"] == "AssertionError"
+
+
+def test_suite_exception_is_a_failed_report():
+    import inspect
+
+    from d4vinberg import verify
+
+    result = verify.stabilizer_suite(p=23, n=2, max_q=5)
+    assert not result["passed"]
+    assert result["details"]["type"] == "ValueError"
+    assert "exceeds enumeration bound" in result["details"]["failure"]
+    assert list(inspect.signature(verify.densities_suite).parameters) == [
+        "q", "beta_n", "delta_d", "delta_n", "seed", "slow"
+    ]

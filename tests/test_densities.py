@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from d4vinberg import numkernels
@@ -110,10 +111,11 @@ def test_mc_deterministic():
     assert h1 == h2
 
 
-def test_beta_mc_chunking_invariant():
-    full = numkernels.beta_mc_prime(5, 30000, 13, chunk=20000)
-    same = numkernels.beta_mc_prime(5, 30000, 13, chunk=20000)
-    assert full == same
+def test_int64_kernels_reject_p_beyond_exact_range():
+    with pytest.raises(ValueError):
+        numkernels.beta_mc_prime(2**31 - 1, 10, 0)
+    with pytest.raises(ValueError):
+        numkernels.delta_poly_batch(2**31 - 1, [np.zeros((1, 1), dtype=np.int64)] * 4)
 
 
 def test_infinity_coordinate_change():

@@ -1,0 +1,151 @@
+"""Differential tests of the one polynomial evaluator, MPoly.eval, and of
+every ring it runs over: Python ring elements and the vectorized adapters
+in numkernels (mod-p arrays, dual numbers, index tables, batched and
+int-list polynomials)."""
+
+from functools import lru_cache
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from d4vinberg import numkernels
+from d4vinberg.fields import GF
+from d4vinberg.multipoly import MPoly
+from d4vinberg.polys import Poly
+from d4vinberg.quartic import (
+    delta_gradient,
+    delta_mpoly,
+    disc_univariate,
+    quartic_disc,
+    quartic_poly,
+)
+
+SETTINGS = settings(max_examples=60, deadline=None)
+PRIMES = st.sampled_from([5, 7, 11, 23])
+
+
+def reference_eval(poly, args):
+    """Term-by-term evaluation: c * x_1^e_1 * ... * x_n^e_n, summed."""
+    acc = None
+    for e, c in poly.terms.items():
+        term = c
+        for x, k in zip(args, e):
+            for _ in range(k):
+                term = term * x
+        acc = term if acc is None else acc + term
+    if acc is None:
+        return 0
+    return acc
+
+
+@st.composite
+def mpolys(draw, coeff):
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    terms = draw(st.dictionaries(exps, coeff, max_size=6))
+    return MPoly(nvars, terms)
+
+
+@lru_cache(maxsize=None)
+def _field(p, m):
+    return GF(p, m)
+
+
+@lru_cache(maxsize=None)
+def _elements(p, m):
+    return list(_field(p, m))
+
+
+@lru_cache(maxsize=None)
+def _table(p, m):
+    return numkernels.GFTable(_field(p, m))
+
+
+@SETTINGS
+@given(mpolys(st.integers(-20, 20)), st.lists(st.integers(-9, 9), min_size=3, max_size=3))
+def test_eval_matches_reference_over_ints(poly, args):
+    assert poly.eval(args) == reference_eval(poly, args)
+
+
+@SETTINGS
+@given(
+    st.sampled_from([(7, 1), (5, 2)]),
+    st.data(),
+)
+def test_eval_matches_reference_over_field_elements(pm, data):
+    elems = _elements(*pm)
+    felem = st.sampled_from(elems)
+    poly = data.draw(mpolys(felem))
+    args = data.draw(st.lists(felem, min_size=3, max_size=3))
+    assert poly.eval(args) == reference_eval(poly, args)
+
+
+@SETTINGS
+@given(st.sampled_from([(5, 1), (7, 1), (23, 1), (5, 2), (7, 2)]), st.data())
+def test_quartic_disc_matches_resultant_oracle(pm, data):
+    field = _field(*pm)
+    b = tuple(data.draw(st.lists(st.sampled_from(_elements(*pm)), min_size=4, max_size=4)))
+    assert quartic_disc(b) == disc_univariate(quartic_poly(field, b))
+
+
+def _coeff_lists(p, max_len=7):
+    return st.lists(
+        st.lists(st.integers(0, p - 1), min_size=1, max_size=max_len),
+        min_size=4,
+        max_size=4,
+    )
+
+
+@SETTINGS
+@given(PRIMES, st.data())
+def test_intlist_delta_matches_poly_delta(p, data):
+    lists = data.draw(_coeff_lists(p))
+    field = GF(p)
+    delta = quartic_disc(tuple(Poly(field, [field.elem(c) for c in cs]) for cs in lists))
+    assert numkernels.delta_poly_intlists(p, lists) == [c.val for c in delta.coeffs]
+
+
+@SETTINGS
+@given(PRIMES, st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_batch_rows_match_intlist_delta(p, d, n, seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.integers(0, p, size=(n, 2 * d * w + 1), dtype=np.int64) for w in (1, 2, 2, 3)]
+    batch = numkernels.delta_poly_batch(p, arrays)
+    # columns stop at the weighted degree 24 d of Delta
+    assert batch.shape == (n, 24 * d + 1)
+    for i, row in enumerate(batch.tolist()):
+        expected = numkernels.delta_poly_intlists(p, [a[i].tolist() for a in arrays])
+        while row and row[-1] == 0:
+            row.pop()
+        assert row == expected
+
+
+@SETTINGS
+@given(PRIMES, st.integers(0, 2**32 - 1))
+def test_mod_and_dual_rings_match_field_elements(p, seed):
+    """Dual numbers give (Delta(b0), grad Delta(b0) . b1); residues Delta(b0)."""
+    field = GF(p)
+    rng = np.random.default_rng(seed)
+    b0 = [rng.integers(0, p, size=8, dtype=np.int64) for _ in range(4)]
+    b1 = [rng.integers(0, p, size=8, dtype=np.int64) for _ in range(4)]
+    values = delta_mpoly().eval(b0, numkernels.mod_ring(p))
+    d0, d1 = delta_mpoly().eval(list(zip(b0, b1)), numkernels.dual_ring(p))
+    grad = delta_gradient()
+    for j in range(8):
+        x0 = [field.elem(int(a[j])) for a in b0]
+        x1 = [field.elem(int(a[j])) for a in b1]
+        value = quartic_disc(x0)
+        slope = sum((g.eval(x0) * t for g, t in zip(grad, x1)), field.zero)
+        assert int(values[j]) == int(d0[j]) == value.val
+        assert int(d1[j]) == slope.val
+
+
+@SETTINGS
+@given(st.lists(st.lists(st.integers(0, 24), min_size=4, max_size=4), min_size=1, max_size=8))
+def test_table_ring_matches_field_elements_gf25(points):
+    field, tab, elems = _field(5, 2), _table(5, 2), _elements(5, 2)
+    by_code = {field.to_int(x): x for x in elems}
+    arrays = [np.array([pt[i] for pt in points], dtype=np.int64) for i in range(4)]
+    got = delta_mpoly().eval(arrays, tab.ring)
+    for j, pt in enumerate(points):
+        assert int(got[j]) == field.to_int(quartic_disc([by_code[c] for c in pt]))
