@@ -11,6 +11,7 @@ extension elements as comma-separated coefficient tuples "(c0,c1,...)".
 """
 
 from functools import lru_cache
+from math import isqrt
 
 
 class FElem:
@@ -487,14 +488,34 @@ def _poly_is_irreducible(bf, mod):
     return True
 
 
+# Miller-Rabin on the first twelve primes as bases is a proof of primality
+# below this bound (Sorenson & Webster, Math. Comp. 2017); above it, trial
+# division.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
 def _is_prime(n):
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_LIMIT:
+        return all(n % d for d in range(41, isqrt(n) + 1, 2))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -519,11 +540,19 @@ def _auto_modulus(p, m):
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
+@lru_cache(maxsize=None)
+def _default_extension(p, m):
+    bf = _prime_field(p)
+    return ExtField(bf, [bf.elem(c) for c in _auto_modulus(p, m)])
+
+
 def GF(p, m=1, modulus=None):
     """Field descriptor F_{p^m}; p >= 5 prime, modulus monic irreducible.
 
     Without an explicit modulus the lexicographically smallest monic
-    irreducible of degree m is used, so GF(p, m) is deterministic.
+    irreducible of degree m is used, and the field object is memoized, so
+    GF(p, m) is GF(p, m) and elements of two calls mix.  An explicit
+    modulus builds a new field object.
     """
     bf = _prime_field(p)
     if m == 1:
@@ -531,7 +560,7 @@ def GF(p, m=1, modulus=None):
             raise ValueError("modulus only applies to extensions")
         return bf
     if modulus is None:
-        modulus = _auto_modulus(p, m)
+        return _default_extension(p, m)
     return ExtField(bf, [bf.elem(c) for c in modulus])
 
 

@@ -9,6 +9,7 @@ row.  Tail bounds are exact sums of geometric series in q^(1/4), reported
 as rational upper bounds.
 """
 
+from array import array
 from fractions import Fraction
 
 from .liealg import LABELS, LABEL_SIGNS, leq, w0_label_perm, W0_PERMS
@@ -36,20 +37,23 @@ def covers(label):
     return frozenset(out)
 
 
-def is_upward_closed(m_set):
-    return all(
-        all(b in m_set for b in LABELS if leq(a, b)) for a in m_set
-    )
-
-
 def enumerate_upward_closed():
-    """All nonempty upward-closed subsets of Phi_V."""
+    """All nonempty upward-closed subsets of Phi_V, in bitmask order.
+
+    Bit i of a mask stands for LABELS[i] and up[i] is the mask of labels
+    >= LABELS[i].  A mask is upward-closed iff the union of up[i] over its
+    bits is the mask itself; that union is built from the mask with its
+    lowest bit cleared, so each of the 2^16 masks costs one OR.
+    """
+    n = len(LABELS)
+    up = [sum(1 << j for j, b in enumerate(LABELS) if leq(a, b)) for a in LABELS]
+    closure = array("H", [0]) * (1 << n)  # 16-bit cells: 128 KB, not a list of ints
     out = []
-    labels = list(LABELS)
-    for mask in range(1, 1 << 16):
-        m = frozenset(labels[i] for i in range(16) if mask & (1 << i))
-        if is_upward_closed(m):
-            out.append(m)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        c = closure[mask] = closure[mask ^ low] | up[low.bit_length() - 1]
+        if c == mask:
+            out.append(frozenset(l for i, l in enumerate(LABELS) if mask >> i & 1))
     return out
 
 

@@ -97,7 +97,7 @@ def alpha_coords(evec):
     s = w0 + w1 + w2 + w3
     if s % 2:
         raise ValueError("not in the root lattice")
-    m4 = (s) // 2 - 0 if False else (w0 + w1 + w2 + w3) // 2
+    m4 = s // 2
     m3 = (w0 + w1 + w2 - w3) // 2
     return (m1, m2, m3, m4)
 

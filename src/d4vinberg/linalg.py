@@ -5,7 +5,19 @@ Matrices are lists of lists of field elements.  Sizes here are tiny (at most
 arithmetic.  The Pfaffian and the even characteristic polynomial are the two
 non-generic routines: both avoid divisions that would fail in small odd
 characteristic (only 2 and 3 are ever inverted).
+
+`mat_mul` and `mat_vec` have a prime-field int kernel.  When every entry of
+both operands is an `FElem` of one and the same `PrimeField` (and the shapes
+are rectangular and agree), the values are unboxed to Python ints, each dot
+product is reduced mod p once, and the results are boxed again.  Any other
+input (`ExtField` or `MPoly` entries, plain ints, elements of two field
+objects, ragged rows) takes the generic loop, which behaves as it always did.
 """
+
+from operator import mul
+
+from .fields import FElem, PrimeField
+
 
 def zeros(field, n, m):
     return [[field.zero] * m for _ in range(n)]
@@ -22,9 +34,45 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def _prime_vals(mat, field, width):
+    """Int values of mat if every row has `width` FElem entries of `field`."""
+    out = []
+    for row in mat:
+        if len(row) != width:
+            return None
+        vals = []
+        for x in row:
+            if type(x) is not FElem or x.field is not field:
+                return None
+            v = x.val
+            if type(v) is not int:
+                return None
+            vals.append(v)
+        out.append(vals)
+    return out
+
+
+def _prime_dots(rows, cols, k):
+    """[[r . c for c in cols] for r in rows] by the int kernel, or None
+    unless every row and column has k entries, all FElems of one PrimeField."""
+    first = cols[0][0] if cols and cols[0] else None
+    if type(first) is not FElem or type(first.field) is not PrimeField:
+        return None
+    field = first.field
+    cv = _prime_vals(cols, field, k)
+    rv = _prime_vals(rows, field, k) if cv is not None else None
+    if rv is None:
+        return None
+    p = field.p
+    return [[FElem(field, sum(map(mul, r, c)) % p) for c in cv] for r in rv]
+
+
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     bt = [[b[r][c] for r in range(k)] for c in range(m)]
+    out = _prime_dots(a, bt, k)
+    if out is not None:
+        return out
     out = []
     for i in range(n):
         row_a = a[i]
@@ -39,6 +87,9 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
+    out = _prime_dots(a, [v], len(v))
+    if out is not None:
+        return [row[0] for row in out]
     out = []
     for row in a:
         acc = row[0] * v[0]

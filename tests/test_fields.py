@@ -44,6 +44,23 @@ def test_auto_modulus_deterministic():
     assert [c.val for c in m1] == [c.val for c in m2]
 
 
+def test_default_extension_is_one_object():
+    f, g = GF(5, 2), GF(5, 2)
+    assert f is g
+    rng = det_rng(2, "ext-memo")
+    a, b = f.random(rng), g.random(rng)
+    assert (a + b) - b == a
+    assert GF(5, 2, modulus=f.modulus) is not f
+
+
+def test_primality_of_large_and_pseudoprime_characteristics():
+    assert GF(2**61 - 1).p == 2**61 - 1
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2, ..., 23
+    for n in (3215031751, 3825123056546413051, 2**61 + 1):
+        with pytest.raises(ValueError):
+            GF(n)
+
+
 def test_serialization_roundtrip_bit_exact():
     for f in (GF(23), GF(5, 2)):
         for x in f:
