@@ -11,11 +11,12 @@ Desk-scale enumeration is guarded by max_q (default 101).
 """
 
 from fractions import Fraction
+from math import lcm
 
 from . import polys
 from .fields import extension_of
 from .funcfield import Place, RatFunc
-from .linalg import kernel_basis
+from .linalg import kernel_basis, solve
 from .polys import Poly
 from .quartic import (
     quartic_disc,
@@ -193,7 +194,7 @@ class PointedCurve:
         for p in pts:
             o = self.order_of(p)
             orders[p] = o
-            exponent = _lcm(exponent, o)
+            exponent = lcm(exponent, o)
         n1, n2 = n // exponent, exponent
         assert n1 * n2 == n and n2 % n1 == 0, "not of rank <= 2 shape"
         self._orders = orders
@@ -220,7 +221,7 @@ class PointedCurve:
             if self._orders[p] != n1:
                 continue
             ok = True
-            for ell in _prime_divisors(n1):
+            for ell in polys.prime_divisors(n1):
                 if self.mul(n1 // ell, p) in cyc:
                     ok = False
                     break
@@ -259,25 +260,6 @@ def _cross(a, b):
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     )
-
-
-def _lcm(a, b):
-    from math import gcd
-
-    return a * b // gcd(a, b)
-
-
-def _prime_divisors(n):
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def curve_group(field, b, max_q=DEFAULT_MAX_Q):
@@ -352,10 +334,10 @@ def minimal_data(field, b) -> MinimalData:
     for i, r in enumerate(b):
         if r.is_zero():
             continue
-        for f, mult in _factor_fast(field, r.num):
+        for f, mult in polys.factor(r.num):
             if f.degree > 0:
                 support.setdefault(Place(field, f, _trusted=True), [0, 0, 0, 0])[i] += mult
-        for f, mult in _factor_fast(field, r.den):
+        for f, mult in polys.factor(r.den):
             if f.degree > 0:
                 support.setdefault(Place(field, f, _trusted=True), [0, 0, 0, 0])[i] -= mult
     inf = Place.infinite(field)
@@ -434,7 +416,7 @@ def xd_membership(field, b, d, classify_fibres=True, max_q=DEFAULT_MAX_Q**2):
     divisor = []
     kodaira = {}
     ok = True
-    for fpoly, mult in _factor_fast(field, delta):
+    for fpoly, mult in polys.factor(delta):
         if fpoly.degree == 0:
             continue
         place = Place(field, fpoly, _trusted=True)
@@ -457,20 +439,6 @@ def xd_membership(field, b, d, classify_fibres=True, max_q=DEFAULT_MAX_Q**2):
     if classify_fibres and in_xd:
         assert all(t in ("I1",) for t in kodaira.values()), kodaira
     return XDMembership(in_xd, divisor, ord_inf, kodaira, delta)
-
-
-def _factor_fast(field, fpoly: Poly):
-    """Factor over a prime field via int lists; generic path otherwise."""
-    from .fields import PrimeField
-
-    if isinstance(field, PrimeField):
-        from .numkernels import il_factor
-
-        return [
-            (Poly(field, list(cs)), mult)
-            for cs, mult in il_factor([c.val for c in fpoly.coeffs], field.p)
-        ]
-    return polys.factor(fpoly)
 
 
 def _kodaira_at_finite(field, b, place: Place):
@@ -545,33 +513,19 @@ def singular_points_bruteforce(kv, b_red):
 
 
 def disc_poly(field, b) -> Poly:
-    """Delta(b) for polynomial coefficient tuples, int-list fast path."""
-    from .fields import PrimeField
-
-    b = tuple(
-        x if isinstance(x, Poly) else Poly.const(field, field.elem(x)) for x in b
+    """Delta(b) for polynomial coefficient tuples (constants are lifted)."""
+    return quartic_disc(
+        tuple(x if isinstance(x, Poly) else Poly.const(field, field.elem(x)) for x in b)
     )
-    if isinstance(field, PrimeField):
-        from .numkernels import delta_poly_intlists
-
-        cs = delta_poly_intlists(field.p, [[c.val for c in x.coeffs] for x in b])
-        return Poly(field, cs)
-    return quartic_disc(b)
 
 
 def in_xd_fast(field, b, d) -> bool:
     """Cheap in_XD test: nonzero squarefree discriminant, simple at infinity."""
-    from .fields import PrimeField
-
     delta = disc_poly(field, b)
     if delta.is_zero():
         return False
     if 24 * d - delta.degree > 1:
         return False
-    if isinstance(field, PrimeField):
-        from .numkernels import squarefree_int_list
-
-        return squarefree_int_list([c.val for c in delta.coeffs], field.p)
     return polys.is_squarefree(delta)
 
 
@@ -646,9 +600,8 @@ def stabilizer_two_torsion(inv, b, extension_degree=1):
     kb = inv.kostant_section(b)
     g = ctx.char_quartic(kb)
     if extension_degree > 1:
-        ext = extension_of(
-            ctx.field, polys.find_irreducible(ctx.field, extension_degree).coeffs
-        )
+        mu = polys.find_irreducible(ctx.field, extension_degree)
+        ext = extension_of(ctx.field, mu.coeffs, trusted=True)
         g = Poly(ext, [ext.elem(c) for c in g.coeffs])
     degrees = []
     for fpoly, mult in polys.factor(g):
@@ -673,22 +626,19 @@ def two_torsion_field_rank(field, b_polys):
         0,
     )
     mu = polys.find_irreducible(field, bound + 1)
-    ext = extension_of(field, mu.coeffs)
+    ext = extension_of(field, mu.coeffs, trusted=True)
     tau = ext.gen
     cubic = Poly(ext, [b_coef(tau), a_coef(tau), ext.zero, ext.one])
     count = 0
     for root in polys.roots(cubic):
         # reconstruct the unique polynomial of degree <= bound with value root
-        rows = []
         power = ext.one
         cols = []
         for _ in range(bound + 1):
             cols.append(list(power.val))
             power = power * tau
         rows = [[field.elem(cols[j][i]) for j in range(bound + 1)] for i in range(ext.deg)]
-        from . import linalg
-
-        sol = linalg.solve(field, rows, [field.elem(v) for v in root.val])
+        sol = solve(field, rows, [field.elem(v) for v in root.val])
         if sol is None:
             continue
         cand = Poly(field, sol)

@@ -6,6 +6,15 @@ Extensions are represented as base[x]/(modulus) with coefficient tuples
 the same machinery.  Characteristics 2 and 3 are rejected: the algebra side
 of the package divides by 2 and 3 freely.
 
+Every field supplies the two polynomial primitives that ``polys`` builds its
+one univariate layer on, ``poly_mul`` and ``poly_divmod`` on trimmed lists
+of raw values.  ``Field`` holds the generic pair, written against the raw
+element arithmetic; ``PrimeField`` overrides it with a pair on Python ints.
+``ExtField`` multiplies as a base-field product reduced modulo its modulus,
+inverts by the layer's extended Euclid and checks an untrusted modulus with
+its Rabin test (``polys`` is imported inside those functions, since it
+imports this module).
+
 Text format (bit-exact round trip): prime elements as decimal integers,
 extension elements as comma-separated coefficient tuples "(c0,c1,...)".
 """
@@ -121,7 +130,67 @@ class FElem:
         return self.field.elem_to_str(self)
 
 
-class PrimeField:
+class Field:
+    """Base of the field classes: the generic polynomial pair.
+
+    A polynomial is a list of raw element values, lowest degree first,
+    without trailing zeros; [] is zero.  Results are trimmed; a factor of
+    poly_mul may carry trailing zeros, a divisor may not.  Both methods go
+    through the raw ``_add``/``_sub``/``_mul``/``_inv`` of the field, so
+    they serve every representation; a subclass with a faster one
+    overrides both, and the pair here stays callable on it as
+    ``Field.poly_mul(field, a, b)``.
+    """
+
+    def poly_mul(self, a, b):
+        z = self.zero.val
+        add, mul = self._add, self._mul
+        out = [z] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            if x != z:
+                for j, y in enumerate(b, i):
+                    out[j] = add(out[j], mul(x, y))
+        while out and out[-1] == z:
+            out.pop()
+        return out
+
+    def poly_divmod(self, a, b):
+        """(quotient, remainder); b must be trimmed and nonzero."""
+        z = self.zero.val
+        db = len(b) - 1
+        if db < 0:
+            raise ZeroDivisionError("polynomial division by zero")
+        r = list(a)
+        q = [z] * (len(r) - db)
+        inv = self._inv(b[db])
+        sub, mul = self._sub, self._mul
+        for k in range(len(q) - 1, -1, -1):
+            c = mul(r[db + k], inv)
+            if c != z:
+                q[k] = c
+                for j, y in enumerate(b[:db], k):
+                    r[j] = sub(r[j], mul(c, y))
+        r = r[:db]
+        while r and r[-1] == z:
+            r.pop()
+        return q, r
+
+    def inv_int(self, k):
+        """Inverse of the integer k as a field element (k must be a unit)."""
+        return self.elem(k).inverse()
+
+    def sqrt(self, a):
+        """A square root of a, or None.  Deterministic: the first root in
+        enumeration order (prime fields: the smallest int value)."""
+        a = self.elem(a)
+        if not a:
+            return self.zero
+        if self.chi(a) != 1:
+            return None
+        return next(x for x in self if x * x == a)
+
+
+class PrimeField(Field):
     """F_p for an odd prime p >= 5; element values are ints in [0, p)."""
 
     def __init__(self, p):
@@ -149,6 +218,48 @@ class PrimeField:
     def _inv(self, a):
         return pow(a, self.p - 2, self.p)
 
+    # The int pair: products, and the eliminations of poly_divmod, are summed
+    # as unreduced Python ints and reduced mod p once at the end.
+
+    def poly_mul(self, a, b):
+        if not a or not b:
+            return []
+        out = [0] * (len(a) + len(b) - 1)
+        i = 0
+        for x in a:
+            if x:
+                j = i
+                for y in b:
+                    out[j] += x * y
+                    j += 1
+            i += 1
+        p = self.p
+        out = [c % p for c in out]
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    def poly_divmod(self, a, b):
+        p = self.p
+        db = len(b) - 1
+        if db < 0:
+            raise ZeroDivisionError("polynomial division by zero")
+        r = list(a)
+        q = [0] * (len(r) - db)
+        inv = pow(b[db], p - 2, p)
+        for k in range(len(q) - 1, -1, -1):
+            c = r[db + k] * inv % p
+            if c:
+                q[k] = c
+                j = k
+                for y in b:
+                    r[j] -= c * y
+                    j += 1
+        r = [c % p for c in r[:db]]
+        while r and not r[-1]:
+            r.pop()
+        return q, r
+
     def elem(self, x):
         if isinstance(x, FElem):
             if x.field is not self:
@@ -162,10 +273,6 @@ class PrimeField:
         if isinstance(x, int):
             return FElem(self, x % self.p)
         return NotImplemented
-
-    def inv_int(self, k):
-        """Inverse of the integer k as a field element (k must be a unit)."""
-        return self.elem(k).inverse()
 
     def random(self, rng):
         return FElem(self, int(rng.integers(0, self.p)))
@@ -182,18 +289,6 @@ class PrimeField:
         if not a:
             return 0
         return 1 if pow(a.val, (self.p - 1) // 2, self.p) == 1 else -1
-
-    def sqrt(self, a):
-        """A square root of a, or None.  Deterministic (smallest int value)."""
-        a = self.elem(a)
-        if not a:
-            return self.zero
-        if self.chi(a) != 1:
-            return None
-        for v in range(1, self.p):
-            if v * v % self.p == a.val:
-                return FElem(self, v)
-        return None
 
     def elem_to_str(self, x):
         return str(x.val)
@@ -218,7 +313,7 @@ class PrimeField:
         return f"F_{self.p}"
 
 
-class ExtField:
+class ExtField(Field):
     """base[x]/(modulus), modulus monic irreducible over base.
 
     Element values are tuples of base-field values of length deg(modulus).
@@ -230,9 +325,13 @@ class ExtField:
         mod = tuple(base.elem(c) for c in modulus_coeffs)
         if len(mod) < 3 or mod[-1] != base.one:
             raise ValueError("modulus must be monic of degree >= 2")
-        if not _trusted and not _poly_is_irreducible(base, mod):
-            raise ValueError("modulus is not irreducible")
+        if not _trusted:
+            from .polys import Poly, is_irreducible
+
+            if not is_irreducible(Poly(base, mod)):
+                raise ValueError("modulus is not irreducible")
         self.modulus = mod
+        self._modv = [c.val for c in mod]
         self.deg = len(mod) - 1
         self.char = base.char
         self.order = base.order**self.deg
@@ -245,9 +344,6 @@ class ExtField:
         gen = [base.zero.val] * self.deg
         gen[1] = base.one.val
         self.gen = FElem(self, tuple(gen))
-
-    def _wrap(self, vals):
-        return tuple(vals)
 
     def _add(self, a, b):
         bf = self.base
@@ -262,41 +358,21 @@ class ExtField:
         return tuple(bf._neg(x) for x in a)
 
     def _mul(self, a, b):
+        """Base-field product, then its remainder modulo the modulus."""
         bf = self.base
-        n = self.deg
-        prod = [bf.zero.val] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai == bf.zero.val:
-                continue
-            for j, bj in enumerate(b):
-                prod[i + j] = bf._add(prod[i + j], bf._mul(ai, bj))
-        # reduce modulo the monic modulus
-        modv = [c.val for c in self.modulus]
-        for k in range(2 * n - 2, n - 1, -1):
-            c = prod[k]
-            if c == bf.zero.val:
-                continue
-            prod[k] = bf.zero.val
-            for j in range(n):
-                prod[k - n + j] = bf._sub(prod[k - n + j], bf._mul(c, modv[j]))
-        return tuple(prod[:n])
+        r = bf.poly_divmod(bf.poly_mul(a, b), self._modv)[1]
+        return tuple(r) + (bf.zero.val,) * (self.deg - len(r))
 
     def _inv(self, a):
-        # extended Euclid in base[x] against the modulus
-        bf = self.base
-        r0 = [c.val for c in self.modulus]
-        r1 = list(a)
-        s0, s1 = [bf.zero.val], [bf.one.val]
-        while any(c != bf.zero.val for c in r1):
-            q, r = _poly_divmod(bf, r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(bf, s0, _poly_mul(bf, q, s1))
-        # r0 = gcd (a constant, nonzero since modulus irreducible)
-        lead = r0[_poly_deg(bf, r0)]
-        c = bf._inv(lead)
-        out = [bf._mul(c, v) for v in s0]
-        out = out[: self.deg] + [bf.zero.val] * max(0, self.deg - len(out))
-        return tuple(out[: self.deg])
+        """Extended Euclid in base[x] against the modulus."""
+        from .polys import xgcd_raw
+
+        z = self.base.zero.val
+        a = list(a)
+        while a[-1] == z:
+            a.pop()
+        t = xgcd_raw(self.base, self._modv, a)[2]
+        return tuple(t) + (z,) * (self.deg - len(t))
 
     def elem(self, x):
         if isinstance(x, FElem):
@@ -327,9 +403,6 @@ class ExtField:
             return self.elem(x)
         return NotImplemented
 
-    def inv_int(self, k):
-        return self.elem(k).inverse()
-
     def random(self, rng):
         return FElem(
             self, tuple(self.base.random(rng).val for _ in range(self.deg))
@@ -357,18 +430,6 @@ class ExtField:
         if not a:
             return 0
         return 1 if a ** ((self.order - 1) // 2) == self.one else -1
-
-    def sqrt(self, a):
-        a = self.elem(a)
-        if not a:
-            return self.zero
-        if self.chi(a) != 1:
-            return None
-        # desk scale: deterministic scan in enumeration order
-        for x in self:
-            if x * x == a:
-                return x
-        return None
 
     def elem_to_str(self, x):
         inner = ",".join(self.base.elem_to_str(self.base.elem(v)) for v in x.val)
@@ -408,86 +469,6 @@ class ExtField:
         return f"F_{self.char}^{self.degree}"
 
 
-# -- raw polynomial helpers over a base field (value lists, lowest first) --
-
-
-def _poly_deg(bf, a):
-    d = -1
-    for i, c in enumerate(a):
-        if c != bf.zero.val:
-            d = i
-    return d
-
-
-def _poly_sub(bf, a, b):
-    n = max(len(a), len(b))
-    a = a + [bf.zero.val] * (n - len(a))
-    b = b + [bf.zero.val] * (n - len(b))
-    return [bf._sub(x, y) for x, y in zip(a, b)]
-
-
-def _poly_mul(bf, a, b):
-    if not a or not b:
-        return []
-    out = [bf.zero.val] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == bf.zero.val:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = bf._add(out[i + j], bf._mul(x, y))
-    return out
-
-
-def _poly_divmod(bf, a, b):
-    da, db = _poly_deg(bf, a), _poly_deg(bf, b)
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [bf.zero.val] * max(0, da - db + 1)
-    inv_lead = bf._inv(b[db])
-    for k in range(da - db, -1, -1):
-        c = bf._mul(r[db + k], inv_lead)
-        if c == bf.zero.val:
-            continue
-        q[k] = c
-        for j in range(db + 1):
-            r[j + k] = bf._sub(r[j + k], bf._mul(c, b[j]))
-    return q, r
-
-
-def _poly_is_irreducible(bf, mod):
-    """Rabin test for a monic polynomial over the field bf."""
-    n = len(mod) - 1
-    q = bf.order
-    modv = [c.val for c in mod]
-
-    def powmod_x(e):
-        # x^e mod mod, by square and multiply on value lists
-        result = [bf.one.val]
-        base = [bf.zero.val, bf.one.val]
-        while e:
-            if e & 1:
-                result = _poly_divmod(bf, _poly_mul(bf, result, base), modv)[1]
-            base = _poly_divmod(bf, _poly_mul(bf, base, base), modv)[1]
-            e >>= 1
-        return result
-
-    xq = powmod_x(q**n)
-    x = [bf.zero.val, bf.one.val]
-    if _poly_deg(bf, _poly_sub(bf, xq, x)) >= 0:
-        return False
-    for r in {k for k in range(2, n + 1) if k * (n // k) == n and _is_prime(k)}:
-        xqr = powmod_x(q ** (n // r))
-        diff = _poly_sub(bf, xqr, x)
-        # gcd(diff, mod) must be constant
-        g0, g1 = modv, diff
-        while _poly_deg(bf, g1) >= 0:
-            g0, g1 = g1, _poly_divmod(bf, g0, g1)[1]
-        if _poly_deg(bf, g0) > 0:
-            return False
-    return True
-
-
 # Miller-Rabin on the first twelve primes as bases is a proof of primality
 # below this bound (Sorenson & Webster, Math. Comp. 2017); above it, trial
 # division.
@@ -525,25 +506,11 @@ def _prime_field(p):
 
 
 @lru_cache(maxsize=None)
-def _auto_modulus(p, m):
-    """Lexicographically smallest monic irreducible of degree m over F_p."""
-    bf = _prime_field(p)
-    for code in range(p**m):
-        coeffs = []
-        c = code
-        for _ in range(m):
-            coeffs.append(c % p)
-            c //= p
-        mod = tuple(bf.elem(v) for v in coeffs) + (bf.one,)
-        if _poly_is_irreducible(bf, mod):
-            return tuple(c.val for c in mod)
-    raise RuntimeError("no irreducible polynomial found")  # unreachable
-
-
-@lru_cache(maxsize=None)
 def _default_extension(p, m):
+    from .polys import find_irreducible
+
     bf = _prime_field(p)
-    return ExtField(bf, [bf.elem(c) for c in _auto_modulus(p, m)])
+    return ExtField(bf, find_irreducible(bf, m).coeffs, _trusted=True)
 
 
 def GF(p, m=1, modulus=None):

@@ -231,21 +231,9 @@ def places_of_degree(field, n: int):
         for c in field:
             out.append(Place(field, x - c))
         return out
-    for f, _ in _monic_irreducibles(field, n):
-        out.append(Place(field, f))
+    for f in polys.monic_irreducibles(field, n):
+        out.append(Place(field, f, _trusted=True))
     return out
-
-
-def _monic_irreducibles(field, n):
-    for code in range(field.order**n):
-        cs = []
-        c = code
-        for _ in range(n):
-            cs.append(field.from_int(c % field.order))
-            c //= field.order
-        f = Poly(field, cs + [field.one])
-        if polys.is_irreducible(f):
-            yield f, n
 
 
 def count_monic_irreducibles(q: int, n: int) -> int:

@@ -9,7 +9,9 @@ Delta and its gradient are evaluated only through ``MPoly.eval``; this
 module supplies one ``(mul, add, scale)`` ring adapter per representation:
 mod-p int64 arrays (``mod_ring``), dual-number array pairs (``dual_ring``),
 ``GFTable`` index tables (``GFTable.ring``), batched (N, deg+1) polynomial
-arrays (``batch_ring``) and int-list polynomials (``intlist_ring``).
+arrays (``batch_ring``) and int-list polynomials (``intlist_ring``).  The
+int-list functions (``intlist_ring``, ``squarefree_int_list``,
+``il_factor``) are entry points into the polynomial layer of ``polys``.
 
 The int64 kernels are exact only for p < MAX_P = 2**28: the widest sum is
 the eps part of ``_dtrace_prod``, 128 products of residues, and
@@ -19,6 +21,8 @@ larger p.
 
 import numpy as np
 
+from . import polys
+from .fields import GF
 from .liealg import IOTA, LABELS
 from .linalg import pfaffian_terms
 from .quartic import delta_mpoly, delta_gradient
@@ -297,225 +301,28 @@ def delta_poly_batch(p, coeff_arrays):
     return delta_mpoly().eval(coeff_arrays, batch_ring(p))
 
 
+# -- int-list entry points into the polynomial layer of polys --
+
+
 def squarefree_int_list(coeffs, p):
-    """Squarefree test of a mod-p polynomial given as an int list (low first)."""
-    a = list(coeffs)
-    while a and a[-1] == 0:
-        a.pop()
-    if not a:
-        return False  # zero polynomial: caller treats separately
-    if len(a) == 1:
-        return True
-    b = [(i * c) % p for i, c in enumerate(a)][1:]
-    while b and b[-1] == 0:
-        b.pop()
-    if not b:
-        return False  # derivative zero: p-th power
-    # Euclid on int lists
-    while b:
-        da, db = len(a) - 1, len(b) - 1
-        if da < db:
-            a, b = b, a
-            da, db = db, da
-        inv = pow(b[db], p - 2, p)
-        r = a[:]
-        for k in range(da - db, -1, -1):
-            c = r[db + k] * inv % p
-            if c:
-                for j in range(db + 1):
-                    r[j + k] = (r[j + k] - c * b[j]) % p
-        while r and r[-1] == 0:
-            r.pop()
-        a, b = b, r
-    return len(a) == 1
-
-
-# -- fast int-list polynomial factorization over prime fields --
-#
-# The X_D pipeline factors discriminants of degree up to ~72 over F_5 in
-# bulk; boxed field elements are too slow for that, so these helpers work
-# on plain int lists (lowest degree first, trailing zeros stripped).
-
-
-def _il_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _il_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _il_trim(out)
-
-
-def _il_add(a, b, p):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, y in enumerate(b):
-        out[i] = (out[i] + y) % p
-    return _il_trim(out)
-
-
-def intlist_ring(p):
-    """Ring of mod-p polynomials as int lists (lowest degree first)."""
-    return (
-        lambda a, b: _il_mul(a, b, p),
-        lambda a, b: _il_add(a, b, p),
-        lambda c, a: _il_trim([c * y % p for y in a]),
-    )
-
-
-def _il_divmod(a, b, p):
-    da, db = len(a) - 1, len(b) - 1
-    if db < 0:
-        raise ZeroDivisionError
-    if da < db:
-        return [], list(a)
-    inv = pow(b[db], p - 2, p)
-    r = list(a)
-    q = [0] * (da - db + 1)
-    for k in range(da - db, -1, -1):
-        c = r[db + k] * inv % p
-        if c:
-            q[k] = c
-            for j in range(db + 1):
-                r[j + k] = (r[j + k] - c * b[j]) % p
-    return _il_trim(q), _il_trim(r)
-
-
-def _il_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _il_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _il_powmod(base, e, mod, p):
-    result = [1]
-    base = _il_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _il_divmod(_il_mul(result, base, p), mod, p)[1]
-        base = _il_divmod(_il_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
-
-
-def _il_monic(a, p):
-    if not a:
-        return a
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
-
-
-def _il_deriv(a, p):
-    return _il_trim([i * c % p for i, c in enumerate(a)][1:])
+    """Squarefree test of a mod-p polynomial given as an int list (low
+    first); False for the zero polynomial."""
+    return polys.is_squarefree_raw(GF(p), coeffs)
 
 
 def il_factor(coeffs, p, seed=0):
     """[(tuple coeffs of monic irreducible, multiplicity)], sorted."""
-    f = _il_monic(_il_trim(list(coeffs)), p)
-    if not f:
-        raise ValueError("zero polynomial")
-    out = []
+    return [(g.vals, mult) for g, mult in polys.factor(polys.Poly(GF(p), coeffs), seed)]
 
-    def sff(f, mult):
-        if len(f) <= 1:
-            return
-        d = _il_deriv(f, p)
-        if not d:
-            # f = h(x^p); p-th root by Frobenius inverse on coefficients
-            h = [f[i] for i in range(0, len(f), p)]
-            sff(h, mult * p)
-            return
-        w = _il_gcd(f, d, p)
-        c = _il_divmod(f, w, p)[0]
-        i = 1
-        while len(c) > 1:
-            y = _il_gcd(w, c, p)
-            fac = _il_divmod(c, y, p)[0]
-            if len(fac) > 1:
-                ddf(_il_monic(fac, p), mult * i)
-            w = _il_divmod(w, y, p)[0]
-            c = y
-            i += 1
-        if len(w) > 1:
-            sff(w, mult)
 
-    def ddf(f, mult):
-        h = [0, 1]
-        h = _il_divmod(h, f, p)[1]
-        d = 0
-        while len(f) > 2:
-            d += 1
-            if 2 * d > len(f) - 1:
-                break
-            h = _il_powmod(h, p, f, p)
-            hx = list(h)
-            # h - x
-            while len(hx) < 2:
-                hx.append(0)
-            hx[1] = (hx[1] - 1) % p
-            g = _il_gcd(f, _il_trim(hx), p)
-            if len(g) > 1:
-                edf(g, d, mult)
-                f = _il_divmod(f, g, p)[0]
-                h = _il_divmod(h, f, p)[1]
-        if len(f) > 1:
-            edf(f, len(f) - 1, mult)
-
-    def edf(f, d, mult):
-        from .rng import det_rng
-
-        if len(f) - 1 == d:
-            out.append((tuple(f), mult))
-            return
-        rng = det_rng(seed, "il-edf:" + ",".join(map(str, f)))
-        work = [f]
-        guard = 0
-        while work:
-            g = work.pop()
-            if len(g) - 1 == d:
-                out.append((tuple(g), mult))
-                continue
-            guard += 1
-            if guard > 10000:
-                raise RuntimeError("equal-degree split failed")
-            r = [int(v) for v in rng.integers(0, p, size=len(g) - 1)]
-            r = _il_trim(r)
-            if not r:
-                work.append(g)
-                continue
-            h = _il_gcd(g, r, p)
-            if 1 < len(h) < len(g):
-                work += [h, _il_divmod(g, h, p)[0]]
-                continue
-            e = (p**d - 1) // 2
-            s = _il_powmod(r, e, g, p)
-            if s:
-                s = list(s)
-                s[0] = (s[0] - 1) % p
-            else:
-                s = [p - 1]
-            h = _il_gcd(g, _il_trim(s), p)
-            if 1 < len(h) < len(g):
-                work += [h, _il_divmod(g, h, p)[0]]
-            else:
-                work.append(g)
-
-    sff(f, 1)
-    out.sort(key=lambda t: (len(t[0]), t[0]))
-    return out
+def intlist_ring(p):
+    """Ring of mod-p polynomials as int lists (lowest degree first)."""
+    F = GF(p)
+    return (
+        F.poly_mul,
+        lambda a, b: polys.add_raw(F, a, b),
+        lambda c, a: F.poly_mul([c % p], a),
+    )
 
 
 def delta_poly_intlists(p, coeff_lists):

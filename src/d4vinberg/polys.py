@@ -1,12 +1,27 @@
-"""Univariate polynomials over a finite field.
+"""Univariate polynomials over a finite field: one layer for every caller.
 
-Coefficient lists are lowest-degree-first; the zero polynomial has an empty
-list.  Text format: "c0,c1,...,cn" with each coefficient in the field's
-element format (round trips bit-exactly).
+The raw level works on trimmed lists of raw element values (``FElem.val``),
+lowest degree first, without trailing zeros; [] is the zero polynomial.
+Every field supplies two primitives on such lists, ``field.poly_mul`` and
+``field.poly_divmod``: prime fields run them on Python ints, every other
+field through its raw element arithmetic (``fields.Field``), and the
+field's class picks the pair.  Everything else is written once here on top
+of them and the raw ``_add``/``_sub``/``_mul``/``_inv``: gcd, xgcd, powmod,
+the derivative and p-th root, the squarefree test, squarefree /
+distinct-degree / Cantor-Zassenhaus factorization (von zur Gathen &
+Gerhard, Modern Computer Algebra, ch. 14), Rabin's irreducibility test, the
+resultant and ``find_irreducible``.  ``ExtField`` multiplies and inverts
+through this layer, and ``numkernels`` keeps its int-list entry points as
+calls into it.
 
-Factorization is standard squarefree / distinct-degree / Cantor-Zassenhaus;
-the equal-degree splitting draws from a caller-supplied deterministic rng so
-factorizations are reproducible.
+``Poly`` is the boxed front end: it stores the raw values in ``vals`` and
+derives ``coeffs``, a tuple of FElem, from them.  Text format:
+"c0,c1,...,cn" with each coefficient in the field's element format (round
+trips bit-exactly).
+
+The equal-degree splitting draws from a deterministic rng keyed by the
+polynomial, so factorizations are reproducible; factors are returned
+sorted, so the result does not depend on the draws.
 """
 
 from .fields import FElem
@@ -14,14 +29,19 @@ from .rng import det_rng
 
 
 class Poly:
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "vals")
 
     def __init__(self, field, coeffs=()):
         self.field = field
-        cs = [field.elem(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.vals = tuple(_trim([field.elem(c).val for c in coeffs], field.zero.val))
+
+    @staticmethod
+    def _of(field, vals):
+        """Poly from trimmed raw values, without conversion."""
+        out = object.__new__(Poly)
+        out.field = field
+        out.vals = tuple(vals)
+        return out
 
     # -- construction helpers --
 
@@ -34,25 +54,30 @@ class Poly:
         return Poly(field, [c])
 
     @property
+    def coeffs(self):
+        f = self.field
+        return tuple(FElem(f, v) for v in self.vals)
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.vals) - 1  # -1 for the zero polynomial
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.vals
 
     def is_constant(self):
-        return len(self.coeffs) <= 1
+        return len(self.vals) <= 1
 
     def lead(self):
-        if not self.coeffs:
+        if not self.vals:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return FElem(self.field, self.vals[-1])
 
     def __getitem__(self, i):
-        return self.coeffs[i] if i < len(self.coeffs) else self.field.zero
+        return FElem(self.field, self.vals[i]) if i < len(self.vals) else self.field.zero
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.vals)
 
     def __eq__(self, other):
         if isinstance(other, (int, FElem)):
@@ -60,17 +85,21 @@ class Poly:
         return (
             isinstance(other, Poly)
             and self.field == other.field
-            and self.coeffs == other.coeffs
+            and self.vals == other.vals
         )
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.vals))
 
     # -- arithmetic --
 
     def _coerce(self, other):
+        """other as a Poly over self.field (lifting base-field coefficients
+        into an extension), or None."""
         if isinstance(other, Poly):
-            return other
+            if other.field is self.field or other.field == self.field:
+                return other
+            return Poly(self.field, other.coeffs)
         if isinstance(other, (int, FElem)):
             return Poly.const(self.field, self.field.elem(other))
         return None
@@ -79,21 +108,19 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            self.field, [self[i] + other[i] for i in range(n)]
-        )
+        return Poly._of(self.field, add_raw(self.field, self.vals, other.vals))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        f = self.field
+        return Poly._of(f, [f._neg(c) for c in self.vals])
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return Poly._of(self.field, sub_raw(self.field, self.vals, other.vals))
 
     def __rsub__(self, other):
         return -(self - other)
@@ -102,46 +129,28 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Poly(self.field)
-        zero = self.field.zero
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        return Poly._of(self.field, self.field.poly_mul(self.vals, other.vals))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        result = Poly.const(self.field, self.field.one)
-        base = self
+        f = self.field
+        result, base = [f.one.val], self.vals
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = f.poly_mul(result, base)
             n >>= 1
-        return result
+            if n:
+                base = f.poly_mul(base, base)
+        return Poly._of(f, result)
 
     def __divmod__(self, other):
         other = self._coerce(other)
         if other is None or other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.coeffs)
-        db = other.degree
-        if self.degree < db:
-            return Poly(self.field), self
-        q = [self.field.zero] * (self.degree - db + 1)
-        inv_lead = other.lead().inverse()
-        for k in range(self.degree - db, -1, -1):
-            c = r[db + k] * inv_lead
-            if c:
-                q[k] = c
-                for j in range(db + 1):
-                    r[j + k] = r[j + k] - c * other.coeffs[j]
-        return Poly(self.field, q), Poly(self.field, r)
+        f = self.field
+        q, r = f.poly_divmod(self.vals, other.vals)
+        return Poly._of(f, q), Poly._of(f, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -150,26 +159,19 @@ class Poly:
         return divmod(self, other)[1]
 
     def monic(self):
-        if self.is_zero():
-            return self
-        inv = self.lead().inverse()
-        return Poly(self.field, [c * inv for c in self.coeffs])
+        return Poly._of(self.field, monic_raw(self.field, self.vals))
 
     def derivative(self):
-        return Poly(
-            self.field,
-            [i * c for i, c in enumerate(self.coeffs)][1:],
-        )
+        return Poly._of(self.field, deriv_raw(self.field, self.vals))
 
     def reversed(self, at_degree=None):
         """Coefficient reversal x^n * self(1/x) padded to at_degree."""
         n = self.degree if at_degree is None else at_degree
         if n < self.degree:
             raise ValueError("reversal degree below actual degree")
-        cs = [self.field.zero] * (n + 1)
-        for i, c in enumerate(self.coeffs):
-            cs[n - i] = c
-        return Poly(self.field, cs)
+        z = self.field.zero.val
+        vals = [z] * (n - self.degree) + list(reversed(self.vals))
+        return Poly._of(self.field, _trim(vals, z))
 
     def __call__(self, x):
         result = x * 0  # zero of x's ring (x may live in an extension)
@@ -203,241 +205,321 @@ class Poly:
         return Poly(field, [field.elem_from_str(t) for t in parts])
 
 
+# -- the Poly-level API: thin wrappers over the raw layer --
+
+
 def gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    """Monic gcd (zero for two zeros)."""
+    return Poly._of(a.field, gcd_raw(a.field, a.vals, b.vals))
 
 
 def xgcd(a: Poly, b: Poly):
     """(g, s, t) monic with s*a + t*b = g."""
     f = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.const(f, f.one), Poly(f)
-    t0, t1 = Poly(f), Poly.const(f, f.one)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    c = r0.lead().inverse()
-    return r0 * c, s0 * c, t0 * c
+    return tuple(Poly._of(f, v) for v in xgcd_raw(f, a.vals, b.vals))
 
 
 def is_squarefree(fpoly: Poly) -> bool:
     """gcd(f, f') constant; false for inseparable (p-th power) inputs."""
     if fpoly.is_zero():
         raise ValueError("zero polynomial")
-    if fpoly.is_constant():
-        return True
-    g = gcd(fpoly, fpoly.derivative())
-    return g.is_constant()
-
-
-def powmod(base: Poly, e: int, mod: Poly) -> Poly:
-    result = Poly.const(mod.field, mod.field.one) % mod
-    base = base % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
+    return is_squarefree_raw(fpoly.field, fpoly.vals)
 
 
 def is_irreducible(fpoly: Poly) -> bool:
-    """Rabin irreducibility test for monic f of degree >= 1."""
-    f = fpoly.monic()
-    n = f.degree
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    q = f.field.order
-    x = Poly.x(f.field)
-    if (powmod(x, q**n, f) - x) % f != Poly(f.field):
-        return False
-    for r in _prime_divisors(n):
-        h = (powmod(x, q ** (n // r), f) - x) % f
-        if not gcd(f, h).is_constant():
-            return False
-    return True
-
-
-def _prime_divisors(n):
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def squarefree_decomposition(fpoly: Poly):
-    """[(g_i, i)] with f = lc * prod g_i^i, g_i monic squarefree, char-p aware."""
-    f = fpoly.monic()
-    field = f.field
-    p = field.char
-    out = []
-
-    def sff(f, mult):
-        if f.is_constant():
-            return
-        d = f.derivative()
-        if d.is_zero():
-            # f = h(x^p) = (frobenius-twisted h)(x)^p over a finite field
-            h = _pth_root(f)
-            sff(h, mult * p)
-            return
-        w = gcd(f, d)
-        c = f // w
-        i = 1
-        while not c.is_constant():
-            y = gcd(w, c)
-            factor = c // y
-            if not factor.is_constant():
-                out.append((factor.monic(), mult * i))
-            w = w // y
-            c = y
-            i += 1
-        if not w.is_constant():
-            sff(w, mult)  # w is a p-th power times a unit
-
-    sff(f, 1)
-    return out
-
-
-def _pth_root(fpoly: Poly) -> Poly:
-    """p-th root of f(x) = h(x^p) over a finite field (Frobenius inverse)."""
-    field = fpoly.field
-    p = field.char
-    q = field.order
-    e = q // p  # exponent with (c^e)^p = c^q = c... valid since c^q = c
-    cs = []
-    for i in range(0, fpoly.degree + 1, p):
-        cs.append(fpoly[i] ** e)
-    return Poly(field, cs)
-
-
-def distinct_degree_factor(fpoly: Poly):
-    """[(product-of-irreducibles-of-degree-d, d)] for monic squarefree f."""
-    f = fpoly.monic()
-    field = f.field
-    q = field.order
-    out = []
-    x = Poly.x(field)
-    h = x % f
-    d = 0
-    while f.degree > 0:
-        d += 1
-        if 2 * d > f.degree:
-            out.append((f, f.degree))
-            break
-        h = powmod(h, q, f)
-        g = gcd(f, h - x)
-        if not g.is_constant():
-            out.append((g, d))
-            f = f // g
-            h = h % f
-    return out
-
-
-def equal_degree_factor(fpoly: Poly, d: int, seed=0):
-    """Cantor-Zassenhaus split of a monic squarefree product of degree-d irreducibles."""
-    f = fpoly.monic()
-    field = f.field
-    q = field.order
-    if f.degree == d:
-        return [f]
-    rng = det_rng(seed, f"edf:{f.to_str()}", 0)
-    n = f.degree
-    work = [f]
-    out = []
-    tries = 0
-    while work:
-        g = work.pop()
-        if g.degree == d:
-            out.append(g)
-            continue
-        tries += 1
-        if tries > 10000:
-            raise RuntimeError("equal-degree factorization failed to split")
-        r = Poly(field, [field.random(rng) for _ in range(g.degree)])
-        if r.is_zero():
-            work.append(g)
-            continue
-        h = gcd(g, r)
-        if not h.is_constant() and h.degree < g.degree:
-            work += [h, g // h]
-            continue
-        e = (q**d - 1) // 2
-        s = powmod(r, e, g) - 1
-        h = gcd(g, s)
-        if not h.is_constant() and h.degree < g.degree:
-            work += [h, g // h]
-        else:
-            work.append(g)
-    out.sort(key=lambda p: tuple(p.field.to_int(c) for c in p.coeffs))
-    return out
+    """Rabin irreducibility test."""
+    return is_irreducible_raw(fpoly.field, fpoly.vals)
 
 
 def factor(fpoly: Poly, seed=0):
     """Full factorization: [(monic irreducible, multiplicity)], sorted."""
     if fpoly.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    out = []
-    for g, mult in squarefree_decomposition(fpoly):
-        for h, d in distinct_degree_factor(g):
-            for irr in equal_degree_factor(h, d, seed=seed):
-                out.append((irr, mult))
-    out.sort(key=lambda t: (t[0].degree, tuple(t[0].field.to_int(c) for c in t[0].coeffs)))
-    return out
+    f = fpoly.field
+    return [(Poly._of(f, g), mult) for g, mult in factor_raw(f, fpoly.vals, seed)]
 
 
 def roots(fpoly: Poly):
     """Roots in the coefficient field, without multiplicity, sorted."""
-    out = [
-        -g[0] for g, _ in factor(fpoly) if g.degree == 1
-    ]
+    out = [-g[0] for g, _ in factor(fpoly) if g.degree == 1]
     out.sort(key=fpoly.field.to_int)
     return out
 
 
 def resultant(a: Poly, b: Poly):
     """Res(a, b) over a field, by the Euclidean remainder sequence."""
-    f = a.field
-    if a.is_zero() or b.is_zero():
-        return f.zero
-    res = f.one
-    while True:
-        if b.degree == 0:
-            return res * b.lead() ** a.degree
-        r = a % b
-        if r.is_zero():
-            return f.zero
-        res = res * b.lead() ** (a.degree - r.degree)
-        if (a.degree * b.degree) % 2 == 1:
-            res = -res
-        a, b = b, r
+    return FElem(a.field, resultant_raw(a.field, a.vals, b.vals))
+
+
+def monic_irreducibles(field, degree: int):
+    """The monic irreducibles of the given degree, in the order of the code
+    sum c_i q^i of their lower coefficients (c_i = field.to_int)."""
+    q = field.order
+    for code in range(q**degree):
+        vals = []
+        for _ in range(degree):
+            vals.append(field.from_int(code % q).val)
+            code //= q
+        vals.append(field.one.val)
+        if is_irreducible_raw(field, vals):
+            yield Poly._of(field, vals)
 
 
 def find_irreducible(field, degree: int) -> Poly:
-    """Smallest monic irreducible of the given degree (enumeration order)."""
-    if degree == 1:
-        return Poly.x(field)
-    for code in range(field.order**degree):
-        cs = []
-        c = code
-        for _ in range(degree):
-            cs.append(field.from_int(c % field.order))
-            c //= field.order
-        f = Poly(field, cs + [field.one])
-        if is_irreducible(f):
-            return f
-    raise RuntimeError("unreachable")
+    """The first of monic_irreducibles(field, degree)."""
+    return next(monic_irreducibles(field, degree))
+
+
+def prime_divisors(n):
+    """The primes dividing n >= 1, ascending: the divisors of n that no
+    smaller one of them divides."""
+    out = []
+    for d in range(2, n + 1):
+        if n % d == 0 and all(d % e for e in out):
+            out.append(d)
+    return out
+
+
+# -- the raw layer: F is the field, polynomials are trimmed raw-value lists --
+
+
+def _trim(a, z):
+    while a and a[-1] == z:
+        a.pop()
+    return a
+
+
+def _pow(F, c, e):
+    """c^e for a raw value c."""
+    out = F.one.val
+    while e:
+        if e & 1:
+            out = F._mul(out, c)
+        e >>= 1
+        if e:
+            c = F._mul(c, c)
+    return out
+
+
+def add_raw(F, a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    add = F._add
+    for i, y in enumerate(b):
+        out[i] = add(out[i], y)
+    return _trim(out, F.zero.val)
+
+
+def sub_raw(F, a, b):
+    return add_raw(F, a, [F._neg(c) for c in b])
+
+
+def scale_raw(F, c, a):
+    """c * a for a raw value c."""
+    return _trim([F._mul(c, y) for y in a], F.zero.val)
+
+
+def monic_raw(F, a):
+    if not a or a[-1] == F.one.val:
+        return list(a)
+    return scale_raw(F, F._inv(a[-1]), a)
+
+
+def deriv_raw(F, a):
+    mul, add, one = F._mul, F._add, F.one.val
+    out, i = [], one
+    for c in a[1:]:
+        out.append(mul(i, c))
+        i = add(i, one)
+    return _trim(out, F.zero.val)
+
+
+def pth_root_raw(F, a):
+    """h with h^p = a, for a(x) = g(x^p): Frobenius inverse c -> c^(q/p)
+    on the coefficients of g."""
+    e = F.order // F.char
+    return [_pow(F, c, e) for c in a[:: F.char]]
+
+
+def gcd_raw(F, a, b):
+    """Monic gcd."""
+    divmod_ = F.poly_divmod
+    while b:
+        a, b = b, divmod_(a, b)[1]
+    return monic_raw(F, a)
+
+
+def xgcd_raw(F, a, b):
+    """(g, s, t) with g monic and s*a + t*b = g."""
+    r0, r1 = list(a), list(b)
+    s0, s1 = [F.one.val], []
+    t0, t1 = [], [F.one.val]
+    while r1:
+        q, r = F.poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, sub_raw(F, s0, F.poly_mul(q, s1))
+        t0, t1 = t1, sub_raw(F, t0, F.poly_mul(q, t1))
+    if not r0:
+        return r0, s0, t0
+    c = F._inv(r0[-1])
+    return scale_raw(F, c, r0), scale_raw(F, c, s0), scale_raw(F, c, t0)
+
+
+def powmod_raw(F, base, e, mod):
+    """base^e mod mod."""
+    mul, divmod_ = F.poly_mul, F.poly_divmod
+    result = divmod_([F.one.val], mod)[1]
+    base = divmod_(base, mod)[1]
+    while e:
+        if e & 1:
+            result = divmod_(mul(result, base), mod)[1]
+        e >>= 1
+        if e:
+            base = divmod_(mul(base, base), mod)[1]
+    return result
+
+
+def is_squarefree_raw(F, a):
+    """gcd(a, a') constant; trailing zeros are ignored and zero is not
+    squarefree.  The Euclid skips normalization: only the degree of the
+    gcd matters."""
+    a = _trim(list(a), F.zero.val)
+    if len(a) <= 1:
+        return bool(a)
+    d = deriv_raw(F, a)
+    divmod_ = F.poly_divmod
+    while d:
+        a, d = d, divmod_(a, d)[1]
+    return len(a) == 1
+
+
+def squarefree_decomposition_raw(F, f):
+    """[(g_i, i)] with f = lc * prod g_i^i, g_i monic squarefree, char-p
+    aware (Yun's algorithm with p-th roots of inseparable parts)."""
+    out = []
+    divmod_ = F.poly_divmod
+
+    def sff(f, mult):
+        if len(f) <= 1:
+            return
+        d = deriv_raw(F, f)
+        if not d:
+            sff(pth_root_raw(F, f), mult * F.char)
+            return
+        w = gcd_raw(F, f, d)
+        c = divmod_(f, w)[0]
+        i = 1
+        while len(c) > 1:
+            y = gcd_raw(F, w, c)
+            fac = divmod_(c, y)[0]
+            if len(fac) > 1:
+                out.append((monic_raw(F, fac), mult * i))
+            w = divmod_(w, y)[0]
+            c = y
+            i += 1
+        if len(w) > 1:
+            sff(w, mult)  # w is a p-th power
+
+    sff(monic_raw(F, f), 1)
+    return out
+
+
+def distinct_degree_raw(F, f):
+    """[(product of the irreducible factors of degree d, d)] for monic
+    squarefree f."""
+    q = F.order
+    x = [F.zero.val, F.one.val]
+    out = []
+    h = F.poly_divmod(x, f)[1]
+    d = 0
+    while len(f) > 1:
+        d += 1
+        if 2 * d > len(f) - 1:
+            out.append((f, len(f) - 1))
+            break
+        h = powmod_raw(F, h, q, f)
+        g = gcd_raw(F, f, sub_raw(F, h, x))
+        if len(g) > 1:
+            out.append((g, d))
+            f = F.poly_divmod(f, g)[0]
+            h = F.poly_divmod(h, f)[1]
+    return out
+
+
+def equal_degree_raw(F, f, d, seed=0):
+    """Cantor-Zassenhaus split of a monic squarefree product of degree-d
+    irreducibles."""
+    if len(f) - 1 == d:
+        return [f]
+    rng = det_rng(seed, "edf:" + ",".join(map(str, f)))
+    e = (F.order**d - 1) // 2
+    z = F.zero.val
+    work, out, tries = [f], [], 0
+    while work:
+        g = work.pop()
+        if len(g) - 1 == d:
+            out.append(g)
+            continue
+        tries += 1
+        if tries > 10000:
+            raise RuntimeError("equal-degree factorization failed to split")
+        r = _trim([F.random(rng).val for _ in range(len(g) - 1)], z)
+        if not r:
+            work.append(g)
+            continue
+        h = gcd_raw(F, g, r)
+        if len(h) == 1:
+            h = gcd_raw(F, g, sub_raw(F, powmod_raw(F, r, e, g), [F.one.val]))
+        if 1 < len(h) < len(g):
+            work += [h, F.poly_divmod(g, h)[0]]
+        else:
+            work.append(g)
+    return out
+
+
+def factor_raw(F, f, seed=0):
+    """[(monic irreducible, multiplicity)] of nonzero f, sorted by degree,
+    then by the codes of the coefficients."""
+    out = []
+    for g, mult in squarefree_decomposition_raw(F, f):
+        for h, d in distinct_degree_raw(F, g):
+            out += [(irr, mult) for irr in equal_degree_raw(F, h, d, seed)]
+    out.sort(key=lambda t: (len(t[0]), [F.to_int(FElem(F, c)) for c in t[0]]))
+    return out
+
+
+def is_irreducible_raw(F, f):
+    """Rabin's test: x^(q^n) = x mod f, and gcd(f, x^(q^(n/r)) - x) = 1
+    for every prime r | n."""
+    f = monic_raw(F, f)
+    n = len(f) - 1
+    if n <= 1:
+        return n == 1
+    q = F.order
+    x = [F.zero.val, F.one.val]
+    if sub_raw(F, powmod_raw(F, x, q**n, f), x):
+        return False
+    for r in prime_divisors(n):
+        h = sub_raw(F, powmod_raw(F, x, q ** (n // r), f), x)
+        if len(gcd_raw(F, f, h)) > 1:
+            return False
+    return True
+
+
+def resultant_raw(F, a, b):
+    """Res(a, b) as a raw value."""
+    z = F.zero.val
+    if not a or not b:
+        return z
+    res = F.one.val
+    while True:
+        if len(b) == 1:
+            return F._mul(res, _pow(F, b[0], len(a) - 1))
+        r = F.poly_divmod(a, b)[1]
+        if not r:
+            return z
+        res = F._mul(res, _pow(F, b[-1], len(a) - len(r)))
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            res = F._neg(res)
+        a, b = b, r

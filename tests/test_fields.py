@@ -1,6 +1,8 @@
+import time
+
 import pytest
 
-from d4vinberg.fields import GF, extension_of
+from d4vinberg.fields import GF, FElem, extension_of
 from d4vinberg.rng import det_rng
 
 
@@ -104,3 +106,120 @@ def test_tower_extension():
     tower = extension_of(f, mu.coeffs)
     assert tower.order == 25
     assert tower.gen ** 24 == tower.one
+
+
+def _first_irreducible_by_trial_division(p, m):
+    """Oracle: the first monic degree-m polynomial over F_p, in the order of
+    the code sum c_i p^i of its lower coefficients, that no monic polynomial
+    of degree 1..m//2 divides; plain int-list long division."""
+
+    def rem(a, b):
+        a = list(a)
+        for k in range(len(a) - len(b), -1, -1):
+            c = a[k + len(b) - 1]
+            for j, y in enumerate(b):
+                a[k + j] = (a[k + j] - c * y) % p
+        return a[: len(b) - 1]
+
+    divisors = [
+        [code // p**i % p for i in range(d)] + [1]
+        for d in range(1, m // 2 + 1)
+        for code in range(p**d)
+    ]
+    for code in range(p**m):
+        f = [code // p**i % p for i in range(m)] + [1]
+        if all(any(rem(f, g)) for g in divisors):
+            return f
+    raise AssertionError("no irreducible found")
+
+
+def test_default_modulus_is_find_irreducible():
+    from d4vinberg.polys import find_irreducible
+
+    cases = [(5, m) for m in range(2, 13)] + [(7, m) for m in range(2, 7)] + [(23, 2)]
+    for p, m in cases:
+        assert GF(p, m).modulus == find_irreducible(GF(p), m).coeffs
+    for p, m in ((5, 2), (5, 3), (5, 4), (5, 5), (5, 6), (7, 2), (7, 3), (7, 4), (23, 2)):
+        assert [c.val for c in GF(p, m).modulus] == _first_irreducible_by_trial_division(p, m)
+
+
+def test_default_extension_builds_fast():
+    # The default modulus search once squared untrimmed remainders, so each
+    # squaring doubled the list: GF(5, 8) took seconds and GF(5, 12) minutes.
+    from d4vinberg.fields import _default_extension
+
+    for p, m in ((5, 12), (7, 10)):
+        start = time.perf_counter()
+        field = _default_extension.__wrapped__(p, m)  # a fresh build, not the memo
+        assert time.perf_counter() - start < 1.0
+        assert field.order == p**m and field.gen ** (field.order - 1) == field.one
+
+
+def test_untrusted_extension_of_degree_12():
+    from d4vinberg.polys import Poly, find_irreducible
+
+    f = GF(5)
+    mu = find_irreducible(f, 12)
+    start = time.perf_counter()
+    ext = extension_of(f, mu.coeffs)
+    assert time.perf_counter() - start < 1.0
+    assert ext.order == 5**12
+    reducible = find_irreducible(f, 5) * find_irreducible(f, 7)
+    assert reducible.degree == 12
+    with pytest.raises(ValueError):
+        extension_of(f, reducible.coeffs)
+    with pytest.raises(ValueError):
+        extension_of(f, (Poly.x(f) ** 12 - 1).coeffs)
+
+
+# x^48 + x^3 + 2x + 3, the first irreducible of degree 48 over F_5 in the
+# order of find_irreducible (found once; is_irreducible re-checks it below)
+DEG48_MODULUS = [3, 2, 0, 1] + [0] * 44 + [1]
+
+
+def _schoolbook_mul(field, a, b):
+    """Reference ExtField product: the double loop over base-field values,
+    then elimination of the top coefficients by the monic modulus."""
+    bf = field.base
+    n = field.deg
+    prod = [bf.zero.val] * (2 * n - 1)
+    for i, x in enumerate(a.val):
+        for j, y in enumerate(b.val):
+            prod[i + j] = bf._add(prod[i + j], bf._mul(x, y))
+    modv = [c.val for c in field.modulus]
+    for k in range(2 * n - 2, n - 1, -1):
+        c = prod[k]
+        for j in range(n + 1):
+            prod[k - n + j] = bf._sub(prod[k - n + j], bf._mul(c, modv[j]))
+    return FElem(field, tuple(prod[:n]))
+
+
+def _arith_fields():
+    from d4vinberg.polys import Poly, find_irreducible, is_irreducible
+
+    f5 = GF(5)
+    assert is_irreducible(Poly(f5, DEG48_MODULUS))
+    base = GF(5, 2)
+    tower = extension_of(base, find_irreducible(base, 2).coeffs)
+    return [
+        (GF(5, 2), 60),
+        (GF(5, 3), 60),
+        (GF(5, 12), 30),
+        (extension_of(f5, DEG48_MODULUS, trusted=True), 6),
+        (GF(23, 2), 60),
+        (tower, 30),
+    ]
+
+
+def test_ext_mul_and_inverse_match_schoolbook():
+    for field, n in _arith_fields():
+        rng = det_rng(field.degree, "ext-schoolbook")
+        special = [field.zero, field.one, -field.one, field.gen, field.elem(3)]
+        elems = special + [field.random(rng) for _ in range(n)]
+        for a, b, c in zip(elems, elems[1:] + elems[:1], elems[2:] + elems[:2]):
+            assert a * b == _schoolbook_mul(field, a, b)
+            assert a * (b + c) == a * b + a * c
+            if a:
+                inv = a.inverse()
+                assert a * inv == field.one
+                assert _schoolbook_mul(field, a, inv) == field.one
