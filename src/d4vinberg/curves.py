@@ -10,7 +10,6 @@ which is what ties the curve side to the invariant theory.
 Desk-scale enumeration is guarded by max_q (default 101).
 """
 
-from fractions import Fraction
 from math import lcm
 
 from . import polys

@@ -21,7 +21,7 @@ Monte Carlo over V(O/(pi^2)) checks it.
 """
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 

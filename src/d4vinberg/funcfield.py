@@ -211,7 +211,6 @@ def local_data(r, place: Place, k: int):
 
 def _series_quotient(num: Poly, den: Poly, pi: Poly, k: int) -> Poly:
     """num/den mod pi^k for den coprime to pi (num may be divisible)."""
-    field = num.field
     pik = pi**k
     den_red = den % pik
     # invert den modulo pi^k via extended gcd (unit since gcd(den, pi) = 1)

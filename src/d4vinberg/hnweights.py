@@ -12,16 +12,10 @@ as rational upper bounds.
 from array import array
 from fractions import Fraction
 
-from .liealg import LABELS, LABEL_SIGNS, leq, w0_label_perm, W0_PERMS
+from .liealg import LABELS, LABEL_SIGNS, leq, lambda_max, W0_PERMS
 
 # <rho-check, a_i> for the simple roots of G
 RHO_PAIRINGS = (4, 2, 2, 2)
-
-
-def lambda_max(m_set):
-    """Maximal elements of the complement of m_set in Phi_V."""
-    comp = [l for l in LABELS if l not in m_set]
-    return frozenset(a for a in comp if all(a == b or not leq(a, b) for b in comp))
 
 
 def covers(label):
@@ -366,7 +360,7 @@ def boundary_tail_bound(m_key, d, truncation, q):
     truncated geometric series; everything is exact in powers of q^(1/4).
     """
     key = tuple(sorted(m_key))
-    exp_lambda, p_vals, _, exp_wp2 = CUSP_TABLE[key]
+    _, p_vals, _, exp_wp2 = CUSP_TABLE[key]
     wp2 = [Fraction(x) for x in exp_wp2]  # both conditions verified elsewhere
     p_sum = sum(Fraction(x) for x in p_vals)
     size = len(key)

@@ -2,12 +2,17 @@
 
 The four invariants are calibrated combinations of primitive conjugation
 invariants of the 8x8 matrix view: the even characteristic polynomial
-coefficients c2, c4, c6 and the Pfaffian of Psi*v.  The calibration ansatz
+coefficients c2, c4, c6 and the Pfaffian of Psi*v.  ``primitives`` computes
+them once, through the ring-generic routines of ``linalg``, for a VElem
+and for the symbolic MPoly matrices of the Kostant and slice charts;
+``numkernels.dual_primitives`` runs the same Newton step on dual numbers.
+The calibration ansatz
 
     p2 = u1 c2,  q4 = u2 Pf,  p4 = u3 c4 + u4 c2^2 + u5 Pf,
     p6 = u6 c6 + u7 c2 c4 + u8 c2^3 + u9 c2 Pf
 
-is solved over the prime field so that the plane-cubic relation
+(written once, in ``_ansatz_monomials``; ``_apply_u`` evaluates it) is
+solved over the prime field so that the plane-cubic relation
 y(xy + 2 q4) = x^3 + p2 x^2 + p4 x + p6 holds identically on the subregular
 slice, with x, y weight-2 linear chart functions.  The solution is unique up
 to rescaling the degree-1 generator and a simultaneous sign flip of (q4, y);
@@ -22,6 +27,7 @@ from . import linalg
 from .fields import GF, PrimeField
 from .liealg import (
     D4Context,
+    IOTA,
     LABELS,
     RHO_CHECK,
     LAMBDA_CHECK,
@@ -30,68 +36,23 @@ from .liealg import (
     TorusGen,
 )
 from .linalg import mat_mul, mat_sub
-from .multipoly import MPoly, det_mpoly
-from .polys import Poly
-from .quartic import delta_mpoly, quartic_disc
+from .multipoly import MPoly
+from .quartic import quartic_disc
 from .rng import det_rng
 
 MIN_LIE_CHAR = 23  # standing hypothesis for the section/slice machinery
 
 
-def primitives(ctx: D4Context, v: VElem):
-    """(c2, c4, pf, c6) of the matrix view; valid for any p >= 5."""
-    m = v.to_matrix()
-    c2, c4, c6, c8 = linalg.even_charpoly(ctx.field, m)
-    pf = linalg.pfaffian(ctx.field, mat_mul(ctx.psi, m))
-    return c2, c4, pf, c6
+def primitives(ctx: D4Context, v):
+    """(c2, c4, pf, c6) of v; valid for any p >= 5.
 
-
-def _trace_generic(a):
-    acc = a[0][0]
-    for i in range(1, len(a)):
-        acc = acc + a[i][i]
-    return acc
-
-
-def _trace_prod_generic(a, b):
-    acc = None
-    for i in range(len(a)):
-        for j in range(len(a)):
-            t = a[i][j] * b[j][i]
-            acc = t if acc is None else acc + t
-    return acc
-
-
-def _pfaffian_generic(a, one):
-    acc = None
-    for sign, pairs in linalg.pfaffian_terms(len(a)):
-        term = one
-        for i, j in pairs:
-            term = term * a[i][j]
-        if sign < 0:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def _sym_primitives(ctx, mat):
-    """(C2, C4, PF, C6) for a matrix of MPolys over ctx.field."""
-    f = ctx.field
-    a2 = mat_mul(mat, mat)
-    a4 = mat_mul(a2, a2)
-    p2 = _trace_generic(a2)
-    p4 = _trace_generic(a4)
-    p6 = _trace_prod_generic(a2, a4)
-    e2 = -(p2 * f.inv_int(2))
-    e4 = -((p4 + e2 * p2) * f.inv_int(4))
-    e6 = -((p6 + e2 * p4 + e4 * p2) * f.inv_int(6))
-    nvars = p2.nvars
-    one = MPoly.const(nvars, f.one)
-    psi_m = [
-        [MPoly.const(nvars, c) for c in row] for row in ctx.psi
-    ]
-    pf = _pfaffian_generic(mat_mul(psi_m, mat), one)
-    return e2, e4, pf, e6
+    v is a VElem, or the 8x8 matrix of one with entries in any commutative
+    ring over ctx.field (the symbolic charts pass MPolys).  Pf(Psi v) is the
+    Pfaffian of the rows v[IOTA[i]], since Psi permutes rows by IOTA.
+    """
+    m = v.to_matrix() if isinstance(v, VElem) else v
+    c2, c4, c6 = linalg.even_coeffs(m, ctx.field.char)
+    return c2, c4, linalg.pfaffian([m[i] for i in IOTA]), c6
 
 
 class Invariants:
@@ -122,7 +83,6 @@ class Invariants:
 
     def _build_sl2_data(self):
         pctx = self._pctx
-        pf = pctx.field
         rho2 = pctx.cochar_matrix(RHO_CHECK, scale=2)
         self._F_p = _solve_lowering(pctx, pctx.E, RHO_CHECK, rho2)
         lam2 = pctx.cochar_matrix(LAMBDA_CHECK, scale=2)
@@ -160,7 +120,6 @@ class Invariants:
         pctx = self._pctx
         pf = pctx.field
         c_syms = _chart_primitives(pctx, pctx.e_subreg, self._W_p, nvars=5)
-        self._slice_prims_p = c_syms
         c2s = c_syms[0]
         # linear part of C2 on the weight-2 coordinates (vars 0..2)
         c2_lin = [_coeff_of_var(c2s, i) for i in range(3)]
@@ -196,13 +155,7 @@ class Invariants:
 
     def pi(self, v: VElem):
         """Calibrated invariants (p2, p4, q4, p6) of v."""
-        c2, c4, pf, c6 = primitives(self.ctx, v)
-        u = self.u
-        p2 = u[0] * c2
-        q4 = u[1] * pf
-        p4 = u[2] * c4 + u[3] * c2 * c2 + u[4] * pf
-        p6 = u[5] * c6 + u[6] * c2 * c4 + u[7] * c2 ** 3 + u[8] * c2 * pf
-        return (p2, p4, q4, p6)
+        return _apply_u(self.u, primitives(self.ctx, v))
 
     def disc(self, b):
         return quartic_disc(b)
@@ -395,7 +348,6 @@ def _graded_centralizer_basis(ctx, y: VElem, cochar, expect_weights, expect_h_di
 
 def _chart_primitives(ctx, base: VElem, directions, nvars):
     """Symbolic (C2, C4, PF, C6) on base + sum_i x_i * directions[i]."""
-    f = ctx.field
     base_m = base.to_matrix()
     dir_ms = [d.to_matrix() for d in directions]
     mat = []
@@ -407,19 +359,20 @@ def _chart_primitives(ctx, base: VElem, directions, nvars):
                 terms[(0,) * nvars] = base_m[i][j]
             for k, dm in enumerate(dir_ms):
                 if dm[i][j]:
-                    e = [0] * nvars
-                    e[k] = 1
-                    terms[tuple(e)] = dm[i][j]
+                    terms[_unit(nvars, k)] = dm[i][j]
             row.append(MPoly(nvars, terms))
         mat.append(row)
-    return _sym_primitives(ctx, mat)
+    return primitives(ctx, mat)
+
+
+def _unit(nvars, i):
+    """Exponent tuple of the variable x_i."""
+    return tuple(int(k == i) for k in range(nvars))
 
 
 def _coeff_of_var(poly: MPoly, i):
     """Coefficient of the plain variable x_i in an affine-in-x_i polynomial."""
-    e = [0] * poly.nvars
-    e[i] = 1
-    c = poly.terms.get(tuple(e))
+    c = poly.terms.get(_unit(poly.nvars, i))
     if c is None:
         # zero of the right type
         sample = next(iter(poly.terms.values()), None)
@@ -475,7 +428,7 @@ def _nilpotent_branches(ctx, c_syms, plane):
     nonzero point of each candidate ray.
     """
     f = ctx.field
-    c2s, c4s, pfs, c6s = c_syms
+    _, c4s, pfs, _ = c_syms
     l4 = [_coeff_of_var(c4s, i) for i in (3, 4)]
     lp = [_coeff_of_var(pfs, i) for i in (3, 4)]
     assert linalg.rank(f, [l4, lp]) == 2, "weight-4 chart block is singular"
@@ -577,66 +530,44 @@ def _unit_u(field):
     return (one, one, one, zero, zero, one, zero, zero, zero)
 
 
+def _chart_xy(nvars, xi, eta):
+    """The chart functions x = xi . (x0, x1, x2) and y = eta . (x0, x1, x2)."""
+
+    def linear(coeffs):
+        return MPoly(nvars, {_unit(nvars, i): c for i, c in enumerate(coeffs)})
+
+    return linear(xi), linear(eta)
+
+
+def _relation_parts(c_syms, xi, eta):
+    """(free, parts) with y(xy + 2 q4) - (x^3 + p2 x^2 + p4 x + p6) equal to
+    free + sum_k u_k parts[k] on the slice, since the ansatz is linear in u."""
+    x, y = _chart_xy(c_syms[0].nvars, xi, eta)
+    factor = (-(x * x), -x, 2 * y, -1)  # of p2, p4, q4, p6 in the relation
+    monos = _ansatz_monomials(c_syms)
+    parts = [factor[slot] * mono for slot, mono in zip(_U_SLOTS, monos)]
+    return y * x * y - x * x * x, parts
+
+
 def _slice_relation(c_syms, xi, eta, u):
     """y(xy + 2 q4) - (x^3 + p2 x^2 + p4 x + p6) on the slice, symbolically."""
-    c2s, c4s, pfs, c6s = c_syms
-    nvars = c2s.nvars
-    x = MPoly(nvars, {})
-    y = MPoly(nvars, {})
-    for i in range(3):
-        e = [0] * nvars
-        e[i] = 1
-        if xi[i]:
-            x = x + MPoly(nvars, {tuple(e): xi[i]})
-        if eta[i]:
-            y = y + MPoly(nvars, {tuple(e): eta[i]})
-    p2 = u[0] * c2s
-    q4 = u[1] * pfs
-    p4 = u[2] * c4s + u[3] * c2s * c2s + u[4] * pfs
-    p6 = u[5] * c6s + u[6] * c2s * c4s + u[7] * c2s * c2s * c2s + u[8] * c2s * pfs
-    return y * (x * y + 2 * q4) - (x * x * x + p2 * x * x + p4 * x + p6)
+    rel, parts = _relation_parts(c_syms, xi, eta)
+    for u_k, part in zip(u, parts):
+        rel = rel + u_k * part
+    return rel
 
 
 def _solve_u_ansatz(field, c_syms, xi, eta):
     """Solve the 9-coefficient ansatz linearly given the chart functions."""
-    c2s, c4s, pfs, c6s = c_syms
-    nvars = c2s.nvars
-    x = MPoly(nvars, {})
-    y = MPoly(nvars, {})
-    for i in range(3):
-        e = [0] * nvars
-        e[i] = 1
-        if xi[i]:
-            x = x + MPoly(nvars, {tuple(e): xi[i]})
-        if eta[i]:
-            y = y + MPoly(nvars, {tuple(e): eta[i]})
-    lhs_const = y * x * y - x * x * x  # terms without u
-    basis = [
-        -(c2s * x * x),  # u1
-        2 * (pfs * y),  # u2
-        -(c4s * x),  # u3
-        -(c2s * c2s * x),  # u4
-        -(pfs * x),  # u5
-        -c6s,  # u6
-        -(c2s * c4s),  # u7
-        -(c2s * c2s * c2s),  # u8
-        -(c2s * pfs),  # u9
-    ]
-    # collect all exponent tuples
-    exps = set(lhs_const.terms)
-    for b in basis:
-        exps.update(b.terms)
-    exps = sorted(exps)
+    free, parts = _relation_parts(c_syms, xi, eta)
+    exps = sorted(set(free.terms).union(*(b.terms for b in parts)))
     zero = field.zero
-    rows = [[b.terms.get(e, zero) for b in basis] for e in exps]
-    rhs = [-(lhs_const.terms.get(e, zero)) for e in exps]
+    rows = [[b.terms.get(e, zero) for b in parts] for e in exps]
+    rhs = [-(free.terms.get(e, zero)) for e in exps]
     sol = linalg.solve(field, rows, rhs)
     assert sol is not None, "u-ansatz solve failed"
     # verify (the system is overdetermined)
-    check = lhs_const
-    for u_k, b in zip(sol, basis):
-        check = check + u_k * b
-    assert check.is_zero(), "u-ansatz verification failed"
+    assert _slice_relation(c_syms, xi, eta, sol).is_zero(), "u-ansatz verification failed"
     return tuple(sol)
 
 
@@ -648,17 +579,8 @@ def _canonicalize(field, u, xi, eta):
         a2 = alpha * alpha
         a3 = a2 * alpha
         for s in (field.one, -field.one):
-            cu = (
-                alpha * u[0],
-                s * a2 * u[1],
-                a2 * u[2],
-                a2 * u[3],
-                a2 * u[4],
-                a3 * u[5],
-                a3 * u[6],
-                a3 * u[7],
-                a3 * u[8],
-            )
+            weight = (alpha, a2, s * a2, a3)  # of p2, p4, q4, p6
+            cu = tuple(weight[slot] * c for slot, c in zip(_U_SLOTS, u))
             cxi = tuple(alpha * c for c in xi)
             ceta = tuple(s * alpha * c for c in eta)
             key = tuple(c.val for c in cu + cxi + ceta)
@@ -667,10 +589,25 @@ def _canonicalize(field, u, xi, eta):
     return best[1], best[2], best[3]
 
 
-def _apply_u(u, c_syms):
-    c2s, c4s, pfs, c6s = c_syms
-    p2 = u[0] * c2s
-    q4 = u[1] * pfs
-    p4 = u[2] * c4s + u[3] * c2s * c2s + u[4] * pfs
-    p6 = u[5] * c6s + u[6] * c2s * c4s + u[7] * c2s * c2s * c2s + u[8] * c2s * pfs
-    return (p2, p4, q4, p6)
+# the invariant, an index into (p2, p4, q4, p6), that each u_k feeds
+_U_SLOTS = (0, 2, 1, 1, 1, 3, 3, 3, 3)
+
+
+def _ansatz_monomials(prims):
+    """The monomials that u1..u9 multiply in the u-ansatz
+
+        p2 = u1 c2,  q4 = u2 Pf,  p4 = u3 c4 + u4 c2^2 + u5 Pf,
+        p6 = u6 c6 + u7 c2 c4 + u8 c2^3 + u9 c2 Pf.
+    """
+    c2, c4, pf, c6 = prims
+    c2c2 = c2 * c2
+    return (c2, pf, c4, c2c2, pf, c6, c2 * c4, c2c2 * c2, c2 * pf)
+
+
+def _apply_u(u, prims):
+    """Calibrated (p2, p4, q4, p6) from the primitives (c2, c4, pf, c6)."""
+    out = [None] * 4
+    for u_k, slot, mono in zip(u, _U_SLOTS, _ansatz_monomials(prims)):
+        term = u_k * mono
+        out[slot] = term if out[slot] is None else out[slot] + term
+    return tuple(out)

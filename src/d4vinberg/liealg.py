@@ -7,14 +7,17 @@ partial order; the adjoint torus T(k) = Hom(root lattice, k^x) is stored by
 its values on the simple-root basis of H, which is exactly what the
 constructive orbit reduction needs.
 
-Everything is built once per field and cached on a D4Context; all operations
-are pure and the context is safe to share.
+The matrix entries of the root vectors (``ROOT_ENTRIES``) and of the
+weight basis of V (``V_ENTRIES``) do not depend on the field and are module
+tables, which ``numkernels`` shares.  Everything else is built once per
+field and cached on a D4Context; all operations are pure and the context is
+safe to share.
 """
 
 from fractions import Fraction
 
 from . import linalg
-from .linalg import mat_mul, mat_sub, mat_vec
+from .linalg import mat_mul, mat_sub
 from .quartic import disc_univariate
 from .polys import Poly
 
@@ -122,6 +125,36 @@ def w0_label_perm(name):
         new = tuple(signs[perm[i] - 1] for i in range(4))
         out[label] = sign_to_label[new]
     return out
+
+
+def lambda_max(m_set):
+    """Maximal elements of the complement of m_set in the weight poset."""
+    comp = [l for l in LABELS if l not in m_set]
+    return frozenset(a for a in comp if all(a == b or not leq(a, b) for b in comp))
+
+
+def _root_entries():
+    """char -> (primary (i, j), partner (i, j)) for the 24 roots of h.
+
+    The root vector of a root has +1 at its primary entry, the
+    lexicographically least of its two, and -1 at the partner entry.
+    """
+    roots = {}
+    for i in range(8):
+        for j in range(8):
+            if i == j or j == IOTA[i]:
+                continue
+            char = tuple(a - b for a, b in zip(POS_CHAR[i], POS_CHAR[j]))
+            primary = min((i, j), (IOTA[j], IOTA[i]))
+            if char not in roots or primary < roots[char][0]:
+                roots[char] = (primary, (IOTA[primary[1]], IOTA[primary[0]]))
+    assert len(roots) == 24
+    return roots
+
+
+ROOT_ENTRIES = _root_entries()
+# (primary, partner) entries of the weight basis of V, in label order
+V_ENTRIES = tuple(ROOT_ENTRIES[weight_evec(LABEL_SIGNS[l])] for l in LABELS)
 
 
 class VElem:
@@ -263,9 +296,6 @@ class D4Context:
             raise ValueError("characteristic must be at least 5")
         self.field = field
         f = field
-        self.psi = [
-            [f.one if j == IOTA[i] else f.zero for j in range(8)] for i in range(8)
-        ]
         self.s_matrix = [
             [f.elem(S_SIGNS[i]) if i == j else f.zero for j in range(8)]
             for i in range(8)
@@ -287,28 +317,17 @@ class D4Context:
             for i in range(8):
                 m[i][i] = f.elem(POS_CHAR[i][k])
             self.cartan_basis.append(m)
-        # root vectors: one per root, primary entry lexicographically least
-        roots = {}
-        for i in range(8):
-            for j in range(8):
-                if i == j or j == IOTA[i]:
-                    continue
-                char = tuple(a - b for a, b in zip(POS_CHAR[i], POS_CHAR[j]))
-                partner = (IOTA[j], IOTA[i])
-                primary = min((i, j), partner)
-                if char not in roots or primary < roots[char][0]:
-                    roots[char] = (primary, (IOTA[primary[1]], IOTA[primary[0]]))
-        assert len(roots) == 24
-        self.root_entries = roots  # char -> (primary(i,j), partner(i,j))
+        # root vectors: one per root, +1 at the primary entry, -1 at the partner
         self.root_matrix = {}
-        for char, (prim, part) in roots.items():
+        for char, (prim, part) in ROOT_ENTRIES.items():
             m = linalg.zeros(f, 8, 8)
             m[prim[0]][prim[1]] = f.one
             m[part[0]][part[1]] = -f.one
             self.root_matrix[char] = m
-        self.h_roots = sorted(roots)
+        self.h_roots = sorted(ROOT_ENTRIES)
         self.g_roots = [
-            r for r in self.h_roots if S_SIGNS[roots[r][0][0]] * S_SIGNS[roots[r][0][1]] == 1
+            r for r in self.h_roots
+            if S_SIGNS[ROOT_ENTRIES[r][0][0]] * S_SIGNS[ROOT_ENTRIES[r][0][1]] == 1
         ]
         self.v_roots = [r for r in self.h_roots if r not in set(self.g_roots)]
         assert len(self.g_roots) == 8 and len(self.v_roots) == 16
@@ -325,29 +344,21 @@ class D4Context:
         evec_to_label = {v: k for k, v in self.weight_evec.items()}
         assert set(self.weight_evec.values()) == set(self.v_roots)
         self.evec_to_label = evec_to_label
-        self.v_basis_entries = {
-            l: self.root_entries[self.weight_evec[l]] for l in LABELS
-        }
 
     # -- matrix <-> coordinates --
 
     def v_coords_to_matrix(self, coords):
         f = self.field
         m = linalg.zeros(f, 8, 8)
-        for l in LABELS:
-            c = coords[l - 1]
+        for c, ((pi, pj), (qi, qj)) in zip(coords, V_ENTRIES):
             if not c:
                 continue
-            (pi, pj), (qi, qj) = self.v_basis_entries[l]
             m[pi][pj] = m[pi][pj] + c
             m[qi][qj] = m[qi][qj] - c
         return m
 
     def velem_from_matrix(self, m, check=True):
-        coords = []
-        for l in LABELS:
-            (pi, pj), _ = self.v_basis_entries[l]
-            coords.append(m[pi][pj])
+        coords = [m[pi][pj] for (pi, pj), _ in V_ENTRIES]
         v = VElem(self, coords)
         if check and v.to_matrix() != m:
             raise ValueError("matrix is not in V")
@@ -370,7 +381,7 @@ class D4Context:
         """Coordinates of m in the h basis (4 cartan + 24 root entries)."""
         out = [m[0][0], m[1][1], m[4][4], m[5][5]]
         for r in self.h_roots:
-            prim, _ = self.root_entries[r]
+            prim, _ = ROOT_ENTRIES[r]
             out.append(m[prim[0]][prim[1]])
         return out
 

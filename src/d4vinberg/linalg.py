@@ -2,9 +2,16 @@
 
 Matrices are lists of lists of field elements.  Sizes here are tiny (at most
 28x28), so everything is straightforward Gaussian elimination with exact
-arithmetic.  The Pfaffian and the even characteristic polynomial are the two
-non-generic routines: both avoid divisions that would fail in small odd
-characteristic (only 2 and 3 are ever inverted).
+arithmetic.
+
+The invariant primitives are division-free and written once, for entries in
+any commutative ring: ``trace``, ``trace_prod``, ``pfaffian`` (by perfect
+matchings) and ``even_coeffs``, the c2, c4, c6 of the even characteristic
+polynomial.  They serve field elements and the symbolic ``MPoly`` charts of
+``invariants``.  The Newton step ``newton_even`` from power sums to c2, c4,
+c6 also takes a ``(mul, add, scale)`` ring triple, as ``MPoly.eval`` does,
+so ``numkernels`` runs it on dual-number arrays; its divisions by 2, 4 and
+6 are scalings by int inverses mod the characteristic (p >= 5).
 
 `mat_mul` and `mat_vec` have a prime-field int kernel.  When every entry of
 both operands is an `FElem` of one and the same `PrimeField` (and the shapes
@@ -17,6 +24,7 @@ objects, ragged rows) takes the generic loop, which behaves as it always did.
 from operator import mul
 
 from .fields import FElem, PrimeField
+from .multipoly import PY_RING
 
 
 def zeros(field, n, m):
@@ -224,14 +232,10 @@ def _matchings(items):
 
 
 def _matching_sign(pairs):
-    perm = [i for pair in pairs for i in pair]
-    n = len(perm)
-    seen = [False] * n
-    pos = {v: i for i, v in enumerate(perm)}
+    """Sign of the permutation sending (0, 1, ..., n-1) to the flattened pairs."""
+    values = [i for pair in pairs for i in pair]
     sign = 1
-    # sign of the permutation sending (0,1,...,n-1) to perm
-    values = perm[:]
-    for i in range(n):
+    for i in range(len(values)):
         while values[i] != i:
             j = values[i]
             values[i], values[j] = values[j], values[i]
@@ -252,60 +256,69 @@ def pfaffian_terms(n):
     return _PFAFFIAN_TERMS[n]
 
 
-def pfaffian(field, a):
-    """Pfaffian of an antisymmetric n x n matrix (n even), division-free."""
-    n = len(a)
-    if n % 2:
-        return field.zero
-    acc = field.zero
-    for sign, pairs in pfaffian_terms(n):
-        term = field.one
-        for i, j in pairs:
-            term = term * a[i][j]
-        acc = acc + term if sign > 0 else acc - term
+def pfaffian(a):
+    """Pfaffian of an antisymmetric n x n matrix (n even, n >= 2), over any
+    commutative ring, by perfect matchings (division-free)."""
+    acc = None
+    for sign, ((i, j), *rest) in pfaffian_terms(len(a)):
+        term = a[i][j]
+        for k, l in rest:
+            term = term * a[k][l]
+        # the first matching, (0 1)(2 3)..., has sign +1
+        acc = term if acc is None else acc + term if sign > 0 else acc - term
     return acc
 
 
 # -- characteristic polynomial --
 
 
-def even_charpoly(field, a):
-    """(c2, c4, c6, c8) with det(xI - a) = x^8 + c2 x^6 + c4 x^4 + c6 x^2 + c8.
-
-    Valid for 8x8 matrices similar to -a^T (odd power traces vanish), which
-    holds throughout so(Psi).  Uses Newton's identities on even power sums;
-    the only divisions are by 2, 4 and 6, units for characteristic >= 5.
-    c8 is det(a), computed by elimination.
-    """
-    a2 = mat_mul(a, a)
-    a4 = mat_mul(a2, a2)
-    n = len(a)
-    p2 = _trace(field, a2)
-    p4 = _trace(field, a4)
-    p6 = _trace_prod(field, a2, a4)
-    half = field.inv_int(2)
-    quarter = field.inv_int(4)
-    sixth = field.inv_int(6)
-    e2 = -p2 * half
-    e4 = -(p4 + e2 * p2) * quarter
-    e6 = -(p6 + e2 * p4 + e4 * p2) * sixth
-    e8 = det(field, a)
-    return e2, e4, e6, e8
-
-
-def _trace(field, a):
-    acc = field.zero
-    for i in range(len(a)):
+def trace(a):
+    """Sum of the diagonal of a square matrix over any ring."""
+    acc = a[0][0]
+    for i in range(1, len(a)):
         acc = acc + a[i][i]
     return acc
 
 
-def _trace_prod(field, a, b):
-    acc = field.zero
-    for i in range(len(a)):
-        for j in range(len(a)):
-            acc = acc + a[i][j] * b[j][i]
+def trace_prod(a, b):
+    """tr(a b) of two square matrices over any ring, without the product."""
+    terms = (x * b[j][i] for i, row in enumerate(a) for j, x in enumerate(row))
+    acc = next(terms)
+    for t in terms:
+        acc = acc + t
     return acc
+
+
+def newton_even(t2, t4, t6, char, ring=PY_RING):
+    """(e2, e4, e6) from the power sums t_k = tr(a^k), k = 2, 4, 6, of a
+    matrix whose odd power sums vanish (Newton's identities).
+
+    The ring is a ``(mul, add, scale)`` triple as in ``MPoly.eval``; the
+    divisions by 2, 4 and 6 are scalings by their int inverses mod char,
+    so char must be at least 5.
+    """
+    mul, add, scale = ring
+    e2 = scale(-pow(2, -1, char) % char, t2)
+    e4 = scale(-pow(4, -1, char) % char, add(t4, mul(e2, t2)))
+    e6 = scale(-pow(6, -1, char) % char, add(t6, add(mul(e2, t4), mul(e4, t2))))
+    return e2, e4, e6
+
+
+def even_coeffs(a, char):
+    """(c2, c4, c6) with det(xI - a) = x^8 + c2 x^6 + c4 x^4 + c6 x^2 + c8.
+
+    Valid for 8x8 matrices similar to -a^T (odd power traces vanish), which
+    holds throughout so(Psi), with entries in any commutative ring of
+    characteristic char >= 5 (field elements, MPolys over a field).
+    """
+    a2 = mat_mul(a, a)
+    a4 = mat_mul(a2, a2)
+    return newton_even(trace(a2), trace(a4), trace_prod(a2, a4), char)
+
+
+def even_charpoly(field, a):
+    """(c2, c4, c6, c8) of ``even_coeffs``, with c8 = det(a) by elimination."""
+    return (*even_coeffs(a, field.char), det(field, a))
 
 
 def charpoly_berkowitz(field, a):

@@ -5,6 +5,12 @@ Length-2 local rings O_v/(pi^2) are equal-characteristic, so they are dual
 numbers k[eps]/(eps^2); ring elements are (value, eps-part) array pairs.
 Small extension residue fields use index tables.
 
+``dual_primitives`` is the dual-number backend of the invariant primitives
+(c2, c4, pf, c6) for the beta Monte Carlo: it keeps only the numpy matrix
+product, traces and Pfaffian gather, and runs the Newton step of ``linalg``
+over ``dual_ring``.  Matrices are scattered from weight coordinates by the
+``liealg.V_ENTRIES`` table that ``D4Context`` also uses.
+
 Delta and its gradient are evaluated only through ``MPoly.eval``; this
 module supplies one ``(mul, add, scale)`` ring adapter per representation:
 mod-p int64 arrays (``mod_ring``), dual-number array pairs (``dual_ring``),
@@ -23,13 +29,16 @@ import numpy as np
 
 from . import polys
 from .fields import GF
-from .liealg import IOTA, LABELS
-from .linalg import pfaffian_terms
+from .liealg import IOTA, V_ENTRIES
+from .linalg import newton_even, pfaffian_terms
 from .quartic import delta_mpoly, delta_gradient
 from .rng import det_rng
 
 MAX_P = 2**28
 BETA_CHUNK = 20000  # samples per Philox stream of beta_mc_prime
+# rows per dual_primitives call in beta_mc_prime: with small temporaries
+# the allocator reuses their pages instead of returning and refaulting them
+BETA_BLOCK = 500
 
 
 def _check_p(p):
@@ -137,32 +146,6 @@ def alpha_counts_table(field):
 # -- dual-number invariant pipeline for the beta Monte Carlo --
 
 
-def _basis_scatter():
-    """(labels x 2) entry positions and signs of the weight basis."""
-    from .liealg import POS_CHAR, weight_evec, LABEL_SIGNS
-
-    # rebuild the primary/partner entries exactly as D4Context does
-    entries = {}
-    for i in range(8):
-        for j in range(8):
-            if i == j or j == IOTA[i]:
-                continue
-            char = tuple(a - b for a, b in zip(POS_CHAR[i], POS_CHAR[j]))
-            partner = (IOTA[j], IOTA[i])
-            primary = min((i, j), partner)
-            if char not in entries or primary < entries[char][0]:
-                entries[char] = (primary, (IOTA[primary[1]], IOTA[primary[0]]))
-    out = []
-    for l in LABELS:
-        evec = weight_evec(LABEL_SIGNS[l])
-        prim, part = entries[evec]
-        out.append((prim, part))
-    return out
-
-
-_SCATTER = _basis_scatter()
-
-
 def _dmul(a, b, p):
     return (a[0] * b[0] % p, (a[0] * b[1] + a[1] * b[0]) % p)
 
@@ -201,21 +184,53 @@ def _dtrace_prod(a, b, p):
     return (t0, t1)
 
 
+# signs (105,) and index pairs (105, 4, 2) of the perfect matchings of 8 rows
+_PF_SIGNS, _PF_PAIRS = (np.array(t, dtype=np.int64) for t in zip(*pfaffian_terms(8)))
+
+
+def dual_primitives(coords, p):
+    """(c2, c4, pf, c6) of a batch of elements of V over the dual numbers.
+
+    coords is an int64 array (N, 16, 2) of weight coordinates mod p in label
+    order, value part and eps part; each invariant comes back as a dual
+    pair of (N,) arrays.  The matrix products, traces and the Pfaffian
+    gather run here on numpy; the Newton step is ``linalg.newton_even`` over
+    ``dual_ring(p)``, and Pf(Psi a) is the Pfaffian of the rows a[IOTA[i]].
+    """
+    size = len(coords)
+    a0 = np.zeros((size, 8, 8), dtype=np.int64)
+    a1 = np.zeros((size, 8, 8), dtype=np.int64)
+    for k, ((pi, pj), (qi, qj)) in enumerate(V_ENTRIES):
+        a0[:, pi, pj] = coords[:, k, 0]
+        a0[:, qi, qj] = (-coords[:, k, 0]) % p
+        a1[:, pi, pj] = coords[:, k, 1]
+        a1[:, qi, qj] = (-coords[:, k, 1]) % p
+    a = (a0, a1)
+    a2 = _dmatmul(a, a, p)
+    a4 = _dmatmul(a2, a2, p)
+    c2, c4, c6 = newton_even(
+        _dtrace(a2, p), _dtrace(a4, p), _dtrace_prod(a2, a4, p), p, dual_ring(p)
+    )
+    pa0 = a0[:, IOTA, :]
+    pa1 = a1[:, IOTA, :]
+    prod = None
+    for t in range(4):
+        rows, cols = _PF_PAIRS[:, t, 0], _PF_PAIRS[:, t, 1]
+        h = (pa0[:, rows, cols], pa1[:, rows, cols])
+        prod = h if prod is None else _dmul(prod, h, p)
+    pf = ((prod[0] * _PF_SIGNS).sum(axis=1) % p, (prod[1] * _PF_SIGNS).sum(axis=1) % p)
+    return c2, c4, pf, c6
+
+
 def beta_mc_prime(p, n_samples, seed):
     """Monte Carlo count of {x in V(O/pi^2) : Delta(pi(x)) = 0 mod pi^2}.
 
     Samples uniform dual-number coordinates, pushes them through the matrix
-    invariants (even charpoly + Pfaffian, diagonal normalization) and the
+    invariants (``dual_primitives``, diagonal normalization) and the
     quartic discriminant.  Returns the hit count.  Batch i of BETA_CHUNK
     samples draws from the Philox stream (seed, "beta-mc", i).
     """
     ring = dual_ring(p)
-    inv2 = pow(2, p - 2, p)
-    inv4 = pow(4, p - 2, p)
-    inv6 = pow(6, p - 2, p)
-    pf_terms = pfaffian_terms(8)
-    signs = np.array([s for s, _ in pf_terms], dtype=np.int64)
-    idx = np.array([[list(pair) for pair in pairs] for _, pairs in pf_terms])
     hits = 0
     done = 0
     batch_index = 0
@@ -224,40 +239,10 @@ def beta_mc_prime(p, n_samples, seed):
         rng = det_rng(seed, "beta-mc", batch_index)
         batch_index += 1
         coords = rng.integers(0, p, size=(size, 16, 2), dtype=np.int64)
-        a0 = np.zeros((size, 8, 8), dtype=np.int64)
-        a1 = np.zeros((size, 8, 8), dtype=np.int64)
-        for k, ((pi, pj), (qi, qj)) in enumerate(_SCATTER):
-            a0[:, pi, pj] = coords[:, k, 0]
-            a0[:, qi, qj] = (-coords[:, k, 0]) % p
-            a1[:, pi, pj] = coords[:, k, 1]
-            a1[:, qi, qj] = (-coords[:, k, 1]) % p
-        a = (a0, a1)
-        a2 = _dmatmul(a, a, p)
-        a4 = _dmatmul(a2, a2, p)
-        t2 = _dtrace(a2, p)
-        t4 = _dtrace(a4, p)
-        t6 = _dtrace_prod(a2, a4, p)
-        e2 = _dscale((p - 1) * inv2 % p, t2, p)
-        e4 = _dscale((p - 1) * inv4 % p, _dadd(t4, _dmul(e2, t2, p), p), p)
-        e6 = _dscale(
-            (p - 1) * inv6 % p,
-            _dadd(t6, _dadd(_dmul(e2, t4, p), _dmul(e4, t2, p), p), p),
-            p,
-        )
-        # Pfaffian of Psi a: row permutation by iota
-        pa0 = a0[:, IOTA, :]
-        pa1 = a1[:, IOTA, :]
-        g00 = pa0[:, idx[:, 0, 0], idx[:, 0, 1]]
-        g01 = pa1[:, idx[:, 0, 0], idx[:, 0, 1]]
-        prod = (g00, g01)
-        for t in range(1, 4):
-            h0 = pa0[:, idx[:, t, 0], idx[:, t, 1]]
-            h1 = pa1[:, idx[:, t, 0], idx[:, t, 1]]
-            prod = _dmul(prod, (h0, h1), p)
-        pf0 = (prod[0] * signs).sum(axis=1) % p
-        pf1 = (prod[1] * signs).sum(axis=1) % p
-        d0, d1 = delta_mpoly().eval((e2, e4, (pf0, pf1), e6), ring)
-        hits += int(((d0 == 0) & (d1 == 0)).sum())
+        for lo in range(0, size, BETA_BLOCK):
+            prims = dual_primitives(coords[lo : lo + BETA_BLOCK], p)
+            d0, d1 = delta_mpoly().eval(prims, ring)
+            hits += int(((d0 == 0) & (d1 == 0)).sum())
         done += size
     return hits
 

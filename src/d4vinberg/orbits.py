@@ -15,14 +15,12 @@ from itertools import combinations
 from . import linalg
 from .curves import PointedCurve
 from .liealg import (
-    LABELS,
     LABEL_SIGNS,
-    RHO_CHECK,
     TorusGen,
     UnipGen,
     VElem,
     WeylGen,
-    pairing,
+    lambda_max,
     w0_label_perm,
 )
 from .quartic import quartic_disc
@@ -60,16 +58,6 @@ def _weierstrass_sets():
 PARABOLIC_SETS = _parabolic_sets()
 WEIERSTRASS_SETS = _weierstrass_sets()  # frozenset -> W0 element mapping it from the Kostant pattern
 ALL_CUSP_SETS = tuple(PARABOLIC_SETS) + tuple(WEIERSTRASS_SETS)
-
-
-def lambda_max(m_set):
-    """Maximal elements of the complement of m_set in the weight poset."""
-    from .liealg import leq
-
-    comp = [l for l in LABELS if l not in m_set]
-    return frozenset(
-        a for a in comp if all(a == b or not leq(a, b) for b in comp)
-    )
 
 
 class PatternResult:

@@ -16,7 +16,7 @@ import numpy as np
 from . import curves, densities, hnweights, orbits
 from .fields import GF
 from .funcfield import RatFunc, support
-from .invariants import Invariants, primitives
+from .invariants import Invariants
 from .liealg import (
     D4Context,
     G_SIMPLE,

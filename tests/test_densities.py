@@ -18,6 +18,8 @@ from d4vinberg.densities import (
     vol_g,
 )
 from d4vinberg.fields import GF
+from d4vinberg.quartic import delta_mpoly
+from d4vinberg.rng import det_rng
 
 
 def test_alpha_three_routes_q5():
@@ -109,6 +111,18 @@ def test_mc_deterministic():
     h1 = numkernels.beta_mc_prime(5, 10000, 11)
     h2 = numkernels.beta_mc_prime(5, 10000, 11)
     assert h1 == h2
+
+
+def test_beta_mc_blocks_match_whole_chunks():
+    # the BETA_BLOCK row blocks change no count: one pass per Philox chunk
+    p, seed, sizes = 5, 3, (numkernels.BETA_CHUNK, 700)
+    hits = 0
+    for i, size in enumerate(sizes):
+        coords = det_rng(seed, "beta-mc", i).integers(0, p, size=(size, 16, 2), dtype=np.int64)
+        prims = numkernels.dual_primitives(coords, p)
+        d0, d1 = delta_mpoly().eval(prims, numkernels.dual_ring(p))
+        hits += int(((d0 == 0) & (d1 == 0)).sum())
+    assert numkernels.beta_mc_prime(p, sum(sizes), seed) == hits
 
 
 def test_int64_kernels_reject_p_beyond_exact_range():

@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from d4vinberg import linalg
+from d4vinberg import linalg, numkernels
 from d4vinberg.fields import GF
-from d4vinberg.invariants import Invariants, primitives
+from d4vinberg.invariants import Invariants, _chart_primitives, primitives
 from d4vinberg.liealg import D4Context, VElem, TorusGen, RHO_CHECK, pairing
 from d4vinberg.linalg import mat_mul
 from d4vinberg.quartic import quartic_disc
@@ -181,3 +183,68 @@ def test_extension_field_context():
     for _ in range(10):
         b = tuple(f.random(rng) for _ in range(4))
         assert ext_inv.pi(ext_inv.kostant_section(b)) == b
+
+
+# -- the one primitive pipeline across representations: boxed FElem,
+# symbolic MPoly (the calibration charts) and numpy dual numbers --
+
+
+@pytest.fixture(scope="module")
+def charts():
+    """(base, directions, symbolic primitives) of the slice and Kostant charts."""
+    return {
+        "slice": (inv.e, inv.W, _chart_primitives(ctx, inv.e, inv.W, nvars=5)),
+        "kostant": (inv.E, inv.Z, _chart_primitives(ctx, inv.E, inv.Z, nvars=4)),
+    }
+
+
+@pytest.mark.parametrize("chart", ["slice", "kostant"])
+@settings(max_examples=25, deadline=None)
+@given(xs=st.lists(st.integers(0, 22), min_size=5, max_size=5))
+def test_chart_primitives_match_boxed(charts, chart, xs):
+    base, dirs, syms = charts[chart]
+    xs = [F.elem(x) for x in xs[: len(dirs)]]
+    v = base
+    for x, d in zip(xs, dirs):
+        v = v + d.scale(x)
+    assert [F.elem(s.eval(xs)) for s in syms] == list(primitives(ctx, v))
+
+
+def _dual_batch(seed, size):
+    coords = np.random.default_rng(seed).integers(0, 23, size=(size, 16, 2), dtype=np.int64)
+    return coords, numkernels.dual_primitives(coords, 23)
+
+
+def _velem(values):
+    return VElem(ctx, [int(c) for c in values])
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_dual_primitives_value_part_matches_boxed(seed):
+    coords, duals = _dual_batch(seed, 16)
+    for i, row in enumerate(coords):
+        boxed = primitives(ctx, _velem(row[:, 0]))
+        assert [int(d[0][i]) for d in duals] == [b.val for b in boxed]
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_dual_primitives_eps_part_is_directional_derivative(seed):
+    # over k[eps], f(x + eps y) = f(x) + eps * (d/dt) f(x + t y) at t = 0
+    coords, duals = _dual_batch(seed, 4)
+    for i, row in enumerate(coords):
+        syms = _chart_primitives(ctx, _velem(row[:, 0]), [_velem(row[:, 1])], nvars=1)
+        linear = [F.elem(s.terms.get((1,), 0)).val for s in syms]
+        assert [int(d[1][i]) for d in duals] == linear
+
+
+def test_primitives_over_extension_field():
+    ext = D4Context(GF(23, 2))
+    f = ext.field
+    rng = det_rng(12, "inv-ext-prims")
+    for _ in range(5):
+        v = VElem(ext, [f.random(rng) for _ in range(16)])
+        c2, c4, pf, c6 = primitives(ext, v)
+        full = linalg.charpoly_berkowitz(f, v.to_matrix())
+        assert full == [pf * pf, 0, c6, 0, c4, 0, c2, 0, 1]
