@@ -88,7 +88,14 @@ def so4_count_formula(q: int) -> int:
 
 
 def so4_count_bruteforce(q: int) -> int:
-    """#SO_4(F_q) for the split antidiagonal form, column by column."""
+    """#SO_4(F_q) for the split antidiagonal form, column by column.
+
+    Columns c1..c4 are nonzero isotropic vectors with the pairings of the
+    antidiagonal form (c1.c2 = c1.c3 = c2.c4 = c3.c4 = 0, c2.c3 = c1.c4 =
+    1) and det 1.  The Gram matrix of the isotropic vectors picks the c2,
+    c3 and c4 candidates by masks; for each (c1, c2) the determinant is
+    the bilinear form c3^T M c4 with M[k, l] = det(c1, c2, e_k, e_l).
+    """
     import numpy as np
 
     p = q
@@ -101,35 +108,25 @@ def so4_count_bruteforce(q: int) -> int:
     jmat = np.zeros((4, 4), dtype=np.int64)
     for i in range(4):
         jmat[i, 3 - i] = 1
-
-    def bform(u, vs):
-        return (u @ jmat @ vs.T) % p
-
-    def qform(vs):
-        return np.einsum("ni,ij,nj->n", vs, jmat, vs) % p
-
-    iso = vecs[qform(vecs) == 0]
+    iso = vecs[np.einsum("ni,ij,nj->n", vecs, jmat, vecs) % p == 0]
+    iso = iso[iso.any(axis=1)]  # no column of an invertible matrix is 0
+    gram = iso @ jmat @ iso.T % p
+    eye = np.eye(4, dtype=np.int64)
+    e_k, e_l = (a.reshape(-1) for a in np.meshgrid(range(4), range(4), indexing="ij"))
     count = 0
-    for c1 in iso:
-        keep2 = iso[(bform(c1, iso) == 0)]
-        for c2 in keep2:
-            if np.all(c2 == 0) or np.all(c1 == 0):
-                continue
-            keep3 = iso[(bform(c1, iso) == 0) & (bform(c2, iso) == 1)]
-            if len(keep3) == 0:
-                continue
-            keep4 = iso[
-                (bform(c1, iso) == 1) & (bform(c2, iso) == 0)
-            ]
-            for c3 in keep3:
-                cand = keep4[(bform(c3, keep4) == 0)]
-                if len(cand) == 0:
-                    continue
-                dets = _det4_mod(np.stack([np.broadcast_to(c1, (len(cand), 4)),
-                                           np.broadcast_to(c2, (len(cand), 4)),
-                                           np.broadcast_to(c3, (len(cand), 4)),
-                                           cand], axis=2), p)
-                count += int((dets == 1).sum())
+    for i, c1 in enumerate(iso):
+        js = np.flatnonzero(gram[i] == 0)
+        mats = np.empty((len(js), 16, 4, 4), dtype=np.int64)
+        mats[..., 0] = c1
+        mats[..., 1] = iso[js][:, None, :]
+        mats[..., 2] = eye[e_k]
+        mats[..., 3] = eye[e_l]
+        forms = _det4_mod(mats.reshape(-1, 4, 4), p).reshape(len(js), 4, 4)
+        for j, form in zip(js, forms):
+            m3 = (gram[i] == 0) & (gram[j] == 1)
+            m4 = (gram[i] == 1) & (gram[j] == 0)
+            dets = iso[m3] @ form @ iso[m4].T % p
+            count += int(((dets == 1) & (gram[np.ix_(m3, m4)] == 0)).sum())
     return count
 
 
@@ -256,7 +253,11 @@ def delta_b_montecarlo(field, d: int, n: int, seed: int):
 
     Returns (fraction, stderr, hits).  Matches curves.xd_membership: the
     affine discriminant must be squarefree, nonzero, and have at most a
-    simple zero at infinity (24 d - deg Delta <= 1).
+    simple zero at infinity (24 d - deg Delta <= 1).  Chunk i of 4000
+    samples draws from the Philox stream (seed, "delta-b-mc", i); each
+    chunk runs as numpy batches with no per-row Python: Delta by
+    ``numkernels.delta_poly_batch``, the degree scan by ``row_degrees``
+    and the squarefree test by the lockstep ``squarefree_batch``.
     """
     import numpy as np
 
@@ -277,18 +278,9 @@ def delta_b_montecarlo(field, d: int, n: int, seed: int):
             for w in weights
         ]
         delta = numkernels.delta_poly_batch(p, arrays)
-        for row in delta:
-            coeffs = row.tolist()
-            deg = -1
-            for i, c in enumerate(coeffs):
-                if c:
-                    deg = i
-            if deg < 0:
-                continue
-            if 24 * d - deg > 1:
-                continue
-            if numkernels.squarefree_int_list(coeffs[: deg + 1], p):
-                hits += 1
+        deg = numkernels.row_degrees(delta)
+        keep = (deg >= 0) & (24 * d - deg <= 1)
+        hits += int(numkernels.squarefree_batch(delta[keep], p).sum())
         done += size
     frac = hits / n
     stderr = sqrt(max(frac * (1 - frac), 1e-12) / n)

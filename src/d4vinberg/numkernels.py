@@ -11,18 +11,27 @@ product, traces and Pfaffian gather, and runs the Newton step of ``linalg``
 over ``dual_ring``.  Matrices are scattered from weight coordinates by the
 ``liealg.V_ENTRIES`` table that ``D4Context`` also uses.
 
-Delta and its gradient are evaluated only through ``MPoly.eval``; this
-module supplies one ``(mul, add, scale)`` ring adapter per representation:
-mod-p int64 arrays (``mod_ring``), dual-number array pairs (``dual_ring``),
-``GFTable`` index tables (``GFTable.ring``), batched (N, deg+1) polynomial
-arrays (``batch_ring``) and int-list polynomials (``intlist_ring``).  The
-int-list functions (``intlist_ring``, ``squarefree_int_list``,
-``il_factor``) are entry points into the polynomial layer of ``polys``.
+Delta runs as one straight-line program, ``quartic.delta_ij`` (27 Delta =
+4 I^3 - J^2), over one ``(mul, add, scale)`` ring adapter per
+representation: mod-p int64 arrays (``mod_ring``), dual-number array pairs
+(``dual_ring``), ``GFTable`` index tables (``GFTable.ring``) and batched
+(N, deg+1) polynomial arrays (``batch_ring``).  The gradient of Delta (for the alpha counts) and the
+int-list Delta (``intlist_ring``, ``delta_poly_intlists``) still evaluate
+the expanded ``delta_mpoly()`` through ``MPoly.eval``, which is also the
+oracle of the tests.  The int-list functions (``intlist_ring``,
+``squarefree_int_list``, ``il_factor``) are entry points into the
+polynomial layer of ``polys``.
+
+The delta_B Monte Carlo is batched end to end: ``delta_poly_batch`` gives
+Delta of a chunk of rows, ``row_degrees`` their degrees, and
+``squarefree_batch`` runs gcd(f, f') for all rows in lockstep.
 
 The int64 kernels are exact only for p < MAX_P = 2**28: the widest sum is
 the eps part of ``_dtrace_prod``, 128 products of residues, and
-128 (p - 1)^2 < 2^63.  The numpy ring adapters and ``beta_mc_prime`` reject
-larger p.
+128 (p - 1)^2 < 2^63; ``_batched_polymul`` reduces after every 128 terms
+and ``squarefree_batch`` tracks a bound on its entries.  The numpy ring
+adapters and ``squarefree_batch`` reject larger p, and p < 5 (Delta
+through I, J divides by 27, the Newton step by 2, 4 and 6).
 """
 
 import numpy as np
@@ -31,7 +40,7 @@ from . import polys
 from .fields import GF
 from .liealg import IOTA, V_ENTRIES
 from .linalg import newton_even, pfaffian_terms
-from .quartic import delta_mpoly, delta_gradient
+from .quartic import delta_gradient, delta_ij, delta_mpoly
 from .rng import det_rng
 
 MAX_P = 2**28
@@ -42,8 +51,10 @@ BETA_BLOCK = 500
 
 
 def _check_p(p):
-    if not 2 <= p < MAX_P:
-        raise ValueError(f"p = {p} outside the exact int64 range p < {MAX_P}")
+    """Reject p outside [5, MAX_P): Delta through (I, J) divides by 27, the
+    Newton step by 2, 4 and 6, and int64 is exact only below MAX_P."""
+    if not 5 <= p < MAX_P:
+        raise ValueError(f"p = {p} outside the range 5 <= p < {MAX_P} of the int64 kernels")
 
 
 def mod_ring(p):
@@ -56,23 +67,18 @@ def mod_ring(p):
     )
 
 
-def _alpha_counts(q, ring, zero=0):
-    """(N0, N2) over a field of q elements coded 0..q-1: points of
-    {Delta = 0} and of {Delta = 0, grad Delta = 0}."""
+def _alpha_counts(q, char, ring, zero=0):
+    """N0 = #{Delta = 0} and the points of {Delta = 0, grad Delta = 0}, as
+    four coordinate arrays, over a field of q elements coded 0..q-1."""
     rng = np.arange(q, dtype=np.int64)
     grids = np.meshgrid(rng, rng, rng, rng, indexing="ij")
     arrays = [g.reshape(-1) for g in grids]
-    on = delta_mpoly().eval(arrays, ring) == zero
+    on = delta_ij(arrays, char, ring) == zero
     sub = [a[on] for a in arrays]
     acc = np.ones(len(sub[0]), dtype=bool)
     for g in delta_gradient():
         acc &= g.eval(sub, ring) == zero
-    return int(on.sum()), int(acc.sum())
-
-
-def alpha_counts_prime(p):
-    """(N0, N2) over F_p."""
-    return _alpha_counts(p, mod_ring(p))
+    return int(on.sum()), [a[acc] for a in sub]
 
 
 def alpha_lift_prime(p):
@@ -81,8 +87,13 @@ def alpha_lift_prime(p):
     Nodal-smooth points contribute p^3 lifts each; gradient-zero points are
     evaluated once over the dual numbers (all their lifts share the value).
     """
-    n0, n2 = alpha_counts_prime(p)
-    # tripwire: the shared dual value at gradient-zero points is Delta(b) = 0
+    n0, sing = _alpha_counts(p, p, mod_ring(p))
+    n2 = len(sing[0])
+    # tripwire: at gradient-zero points every lift b + eps e has the dual
+    # value Delta(b) + eps grad Delta(b) . e = 0
+    eps = det_rng(0, "alpha-lift-tripwire", p).integers(0, p, size=(4, n2), dtype=np.int64)
+    d0, d1 = delta_ij(list(zip(sing, eps)), p, dual_ring(p))
+    assert not d0.any() and not d1.any(), "a gradient-zero point lifts to Delta != 0"
     return (n0 - n2) * p**3 + n2 * p**4
 
 
@@ -93,7 +104,7 @@ def alpha_brute_prime(p):
     ring = dual_ring(p)
     total = p**8
     count = 0
-    chunk = 2 * 10**6
+    chunk = 2**16  # small blocks keep the dual-number temporaries small
     for start in range(0, total, chunk):
         end = min(start + chunk, total)
         codes = np.arange(start, end, dtype=np.int64)
@@ -103,7 +114,7 @@ def alpha_brute_prime(p):
             digits.append(rest % p)
             rest = rest // p
         b = list(zip(digits[0:4], digits[4:8]))
-        d0, d1 = delta_mpoly().eval(b, ring)
+        d0, d1 = delta_ij(b, p, ring)
         count += int(((d0 == 0) & (d1 == 0)).sum())
     return count
 
@@ -140,7 +151,8 @@ class GFTable:
 def alpha_counts_table(field):
     """(N0, N2) over a small extension field via index tables."""
     tab = GFTable(field)
-    return _alpha_counts(tab.q, tab.ring, field.to_int(field.zero))
+    n0, sing = _alpha_counts(tab.q, field.char, tab.ring, field.to_int(field.zero))
+    return n0, len(sing[0])
 
 
 # -- dual-number invariant pipeline for the beta Monte Carlo --
@@ -241,7 +253,7 @@ def beta_mc_prime(p, n_samples, seed):
         coords = rng.integers(0, p, size=(size, 16, 2), dtype=np.int64)
         for lo in range(0, size, BETA_BLOCK):
             prims = dual_primitives(coords[lo : lo + BETA_BLOCK], p)
-            d0, d1 = delta_mpoly().eval(prims, ring)
+            d0, d1 = delta_ij(prims, p, ring)
             hits += int(((d0 == 0) & (d1 == 0)).sum())
         done += size
     return hits
@@ -251,13 +263,21 @@ def beta_mc_prime(p, n_samples, seed):
 
 
 def _batched_polymul(a, b, p):
-    """(N, da+1) x (N, db+1) -> (N, da+db+1), coefficients mod p."""
+    """(N, da+1) x (N, db+1) -> (N, da+db+1), coefficients mod p.
+
+    Residue products are summed unreduced and reduced every 128 terms:
+    128 (p - 1)^2 + p < 2^63 for p < MAX_P.
+    """
+    if a.shape[1] > b.shape[1]:
+        a, b = b, a
     n, da1 = a.shape
     db1 = b.shape[1]
     out = np.zeros((n, da1 + db1 - 1), dtype=np.int64)
     for i in range(da1):
-        col = a[:, i : i + 1]
-        out[:, i : i + db1] = (out[:, i : i + db1] + col * b) % p
+        out[:, i : i + db1] += a[:, i : i + 1] * b
+        if i % 128 == 127:
+            out %= p
+    out %= p
     return out
 
 
@@ -281,9 +301,89 @@ def batch_ring(p):
 
 def delta_poly_batch(p, coeff_arrays):
     """Batched Delta for polynomial coefficient tuples (arrays (N, deg+1),
-    lowest degree first).  Row i holds the coefficients of Delta of tuple i,
-    up to the highest degree a monomial of Delta can reach."""
-    return delta_mpoly().eval(coeff_arrays, batch_ring(p))
+    lowest degree first, residues mod p).  Row i holds the coefficients of
+    Delta of tuple i, up to the weighted degree 24 d of Delta when the
+    arrays are those of H^0(X, B_D) (widths 2 d w + 1)."""
+    return delta_ij(coeff_arrays, p, batch_ring(p))
+
+
+def row_degrees(rows):
+    """Degree of each row of an (N, m) coefficient array (lowest degree
+    first); -1 for a zero row."""
+    nz = rows != 0
+    return np.where(nz.any(axis=1), rows.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
+
+
+def _reduce(x, p, tmp):
+    """x %= p in place through the buffer tmp (floor division by a scalar
+    is much faster than numpy's integer remainder)."""
+    np.floor_divide(x, p, out=tmp)
+    tmp *= p
+    x -= tmp
+
+
+def squarefree_batch(rows, p):
+    """Squarefree test of every row of an (N, m) array of mod-p polynomial
+    coefficients (lowest degree first), as ``polys.is_squarefree_raw``:
+    zero is not squarefree, a nonzero constant is.
+
+    gcd(f, f') runs for all rows in lockstep on int64, exact for p < MAX_P.
+    A and B are stored leading coefficient first at a formal degree, so the
+    elimination C = lc(B) A - lc(A) B needs neither an inverse nor an
+    alignment, and its column 0 is zero.  In each step every live row
+    replaces one of A, B by C shifted left one column: A when lc(A) = 0
+    (then C = lc(B) A), or when both leads are nonzero and deg A >= deg B;
+    else B (C is then -lc(A) B, or B - x^k A up to a unit).  The one left
+    alone keeps a nonzero lead: lc(A) != 0 at the start, and a step
+    leaves alone only a polynomial whose lead it found nonzero.  So deg A
+    + deg B falls by one per step.  Entries are reduced mod p only when
+    the next step could leave the int64 range.  A row is done when A or B
+    reaches formal degree -1, that is, is zero; the other one is then the
+    gcd with a nonzero lead, and the row is squarefree iff its degree is 0.
+    """
+    _check_p(p)
+    rows = np.asarray(rows, dtype=np.int64) % p
+    deg = row_degrees(rows)
+    out = deg == 0
+    idx = np.flatnonzero(deg > 0)
+    if len(idx) == 0:
+        return out
+    da = deg[idx]
+    # column j holds the coefficient of x^(deg - j); f' at formal degree
+    # deg - 1 is then column-wise (deg - j) f_(deg - j)
+    expo = da[:, None] - np.arange(da.max() + 1)
+    a = np.where(expo >= 0, np.take_along_axis(rows[idx], np.maximum(expo, 0), axis=1), 0)
+    b = expo % p * a % p
+    db = da - 1
+    bound = p - 1  # of |entries| of a and b
+    combo, tmp = np.empty_like(a), np.empty_like(a)
+    while True:
+        live = (da >= 0) & (db >= 0)
+        done = ~live
+        if done.any():
+            out[idx[done]] = np.maximum(da, db)[done] == 0
+            idx, a, b, da, db = idx[live], a[live], b[live], da[live], db[live]
+            combo, tmp = np.empty_like(a), np.empty_like(a)
+            if not len(idx):
+                return out
+        width = int(max(da.max(), db.max())) + 1
+        a, b, combo, tmp = a[:, :width], b[:, :width], combo[:, :width], tmp[:, :width]
+        if 2 * (p - 1) * bound >= 2**63:
+            _reduce(a, p, tmp)
+            _reduce(b, p, tmp)
+            bound = p - 1
+        lead_a, lead_b = a[:, 0] % p, b[:, 0] % p
+        into_a = (lead_a == 0) | ((lead_b != 0) & (da >= db))
+        # C shifted left: column 0 of C is zero mod p
+        c, t = combo[:, 1:], tmp[:, 1:]
+        np.multiply(lead_b[:, None], a[:, 1:], out=c)
+        np.multiply(lead_a[:, None], b[:, 1:], out=t)
+        c -= t
+        bound *= 2 * (p - 1)
+        for poly, deg_, mask in ((a, da, into_a), (b, db, ~into_a)):
+            np.copyto(poly[:, :-1], c, where=mask[:, None])
+            poly[mask, -1] = 0
+            deg_ -= mask
 
 
 # -- int-list entry points into the polynomial layer of polys --

@@ -46,6 +46,14 @@ def test_alpha_closed_form_bound():
         assert 0 < alpha_closed_form(q) < Fraction(5, q**2)
 
 
+def test_alpha_lift_tripwire_fires(monkeypatch):
+    # with no gradient filter every point of {Delta = 0} counts as singular,
+    # and the dual-number check at those points must catch it
+    monkeypatch.setattr(numkernels, "delta_gradient", lambda: ())
+    with pytest.raises(AssertionError, match="lifts to Delta != 0"):
+        numkernels.alpha_lift_prime(5)
+
+
 def test_so4_count():
     assert so4_count_formula(5) == 14400
     assert so4_count_bruteforce(5) == 14400
@@ -126,10 +134,20 @@ def test_beta_mc_blocks_match_whole_chunks():
 
 
 def test_int64_kernels_reject_p_beyond_exact_range():
-    with pytest.raises(ValueError):
-        numkernels.beta_mc_prime(2**31 - 1, 10, 0)
-    with pytest.raises(ValueError):
-        numkernels.delta_poly_batch(2**31 - 1, [np.zeros((1, 1), dtype=np.int64)] * 4)
+    # p >= MAX_P leaves the exact int64 range; p < 5 cannot divide by 27
+    # (Delta through I, J), by 2, 4 and 6 (Newton step) or build GF(p)
+    rows = np.zeros((1, 1), dtype=np.int64)
+    for p in (2, 3, numkernels.MAX_P, 2**31 - 1):
+        kernels = [
+            lambda: numkernels.beta_mc_prime(p, 10, 0),
+            lambda: numkernels.delta_poly_batch(p, [rows] * 4),
+            lambda: numkernels.squarefree_batch(rows, p),
+            lambda: numkernels.alpha_lift_prime(p),
+            lambda: numkernels.alpha_brute_prime(p),
+        ]
+        for kernel in kernels:
+            with pytest.raises(ValueError):
+                kernel()
 
 
 def test_infinity_coordinate_change():

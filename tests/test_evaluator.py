@@ -1,7 +1,9 @@
 """Differential tests of the one polynomial evaluator, MPoly.eval, and of
 every ring it runs over: Python ring elements and the vectorized adapters
 in numkernels (mod-p arrays, dual numbers, index tables, batched and
-int-list polynomials)."""
+int-list polynomials).  The straight-line program quartic.delta_ij, which
+the numkernels adapters run, is checked against the expanded plan of
+delta_mpoly() over the same rings."""
 
 from functools import lru_cache
 
@@ -14,6 +16,7 @@ from d4vinberg.multipoly import MPoly
 from d4vinberg.polys import Poly
 from d4vinberg.quartic import (
     delta_gradient,
+    delta_ij,
     delta_mpoly,
     disc_univariate,
     quartic_disc,
@@ -149,3 +152,56 @@ def test_table_ring_matches_field_elements_gf25(points):
     got = delta_mpoly().eval(arrays, tab.ring)
     for j, pt in enumerate(points):
         assert int(got[j]) == field.to_int(quartic_disc([by_code[c] for c in pt]))
+
+
+# -- the straight-line program delta_ij against the expanded plan --
+
+
+def _trimmed(row):
+    row = list(row)
+    while row and row[-1] == 0:
+        row.pop()
+    return row
+
+
+@SETTINGS
+@given(PRIMES, st.integers(0, 2**32 - 1))
+def test_delta_ij_matches_plan_over_mod_and_dual_rings(p, seed):
+    rng = np.random.default_rng(seed)
+    b0 = [rng.integers(0, p, size=16, dtype=np.int64) for _ in range(4)]
+    b1 = [rng.integers(0, p, size=16, dtype=np.int64) for _ in range(4)]
+    ring = numkernels.mod_ring(p)
+    assert delta_ij(b0, p, ring).tolist() == delta_mpoly().eval(b0, ring).tolist()
+    dual = numkernels.dual_ring(p)
+    got = delta_ij(list(zip(b0, b1)), p, dual)
+    want = delta_mpoly().eval(list(zip(b0, b1)), dual)
+    assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+
+@SETTINGS
+@given(st.sampled_from([(5, 1), (7, 1), (23, 1), (5, 2)]), st.data())
+def test_delta_ij_matches_plan_over_field_elements(pm, data):
+    b = data.draw(st.lists(st.sampled_from(_elements(*pm)), min_size=4, max_size=4))
+    assert delta_ij(b, pm[0]) == quartic_disc(b)
+
+
+@SETTINGS
+@given(st.lists(st.lists(st.integers(0, 24), min_size=4, max_size=4), min_size=1, max_size=8))
+def test_delta_ij_matches_plan_over_gf25_tables(points):
+    tab = _table(5, 2)
+    arrays = [np.array([pt[i] for pt in points], dtype=np.int64) for i in range(4)]
+    got = delta_ij(arrays, 5, tab.ring)
+    assert got.tolist() == delta_mpoly().eval(arrays, tab.ring).tolist()
+
+
+@SETTINGS
+@given(PRIMES, st.lists(st.integers(1, 9), min_size=4, max_size=4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_delta_ij_matches_plan_over_batches(p, widths, n, seed):
+    # any widths, not only those of H^0(X, B_D): rows agree once trimmed
+    rng = np.random.default_rng(seed)
+    arrays = [rng.integers(0, p, size=(n, w), dtype=np.int64) for w in widths]
+    ring = numkernels.batch_ring(p)
+    got = delta_ij(arrays, p, ring)
+    want = delta_mpoly().eval(arrays, ring)
+    for g, w in zip(got.tolist(), want.tolist()):
+        assert _trimmed(g) == _trimmed(w)

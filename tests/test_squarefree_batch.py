@@ -1,0 +1,104 @@
+"""Differential tests of the lockstep squarefree test numkernels.squarefree_batch
+against the scalar polys.is_squarefree_raw, row by row.
+
+Batches mix degrees 0 to 72 (the degree of Delta at d = 3) with the rows
+where a batched Euclid can go wrong: repeated factors, p-th powers (zero
+derivative), the zero row, nonzero constants, degree 1, and rows padded
+with high zero columns (leading coefficient 0 in the stored width)."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from d4vinberg import numkernels, polys
+from d4vinberg.fields import GF
+
+SETTINGS = settings(max_examples=40, deadline=None)
+PRIMES = st.sampled_from([5, 7, 23])
+MAX_DEGREE = 72
+
+
+def _mul(a, b, p):
+    return GF(p).poly_mul(a, b) if a and b else []
+
+
+@st.composite
+def dense(draw, p, max_degree=MAX_DEGREE):
+    degree = draw(st.integers(0, max_degree))
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree))
+    return coeffs + [draw(st.integers(1, p - 1))]
+
+
+@st.composite
+def repeated_factors(draw, p):
+    """A product of small factors with multiplicities up to p + 1."""
+    out = [draw(st.integers(1, p - 1))]
+    for _ in range(draw(st.integers(1, 5))):
+        factor = draw(dense(p, 6).filter(lambda c: len(c) >= 2))
+        for _ in range(draw(st.integers(1, p + 1))):
+            if len(out) + len(factor) - 2 > MAX_DEGREE:
+                break
+            out = _mul(out, factor, p)
+    return out
+
+
+@st.composite
+def pth_powers(draw, p):
+    """g(x)^p = g(x^p), alone (zero derivative) or times a dense cofactor."""
+    g = draw(dense(p, MAX_DEGREE // p))
+    out = [0] * (p * (len(g) - 1) + 1)
+    out[::p] = g
+    if draw(st.booleans()):
+        out = _mul(out, draw(dense(p, MAX_DEGREE - (len(out) - 1))), p)
+    return out
+
+
+def special(p):
+    return st.one_of(
+        st.just([]),  # zero
+        st.integers(1, p - 1).map(lambda c: [c]),  # nonzero constant
+        st.tuples(st.integers(0, p - 1), st.integers(1, p - 1)).map(list),  # degree 1
+    )
+
+
+@st.composite
+def batches(draw):
+    p = draw(PRIMES)
+    row = st.one_of(dense(p), repeated_factors(p), pth_powers(p), special(p))
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    width = max(len(r) for r in rows) + draw(st.integers(0, 3))
+    return p, rows, width
+
+
+@SETTINGS
+@given(batches())
+def test_squarefree_batch_matches_scalar_test(case):
+    p, rows, width = case
+    arr = np.zeros((len(rows), max(width, 1)), dtype=np.int64)
+    for i, r in enumerate(rows):
+        arr[i, : len(r)] = r
+    got = numkernels.squarefree_batch(arr, p)
+    field = GF(p)
+    assert got.tolist() == [polys.is_squarefree_raw(field, r) for r in rows]
+
+
+def test_squarefree_batch_conventions():
+    # zero is not squarefree, a nonzero constant is; (x - 1)^2 and x^5 are
+    # not, x^5 - x is; unreduced residues are reduced first
+    rows = np.array(
+        [
+            [0, 0, 0, 0, 0, 0],
+            [3, 0, 0, 0, 0, 0],
+            [1, 3, 1, 0, 0, 0],
+            [0, 0, 0, 0, 0, 1],
+            [0, 4, 0, 0, 0, 1],
+            [-4, 11, 0, 0, 0, 0],
+        ],
+        dtype=np.int64,
+    )
+    assert numkernels.squarefree_batch(rows, 5).tolist() == [False, True, False, False, True, True]
+    assert numkernels.squarefree_batch(np.zeros((0, 3), dtype=np.int64), 5).tolist() == []
+
+
+def test_row_degrees():
+    rows = np.array([[0, 0, 0], [1, 0, 0], [0, 2, 0], [1, 0, 3]], dtype=np.int64)
+    assert numkernels.row_degrees(rows).tolist() == [-1, 0, 1, 2]
