@@ -17,11 +17,7 @@ from .fields import extension_of
 from .funcfield import Place, RatFunc
 from .linalg import kernel_basis, solve
 from .polys import Poly
-from .quartic import (
-    quartic_disc,
-    quartic_poly,
-    weierstrass_from_quartic,
-)
+from .quartic import quartic_disc, quartic_poly, weierstrass
 
 DEFAULT_MAX_Q = 101
 
@@ -275,8 +271,7 @@ def to_weierstrass(field, b):
     Route: multiply the affine equation by x to get (xy + q4)^2 = f(x) and
     take the Jacobian of the binary quartic.
     """
-    f = quartic_poly(field, tuple(field.elem(x) for x in b))
-    return weierstrass_from_quartic(field, f)
+    return weierstrass(tuple(field.elem(x) for x in b))
 
 
 def weierstrass_count(field, a_coef, b_coef):
@@ -405,7 +400,7 @@ def xd_membership(field, b, d, classify_fibres=True, max_q=DEFAULT_MAX_Q**2):
     classify_fibres, each bad place gets its Kodaira type: I1 demands a
     single rational nodal point, certified on the reduced plane cubic.
     """
-    b = tuple(x if isinstance(x, Poly) else Poly.const(field, field.elem(x)) for x in b)
+    b = _as_polys(field, b)
     bounds = tuple(w * 2 * d for w in WEIGHTS)
     if any(p.degree > bound for p, bound in zip(b, bounds)):
         raise ValueError("coefficient degrees exceed the B_D box")
@@ -511,11 +506,14 @@ def singular_points_bruteforce(kv, b_red):
     return out
 
 
+def _as_polys(field, b):
+    """b with each constant lifted to a constant Poly over field."""
+    return tuple(x if isinstance(x, Poly) else Poly.const(field, field.elem(x)) for x in b)
+
+
 def disc_poly(field, b) -> Poly:
     """Delta(b) for polynomial coefficient tuples (constants are lifted)."""
-    return quartic_disc(
-        tuple(x if isinstance(x, Poly) else Poly.const(field, field.elem(x)) for x in b)
-    )
+    return quartic_disc(_as_polys(field, b))
 
 
 def in_xd_fast(field, b, d) -> bool:
@@ -618,7 +616,7 @@ def two_torsion_field_rank(field, b_polys):
     A K-root of the monic cubic is a polynomial of bounded degree; it is
     reconstructed from its value at a single place of large degree.
     """
-    a_coef, b_coef = to_weierstrass_polys(field, b_polys)
+    a_coef, b_coef = weierstrass(_as_polys(field, b_polys))
     bound = max(
         _ceil_div(a_coef.degree, 2) if not a_coef.is_zero() else 0,
         _ceil_div(b_coef.degree, 3) if not b_coef.is_zero() else 0,
@@ -645,17 +643,3 @@ def two_torsion_field_rank(field, b_polys):
         if check.is_zero():
             count += 1
     return count
-
-
-def to_weierstrass_polys(field, b_polys):
-    """(A(t), B(t)) of the Weierstrass model for polynomial coefficients."""
-    from .quartic import binary_quartic_invariants
-
-    p2, p4, q4, p6 = (
-        x if isinstance(x, Poly) else Poly.const(field, field.elem(x)) for x in b_polys
-    )
-    i_inv, j_inv = binary_quartic_invariants()
-    i_val = i_inv.eval((p2, p4, p6, q4 * q4))
-    j_val = j_inv.eval((p2, p4, p6, q4 * q4))
-    m27 = Poly.const(field, field.elem(-27))
-    return m27 * i_val, m27 * j_val

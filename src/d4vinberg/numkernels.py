@@ -11,16 +11,14 @@ product, traces and Pfaffian gather, and runs the Newton step of ``linalg``
 over ``dual_ring``.  Matrices are scattered from weight coordinates by the
 ``liealg.V_ENTRIES`` table that ``D4Context`` also uses.
 
-Delta runs as one straight-line program, ``quartic.delta_ij`` (27 Delta =
-4 I^3 - J^2), over one ``(mul, add, scale)`` ring adapter per
-representation: mod-p int64 arrays (``mod_ring``), dual-number array pairs
-(``dual_ring``), ``GFTable`` index tables (``GFTable.ring``) and batched
-(N, deg+1) polynomial arrays (``batch_ring``).  The gradient of Delta (for the alpha counts) and the
-int-list Delta (``intlist_ring``, ``delta_poly_intlists``) still evaluate
-the expanded ``delta_mpoly()`` through ``MPoly.eval``, which is also the
-oracle of the tests.  The int-list functions (``intlist_ring``,
-``squarefree_int_list``, ``il_factor``) are entry points into the
-polynomial layer of ``polys``.
+Delta is the division-free program ``quartic.delta`` over one ``(mul,
+add, scale)`` ring adapter per representation: mod-p int64 arrays
+(``mod_ring``), dual-number pairs (``dual_ring``), index tables
+(``GFTable.ring``), (N, deg+1) polynomial batches (``batch_ring``) and int
+lists (``intlist_ring``).  Only the gradient, for the alpha counts, is the
+expanded ``quartic.delta_gradient()`` through ``MPoly.eval``; grids run in
+BLOCK-point blocks.  The int-list functions are entry points into
+``polys``.
 
 The delta_B Monte Carlo is batched end to end: ``delta_poly_batch`` gives
 Delta of a chunk of rows, ``row_degrees`` their degrees, and
@@ -30,8 +28,8 @@ The int64 kernels are exact only for p < MAX_P = 2**28: the widest sum is
 the eps part of ``_dtrace_prod``, 128 products of residues, and
 128 (p - 1)^2 < 2^63; ``_batched_polymul`` reduces after every 128 terms
 and ``squarefree_batch`` tracks a bound on its entries.  The numpy ring
-adapters and ``squarefree_batch`` reject larger p, and p < 5 (Delta
-through I, J divides by 27, the Newton step by 2, 4 and 6).
+adapters and ``squarefree_batch`` reject larger p, and p < 5 (the Newton
+step of the beta pipeline divides by 2, 4 and 6).
 """
 
 import numpy as np
@@ -40,7 +38,7 @@ from . import polys
 from .fields import GF
 from .liealg import IOTA, V_ENTRIES
 from .linalg import newton_even, pfaffian_terms
-from .quartic import delta_gradient, delta_ij, delta_mpoly
+from .quartic import delta, delta_gradient
 from .rng import det_rng
 
 MAX_P = 2**28
@@ -48,11 +46,13 @@ BETA_CHUNK = 20000  # samples per Philox stream of beta_mc_prime
 # rows per dual_primitives call in beta_mc_prime: with small temporaries
 # the allocator reuses their pages instead of returning and refaulting them
 BETA_BLOCK = 500
+BLOCK = 2**16  # grid points per block of the alpha counts and their oracle
 
 
 def _check_p(p):
-    """Reject p outside [5, MAX_P): Delta through (I, J) divides by 27, the
-    Newton step by 2, 4 and 6, and int64 is exact only below MAX_P."""
+    """Reject p outside [5, MAX_P): the Newton step of ``dual_primitives``
+    divides by 2, 4 and 6 (Delta itself is division-free), and int64 is
+    exact only below MAX_P."""
     if not 5 <= p < MAX_P:
         raise ValueError(f"p = {p} outside the range 5 <= p < {MAX_P} of the int64 kernels")
 
@@ -67,18 +67,27 @@ def mod_ring(p):
     )
 
 
-def _alpha_counts(q, char, ring, zero=0):
+def _grid_blocks(q, n):
+    """The q^n points of {0..q-1}^n in code order (the first coordinate
+    most significant), BLOCK points at a time, as n coordinate arrays."""
+    for start in range(0, q**n, BLOCK):
+        codes = np.arange(start, min(start + BLOCK, q**n), dtype=np.int64)
+        yield [codes // q**k % q for k in reversed(range(n))]
+
+
+def _alpha_counts(q, ring, zero=0):
     """N0 = #{Delta = 0} and the points of {Delta = 0, grad Delta = 0}, as
-    four coordinate arrays, over a field of q elements coded 0..q-1."""
-    rng = np.arange(q, dtype=np.int64)
-    grids = np.meshgrid(rng, rng, rng, rng, indexing="ij")
-    arrays = [g.reshape(-1) for g in grids]
-    on = delta_ij(arrays, char, ring) == zero
-    sub = [a[on] for a in arrays]
+    four coordinate arrays in code order, over a field of q elements coded
+    0..q-1."""
+    blocks = []
+    for pt in _grid_blocks(q, 4):
+        on = delta(pt, ring) == zero
+        blocks.append([a[on] for a in pt])
+    sub = [np.concatenate(c) for c in zip(*blocks)]
     acc = np.ones(len(sub[0]), dtype=bool)
     for g in delta_gradient():
         acc &= g.eval(sub, ring) == zero
-    return int(on.sum()), [a[acc] for a in sub]
+    return len(sub[0]), [a[acc] for a in sub]
 
 
 def alpha_lift_prime(p):
@@ -87,12 +96,12 @@ def alpha_lift_prime(p):
     Nodal-smooth points contribute p^3 lifts each; gradient-zero points are
     evaluated once over the dual numbers (all their lifts share the value).
     """
-    n0, sing = _alpha_counts(p, p, mod_ring(p))
+    n0, sing = _alpha_counts(p, mod_ring(p))
     n2 = len(sing[0])
     # tripwire: at gradient-zero points every lift b + eps e has the dual
     # value Delta(b) + eps grad Delta(b) . e = 0
     eps = det_rng(0, "alpha-lift-tripwire", p).integers(0, p, size=(4, n2), dtype=np.int64)
-    d0, d1 = delta_ij(list(zip(sing, eps)), p, dual_ring(p))
+    d0, d1 = delta(list(zip(sing, eps)), dual_ring(p))
     assert not d0.any() and not d1.any(), "a gradient-zero point lifts to Delta != 0"
     return (n0 - n2) * p**3 + n2 * p**4
 
@@ -102,19 +111,9 @@ def alpha_brute_prime(p):
     mod pi^2 (literal dual-number evaluation at every point); the oracle
     for the lift strategy."""
     ring = dual_ring(p)
-    total = p**8
     count = 0
-    chunk = 2**16  # small blocks keep the dual-number temporaries small
-    for start in range(0, total, chunk):
-        end = min(start + chunk, total)
-        codes = np.arange(start, end, dtype=np.int64)
-        digits = []
-        rest = codes
-        for _ in range(8):
-            digits.append(rest % p)
-            rest = rest // p
-        b = list(zip(digits[0:4], digits[4:8]))
-        d0, d1 = delta_ij(b, p, ring)
+    for x in _grid_blocks(p, 8):
+        d0, d1 = delta(list(zip(x[0:4], x[4:8])), ring)
         count += int(((d0 == 0) & (d1 == 0)).sum())
     return count
 
@@ -151,7 +150,7 @@ class GFTable:
 def alpha_counts_table(field):
     """(N0, N2) over a small extension field via index tables."""
     tab = GFTable(field)
-    n0, sing = _alpha_counts(tab.q, field.char, tab.ring, field.to_int(field.zero))
+    n0, sing = _alpha_counts(tab.q, tab.ring, field.to_int(field.zero))
     return n0, len(sing[0])
 
 
@@ -253,7 +252,7 @@ def beta_mc_prime(p, n_samples, seed):
         coords = rng.integers(0, p, size=(size, 16, 2), dtype=np.int64)
         for lo in range(0, size, BETA_BLOCK):
             prims = dual_primitives(coords[lo : lo + BETA_BLOCK], p)
-            d0, d1 = delta_ij(prims, p, ring)
+            d0, d1 = delta(prims, ring)
             hits += int(((d0 == 0) & (d1 == 0)).sum())
         done += size
     return hits
@@ -304,7 +303,7 @@ def delta_poly_batch(p, coeff_arrays):
     lowest degree first, residues mod p).  Row i holds the coefficients of
     Delta of tuple i, up to the weighted degree 24 d of Delta when the
     arrays are those of H^0(X, B_D) (widths 2 d w + 1)."""
-    return delta_ij(coeff_arrays, p, batch_ring(p))
+    return delta(coeff_arrays, batch_ring(p))
 
 
 def row_degrees(rows):
@@ -412,4 +411,4 @@ def intlist_ring(p):
 
 def delta_poly_intlists(p, coeff_lists):
     """Delta for four mod-p polynomials given as int lists (low first)."""
-    return delta_mpoly().eval(coeff_lists, intlist_ring(p))
+    return delta(coeff_lists, intlist_ring(p))

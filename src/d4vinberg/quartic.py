@@ -1,19 +1,17 @@
-"""The quartic discriminant and its closed form.
+"""The quartic discriminant, its invariants and the Weierstrass model.
 
 The basic object is f(t) = t^4 + p2 t^3 + p4 t^2 + p6 t + q4^2 (the
 homogeneous convention: weights (1,2,2,3) on (p2,p4,q4,p6) with t of weight
-2 rescale f by weight 12).  Delta(b) = disc(f) is expanded once over the
-integers from the Sylvester resultant Res(f, f') and cached as a sparse
-integer polynomial.  Its ``MPoly.eval`` plan is compiled once, so Delta is
-evaluated exactly over any commutative ring by the same code: field
-elements, F_q[t] coefficients and rational functions through Python's
-operators, and int-list polynomials through ``numkernels.intlist_ring``.
-
-Over a ring of characteristic p >= 5, ``delta_ij`` is the same Delta as a
-straight-line program through the invariants I, J of the quartic, 27 Delta
-= 4 I^3 - J^2 (ten products against the plan's 39).  The numpy kernels of
-``numkernels`` (residue arrays, dual numbers, index tables, polynomial
-batches) run it; ``delta_mpoly()`` stays the expanded form and the oracle.
+2 rescale f by weight 12).  Delta(b) = disc(f) (``delta``) and (A, B) =
+(-27 I, -27 J) (``weierstrass``), with I, J the invariants of f in the
+normalization 27 Delta = 4 I^3 - J^2 of Cremona (2001) and Bhargava-Shankar
+(2015), are one division-free straight-line program over a ``(mul, add,
+scale)`` ring triple, valid in every characteristic: ints, ``MPoly``, field
+elements, F_q[t] and F_q(t) through Python's operators (``quartic_disc``),
+and the numpy representations of ``numkernels``.  The oracles are
+``delta_mpoly()``, Delta expanded once over the integers from Res(f, f'),
+``disc_univariate`` and ``binary_quartic_invariants()``; the partials of
+``delta_mpoly()`` (``delta_gradient``) serve the alpha counts.
 """
 
 from functools import lru_cache
@@ -59,39 +57,63 @@ def delta_mpoly():
     return delta
 
 
-def delta_ij(b, char, ring=PY_RING):
-    """Delta(b) for b = (p2, p4, q4, p6) over a ring of characteristic
-    char >= 5, by the straight-line program 27 Delta = 4 I^3 - J^2.
+def _lin(ring, *terms):
+    """sum of c * x over (int c, ring element x); c = 1 adds x unscaled."""
+    _, add, scale = ring
+    acc = None
+    for c, x in terms:
+        t = x if c == 1 else scale(c, x)
+        acc = t if acc is None else add(acc, t)
+    return acc
 
-    I and J are those of ``binary_quartic_invariants`` at (a, b, c, d) =
-    (p2, p4, p6, q4^2).  The ring is a ``(mul, add, scale)`` triple as in
-    ``MPoly.eval``; every constant, 27^-1 included, is an int scaling
-    reduced mod char, as in ``linalg.newton_even``.  That is ten ring
-    products, against 39 in the expanded plan of ``delta_mpoly``.
-    """
-    mul, add, scale = ring
 
-    def lin(*terms):
-        """sum of c * x over (int c, ring element x)"""
-        acc = None
-        for c, x in terms:
-            t = scale(c % char, x)
-            acc = t if acc is None else add(acc, t)
-        return acc
-
+def _ij_prelude(b, ring):
+    """(p4, d, bb, u, s, w) of b = (p2, p4, q4, p6), with (a, b, c, d) =
+    (p2, p4, p6, q4^2), bb = b^2, u = 4d - ac, s = 8d + ac and w = c^2 +
+    a^2 d: then I = bb + 3u and J = 9bs - 2b bb - 27w (six products)."""
+    mul = ring[0]
     p2, p4, q4, p6 = b
     d = mul(q4, q4)
     ac = mul(p2, p6)
     bb = mul(p4, p4)
-    i_inv = lin((12, d), (-3, ac), (1, bb))
-    # J = b (72 d + 9 a c - 2 b^2) - 27 (c^2 + a^2 d)
-    j_inv = add(
-        mul(p4, lin((72, d), (9, ac), (-2, bb))),
-        lin((-27, mul(p6, p6)), (-27, mul(mul(p2, p2), d))),
+    u = _lin(ring, (4, d), (-1, ac))
+    s = _lin(ring, (8, d), (1, ac))
+    w = _lin(ring, (1, mul(p6, p6)), (1, mul(mul(p2, p2), d)))
+    return p4, d, bb, u, s, w
+
+
+def delta(b, ring=PY_RING):
+    """Delta(b) for b = (p2, p4, q4, p6) over any commutative ring, as one
+    division-free straight-line program of 12 ring products:
+
+        Delta = bb (u^2 + d (72u - 432d + 16bb)) + 4u^3
+                + w (-27w + b (18s - 4bb))
+
+    in the notation of ``_ij_prelude``; it equals ``delta_mpoly()`` in
+    ZZ[p2, p4, q4, p6], so it holds in every characteristic.  The ring is
+    a ``(mul, add, scale)`` triple as in ``MPoly.eval``; constants enter
+    as int scalings.
+    """
+    mul, add, scale = ring
+    p4, d, bb, u, s, w = _ij_prelude(b, ring)
+    uu = mul(u, u)
+    return _lin(
+        ring,
+        (1, mul(bb, add(uu, mul(d, _lin(ring, (72, u), (-432, d), (16, bb)))))),
+        (4, mul(uu, u)),
+        (1, mul(w, add(scale(-27, w), mul(p4, _lin(ring, (18, s), (-4, bb)))))),
     )
-    inv27 = pow(27, -1, char)
-    cube = mul(mul(i_inv, i_inv), i_inv)
-    return lin((4 * inv27, cube), (-inv27, mul(j_inv, j_inv)))
+
+
+def weierstrass(b, ring=PY_RING):
+    """(A, B) = (-27 I, -27 J) of b = (p2, p4, q4, p6): y^2 = x^3 + A x + B
+    is the Jacobian of w^2 = f(t) (seven ring products)."""
+    mul = ring[0]
+    p4, _, bb, u, s, w = _ij_prelude(b, ring)
+    return (
+        _lin(ring, (-27, bb), (-81, u)),
+        _lin(ring, (-27, mul(p4, _lin(ring, (9, s), (-2, bb)))), (729, w)),
+    )
 
 
 @lru_cache(maxsize=1)
@@ -101,9 +123,10 @@ def delta_gradient():
 
 
 def quartic_disc(b):
-    """Delta(b) for b = (p2, p4, q4, p6) with entries in any commutative
-    ring supporting +, -, * and multiplication by python ints."""
-    return delta_mpoly().eval(tuple(b))
+    """``delta`` over Python's operators: entries in any commutative ring
+    with +, * and int multiples.  Not an alias, so that rebinding it (as a
+    tracer does) leaves the numpy kernels' ``delta`` alone."""
+    return delta(b)
 
 
 def quartic_poly(field, b):
@@ -140,15 +163,3 @@ def binary_quartic_invariants():
     i_inv = 12 * d - 3 * a * c + b * b
     j_inv = 72 * b * d - 27 * c * c - 27 * a * a * d + 9 * a * b * c - 2 * b * b * b
     return i_inv, j_inv
-
-
-def weierstrass_from_quartic(field, f: polys.Poly):
-    """Short Weierstrass coefficients (A, B) with y^2 = x^3 + A x + B the
-    Jacobian model of w^2 = f(t), f monic quartic."""
-    if f.degree != 4 or f.lead() != field.one:
-        raise ValueError("monic quartic required")
-    a, b, c, d = f[3], f[2], f[1], f[0]
-    i_inv, j_inv = binary_quartic_invariants()
-    i_val = i_inv.eval((a, b, c, d))
-    j_val = j_inv.eval((a, b, c, d))
-    return field.elem(-27) * i_val, field.elem(-27) * j_val

@@ -18,7 +18,7 @@ from d4vinberg.densities import (
     vol_g,
 )
 from d4vinberg.fields import GF
-from d4vinberg.quartic import delta_mpoly
+from d4vinberg.quartic import delta_gradient, delta_mpoly
 from d4vinberg.rng import det_rng
 
 
@@ -52,6 +52,27 @@ def test_alpha_lift_tripwire_fires(monkeypatch):
     monkeypatch.setattr(numkernels, "delta_gradient", lambda: ())
     with pytest.raises(AssertionError, match="lifts to Delta != 0"):
         numkernels.alpha_lift_prime(5)
+
+
+@pytest.mark.parametrize("block", [1000, 7**4, 2**16])
+def test_alpha_grid_blocks_match_the_whole_grid(monkeypatch, block):
+    # the 7^4 = 2401 points in three blocks (the last one partial), one
+    # exact block, and one block larger than the grid
+    p = 7
+    ring = numkernels.mod_ring(p)
+    axis = np.arange(p, dtype=np.int64)
+    grid = [g.reshape(-1) for g in np.meshgrid(axis, axis, axis, axis, indexing="ij")]
+    on = delta_mpoly().eval(grid, ring) == 0
+    sub = [a[on] for a in grid]
+    singular = np.ones(len(sub[0]), dtype=bool)
+    for g in delta_gradient():
+        singular &= g.eval(sub, ring) == 0
+    monkeypatch.setattr(numkernels, "BLOCK", block)
+    blocks = list(numkernels._grid_blocks(p, 4))
+    assert [np.concatenate(c).tolist() for c in zip(*blocks)] == [a.tolist() for a in grid]
+    n0, sing = numkernels._alpha_counts(p, ring)
+    assert n0 == len(sub[0])
+    assert [a.tolist() for a in sing] == [a[singular].tolist() for a in sub]
 
 
 def test_so4_count():
@@ -134,8 +155,8 @@ def test_beta_mc_blocks_match_whole_chunks():
 
 
 def test_int64_kernels_reject_p_beyond_exact_range():
-    # p >= MAX_P leaves the exact int64 range; p < 5 cannot divide by 27
-    # (Delta through I, J), by 2, 4 and 6 (Newton step) or build GF(p)
+    # p >= MAX_P leaves the exact int64 range; p < 5 cannot divide by 2, 4
+    # and 6 (Newton step) or build GF(p)
     rows = np.zeros((1, 1), dtype=np.int64)
     for p in (2, 3, numkernels.MAX_P, 2**31 - 1):
         kernels = [

@@ -1,9 +1,10 @@
 """Differential tests of the one polynomial evaluator, MPoly.eval, and of
 every ring it runs over: Python ring elements and the vectorized adapters
 in numkernels (mod-p arrays, dual numbers, index tables, batched and
-int-list polynomials).  The straight-line program quartic.delta_ij, which
-the numkernels adapters run, is checked against the expanded plan of
-delta_mpoly() over the same rings."""
+int-list polynomials).  The straight-line program quartic.delta, which
+quartic_disc and the numkernels adapters run, is checked against the
+expanded plan of delta_mpoly() over the same rings and over ints, rational
+functions and polynomials over GF(25)."""
 
 from functools import lru_cache
 
@@ -12,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from d4vinberg import numkernels
 from d4vinberg.fields import GF
+from d4vinberg.funcfield import RatFunc
 from d4vinberg.multipoly import MPoly
 from d4vinberg.polys import Poly
 from d4vinberg.quartic import (
+    delta,
     delta_gradient,
-    delta_ij,
     delta_mpoly,
     disc_univariate,
     quartic_disc,
@@ -154,7 +156,7 @@ def test_table_ring_matches_field_elements_gf25(points):
         assert int(got[j]) == field.to_int(quartic_disc([by_code[c] for c in pt]))
 
 
-# -- the straight-line program delta_ij against the expanded plan --
+# -- the straight-line program delta against the expanded plan --
 
 
 def _trimmed(row):
@@ -166,42 +168,75 @@ def _trimmed(row):
 
 @SETTINGS
 @given(PRIMES, st.integers(0, 2**32 - 1))
-def test_delta_ij_matches_plan_over_mod_and_dual_rings(p, seed):
+def test_delta_matches_plan_over_mod_and_dual_rings(p, seed):
     rng = np.random.default_rng(seed)
     b0 = [rng.integers(0, p, size=16, dtype=np.int64) for _ in range(4)]
     b1 = [rng.integers(0, p, size=16, dtype=np.int64) for _ in range(4)]
     ring = numkernels.mod_ring(p)
-    assert delta_ij(b0, p, ring).tolist() == delta_mpoly().eval(b0, ring).tolist()
+    assert delta(b0, ring).tolist() == delta_mpoly().eval(b0, ring).tolist()
     dual = numkernels.dual_ring(p)
-    got = delta_ij(list(zip(b0, b1)), p, dual)
+    got = delta(list(zip(b0, b1)), dual)
     want = delta_mpoly().eval(list(zip(b0, b1)), dual)
     assert [g.tolist() for g in got] == [w.tolist() for w in want]
 
 
 @SETTINGS
 @given(st.sampled_from([(5, 1), (7, 1), (23, 1), (5, 2)]), st.data())
-def test_delta_ij_matches_plan_over_field_elements(pm, data):
+def test_delta_matches_plan_over_field_elements(pm, data):
     b = data.draw(st.lists(st.sampled_from(_elements(*pm)), min_size=4, max_size=4))
-    assert delta_ij(b, pm[0]) == quartic_disc(b)
+    assert delta(b) == delta_mpoly().eval(b)
 
 
 @SETTINGS
 @given(st.lists(st.lists(st.integers(0, 24), min_size=4, max_size=4), min_size=1, max_size=8))
-def test_delta_ij_matches_plan_over_gf25_tables(points):
+def test_delta_matches_plan_over_gf25_tables(points):
     tab = _table(5, 2)
     arrays = [np.array([pt[i] for pt in points], dtype=np.int64) for i in range(4)]
-    got = delta_ij(arrays, 5, tab.ring)
+    got = delta(arrays, tab.ring)
     assert got.tolist() == delta_mpoly().eval(arrays, tab.ring).tolist()
 
 
 @SETTINGS
 @given(PRIMES, st.lists(st.integers(1, 9), min_size=4, max_size=4), st.integers(1, 4), st.integers(0, 2**32 - 1))
-def test_delta_ij_matches_plan_over_batches(p, widths, n, seed):
+def test_delta_matches_plan_over_batches(p, widths, n, seed):
     # any widths, not only those of H^0(X, B_D): rows agree once trimmed
     rng = np.random.default_rng(seed)
     arrays = [rng.integers(0, p, size=(n, w), dtype=np.int64) for w in widths]
     ring = numkernels.batch_ring(p)
-    got = delta_ij(arrays, p, ring)
+    got = delta(arrays, ring)
     want = delta_mpoly().eval(arrays, ring)
     for g, w in zip(got.tolist(), want.tolist()):
         assert _trimmed(g) == _trimmed(w)
+
+
+# -- quartic_disc, which runs delta, against the plan over Python rings --
+
+
+@SETTINGS
+@given(st.lists(st.integers(-10**6, 10**6), min_size=4, max_size=4))
+def test_quartic_disc_matches_plan_over_ints(b):
+    assert quartic_disc(b) == delta_mpoly().eval(b)
+
+
+def _polys(p, m, max_len=4):
+    """Polys over GF(p^m) of degree < max_len, the zero Poly included."""
+    elems = st.sampled_from(_elements(p, m))
+    return st.lists(elems, max_size=max_len).map(lambda cs: Poly(_field(p, m), cs))
+
+
+@SETTINGS
+@given(st.data())
+def test_quartic_disc_matches_plan_over_rational_functions_f5(data):
+    nums = data.draw(st.lists(_polys(5, 1), min_size=4, max_size=4))
+    dens = data.draw(
+        st.lists(_polys(5, 1).filter(lambda f: not f.is_zero()), min_size=4, max_size=4)
+    )
+    b = [RatFunc(n, d) for n, d in zip(nums, dens)]
+    assert quartic_disc(b) == delta_mpoly().eval(b)
+
+
+@SETTINGS
+@given(st.data())
+def test_quartic_disc_matches_plan_over_gf25_polys(data):
+    b = data.draw(st.lists(_polys(5, 2, max_len=5), min_size=4, max_size=4))
+    assert quartic_disc(b) == delta_mpoly().eval(b)

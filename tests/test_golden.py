@@ -2,10 +2,15 @@
 move.  A change to any of these must be justified where it is made.
 
 The densities report covers alpha by lift and by brute force, the SO_4
-oracle, the beta and delta_B Monte Carlo counts and the truncated product;
-its SHA-256 is of the CLI output, which carries no wall-clock fields."""
+oracle, the beta and delta_B Monte Carlo counts and the truncated product.
+The other reports cover the cusp table, the point counts and Weierstrass
+models of pointed curves over F_5, orbit reduction, the algebra checks and
+the stabilizer counts at p = 23.  Each SHA-256 is of the CLI output, which
+carries no wall-clock fields."""
 
 import hashlib
+
+import pytest
 
 from d4vinberg.cli import main
 from d4vinberg.densities import delta_b_montecarlo
@@ -13,6 +18,17 @@ from d4vinberg.fields import GF
 
 DENSITIES_ARGS = ["densities", "--p", "5", "--d", "3", "--n-samples", "2000", "--oracle"]
 DENSITIES_SHA256 = "9143f73f8073742c2e57576cc766d8aeea6cbfd4af18eabbacfee48e0778deb7"
+REPORT_SHA256 = {
+    "cusp-table": "5e4dd31bb76372ed7354a1d48135fc650b866dcfc302754469906d0adc077a60",
+    "curves --p 5 --d 1 --n-samples 20":
+        "47201874a2d2aef79cbfda392461e5e51240d4f37a0993f1df507038a647a7b5",
+    "reduce-orbit --p 23 --n-samples 5":
+        "8da8f971b0b50a741ba69cb51a00a478394411ea4f28b2f99406b524247ed660",
+    "verify-algebra --p 23 --n-samples 5":
+        "6065fb82c4f2a413feb37ddff6f48e22634365ba87092b013ededd3af72df38f",
+    "stabilizer-check --p 23 --n-samples 5":
+        "bd62cd07f5e56a819b88c47e87a2555e031a327b873e03c7da26babf97a0a205",
+}
 
 
 def test_delta_b_montecarlo_hits_pinned():
@@ -26,3 +42,10 @@ def test_densities_report_digest_pinned(tmp_path):
     out = tmp_path / "densities.json"
     assert main(DENSITIES_ARGS + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DENSITIES_SHA256
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_SHA256))
+def test_report_digest_pinned(command, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(command.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[command]

@@ -4,11 +4,13 @@ from d4vinberg.multipoly import MPoly
 from d4vinberg.polys import Poly, find_irreducible
 from d4vinberg.quartic import (
     binary_quartic_invariants,
+    delta,
     delta_mpoly,
     disc_monic_quartic_mpoly,
     disc_univariate,
     quartic_disc,
     quartic_poly,
+    weierstrass,
 )
 from d4vinberg.rng import det_rng
 
@@ -59,6 +61,22 @@ def test_binary_quartic_syzygy():
     i_inv, j_inv = binary_quartic_invariants()
     disc = disc_monic_quartic_mpoly()
     assert 4 * i_inv**3 - j_inv**2 == 27 * disc
+
+
+def _variables():
+    return tuple(MPoly.var(4, i) for i in range(4))  # (p2, p4, q4, p6)
+
+
+def test_delta_program_is_the_expanded_discriminant():
+    # an identity in ZZ[p2, p4, q4, p6], so it holds in every characteristic
+    assert delta(_variables()) == delta_mpoly()
+
+
+def test_weierstrass_program_is_minus_27_times_the_invariants():
+    p2, p4, q4, p6 = _variables()
+    point = (p2, p4, p6, q4 * q4)
+    i_inv, j_inv = binary_quartic_invariants()
+    assert weierstrass(_variables()) == (-27 * i_inv.eval(point), -27 * j_inv.eval(point))
 
 
 def test_disc_over_polynomial_ring():
