@@ -3,9 +3,10 @@
 The four invariants are calibrated combinations of primitive conjugation
 invariants of the 8x8 matrix view: the even characteristic polynomial
 coefficients c2, c4, c6 and the Pfaffian of Psi*v.  ``primitives`` computes
-them once, through the ring-generic routines of ``linalg``, for a VElem
-and for the symbolic MPoly matrices of the Kostant and slice charts;
-``numkernels.dual_primitives`` runs the same Newton step on dual numbers.
+them once, from the 4x4 blocks X, Y of v = [[0, X], [Y, 0]] through the
+ring-generic routines of ``linalg`` (c2, c4, c6 from M = XY, and Pf = det X),
+for a VElem and for the symbolic MPoly matrices of the Kostant and slice
+charts; ``numkernels.dual_primitives`` does the same on dual numbers.
 The calibration ansatz
 
     p2 = u1 c2,  q4 = u2 Pf,  p4 = u3 c4 + u4 c2^2 + u5 Pf,
@@ -27,13 +28,13 @@ from . import linalg
 from .fields import GF, PrimeField
 from .liealg import (
     D4Context,
-    IOTA,
     LABELS,
     RHO_CHECK,
     LAMBDA_CHECK,
     VElem,
     pairing,
     TorusGen,
+    v_blocks,
 )
 from .linalg import mat_mul, mat_sub
 from .multipoly import MPoly
@@ -47,12 +48,17 @@ def primitives(ctx: D4Context, v):
     """(c2, c4, pf, c6) of v; valid for any p >= 5.
 
     v is a VElem, or the 8x8 matrix of one with entries in any commutative
-    ring over ctx.field (the symbolic charts pass MPolys).  Pf(Psi v) is the
-    Pfaffian of the rows v[IOTA[i]], since Psi permutes rows by IOTA.
+    ring over ctx.field (the symbolic charts pass MPolys).  On (EVEN, ODD)
+    the matrix is [[0, X], [Y, 0]] (``liealg.v_blocks``), so c2, c4, c6
+    come from the two 4x4 products of ``linalg.block_even_coeffs``.  Psi
+    permutes rows by IOTA, which permutes EVEN evenly, so the antisymmetric
+    Psi v is [[0, X'], [-X'^T, 0]] with det X' = det X; the reordering to
+    (EVEN, ODD) is even too, so Pf(Psi v) = det X.
     """
     m = v.to_matrix() if isinstance(v, VElem) else v
-    c2, c4, c6 = linalg.even_coeffs(m, ctx.field.char)
-    return c2, c4, linalg.pfaffian([m[i] for i in IOTA]), c6
+    x, y = v_blocks(m)
+    c2, c4, c6 = linalg.block_even_coeffs(x, y, ctx.field.char)
+    return c2, c4, linalg.det_leibniz(x), c6
 
 
 class Invariants:
@@ -348,6 +354,11 @@ def _graded_centralizer_basis(ctx, y: VElem, cochar, expect_weights, expect_h_di
 
 def _chart_primitives(ctx, base: VElem, directions, nvars):
     """Symbolic (C2, C4, PF, C6) on base + sum_i x_i * directions[i]."""
+    return primitives(ctx, _chart_matrix(base, directions, nvars))
+
+
+def _chart_matrix(base: VElem, directions, nvars):
+    """The 8x8 MPoly matrix of base + sum_i x_i * directions[i]."""
     base_m = base.to_matrix()
     dir_ms = [d.to_matrix() for d in directions]
     mat = []
@@ -362,7 +373,7 @@ def _chart_primitives(ctx, base: VElem, directions, nvars):
                     terms[_unit(nvars, k)] = dm[i][j]
             row.append(MPoly(nvars, terms))
         mat.append(row)
-    return primitives(ctx, mat)
+    return mat
 
 
 def _unit(nvars, i):

@@ -9,9 +9,11 @@ constructive orbit reduction needs.
 
 The matrix entries of the root vectors (``ROOT_ENTRIES``) and of the
 weight basis of V (``V_ENTRIES``) do not depend on the field and are module
-tables, which ``numkernels`` shares.  Everything else is built once per
-field and cached on a D4Context; all operations are pure and the context is
-safe to share.
+tables.  So is ``V_BLOCKS``, the place of each weight coordinate in the
+blocks X and Y of [[0, X], [Y, 0]], the shape of V on the positions
+(EVEN, ODD) of theta; ``numkernels`` scatters by it.  Everything else is
+built once per field and cached on a D4Context; all operations are pure
+and the context is safe to share.
 """
 
 from fractions import Fraction
@@ -155,6 +157,35 @@ def _root_entries():
 ROOT_ENTRIES = _root_entries()
 # (primary, partner) entries of the weight basis of V, in label order
 V_ENTRIES = tuple(ROOT_ENTRIES[weight_evec(LABEL_SIGNS[l])] for l in LABELS)
+
+# theta splits the positions by S_SIGNS: on (EVEN, ODD) a matrix of V is
+# [[0, X], [Y, 0]]; IOTA keeps both sets
+EVEN = tuple(i for i in range(8) if S_SIGNS[i] == 1)
+ODD = tuple(i for i in range(8) if S_SIGNS[i] == -1)
+
+
+def _v_blocks():
+    """Per weight coordinate, in label order: its entry (row, col, sign) in
+    X and its entry in Y.  The primary entry carries +1, the partner -1."""
+    out = []
+    for entries in V_ENTRIES:
+        x = y = None
+        for (i, j), sign in zip(entries, (1, -1)):
+            if i in EVEN and j in ODD:
+                x = (EVEN.index(i), ODD.index(j), sign)
+            elif i in ODD and j in EVEN:
+                y = (ODD.index(i), EVEN.index(j), sign)
+        assert x is not None and y is not None, "a weight vector of V is not off-diagonal"
+        out.append((x, y))
+    return tuple(out)
+
+
+V_BLOCKS = _v_blocks()
+
+
+def v_blocks(m):
+    """The blocks (X, Y) = (m[EVEN, ODD], m[ODD, EVEN]) of an 8x8 matrix of V."""
+    return [[m[i][j] for j in ODD] for i in EVEN], [[m[i][j] for j in EVEN] for i in ODD]
 
 
 class VElem:
@@ -483,8 +514,12 @@ class D4Context:
         return len(basis) - linalg.rank(self.field, mat)
 
     def char_quartic(self, v: VElem) -> Poly:
-        """g(T) with det(xI - v) = g(x^2), from the even charpoly."""
-        c2, c4, c6, c8 = linalg.even_charpoly(self.field, v.to_matrix())
+        """g(T) with det(xI - v) = g(x^2).  On (EVEN, ODD) v is [[0, X],
+        [Y, 0]], so c2, c4, c6 come from M = XY (``block_even_coeffs``) and
+        c8 = det v = det X det Y."""
+        x, y = v_blocks(v.to_matrix())
+        c2, c4, c6 = linalg.block_even_coeffs(x, y, self.field.char)
+        c8 = linalg.det_leibniz(x) * linalg.det_leibniz(y)
         return Poly(self.field, [c8, c6, c4, c2, self.field.one])
 
     def is_regular_semisimple(self, v: VElem) -> bool:

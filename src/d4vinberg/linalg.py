@@ -5,13 +5,16 @@ Matrices are lists of lists of field elements.  Sizes here are tiny (at most
 arithmetic.
 
 The invariant primitives are division-free and written once, for entries in
-any commutative ring: ``trace``, ``trace_prod``, ``pfaffian`` (by perfect
-matchings) and ``even_coeffs``, the c2, c4, c6 of the even characteristic
-polynomial.  They serve field elements and the symbolic ``MPoly`` charts of
-``invariants``.  The Newton step ``newton_even`` from power sums to c2, c4,
-c6 also takes a ``(mul, add, scale)`` ring triple, as ``MPoly.eval`` does,
-so ``numkernels`` runs it on dual-number arrays; its divisions by 2, 4 and
-6 are scalings by int inverses mod the characteristic (p >= 5).
+any commutative ring: ``trace``, ``trace_prod``, ``det_leibniz`` (by the
+signed permutations of ``det_terms``) and ``block_even_coeffs``, the c2,
+c4, c6 of the even characteristic polynomial of [[0, x], [y, 0]] from the
+blocks x and y.  They serve field elements and the symbolic ``MPoly``
+charts of ``invariants``.  The 8x8 ``even_coeffs``, ``even_charpoly`` and
+``pfaffian`` (by perfect matchings) are the tests' oracle.  The Newton
+step ``newton_even`` from power sums to c2, c4, c6 also takes a ``(mul,
+add, scale)`` ring triple, as ``MPoly.eval`` does, so ``numkernels`` runs
+it on dual-number arrays; its divisions by 2, 4 and 6 are scalings by int
+inverses mod the characteristic (p >= 5).
 
 `mat_mul` and `mat_vec` have a prime-field int kernel.  When every entry of
 both operands is an `FElem` of one and the same `PrimeField` (and the shapes
@@ -21,6 +24,7 @@ input (`ExtField` or `MPoly` entries, plain ints, elements of two field
 objects, ragged rows) takes the generic loop, which behaves as it always did.
 """
 
+from itertools import permutations
 from operator import mul
 
 from .fields import FElem, PrimeField
@@ -217,7 +221,7 @@ def det(field, a):
     return result
 
 
-# -- Pfaffian of an antisymmetric matrix, by perfect matchings --
+# -- Pfaffian and determinant as signed sums of products of entries --
 
 
 def _matchings(items):
@@ -231,9 +235,9 @@ def _matchings(items):
             yield [(first, items[j])] + sub
 
 
-def _matching_sign(pairs):
-    """Sign of the permutation sending (0, 1, ..., n-1) to the flattened pairs."""
-    values = [i for pair in pairs for i in pair]
+def _perm_sign(values):
+    """Sign of the permutation sending (0, 1, ..., n-1) to values."""
+    values = list(values)
     sign = 1
     for i in range(len(values)):
         while values[i] != i:
@@ -244,29 +248,51 @@ def _matching_sign(pairs):
 
 
 _PFAFFIAN_TERMS = {}
+_DET_TERMS = {}
 
 
 def pfaffian_terms(n):
     """[(sign, ((i1,j1),...))] over perfect matchings of {0..n-1}, cached."""
     if n not in _PFAFFIAN_TERMS:
-        terms = []
-        for pairs in _matchings(list(range(n))):
-            terms.append((_matching_sign(pairs), tuple(pairs)))
-        _PFAFFIAN_TERMS[n] = terms
+        _PFAFFIAN_TERMS[n] = [
+            (_perm_sign([i for pair in pairs for i in pair]), tuple(pairs))
+            for pairs in _matchings(list(range(n)))
+        ]
     return _PFAFFIAN_TERMS[n]
+
+
+def det_terms(n):
+    """[(sign, ((0, s(0)), ..., (n-1, s(n-1))))] over the permutations s of
+    {0..n-1}, cached; the identity comes first."""
+    if n not in _DET_TERMS:
+        _DET_TERMS[n] = [
+            (_perm_sign(perm), tuple(enumerate(perm))) for perm in permutations(range(n))
+        ]
+    return _DET_TERMS[n]
+
+
+def _signed_sum(a, terms):
+    """sum of sign * prod a[i][j] over the (sign, index pairs) terms, whose
+    first term has sign +1, over any commutative ring (division-free)."""
+    acc = None
+    for sign, ((i, j), *rest) in terms:
+        term = a[i][j]
+        for k, l in rest:
+            term = term * a[k][l]
+        acc = term if acc is None else acc + term if sign > 0 else acc - term
+    return acc
 
 
 def pfaffian(a):
     """Pfaffian of an antisymmetric n x n matrix (n even, n >= 2), over any
     commutative ring, by perfect matchings (division-free)."""
-    acc = None
-    for sign, ((i, j), *rest) in pfaffian_terms(len(a)):
-        term = a[i][j]
-        for k, l in rest:
-            term = term * a[k][l]
-        # the first matching, (0 1)(2 3)..., has sign +1
-        acc = term if acc is None else acc + term if sign > 0 else acc - term
-    return acc
+    return _signed_sum(a, pfaffian_terms(len(a)))
+
+
+def det_leibniz(a):
+    """Determinant of a small square matrix over any commutative ring, by
+    the n! terms of the Leibniz formula (division-free)."""
+    return _signed_sum(a, det_terms(len(a)))
 
 
 # -- characteristic polynomial --
@@ -314,6 +340,16 @@ def even_coeffs(a, char):
     a2 = mat_mul(a, a)
     a4 = mat_mul(a2, a2)
     return newton_even(trace(a2), trace(a4), trace_prod(a2, a4), char)
+
+
+def block_even_coeffs(x, y, char):
+    """(c2, c4, c6) of ``even_coeffs`` for a = [[0, x], [y, 0]] with n x n
+    blocks x and y: a^2 = diag(xy, yx), so tr(a^(2k)) = 2 tr(m^k) with
+    m = xy, and two n x n products replace two 2n x 2n ones."""
+    m = mat_mul(x, y)
+    m2 = mat_mul(m, m)
+    t2, t4, t6 = trace(m), trace(m2), trace_prod(m, m2)
+    return newton_even(t2 + t2, t4 + t4, t6 + t6, char)
 
 
 def even_charpoly(field, a):

@@ -6,10 +6,11 @@ numbers k[eps]/(eps^2); ring elements are (value, eps-part) array pairs.
 Small extension residue fields use index tables.
 
 ``dual_primitives`` is the dual-number backend of the invariant primitives
-(c2, c4, pf, c6) for the beta Monte Carlo: it keeps only the numpy matrix
-product, traces and Pfaffian gather, and runs the Newton step of ``linalg``
-over ``dual_ring``.  Matrices are scattered from weight coordinates by the
-``liealg.V_ENTRIES`` table that ``D4Context`` also uses.
+(c2, c4, pf, c6) for the beta Monte Carlo: it keeps only the numpy 4x4
+block products, traces and determinant gather, and runs the Newton step of
+``linalg`` over ``dual_ring``.  Weight coordinates are scattered straight
+into the blocks X, Y of v = [[0, X], [Y, 0]] by the ``liealg.V_BLOCKS``
+table.
 
 Delta is the division-free program ``quartic.delta`` over one ``(mul,
 add, scale)`` ring adapter per representation: mod-p int64 arrays
@@ -24,20 +25,21 @@ The delta_B Monte Carlo is batched end to end: ``delta_poly_batch`` gives
 Delta of a chunk of rows, ``row_degrees`` their degrees, and
 ``squarefree_batch`` runs gcd(f, f') for all rows in lockstep.
 
-The int64 kernels are exact only for p < MAX_P = 2**28: the widest sum is
-the eps part of ``_dtrace_prod``, 128 products of residues, and
-128 (p - 1)^2 < 2^63; ``_batched_polymul`` reduces after every 128 terms
-and ``squarefree_batch`` tracks a bound on its entries.  The numpy ring
-adapters and ``squarefree_batch`` reject larger p, and p < 5 (the Newton
-step of the beta pipeline divides by 2, 4 and 6).
+The int64 kernels are exact only for p < MAX_P = 2**28.  The sum that
+binds is a 128-term block of ``_batched_polymul``, which reduces after
+every 128 terms: 128 (p - 1)^2 + p < 2^63.  The widest sum of the beta
+pipeline is now the eps part of ``_dtrace_prod`` on the 4x4 blocks, 32
+products of residues; ``squarefree_batch`` tracks a bound on its entries.
+The numpy ring adapters and ``squarefree_batch`` reject larger p, and
+p < 5 (the Newton step of the beta pipeline divides by 2, 4 and 6).
 """
 
 import numpy as np
 
 from . import polys
 from .fields import GF
-from .liealg import IOTA, V_ENTRIES
-from .linalg import newton_even, pfaffian_terms
+from .liealg import V_BLOCKS
+from .linalg import det_terms, newton_even
 from .quartic import delta, delta_gradient
 from .rng import det_rng
 
@@ -195,8 +197,20 @@ def _dtrace_prod(a, b, p):
     return (t0, t1)
 
 
-# signs (105,) and index pairs (105, 4, 2) of the perfect matchings of 8 rows
-_PF_SIGNS, _PF_PAIRS = (np.array(t, dtype=np.int64) for t in zip(*pfaffian_terms(8)))
+def _block_gather():
+    """For each block of (X, Y) and each entry of it in row-major order:
+    the weight coordinate that fills it and the sign it carries."""
+    index = np.zeros((2, 16), dtype=np.int64)
+    sign = np.zeros((2, 16), dtype=np.int64)
+    for k, blocks in enumerate(V_BLOCKS):
+        for b, (r, c, s) in enumerate(blocks):
+            index[b, 4 * r + c], sign[b, 4 * r + c] = k, s
+    return index, sign
+
+
+_BLOCK_INDEX, _BLOCK_SIGN = _block_gather()
+# signs (24,) and index pairs (24, 4, 2) of the terms of a 4x4 determinant
+_DET_SIGNS, _DET_PAIRS = (np.array(t, dtype=np.int64) for t in zip(*det_terms(4)))
 
 
 def dual_primitives(coords, p):
@@ -204,32 +218,32 @@ def dual_primitives(coords, p):
 
     coords is an int64 array (N, 16, 2) of weight coordinates mod p in label
     order, value part and eps part; each invariant comes back as a dual
-    pair of (N,) arrays.  The matrix products, traces and the Pfaffian
-    gather run here on numpy; the Newton step is ``linalg.newton_even`` over
-    ``dual_ring(p)``, and Pf(Psi a) is the Pfaffian of the rows a[IOTA[i]].
+    pair of (N,) arrays.  The coordinates are scattered by
+    ``liealg.V_BLOCKS`` into the 4x4 blocks of v = [[0, X], [Y, 0]], as
+    dual pairs of (N, 4, 4) arrays of signed residues in (-p, p) (every
+    product reduces).  As in ``invariants.primitives``, c2, c4, c6 come
+    from M = XY by the Newton step of ``linalg.newton_even`` over
+    ``dual_ring(p)``, and Pf(Psi v) = det X is a gather of the 24 terms of
+    ``linalg.det_terms(4)``.
     """
-    size = len(coords)
-    a0 = np.zeros((size, 8, 8), dtype=np.int64)
-    a1 = np.zeros((size, 8, 8), dtype=np.int64)
-    for k, ((pi, pj), (qi, qj)) in enumerate(V_ENTRIES):
-        a0[:, pi, pj] = coords[:, k, 0]
-        a0[:, qi, qj] = (-coords[:, k, 0]) % p
-        a1[:, pi, pj] = coords[:, k, 1]
-        a1[:, qi, qj] = (-coords[:, k, 1]) % p
-    a = (a0, a1)
-    a2 = _dmatmul(a, a, p)
-    a4 = _dmatmul(a2, a2, p)
-    c2, c4, c6 = newton_even(
-        _dtrace(a2, p), _dtrace(a4, p), _dtrace_prod(a2, a4, p), p, dual_ring(p)
+    x, y = (
+        tuple(
+            (coords[:, index, part] * sign).reshape(-1, 4, 4) for part in (0, 1)
+        )
+        for index, sign in zip(_BLOCK_INDEX, _BLOCK_SIGN)
     )
-    pa0 = a0[:, IOTA, :]
-    pa1 = a1[:, IOTA, :]
+    m = _dmatmul(x, y, p)
+    m2 = _dmatmul(m, m, p)
+    ring = dual_ring(p)
+    _, add, _ = ring
+    traces = (_dtrace(m, p), _dtrace(m2, p), _dtrace_prod(m, m2, p))
+    c2, c4, c6 = newton_even(*(add(t, t) for t in traces), p, ring)
     prod = None
     for t in range(4):
-        rows, cols = _PF_PAIRS[:, t, 0], _PF_PAIRS[:, t, 1]
-        h = (pa0[:, rows, cols], pa1[:, rows, cols])
+        rows, cols = _DET_PAIRS[:, t, 0], _DET_PAIRS[:, t, 1]
+        h = (x[0][:, rows, cols], x[1][:, rows, cols])
         prod = h if prod is None else _dmul(prod, h, p)
-    pf = ((prod[0] * _PF_SIGNS).sum(axis=1) % p, (prod[1] * _PF_SIGNS).sum(axis=1) % p)
+    pf = (prod[0] @ _DET_SIGNS % p, prod[1] @ _DET_SIGNS % p)
     return c2, c4, pf, c6
 
 
@@ -264,16 +278,18 @@ def beta_mc_prime(p, n_samples, seed):
 def _batched_polymul(a, b, p):
     """(N, da+1) x (N, db+1) -> (N, da+db+1), coefficients mod p.
 
-    Residue products are summed unreduced and reduced every 128 terms:
-    128 (p - 1)^2 + p < 2^63 for p < MAX_P.
+    Residue products are formed in one buffer, summed unreduced and
+    reduced every 128 terms: 128 (p - 1)^2 + p < 2^63 for p < MAX_P.
     """
     if a.shape[1] > b.shape[1]:
         a, b = b, a
     n, da1 = a.shape
     db1 = b.shape[1]
     out = np.zeros((n, da1 + db1 - 1), dtype=np.int64)
+    term = np.empty_like(b)
     for i in range(da1):
-        out[:, i : i + db1] += a[:, i : i + 1] * b
+        np.multiply(a[:, i : i + 1], b, out=term)
+        out[:, i : i + db1] += term
         if i % 128 == 127:
             out %= p
     out %= p

@@ -15,6 +15,7 @@ import pytest
 from d4vinberg.cli import main
 from d4vinberg.densities import delta_b_montecarlo
 from d4vinberg.fields import GF
+from d4vinberg.numkernels import beta_mc_prime
 
 DENSITIES_ARGS = ["densities", "--p", "5", "--d", "3", "--n-samples", "2000", "--oracle"]
 DENSITIES_SHA256 = "9143f73f8073742c2e57576cc766d8aeea6cbfd4af18eabbacfee48e0778deb7"
@@ -36,6 +37,11 @@ def test_delta_b_montecarlo_hits_pinned():
     frac, stderr, hits = delta_b_montecarlo(GF(5), 3, 12000, 0)
     assert hits == 4481
     assert frac == hits / 12000
+
+
+def test_beta_mc_hits_pinned():
+    # 20500 samples span two BETA_CHUNK-sample Philox streams
+    assert beta_mc_prime(5, 20_500, 0) == 5452
 
 
 def test_densities_report_digest_pinned(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -6,9 +7,21 @@ from hypothesis import given, settings, strategies as st
 
 from d4vinberg import linalg, numkernels
 from d4vinberg.fields import GF
-from d4vinberg.invariants import Invariants, _chart_primitives, primitives
-from d4vinberg.liealg import D4Context, VElem, TorusGen, RHO_CHECK, pairing
+from d4vinberg.invariants import Invariants, _chart_matrix, _chart_primitives, primitives
+from d4vinberg.liealg import (
+    D4Context,
+    EVEN,
+    IOTA,
+    V_BLOCKS,
+    VElem,
+    TorusGen,
+    RHO_CHECK,
+    pairing,
+    v_blocks,
+)
 from d4vinberg.linalg import mat_mul
+from d4vinberg.multipoly import MPoly
+from d4vinberg.polys import Poly
 from d4vinberg.quartic import quartic_disc
 from d4vinberg.rng import det_rng
 
@@ -248,3 +261,87 @@ def test_primitives_over_extension_field():
         c2, c4, pf, c6 = primitives(ext, v)
         full = linalg.charpoly_berkowitz(f, v.to_matrix())
         assert full == [pf * pf, 0, c6, 0, c4, 0, c2, 0, 1]
+
+
+# -- the block primitives against the 8x8 oracle: on (EVEN, ODD) an element
+# of V is [[0, X], [Y, 0]], and (c2, c4, pf, c6) come from X and Y alone --
+
+BLOCK_FIELDS = pytest.mark.parametrize(
+    "q", [(5, 1), (7, 1), (23, 1), (23, 2)], ids=["F5", "F7", "F23", "GF23^2"]
+)
+
+
+@functools.cache
+def _context(p, m=1):
+    return D4Context(GF(p, m))
+
+
+def _oracle(m, char):
+    """(c2, c4, pf, c6) of an 8x8 matrix of V by the full matrix: its even
+    characteristic coefficients and the Pfaffian of its rows in IOTA order."""
+    c2, c4, c6 = linalg.even_coeffs(m, char)
+    return c2, c4, linalg.pfaffian([m[i] for i in IOTA]), c6
+
+
+def _off_block_entries(m):
+    return [m[i][j] for i in range(8) for j in range(8) if (i in EVEN) == (j in EVEN)]
+
+
+def test_v_is_zero_on_the_diagonal_blocks(charts):
+    # the weight basis spans V, so this covers every VElem matrix
+    for k, (x_entry, y_entry) in enumerate(V_BLOCKS):
+        m = ctx.v_coords_to_matrix([F.one if i == k else F.zero for i in range(16)])
+        assert not any(_off_block_entries(m))
+        x, y = v_blocks(m)
+        for block, (r, c, sign) in ((x, x_entry), (y, y_entry)):
+            assert block[r][c] == F.elem(sign)
+            assert sum(bool(e) for row in block for e in row) == 1
+    for base, dirs, _ in charts.values():
+        mat = _chart_matrix(base, dirs, len(dirs))
+        assert all(e.is_zero() for e in _off_block_entries(mat))
+
+
+@BLOCK_FIELDS
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_block_primitives_match_8x8_oracle(q, data):
+    c = _context(*q)
+    f = c.field
+    ints = data.draw(st.lists(st.integers(0, f.order - 1), min_size=16, max_size=16))
+    v = VElem(c, [f.from_int(i) for i in ints])
+    m = v.to_matrix()
+    assert primitives(c, v) == _oracle(m, f.char)
+    c2, c4, c6, c8 = linalg.even_charpoly(f, m)
+    assert c.char_quartic(v) == Poly(f, [c8, c6, c4, c2, f.one])
+
+
+@BLOCK_FIELDS
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_block_primitives_match_8x8_oracle_on_random_charts(q, data):
+    c = _context(*q)
+    f = c.field
+    coords = st.lists(st.integers(0, f.order - 1), min_size=16, max_size=16)
+    base, *dirs = (VElem(c, [f.from_int(i) for i in data.draw(coords)]) for _ in range(3))
+    mat = _chart_matrix(base, dirs, 2)
+    got, want = primitives(c, mat), _oracle(mat, f.char)
+    assert all(isinstance(g, MPoly) for g in got) and got == want
+
+
+@pytest.mark.parametrize("chart", ["slice", "kostant"])
+def test_chart_block_primitives_match_8x8_oracle(charts, chart):
+    base, dirs, syms = charts[chart]
+    mat = _chart_matrix(base, dirs, len(dirs))
+    assert tuple(syms) == _oracle(mat, 23)
+
+
+@pytest.mark.parametrize("p", [5, 7, 23])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_dual_primitives_value_part_matches_8x8_oracle(p, seed):
+    c = _context(p)
+    coords = np.random.default_rng(seed).integers(0, p, size=(8, 16, 2), dtype=np.int64)
+    duals = numkernels.dual_primitives(coords, p)
+    for i, row in enumerate(coords):
+        m = VElem(c, [int(x) for x in row[:, 0]]).to_matrix()
+        assert [int(d[0][i]) for d in duals] == [x.val for x in _oracle(m, p)]
