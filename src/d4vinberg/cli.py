@@ -15,6 +15,8 @@ import sys
 
 from . import curves, densities, hnweights, verify
 from .fields import GF
+from .polys import Poly
+from .quartic import quartic_disc
 
 
 def _load_config(path):
@@ -148,14 +150,10 @@ def _first_good_reduction(field, b, member):
         pl.poly for pl, _ in member.disc_divisor if not pl.is_infinite and pl.degree == 1
     }
     for c in field:
-        from .polys import Poly
-
         lin = Poly(field, [-c, field.one])
         if lin in bad:
             continue
         b_red = tuple(p(c) for p in b)
-        from .quartic import quartic_disc
-
         if not quartic_disc(b_red):
             continue
         n, _, tt = curves.curve_group(field, b_red)
@@ -174,23 +172,23 @@ def cmd_stabilizer_check(args, cfg):
 
 def cmd_cusp_table(args, cfg):
     rows = hnweights.verify_cusp_table()
-    payload = {
+    tail_bounds = {}
+    for r in rows:
+        d1, d2 = (
+            hnweights.boundary_tail_bound(r.m_set, d, cfg["truncation"], cfg["p"]) for d in (1, 2)
+        )
+        tail_bounds[str(r.m_set)] = {
+            "d1": d1.to_float(),
+            "d2": d2.to_float(),
+            "upper_bound_d1": str(d1.upper_bound()),
+        }
+    return {
         "config": {k: cfg[k] for k in sorted(cfg)},
         "passed": all(r.conditions_ok for r in rows),
         "rows": [r.as_record() for r in rows],
         "c0": [sorted(m) for m in hnweights.enumerate_c0()],
-        "tail_bounds": {
-            str(r.m_set): {
-                "d1": hnweights.boundary_tail_bound(r.m_set, 1, cfg["truncation"], cfg["p"]).to_float(),
-                "d2": hnweights.boundary_tail_bound(r.m_set, 2, cfg["truncation"], cfg["p"]).to_float(),
-                "upper_bound_d1": str(
-                    hnweights.boundary_tail_bound(r.m_set, 1, cfg["truncation"], cfg["p"]).upper_bound()
-                ),
-            }
-            for r in rows
-        },
+        "tail_bounds": tail_bounds,
     }
-    return payload
 
 
 def cmd_geography(args, cfg):

@@ -358,16 +358,9 @@ def minimal_data(field, b) -> MinimalData:
     for place, n_v in n_map.items():
         if not place.is_infinite and n_v < 0:
             num_scale = num_scale / RatFunc(place.poly ** (-n_v))
-    b_min = tuple(r * _pow_rf(num_scale, w) for r, w in zip(b, WEIGHTS))
+    b_min = tuple(r * num_scale**w for r, w in zip(b, WEIGHTS))
     degree = sum(n_v * place.degree for place, n_v in n_map.items())
     return MinimalData(n_map, b_min, degree)
-
-
-def _pow_rf(r: RatFunc, k: int) -> RatFunc:
-    out = RatFunc(Poly.const(r.field, r.field.one))
-    for _ in range(k):
-        out = out * r
-    return out
 
 
 def _ceil_div(a, b):
@@ -391,7 +384,7 @@ class XDMembership:
         return f"XDMembership(in_xd={self.in_xd}, ord_inf={self.ord_inf})"
 
 
-def xd_membership(field, b, d, classify_fibres=True, max_q=DEFAULT_MAX_Q**2):
+def xd_membership(field, b, d, classify_fibres=True):
     """Membership of a coefficient tuple in H^0(X, B_D)^sf, D = d*infinity.
 
     b: four Polys (p2, p4, q4, p6) subject to degree bounds (2d, 4d, 4d, 6d).
@@ -526,12 +519,12 @@ def in_xd_fast(field, b, d) -> bool:
     return polys.is_squarefree(delta)
 
 
-def sample_xd(field, d, count, seed, max_tries=None, classify_fibres=False):
-    """Uniform rejection sampling of H^0(X, B_D)^sf coefficient tuples."""
+def sample_xd(field, d, count, seed):
+    """Uniform rejection sampling of H^0(X, B_D)^sf coefficient tuples,
+    within 200 count + 1000 tries."""
     from .rng import det_rng
 
-    if max_tries is None:
-        max_tries = 200 * count + 1000
+    max_tries = 200 * count + 1000
     bounds = tuple(w * 2 * d for w in WEIGHTS)
     out = []
     tries = 0
@@ -543,12 +536,8 @@ def sample_xd(field, d, count, seed, max_tries=None, classify_fibres=False):
         b = tuple(
             Poly(field, [field.random(rng) for _ in range(k + 1)]) for k in bounds
         )
-        if not in_xd_fast(field, b, d):
-            continue
-        if classify_fibres:
-            member = xd_membership(field, b, d, classify_fibres=True)
-            assert member.in_xd
-        out.append(b)
+        if in_xd_fast(field, b, d):
+            out.append(b)
     return out
 
 

@@ -30,6 +30,9 @@ from .fields import GF
 from .funcfield import count_monic_irreducibles
 from .rng import det_rng
 
+# the Monte Carlo gate of beta_v, in standard errors
+SIGMA_GATE = 4
+
 
 def alpha_closed_form(q_v: int) -> Fraction:
     """alpha_v as an exact rational, valid for any prime power q_v (p >= 5)."""
@@ -38,15 +41,14 @@ def alpha_closed_form(q_v: int) -> Fraction:
     return Fraction((n0 - n2) * q_v**3 + n2 * q_v**4, q_v**8)
 
 
-def alpha_v(q_v: int, p: int = None) -> Fraction:
+def alpha_v(q_v: int) -> Fraction:
     """alpha_v by the first-order lift strategy (enumeration of B(k_v)).
 
     For prime q_v the enumeration is vectorized directly; for prime powers
     up to 64 it runs over index tables.  The result is checked against the
     closed form (hard failure on mismatch).
     """
-    if p is None:
-        p = _char_of(q_v)
+    p = _char_of(q_v)
     if q_v == p:
         num = numkernels.alpha_lift_prime(p)
     elif q_v <= 64:
@@ -183,11 +185,11 @@ class DensityReport:
         return json.dumps(data, indent=2, sort_keys=True)
 
 
-def beta_v(q_v: int, mc: tuple = None, sigma_gate: float = 4.0) -> DensityReport:
+def beta_v(q_v: int, mc: tuple = None) -> DensityReport:
     """beta_v = 1 - vol_G (1 - alpha_v), with optional Monte Carlo check.
 
     mc = (N, seed) samples N points of V(O/(pi^2)) and requires the exact
-    value within sigma_gate standard errors (hard failure otherwise).
+    value within SIGMA_GATE standard errors (hard failure otherwise).
     Monte Carlo is available at prime q_v.
     """
     alpha = alpha_v(q_v)
@@ -214,7 +216,7 @@ def beta_v(q_v: int, mc: tuple = None, sigma_gate: float = 4.0) -> DensityReport
             "stderr": stderr,
             "deviation_sigmas": dev / stderr if stderr else 0.0,
         }
-        if dev > sigma_gate * stderr:
+        if dev > SIGMA_GATE * stderr:
             raise AssertionError(
                 f"Monte Carlo beta {mean} deviates from exact {float(beta)} "
                 f"by {dev / stderr:.2f} sigma"

@@ -16,11 +16,29 @@ its Rabin test (``polys`` is imported inside those functions, since it
 imports this module).
 
 Text format (bit-exact round trip): prime elements as decimal integers,
-extension elements as comma-separated coefficient tuples "(c0,c1,...)".
+extension elements as comma-separated coefficient tuples "(c0,c1,...)", so
+an element of a tower nests them, "((0,1),(2,3))".  ``split_top`` splits a
+list of such literals at its top-level commas; ``ExtField.elem_from_str``,
+``polys.Poly.from_str`` and ``liealg.VElem.deserialize`` all read through it.
 """
 
 from functools import lru_cache
 from math import isqrt
+
+
+def split_top(s):
+    """The parts of s between its commas outside parentheses."""
+    depth, parts, cur = 0, [], []
+    for ch in s:
+        if ch == "," and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+            continue
+        depth += ch == "("
+        depth -= ch == ")"
+        cur.append(ch)
+    parts.append("".join(cur))
+    return parts
 
 
 class FElem:
@@ -439,8 +457,7 @@ class ExtField(Field):
         s = s.strip()
         if not (s.startswith("(") and s.endswith(")")):
             raise ValueError(f"bad extension element literal: {s!r}")
-        parts = s[1:-1].split(",")
-        return self.elem([self.base.elem_from_str(t) for t in parts])
+        return self.elem([self.base.elem_from_str(t) for t in split_top(s[1:-1])])
 
     def to_int(self, x):
         i = 0

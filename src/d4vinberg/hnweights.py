@@ -12,7 +12,7 @@ as rational upper bounds.
 from array import array
 from fractions import Fraction
 
-from .liealg import LABELS, LABEL_SIGNS, leq, lambda_max, W0_PERMS
+from .liealg import LABELS, LABEL_OF_SIGNS, LABEL_SIGNS, leq, lambda_max, W0_PERMS
 
 # <rho-check, a_i> for the simple roots of G
 RHO_PAIRINGS = (4, 2, 2, 2)
@@ -21,14 +21,9 @@ RHO_PAIRINGS = (4, 2, 2, 2)
 def covers(label):
     """Labels covering the given one (flip a single -1 up)."""
     signs = LABEL_SIGNS[label]
-    sign_to_label = {v: k for k, v in LABEL_SIGNS.items()}
-    out = []
-    for i in range(4):
-        if signs[i] < 0:
-            new = list(signs)
-            new[i] = 1
-            out.append(sign_to_label[tuple(new)])
-    return frozenset(out)
+    return frozenset(
+        LABEL_OF_SIGNS[signs[:i] + (1,) + signs[i + 1:]] for i in range(4) if signs[i] < 0
+    )
 
 
 def enumerate_upward_closed():
@@ -151,12 +146,10 @@ def verify_cusp_table():
 
 def parabolic_stable_sets():
     """Members of C0 stable under the a_1-sign involution (expected: {1,2})."""
-    sign_to_label = {v: k for k, v in LABEL_SIGNS.items()}
 
     def flip1(label):
-        s = list(LABEL_SIGNS[label])
-        s[0] = -s[0]
-        return sign_to_label[tuple(s)]
+        s = LABEL_SIGNS[label]
+        return LABEL_OF_SIGNS[(-s[0],) + s[1:]]
 
     return [m for m in enumerate_c0() if all(flip1(a) in m for a in m)]
 

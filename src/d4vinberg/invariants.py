@@ -19,7 +19,10 @@ slice, with x, y weight-2 linear chart functions.  The solution is unique up
 to rescaling the degree-1 generator and a simultaneous sign flip of (q4, y);
 the lexicographically least valid tuple is fixed as canonical.  All chart
 data (F, f, centralizer bases, calibration constants) is rational over the
-prime field and gets embedded coordinatewise into extension contexts.
+prime field and gets embedded coordinatewise into extension contexts.  The
+sl2 lowering elements and the graded centralizers are kernels of
+``D4Context.ad_matrix`` on weight spaces; the Kostant section and the slice
+lift are both triangular solves (``_staged_solve``) of chart polynomials.
 """
 
 import json
@@ -36,7 +39,6 @@ from .liealg import (
     TorusGen,
     v_blocks,
 )
-from .linalg import mat_mul, mat_sub
 from .multipoly import MPoly
 from .quartic import quartic_disc
 from .rng import det_rng
@@ -89,10 +91,8 @@ class Invariants:
 
     def _build_sl2_data(self):
         pctx = self._pctx
-        rho2 = pctx.cochar_matrix(RHO_CHECK, scale=2)
-        self._F_p = _solve_lowering(pctx, pctx.E, RHO_CHECK, rho2)
-        lam2 = pctx.cochar_matrix(LAMBDA_CHECK, scale=2)
-        self._f_p = _solve_lowering(pctx, pctx.e_subreg, LAMBDA_CHECK, lam2)
+        self._F_p = _solve_lowering(pctx, pctx.E, RHO_CHECK)
+        self._f_p = _solve_lowering(pctx, pctx.e_subreg, LAMBDA_CHECK)
         self._Z_p = _graded_centralizer_basis(
             pctx, self._F_p, RHO_CHECK, expect_weights=(-1, -3, -3, -5), expect_h_dim=4
         )
@@ -152,7 +152,9 @@ class Invariants:
         k_prims = _chart_primitives(ctx, self.E, self.Z, nvars=4)
         s_prims = _chart_primitives(ctx, self.e, self.W, nvars=5)
         self._kappa_b_polys = _apply_u(self.u, k_prims)
-        self._slice_b_polys = _apply_u(self.u, s_prims)
+        p2, p4, q4, _ = _apply_u(self.u, s_prims)
+        # slice_lift's equations: x, y and p2, then p4 and q4
+        self._lift_polys = [*_chart_xy(5, self.xi, self.eta), p2, p4, q4]
         if ctx is not self._pctx:
             rel = _slice_relation(s_prims, self.xi, self.eta, self.u)
             assert rel.is_zero(), "slice identity failed over the extension"
@@ -163,21 +165,11 @@ class Invariants:
         """Calibrated invariants (p2, p4, q4, p6) of v."""
         return _apply_u(self.u, primitives(self.ctx, v))
 
-    def disc(self, b):
-        return quartic_disc(b)
-
     def kostant_section(self, b) -> VElem:
         """kappa_b: the point of E + z_h(F) with pi = b (graded triangular solve)."""
         f = self.ctx.field
-        b = tuple(f.elem(x) for x in b)
-        targets = [b[0], b[1], b[2], b[3]]
-        t = _staged_solve(
-            f,
-            [self._kappa_b_polys[0], self._kappa_b_polys[1], self._kappa_b_polys[2], self._kappa_b_polys[3]],
-            targets,
-            stages=((0,), (1, 2), (3,)),
-            stage_eqs=((0,), (1, 2), (3,)),
-        )
+        b = [f.elem(x) for x in b]
+        t = _staged_solve(f, self._kappa_b_polys, b, stages=((0,), (1, 2), (3,)))
         return self._kappa_point(t)
 
     def _kappa_point(self, t) -> VElem:
@@ -211,27 +203,15 @@ class Invariants:
         return x, y, self.pi(v)
 
     def slice_lift(self, b, x, y) -> VElem:
-        """The point of Sigma over b with chart values (x, y)."""
+        """The point of Sigma over b with chart values (x, y): the weight-2
+        coordinates from (x, y, p2), then the weight-4 ones from (p4, q4)."""
         f = self.ctx.field
         b = tuple(f.elem(v) for v in b)
         x, y = f.elem(x), f.elem(y)
         if y * (x * y + 2 * b[2]) != x ** 3 + b[0] * x * x + b[1] * x + b[3]:
             raise ValueError("(x, y) does not satisfy the cubic relation for b")
-        rows = [list(self.xi), list(self.eta), [_coeff_of_var(self._slice_b_polys[0], i) for i in range(3)]]
-        rhs = [x, y, b[0]]
-        z = linalg.solve(f, rows, rhs)
-        assert z is not None, "chart functionals are degenerate"
-        # remaining coordinates from the weight-4 targets (p4, q4), linear in c4, c5
-        knowns = {0: z[0], 1: z[1], 2: z[2]}
-        eqs, rhs2 = [], []
-        for poly, target in ((self._slice_b_polys[1], b[1]), (self._slice_b_polys[2], b[2])):
-            q = _substitute_many(poly, knowns)
-            row, const = _affine_extract(f, q, (3, 4))
-            eqs.append(row)
-            rhs2.append(target - const)
-        w = linalg.solve(f, eqs, rhs2)
-        assert w is not None, "weight-4 chart solve failed"
-        v = self.slice_param(z + w)
+        t = _staged_solve(f, self._lift_polys, [x, y, *b[:3]], stages=((0, 1, 2), (3, 4)))
+        v = self.slice_param(t)
         assert self.pi(v) == b, "slice lift landed on the wrong fibre"
         return v
 
@@ -249,8 +229,9 @@ class Invariants:
 
         return disc_univariate(self.ctx.char_quartic(v))
 
-    def lie_disc_compare(self, n=100, seed=0, slow_checks=3):
-        """Constant ratio quartic_disc(pi(v)) / lie_disc(v) over rs samples."""
+    def lie_disc_compare(self, n=100, seed=0):
+        """Constant ratio quartic_disc(pi(v)) / lie_disc(v) over rs samples;
+        the first three also check lie_disc_fast against lie_disc."""
         f = self.ctx.field
         rng = det_rng(seed, "lie-disc-compare")
         ratio = None
@@ -260,7 +241,7 @@ class Invariants:
             ld = self.lie_disc_fast(v)
             if not ld:
                 continue
-            if done < slow_checks:
+            if done < 3:
                 assert self.lie_disc(v) == ld, "ad-charpoly route disagrees"
             r = quartic_disc(self.pi(v)) * ld.inverse()
             if ratio is None:
@@ -292,19 +273,19 @@ class Invariants:
 # -- helpers --
 
 
-def _solve_lowering(ctx, nilpotent_up: VElem, cochar, h_matrix) -> VElem:
-    """Unique Y in V of cochar-weight -1 with [X, Y] = h_matrix."""
+def _weight_space(ctx, cochar, wt):
+    """The labels of cochar-weight wt and the matrices of their weight vectors."""
+    labels = [l for l in LABELS if pairing(cochar, ctx.weight_evec[l]) == wt]
+    return labels, [ctx.v_basis[l - 1].to_matrix() for l in labels]
+
+
+def _solve_lowering(ctx, nilpotent_up: VElem, cochar) -> VElem:
+    """Unique Y in V of cochar-weight -1 with [X, Y] = h, the semisimple
+    element 2 d(cochar)(1) of the sl2-triple."""
     f = ctx.field
-    labels = [l for l in LABELS if pairing(cochar, ctx.weight_evec[l]) == -1]
-    xm = nilpotent_up.to_matrix()
-    cols = []
-    for l in labels:
-        coords = [f.one if m == l else f.zero for m in LABELS]
-        ym = ctx.v_coords_to_matrix(coords)
-        br = mat_sub(mat_mul(xm, ym), mat_mul(ym, xm))
-        cols.append(ctx.h_coords(br))
-    rows = [[cols[j][i] for j in range(len(labels))] for i in range(28)]
-    target = ctx.h_coords(h_matrix)
+    labels, basis = _weight_space(ctx, cochar, -1)
+    rows = ctx.ad_matrix(nilpotent_up, basis)
+    target = ctx.h_coords(ctx.cochar_matrix(cochar))
     sol = linalg.solve(f, rows, target)
     assert sol is not None, "no lowering element: sl2 solve failed"
     hom = linalg.kernel_basis(f, rows)
@@ -324,22 +305,14 @@ def _graded_centralizer_basis(ctx, y: VElem, cochar, expect_weights, expect_h_di
     f = ctx.field
     full = ctx.centralizer_dim(y, "h")
     assert full == expect_h_dim, f"centralizer dimension {full} != {expect_h_dim}"
-    ym = y.to_matrix()
     out = []
     weights = sorted(set(expect_weights), reverse=True)
     found_weights = []
     for wt in weights:
-        labels = [l for l in LABELS if pairing(cochar, ctx.weight_evec[l]) == wt]
+        labels, basis = _weight_space(ctx, cochar, wt)
         if not labels:
             continue
-        cols = []
-        for l in labels:
-            coords = [f.one if m == l else f.zero for m in LABELS]
-            zm = ctx.v_coords_to_matrix(coords)
-            br = mat_sub(mat_mul(ym, zm), mat_mul(zm, ym))
-            cols.append(ctx.h_coords(br))
-        rows = [[cols[j][i] for j in range(len(labels))] for i in range(28)]
-        for vec in linalg.kernel_basis(f, rows):
+        for vec in linalg.kernel_basis(f, ctx.ad_matrix(y, basis)):
             coords = [f.zero] * 16
             for l, c in zip(labels, vec):
                 coords[l - 1] = c
@@ -414,12 +387,17 @@ def _affine_extract(field, poly: MPoly, var_ids):
     return row, const
 
 
-def _staged_solve(field, polys_, targets, stages, stage_eqs):
-    """Solve polys_[i](t) = targets[i] for t, in triangular stages."""
+def _staged_solve(field, polys_, targets, stages):
+    """Solve polys_[i](t) = targets[i] for t, in triangular stages.
+
+    A stage is a tuple of unknowns, and equation i serves the stage of
+    unknown i; each stage is affine in its unknowns once the earlier
+    stages are substituted.
+    """
     knowns = {}
-    for unk, eqs in zip(stages, stage_eqs):
+    for unk in stages:
         rows, rhs = [], []
-        for i in eqs:
+        for i in unk:
             q = _substitute_many(polys_[i], knowns)
             row, const = _affine_extract(field, q, unk)
             rows.append(row)

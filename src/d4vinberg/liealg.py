@@ -12,13 +12,16 @@ weight basis of V (``V_ENTRIES``) do not depend on the field and are module
 tables.  So is ``V_BLOCKS``, the place of each weight coordinate in the
 blocks X and Y of [[0, X], [Y, 0]], the shape of V on the positions
 (EVEN, ODD) of theta; ``numkernels`` scatters by it.  Everything else is
-built once per field and cached on a D4Context; all operations are pure
-and the context is safe to share.
+built once per field and cached on a D4Context: the root vectors, checked
+once to square to zero (so exp(c X) = I + c X, with inverse exp(-c X)),
+the weight basis ``v_basis`` and the bases of h and g that ``ad_matrix``
+brackets against.  All operations are pure and the context is safe to
+share.  pi_1(G) is read off the pairings <coroot, alpha_i>, the coroot
+coordinates in the fundamental-coweight basis of X_*(T).
 """
 
-from fractions import Fraction
-
 from . import linalg
+from .fields import split_top
 from .linalg import mat_mul, mat_sub
 from .quartic import disc_univariate
 from .polys import Poly
@@ -57,6 +60,7 @@ LABEL_SIGNS = {
     16: (-1, -1, -1, -1),
 }
 LABELS = tuple(sorted(LABEL_SIGNS))
+LABEL_OF_SIGNS = {signs: label for label, signs in LABEL_SIGNS.items()}
 
 # simple roots of G in e-coordinates: a1 = e0+e2, a2 = e0-e2, a3 = e1+e3, a4 = e1-e3
 G_SIMPLE = ((1, 0, 1, 0), (1, 0, -1, 0), (0, 1, 0, 1), (0, 1, 0, -1))
@@ -121,12 +125,10 @@ def leq(label_a, label_b) -> bool:
 def w0_label_perm(name):
     """Permutation of weight labels induced by a Klein-group element."""
     perm = W0_PERMS[name]
-    out = {}
-    sign_to_label = {v: k for k, v in LABEL_SIGNS.items()}
-    for label, signs in LABEL_SIGNS.items():
-        new = tuple(signs[perm[i] - 1] for i in range(4))
-        out[label] = sign_to_label[new]
-    return out
+    return {
+        label: LABEL_OF_SIGNS[tuple(signs[perm[i] - 1] for i in range(4))]
+        for label, signs in LABEL_SIGNS.items()
+    }
 
 
 def lambda_max(m_set):
@@ -237,24 +239,10 @@ class VElem:
     @staticmethod
     def deserialize(ctx, s):
         f = ctx.field
-        return VElem(ctx, [f.elem_from_str(t) for t in _split_top(s)])
+        return VElem(ctx, [f.elem_from_str(t) for t in split_top(s)])
 
     def __repr__(self):
         return f"VElem({self.serialize()})"
-
-
-def _split_top(s):
-    depth, parts, cur = 0, [], []
-    for ch in s:
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-            continue
-        depth += ch == "("
-        depth -= ch == ")"
-        cur.append(ch)
-    parts.append("".join(cur))
-    return parts
 
 
 class TorusGen:
@@ -273,7 +261,7 @@ class TorusGen:
         out = field.one
         for x, k in zip(self.values, m):
             if k:
-                out = out * (x**k if k > 0 else x.inverse() ** (-k))
+                out = out * x**k
         return out
 
     def inverse(self):
@@ -348,12 +336,15 @@ class D4Context:
             for i in range(8):
                 m[i][i] = f.elem(POS_CHAR[i][k])
             self.cartan_basis.append(m)
-        # root vectors: one per root, +1 at the primary entry, -1 at the partner
+        # root vectors: one per root, +1 at the primary entry, -1 at the
+        # partner; each squares to zero, so exp(c X) = I + c X
         self.root_matrix = {}
         for char, (prim, part) in ROOT_ENTRIES.items():
             m = linalg.zeros(f, 8, 8)
             m[prim[0]][prim[1]] = f.one
             m[part[0]][part[1]] = -f.one
+            if any(any(row) for row in mat_mul(m, m)):
+                raise ValueError("root vector does not square to zero")
             self.root_matrix[char] = m
         self.h_roots = sorted(ROOT_ENTRIES)
         self.g_roots = [
@@ -371,10 +362,13 @@ class D4Context:
         ]
 
     def _build_weight_data(self):
+        f = self.field
         self.weight_evec = {l: weight_evec(LABEL_SIGNS[l]) for l in LABELS}
-        evec_to_label = {v: k for k, v in self.weight_evec.items()}
         assert set(self.weight_evec.values()) == set(self.v_roots)
-        self.evec_to_label = evec_to_label
+        # the weight basis of V: v_basis[l - 1] = e_l
+        self.v_basis = tuple(
+            VElem(self, [f.one if m == l else f.zero for m in LABELS]) for l in LABELS
+        )
 
     # -- matrix <-> coordinates --
 
@@ -388,10 +382,10 @@ class D4Context:
             m[qi][qj] = m[qi][qj] - c
         return m
 
-    def velem_from_matrix(self, m, check=True):
+    def velem_from_matrix(self, m):
         coords = [m[pi][pj] for (pi, pj), _ in V_ENTRIES]
         v = VElem(self, coords)
-        if check and v.to_matrix() != m:
+        if v.to_matrix() != m:
             raise ValueError("matrix is not in V")
         return v
 
@@ -421,31 +415,26 @@ class D4Context:
 
     # -- cocharacters --
 
-    def cochar_matrix(self, exps, scale=1):
-        """d(cocharacter)(scale) as a diagonal matrix, exps in e*-coords."""
+    def cochar_matrix(self, exps):
+        """d(cocharacter)(2) as a diagonal matrix, exps in e*-coords: the
+        semisimple element h of an sl2-triple with grading cochar."""
         f = self.field
         m = linalg.zeros(f, 8, 8)
         for i in range(8):
-            m[i][i] = f.elem(scale * pairing(exps, POS_CHAR[i]))
+            m[i][i] = f.elem(2 * pairing(exps, POS_CHAR[i]))
         return m
 
     def torus_from_cochar(self, exps, t):
         """The torus point cochar(t) as a TorusGen (alpha-values t^<exps, alpha_i>)."""
         t = self.field.elem(t)
-        vals = []
-        for alpha in H_SIMPLE:
-            k = pairing(exps, alpha)
-            vals.append(t**k if k >= 0 else t.inverse() ** (-k))
-        return TorusGen(vals)
+        return TorusGen([t ** pairing(exps, alpha) for alpha in H_SIMPLE])
 
     # -- group action on V --
 
     def unip_matrix(self, gen: UnipGen):
+        """exp(c X_root) = I + c X_root."""
         f = self.field
         x = self.root_matrix[gen.root]
-        x2 = mat_mul(x, x)
-        if any(any(c for c in row) for row in x2):
-            raise ValueError("root vector does not square to zero")
         u = linalg.identity(f, 8)
         c = f.elem(gen.c)
         for i in range(8):
@@ -472,13 +461,7 @@ class D4Context:
             return VElem(self, coords)
         if isinstance(gen, UnipGen):
             u = self.unip_matrix(gen)
-            uinv = linalg.identity(f, 8)
-            x = self.root_matrix[gen.root]
-            c = f.elem(gen.c)
-            for i in range(8):
-                for j in range(8):
-                    if x[i][j]:
-                        uinv[i][j] = uinv[i][j] - c * x[i][j]
+            uinv = self.unip_matrix(UnipGen(gen.root, -f.elem(gen.c)))
             m = mat_mul(mat_mul(u, v.to_matrix()), uinv)
             return self.velem_from_matrix(m)
         if isinstance(gen, WeylGen):
@@ -516,11 +499,12 @@ class D4Context:
     def char_quartic(self, v: VElem) -> Poly:
         """g(T) with det(xI - v) = g(x^2).  On (EVEN, ODD) v is [[0, X],
         [Y, 0]], so c2, c4, c6 come from M = XY (``block_even_coeffs``) and
-        c8 = det v = det X det Y."""
+        c8 = det v = det X det Y = (det X)^2, since det Y = det X on V
+        (c8 = Pf(Psi v)^2)."""
         x, y = v_blocks(v.to_matrix())
         c2, c4, c6 = linalg.block_even_coeffs(x, y, self.field.char)
-        c8 = linalg.det_leibniz(x) * linalg.det_leibniz(y)
-        return Poly(self.field, [c8, c6, c4, c2, self.field.one])
+        pf = linalg.det_leibniz(x)
+        return Poly(self.field, [pf * pf, c6, c4, c2, self.field.one])
 
     def is_regular_semisimple(self, v: VElem) -> bool:
         g = self.char_quartic(v)
@@ -631,46 +615,14 @@ def _snf_diagonal(mat):
 def fundamental_group_divisors():
     """Elementary divisors of X_*(T) / (coroot lattice of G).
 
-    X_*(T) for the adjoint torus is the dual of the root lattice of H;
-    returns the divisor list, whose product is the order of pi_1(G).
+    X_*(T) for the adjoint torus is the dual of the root lattice of H, with
+    the fundamental coweights as the dual basis of the simple roots
+    alpha_i; so a coroot has the coordinates <coroot, alpha_i> in that
+    basis.  The coroots of the a_i = e_j +/- e_k have the same
+    coordinates as the a_i.  Returns the divisor list, whose product is the
+    order of pi_1(G).
     """
-    # fundamental coweights: basis of X_*(T), rows in e*-coordinates
-    a = [[Fraction(x) for x in row] for row in H_SIMPLE]
-    n = 4
-    # invert a (rows are the alpha_i in e-coords); dual basis = columns of a^-1
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    ainv = [row[n:] for row in aug]
-    # coweight basis W: W[j] = j-th column of a^-1 as a row vector
-    coweights = [[ainv[i][j] for i in range(n)] for j in range(n)]
-    # coroots of G: for roots e_i +/- e_j the coroot has the same coordinates
-    coroots = [[Fraction(x) for x in row] for row in G_SIMPLE]
-    # express coroots in the coweight basis: solve W^T m = coroot
-    wt = [[coweights[j][i] for j in range(n)] for i in range(n)]
-    m_int = []
-    for cr in coroots:
-        aug2 = [row[:] + [cr[i]] for i, row in enumerate(wt)]
-        for c in range(n):
-            piv = next(i for i in range(c, n) if aug2[i][c])
-            aug2[c], aug2[piv] = aug2[piv], aug2[c]
-            inv = 1 / aug2[c][c]
-            aug2[c] = [x * inv for x in aug2[c]]
-            for i in range(n):
-                if i != c and aug2[i][c]:
-                    f = aug2[i][c]
-                    aug2[i] = [x - f * y for x, y in zip(aug2[i], aug2[c])]
-        col = [aug2[i][n] for i in range(n)]
-        assert all(x.denominator == 1 for x in col)
-        m_int.append([int(x) for x in col])
-    return _snf_diagonal(m_int)
+    return _snf_diagonal([[pairing(a, alpha) for alpha in H_SIMPLE] for a in G_SIMPLE])
 
 
 def fundamental_group_order() -> int:

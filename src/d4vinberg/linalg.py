@@ -191,16 +191,6 @@ def solve(field, a, b):
     return x
 
 
-def inverse(field, a):
-    n = len(a)
-    m = [row[:] for row in a]
-    aug = [row[:] for row in identity(field, n)]
-    pivots = _row_echelon(field, m, aug)
-    if len(pivots) != n:
-        raise ValueError("matrix not invertible")
-    return aug
-
-
 def det(field, a):
     n = len(a)
     m = [row[:] for row in a]

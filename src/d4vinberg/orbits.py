@@ -21,6 +21,7 @@ from .liealg import (
     VElem,
     WeylGen,
     lambda_max,
+    W0_PERMS,
     w0_label_perm,
 )
 from .quartic import quartic_disc
@@ -48,7 +49,7 @@ def _parabolic_sets():
 def _weierstrass_sets():
     base = frozenset({1, 3, 4, 5})
     out = {}
-    for name in ("e", "s12.34", "s13.24", "s14.23"):
+    for name in W0_PERMS:
         perm = w0_label_perm(name)
         out[frozenset(perm[l] for l in base)] = name
     assert len(out) == 4

@@ -24,7 +24,7 @@ polynomial, so factorizations are reproducible; factors are returned
 sorted, so the result does not depend on the draws.
 """
 
-from .fields import FElem
+from .fields import FElem, split_top
 from .rng import det_rng
 
 
@@ -190,19 +190,7 @@ class Poly:
     def from_str(field, s):
         if s == "":
             return Poly(field)
-        depth, parts, cur = 0, [], []
-        for ch in s:
-            if ch == "," and depth == 0:
-                parts.append("".join(cur))
-                cur = []
-                continue
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            cur.append(ch)
-        parts.append("".join(cur))
-        return Poly(field, [field.elem_from_str(t) for t in parts])
+        return Poly(field, [field.elem_from_str(t) for t in split_top(s)])
 
 
 # -- the Poly-level API: thin wrappers over the raw layer --

@@ -26,6 +26,7 @@ from .liealg import (
     TorusGen,
     UnipGen,
     VElem,
+    W0_PERMS,
     WeylGen,
     fundamental_group_divisors,
     leq,
@@ -36,7 +37,7 @@ from .polys import Poly
 from .quartic import quartic_disc
 from .rng import det_rng
 
-W0_NAMES = ("e", "s12.34", "s13.24", "s14.23")
+W0_NAMES = tuple(W0_PERMS)
 
 
 def _suite(name):
@@ -111,9 +112,7 @@ def structure_suite(p=23):
         return (mats * theta_mask) % p
 
     g_mats = _int_mats(ctx, ctx.g_basis)
-    v_mats = _int_mats(ctx, [ctx.v_coords_to_matrix(
-        [ctx.field.one if m == l else ctx.field.zero for m in LABELS]
-    ) for l in LABELS])
+    v_mats = _int_mats(ctx, [e.to_matrix() for e in ctx.v_basis])
 
     def comms(a, b):
         prod1 = np.einsum("aij,bjk->abik", a, b)
@@ -169,8 +168,7 @@ def invariant_suite(p=23, trials=1000, seed=0):
     # torus eigenbasis action: act(t, e_a) = a(t) e_a
     for _ in range(100):
         t = TorusGen([f.random_nonzero(rng) for _ in range(4)])
-        for l in LABELS:
-            e_l = VElem(ctx, [f.one if m == l else f.zero for m in LABELS])
+        for l, e_l in zip(LABELS, ctx.v_basis):
             img = ctx.act(t, e_l)
             assert img == e_l.scale(t.eval_char(f, ctx.weight_evec[l]))
     # homogeneity (2, 4, 4, 6)
@@ -356,8 +354,7 @@ def geography_suite(p=23, seed=0):
             c = cand
             break
     t = ctx.torus_from_cochar(RHO_CHECK, c)
-    for l in LABELS:
-        e_l = VElem(ctx, [f.one if m == l else f.zero for m in LABELS])
+    for l, e_l in zip(LABELS, ctx.v_basis):
         img = ctx.act(t, e_l)
         scalar = img[l] * e_l[l].inverse()
         dlog = next(k for k in range(-(p - 1), p) if c**k == scalar)
@@ -468,9 +465,7 @@ def minimal_model_suite(q=5, samples_per_d=500, seed=0, torsion_checks=10):
         assert not any(not pl.is_infinite for pl in md2.n), "finite places survive"
         assert md2.b_min == md.b_min, "minimal data not idempotent"
         lam = RatFunc(t)  # substitution by a uniformizer-like unit
-        b_l = tuple(
-            r * curves._pow_rf(lam, w) for r, w in zip(b, curves.WEIGHTS)
-        )
+        b_l = tuple(r * lam**w for r, w in zip(b, curves.WEIGHTS))
         md_l = curves.minimal_data(field, b_l)
         assert md_l.b_min == md.b_min, "substitution changed the minimal model"
     # E(K)[2] trivial on X_D spot checks

@@ -64,10 +64,16 @@ def test_primality_of_large_and_pseudoprime_characteristics():
 
 
 def test_serialization_roundtrip_bit_exact():
-    for f in (GF(23), GF(5, 2)):
+    from d4vinberg.polys import find_irreducible
+
+    base = GF(5, 2)
+    tower = extension_of(base, find_irreducible(base, 2).coeffs)
+    for f in (GF(23), base, tower):
         for x in f:
             s = f.elem_to_str(x)
             assert f.elem_from_str(s) == x
+    # tower literals nest
+    assert tower.elem_to_str(tower.zero) == "((0,0),(0,0))"
 
 
 def test_enumeration_and_int_codes():

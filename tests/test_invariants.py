@@ -127,6 +127,18 @@ def test_slice_lift_rejects_off_curve():
     # (0, 0) is not on y(xy + 2 q4) = x^3 + ... + p6 when p6 != 0
     with pytest.raises(ValueError):
         inv.slice_lift((F.zero, F.zero, F.zero, F.one), F.zero, F.zero)
+    # nor is a point of the slice with its y moved off the cubic
+    rng = det_rng(12, "inv-slice-off-curve")
+    rejected = 0
+    for _ in range(30):
+        x, y, b = inv.slice_coords(inv.slice_param([F.random(rng) for _ in range(5)]))
+        y_off = y + F.random_nonzero(rng)
+        if y_off * (x * y_off + 2 * b[2]) == x**3 + b[0] * x * x + b[1] * x + b[3]:
+            continue  # the other root of the quadratic in y
+        with pytest.raises(ValueError, match="cubic relation"):
+            inv.slice_lift(b, x, y_off)
+        rejected += 1
+    assert rejected >= 20
 
 
 def test_slice_membership_enforced():

@@ -171,12 +171,52 @@ def test_alpha_coords_integral():
 def test_fundamental_group():
     assert fundamental_group_order() == 8
     assert sorted(d for d in fundamental_group_divisors() if d > 1) == [2, 2, 2]
+    # in the order of the Smith form, which the verify-algebra golden pins
+    assert fundamental_group_divisors() == [1, 2, 2, 2]
 
 
 def test_velem_serialization():
+    from d4vinberg.fields import extension_of
+    from d4vinberg.polys import find_irreducible
+
     rng = det_rng(5, "lie-ser")
     v = VElem(ctx, [F.random(rng) for _ in range(16)])
     assert VElem.deserialize(ctx, v.serialize()) == v
+    # GF(23^2) and the tower GF((23^2)^2), whose literals nest
+    base = GF(23, 2)
+    tower = extension_of(base, find_irreducible(base, 2).coeffs)
+    for f in (base, tower):
+        ext_ctx = D4Context(f)
+        for _ in range(5):
+            v = VElem(ext_ctx, [f.random(rng) for _ in range(16)])
+            assert VElem.deserialize(ext_ctx, v.serialize()) == v
+
+
+def test_unipotent_inverse_is_the_negated_parameter():
+    rng = det_rng(9, "lie-unip-inverse")
+    one = linalg.identity(F, 8)
+    assert len(ctx.h_roots) == 24
+    for root in ctx.h_roots:
+        c = F.random(rng)
+        u = ctx.unip_matrix(UnipGen(root, c))
+        u_neg = ctx.unip_matrix(UnipGen(root, -c))
+        assert linalg.mat_mul(u, u_neg) == one
+        assert linalg.mat_mul(u_neg, u) == one
+
+
+def test_context_checks_that_root_vectors_square_to_zero(monkeypatch):
+    import d4vinberg.liealg as liealg
+
+    zero = linalg.zeros(F, 8, 8)
+    for root in ctx.h_roots:
+        x = ctx.root_matrix[root]
+        assert linalg.mat_mul(x, x) == zero
+    # a partner entry at the transpose makes X^2 = -(E_ii + E_jj) != 0
+    root = ctx.h_roots[0]
+    (i, j), _ = liealg.ROOT_ENTRIES[root]
+    monkeypatch.setitem(liealg.ROOT_ENTRIES, root, ((i, j), (j, i)))
+    with pytest.raises(ValueError, match="square to zero"):
+        D4Context(GF(23))
 
 
 def test_torus_g_root_value_square_identity():

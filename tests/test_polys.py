@@ -94,8 +94,12 @@ def test_find_irreducible():
 
 
 def test_poly_serialization():
-    f = GF(5, 2)
+    from d4vinberg.fields import extension_of
+
+    base = GF(5, 2)
+    tower = extension_of(base, polys.find_irreducible(base, 2).coeffs)
     rng = det_rng(9, "poly-ser")
-    for _ in range(20):
-        a = Poly(f, [f.random(rng) for _ in range(5)])
-        assert Poly.from_str(f, a.to_str()) == a
+    for f in (base, tower):
+        for _ in range(20):
+            a = Poly(f, [f.random(rng) for _ in range(5)])
+            assert Poly.from_str(f, a.to_str()) == a
