@@ -22,7 +22,7 @@ data (F, f, centralizer bases, calibration constants) is rational over the
 prime field and gets embedded coordinatewise into extension contexts.  The
 sl2 lowering elements and the graded centralizers are kernels of
 ``D4Context.ad_matrix`` on weight spaces; the Kostant section and the slice
-lift are both triangular solves (``_staged_solve``) of chart polynomials.
+lift are triangular solves of chart polynomials by ``linalg.staged_solve``.
 """
 
 import json
@@ -169,7 +169,7 @@ class Invariants:
         """kappa_b: the point of E + z_h(F) with pi = b (graded triangular solve)."""
         f = self.ctx.field
         b = [f.elem(x) for x in b]
-        t = _staged_solve(f, self._kappa_b_polys, b, stages=((0,), (1, 2), (3,)))
+        t = _solve_chart(f, self._kappa_b_polys, b, stages=((0,), (1, 2), (3,)))
         return self._kappa_point(t)
 
     def _kappa_point(self, t) -> VElem:
@@ -210,7 +210,7 @@ class Invariants:
         x, y = f.elem(x), f.elem(y)
         if y * (x * y + 2 * b[2]) != x ** 3 + b[0] * x * x + b[1] * x + b[3]:
             raise ValueError("(x, y) does not satisfy the cubic relation for b")
-        t = _staged_solve(f, self._lift_polys, [x, y, *b[:3]], stages=((0, 1, 2), (3, 4)))
+        t = _solve_chart(f, self._lift_polys, [x, y, *b[:3]], stages=((0, 1, 2), (3, 4)))
         v = self.slice_param(t)
         assert self.pi(v) == b, "slice lift landed on the wrong fibre"
         return v
@@ -364,49 +364,14 @@ def _coeff_of_var(poly: MPoly, i):
     return c
 
 
-def _substitute_many(poly: MPoly, values: dict) -> MPoly:
-    out = poly
-    for i, val in values.items():
-        out = out.substitute(i, MPoly.const(poly.nvars, val))
-    return out
+def _solve_chart(field, polys_, targets, stages):
+    """t with polys_[i](t) = targets[i], by ``linalg.staged_solve``: a stage
+    is a tuple of unknowns, and equation i serves the stage of unknown i."""
 
+    def residual(t, eqs):
+        return [polys_[i].eval(t) - targets[i] for i in eqs]
 
-def _affine_extract(field, poly: MPoly, var_ids):
-    """(row, const) for a polynomial affine in the given variables."""
-    row = [field.zero] * len(var_ids)
-    const = field.zero
-    for e, c in poly.terms.items():
-        live = [(k, e[v]) for k, v in enumerate(var_ids) if e[v]]
-        others = sum(e) - sum(x for _, x in live)
-        assert others == 0, "unexpected unknowns in affine extraction"
-        if not live:
-            const = const + c
-        else:
-            assert len(live) == 1 and live[0][1] == 1, "polynomial is not affine"
-            row[live[0][0]] = row[live[0][0]] + c
-    return row, const
-
-
-def _staged_solve(field, polys_, targets, stages):
-    """Solve polys_[i](t) = targets[i] for t, in triangular stages.
-
-    A stage is a tuple of unknowns, and equation i serves the stage of
-    unknown i; each stage is affine in its unknowns once the earlier
-    stages are substituted.
-    """
-    knowns = {}
-    for unk in stages:
-        rows, rhs = [], []
-        for i in unk:
-            q = _substitute_many(polys_[i], knowns)
-            row, const = _affine_extract(field, q, unk)
-            rows.append(row)
-            rhs.append(targets[i] - const)
-        sol = linalg.solve(field, rows, rhs)
-        assert sol is not None, "staged solve: singular stage"
-        for v, c in zip(unk, sol):
-            knowns[v] = c
-    return [knowns[i] for i in range(len(knowns))]
+    return linalg.staged_solve(field, residual, len(targets), [(s, s) for s in stages])
 
 
 def _nilpotent_branches(ctx, c_syms, plane):
@@ -425,9 +390,8 @@ def _nilpotent_branches(ctx, c_syms, plane):
     d1, d2 = plane
     dirs = [[a + t * b for a, b in zip(d1, d2)] for t in f] + [list(d2)]
     for d in dirs:
-        point = {0: d[0], 1: d[1], 2: d[2]}
-        _, const4 = _affine_extract(f, _substitute_many(c4s, point), (3, 4))
-        _, constp = _affine_extract(f, _substitute_many(pfs, point), (3, 4))
+        point = (d[0], d[1], d[2], f.zero, f.zero)
+        const4, constp = c4s.eval(point), pfs.eval(point)
         sol = linalg.solve(f, [l4, lp], [-const4, -constp])
         cs = [f.elem(d[0]), f.elem(d[1]), f.elem(d[2]), sol[0], sol[1]]
         vals = [p.eval(tuple(cs)) for p in c_syms]

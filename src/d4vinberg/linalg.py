@@ -2,7 +2,11 @@
 
 Matrices are lists of lists of field elements.  Sizes here are tiny (at most
 28x28), so everything is straightforward Gaussian elimination with exact
-arithmetic.
+arithmetic.  ``staged_solve`` solves a block-triangular system given only by
+its residual function, one stage at a time: it reads each stage's affine
+map off by evaluation and asserts at the end that the solution zeroes every
+residual.  The Kostant section, the slice lift and the orbit reduction run
+on it.
 
 The invariant primitives are division-free and written once, for entries in
 any commutative ring: ``trace``, ``trace_prod``, ``det_leibniz`` (by the
@@ -188,6 +192,32 @@ def solve(field, a, b):
     x = [field.zero] * cols
     for r, pc in enumerate(pivots):
         x[pc] = aug[r][0]
+    return x
+
+
+def staged_solve(field, residual, n, stages):
+    """x of length n zeroing residual(x, eqs) for every stage (unknowns, eqs).
+
+    The stages run in order.  While a stage runs, the earlier unknowns hold
+    their solved values and the rest are 0; the stage's residuals must be
+    affine in its unknowns there.  They are read off by evaluation: with
+    base = residual(x, eqs), column j is residual(x + e_j, eqs) - base, and
+    the stage's values solve A d = -base.
+    """
+    x = [field.zero] * n
+    for unknowns, eqs in stages:
+        base = residual(x, eqs)
+        cols = []
+        for j in unknowns:
+            xj = list(x)
+            xj[j] = field.one
+            cols.append([r - b for r, b in zip(residual(xj, eqs), base)])
+        sol = solve(field, transpose(cols), [-b for b in base])
+        assert sol is not None, "staged solve: inconsistent stage"
+        for j, d in zip(unknowns, sol):
+            x[j] = d
+    every_eq = [e for _, eqs in stages for e in eqs]
+    assert not any(residual(x, every_eq)), "staged solve: a stage is not affine"
     return x
 
 

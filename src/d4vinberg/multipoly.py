@@ -149,19 +149,6 @@ class MPoly:
             acc = term if acc is None else add(acc, term)
         return 0 if acc is None else acc
 
-    def substitute(self, i, repl):
-        """Substitute variable i by an MPoly in the same variables."""
-        out = MPoly(self.nvars, {})
-        for e, c in self.terms.items():
-            ne = list(e)
-            k = ne[i]
-            ne[i] = 0
-            term = MPoly(self.nvars, {tuple(ne): c})
-            if k:
-                term = term * repl**k
-            out = out + term
-        return out
-
     def weighted_degrees(self, weights):
         return {sum(w * k for w, k in zip(weights, e)) for e in self.terms}
 

@@ -114,9 +114,10 @@ def reduce_trivial(inv, v: VElem) -> ReductionResult:
     """Reduce a Weierstrass-pattern element to w * kappa_b constructively.
 
     Torus step: the adjoint torus hits alpha_i(t) = lambda_i exactly.
-    Unipotent step: solved height by height down the rho-grading; each stage
-    is affine in its unknowns given the earlier stages, so the affine maps
-    are recovered by evaluation at unit vectors.
+    Unipotent step: the kappa coordinates t and the parameters c of the
+    negative simple-root unipotents are solved height by height down the
+    rho-grading by ``linalg.staged_solve``; each stage is affine in its
+    unknowns given the earlier stages.
     """
     ctx = inv.ctx
     f = ctx.field
@@ -143,37 +144,18 @@ def reduce_trivial(inv, v: VElem) -> ReductionResult:
         word = [UnipGen(r, c) for r, c in zip(neg_roots, cs)]
         return ctx.act(word, base)
 
-    def residual(cs, ts, labels):
-        img = apply_unipotents(cs, inv._kappa_point(ts))
+    def residual(x, labels):
+        img = apply_unipotents(x[4:], inv._kappa_point(x[:4]))
         return [v2[l] - img[l] for l in labels]
 
-    cs = [f.zero] * 4
-    ts = [f.zero] * 4
-    stages = [
-        ((("t", 0), ("c", 1), ("c", 2), ("c", 3)), _NEG_HEIGHT_LABELS[-1]),
-        ((("t", 1), ("t", 2), ("c", 0)), _NEG_HEIGHT_LABELS[-3]),
-        ((("t", 3),), _NEG_HEIGHT_LABELS[-5]),
-    ]
-    for unknowns, labels in stages:
-        base = residual(cs, ts, labels)
-        cols = []
-        for kind, idx in unknowns:
-            cs2, ts2 = cs[:], ts[:]
-            if kind == "c":
-                cs2[idx] = cs2[idx] + f.one
-            else:
-                ts2[idx] = ts2[idx] + f.one
-            r1 = residual(cs2, ts2, labels)
-            cols.append([a - b0 for a, b0 in zip(r1, base)])
-        rows = [[cols[j][i] for j in range(len(unknowns))] for i in range(len(labels))]
-        # residual(x) = base + A x, so the stage values are -solve(A, base)
-        sol = linalg.solve(f, rows, base)
-        assert sol is not None, "unipotent stage is singular"
-        for (kind, idx), val in zip(unknowns, sol):
-            if kind == "c":
-                cs[idx] = cs[idx] - val
-            else:
-                ts[idx] = ts[idx] - val
+    # unknowns x = (t0..t3, c0..c3): kappa coordinates, then unipotent parameters
+    stages = (
+        ((0, 5, 6, 7), _NEG_HEIGHT_LABELS[-1]),
+        ((1, 2, 4), _NEG_HEIGHT_LABELS[-3]),
+        ((3,), _NEG_HEIGHT_LABELS[-5]),
+    )
+    x = linalg.staged_solve(f, residual, 8, stages)
+    ts, cs = x[:4], x[4:]
     kappa_t = inv._kappa_point(ts)
     assert apply_unipotents(cs, kappa_t) == v2, "unipotent solve failed"
     kb = inv.kostant_section(b)
@@ -186,13 +168,7 @@ def reduce_trivial(inv, v: VElem) -> ReductionResult:
     return ReductionResult(w_name, word, certified, kb)
 
 
-def class_two_divisible(field, b, r_point, rp_point, max_q=101, oracle=False):
-    """[R - R'] in 2 J_b(F_q), via the enumerated group structure.
-
-    With oracle=True the brute-force halving search is used instead.
-    """
+def class_two_divisible(field, b, r_point, rp_point, max_q=101):
+    """[R - R'] in 2 J_b(F_q), via the enumerated group structure."""
     curve = PointedCurve(field, b, max_q=max_q)
-    t = curve.sub(r_point, rp_point)
-    if oracle:
-        return t in curve.doubled_set()
-    return curve.is_two_divisible(t)
+    return curve.is_two_divisible(curve.sub(r_point, rp_point))

@@ -9,10 +9,10 @@ field's class picks the pair.  Everything else is written once here on top
 of them and the raw ``_add``/``_sub``/``_mul``/``_inv``: gcd, xgcd, powmod,
 the derivative and p-th root, the squarefree test, squarefree /
 distinct-degree / Cantor-Zassenhaus factorization (von zur Gathen &
-Gerhard, Modern Computer Algebra, ch. 14), Rabin's irreducibility test, the
-resultant and ``find_irreducible``.  ``ExtField`` multiplies and inverts
-through this layer, and ``numkernels`` keeps its int-list entry points as
-calls into it.
+Gerhard, Modern Computer Algebra, ch. 14), the distinct-degree
+irreducibility check, the resultant and ``find_irreducible``.  ``ExtField``
+multiplies and inverts through this layer, and ``numkernels`` keeps its
+int-list entry points as calls into it.
 
 ``Poly`` is the boxed front end: it stores the raw values in ``vals`` and
 derives ``coeffs``, a tuple of FElem, from them.  Text format:
@@ -215,7 +215,7 @@ def is_squarefree(fpoly: Poly) -> bool:
 
 
 def is_irreducible(fpoly: Poly) -> bool:
-    """Rabin irreducibility test."""
+    """Irreducibility by the distinct-degree check."""
     return is_irreducible_raw(fpoly.field, fpoly.vals)
 
 
@@ -478,19 +478,18 @@ def factor_raw(F, f, seed=0):
 
 
 def is_irreducible_raw(F, f):
-    """Rabin's test: x^(q^n) = x mod f, and gcd(f, x^(q^(n/r)) - x) = 1
-    for every prime r | n."""
+    """The distinct-degree check: gcd(f, x^(q^d) - x) = 1 for d = 1..n/2.
+    Exact for every f of degree n, squarefree or not, since a reducible f
+    has an irreducible factor of degree at most n/2."""
     f = monic_raw(F, f)
     n = len(f) - 1
     if n <= 1:
         return n == 1
     q = F.order
-    x = [F.zero.val, F.one.val]
-    if sub_raw(F, powmod_raw(F, x, q**n, f), x):
-        return False
-    for r in prime_divisors(n):
-        h = sub_raw(F, powmod_raw(F, x, q ** (n // r), f), x)
-        if len(gcd_raw(F, f, h)) > 1:
+    x = h = [F.zero.val, F.one.val]
+    for _ in range(n // 2):
+        h = powmod_raw(F, h, q, f)
+        if len(gcd_raw(F, f, sub_raw(F, h, x))) > 1:
             return False
     return True
 

@@ -83,8 +83,7 @@ def structure_suite(p=23):
     )
     assert len(set(LABEL_SIGNS.values())) == 16
     assert LABEL_SIGNS[1] == (1, 1, 1, 1)
-    # Hasse covers: flip one sign down; label 1 covers exactly {2,3,4,5}
-    assert hnweights.covers(1) == frozenset() != frozenset({1})
+    # Hasse covers: cover_sets[l] is the set of labels that l covers
     cover_sets = {
         l: frozenset(
             m
@@ -95,7 +94,11 @@ def structure_suite(p=23):
         )
         for l in LABELS
     }
+    # label 1 covers exactly {2,3,4,5}; hnweights.covers(m) is the set of
+    # labels that cover m
     assert cover_sets[1] == frozenset({2, 3, 4, 5})
+    for m in LABELS:
+        assert hnweights.covers(m) == frozenset(l for l in LABELS if m in cover_sets[l])
     for l, cov in cover_sets.items():
         for m in cov:
             diff = sum(

@@ -183,6 +183,12 @@ def test_untrusted_extension_of_degree_12():
 DEG48_MODULUS = [3, 2, 0, 1] + [0] * 44 + [1]
 
 
+def test_find_irreducible_of_degree_48_is_pinned():
+    from d4vinberg.polys import find_irreducible
+
+    assert list(find_irreducible(GF(5), 48).vals) == DEG48_MODULUS
+
+
 def _schoolbook_mul(field, a, b):
     """Reference ExtField product: the double loop over base-field values,
     then elimination of the top coefficients by the monic modulus."""

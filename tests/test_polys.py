@@ -1,3 +1,5 @@
+from itertools import product
+
 from d4vinberg import polys
 from d4vinberg.fields import GF
 from d4vinberg.polys import Poly, factor, gcd, is_irreducible, is_squarefree, roots
@@ -91,6 +93,30 @@ def test_find_irreducible():
     for d in (1, 2, 3, 5):
         g = polys.find_irreducible(f, d)
         assert g.degree == d and is_irreducible(g)
+
+
+def _monic_raw(field, degree):
+    """Every monic polynomial of the given degree over field, as raw values."""
+    vals = [x.val for x in field]
+    for low in product(vals, repeat=degree):
+        yield [*low, field.one.val]
+
+
+def test_irreducibility_matches_a_product_sieve():
+    """Every monic polynomial of degree n over F_5 (n <= 5), F_7 (n <= 4)
+    and GF(25) (n <= 3) is irreducible exactly when it is not a product g h
+    of monic polynomials of degrees d and n - d, 1 <= d <= n // 2."""
+    for field, top in ((GF(5), 5), (GF(7), 4), (GF(5, 2), 3)):
+        for n in range(1, top + 1):
+            reducible = {
+                tuple(field.poly_mul(g, h))
+                for d in range(1, n // 2 + 1)
+                for g in _monic_raw(field, d)
+                for h in _monic_raw(field, n - d)
+            }
+            for f in _monic_raw(field, n):
+                got = polys.is_irreducible_raw(field, f)
+                assert got == (tuple(f) not in reducible), (field.order, f)
 
 
 def test_poly_serialization():
