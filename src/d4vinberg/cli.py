@@ -15,7 +15,6 @@ import sys
 
 from . import curves, densities, hnweights, verify
 from .fields import GF
-from .polys import Poly
 from .quartic import quartic_disc
 
 
@@ -125,7 +124,7 @@ def cmd_curves(args, cfg):
     rows = []
     for b in sampled:
         member = curves.xd_membership(field, b, d)
-        reduction = _first_good_reduction(field, b, member)
+        reduction = _first_good_reduction(field, b)
         row = {
             "p2": b[0].to_str(),
             "p4": b[1].to_str(),
@@ -133,7 +132,7 @@ def cmd_curves(args, cfg):
             "p6": b[3].to_str(),
             "in_XD": member.in_xd,
             "disc_degree": member.delta.degree,
-            "bad_places": len(member.disc_divisor),
+            "bad_places": member.bad_places,
             "N": reduction[0],
             "two_torsion": reduction[1],
         }
@@ -145,14 +144,11 @@ def cmd_curves(args, cfg):
     }
 
 
-def _first_good_reduction(field, b, member):
-    bad = {
-        pl.poly for pl, _ in member.disc_divisor if not pl.is_infinite and pl.degree == 1
-    }
+def _first_good_reduction(field, b):
+    """(N, two-torsion) of the fibre at the first t = c with Delta(b(c)) !=
+    0; evaluation is a ring map, so Delta(b(c)) = Delta(b)(c) and the
+    zeros of Delta are skipped."""
     for c in field:
-        lin = Poly(field, [-c, field.one])
-        if lin in bad:
-            continue
         b_red = tuple(p(c) for p in b)
         if not quartic_disc(b_red):
             continue

@@ -7,17 +7,25 @@ model, so divisibility questions never leave the curve.  Multiplying the
 affine equation by x gives (xy + q4)^2 = f(x) with f the defining quartic,
 which is what ties the curve side to the invariant theory.
 
+Over F_q(t), tuples of the box H^0(X, B_D) are sampled by the numpy box
+filter ``numkernels.xd_box_filter``, and ``xd_membership`` certifies the
+reduction type of every finite bad fibre at once in F_q[t]/(Delta) and
+counts the bad places by Berlekamp's matrix, without factoring Delta.
+
 Desk-scale enumeration is guarded by max_q (default 101).
 """
 
 from math import lcm
 
-from . import polys
+import numpy as np
+
+from . import numkernels, polys
 from .fields import extension_of
 from .funcfield import Place, RatFunc
 from .linalg import kernel_basis, solve
 from .polys import Poly
-from .quartic import quartic_disc, quartic_poly, weierstrass
+from .quartic import first_subresultant, quartic_disc, quartic_poly, weierstrass
+from .rng import det_rng
 
 DEFAULT_MAX_Q = 101
 
@@ -371,11 +379,11 @@ def _ceil_div(a, b):
 
 
 class XDMembership:
-    __slots__ = ("in_xd", "disc_divisor", "ord_inf", "kodaira", "delta")
+    __slots__ = ("in_xd", "bad_places", "ord_inf", "kodaira", "delta")
 
-    def __init__(self, in_xd, disc_divisor, ord_inf, kodaira, delta):
+    def __init__(self, in_xd, bad_places, ord_inf, kodaira, delta):
         self.in_xd = in_xd
-        self.disc_divisor = disc_divisor
+        self.bad_places = bad_places
         self.ord_inf = ord_inf
         self.kodaira = kodaira
         self.delta = delta
@@ -384,54 +392,89 @@ class XDMembership:
         return f"XDMembership(in_xd={self.in_xd}, ord_inf={self.ord_inf})"
 
 
-def xd_membership(field, b, d, classify_fibres=True):
+def xd_membership(field, b, d):
     """Membership of a coefficient tuple in H^0(X, B_D)^sf, D = d*infinity.
 
-    b: four Polys (p2, p4, q4, p6) subject to degree bounds (2d, 4d, 4d, 6d).
-    disc_divisor lists (place, ord) at every zero of Delta and at infinity
-    (ord_oo = 24d - deg Delta); in_xd iff all orders <= 1.  With
-    classify_fibres, each bad place gets its Kodaira type: I1 demands a
-    single rational nodal point, certified on the reduced plane cubic.
+    b: four Polys (p2, p4, q4, p6) over a prime field, subject to degree
+    bounds (2d, 4d, 4d, 6d).  in_xd iff Delta is nonzero and squarefree
+    and ord_inf = 24d - deg Delta <= 1; a non-member returns right after
+    these tests, with bad_places None and no kodaira.  For a member,
+    bad_places counts the zeros of Delta (the Berlekamp nullity,
+    ``numkernels.berlekamp_nullity``) and infinity when ord_inf = 1, and
+    kodaira maps each fibre type to its number of places.  Every finite
+    fibre is certified I1 at once in F_q[t]/(Delta) (``_certify_i1``) and
+    the fibre at infinity is classified on its reduction; a fibre that is
+    not I1 raises AssertionError.
     """
+    if field.order != field.char:
+        raise ValueError("X_D membership implemented for prime fields")
     b = _as_polys(field, b)
     bounds = tuple(w * 2 * d for w in WEIGHTS)
     if any(p.degree > bound for p, bound in zip(b, bounds)):
         raise ValueError("coefficient degrees exceed the B_D box")
     delta = disc_poly(field, b)
-    if delta.is_zero():
-        return XDMembership(False, [], None, {}, delta)
-    divisor = []
-    kodaira = {}
-    ok = True
-    for fpoly, mult in polys.factor(delta):
-        if fpoly.degree == 0:
-            continue
-        place = Place(field, fpoly, _trusted=True)
-        divisor.append((place, mult))
-        if mult > 1:
-            ok = False
-        if classify_fibres:
-            kodaira[place] = (
-                _kodaira_at_finite(field, b, place) if mult == 1 else "other"
-            )
-    ord_inf = 24 * d - delta.degree
+    ord_inf = None if delta.is_zero() else 24 * d - delta.degree
+    if ord_inf is None or ord_inf > 1 or not polys.is_squarefree(delta):
+        return XDMembership(False, None, ord_inf, {}, delta)
+    _certify_i1(b, delta)
     if ord_inf:
-        place = Place.infinite(field)
-        divisor.append((place, ord_inf))
-        if ord_inf > 1:
-            ok = False
-        elif classify_fibres:
-            kodaira[place] = _kodaira_at_infinity(field, b, d)
-    in_xd = ok
-    if classify_fibres and in_xd:
-        assert all(t in ("I1",) for t in kodaira.values()), kodaira
-    return XDMembership(in_xd, divisor, ord_inf, kodaira, delta)
+        typ = _kodaira_at_infinity(field, b, d)
+        assert typ == "I1", f"fibre at infinity is {typ}"
+    bad = numkernels.berlekamp_nullity(delta.vals, field.char) + ord_inf
+    return XDMembership(True, bad, ord_inf, {"I1": bad} if bad else {}, delta)
 
 
-def _kodaira_at_finite(field, b, place: Place):
-    kv = place.residue_field()
-    b_red = tuple(place.reduce_poly(p) for p in b)
-    return kodaira_of_reduction(kv, b_red)
+def _certify_i1(b, delta):
+    """The fibre at every zero of a squarefree Delta is I1, certified in
+    A = F_q[t]/(Delta), the product of the residue fields k_v (Della Dora,
+    Dicrescenzo & Duval, EUROCAL '85): an identity or a unit in A holds
+    at every finite bad place at once.  The tests of
+    ``kodaira_of_reduction`` read, in A:
+
+    - s1 is a unit (``quartic.first_subresultant``): with Res(f, f') =
+      Delta = 0, gcd(f, f') has degree 1 at every v, and x0 = -s0/s1 is
+      its root; f(x0) = f'(x0) = 0 confirms the double root;
+    - f''(x0) is a unit: not a triple root;
+    - x0 is a unit (so is s0), and fx = fy = fval = 0 at (x0, y0 =
+      -q4/x0): the singular point of the plane model;
+    - det_h is a unit: the point is a node.
+
+    Unit tests go in pairs: one xgcd of s1 s0 with Delta gives w =
+    1/(s1 s0), so x0 = -s0^2 w and 1/x0 = -s1^2 w, and one gcd tests
+    f''(x0) det_h; the factors are tested one by one only when a product
+    fails.  A failed test raises AssertionError naming it and gcd(value,
+    Delta).  By Tate's algorithm ord_v Delta = 1 forces I1; this checks it.
+    """
+    if delta.degree < 1:
+        return
+
+    def check(name, value, unit):
+        """value is a unit of A (unit) or zero in A (not unit)."""
+        g = polys.gcd(value, delta)
+        if g.degree != (0 if unit else delta.degree):
+            raise AssertionError(f"{name} fails: gcd with Delta {g.to_str()}")
+
+    p2, p4, q4, p6 = b
+    s1, s0 = first_subresultant(b)
+    g, w, _ = polys.xgcd(s1 * s0, delta)
+    if g.degree:
+        check("s1 unit", s1, True)
+        check("x0 unit", s0, True)
+    x0 = -s0 * s0 * w % delta
+    xx = x0 * x0 % delta
+    x3 = xx * x0 % delta
+    check("f(x0) = 0", xx * xx + p2 * x3 + p4 * xx + p6 * x0 + q4 * q4, False)
+    check("f'(x0) = 0", 4 * x3 + 3 * p2 * xx + 2 * p4 * x0 + p6, False)
+    y0 = q4 * s1 * s1 * w % delta
+    yy = y0 * y0 % delta
+    check("fx = 0", yy - 3 * xx - 2 * p2 * x0 - p4, False)
+    check("fy = 0", 2 * x0 * y0 + 2 * q4, False)
+    check("fval = 0", x0 * yy + 2 * q4 * y0 - (x3 + p2 * xx + p4 * x0 + p6), False)
+    f2 = 12 * xx + 6 * p2 * x0 + 2 * p4
+    det_h = (-6 * x0 - 2 * p2) * 2 * x0 - 4 * yy
+    if polys.gcd(f2 * det_h, delta).degree:
+        check("f''(x0) unit", f2, True)
+        check("det_h unit", det_h, True)
 
 
 def _kodaira_at_infinity(field, b, d):
@@ -448,7 +491,9 @@ def kodaira_of_reduction(kv, b_red):
     I0 for smooth reduction; I1 when the quartic has a single double root
     (two simple others) whose plane point is a node; 'other' otherwise.
     The double root, when unique, is automatically rational, so locating
-    the singular point needs no residue-field enumeration.
+    the singular point needs no residue-field enumeration.  It classifies
+    the fibre at infinity, and per place it is the oracle of
+    ``_certify_i1``.
     """
     delta = quartic_disc(b_red)
     if delta:
@@ -481,24 +526,6 @@ def kodaira_of_reduction(kv, b_red):
     return "I1" if det_h else "other"
 
 
-def singular_points_bruteforce(kv, b_red):
-    """All singular points in P^2(kv) of the reduced cubic (test oracle)."""
-    out = []
-    pts = [(x, y, kv.one) for x in kv for y in kv]
-    pts += [(kv.one, y, kv.zero) for y in kv] + [(kv.zero, kv.one, kv.zero)]
-    p2, p4, q4, p6 = b_red
-    for x, y, z in pts:
-        fval = x * y * y + 2 * q4 * y * z * z - (
-            x ** 3 + p2 * x * x * z + p4 * x * z * z + p6 * z ** 3
-        )
-        fx = y * y - 3 * x * x - 2 * p2 * x * z - p4 * z * z
-        fy = 2 * x * y + 2 * q4 * z * z
-        fz = 4 * q4 * y * z - p2 * x * x - 2 * p4 * x * z - 3 * p6 * z * z
-        if not fval and not fx and not fy and not fz:
-            out.append((x, y, z))
-    return out
-
-
 def _as_polys(field, b):
     """b with each constant lifted to a constant Poly over field."""
     return tuple(x if isinstance(x, Poly) else Poly.const(field, field.elem(x)) for x in b)
@@ -510,7 +537,8 @@ def disc_poly(field, b) -> Poly:
 
 
 def in_xd_fast(field, b, d) -> bool:
-    """Cheap in_XD test: nonzero squarefree discriminant, simple at infinity."""
+    """Boxed one-row in_XD test: nonzero squarefree discriminant, simple at
+    infinity; the oracle of ``numkernels.xd_box_filter``."""
     delta = disc_poly(field, b)
     if delta.is_zero():
         return False
@@ -519,25 +547,39 @@ def in_xd_fast(field, b, d) -> bool:
     return polys.is_squarefree(delta)
 
 
-def sample_xd(field, d, count, seed):
-    """Uniform rejection sampling of H^0(X, B_D)^sf coefficient tuples,
-    within 200 count + 1000 tries."""
-    from .rng import det_rng
+SAMPLE_BLOCK = 512  # rows per block of sample_xd
 
+
+def sample_xd(field, d, count, seed):
+    """Uniform rejection sampling of H^0(X, B_D)^sf coefficient tuples over
+    a prime field, within 200 count + 1000 tries.
+
+    The tries come in blocks of SAMPLE_BLOCK rows, one (SAMPLE_BLOCK,
+    16 d + 4) draw from the stream (seed, "sample-xd") with columns
+    p2 | p4 | q4 | p6: the draws of one scalar per coefficient, tuple by
+    tuple.  ``numkernels.xd_box_filter`` tests a block, and its members
+    are accepted in order, so the samples and the count of tries are
+    those of one row at a time.
+    """
+    p = field.char
+    if field.order != p:
+        raise ValueError("X_D sampling implemented for prime fields")
     max_tries = 200 * count + 1000
-    bounds = tuple(w * 2 * d for w in WEIGHTS)
-    out = []
-    tries = 0
+    widths = [w * 2 * d + 1 for w in WEIGHTS]
+    splits = np.cumsum(widths)[:-1]
     rng = det_rng(seed, "sample-xd")
+    out = []
+    drawn = 0
     while len(out) < count:
-        tries += 1
-        if tries > max_tries:
+        block = rng.integers(0, p, size=(SAMPLE_BLOCK, sum(widths)), dtype=np.int64)
+        _, mask = numkernels.xd_box_filter(p, np.split(block, splits, axis=1))
+        for i in np.flatnonzero(mask)[: count - len(out)]:
+            if drawn + i >= max_tries:
+                break
+            out.append(tuple(Poly(field, c.tolist()) for c in np.split(block[i], splits)))
+        drawn += SAMPLE_BLOCK
+        if len(out) < count and drawn >= max_tries:
             raise RuntimeError(f"rejection sampling exceeded {max_tries} tries")
-        b = tuple(
-            Poly(field, [field.random(rng) for _ in range(k + 1)]) for k in bounds
-        )
-        if in_xd_fast(field, b, d):
-            out.append(b)
     return out
 
 

@@ -257,9 +257,8 @@ def delta_b_montecarlo(field, d: int, n: int, seed: int):
     affine discriminant must be squarefree, nonzero, and have at most a
     simple zero at infinity (24 d - deg Delta <= 1).  Chunk i of 4000
     samples draws from the Philox stream (seed, "delta-b-mc", i); each
-    chunk runs as numpy batches with no per-row Python: Delta by
-    ``numkernels.delta_poly_batch``, the degree scan by ``row_degrees``
-    and the squarefree test by the lockstep ``squarefree_batch``.
+    chunk is one call of ``numkernels.xd_box_filter``, the filter that
+    ``curves.sample_xd`` uses, with no per-row Python.
     """
     import numpy as np
 
@@ -279,10 +278,7 @@ def delta_b_montecarlo(field, d: int, n: int, seed: int):
             rng.integers(0, p, size=(size, 2 * d * w + 1), dtype=np.int64)
             for w in weights
         ]
-        delta = numkernels.delta_poly_batch(p, arrays)
-        deg = numkernels.row_degrees(delta)
-        keep = (deg >= 0) & (24 * d - deg <= 1)
-        hits += int(numkernels.squarefree_batch(delta[keep], p).sum())
+        hits += int(numkernels.xd_box_filter(p, arrays)[1].sum())
         done += size
     frac = hits / n
     stderr = sqrt(max(frac * (1 - frac), 1e-12) / n)

@@ -11,6 +11,7 @@ as rational upper bounds.
 
 from array import array
 from fractions import Fraction
+from math import isqrt
 
 from .liealg import LABELS, LABEL_OF_SIGNS, LABEL_SIGNS, leq, lambda_max, W0_PERMS
 
@@ -324,24 +325,15 @@ class QPowerSum:
         total = 0
         for e, c in self.terms.items():
             assert c >= 0 and e >= 0
-            root = max(_integer_root_floor(self.q**e, 8), 1)
+            root = max(_eighth_root_floor(self.q**e), 1)
             total += -((-c * scale) // root)  # ceil division
         return Fraction(total, scale)
 
 
-def _integer_root_floor(n, k):
-    if k == 1:
-        return n
-    lo, hi = 0, 1
-    while hi**k <= n:
-        hi *= 2
-    while lo < hi - 1:
-        mid = (lo + hi) // 2
-        if mid**k <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _eighth_root_floor(n):
+    """floor(n^(1/8)) for an int n >= 0, exactly: isqrt(isqrt(m)) =
+    floor(m^(1/4)) for every m >= 0, so three square roots give it."""
+    return isqrt(isqrt(isqrt(n)))
 
 
 def boundary_tail_bound(m_key, d, truncation, q):

@@ -21,15 +21,20 @@ expanded ``quartic.delta_gradient()`` through ``MPoly.eval``; grids run in
 BLOCK-point blocks.  The int-list functions are entry points into
 ``polys``.
 
-The delta_B Monte Carlo is batched end to end: ``delta_poly_batch`` gives
-Delta of a chunk of rows, ``row_degrees`` their degrees, and
-``squarefree_batch`` runs gcd(f, f') for all rows in lockstep.
+The delta_B Monte Carlo and the X_D sampler share one box filter,
+``xd_box_filter``, batched end to end: ``delta_poly_batch`` gives Delta of
+a chunk of rows, ``row_degrees`` their degrees, and ``squarefree_batch``
+runs gcd(f, f') for all rows in lockstep.  ``berlekamp_nullity`` counts
+the irreducible factors of a squarefree polynomial, the bad places of an
+X_D member, as the nullity of Berlekamp's Q - I in int64 mod p.
 
 The int64 kernels are exact only for p < MAX_P = 2**28.  The sum that
 binds is a 128-term block of ``_batched_polymul``, which reduces after
 every 128 terms: 128 (p - 1)^2 + p < 2^63.  The widest sum of the beta
 pipeline is now the eps part of ``_dtrace_prod`` on the 4x4 blocks, 32
-products of residues; ``squarefree_batch`` tracks a bound on its entries.
+products of residues; ``squarefree_batch`` tracks a bound on its entries,
+and ``berlekamp_nullity``, whose products of n x n matrices sum n products
+of residues, checks n (p - 1)^2 + p < 2^63.
 The numpy ring adapters and ``squarefree_batch`` reject larger p, and
 p < 5 (the Newton step of the beta pipeline divides by 2, 4 and 6).
 """
@@ -399,6 +404,88 @@ def squarefree_batch(rows, p):
             np.copyto(poly[:, :-1], c, where=mask[:, None])
             poly[mask, -1] = 0
             deg_ -= mask
+
+
+def xd_box_filter(p, coeff_arrays):
+    """(Delta rows, X_D mask) of a batch of tuples of H^0(X, B_D).
+
+    coeff_arrays are the four (N, 2 d w + 1) arrays of (p2, p4, q4, p6),
+    w = (1, 2, 2, 3), lowest degree first, residues mod p.  The Delta rows
+    are those of ``delta_poly_batch``; row i is in X_D iff its Delta is
+    nonzero and squarefree (``squarefree_batch``) with at most a simple
+    zero at infinity, 24 d - deg Delta <= 1 (``row_degrees``).
+    """
+    d = (coeff_arrays[0].shape[1] - 1) // 2
+    delta = delta_poly_batch(p, coeff_arrays)
+    deg = row_degrees(delta)
+    mask = (deg >= 0) & (24 * d - deg <= 1)
+    mask[mask] = squarefree_batch(delta[mask], p)
+    return delta, mask
+
+
+# -- Berlekamp's place count --
+
+
+def _rank_mod(a, p):
+    """Rank of an (n, n) int64 matrix of residues mod p by elimination.
+
+    Only the pivot row and the multipliers are reduced, so each step adds
+    less than (p - 1)^2 to an entry's size: exact while n (p - 1)^2 + p <
+    2^63, as ``berlekamp_nullity`` checks."""
+    a = a.copy()
+    rank = 0
+    for col in range(a.shape[1]):
+        column = a[rank:, col] % p
+        nz = np.flatnonzero(column)
+        if not len(nz):
+            continue
+        k = nz[0]
+        if k:
+            a[[rank, rank + k]] = a[[rank + k, rank]]
+            column[[0, k]] = column[[k, 0]]
+        pivot_row = a[rank, col + 1 :] % p
+        factors = column[1:] * pow(int(column[0]), -1, p) % p
+        a[rank + 1 :, col + 1 :] -= factors[:, None] * pivot_row
+        rank += 1
+    return rank
+
+
+def berlekamp_nullity(coeffs, p):
+    """dim ker(Q - I) for f mod p given as an int list (lowest degree
+    first), 0 for a constant: the number of irreducible factors of a
+    squarefree f (Berlekamp, Bell Syst. Tech. J. 46, 1967).
+
+    Column i of Q is x^(i p) mod f.  With C the companion matrix of monic
+    f (multiplication by x on 1, x, ..., x^(n-1)), C^p is multiplication
+    by x^p, so column i is (C^p)^i e_0; C^p comes by square-and-multiply
+    and the rank by elimination mod p, all on int64 with no float BLAS.
+    Each matrix product sums n products of residues: exact while
+    n (p - 1)^2 + p < 2^63, which is checked (p < MAX_P by ``_check_p``).
+    """
+    _check_p(p)
+    f = np.trim_zeros(np.asarray(coeffs, dtype=np.int64) % p, "b")
+    n = len(f) - 1
+    if n < 1:
+        return 0
+    if n * (p - 1) ** 2 + p >= 2**63:
+        raise ValueError(f"degree {n} at p = {p} leaves the int64 range of Berlekamp's matrices")
+    f = f * pow(int(f[-1]), -1, p) % p
+    comp = np.zeros((n, n), dtype=np.int64)
+    comp[1:, :-1] = np.eye(n - 1, dtype=np.int64)
+    comp[:, -1] = -f[:-1] % p
+    step, e = np.eye(n, dtype=np.int64), p
+    while e:
+        if e & 1:
+            step = step @ comp % p
+        e >>= 1
+        if e:
+            comp = comp @ comp % p
+    q = np.zeros((n, n), dtype=np.int64)
+    q[0, 0] = 1
+    for i in range(1, n):
+        q[:, i] = step @ q[:, i - 1] % p
+    q[np.arange(n), np.arange(n)] -= 1
+    return n - _rank_mod(q % p, p)
 
 
 # -- int-list entry points into the polynomial layer of polys --

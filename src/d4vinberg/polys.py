@@ -339,15 +339,15 @@ def gcd_raw(F, a, b):
 
 
 def xgcd_raw(F, a, b):
-    """(g, s, t) with g monic and s*a + t*b = g."""
+    """(g, s, t) with g monic and s*a + t*b = g.  The remainder sequence
+    carries s only; t = (g - s*a)/b is one exact division at the end."""
     r0, r1 = list(a), list(b)
     s0, s1 = [F.one.val], []
-    t0, t1 = [], [F.one.val]
     while r1:
         q, r = F.poly_divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, sub_raw(F, s0, F.poly_mul(q, s1))
-        t0, t1 = t1, sub_raw(F, t0, F.poly_mul(q, t1))
+    t0 = F.poly_divmod(sub_raw(F, r0, F.poly_mul(s0, a)), b)[0] if b else []
     if not r0:
         return r0, s0, t0
     c = F._inv(r0[-1])

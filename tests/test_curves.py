@@ -1,16 +1,19 @@
+import numpy as np
 import pytest
 
-from d4vinberg import polys
+from d4vinberg import numkernels, polys
 from d4vinberg.curves import (
+    SAMPLE_BLOCK,
+    WEIGHTS,
     MinimalData,
     PointedCurve,
+    _certify_i1,
     curve_group,
     disc_poly,
     in_xd_fast,
     kodaira_of_reduction,
     minimal_data,
     sample_xd,
-    singular_points_bruteforce,
     stabilizer_count_from_degrees,
     stabilizer_two_torsion,
     to_weierstrass,
@@ -202,10 +205,27 @@ def test_already_minimal():
     assert not md.n and md.L_degree == 0
 
 
+def singular_points_bruteforce(kv, b_red):
+    """All singular points in P^2(kv) of the reduced cubic."""
+    out = []
+    pts = [(x, y, kv.one) for x in kv for y in kv]
+    pts += [(kv.one, y, kv.zero) for y in kv] + [(kv.zero, kv.one, kv.zero)]
+    p2, p4, q4, p6 = b_red
+    for x, y, z in pts:
+        fval = x * y * y + 2 * q4 * y * z * z - (
+            x ** 3 + p2 * x * x * z + p4 * x * z * z + p6 * z ** 3
+        )
+        fx = y * y - 3 * x * x - 2 * p2 * x * z - p4 * z * z
+        fy = 2 * x * y + 2 * q4 * z * z
+        fz = 4 * q4 * y * z - p2 * x * x - 2 * p4 * x * z - 3 * p6 * z * z
+        if not fval and not fx and not fy and not fz:
+            out.append((x, y, z))
+    return out
+
+
 def test_xd_membership_edges():
     field = GF(5)
     t = Poly.x(field)
-    zero = Poly(field)
     # d = 0: constants with Delta != 0 are members with no bad places
     rng = det_rng(8, "curves-xd")
     while True:
@@ -213,25 +233,28 @@ def test_xd_membership_edges():
         if not disc_poly(field, b).is_zero():
             break
     m = xd_membership(field, b, 0)
-    assert m.in_xd and not m.disc_divisor and m.ord_inf == 0
+    assert m.in_xd and m.bad_places == 0 and m.kodaira == {} and m.ord_inf == 0
     # a (t-1)^2 divisor is rejected
-    found = None
-    while found is None:
-        cand = tuple(Poly(field, [field.random(rng) for _ in range(3)]) for _ in range(4))
-        delta = disc_poly(field, cand)
-        if delta.is_zero():
-            continue
-        shifted = tuple(
-            Poly(field, [c for c in p.coeffs]) for p in cand
-        )
-        found = cand
+    while True:
+        found = tuple(Poly(field, [field.random(rng) for _ in range(3)]) for _ in range(4))
+        if not disc_poly(field, found).is_zero():
+            break
     sq = (t - 1) * (t - 1)
     b_bad = (found[0] * sq, found[1] * sq**2, found[2] * sq**2, found[3] * sq**3)
-    m_bad = xd_membership(field, b_bad, 3, classify_fibres=False)
-    bad_orders = {pl.poly.to_str(): o for pl, o in m_bad.disc_divisor if not pl.is_infinite}
-    assert bad_orders.get("1,4,0,0,0,0,0,0,1" if False else (sq.monic()).to_str()) is None or True
-    assert not m_bad.in_xd
-    assert any(o >= 2 for _, o in m_bad.disc_divisor)
+    m_bad = xd_membership(field, b_bad, 3)
+    assert not m_bad.in_xd and m_bad.bad_places is None and m_bad.kodaira == {}
+    # Delta scales by sq^12 = (t - 1)^24
+    orders = {g.to_str(): mult for g, mult in polys.factor(m_bad.delta)}
+    assert orders["4,1"] == 24
+
+
+def test_xd_membership_needs_a_prime_field():
+    field = GF(5, 2)
+    b = tuple(Poly.const(field, field.one) for _ in range(4))
+    with pytest.raises(ValueError):
+        xd_membership(field, b, 0)
+    with pytest.raises(ValueError):
+        sample_xd(field, 1, 1, seed=0)
 
 
 def test_xd_infinity_double_zero_detected():
@@ -252,10 +275,56 @@ def test_xd_infinity_double_zero_detected():
             continue
         if not polys.is_squarefree(delta):
             continue
-        m = xd_membership(field, b, d, classify_fibres=False)
-        assert not m.in_xd and m.ord_inf == 2
+        m = xd_membership(field, b, d)
+        assert not m.in_xd and m.ord_inf == 2 and m.bad_places is None
         found += 1
     assert found > 0
+
+
+def _sample_xd_by_scalar_draws(field, d, count, seed):
+    """The row-at-a-time sampler: one scalar draw per coefficient, tuple
+    by tuple, tested by in_xd_fast."""
+    rng = det_rng(seed, "sample-xd")
+    out, tries = [], 0
+    while len(out) < count:
+        tries += 1
+        b = tuple(
+            Poly(field, [field.random(rng) for _ in range(2 * d * w + 1)]) for w in WEIGHTS
+        )
+        if in_xd_fast(field, b, d):
+            out.append(b)
+    return out, tries
+
+
+@pytest.mark.parametrize(
+    "p, d, count, blocks", [(5, 1, 250, 2), (5, 2, 15, 1), (7, 1, 30, 1), (23, 1, 20, 1)]
+)
+def test_sample_xd_matches_scalar_draws(p, d, count, blocks):
+    field = GF(p)
+    got = sample_xd(field, d, count, seed=11)
+    want, tries = _sample_xd_by_scalar_draws(field, d, count, seed=11)
+    assert [[c.to_str() for c in b] for b in got] == [[c.to_str() for c in b] for b in want]
+    assert -(-tries // SAMPLE_BLOCK) == blocks
+
+
+@pytest.mark.parametrize("row, accepted", [(1199, True), (1200, False)])
+def test_sample_xd_budget_counts_single_rows(monkeypatch, row, accepted):
+    # a filter that accepts one row only: one sample may use 200 + 1000
+    # rows, so row 1199 (0-based) is the last one it can take
+    drawn = [0]
+
+    def accept_one_row(p, arrays):
+        n = arrays[0].shape[0]
+        mask = np.arange(drawn[0], drawn[0] + n) == row
+        drawn[0] += n
+        return None, mask
+
+    monkeypatch.setattr(numkernels, "xd_box_filter", accept_one_row)
+    if accepted:
+        assert len(sample_xd(GF(5), 1, 1, seed=0)) == 1
+    else:
+        with pytest.raises(RuntimeError):
+            sample_xd(GF(5), 1, 1, seed=0)
 
 
 def test_sample_xd_deterministic_and_valid():
@@ -266,29 +335,74 @@ def test_sample_xd_deterministic_and_valid():
         [p.to_str() for p in b] for b in s1
     ] == [[p.to_str() for p in b] for b in s2]
     for b in s1:
-        assert xd_membership(field, b, 1, classify_fibres=False).in_xd
+        assert xd_membership(field, b, 1).in_xd
 
 
-def test_kodaira_cross_checked_against_bruteforce():
+def test_i1_certificate_against_per_place_oracle():
+    # factor Delta and classify each place on its residue field: every
+    # finite fibre is I1 and the places add up to bad_places
     field = GF(5)
-    got = sample_xd(field, 1, 30, seed=12)
-    checked = 0
-    for b in got:
-        m = xd_membership(field, b, 1)
-        for place, typ in m.kodaira.items():
-            assert typ == "I1"
-            if place.is_infinite or place.degree > 2:
-                continue
-            kv = place.residue_field()
-            b_red = tuple(place.reduce_poly(p) for p in b)
-            sing = singular_points_bruteforce(kv, b_red)
-            assert len(sing) == 1
-            # nodal: double but not triple root of the reduced quartic
-            fbar = quartic_poly(kv, b_red)
-            g = polys.gcd(fbar, fbar.derivative())
-            assert g.degree == 1
-            checked += 1
-    assert checked >= 10
+    checked = at_infinity = 0
+    for d, count in ((1, 30), (2, 6)):
+        for b in sample_xd(field, d, count, seed=16):
+            m = xd_membership(field, b, d)
+            at_infinity += m.ord_inf
+            places = polys.factor(m.delta)
+            assert all(mult == 1 for _, mult in places)
+            for g, _ in places:
+                place = Place(field, g)
+                kv = place.residue_field()
+                b_red = tuple(place.reduce_poly(p) for p in b)
+                assert kodaira_of_reduction(kv, b_red) == "I1"
+                if place.degree <= 2:
+                    assert len(singular_points_bruteforce(kv, b_red)) == 1
+                    fbar = quartic_poly(kv, b_red)
+                    assert polys.gcd(fbar, fbar.derivative()).degree == 1
+                    checked += 1
+            assert m.bad_places == len(places) + m.ord_inf
+            assert m.kodaira == {"I1": m.bad_places}
+    assert checked >= 10 and at_infinity == 2
+
+
+def _fibre_type(field, b, g):
+    place = Place(field, g)
+    return kodaira_of_reduction(place.residue_field(), tuple(place.reduce_poly(p) for p in b))
+
+
+def test_i1_certificate_raises_at_a_non_i1_place():
+    # at t = 0: a triple root (s1 = 0) and a double root at x = 0 (x0 = 0)
+    field = GF(5)
+    t = Poly.x(field)
+    one = Poly.const(field, field.one)
+    triple = (t + 3, t, t + 2, t + 2)  # f = (x - 1)^3 (x - 4) mod t
+    at_zero = (one * 2, t + 2, t, t * 3)  # f = x^2 (x^2 + 2x + 2) mod t
+    for b, test in ((triple, "s1 unit"), (at_zero, "x0 unit")):
+        assert disc_poly(field, b)(field.zero) == field.zero
+        assert _fibre_type(field, b, t) == "other"
+        with pytest.raises(AssertionError, match=f"{test} fails: gcd with Delta 0,1"):
+            _certify_i1(b, t)
+
+
+def test_i1_certificate_agrees_with_the_oracle_per_place():
+    # random small tuples, every place of Delta, squarefree or not
+    field = GF(5)
+    rng = det_rng(15, "curves-certificate")
+    verdicts = set()
+    for _ in range(60):
+        b = tuple(Poly(field, [field.random(rng) for _ in range(3)]) for _ in range(4))
+        delta = disc_poly(field, b)
+        if delta.degree < 1:
+            continue
+        for g, _ in polys.factor(delta):
+            oracle = _fibre_type(field, b, g) == "I1"
+            try:
+                _certify_i1(b, g)
+                certified = True
+            except AssertionError:
+                certified = False
+            assert certified == oracle
+            verdicts.add(oracle)
+    assert verdicts == {True, False}
 
 
 def test_kodaira_good_reduction():

@@ -4,9 +4,10 @@ move.  A change to any of these must be justified where it is made.
 The densities report covers alpha by lift and by brute force, the SO_4
 oracle, the beta and delta_B Monte Carlo counts and the truncated product.
 The other reports cover the cusp table, the point counts and Weierstrass
-models of pointed curves over F_5, orbit reduction, the algebra checks and
-the stabilizer counts at p = 23.  Each SHA-256 is of the CLI output, which
-carries no wall-clock fields."""
+models of pointed curves over F_5 at d = 1 and 2, orbit reduction, the
+algebra checks and the stabilizer counts at p = 23; the minimal-models
+details pin the X_D samples and their bad-place count.  Each SHA-256 is
+of the CLI output, which carries no wall-clock fields."""
 
 import hashlib
 
@@ -16,6 +17,7 @@ from d4vinberg.cli import main
 from d4vinberg.densities import delta_b_montecarlo
 from d4vinberg.fields import GF
 from d4vinberg.numkernels import beta_mc_prime
+from d4vinberg.verify import minimal_model_suite
 
 DENSITIES_ARGS = ["densities", "--p", "5", "--d", "3", "--n-samples", "2000", "--oracle"]
 DENSITIES_SHA256 = "9143f73f8073742c2e57576cc766d8aeea6cbfd4af18eabbacfee48e0778deb7"
@@ -23,6 +25,8 @@ REPORT_SHA256 = {
     "cusp-table": "5e4dd31bb76372ed7354a1d48135fc650b866dcfc302754469906d0adc077a60",
     "curves --p 5 --d 1 --n-samples 20":
         "47201874a2d2aef79cbfda392461e5e51240d4f37a0993f1df507038a647a7b5",
+    "curves --p 5 --d 2 --n-samples 20":
+        "905234210e7af25bed0494ffd0cc7b020936aff8cfa524f5f884c4bdac080f94",
     "reduce-orbit --p 23 --n-samples 5":
         "8da8f971b0b50a741ba69cb51a00a478394411ea4f28b2f99406b524247ed660",
     "verify-algebra --p 23 --n-samples 5":
@@ -42,6 +46,13 @@ def test_delta_b_montecarlo_hits_pinned():
 def test_beta_mc_hits_pinned():
     # 20500 samples span two BETA_CHUNK-sample Philox streams
     assert beta_mc_prime(5, 20_500, 0) == 5452
+
+
+def test_minimal_models_details_pinned():
+    # the X_D samples at d = 1, 2 and the count of their bad places
+    report = minimal_model_suite(samples_per_d=100, seed=0)
+    assert report["passed"], report
+    assert report["details"] == {"bad_places": 666, "samples": 200, "torsion_spot_checks": 10}
 
 
 def test_densities_report_digest_pinned(tmp_path):

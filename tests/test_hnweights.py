@@ -14,6 +14,7 @@ from d4vinberg.hnweights import (
     trivial_inv_slopes,
     two_w,
     verify_cusp_table,
+    _eighth_root_floor,
 )
 from d4vinberg.liealg import LABELS
 from d4vinberg.rng import det_rng
@@ -138,6 +139,36 @@ def test_tail_bound_decreasing_and_stable():
     r1 = boundary_tail_bound((1, 2), 2, 40, 23).to_float()
     r0 = boundary_tail_bound((1, 2), 1, 40, 23).to_float()
     assert abs(r1 / r0 - 23 ** -0.5) < 1e-9
+
+
+def _integer_root_floor(n, k):
+    """floor(n^(1/k)) by bisection: the oracle of the nested square roots."""
+    lo, hi = 0, 1
+    while hi**k <= n:
+        hi *= 2
+    while lo < hi - 1:
+        mid = (lo + hi) // 2
+        if mid**k <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_eighth_root_matches_bisection():
+    # every exponent that the cusp-table report's upper_bound_d1 evaluates
+    # (q = 23, truncation 40), plus the small cases around perfect powers
+    exponents = set()
+    for key in CUSP_TABLE:
+        exponents |= set(boundary_tail_bound(key, 1, 40, 23).terms)
+    assert len(exponents) > 100
+    for e in sorted(exponents):
+        n = 23**e
+        assert _eighth_root_floor(n) == _integer_root_floor(n, 8)
+    for r in range(6):
+        for n in (r**8 - 1, r**8, r**8 + 1):
+            if n >= 0:
+                assert _eighth_root_floor(n) == _integer_root_floor(n, 8)
 
 
 def test_qpowersum_arithmetic():

@@ -1,6 +1,6 @@
 from d4vinberg import polys
 from d4vinberg.fields import GF, extension_of
-from d4vinberg.multipoly import MPoly
+from d4vinberg.multipoly import MPoly, det_mpoly
 from d4vinberg.polys import Poly, find_irreducible
 from d4vinberg.quartic import (
     binary_quartic_invariants,
@@ -8,6 +8,7 @@ from d4vinberg.quartic import (
     delta_mpoly,
     disc_monic_quartic_mpoly,
     disc_univariate,
+    first_subresultant,
     quartic_disc,
     quartic_poly,
     weierstrass,
@@ -77,6 +78,35 @@ def test_weierstrass_program_is_minus_27_times_the_invariants():
     point = (p2, p4, p6, q4 * q4)
     i_inv, j_inv = binary_quartic_invariants()
     assert weierstrass(_variables()) == (-27 * i_inv.eval(point), -27 * j_inv.eval(point))
+
+
+def test_first_subresultant_is_the_sylvester_minors():
+    # rows x f, f, x^2 f', x f', f' of the 5x6 Sylvester matrix of (f, f'),
+    # columns x^5 .. x^0; S1 = minor(x^5..x^2, x^1) x + minor(x^5..x^2, x^0)
+    p2, p4, q4, p6 = _variables()
+    one, zero = MPoly.const(4, 1), MPoly(4, {})
+    f = [one, p2, p4, p6, q4 * q4]
+    df = [4 * one, 3 * p2, 2 * p4, p6]
+    rows = [f + [zero], [zero] + f]
+    rows += [[zero] * k + df + [zero] * (2 - k) for k in range(3)]
+    s1, s0 = (det_mpoly([r[:4] + [r[col]] for r in rows]) for col in (4, 5))
+    assert first_subresultant(_variables()) == (s1, s0)
+
+
+def test_first_subresultant_root_is_the_double_root():
+    # where Delta = 0 and s1 != 0, -s0/s1 is the root of gcd(f, f')
+    field = GF(7)
+    rng = det_rng(3, "subresultant-root")
+    seen = 0
+    while seen < 20:
+        b = tuple(field.random(rng) for _ in range(4))
+        s1, s0 = first_subresultant(b)
+        if quartic_disc(b) or not s1:
+            continue
+        f = quartic_poly(field, b)
+        g = polys.gcd(f, f.derivative())
+        assert g.degree == 1 and -g[0] == -s0 * s1.inverse()
+        seen += 1
 
 
 def test_disc_over_polynomial_ring():
