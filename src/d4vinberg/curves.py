@@ -379,13 +379,12 @@ def _ceil_div(a, b):
 
 
 class XDMembership:
-    __slots__ = ("in_xd", "bad_places", "ord_inf", "kodaira", "delta")
+    __slots__ = ("in_xd", "bad_places", "ord_inf", "delta")
 
-    def __init__(self, in_xd, bad_places, ord_inf, kodaira, delta):
+    def __init__(self, in_xd, bad_places, ord_inf, delta):
         self.in_xd = in_xd
         self.bad_places = bad_places
         self.ord_inf = ord_inf
-        self.kodaira = kodaira
         self.delta = delta
 
     def __repr__(self):
@@ -398,13 +397,13 @@ def xd_membership(field, b, d):
     b: four Polys (p2, p4, q4, p6) over a prime field, subject to degree
     bounds (2d, 4d, 4d, 6d).  in_xd iff Delta is nonzero and squarefree
     and ord_inf = 24d - deg Delta <= 1; a non-member returns right after
-    these tests, with bad_places None and no kodaira.  For a member,
-    bad_places counts the zeros of Delta (the Berlekamp nullity,
-    ``numkernels.berlekamp_nullity``) and infinity when ord_inf = 1, and
-    kodaira maps each fibre type to its number of places.  Every finite
-    fibre is certified I1 at once in F_q[t]/(Delta) (``_certify_i1``) and
-    the fibre at infinity is classified on its reduction; a fibre that is
-    not I1 raises AssertionError.
+    these tests, with bad_places None.  For a member, bad_places counts
+    the zeros of Delta (the Berlekamp nullity,
+    ``numkernels.berlekamp_nullity``) and infinity when ord_inf = 1.
+    Every finite fibre is certified I1 at once in F_q[t]/(Delta)
+    (``_certify_i1``) and the fibre at infinity is classified on its
+    reduction; a fibre that is not I1 raises AssertionError, so every bad
+    place of a member is I1.
     """
     if field.order != field.char:
         raise ValueError("X_D membership implemented for prime fields")
@@ -415,13 +414,13 @@ def xd_membership(field, b, d):
     delta = disc_poly(field, b)
     ord_inf = None if delta.is_zero() else 24 * d - delta.degree
     if ord_inf is None or ord_inf > 1 or not polys.is_squarefree(delta):
-        return XDMembership(False, None, ord_inf, {}, delta)
+        return XDMembership(False, None, ord_inf, delta)
     _certify_i1(b, delta)
     if ord_inf:
         typ = _kodaira_at_infinity(field, b, d)
         assert typ == "I1", f"fibre at infinity is {typ}"
     bad = numkernels.berlekamp_nullity(delta.vals, field.char) + ord_inf
-    return XDMembership(True, bad, ord_inf, {"I1": bad} if bad else {}, delta)
+    return XDMembership(True, bad, ord_inf, delta)
 
 
 def _certify_i1(b, delta):

@@ -8,9 +8,9 @@ normalization 27 Delta = 4 I^3 - J^2 of Cremona (2001) and Bhargava-Shankar
 (2015), are one division-free straight-line program over a ``(mul, add,
 scale)`` ring triple, valid in every characteristic: ints, ``MPoly``, field
 elements, F_q[t] and F_q(t) through Python's operators (``quartic_disc``),
-and the numpy representations of ``numkernels``.  So is the first
-subresultant S1 = s1 x + s0 of (f, f') (``first_subresultant``), whose
-root is the double root of f where Delta vanishes.  The oracles are
+and the numpy representations of ``numkernels``.  The root of the first
+subresultant S1 = s1 x + s0 of (f, f') (``first_subresultant``, over
+Python's operators) is the double root of f where Delta vanishes.  The oracles are
 ``delta_mpoly()``, Delta expanded once over the integers from Res(f, f'),
 ``disc_univariate`` and ``binary_quartic_invariants()``; the partials of
 ``delta_mpoly()`` (``delta_gradient``) serve the alpha counts.
@@ -107,9 +107,9 @@ def delta(b, ring=PY_RING):
     )
 
 
-def first_subresultant(b, ring=PY_RING):
-    """(s1, s0) with S1 = s1 x + s0 the first subresultant of (f, f'), as
-    one division-free straight-line program (eleven ring products):
+def first_subresultant(b):
+    """(s1, s0) with S1 = s1 x + s0 the first subresultant of (f, f'), over
+    Python's operators (eleven products):
 
         s1 = 2 (a^2 (3ac - bb + 6d) + b (4bb - 14ac - 16d) + 18c^2)
         s0 = c (4bb - 3ac - a^2 b + 48d) + ad (9a^2 - 32b)
@@ -119,22 +119,12 @@ def first_subresultant(b, ring=PY_RING):
     and x^0.  Where Res(f, f') = 0 and s1 != 0, gcd(f, f') is S1 up to a
     unit, so x0 = -s0/s1 is the one double root of f.
     """
-    mul = ring[0]
     p2, p4, q4, p6 = b
-    d = mul(q4, q4)
-    aa, ac, bb = mul(p2, p2), mul(p2, p6), mul(p4, p4)
-    half_s1 = _lin(
-        ring,
-        (1, mul(aa, _lin(ring, (3, ac), (-1, bb), (6, d)))),
-        (1, mul(p4, _lin(ring, (4, bb), (-14, ac), (-16, d)))),
-        (18, mul(p6, p6)),
-    )
-    s0 = _lin(
-        ring,
-        (1, mul(p6, _lin(ring, (4, bb), (-3, ac), (-1, mul(aa, p4)), (48, d)))),
-        (1, mul(mul(p2, d), _lin(ring, (9, aa), (-32, p4)))),
-    )
-    return _lin(ring, (2, half_s1)), s0
+    d = q4 * q4
+    aa, ac, bb = p2 * p2, p2 * p6, p4 * p4
+    s1 = 2 * (aa * (3 * ac - bb + 6 * d) + p4 * (4 * bb - 14 * ac - 16 * d) + 18 * (p6 * p6))
+    s0 = p6 * (4 * bb - 3 * ac - aa * p4 + 48 * d) + p2 * d * (9 * aa - 32 * p4)
+    return s1, s0
 
 
 def weierstrass(b, ring=PY_RING):

@@ -233,7 +233,7 @@ def test_xd_membership_edges():
         if not disc_poly(field, b).is_zero():
             break
     m = xd_membership(field, b, 0)
-    assert m.in_xd and m.bad_places == 0 and m.kodaira == {} and m.ord_inf == 0
+    assert m.in_xd and m.bad_places == 0 and m.ord_inf == 0
     # a (t-1)^2 divisor is rejected
     while True:
         found = tuple(Poly(field, [field.random(rng) for _ in range(3)]) for _ in range(4))
@@ -242,7 +242,7 @@ def test_xd_membership_edges():
     sq = (t - 1) * (t - 1)
     b_bad = (found[0] * sq, found[1] * sq**2, found[2] * sq**2, found[3] * sq**3)
     m_bad = xd_membership(field, b_bad, 3)
-    assert not m_bad.in_xd and m_bad.bad_places is None and m_bad.kodaira == {}
+    assert not m_bad.in_xd and m_bad.bad_places is None
     # Delta scales by sq^12 = (t - 1)^24
     orders = {g.to_str(): mult for g, mult in polys.factor(m_bad.delta)}
     assert orders["4,1"] == 24
@@ -360,7 +360,6 @@ def test_i1_certificate_against_per_place_oracle():
                     assert polys.gcd(fbar, fbar.derivative()).degree == 1
                     checked += 1
             assert m.bad_places == len(places) + m.ord_inf
-            assert m.kodaira == {"I1": m.bad_places}
     assert checked >= 10 and at_infinity == 2
 
 
