@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numkernels, polys
 from .fields import extension_of
-from .funcfield import Place, RatFunc
+from .funcfield import RatFunc, support
 from .linalg import kernel_basis, solve
 from .polys import Poly
 from .quartic import first_subresultant, quartic_disc, quartic_poly, weierstrass
@@ -332,24 +332,16 @@ def minimal_data(field, b) -> MinimalData:
     b = [x if isinstance(x, RatFunc) else RatFunc(x) for x in b]
     if quartic_disc(tuple(b)).is_zero():
         raise ValueError("discriminant must be nonzero")
-    support = {}
+    # a place outside every support has n_v = 0, so it needs no entry
+    ords = {}
     for i, r in enumerate(b):
-        if r.is_zero():
-            continue
-        for f, mult in polys.factor(r.num):
-            if f.degree > 0:
-                support.setdefault(Place(field, f, _trusted=True), [0, 0, 0, 0])[i] += mult
-        for f, mult in polys.factor(r.den):
-            if f.degree > 0:
-                support.setdefault(Place(field, f, _trusted=True), [0, 0, 0, 0])[i] -= mult
-    inf = Place.infinite(field)
-    support[inf] = [
-        (r.den.degree - r.num.degree) if not r.is_zero() else 0 for r in b
-    ]
+        if not r.is_zero():
+            for place, o in support(r):
+                ords.setdefault(place, [0, 0, 0, 0])[i] += o
     n_map = {}
-    for place, ords in support.items():
+    for place, place_ords in ords.items():
         cands = []
-        for i, (o, w) in enumerate(zip(ords, WEIGHTS)):
+        for i, (o, w) in enumerate(zip(place_ords, WEIGHTS)):
             if b[i].is_zero():
                 continue
             cands.append(_ceil_div(-o, w))
@@ -400,10 +392,11 @@ def xd_membership(field, b, d):
     these tests, with bad_places None.  For a member, bad_places counts
     the zeros of Delta (the Berlekamp nullity,
     ``numkernels.berlekamp_nullity``) and infinity when ord_inf = 1.
-    Every finite fibre is certified I1 at once in F_q[t]/(Delta)
-    (``_certify_i1``) and the fibre at infinity is classified on its
-    reduction; a fibre that is not I1 raises AssertionError, so every bad
-    place of a member is I1.
+    One certificate, ``_certify_i1``, covers every bad fibre: the finite
+    ones at once in F_q[t]/(Delta), and the one at infinity in F_q[s]/(s)
+    on the tuple in the chart s = 1/t, (s^2dw b(1/s)) for the weights w,
+    whose Delta vanishes at s = 0 to order ord_inf.  A fibre that is not
+    I1 raises AssertionError, so every bad place of a member is I1.
     """
     if field.order != field.char:
         raise ValueError("X_D membership implemented for prime fields")
@@ -417,8 +410,8 @@ def xd_membership(field, b, d):
         return XDMembership(False, None, ord_inf, delta)
     _certify_i1(b, delta)
     if ord_inf:
-        typ = _kodaira_at_infinity(field, b, d)
-        assert typ == "I1", f"fibre at infinity is {typ}"
+        b_rev = tuple(p.reversed(at_degree=k) for p, k in zip(b, bounds))
+        _certify_i1(b_rev, Poly.x(field))
     bad = numkernels.berlekamp_nullity(delta.vals, field.char) + ord_inf
     return XDMembership(True, bad, ord_inf, delta)
 
@@ -432,17 +425,21 @@ def _certify_i1(b, delta):
 
     - s1 is a unit (``quartic.first_subresultant``): with Res(f, f') =
       Delta = 0, gcd(f, f') has degree 1 at every v, and x0 = -s0/s1 is
-      its root; f(x0) = f'(x0) = 0 confirms the double root;
-    - f''(x0) is a unit: not a triple root;
+      its root; f(x0) = f'(x0) = 0 confirms the double root, and it is
+      not a triple root, which would give gcd(f, f') degree 2;
     - x0 is a unit (so is s0), and fx = fy = fval = 0 at (x0, y0 =
       -q4/x0): the singular point of the plane model;
-    - det_h is a unit: the point is a node.
+    - the Hessian det_h of the point is a unit: the point is a node.
+      This needs no test of its own: det_h = -2 f''(x0) - 4 fx is an
+      identity, so with fx = 0 it is -2 f''(x0), and f''(x0) vanishes at
+      a double root only if it is a triple root (characteristic not 2),
+      which the unit s1 excludes.
 
-    Unit tests go in pairs: one xgcd of s1 s0 with Delta gives w =
-    1/(s1 s0), so x0 = -s0^2 w and 1/x0 = -s1^2 w, and one gcd tests
-    f''(x0) det_h; the factors are tested one by one only when a product
-    fails.  A failed test raises AssertionError naming it and gcd(value,
-    Delta).  By Tate's algorithm ord_v Delta = 1 forces I1; this checks it.
+    The unit tests go in a pair: one xgcd of s1 s0 with Delta gives w =
+    1/(s1 s0), so x0 = -s0^2 w and 1/x0 = -s1^2 w; the factors are
+    tested one by one only when the product fails.  A failed test raises
+    AssertionError naming it and gcd(value, Delta).  By Tate's algorithm
+    ord_v Delta = 1 forces I1; this checks it.
     """
     if delta.degree < 1:
         return
@@ -469,19 +466,6 @@ def _certify_i1(b, delta):
     check("fx = 0", yy - 3 * xx - 2 * p2 * x0 - p4, False)
     check("fy = 0", 2 * x0 * y0 + 2 * q4, False)
     check("fval = 0", x0 * yy + 2 * q4 * y0 - (x3 + p2 * xx + p4 * x0 + p6), False)
-    f2 = 12 * xx + 6 * p2 * x0 + 2 * p4
-    det_h = (-6 * x0 - 2 * p2) * 2 * x0 - 4 * yy
-    if polys.gcd(f2 * det_h, delta).degree:
-        check("f''(x0) unit", f2, True)
-        check("det_h unit", det_h, True)
-
-
-def _kodaira_at_infinity(field, b, d):
-    """Reduction at infinity via the s = 1/t chart with the B_D twist."""
-    bounds = tuple(w * 2 * d for w in WEIGHTS)
-    b_rev = tuple(p.reversed(at_degree=k) if not p.is_zero() else p for p, k in zip(b, bounds))
-    b_red = tuple(p[0] if not p.is_zero() else field.zero for p in b_rev)
-    return kodaira_of_reduction(field, b_red)
 
 
 def kodaira_of_reduction(kv, b_red):
@@ -490,9 +474,8 @@ def kodaira_of_reduction(kv, b_red):
     I0 for smooth reduction; I1 when the quartic has a single double root
     (two simple others) whose plane point is a node; 'other' otherwise.
     The double root, when unique, is automatically rational, so locating
-    the singular point needs no residue-field enumeration.  It classifies
-    the fibre at infinity, and per place it is the oracle of
-    ``_certify_i1``.
+    the singular point needs no residue-field enumeration.  Per place it
+    is the oracle of ``_certify_i1``.
     """
     delta = quartic_disc(b_red)
     if delta:
@@ -655,7 +638,7 @@ def two_torsion_field_rank(field, b_polys):
     mu = polys.find_irreducible(field, bound + 1)
     ext = extension_of(field, mu.coeffs, trusted=True)
     tau = ext.gen
-    cubic = Poly(ext, [b_coef(tau), a_coef(tau), ext.zero, ext.one])
+    cubic = Poly(ext, [Poly(ext, b_coef.coeffs)(tau), Poly(ext, a_coef.coeffs)(tau), 0, 1])
     count = 0
     for root in polys.roots(cubic):
         # reconstruct the unique polynomial of degree <= bound with value root

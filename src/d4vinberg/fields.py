@@ -6,6 +6,11 @@ Extensions are represented as base[x]/(modulus) with coefficient tuples
 the same machinery.  Characteristics 2 and 3 are rejected: the algebra side
 of the package divides by 2 and 3 freely.
 
+Each operation stays in one field: elements of two field objects never mix
+(``GF(7).elem(3) * GF(7, 2).gen`` raises TypeError), and ``field.elem`` is
+the only conversion, from ints, coefficient sequences and, for an
+extension, elements of its base field.
+
 Every field supplies the two polynomial primitives that ``polys`` builds its
 one univariate layer on, ``poly_mul`` and ``poly_divmod`` on trimmed lists
 of raw values.  ``Field`` holds the generic pair, written against the raw
@@ -44,9 +49,11 @@ def split_top(s):
 class FElem:
     """Element of a PrimeField or ExtField; immutable, canonically reduced.
 
-    Binary operations lift a base-field operand into the other operand's
-    extension automatically (python skips reflected methods for same-type
-    operands, so both directions are handled here).
+    One field per operation: ``+ - * /`` take an FElem of the same field
+    object or an int (read through ``field.elem``); any other operand,
+    an element of another field included, gives NotImplemented and so a
+    TypeError.  ``ExtField.elem`` is the one way to embed a base-field
+    element into an extension.
     """
 
     __slots__ = ("field", "val")
@@ -55,45 +62,38 @@ class FElem:
         self.field = field
         self.val = val
 
-    def _pair(self, other):
-        c = self.field.coerce(other)
-        if c is not NotImplemented:
-            return self.field, self, c
-        if isinstance(other, FElem):
-            c = other.field.coerce(self)
-            if c is not NotImplemented:
-                return other.field, c, other
-        return None
-
     def __add__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        f, a, b = p
-        return FElem(f, f._add(a.val, b.val))
+        f = self.field
+        if other.__class__ is FElem and other.field is f:
+            return FElem(f, f._add(self.val, other.val))
+        if isinstance(other, int):
+            return FElem(f, f._add(self.val, f.elem(other).val))
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        f, a, b = p
-        return FElem(f, f._sub(a.val, b.val))
+        f = self.field
+        if other.__class__ is FElem and other.field is f:
+            return FElem(f, f._sub(self.val, other.val))
+        if isinstance(other, int):
+            return FElem(f, f._sub(self.val, f.elem(other).val))
+        return NotImplemented
 
     def __rsub__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        f, a, b = p
-        return FElem(f, f._sub(b.val, a.val))
+        # reached only for a left operand that is not an FElem
+        f = self.field
+        if isinstance(other, int):
+            return FElem(f, f._sub(f.elem(other).val, self.val))
+        return NotImplemented
 
     def __mul__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        f, a, b = p
-        return FElem(f, f._mul(a.val, b.val))
+        f = self.field
+        if other.__class__ is FElem and other.field is f:
+            return FElem(f, f._mul(self.val, other.val))
+        if isinstance(other, int):
+            return FElem(f, f._mul(self.val, f.elem(other).val))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -101,16 +101,14 @@ class FElem:
         return FElem(self.field, self.field._neg(self.val))
 
     def __truediv__(self, other):
-        other = self.field.coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        if other.__class__ is FElem and other.field is self.field or isinstance(other, int):
+            return self * self.field.elem(other).inverse()
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        other = self.field.coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
+        if isinstance(other, int):
+            return self.field.elem(other) * self.inverse()
+        return NotImplemented
 
     def __pow__(self, n):
         if n < 0:
@@ -285,13 +283,6 @@ class PrimeField(Field):
             return x
         return FElem(self, x % self.p)
 
-    def coerce(self, x):
-        if isinstance(x, FElem):
-            return x if x.field is self else NotImplemented
-        if isinstance(x, int):
-            return FElem(self, x % self.p)
-        return NotImplemented
-
     def random(self, rng):
         return FElem(self, int(rng.integers(0, self.p)))
 
@@ -409,17 +400,6 @@ class ExtField(Field):
             raise ValueError("too many coefficients")
         vals += [self.base.zero.val] * (self.deg - len(vals))
         return FElem(self, tuple(vals))
-
-    def coerce(self, x):
-        if isinstance(x, FElem):
-            if x.field is self:
-                return x
-            if x.field is self.base:
-                return self.elem(x)
-            return NotImplemented
-        if isinstance(x, int):
-            return self.elem(x)
-        return NotImplemented
 
     def random(self, rng):
         return FElem(

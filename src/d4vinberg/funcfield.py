@@ -147,9 +147,10 @@ class RatFunc:
     def _coerce(self, other):
         if isinstance(other, RatFunc):
             return other
-        if isinstance(other, Poly):
-            return RatFunc(other)
-        return RatFunc(Poly.const(self.field, self.field.elem(other)))
+        poly = self.num._coerce(other)
+        if poly is None:
+            raise TypeError(f"{other!r} is not an element of {self.field}(t)")
+        return RatFunc(poly)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -262,7 +263,9 @@ def _moebius(n):
 
 
 def support(r) -> list:
-    """Places where ord_v(r) != 0, with their orders (includes oo)."""
+    """Places where ord_v(r) != 0, with their orders (includes oo).  The
+    finite places are the factors of ``polys.factor``, irreducible by
+    construction, so they are not tested again."""
     if isinstance(r, Poly):
         r = RatFunc(r)
     if r.is_zero():
@@ -271,10 +274,10 @@ def support(r) -> list:
     out = []
     for f, mult in polys.factor(r.num):
         if f.degree > 0:
-            out.append((Place(field, f), mult))
+            out.append((Place(field, f, _trusted=True), mult))
     for f, mult in polys.factor(r.den):
         if f.degree > 0:
-            out.append((Place(field, f), -mult))
+            out.append((Place(field, f, _trusted=True), -mult))
     o_inf = r.den.degree - r.num.degree
     if o_inf != 0:
         out.append((Place.infinite(field), o_inf))

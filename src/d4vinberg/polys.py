@@ -15,9 +15,11 @@ multiplies and inverts through this layer, and ``numkernels`` keeps its
 int-list entry points as calls into it.
 
 ``Poly`` is the boxed front end: it stores the raw values in ``vals`` and
-derives ``coeffs``, a tuple of FElem, from them.  Text format:
-"c0,c1,...,cn" with each coefficient in the field's element format (round
-trips bit-exactly).
+derives ``coeffs``, a tuple of FElem, from them.  Its operands are Polys
+over an equal field, elements of its own field and ints; a polynomial
+moves to an extension only explicitly, as ``Poly(ext, f.coeffs)``.  Text
+format: "c0,c1,...,cn" with each coefficient in the field's element format
+(round trips bit-exactly).
 
 The equal-degree splitting draws from a deterministic rng keyed by the
 polynomial, so factorizations are reproducible; factors are returned
@@ -80,13 +82,8 @@ class Poly:
         return bool(self.vals)
 
     def __eq__(self, other):
-        if isinstance(other, (int, FElem)):
-            other = Poly.const(self.field, self.field.elem(other))
-        return (
-            isinstance(other, Poly)
-            and self.field == other.field
-            and self.vals == other.vals
-        )
+        other = self._coerce(other)
+        return other is not None and self.vals == other.vals
 
     def __hash__(self):
         return hash((self.field, self.vals))
@@ -94,14 +91,12 @@ class Poly:
     # -- arithmetic --
 
     def _coerce(self, other):
-        """other as a Poly over self.field (lifting base-field coefficients
-        into an extension), or None."""
+        """other as a Poly over self.field, or None: a Poly over an equal
+        field, an FElem of self.field or an int; nothing crosses fields."""
         if isinstance(other, Poly):
-            if other.field is self.field or other.field == self.field:
-                return other
-            return Poly(self.field, other.coeffs)
-        if isinstance(other, (int, FElem)):
-            return Poly.const(self.field, self.field.elem(other))
+            return other if other.field is self.field or other.field == self.field else None
+        if isinstance(other, int) or isinstance(other, FElem) and other.field is self.field:
+            return Poly.const(self.field, other)
         return None
 
     def __add__(self, other):
@@ -146,7 +141,9 @@ class Poly:
 
     def __divmod__(self, other):
         other = self._coerce(other)
-        if other is None or other.is_zero():
+        if other is None:
+            return NotImplemented
+        if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
         q, r = f.poly_divmod(self.vals, other.vals)
@@ -164,17 +161,16 @@ class Poly:
     def derivative(self):
         return Poly._of(self.field, deriv_raw(self.field, self.vals))
 
-    def reversed(self, at_degree=None):
-        """Coefficient reversal x^n * self(1/x) padded to at_degree."""
-        n = self.degree if at_degree is None else at_degree
-        if n < self.degree:
+    def reversed(self, at_degree):
+        """Coefficient reversal x^at_degree * self(1/x)."""
+        if at_degree < self.degree:
             raise ValueError("reversal degree below actual degree")
         z = self.field.zero.val
-        vals = [z] * (n - self.degree) + list(reversed(self.vals))
+        vals = [z] * (at_degree - self.degree) + list(reversed(self.vals))
         return Poly._of(self.field, _trim(vals, z))
 
     def __call__(self, x):
-        result = x * 0  # zero of x's ring (x may live in an extension)
+        result = x * 0  # zero of x's ring: an element or a Poly over self.field
         for c in reversed(self.coeffs):
             result = result * x + c
         return result

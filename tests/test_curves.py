@@ -26,6 +26,7 @@ from d4vinberg.fields import GF
 from d4vinberg.funcfield import Place, RatFunc
 from d4vinberg.invariants import Invariants
 from d4vinberg.liealg import D4Context
+from d4vinberg.multipoly import MPoly
 from d4vinberg.polys import Poly
 from d4vinberg.quartic import quartic_disc, quartic_poly
 from d4vinberg.rng import det_rng
@@ -401,6 +402,53 @@ def test_i1_certificate_agrees_with_the_oracle_per_place():
                 certified = False
             assert certified == oracle
             verdicts.add(oracle)
+    assert verdicts == {True, False}
+
+
+def test_hessian_identity_behind_the_certificate():
+    # det_h = -2 f''(x0) - 4 fx as polynomials in x0, y0, p2, p4: the node
+    # test of _certify_i1 follows from fx = 0 and a double, not triple, root
+    x0, y0, p2, p4 = (MPoly.var(4, i) for i in range(4))
+    f2 = 12 * x0 * x0 + 6 * p2 * x0 + 2 * p4
+    fx = y0 * y0 - 3 * x0 * x0 - 2 * p2 * x0 - p4
+    det_h = (-6 * x0 - 2 * p2) * (2 * x0) - (2 * y0) * (2 * y0)
+    assert (det_h + 2 * f2 + 4 * fx).is_zero()
+
+
+def _at_infinity(b, d):
+    """b in the chart s = 1/t, reversed at the B_D bounds."""
+    return tuple(p.reversed(at_degree=2 * d * w) for p, w in zip(b, WEIGHTS))
+
+
+def test_i1_certificate_at_infinity_agrees_with_the_oracle():
+    # members with ord_inf = 1 are I1 at s = 0; random tuples with a bad
+    # fibre at infinity give both verdicts, and the certificate mod s
+    # agrees with kodaira_of_reduction on the reduction at s = 0
+    field = GF(5)
+    s = Poly.x(field)
+    cases = [
+        (b, d, True) for d, count in ((1, 40), (2, 10)) for b in sample_xd(field, d, count, seed=16)
+        if xd_membership(field, b, d).ord_inf == 1
+    ]
+    assert cases
+    rng = det_rng(17, "curves-infinity")
+    while len(cases) < 100:
+        b = tuple(Poly(field, [field.random(rng) for _ in range(2 * w + 1)]) for w in WEIGHTS)
+        delta = disc_poly(field, b)
+        if not delta.is_zero() and delta.degree < 24:
+            cases.append((b, 1, False))
+    verdicts = set()
+    for b, d, member in cases:
+        b_rev = _at_infinity(b, d)
+        oracle = kodaira_of_reduction(field, tuple(p[0] for p in b_rev)) == "I1"
+        try:
+            _certify_i1(b_rev, s)
+            certified = True
+        except AssertionError:
+            certified = False
+        assert certified == oracle
+        assert oracle or not member
+        verdicts.add(oracle)
     assert verdicts == {True, False}
 
 

@@ -1,8 +1,11 @@
+import operator
 import time
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from d4vinberg.fields import GF, FElem, extension_of
+from d4vinberg.fields import GF, FElem, PrimeField, extension_of
 from d4vinberg.rng import det_rng
 
 
@@ -96,12 +99,50 @@ def test_quadratic_character():
             assert f.chi(x) == (1 if x in squares else -1)
 
 
+OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
 def test_mixed_base_extension_arithmetic():
+    # elements of two fields never mix; ext.elem is the one embedding
     ext = GF(7, 2)
     a = ext.base.elem(3)
     b = ext.gen
-    assert a * b == b * a
-    assert (a + b) - b == ext.elem(a)
+    for op in OPS:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(TypeError):
+                op(x, y)
+    with pytest.raises(TypeError):
+        GF(7).elem(3) * GF(7, 2).gen
+    lifted = ext.elem(a)
+    assert lifted * b == b * lifted == ext.elem([0, 3])
+    assert (lifted + b) - b == lifted
+    assert b / lifted * lifted == b and lifted / b * b == lifted
+    # an equal field under another object does not mix either
+    with pytest.raises(TypeError):
+        a + PrimeField(7).one
+
+
+@lru_cache(maxsize=None)
+def _int_operand_fields():
+    from d4vinberg.polys import find_irreducible
+
+    tower = extension_of(GF(5, 2), find_irreducible(GF(5, 2), 2).coeffs)
+    return (GF(23), GF(7, 2), tower)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(3)), st.integers(0, 10**6), st.integers(-10**30, 10**30))
+def test_int_operands_read_through_elem(which, index, k):
+    f = _int_operand_fields()[which]
+    x = f.from_int(index % f.order)
+    fk = f.elem(k)
+    for op in OPS[:3]:
+        assert op(x, k) == op(x, fk)
+        assert op(k, x) == op(fk, x)
+    if fk:
+        assert x / k == x / fk
+    if x:
+        assert k / x == fk / x
 
 
 def test_tower_extension():

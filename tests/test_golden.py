@@ -7,9 +7,14 @@ The other reports cover the cusp table, the point counts and Weierstrass
 models of pointed curves over F_5 at d = 1 and 2, orbit reduction, the
 algebra checks and the stabilizer counts at p = 23; the minimal-models
 details pin the X_D samples and their bad-place count.  Each SHA-256 is
-of the CLI output, which carries no wall-clock fields."""
+of the CLI output, which carries no wall-clock fields, or of the standard
+output of a demo script."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +38,16 @@ REPORT_SHA256 = {
         "6065fb82c4f2a413feb37ddff6f48e22634365ba87092b013ededd3af72df38f",
     "stabilizer-check --p 23 --n-samples 5":
         "bd62cd07f5e56a819b88c47e87a2555e031a327b873e03c7da26babf97a0a205",
+}
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMO_STDOUT_SHA256 = {
+    "01_algebra_and_weights.py": "b99f1ee56ffa2aae3ba0d91bb60e9c4ec78402484ba00efb591b764c3b299ee5",
+    "02_invariants_and_slice.py": "d61a6dd023fa3f1b0d92a39af726cd106975bbd626f0d8c638c3e2fbafd571b4",
+    "03_orbit_reduction.py": "b59d470fffea683e35fd1541e472677e00759dfdf4829ba634a170425671c871",
+    "04_pointed_curves.py": "44e5f6622c01c22c50f5212955f49a099349a8c2e3f0988a6ed4eeb058fc6659",
+    "05_cusp_table_and_slopes.py": "da42f95f53a67abb5462134fd43b987ed65f79a66fc19e5a1c7de9c7011c6a96",
+    "06_densities.py": "479e33ff26757cb72f90a25c34828ba1b424f4cb23f8c2b913acef394e27ed69",
 }
 
 
@@ -66,3 +81,17 @@ def test_report_digest_pinned(command, tmp_path):
     out = tmp_path / "report.json"
     assert main(command.split() + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[command]
+
+
+def test_every_demo_is_pinned():
+    assert sorted(p.name for p in (ROOT / "demos").glob("*.py")) == sorted(DEMO_STDOUT_SHA256)
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_STDOUT_SHA256))
+def test_demo_stdout_pinned(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)], capture_output=True, env=env, check=True
+    )
+    assert hashlib.sha256(run.stdout).hexdigest() == DEMO_STDOUT_SHA256[demo]

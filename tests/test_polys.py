@@ -1,7 +1,11 @@
+import operator
 from itertools import product
+
+import pytest
 
 from d4vinberg import polys
 from d4vinberg.fields import GF
+from d4vinberg.funcfield import RatFunc
 from d4vinberg.polys import Poly, factor, gcd, is_irreducible, is_squarefree, roots
 from d4vinberg.rng import det_rng
 
@@ -17,6 +21,25 @@ def test_divmod_and_gcd():
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.degree < b.degree
+
+
+def test_polys_over_two_fields_do_not_mix():
+    base, ext = GF(7), GF(7, 2)
+    a, b = Poly.x(base) + 3, Poly.x(ext) + ext.gen
+    ring_ops = (operator.add, operator.sub, operator.mul)
+    cases = [(x, y, ring_ops) for x, y in ((b, base.elem(3)), (base.elem(3), b))]
+    cases += [(x, y, ring_ops + (divmod, operator.floordiv, operator.mod)) for x, y in ((a, b), (b, a))]
+    for x, y, ops in cases:
+        for op in ops:
+            with pytest.raises(TypeError):
+                op(x, y)
+    for x, y in ((RatFunc(b), base.elem(3)), (RatFunc(b), a), (RatFunc(a), b)):
+        for op in ring_ops:
+            with pytest.raises(TypeError):
+                op(x, y)
+    assert Poly.const(ext, 3) != base.elem(3) and Poly.const(ext, 3) == ext.elem(3) == 3
+    # Poly(ext, coeffs) is the embedding
+    assert Poly(ext, a.coeffs) * b == Poly(ext, [3 * ext.gen, ext.gen + 3, 1])
 
 
 def test_squarefree_examples():
