@@ -101,7 +101,7 @@ class FElem:
         return FElem(self.field, self.field._neg(self.val))
 
     def __truediv__(self, other):
-        if other.__class__ is FElem and other.field is self.field or isinstance(other, int):
+        if (other.__class__ is FElem and other.field is self.field) or isinstance(other, int):
             return self * self.field.elem(other).inverse()
         return NotImplemented
 

@@ -95,7 +95,7 @@ class Poly:
         field, an FElem of self.field or an int; nothing crosses fields."""
         if isinstance(other, Poly):
             return other if other.field is self.field or other.field == self.field else None
-        if isinstance(other, int) or isinstance(other, FElem) and other.field is self.field:
+        if isinstance(other, int) or (isinstance(other, FElem) and other.field is self.field):
             return Poly.const(self.field, other)
         return None
 
