@@ -28,7 +28,8 @@ while True:
         break
 
 curve = PointedCurve(field, b)
-n, (n1, n2), tt = curve_group(field, b)
+n, tt = curve_group(field, b)
+n1, n2 = curve.group_structure()
 print("b =", b)
 print("#E(F_23) =", n, " structure Z/%d x Z/%d" % (n1, n2), " 2-torsion:", tt)
 print("marked points P, Q have orders", curve.order_of(curve.P), curve.order_of(curve.Q))

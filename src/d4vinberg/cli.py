@@ -152,8 +152,7 @@ def _first_good_reduction(field, b):
         b_red = tuple(p(c) for p in b)
         if not quartic_disc(b_red):
             continue
-        n, _, tt = curves.curve_group(field, b_red)
-        return n, tt
+        return curves.curve_group(field, b_red)
     return None, None
 
 

@@ -31,7 +31,13 @@ DEFAULT_MAX_Q = 101
 
 
 class PointedCurve:
-    """Smooth pointed cubic over a finite field, with full group machinery."""
+    """Smooth pointed cubic over a finite field with the chord-tangent law.
+
+    The curve side of the paper needs E[2] and 2E, and both come from one
+    doubling table, ``doubled_set``: #E[2] = #E / #2E and t is 2-divisible
+    iff t is in the table.  ``order_of`` and ``group_structure`` add points
+    until they reach O; nothing on the verification path calls them.
+    """
 
     def __init__(self, field, b, max_q=DEFAULT_MAX_Q):
         self.field = field
@@ -46,7 +52,7 @@ class PointedCurve:
         self.P = (-f.one, f.one, f.zero)
         self.Q = (f.one, f.one, f.zero)
         self._points = None
-        self._structure = None
+        self._doubled = None
         self._oo = self._third(self.O, self.O)
 
     # -- the plane model --
@@ -187,74 +193,33 @@ class PointedCurve:
         return n
 
     def group_structure(self):
-        """(n1, n2) with E(F_q) = Z/n1 x Z/n2, n1 | n2, by exhaustive orders."""
-        if self._structure is not None:
-            return self._structure
+        """(n1, n2) with E(F_q) = Z/n1 x Z/n2, n1 | n2, from the order of
+        every point (uncached; the demo prints it, the tests use it as the
+        oracle of the doubling table)."""
         pts = self.points()
         n = len(pts)
         exponent = 1
-        orders = {}
         for p in pts:
-            o = self.order_of(p)
-            orders[p] = o
-            exponent = lcm(exponent, o)
+            exponent = lcm(exponent, self.order_of(p))
         n1, n2 = n // exponent, exponent
         assert n1 * n2 == n and n2 % n1 == 0, "not of rank <= 2 shape"
-        self._orders = orders
-        self._structure = (n1, n2)
-        return self._structure
-
-    def two_torsion_count(self):
-        n1, n2 = self.group_structure()
-        return (2 if n1 % 2 == 0 else 1) * (2 if n2 % 2 == 0 else 1)
-
-    def generators(self):
-        """(g1, g2) with E = <g1> x <g2>, |g1| = n1, |g2| = n2."""
-        n1, n2 = self.group_structure()
-        pts = self.points()
-        g2 = next(p for p in pts if self._orders[p] == n2)
-        cyc = set()
-        cur = self.O
-        for _ in range(n2):
-            cyc.add(cur)
-            cur = self.add(cur, g2)
-        if n1 == 1:
-            return self.O, g2
-        for p in pts:
-            if self._orders[p] != n1:
-                continue
-            ok = True
-            for ell in polys.prime_divisors(n1):
-                if self.mul(n1 // ell, p) in cyc:
-                    ok = False
-                    break
-            if ok:
-                return p, g2
-        raise AssertionError("no complementary generator found")
-
-    def dlog(self, t):
-        """(i, j) with t = i g1 + j g2."""
-        g1, g2 = self.generators()
-        n1, n2 = self.group_structure()
-        cur_j = self.O
-        for j in range(n2):
-            cur = cur_j
-            for i in range(n1):
-                if cur == t:
-                    return i, j
-                cur = self.add(cur, g1)
-            cur_j = self.add(cur_j, g2)
-        raise AssertionError("point not on the curve")
-
-    def is_two_divisible(self, t):
-        """t in 2 E(F_q), via the enumerated group structure."""
-        n1, n2 = self.group_structure()
-        i, j = self.dlog(t)
-        return (n1 % 2 == 1 or i % 2 == 0) and (n2 % 2 == 1 or j % 2 == 0)
+        return n1, n2
 
     def doubled_set(self):
-        """{2P}: the brute-force halving oracle."""
-        return {self.mul(2, p) for p in self.points()}
+        """2E(F_q) = {P + P}, built once per curve."""
+        if self._doubled is None:
+            self._doubled = frozenset(self.add(p, p) for p in self.points())
+        return self._doubled
+
+    def two_torsion_count(self):
+        """#E[2] = #E / #2E: doubling is a homomorphism with kernel E[2]."""
+        n, m = len(self.points()), len(self.doubled_set())
+        assert n % m == 0 and n // m in (1, 2, 4), "doubling table is not a group map"
+        return n // m
+
+    def is_two_divisible(self, t):
+        """t in 2E(F_q), read from the doubling table."""
+        return t in self.doubled_set()
 
 
 def _cross(a, b):
@@ -266,11 +231,10 @@ def _cross(a, b):
 
 
 def curve_group(field, b, max_q=DEFAULT_MAX_Q):
-    """(point count, (n1, n2), two-torsion count) of the pointed cubic."""
+    """(point count, two-torsion count) of the pointed cubic; no element
+    order is computed."""
     curve = PointedCurve(field, b, max_q=max_q)
-    n = curve.point_count()
-    structure = curve.group_structure()
-    return n, structure, curve.two_torsion_count()
+    return curve.point_count(), curve.two_torsion_count()
 
 
 def to_weierstrass(field, b):

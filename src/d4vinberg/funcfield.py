@@ -1,8 +1,11 @@
-"""The rational function field F_q(t): places, valuations, truncations.
+"""The rational function field F_q(t): places, rational functions and
+their supports.
 
 Finite places are monic irreducible polynomials pi(t); the place at infinity
 is first-class with uniformizer 1/t, so global degree bookkeeping (product
-formula, section degrees on P^1) flows through it uniformly.
+formula, section degrees on P^1) flows through it uniformly.  ``support``
+gives the valuations of a rational function at every place where it is not
+zero, from one factorization of its numerator and denominator.
 """
 
 from . import polys
@@ -48,7 +51,7 @@ class Place:
     def reduce_poly(self, f: Poly):
         """Image of f in k(v) (finite places; degree-1 places give F_q)."""
         if self.is_infinite:
-            raise ValueError("use local_data for the infinite place")
+            raise ValueError("reduce_poly needs a finite place")
         r = f % self.poly
         if self.degree == 1:
             return r(-self.poly[0])
@@ -66,29 +69,6 @@ class Place:
 
     def __repr__(self):
         return "Place(oo)" if self.is_infinite else f"Place({self.poly.to_str()})"
-
-
-class LocalTrunc:
-    """Residue class in O_v/(pi^k), canonical representative of degree
-    < k*deg(pi) in the uniformizer chart."""
-
-    __slots__ = ("place", "level", "value")
-
-    def __init__(self, place, level, value: Poly):
-        self.place = place
-        self.level = level
-        self.value = value
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LocalTrunc)
-            and self.place == other.place
-            and self.level == other.level
-            and self.value == other.value
-        )
-
-    def __repr__(self):
-        return f"LocalTrunc({self.place!r}, k={self.level}, {self.value.to_str()!r})"
 
 
 class RatFunc:
@@ -158,82 +138,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.num.to_str()!r} / {self.den.to_str()!r})"
-
-
-def _mult_at(f: Poly, pi: Poly) -> int:
-    """Multiplicity of the irreducible pi in f (f nonzero)."""
-    m = 0
-    while True:
-        q, r = divmod(f, pi)
-        if not r.is_zero():
-            return m
-        f = q
-        m += 1
-
-
-def ord_at(r, place: Place) -> int:
-    """Normalized valuation ord_v(r); r nonzero (RatFunc or Poly)."""
-    if isinstance(r, Poly):
-        r = RatFunc(r)
-    if r.is_zero():
-        raise ValueError("ord of zero")
-    if place.is_infinite:
-        return r.den.degree - r.num.degree
-    return _mult_at(r.num, place.poly) - _mult_at(r.den, place.poly)
-
-
-def local_data(r, place: Place, k: int):
-    """(ord, LocalTrunc) of r at the place, truncation level k >= 1.
-
-    Truncation requires ord >= 0; elements with poles cannot be truncated.
-    """
-    if k < 1:
-        raise ValueError("truncation level must be >= 1")
-    if isinstance(r, Poly):
-        r = RatFunc(r)
-    if r.is_zero():
-        return None, LocalTrunc(place, k, Poly(r.field))
-    o = ord_at(r, place)
-    if o < 0:
-        raise ValueError(f"cannot truncate an element with a pole (ord {o})")
-    field = r.field
-    if place.is_infinite:
-        # chart s = 1/t: r(t) = s^(deg den - deg num) * rev(num)/rev(den)
-        d = r.num.degree if r.num.degree > r.den.degree else r.den.degree
-        num_s = r.num.reversed(at_degree=d)
-        den_s = r.den.reversed(at_degree=d)
-        pi = Poly.x(field)
-        value = _series_quotient(num_s, den_s, pi, k)
-    else:
-        pi = place.poly
-        value = _series_quotient(r.num, r.den, pi, k)
-    return o, LocalTrunc(place, k, value)
-
-
-def _series_quotient(num: Poly, den: Poly, pi: Poly, k: int) -> Poly:
-    """num/den mod pi^k for den coprime to pi (num may be divisible)."""
-    pik = pi**k
-    den_red = den % pik
-    # invert den modulo pi^k via extended gcd (unit since gcd(den, pi) = 1)
-    g, s, _ = polys.xgcd(den_red, pik)
-    if not g.is_constant():
-        raise ValueError("denominator not a unit at the place")
-    inv = s * g.lead().inverse()
-    return (num * inv) % pik
-
-
-def places_of_degree(field, n: int):
-    """All places of degree n of P^1 over F_q (including oo for n = 1)."""
-    out = []
-    if n == 1:
-        out.append(Place.infinite(field))
-        x = Poly.x(field)
-        for c in field:
-            out.append(Place(field, x - c))
-        return out
-    for f in polys.monic_irreducibles(field, n):
-        out.append(Place(field, f, _trusted=True))
-    return out
 
 
 def count_monic_irreducibles(q: int, n: int) -> int:

@@ -497,9 +497,9 @@ def squarefree_int_list(coeffs, p):
     return polys.is_squarefree_raw(GF(p), coeffs)
 
 
-def il_factor(coeffs, p, seed=0):
+def il_factor(coeffs, p):
     """[(tuple coeffs of monic irreducible, multiplicity)], sorted."""
-    return [(g.vals, mult) for g, mult in polys.factor(polys.Poly(GF(p), coeffs), seed)]
+    return [(g.vals, mult) for g, mult in polys.factor(polys.Poly(GF(p), coeffs))]
 
 
 def intlist_ring(p):

@@ -13,7 +13,6 @@ itself, which vanishes exactly on {1,3,4,5}.
 from itertools import combinations
 
 from . import linalg
-from .curves import PointedCurve
 from .liealg import (
     LABEL_SIGNS,
     TorusGen,
@@ -166,9 +165,3 @@ def reduce_trivial(inv, v: VElem) -> ReductionResult:
     if not certified:
         raise AssertionError("reduction certificate failed")
     return ReductionResult(w_name, word, certified, kb)
-
-
-def class_two_divisible(field, b, r_point, rp_point, max_q=101):
-    """[R - R'] in 2 J_b(F_q), via the enumerated group structure."""
-    curve = PointedCurve(field, b, max_q=max_q)
-    return curve.is_two_divisible(curve.sub(r_point, rp_point))

@@ -215,12 +215,12 @@ def is_irreducible(fpoly: Poly) -> bool:
     return is_irreducible_raw(fpoly.field, fpoly.vals)
 
 
-def factor(fpoly: Poly, seed=0):
+def factor(fpoly: Poly):
     """Full factorization: [(monic irreducible, multiplicity)], sorted."""
     if fpoly.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     f = fpoly.field
-    return [(Poly._of(f, g), mult) for g, mult in factor_raw(f, fpoly.vals, seed)]
+    return [(Poly._of(f, g), mult) for g, mult in factor_raw(f, fpoly.vals)]
 
 
 def roots(fpoly: Poly):
@@ -252,16 +252,6 @@ def monic_irreducibles(field, degree: int):
 def find_irreducible(field, degree: int) -> Poly:
     """The first of monic_irreducibles(field, degree)."""
     return next(monic_irreducibles(field, degree))
-
-
-def prime_divisors(n):
-    """The primes dividing n >= 1, ascending: the divisors of n that no
-    smaller one of them divides."""
-    out = []
-    for d in range(2, n + 1):
-        if n % d == 0 and all(d % e for e in out):
-            out.append(d)
-    return out
 
 
 # -- the raw layer: F is the field, polynomials are trimmed raw-value lists --
@@ -431,12 +421,12 @@ def distinct_degree_raw(F, f):
     return out
 
 
-def equal_degree_raw(F, f, d, seed=0):
+def equal_degree_raw(F, f, d):
     """Cantor-Zassenhaus split of a monic squarefree product of degree-d
     irreducibles."""
     if len(f) - 1 == d:
         return [f]
-    rng = det_rng(seed, "edf:" + ",".join(map(str, f)))
+    rng = det_rng(0, "edf:" + ",".join(map(str, f)))
     e = (F.order**d - 1) // 2
     z = F.zero.val
     work, out, tries = [f], [], 0
@@ -462,13 +452,13 @@ def equal_degree_raw(F, f, d, seed=0):
     return out
 
 
-def factor_raw(F, f, seed=0):
+def factor_raw(F, f):
     """[(monic irreducible, multiplicity)] of nonzero f, sorted by degree,
     then by the codes of the coefficients."""
     out = []
     for g, mult in squarefree_decomposition_raw(F, f):
         for h, d in distinct_degree_raw(F, g):
-            out += [(irr, mult) for irr in equal_degree_raw(F, h, d, seed)]
+            out += [(irr, mult) for irr in equal_degree_raw(F, h, d)]
     out.sort(key=lambda t: (len(t[0]), [F.to_int(FElem(F, c)) for c in t[0]]))
     return out
 

@@ -29,6 +29,7 @@ from .liealg import (
     W0_PERMS,
     WeylGen,
     fundamental_group_divisors,
+    fundamental_group_order,
     leq,
     pairing,
     w0_label_perm,
@@ -280,7 +281,8 @@ def orbit_suite(p=23, planted=100, pattern_trials=1000, seed=0):
 
 @_suite("stabilizer-two-torsion")
 def stabilizer_suite(p=23, n=100, seed=0, max_q=101):
-    """#Z_G(kappa_b)(F_q) = #J_b[2](F_q), curve side two independent ways."""
+    """#Z_G(kappa_b)(F_q) = #J_b[2](F_q), the curve side two independent
+    ways: the doubling table and the 2-division polynomial."""
     field = GF(p)
     ctx = D4Context(field)
     inv = Invariants(ctx, seed=seed)
@@ -292,14 +294,14 @@ def stabilizer_suite(p=23, n=100, seed=0, max_q=101):
         if not quartic_disc(b):
             continue
         group_side = curves.stabilizer_two_torsion(inv, b)
-        count, structure, tt_enum = curves.curve_group(field, b, max_q=max_q)
+        count, tt_doubling = curves.curve_group(field, b, max_q=max_q)
         a_coef, b_coef = curves.to_weierstrass(field, b)
         tt_division = curves.weierstrass_two_torsion(field, a_coef, b_coef)
         assert curves.weierstrass_count(field, a_coef, b_coef) == count
-        assert tt_enum == tt_division == group_side, (
+        assert tt_doubling == tt_division == group_side, (
             b,
             group_side,
-            tt_enum,
+            tt_doubling,
             tt_division,
         )
         hist[group_side] = hist.get(group_side, 0) + 1
@@ -481,16 +483,15 @@ def minimal_model_suite(q=5, samples_per_d=500, seed=0, torsion_checks=10):
 def pi1_suite():
     divisors = fundamental_group_divisors()
     assert sorted(d for d in divisors if d != 1) == [2, 2, 2]
-    order = 1
-    for d in divisors:
-        order *= d
+    order = fundamental_group_order()
     assert order == 8
     return {"elementary_divisors": divisors, "order": order}
 
 
 @_suite("core-arithmetic")
 def core_suite(p=23, m=2, seed=0, triples=1000):
-    """Field axioms, discriminant scaling, product formula, truncations."""
+    """Field axioms, the weighted scaling of the discriminant and the
+    product formula over F_q(t)."""
     rng = det_rng(seed, "core-suite")
     for field in (GF(p), GF(p, m), GF(5)):
         for _ in range(triples // 3):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from d4vinberg import numkernels, polys
+from d4vinberg import numkernels, polys, verify
 from d4vinberg.curves import (
     SAMPLE_BLOCK,
     WEIGHTS,
@@ -85,7 +86,7 @@ def test_counts_match_weierstrass_model():
     rng = det_rng(2, "curves-weier")
     for _ in range(20):
         b = _random_smooth_b(field, rng)
-        n, _, tt = curve_group(field, b)
+        n, tt = curve_group(field, b)
         a_coef, b_coef = to_weierstrass(field, b)
         assert weierstrass_count(field, a_coef, b_coef) == n
         assert weierstrass_two_torsion(field, a_coef, b_coef) == tt
@@ -96,7 +97,7 @@ def test_counts_match_weierstrass_model():
 def test_b_0001_style_count_match():
     field = GF(23)
     b = (field.zero, field.zero, field.zero, -field.one)
-    n, _, _ = curve_group(field, b)
+    n = curve_group(field, b)[0]
     a_coef, b_coef = to_weierstrass(field, b)
     assert weierstrass_count(field, a_coef, b_coef) == n
 
@@ -130,7 +131,7 @@ def test_stabilizer_matches_curve_two_torsion():
     for _ in range(25):
         b = _random_smooth_b(field, rng)
         group_side = stabilizer_two_torsion(inv, b)
-        assert group_side == curve_group(field, b)[2]
+        assert group_side == curve_group(field, b)[1]
         # geometric two-torsion over the splitting field
         degs = [g.degree for g, _ in polys.factor(quartic_poly(field, b))]
         m = math.lcm(*degs)
@@ -161,7 +162,89 @@ def test_fully_split_two_torsion():
         if quartic_disc(b):
             break
     assert stabilizer_two_torsion(inv, b) == 4
-    assert curve_group(field, b)[2] == 4
+    assert curve_group(field, b)[1] == 4
+
+
+def _v2(n):
+    return (n & -n).bit_length() - 1
+
+
+def _check_doubling_table(curve):
+    """The doubling table against the order oracle: (n1, n2) from
+    ``group_structure`` and e_i = v2(n_i)."""
+    pts = curve.points()
+    n1, n2 = curve.group_structure()
+    e1, e2 = _v2(n1), _v2(n2)
+    tt = curve.two_torsion_count()
+    assert tt == (2 if e1 else 1) * (2 if e2 else 1)
+    divisible = [t for t in pts if curve.is_two_divisible(t)]
+    assert len(divisible) * tt == len(pts)
+    for t in pts:
+        if curve.order_of(t) % 2:
+            assert curve.is_two_divisible(t)
+    if e2 == 0:
+        assert len(divisible) == len(pts)
+    elif e1 in (0, e2):
+        # the 2-part is Z/2^e2 or (Z/2^e2)^2: t is a double iff (n2/2) t = O
+        for t in pts:
+            assert curve.is_two_divisible(t) == (curve.mul(n2 // 2, t) == curve.O)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.sampled_from([23, 29, 31]), coeffs=st.lists(st.integers(0, 30), min_size=4, max_size=4))
+def test_doubling_table_against_the_order_oracle(p, coeffs):
+    field = GF(p)
+    b = tuple(field.elem(c) for c in coeffs)
+    assume(quartic_disc(b))
+    _check_doubling_table(PointedCurve(field, b))
+
+
+def test_doubling_table_on_full_two_torsion_curve():
+    # a Z/2 x Z/2k curve with k even, so that #E[2] = 4 and a point of
+    # order 4 are covered whatever the hypothesis draws
+    field = GF(23)
+    rng = det_rng(8, "orbit-2x2k")
+    while True:
+        b = tuple(field.random(rng) for _ in range(4))
+        if not quartic_disc(b):
+            continue
+        curve = PointedCurve(field, b)
+        n1, n2 = curve.group_structure()
+        if n1 % 2 == 0 and n2 % 2 == 0:
+            break
+    assert (n1, n2) == (2, 12)
+    assert curve.two_torsion_count() == 4
+    _check_doubling_table(curve)
+    # with n1 = 2, E = Z/2 + <g> for any g of order n2, so 2E = <2g>
+    pts = curve.points()
+    g2 = curve.mul(2, next(p for p in pts if curve.order_of(p) == n2))
+    halves = {curve.mul(j, g2) for j in range(n2 // 2)}
+    assert curve.doubled_set() == halves
+    # [R - R'] in 2E(F_q) on random pairs
+    for _ in range(20):
+        r1 = pts[int(rng.integers(0, len(pts)))]
+        r2 = pts[int(rng.integers(0, len(pts)))]
+        t = curve.sub(r1, r2)
+        assert curve.is_two_divisible(t) == (t in halves)
+
+
+def test_curve_side_computes_no_element_order(monkeypatch):
+    def no_orders(self, p):
+        raise AssertionError("order_of called")
+
+    monkeypatch.setattr(PointedCurve, "order_of", no_orders)
+    field = GF(23)
+    rng = det_rng(9, "curves-no-orders")
+    for _ in range(10):
+        b = _random_smooth_b(field, rng)
+        n, tt = curve_group(field, b)
+        a_coef, b_coef = to_weierstrass(field, b)
+        assert (n, tt) == (
+            weierstrass_count(field, a_coef, b_coef),
+            weierstrass_two_torsion(field, a_coef, b_coef),
+        )
+    result = verify.stabilizer_suite(p=23, n=3)
+    assert result["passed"], result["details"]
 
 
 def test_minimal_data_weighted_example():

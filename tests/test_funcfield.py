@@ -1,16 +1,6 @@
-import pytest
-
+from d4vinberg import polys
 from d4vinberg.fields import GF
-from d4vinberg.funcfield import (
-    LocalTrunc,
-    Place,
-    RatFunc,
-    count_monic_irreducibles,
-    local_data,
-    ord_at,
-    places_of_degree,
-    support,
-)
+from d4vinberg.funcfield import Place, RatFunc, count_monic_irreducibles, support
 from d4vinberg.polys import Poly
 from d4vinberg.rng import det_rng
 
@@ -18,39 +8,6 @@ from d4vinberg.rng import det_rng
 def setup_module(module):
     module.F = GF(5)
     module.t = Poly.x(module.F)
-
-
-def test_ord_examples():
-    r = RatFunc(t * t)
-    assert ord_at(r, Place(F, t)) == 2
-    assert ord_at(r, Place.infinite(F)) == -2
-
-
-def test_pole_truncation_rejected():
-    r = RatFunc(t + 1, t)
-    assert ord_at(r, Place(F, t)) == -1
-    with pytest.raises(ValueError):
-        local_data(r, Place(F, t), 2)
-
-
-def test_truncation_value():
-    # (t+1)/(t+2) mod t^3 over F_5 is 3 + 4t + 3t^2 (hand computation)
-    o, tr = local_data(RatFunc(t + 1, t + 2), Place(F, t), 3)
-    assert o == 0
-    assert [c.val for c in tr.value.coeffs] == [3, 4, 3]
-
-
-def test_truncation_at_infinity():
-    # t^2/(t^2+1) = 1/(1+s^2) = 1 - s^2 + ... in the s = 1/t chart
-    o, tr = local_data(RatFunc(t * t, t * t + 1), Place.infinite(F), 3)
-    assert o == 0
-    assert [c.val for c in tr.value.coeffs] == [1, 0, 4]
-
-
-def test_canonical_representative_degree():
-    place = Place(F, t * t + t + 1)  # degree 2
-    o, tr = local_data(RatFunc(t + 3, t + 1), place, 2)
-    assert tr.value.degree < 2 * place.degree
 
 
 def test_product_formula():
@@ -69,8 +26,7 @@ def test_product_formula():
 
 
 def test_place_counts():
-    assert len(places_of_degree(F, 1)) == 6  # five finite + infinity
-    assert len(places_of_degree(F, 2)) == count_monic_irreducibles(5, 2) == 10
+    assert count_monic_irreducibles(5, 2) == len(list(polys.monic_irreducibles(F, 2))) == 10
     assert count_monic_irreducibles(5, 3) == 40
 
 

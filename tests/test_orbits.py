@@ -1,6 +1,5 @@
 import pytest
 
-from d4vinberg.curves import PointedCurve
 from d4vinberg.fields import GF
 from d4vinberg.invariants import Invariants
 from d4vinberg.liealg import (
@@ -17,7 +16,6 @@ from d4vinberg.orbits import (
     PARABOLIC_SETS,
     WEIERSTRASS_SETS,
     ReductionResult,
-    class_two_divisible,
     lambda_max,
     pattern_classify,
     reduce_trivial,
@@ -130,46 +128,6 @@ def test_reduce_trivial_rejects_bad_input():
     v = VElem(ctx, [F.random_nonzero(rng) for _ in range(16)])
     with pytest.raises(ValueError):
         reduce_trivial(inv, v)
-
-
-def test_class_two_divisible_examples():
-    field = GF(23)
-    rng = det_rng(7, "orbit-curve")
-    while True:
-        b = tuple(field.random(rng) for _ in range(4))
-        if quartic_disc(b):
-            break
-    curve = PointedCurve(field, b)
-    pts = curve.points()
-    # R = R' is trivially divisible
-    assert class_two_divisible(field, b, pts[4], pts[4])
-    # odd-order points are two-divisible
-    odd = next(p for p in pts if curve.order_of(p) % 2 == 1)
-    assert class_two_divisible(field, b, odd, curve.O)
-    # structure route agrees with the brute-force halving oracle on random pairs
-    doubled = curve.doubled_set()
-    for _ in range(10):
-        r1 = pts[int(rng.integers(0, len(pts)))]
-        r2 = pts[int(rng.integers(0, len(pts)))]
-        assert class_two_divisible(field, b, r1, r2) == (curve.sub(r1, r2) in doubled)
-
-
-def test_class_two_divisible_on_full_two_torsion_curve():
-    # find a curve with Z/2 x Z/2k structure and check against the oracle
-    field = GF(23)
-    rng = det_rng(8, "orbit-2x2k")
-    while True:
-        b = tuple(field.random(rng) for _ in range(4))
-        if not quartic_disc(b):
-            continue
-        curve = PointedCurve(field, b)
-        n1, n2 = curve.group_structure()
-        if n1 % 2 == 0 and n2 % 2 == 0:
-            break
-    pts = curve.points()
-    doubled = curve.doubled_set()
-    for p in pts:
-        assert curve.is_two_divisible(p) == (p in doubled)
 
 
 def test_pattern_classifier_w0_equivariance():
