@@ -134,15 +134,16 @@ class PointedCurve:
         return self.add(p1, self.neg(p2))
 
     def mul(self, n, p):
+        """n p by double-and-add from the top bit of |n|."""
         if n < 0:
             return self.mul(-n, self.neg(p))
-        acc = self.O
-        base = p
-        while n:
-            if n & 1:
-                acc = self.add(acc, base)
-            base = self.add(base, base)
-            n >>= 1
+        if not n:
+            return self.O
+        acc = p
+        for bit in bin(n)[3:]:
+            acc = self.add(acc, acc)
+            if bit == "1":
+                acc = self.add(acc, p)
         return acc
 
     def order_of(self, p):

@@ -3,10 +3,13 @@
 The four invariants are calibrated combinations of primitive conjugation
 invariants of the 8x8 matrix view: the even characteristic polynomial
 coefficients c2, c4, c6 and the Pfaffian of Psi*v.  ``primitives`` computes
-them once, from the 4x4 blocks X, Y of v = [[0, X], [Y, 0]] through the
+them once, from the 4x4 blocks X, Y of v = [[0, X], [Y, 0]] that
+``liealg.v_blocks`` gathers from the 16 weight coordinates, through the
 ring-generic routines of ``linalg`` (c2, c4, c6 from M = XY, and Pf = det X),
-for a VElem and for the symbolic MPoly matrices of the Kostant and slice
-charts; ``numkernels.dual_primitives`` does the same on dual numbers.
+for a VElem and for the symbolic MPoly coordinates of the Kostant and slice
+charts; ``numkernels.dual_primitives`` does the same on dual numbers.  The
+points of the charts, symbolic or at field values, come from one
+coordinate-wise pass, ``_chart_coords``.
 The calibration ansatz
 
     p2 = u1 c2,  q4 = u2 Pf,  p4 = u3 c4 + u4 c2^2 + u5 Pf,
@@ -49,16 +52,16 @@ MIN_LIE_CHAR = 23  # standing hypothesis for the section/slice machinery
 def primitives(ctx: D4Context, v):
     """(c2, c4, pf, c6) of v; valid for any p >= 5.
 
-    v is a VElem, or the 8x8 matrix of one with entries in any commutative
-    ring over ctx.field (the symbolic charts pass MPolys).  On (EVEN, ODD)
-    the matrix is [[0, X], [Y, 0]] (``liealg.v_blocks``), so c2, c4, c6
-    come from the two 4x4 products of ``linalg.block_even_coeffs``.  Psi
-    permutes rows by IOTA, which permutes EVEN evenly, so the antisymmetric
-    Psi v is [[0, X'], [-X'^T, 0]] with det X' = det X; the reordering to
-    (EVEN, ODD) is even too, so Pf(Psi v) = det X.
+    v is a VElem, or its 16 weight coordinates in any commutative ring over
+    ctx.field (the symbolic charts pass MPolys).  On (EVEN, ODD) its matrix
+    is [[0, X], [Y, 0]], with X and Y gathered from the coordinates by
+    ``liealg.v_blocks`` (no 8x8 matrix is built), so c2, c4, c6 come from
+    the two 4x4 products of ``linalg.block_even_coeffs``.  Psi permutes
+    rows by IOTA, which permutes EVEN evenly, so the antisymmetric Psi v is
+    [[0, X'], [-X'^T, 0]] with det X' = det X; the reordering to (EVEN, ODD)
+    is even too, so Pf(Psi v) = det X.
     """
-    m = v.to_matrix() if isinstance(v, VElem) else v
-    x, y = v_blocks(m)
+    x, y = v_blocks(v.coords if isinstance(v, VElem) else v)
     c2, c4, c6 = linalg.block_even_coeffs(x, y, ctx.field.char)
     return c2, c4, linalg.det_leibniz(x), c6
 
@@ -173,20 +176,14 @@ class Invariants:
         return self._kappa_point(t)
 
     def _kappa_point(self, t) -> VElem:
-        v = self.E
-        for c, z in zip(t, self.Z):
-            v = v + z.scale(c)
-        return v
+        return VElem(self.ctx, _chart_coords(self.E.coords, self.Z, t))
 
     def slice_param(self, cs) -> VElem:
         f = self.ctx.field
         cs = [f.elem(c) for c in cs]
         if len(cs) != 5:
             raise ValueError("five slice coordinates required")
-        v = self.e
-        for c, w in zip(cs, self.W):
-            v = v + w.scale(c)
-        return v
+        return VElem(self.ctx, _chart_coords(self.e.coords, self.W, cs))
 
     def slice_coords(self, v: VElem):
         """(x, y, b) for v in Sigma; raises if v is not on the slice."""
@@ -327,26 +324,26 @@ def _graded_centralizer_basis(ctx, y: VElem, cochar, expect_weights, expect_h_di
 
 def _chart_primitives(ctx, base: VElem, directions, nvars):
     """Symbolic (C2, C4, PF, C6) on base + sum_i x_i * directions[i]."""
-    return primitives(ctx, _chart_matrix(base, directions, nvars))
+    one = ctx.field.one
+    return primitives(ctx, _chart_coords(
+        [MPoly.const(nvars, c) for c in base.coords],
+        directions,
+        [MPoly.var(nvars, i, one) for i in range(len(directions))],
+    ))
 
 
-def _chart_matrix(base: VElem, directions, nvars):
-    """The 8x8 MPoly matrix of base + sum_i x_i * directions[i]."""
-    base_m = base.to_matrix()
-    dir_ms = [d.to_matrix() for d in directions]
-    mat = []
-    for i in range(8):
-        row = []
-        for j in range(8):
-            terms = {}
-            if base_m[i][j]:
-                terms[(0,) * nvars] = base_m[i][j]
-            for k, dm in enumerate(dir_ms):
-                if dm[i][j]:
-                    terms[_unit(nvars, k)] = dm[i][j]
-            row.append(MPoly(nvars, terms))
-        mat.append(row)
-    return mat
+def _chart_coords(base, directions, t):
+    """The 16 coordinates of base + sum_k t[k] directions[k], in one pass
+    over the nonzero coordinates of each direction: base is a coordinate
+    sequence and t holds field elements, or MPoly variables for a chart."""
+    coords = list(base)
+    for c, d in zip(t, directions):
+        if not c:
+            continue
+        for l, a in enumerate(d.coords):
+            if a:
+                coords[l] = coords[l] + c * a
+    return coords
 
 
 def _unit(nvars, i):

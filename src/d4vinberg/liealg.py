@@ -7,24 +7,25 @@ partial order; the adjoint torus T(k) = Hom(root lattice, k^x) is stored by
 its values on the simple-root basis of H, which is exactly what the
 constructive orbit reduction needs.
 
-The matrix entries of the root vectors (``ROOT_ENTRIES``) and of the
-weight basis of V (``V_ENTRIES``) do not depend on the field and are module
-tables.  So is ``V_BLOCKS``, the place of each weight coordinate in the
-blocks X and Y of [[0, X], [Y, 0]], the shape of V on the positions
-(EVEN, ODD) of theta; ``numkernels`` scatters by it.  Everything else is
-built once per field and cached on a D4Context: the root vectors, checked
-once to square to zero (so exp(c X) = I + c X, with inverse exp(-c X)),
-the weight basis ``v_basis`` and the bases of h and g that ``ad_matrix``
-brackets against.  All operations are pure and the context is safe to
-share.  pi_1(G) is read off the pairings <coroot, alpha_i>, the coroot
-coordinates in the fundamental-coweight basis of X_*(T).
+V stays in weight coordinates.  Module tables, built at import from sparse
+products of the matrix entries of the root vectors (``ROOT_ENTRIES``) and
+of the weight basis (``V_ENTRIES``), replace the 8x8 round trip: a root
+vector X of G sends each e_s to +/-e_t or 0 and X v X = 0 on V, so exp(c X)
+acts as v + c[X, v] (``G_ROOT_MOVES``); the Klein group permutes the e_s
+with signs (``W0_MOVES``); and ``BLOCK_GATHER`` fills the blocks X, Y of
+v = [[0, X], [Y, 0]] on the positions (EVEN, ODD) of theta.  The 8x8 view
+(``VElem.to_matrix``) stays where h is needed: ``ad_matrix`` against the
+bases of h and g, centralizers, the minimal polynomial.  Those bases are
+built once per field and cached on a D4Context, which is safe to share.
+pi_1(G) is read off the pairings <coroot, alpha_i>, the coroot coordinates
+in the fundamental-coweight basis of X_*(T).
 """
 
 from . import linalg
 from .fields import split_top
 from .linalg import mat_mul, mat_sub
 from .quartic import disc_univariate
-from .polys import Poly
+from .polys import Poly, is_squarefree
 
 # positions 0..7 carry torus characters +/- e_k:
 POS_CHAR = [
@@ -166,28 +167,101 @@ EVEN = tuple(i for i in range(8) if S_SIGNS[i] == 1)
 ODD = tuple(i for i in range(8) if S_SIGNS[i] == -1)
 
 
-def _v_blocks():
-    """Per weight coordinate, in label order: its entry (row, col, sign) in
-    X and its entry in Y.  The primary entry carries +1, the partner -1."""
-    out = []
-    for entries in V_ENTRIES:
-        x = y = None
-        for (i, j), sign in zip(entries, (1, -1)):
-            if i in EVEN and j in ODD:
-                x = (EVEN.index(i), ODD.index(j), sign)
-            elif i in ODD and j in EVEN:
-                y = (ODD.index(i), EVEN.index(j), sign)
-        assert x is not None and y is not None, "a weight vector of V is not off-diagonal"
-        out.append((x, y))
-    return tuple(out)
+# entry (i, j) of V -> (weight coordinate, +1 at its primary entry, -1 at its partner)
+_V_OWNER = {
+    entry: (k, sign)
+    for k, entries in enumerate(V_ENTRIES)
+    for entry, sign in zip(entries, (1, -1))
+}
 
 
-V_BLOCKS = _v_blocks()
+def _sparse_mul(a, b):
+    """Product of sparse integer matrices {(i, j): entry}, zeros dropped."""
+    out = {}
+    for (i, k), x in a.items():
+        for (k2, j), y in b.items():
+            if k == k2:
+                out[i, j] = out.get((i, j), 0) + x * y
+    return {e: c for e, c in out.items() if c}
 
 
-def v_blocks(m):
-    """The blocks (X, Y) = (m[EVEN, ODD], m[ODD, EVEN]) of an 8x8 matrix of V."""
-    return [[m[i][j] for j in ODD] for i in EVEN], [[m[i][j] for j in EVEN] for i in ODD]
+def _as_weight_vector(m):
+    """(t, c) with the sparse matrix m equal to c e_t for c = +/-1 (e_t is +1
+    at the primary entry and -1 at the partner); ValueError otherwise."""
+    entry = next(iter(m), None)
+    if entry in _V_OWNER:
+        t, sign = _V_OWNER[entry]
+        c = m[entry] * sign
+        if c in (1, -1) and m == {e: c * s for e, s in zip(V_ENTRIES[t], (1, -1))}:
+            return t, c
+    raise ValueError("not a signed weight vector of V")
+
+
+def _g_root_moves():
+    """root of G -> the moves (s, t, c) with [X, e_s] = c e_t, s and t
+    coordinate indices in label order.
+
+    Each [X, e_s] must lie in V, and X e_s X must vanish: by linearity
+    (I + cX) v (I - cX) = v + c[X, v] on all of V, so a unipotent acts on
+    the coordinates with no check per call.
+    """
+    out = {}
+    for root, entries in ROOT_ENTRIES.items():
+        (i, j), _ = entries
+        if S_SIGNS[i] != S_SIGNS[j]:
+            continue  # a root of V
+        x = dict(zip(entries, (1, -1)))
+        if _sparse_mul(x, x):
+            raise ValueError("root vector does not square to zero")
+        moves = []
+        for s, e in enumerate(dict(zip(e_entries, (1, -1))) for e_entries in V_ENTRIES):
+            xe, ex = _sparse_mul(x, e), _sparse_mul(e, x)
+            if _sparse_mul(xe, x):
+                raise ValueError("X e_s X is not zero")
+            br = {k: xe.get(k, 0) - ex.get(k, 0) for k in xe.keys() | ex.keys()}
+            br = {k: c for k, c in br.items() if c}
+            if br:
+                moves.append((s, *_as_weight_vector(br)))
+        out[root] = tuple(moves)
+    return out
+
+
+def _w0_moves():
+    """W0 element -> per coordinate s, (t, sign) with P e_s P^T = sign e_t,
+    where P e_j = e_perm[j] for its position permutation perm."""
+    return {
+        name: tuple(
+            _as_weight_vector({(perm[i], perm[j]): c for (i, j), c in zip(entries, (1, -1))})
+            for entries in V_ENTRIES
+        )
+        for name, perm in W0_POSITION_PERMS.items()
+    }
+
+
+def _block_gather():
+    """Per block, X = v[EVEN, ODD] and then Y = v[ODD, EVEN], and per entry
+    of it in row-major order: the (coordinate, sign) of ``_V_OWNER``."""
+    blocks = tuple(
+        tuple(_V_OWNER.get((i, j)) for i in rows for j in cols)
+        for rows, cols in ((EVEN, ODD), (ODD, EVEN))
+    )
+    assert None not in blocks[0] + blocks[1], "a weight vector of V is not off-diagonal"
+    return blocks
+
+
+G_ROOT_MOVES = _g_root_moves()
+W0_MOVES = _w0_moves()
+BLOCK_GATHER = _block_gather()
+
+
+def v_blocks(coords):
+    """The blocks (X, Y) of v = [[0, X], [Y, 0]] on (EVEN, ODD), gathered
+    from its 16 weight coordinates (elements of any ring)."""
+    return tuple(
+        [[coords[k] if sign > 0 else -coords[k] for k, sign in block[r : r + 4]]
+         for r in range(0, 16, 4)]
+        for block in BLOCK_GATHER
+    )
 
 
 class VElem:
@@ -287,7 +361,7 @@ def torus_from_g_root_values(field, lams):
 
 
 class UnipGen:
-    """exp(c X_root) for a root of h; X_root^2 = 0 in the matrix model."""
+    """exp(c X_root) = I + c X_root for a root of G (X_root^2 = 0)."""
 
     __slots__ = ("root", "c")
 
@@ -314,16 +388,10 @@ class D4Context:
         if field.char < 5:
             raise ValueError("characteristic must be at least 5")
         self.field = field
-        f = field
-        self.s_matrix = [
-            [f.elem(S_SIGNS[i]) if i == j else f.zero for j in range(8)]
-            for i in range(8)
-        ]
         self._build_bases()
         self._build_weight_data()
-        self.E = self._velem_from_matrix_int(E_MATRIX_INT)
-        self.e_subreg = self._velem_from_matrix_int(E_SUBREG_INT)
-        self._w0_vmaps = {}
+        self.E = VElem(self, E_COORDS)
+        self.e_subreg = VElem(self, E_SUBREG_COORDS)
 
     # -- construction of bases --
 
@@ -347,10 +415,7 @@ class D4Context:
                 raise ValueError("root vector does not square to zero")
             self.root_matrix[char] = m
         self.h_roots = sorted(ROOT_ENTRIES)
-        self.g_roots = [
-            r for r in self.h_roots
-            if S_SIGNS[ROOT_ENTRIES[r][0][0]] * S_SIGNS[ROOT_ENTRIES[r][0][1]] == 1
-        ]
+        self.g_roots = sorted(G_ROOT_MOVES)
         self.v_roots = [r for r in self.h_roots if r not in set(self.g_roots)]
         assert len(self.g_roots) == 8 and len(self.v_roots) == 16
         # full h basis: 4 cartan + 24 roots (dim 28)
@@ -382,26 +447,6 @@ class D4Context:
             m[qi][qj] = m[qi][qj] - c
         return m
 
-    def velem_from_matrix(self, m):
-        coords = [m[pi][pj] for (pi, pj), _ in V_ENTRIES]
-        v = VElem(self, coords)
-        if v.to_matrix() != m:
-            raise ValueError("matrix is not in V")
-        return v
-
-    def _velem_from_matrix_int(self, rows):
-        f = self.field
-        m = [[f.elem(x) for x in row] for row in rows]
-        self.assert_in_h(m)
-        return self.velem_from_matrix(m)
-
-    def assert_in_h(self, m):
-        """x^T Psi + Psi x = 0, i.e. m[iota(j)][iota(i)] = -m[i][j]."""
-        for i in range(8):
-            for j in range(8):
-                if m[IOTA[j]][IOTA[i]] != -m[i][j]:
-                    raise ValueError("matrix not in so(Psi)")
-
     def h_coords(self, m):
         """Coordinates of m in the h basis (4 cartan + 24 root entries)."""
         out = [m[0][0], m[1][1], m[4][4], m[5][5]]
@@ -409,9 +454,6 @@ class D4Context:
             prim, _ = ROOT_ENTRIES[r]
             out.append(m[prim[0]][prim[1]])
         return out
-
-    def theta(self, m):
-        return mat_mul(mat_mul(self.s_matrix, m), self.s_matrix)
 
     # -- cocharacters --
 
@@ -431,27 +473,11 @@ class D4Context:
 
     # -- group action on V --
 
-    def unip_matrix(self, gen: UnipGen):
-        """exp(c X_root) = I + c X_root."""
-        f = self.field
-        x = self.root_matrix[gen.root]
-        u = linalg.identity(f, 8)
-        c = f.elem(gen.c)
-        for i in range(8):
-            for j in range(8):
-                if x[i][j]:
-                    u[i][j] = u[i][j] + c * x[i][j]
-        return u
-
-    def weyl_matrix(self, gen: WeylGen):
-        f = self.field
-        perm = W0_POSITION_PERMS[gen.name]
-        m = linalg.zeros(f, 8, 8)
-        for j in range(8):
-            m[perm[j]][j] = f.one
-        return m
-
     def act_gen(self, gen, v: VElem) -> VElem:
+        """One generator on weight coordinates: a torus point scales each
+        coordinate by its character, exp(c X) adds c[X, v] by the moves of
+        ``G_ROOT_MOVES`` (ValueError for a root outside G) and a Klein-group
+        element permutes the coordinates with the signs of ``W0_MOVES``."""
         f = self.field
         if isinstance(gen, TorusGen):
             coords = []
@@ -460,15 +486,22 @@ class D4Context:
                 coords.append(c * gen.eval_char(f, self.weight_evec[l]) if c else c)
             return VElem(self, coords)
         if isinstance(gen, UnipGen):
-            u = self.unip_matrix(gen)
-            uinv = self.unip_matrix(UnipGen(gen.root, -f.elem(gen.c)))
-            m = mat_mul(mat_mul(u, v.to_matrix()), uinv)
-            return self.velem_from_matrix(m)
+            moves = G_ROOT_MOVES.get(gen.root)
+            if moves is None:
+                raise ValueError(f"{gen.root} is not a root of G")
+            c = f.elem(gen.c)
+            neg_c = -c
+            coords = list(v.coords)
+            for s, t, sign in moves:
+                x = v.coords[s]
+                if x:
+                    coords[t] = coords[t] + (c if sign > 0 else neg_c) * x
+            return VElem(self, coords)
         if isinstance(gen, WeylGen):
-            p = self.weyl_matrix(gen)
-            pinv = linalg.transpose(p)  # permutation matrix
-            m = mat_mul(mat_mul(p, v.to_matrix()), pinv)
-            return self.velem_from_matrix(m)
+            coords = [None] * 16
+            for x, (t, sign) in zip(v.coords, W0_MOVES[gen.name]):
+                coords[t] = x if sign > 0 else -x
+            return VElem(self, coords)
         raise TypeError(f"not a group generator: {gen!r}")
 
     def act(self, gens, v: VElem) -> VElem:
@@ -501,7 +534,7 @@ class D4Context:
         [Y, 0]], so c2, c4, c6 come from M = XY (``block_even_coeffs``) and
         c8 = det v = det X det Y = (det X)^2, since det Y = det X on V
         (c8 = Pf(Psi v)^2)."""
-        x, y = v_blocks(v.to_matrix())
+        x, y = v_blocks(v.coords)
         c2, c4, c6 = linalg.block_even_coeffs(x, y, self.field.char)
         pf = linalg.det_leibniz(x)
         return Poly(self.field, [pf * pf, c6, c4, c2, self.field.one])
@@ -530,40 +563,22 @@ class D4Context:
 
     def classify(self, v: VElem):
         """(regular, semisimple, regular-semisimple) flags."""
-        from . import polys as _p
-
         rs = self.is_regular_semisimple(v)
         if rs:
             return {"regular": True, "semisimple": True, "rs": True}
         regular = self.centralizer_dim(v, "g") == 0
-        semisimple = _p.is_squarefree(self.minimal_polynomial(v))
+        semisimple = is_squarefree(self.minimal_polynomial(v))
         return {"regular": regular, "semisimple": semisimple, "rs": False}
 
     def __repr__(self):
         return f"D4Context({self.field!r})"
 
 
-# fixed matrices of the distinguished nilpotents (integer entries)
-E_MATRIX_INT = [
-    [0, 1, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 1, 0, 0, 0],
-    [0, 0, 0, -1, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 1, 1, 0],
-    [0, 0, 0, 0, 0, 0, 0, -1],
-    [0, 0, 0, 0, 0, 0, 0, -1],
-    [0, 0, -1, 0, 0, 0, 0, 0],
-]
-E_SUBREG_INT = [
-    [0, 1, 0, 0, 0, 1, 0, 0],
-    [0, 0, 0, 0, 1, 0, 0, 2],
-    [0, 0, 0, -1, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0, 0, 0],
-    [0, 0, -2, 0, 0, 0, 1, 0],
-    [0, 0, 0, 0, 1, 0, 0, -1],
-    [0, 0, 0, -1, 0, 0, 0, 0],
-    [0, 0, -1, 0, 0, 0, -1, 0],
-]
+# the distinguished nilpotents in weight coordinates: E, the sum of the
+# weight vectors of the simple roots alpha_i (labels 2, 9, 10, 11), and the
+# subregular e_subreg (the sl2 solves of ``invariants`` check both)
+E_COORDS = (0, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0)
+E_SUBREG_COORDS = (0, 1, 2, 1, 0, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0)
 
 
 # -- lattice bookkeeping: pi_1(G) --

@@ -119,10 +119,6 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def bracket(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
 def _row_echelon(field, mat, aug=None):
     """In-place row reduction; returns pivot column list."""
     rows = len(mat)

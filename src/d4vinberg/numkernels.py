@@ -8,9 +8,9 @@ Small extension residue fields use index tables.
 ``dual_primitives`` is the dual-number backend of the invariant primitives
 (c2, c4, pf, c6) for the beta Monte Carlo: it keeps only the numpy 4x4
 block products, traces and determinant gather, and runs the Newton step of
-``linalg`` over ``dual_ring``.  Weight coordinates are scattered straight
-into the blocks X, Y of v = [[0, X], [Y, 0]] by the ``liealg.V_BLOCKS``
-table.
+``linalg`` over ``dual_ring``.  Weight coordinates are gathered straight
+into the blocks X, Y of v = [[0, X], [Y, 0]] by the ``liealg.BLOCK_GATHER``
+table, the one that ``liealg.v_blocks`` reads for boxed coordinates.
 
 Delta is the division-free program ``quartic.delta`` over one ``(mul,
 add, scale)`` ring adapter per representation: mod-p int64 arrays
@@ -43,7 +43,7 @@ import numpy as np
 
 from . import polys
 from .fields import GF
-from .liealg import V_BLOCKS
+from .liealg import BLOCK_GATHER
 from .linalg import det_terms, newton_even
 from .quartic import delta, delta_gradient
 from .rng import det_rng
@@ -202,18 +202,8 @@ def _dtrace_prod(a, b, p):
     return (t0, t1)
 
 
-def _block_gather():
-    """For each block of (X, Y) and each entry of it in row-major order:
-    the weight coordinate that fills it and the sign it carries."""
-    index = np.zeros((2, 16), dtype=np.int64)
-    sign = np.zeros((2, 16), dtype=np.int64)
-    for k, blocks in enumerate(V_BLOCKS):
-        for b, (r, c, s) in enumerate(blocks):
-            index[b, 4 * r + c], sign[b, 4 * r + c] = k, s
-    return index, sign
-
-
-_BLOCK_INDEX, _BLOCK_SIGN = _block_gather()
+# (2, 16) coordinate indices and signs of the entries of the blocks X, Y
+_BLOCK_INDEX, _BLOCK_SIGN = np.array(BLOCK_GATHER, dtype=np.int64).transpose(2, 0, 1)
 # signs (24,) and index pairs (24, 4, 2) of the terms of a 4x4 determinant
 _DET_SIGNS, _DET_PAIRS = (np.array(t, dtype=np.int64) for t in zip(*det_terms(4)))
 
@@ -223,8 +213,8 @@ def dual_primitives(coords, p):
 
     coords is an int64 array (N, 16, 2) of weight coordinates mod p in label
     order, value part and eps part; each invariant comes back as a dual
-    pair of (N,) arrays.  The coordinates are scattered by
-    ``liealg.V_BLOCKS`` into the 4x4 blocks of v = [[0, X], [Y, 0]], as
+    pair of (N,) arrays.  The coordinates are gathered by
+    ``liealg.BLOCK_GATHER`` into the 4x4 blocks of v = [[0, X], [Y, 0]], as
     dual pairs of (N, 4, 4) arrays of signed residues in (-p, p) (every
     product reduces).  As in ``invariants.primitives``, c2, c4, c6 come
     from M = XY by the Newton step of ``linalg.newton_even`` over

@@ -23,6 +23,7 @@ from .liealg import (
     LABELS,
     LABEL_SIGNS,
     RHO_CHECK,
+    S_SIGNS,
     TorusGen,
     UnipGen,
     VElem,
@@ -109,8 +110,7 @@ def structure_suite(p=23):
     # roots of G: 8 roots + rank 4 = dim 12
     assert len(ctx.g_roots) == 8
     # grading closure on all basis pairs, vectorized mod p
-    s_signs = np.array([1, -1, -1, 1, 1, -1, -1, 1], dtype=np.int64)
-    theta_mask = np.outer(s_signs, s_signs)
+    theta_mask = np.outer(S_SIGNS, S_SIGNS)
 
     def theta_np(mats):
         return (mats * theta_mask) % p
@@ -129,7 +129,6 @@ def structure_suite(p=23):
     assert np.array_equal(theta_np(gg) % p, gg % p), "[g,g] not in g"
     assert np.array_equal(theta_np(gv) % p, (-gv) % p), "[g,V] not in V"
     assert np.array_equal(theta_np(vv) % p, vv % p), "[V,V] not in g"
-    # theta is an involution fixing g and negating V (by the same masks)
     # W0 preserves the partial order
     for name in W0_NAMES:
         perm = w0_label_perm(name)

@@ -81,6 +81,30 @@ def test_group_axioms_and_structure():
             assert c.mul(n2, p) == c.O
 
 
+def test_mul_is_double_and_add_from_the_top_bit(monkeypatch):
+    field = GF(23)
+    c = PointedCurve(field, _random_smooth_b(field, det_rng(10, "curves-mul")))
+    p = next(pt for pt in c.points() if c.order_of(pt) > 13)
+    multiples = {0: c.O}
+    for n in range(1, 14):
+        multiples[n] = c.add(multiples[n - 1], p)
+        multiples[-n] = c.neg(multiples[n])
+    calls = []
+    add = PointedCurve.add
+
+    def counted_add(self, a, b):
+        calls.append((a, b))
+        return add(self, a, b)
+
+    monkeypatch.setattr(PointedCurve, "add", counted_add)
+    for n in range(-6, 14):
+        assert c.mul(n, p) == multiples[n]
+    for n, adds in ((0, 0), (1, 0), (2, 1), (3, 2), (12, 4), (13, 5)):
+        calls.clear()
+        c.mul(n, p)
+        assert len(calls) == adds, n
+
+
 def test_counts_match_weierstrass_model():
     field = GF(23)
     rng = det_rng(2, "curves-weier")

@@ -7,15 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from d4vinberg import linalg, numkernels
 from d4vinberg.fields import GF
-from d4vinberg.invariants import Invariants, _chart_matrix, _chart_primitives, primitives
+from d4vinberg.invariants import Invariants, _chart_primitives, primitives
 from d4vinberg.liealg import (
+    BLOCK_GATHER,
     D4Context,
     EVEN,
     IOTA,
-    V_BLOCKS,
+    ODD,
     VElem,
     TorusGen,
     RHO_CHECK,
+    UnipGen,
+    WeylGen,
     pairing,
     v_blocks,
 )
@@ -210,6 +213,31 @@ def test_extension_field_context():
         assert ext_inv.pi(ext_inv.kostant_section(b)) == b
 
 
+def test_action_and_pi_build_no_8x8_matrix(monkeypatch):
+    import d4vinberg.liealg as liealg
+
+    def no_matrix(*args):
+        raise AssertionError("8x8 matrix built")
+
+    def small_mat_mul(a, b):
+        if len(a) == 8 or len(b) == 8:
+            no_matrix()
+        return mat_mul(a, b)
+
+    rng = det_rng(13, "inv-no-matrix")
+    v = VElem(ctx, [F.random(rng) for _ in range(16)])
+    t = TorusGen([F.random_nonzero(rng) for _ in range(4)])
+    word = [WeylGen("s13.24"), UnipGen(ctx.g_roots[2], F.random(rng)), t, WeylGen("s12.34")]
+    expected = ctx.act(word, v), inv.pi(v)
+    monkeypatch.setattr(liealg.D4Context, "v_coords_to_matrix", no_matrix)
+    for module in (linalg, liealg):
+        monkeypatch.setattr(module, "mat_mul", small_mat_mul)
+    with pytest.raises(AssertionError, match="8x8"):
+        v.to_matrix()
+    assert (ctx.act(word, v), inv.pi(v)) == expected
+    assert inv.pi(inv.kostant_section(expected[1])) == expected[1]
+
+
 # -- the one primitive pipeline across representations: boxed FElem,
 # symbolic MPoly (the calibration charts) and numpy dual numbers --
 
@@ -299,15 +327,29 @@ def _off_block_entries(m):
     return [m[i][j] for i in range(8) for j in range(8) if (i in EVEN) == (j in EVEN)]
 
 
+def _chart_matrix(base, dirs, nvars):
+    """The 8x8 MPoly matrix of base + sum_i x_i dirs[i], entry by entry
+    from the matrices of base and dirs: the oracle of the chart coordinates."""
+    mats = [base.to_matrix()] + [d.to_matrix() for d in dirs]
+    exps = [(0,) * nvars] + [tuple(int(k == i) for k in range(nvars)) for i in range(len(dirs))]
+    return [
+        [MPoly(nvars, {e: m[i][j] for e, m in zip(exps, mats) if m[i][j]}) for j in range(8)]
+        for i in range(8)
+    ]
+
+
 def test_v_is_zero_on_the_diagonal_blocks(charts):
-    # the weight basis spans V, so this covers every VElem matrix
-    for k, (x_entry, y_entry) in enumerate(V_BLOCKS):
-        m = ctx.v_coords_to_matrix([F.one if i == k else F.zero for i in range(16)])
+    # the weight basis spans V, so this covers every VElem matrix; X and Y
+    # sliced from its 8x8 matrix are what BLOCK_GATHER gathers
+    for k in range(16):
+        coords = [F.one if i == k else F.zero for i in range(16)]
+        m = ctx.v_coords_to_matrix(coords)
         assert not any(_off_block_entries(m))
-        x, y = v_blocks(m)
-        for block, (r, c, sign) in ((x, x_entry), (y, y_entry)):
-            assert block[r][c] == F.elem(sign)
-            assert sum(bool(e) for row in block for e in row) == 1
+        sliced = [[m[i][j] for j in ODD] for i in EVEN], [[m[i][j] for j in EVEN] for i in ODD]
+        assert v_blocks(coords) == sliced
+        for block, gather in zip(sliced, BLOCK_GATHER):
+            entries = [e for row in block for e in row]
+            assert entries == [F.elem(s) if t == k else F.zero for t, s in gather]
     for base, dirs, _ in charts.values():
         mat = _chart_matrix(base, dirs, len(dirs))
         assert all(e.is_zero() for e in _off_block_entries(mat))
@@ -335,8 +377,7 @@ def test_block_primitives_match_8x8_oracle_on_random_charts(q, data):
     f = c.field
     coords = st.lists(st.integers(0, f.order - 1), min_size=16, max_size=16)
     base, *dirs = (VElem(c, [f.from_int(i) for i in data.draw(coords)]) for _ in range(3))
-    mat = _chart_matrix(base, dirs, 2)
-    got, want = primitives(c, mat), _oracle(mat, f.char)
+    got, want = _chart_primitives(c, base, dirs, 2), _oracle(_chart_matrix(base, dirs, 2), f.char)
     assert all(isinstance(g, MPoly) for g in got) and got == want
 
 

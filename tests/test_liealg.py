@@ -1,16 +1,25 @@
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from d4vinberg import linalg
 from d4vinberg.fields import GF
 from d4vinberg.liealg import (
     D4Context,
+    G_ROOT_MOVES,
     G_SIMPLE,
     H_SIMPLE,
+    IOTA,
     LABELS,
     LABEL_SIGNS,
     RHO_CHECK,
+    S_SIGNS,
+    W0_MOVES,
+    W0_POSITION_PERMS,
     TorusGen,
     UnipGen,
+    V_ENTRIES,
     VElem,
     WeylGen,
     alpha_coords,
@@ -31,6 +40,46 @@ def setup_module(module):
     module.F = module.ctx.field
 
 
+def _theta(m):
+    """theta(m) = s m s for s = diag(S_SIGNS): the entrywise sign mask."""
+    return [[S_SIGNS[i] * S_SIGNS[j] * x for j, x in enumerate(row)] for i, row in enumerate(m)]
+
+
+def _bracket(a, b):
+    return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+
+
+def _unip_matrix(context, root, c):
+    """exp(c X) = I + c X for the root vector X of a root of h."""
+    x = context.root_matrix[root]
+    one = linalg.identity(context.field, 8)
+    return [[one[i][j] + c * x[i][j] for j in range(8)] for i in range(8)]
+
+
+def _weyl_matrix(context, name):
+    """The permutation matrix P with P e_j = e_perm[j] of a Klein-group element."""
+    f = context.field
+    perm = W0_POSITION_PERMS[name]
+    return [[f.one if i == perm[j] else f.zero for j in range(8)] for i in range(8)]
+
+
+def _velem_from_matrix(context, m):
+    """The VElem read off the primary entries of m; asserts that m is its matrix."""
+    v = VElem(context, [m[i][j] for (i, j), _ in V_ENTRIES])
+    assert v.to_matrix() == m, "matrix is not in V"
+    return v
+
+
+def _conjugate(context, g, v, g_inv):
+    """g v g_inv by 8x8 products: the oracle of the coordinate action."""
+    return _velem_from_matrix(context, linalg.mat_mul(linalg.mat_mul(g, v.to_matrix()), g_inv))
+
+
+@functools.cache
+def _context(p, m=1):
+    return D4Context(GF(p, m))
+
+
 def test_dimensions():
     assert len(ctx.h_basis) == 28
     assert len(ctx.g_basis) == 12
@@ -49,9 +98,10 @@ def test_membership_constraint():
     rng = det_rng(0, "lie-membership")
     v = VElem(ctx, [F.random(rng) for _ in range(16)])
     m = v.to_matrix()
-    ctx.assert_in_h(m)
+    # in so(Psi): m^T Psi + Psi m = 0, i.e. m[iota(j)][iota(i)] = -m[i][j]
+    assert all(m[IOTA[j]][IOTA[i]] == -m[i][j] for i in range(8) for j in range(8))
     # theta acts as -1 on V
-    assert ctx.theta(m) == [[-x for x in row] for row in m]
+    assert _theta(m) == [[-x for x in row] for row in m]
 
 
 def test_bracket_grading():
@@ -59,11 +109,11 @@ def test_bracket_grading():
     for _ in range(20):
         a = VElem(ctx, [F.random(rng) for _ in range(16)]).to_matrix()
         b = VElem(ctx, [F.random(rng) for _ in range(16)]).to_matrix()
-        br = linalg.bracket(a, b)
-        assert ctx.theta(br) == br  # [V, V] in g
+        br = _bracket(a, b)
+        assert _theta(br) == br  # [V, V] in g
         g = ctx.g_basis[int(rng.integers(0, 12))]
-        br2 = linalg.bracket(g, a)
-        assert ctx.theta(br2) == [[-x for x in row] for row in br2]  # [g, V] in V
+        br2 = _bracket(g, a)
+        assert _theta(br2) == [[-x for x in row] for row in br2]  # [g, V] in V
 
 
 def test_torus_diagonal_action():
@@ -93,14 +143,13 @@ def test_torus_matrix_consistency():
         v = VElem(ctx, [F.random(rng) for _ in range(16)])
         m = v.to_matrix()
         conj = [[diag[i] * m[i][j] * diag[j].inverse() for j in range(8)] for i in range(8)]
-        assert ctx.act(t, v) == ctx.velem_from_matrix(conj)
+        assert ctx.act(t, v) == _velem_from_matrix(ctx, conj)
 
 
 def test_unipotent_squares_to_zero_and_acts():
     rng = det_rng(4, "lie-unip")
     for root in ctx.g_roots:
         u = UnipGen(root, F.random(rng))
-        m = ctx.unip_matrix(u)
         v = VElem(ctx, [F.random(rng) for _ in range(16)])
         w = ctx.act(u, v)
         assert isinstance(w, VElem)
@@ -110,16 +159,79 @@ def test_unipotent_squares_to_zero_and_acts():
         ctx.act(UnipGen(bad, F.one), VElem(ctx, [F.one] * 16))
 
 
+# the labels l with P e_l P^T = -e_perm(l), for the permutation matrices P
+# of W0_POSITION_PERMS; every other label keeps its sign
+WEYL_NEGATED = {
+    "e": set(),
+    "s12.34": {7, 8, 9, 10},
+    "s13.24": {1, 7, 10, 16},
+    "s14.23": {1, 8, 9, 16},
+}
+
+
 def test_weyl_group_action_permutes_weights():
     for name in W0_NAMES:
         perm = w0_label_perm(name)
         g = WeylGen(name)
+        p = _weyl_matrix(ctx, name)
         for l in LABELS:
             e_l = VElem(ctx, [F.one if m == l else F.zero for m in LABELS])
             img = ctx.act(g, e_l)
             nz = [m for m in LABELS if img[m]]
             assert nz == [perm[l]]
-            assert img[perm[l]] in (F.one, -F.one)  # signs recorded, not asserted
+            assert img[perm[l]] == (-F.one if l in WEYL_NEGATED[name] else F.one)
+            assert img == _conjugate(ctx, p, e_l, linalg.transpose(p))
+
+
+ACT_FIELDS = pytest.mark.parametrize("q", [(23, 1), (23, 2)], ids=["F23", "GF23^2"])
+
+
+@ACT_FIELDS
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_coordinate_action_matches_8x8_conjugation(q, data):
+    c = _context(*q)
+    f = c.field
+    elems = st.integers(0, f.order - 1).map(f.from_int)
+    v = VElem(c, data.draw(st.lists(elems, min_size=16, max_size=16)))
+    assert len(c.g_roots) == len(G_ROOT_MOVES) == 8
+    for root in c.g_roots:
+        a = data.draw(elems)
+        u, u_inv = _unip_matrix(c, root, a), _unip_matrix(c, root, -a)
+        assert c.act(UnipGen(root, a), v) == _conjugate(c, u, v, u_inv)
+    for name in W0_NAMES:
+        p = _weyl_matrix(c, name)
+        assert c.act(WeylGen(name), v) == _conjugate(c, p, v, linalg.transpose(p))
+
+
+def test_move_tables_check_their_input(monkeypatch):
+    import d4vinberg.liealg as liealg
+
+    for name in W0_NAMES:
+        labels = w0_label_perm(name)
+        assert [t + 1 for t, _ in W0_MOVES[name]] == [labels[l] for l in LABELS]
+    # e_t is +1 at its primary entry and -1 at its partner, and nothing else
+    # is a signed weight vector
+    primary, partner = V_ENTRIES[5]
+    assert liealg._as_weight_vector({partner: 1, primary: -1}) == (5, -1)
+    for m in ({primary: 1}, {primary: 1, partner: 1}, {primary: 2, partner: -2},
+              {primary: 1, partner: -1, V_ENTRIES[6][0]: 1}, {(0, 0): 1}, {}):
+        with pytest.raises(ValueError, match="not a signed weight vector"):
+            liealg._as_weight_vector(m)
+    # a G root vector whose partner entry leaves so(Psi): [X, e_s] is not in
+    # V for some s, or X e_s X != 0
+    root = (1, 0, -1, 0)
+    primary, partner = liealg.ROOT_ENTRIES[root]
+    assert root in G_ROOT_MOVES and (primary, partner) == ((0, 4), (7, 3))
+    for bad, message in (((3, 7), "not a signed weight vector"), ((0, 1), "not a signed weight vector"),
+                         ((3, 1), "X e_s X")):
+        monkeypatch.setitem(liealg.ROOT_ENTRIES, root, (primary, bad))
+        with pytest.raises(ValueError, match=message):
+            liealg._g_root_moves()
+    # a position permutation that does not commute with IOTA
+    monkeypatch.setitem(liealg.W0_POSITION_PERMS, "e", (1, 0, 2, 3, 4, 5, 6, 7))
+    with pytest.raises(ValueError, match="not a signed weight vector"):
+        liealg._w0_moves()
 
 
 def test_w0_is_klein_four_group():
@@ -198,10 +310,16 @@ def test_unipotent_inverse_is_the_negated_parameter():
     assert len(ctx.h_roots) == 24
     for root in ctx.h_roots:
         c = F.random(rng)
-        u = ctx.unip_matrix(UnipGen(root, c))
-        u_neg = ctx.unip_matrix(UnipGen(root, -c))
+        u = _unip_matrix(ctx, root, c)
+        u_neg = _unip_matrix(ctx, root, -c)
         assert linalg.mat_mul(u, u_neg) == one
         assert linalg.mat_mul(u_neg, u) == one
+    # on coordinates, the action at -c undoes the action at c
+    for root in ctx.g_roots:
+        c = F.random(rng)
+        v = VElem(ctx, [F.random(rng) for _ in range(16)])
+        assert ctx.act([UnipGen(root, -c), UnipGen(root, c)], v) == v
+        assert ctx.act([UnipGen(root, c), UnipGen(root, -c)], v) == v
 
 
 def test_context_checks_that_root_vectors_square_to_zero(monkeypatch):

@@ -2,12 +2,14 @@
 
 Every name that a module of ``src/d4vinberg`` imports at module level is
 used in that module (``__init__.py``, which re-exports, is exempt).  Every
-top-level function and class of the package, dunders excepted, is
-referenced from code (not from a docstring or a comment) somewhere in
-``src/``, ``tests/``, ``demos/`` or ``perfbench/`` outside its own
-definition.  Those that only the tests refer to are listed in
-``TEST_ONLY`` with the reason each one stays; a reference from
-``perfbench/`` may also be a string, as its trace targets are.
+top-level function and class of the package, and every method of a
+top-level class, dunders excepted, is referenced from code (not from a
+docstring or a comment) somewhere in ``src/``, ``tests/``, ``demos/`` or
+``perfbench/`` outside its own definition.  A method counts as referenced
+by any attribute or name that spells it.  Those that only the tests refer
+to are listed in ``TEST_ONLY`` (methods as ``Class.method``) with the
+reason each one stays; a reference from ``perfbench/`` may also be a
+string, as its trace targets are.
 """
 
 import ast
@@ -27,8 +29,10 @@ TEST_ONLY = {
     "pfaffian": "the 8x8 oracle of the block Pfaffian of a V element",
     "even_charpoly": "the 8x8 oracle of char_quartic, checked against Berkowitz",
     "binary_quartic_invariants": "classical I, J: the oracle of quartic.weierstrass",
-    "bracket": "[V, V] in g and [g, V] in V, the grading check of the Lie algebra",
     "torus_from_g_root_values": "a torus point from its values on the a_i, against eval_char",
+    "Invariants.calibration_json": "the audit dump of the calibration, pinned by digest",
+    "VElem.deserialize": "the inverse of VElem.serialize, kept with it as the text API",
+    "Poly.from_str": "the inverse of Poly's text form, kept with it as the text API",
 }
 
 
@@ -80,15 +84,44 @@ def _string_references(node):
             yield from n.value.split(".")
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _owned(tree):
+    """(owner path, node) over the statements of tree: a top-level
+    statement is owned by (its name,), and within a top-level class each
+    method by (class, method) and every other part by (class,)."""
+    for node in tree.body:
+        owner = (getattr(node, "name", None),)
+        if not isinstance(node, ast.ClassDef):
+            yield owner, node
+            continue
+        yield owner, ast.Module(body=[*node.bases, *node.keywords, *node.decorator_list])
+        for item in node.body:
+            yield (owner + (item.name,) if isinstance(item, _FUNCTIONS) else owner), item
+
+
+def _definitions(tree):
+    """(path, name) of the top-level functions and classes of tree and of
+    the methods of its top-level classes, dunders excepted."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield (node.name,), node.name
+            for item in node.body:
+                if isinstance(item, _FUNCTIONS):
+                    yield (node.name, item.name), f"{node.name}.{item.name}"
+        elif isinstance(node, _FUNCTIONS):
+            yield (node.name,), node.name
+
+
 def unreferenced_definitions(defining, referring, string_keys=()):
-    """(key, name) of each top-level function and class (dunders excepted)
-    of the trees in defining ({key: tree}) that no tree in referring
-    ({key: tree}) refers to outside the definition itself.  The trees whose
-    keys are in string_keys refer by their strings too."""
-    refs = {}  # name -> {(key, name of the enclosing top-level statement)}
+    """(key, name) of each definition of ``_definitions`` in the trees of
+    defining ({key: tree}) that no tree in referring ({key: tree}) refers
+    to outside the definition itself.  The trees whose keys are in
+    string_keys refer by their strings too."""
+    refs = {}  # name -> {(key, owner path of the referring statement)}
     for key, tree in referring.items():
-        for node in tree.body:
-            owner = getattr(node, "name", None)
+        for owner, node in _owned(tree):
             names = list(_references(node))
             if key in string_keys:
                 names += _string_references(node)
@@ -96,13 +129,15 @@ def unreferenced_definitions(defining, referring, string_keys=()):
                 refs.setdefault(name, set()).add((key, owner))
     out = []
     for key, tree in defining.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        for path, name in _definitions(tree):
+            if path[-1].startswith("__") and path[-1].endswith("__"):
                 continue
-            if node.name.startswith("__") and node.name.endswith("__"):
-                continue
-            if not refs.get(node.name, set()) - {(key, node.name)}:
-                out.append((key, node.name))
+            outside = [
+                1 for k, owner in refs.get(path[-1], ())
+                if k != key or owner[: len(path)] != path
+            ]
+            if not outside:
+                out.append((key, name))
     return out
 
 
@@ -121,6 +156,29 @@ def test_scanner_finds_unreferenced_definitions():
     b = ast.parse("from a import imported\nimport a\nused(Used, a.by_attribute, awaited)\n")
     got = unreferenced_definitions({"a": a}, {"a": a, "b": b})
     assert got == [("a", "recursive"), ("a", "documented"), ("a", "mentioned")]
+
+
+def test_scanner_finds_unreferenced_methods():
+    a = ast.parse(
+        "class Cls:\n"
+        "    def __init__(self): self.helper()\n"
+        "    def helper(self): return Cls()\n"
+        "    def recursive(self): return self.recursive()\n"
+        "    def added(self): pass\n"
+        "    @staticmethod\n"
+        "    def called(): pass\n"
+        "    def traced(self): pass\n"
+        "class Unused:\n"
+        "    def method(self): return Unused()\n"
+    )
+    b = ast.parse("from a import Cls\nCls.called()\nTARGETS = ('Cls.traced',)\n")
+    got = unreferenced_definitions({"a": a}, {"a": a, "b": b})
+    assert got == [
+        ("a", "Cls.recursive"), ("a", "Cls.added"), ("a", "Cls.traced"),
+        ("a", "Unused"), ("a", "Unused.method"),
+    ]
+    got = unreferenced_definitions({"a": a}, {"a": a, "b": b}, string_keys={"b"})
+    assert ("a", "Cls.traced") not in got
 
 
 def test_every_definition_is_referenced():
