@@ -6,14 +6,16 @@ and demonstrates torus / unipotent / Klein-group actions on V.
 """
 
 from d4vinberg import GF, D4Context, TorusGen, UnipGen, VElem, WeylGen
-from d4vinberg.liealg import LABELS, LABEL_SIGNS, fundamental_group_divisors
+from d4vinberg.liealg import (
+    G_BASIS, G_ROOTS, H_BASIS, LABELS, LABEL_SIGNS, V_BASIS, fundamental_group_divisors,
+)
 from d4vinberg.rng import det_rng
 
 ctx = D4Context(GF(23))
 F = ctx.field
 
-print("dim h =", len(ctx.h_basis), " dim g =", len(ctx.g_basis), " dim V =", len(ctx.v_roots))
-print("roots of G:", len(ctx.g_roots), "(plus rank 4 = dim g)")
+print("dim h =", len(H_BASIS), " dim g =", len(G_BASIS), " dim V =", len(V_BASIS))
+print("roots of G:", len(G_ROOTS), "(plus rank 4 = dim g)")
 print()
 print("weight table (label: sign pattern 2n_i):")
 for l in LABELS:
@@ -28,7 +30,7 @@ print("torus action is diagonal in the weight basis:")
 e2 = VElem(ctx, [F.one if m == 2 else F.zero for m in LABELS])
 print("  act(t, e_2) coordinates:", ctx.act(t, e2).serialize())
 
-u = UnipGen(ctx.g_roots[0], F.elem(4))
+u = UnipGen(G_ROOTS[0], F.elem(4))
 print("unipotent exp(4 X) acting on a random v stays in V:", isinstance(ctx.act(u, v), VElem))
 
 w = WeylGen("s12.34")

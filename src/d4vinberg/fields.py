@@ -50,7 +50,7 @@ class FElem:
     """Element of a PrimeField or ExtField; immutable, canonically reduced.
 
     One field per operation: ``+ - * /`` take an FElem of the same field
-    object or an int (read through ``field.elem``); any other operand,
+    object or an int (read through ``field._int_val``); any other operand,
     an element of another field included, gives NotImplemented and so a
     TypeError.  ``ExtField.elem`` is the one way to embed a base-field
     element into an extension.
@@ -67,7 +67,7 @@ class FElem:
         if other.__class__ is FElem and other.field is f:
             return FElem(f, f._add(self.val, other.val))
         if isinstance(other, int):
-            return FElem(f, f._add(self.val, f.elem(other).val))
+            return FElem(f, f._add(self.val, f._int_val(other)))
         return NotImplemented
 
     __radd__ = __add__
@@ -77,14 +77,14 @@ class FElem:
         if other.__class__ is FElem and other.field is f:
             return FElem(f, f._sub(self.val, other.val))
         if isinstance(other, int):
-            return FElem(f, f._sub(self.val, f.elem(other).val))
+            return FElem(f, f._sub(self.val, f._int_val(other)))
         return NotImplemented
 
     def __rsub__(self, other):
         # reached only for a left operand that is not an FElem
         f = self.field
         if isinstance(other, int):
-            return FElem(f, f._sub(f.elem(other).val, self.val))
+            return FElem(f, f._sub(f._int_val(other), self.val))
         return NotImplemented
 
     def __mul__(self, other):
@@ -92,7 +92,7 @@ class FElem:
         if other.__class__ is FElem and other.field is f:
             return FElem(f, f._mul(self.val, other.val))
         if isinstance(other, int):
-            return FElem(f, f._mul(self.val, f.elem(other).val))
+            return FElem(f, f._mul(self.val, f._int_val(other)))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -132,7 +132,7 @@ class FElem:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self == self.field.elem(other)
+            return self.val == self.field._int_val(other)
         return (
             isinstance(other, FElem)
             and self.field is other.field
@@ -234,6 +234,9 @@ class PrimeField(Field):
     def _inv(self, a):
         return pow(a, self.p - 2, self.p)
 
+    def _int_val(self, k):
+        return k % self.p
+
     # The int pair: products, and the eliminations of poly_divmod, are summed
     # as unreduced Python ints and reduced mod p once at the end.
 
@@ -281,7 +284,7 @@ class PrimeField(Field):
             if x.field is not self:
                 raise ValueError("element of a different field")
             return x
-        return FElem(self, x % self.p)
+        return FElem(self, self._int_val(x))
 
     def random(self, rng):
         return FElem(self, int(rng.integers(0, self.p)))
@@ -383,6 +386,9 @@ class ExtField(Field):
         t = xgcd_raw(self.base, self._modv, a)[2]
         return tuple(t) + (z,) * (self.deg - len(t))
 
+    def _int_val(self, k):
+        return (self.base._int_val(k),) + self.zero.val[1:]
+
     def elem(self, x):
         if isinstance(x, FElem):
             if x.field is self:
@@ -392,8 +398,7 @@ class ExtField(Field):
                 return FElem(self, tuple(vals))
             raise ValueError("element of a different field")
         if isinstance(x, int):
-            vals = [self.base.elem(x).val] + [self.base.zero.val] * (self.deg - 1)
-            return FElem(self, tuple(vals))
+            return FElem(self, self._int_val(x))
         # sequence of base-coercible coefficients
         vals = [self.base.elem(c).val for c in x]
         if len(vals) > self.deg:

@@ -23,8 +23,9 @@ to rescaling the degree-1 generator and a simultaneous sign flip of (q4, y);
 the lexicographically least valid tuple is fixed as canonical.  All chart
 data (F, f, centralizer bases, calibration constants) is rational over the
 prime field and gets embedded coordinatewise into extension contexts.  The
-sl2 lowering elements and the graded centralizers are kernels of
-``D4Context.ad_matrix`` on weight spaces; the Kostant section and the slice
+sl2 lowering elements (for h = 2 cochar in Cartan coordinates) and the graded
+centralizers solve ``D4Context.ad_matrix`` on weight spaces, as h indices of
+the bracket table ``liealg.BRACKETS``; the Kostant section and the slice
 lift are triangular solves of chart polynomials by ``linalg.staged_solve``.
 """
 
@@ -34,12 +35,15 @@ from . import linalg
 from .fields import GF, PrimeField
 from .liealg import (
     D4Context,
+    H_BASIS,
     LABELS,
     RHO_CHECK,
     LAMBDA_CHECK,
     VElem,
     pairing,
     TorusGen,
+    V_BASIS,
+    WEIGHT_EVEC,
     v_blocks,
 )
 from .multipoly import MPoly
@@ -215,7 +219,7 @@ class Invariants:
     def lie_disc(self, v: VElem):
         """Product of the 24 nonzero ad-eigenvalues: the degree-4 coefficient
         of the characteristic polynomial of ad(v) on h (Berkowitz)."""
-        mat = self.ctx.ad_matrix(v, self.ctx.h_basis)
+        mat = self.ctx.ad_matrix(v, H_BASIS)
         coeffs = linalg.charpoly_berkowitz(self.ctx.field, mat)
         return coeffs[4]
 
@@ -270,19 +274,20 @@ class Invariants:
 # -- helpers --
 
 
-def _weight_space(ctx, cochar, wt):
-    """The labels of cochar-weight wt and the matrices of their weight vectors."""
-    labels = [l for l in LABELS if pairing(cochar, ctx.weight_evec[l]) == wt]
-    return labels, [ctx.v_basis[l - 1].to_matrix() for l in labels]
+def _weight_space(cochar, wt):
+    """The labels of cochar-weight wt and the h indices of their weight vectors."""
+    labels = [l for l in LABELS if pairing(cochar, WEIGHT_EVEC[l]) == wt]
+    return labels, [V_BASIS[l - 1] for l in labels]
 
 
 def _solve_lowering(ctx, nilpotent_up: VElem, cochar) -> VElem:
     """Unique Y in V of cochar-weight -1 with [X, Y] = h, the semisimple
-    element 2 d(cochar)(1) of the sl2-triple."""
+    element 2 d(cochar)(1) of the sl2-triple: in h coordinates, 2 cochar on
+    the Cartan elements and 0 on the root vectors."""
     f = ctx.field
-    labels, basis = _weight_space(ctx, cochar, -1)
+    labels, basis = _weight_space(cochar, -1)
     rows = ctx.ad_matrix(nilpotent_up, basis)
-    target = ctx.h_coords(ctx.cochar_matrix(cochar))
+    target = [f.elem(2 * k) for k in cochar] + [f.zero] * (len(rows) - len(cochar))
     sol = linalg.solve(f, rows, target)
     assert sol is not None, "no lowering element: sl2 solve failed"
     hom = linalg.kernel_basis(f, rows)
@@ -306,7 +311,7 @@ def _graded_centralizer_basis(ctx, y: VElem, cochar, expect_weights, expect_h_di
     weights = sorted(set(expect_weights), reverse=True)
     found_weights = []
     for wt in weights:
-        labels, basis = _weight_space(ctx, cochar, wt)
+        labels, basis = _weight_space(cochar, wt)
         if not labels:
             continue
         for vec in linalg.kernel_basis(f, ctx.ad_matrix(y, basis)):

@@ -7,23 +7,26 @@ partial order; the adjoint torus T(k) = Hom(root lattice, k^x) is stored by
 its values on the simple-root basis of H, which is exactly what the
 constructive orbit reduction needs.
 
-V stays in weight coordinates.  Module tables, built at import from sparse
-products of the matrix entries of the root vectors (``ROOT_ENTRIES``) and
-of the weight basis (``V_ENTRIES``), replace the 8x8 round trip: a root
-vector X of G sends each e_s to +/-e_t or 0 and X v X = 0 on V, so exp(c X)
-acts as v + c[X, v] (``G_ROOT_MOVES``); the Klein group permutes the e_s
-with signs (``W0_MOVES``); and ``BLOCK_GATHER`` fills the blocks X, Y of
-v = [[0, X], [Y, 0]] on the positions (EVEN, ODD) of theta.  The 8x8 view
-(``VElem.to_matrix``) stays where h is needed: ``ad_matrix`` against the
-bases of h and g, centralizers, the minimal polynomial.  Those bases are
-built once per field and cached on a D4Context, which is safe to share.
+V stays in weight coordinates and h in the Chevalley basis x_0..x_27 (the
+Cartan elements, then the root vectors).  Module tables, built at import
+from sparse products of the matrix entries of the root vectors
+(``ROOT_ENTRIES``), replace the 8x8 round trip: ``BRACKETS`` holds the
+integer structure constants of [e_s, x_a], so ``ad_matrix``, the
+centralizers and the sl2 solves of ``invariants`` work on h indices over
+every field; a root vector X of G sends each e_s to +/-e_t or 0 and
+X v X = 0 on V, so exp(c X) acts as v + c[X, v] (``G_ROOT_MOVES``, read off
+``BRACKETS``); the Klein group permutes the e_s with signs
+(``W0_MOVES``); and ``BLOCK_GATHER`` fills the blocks X, Y of v = [[0, X],
+[Y, 0]] on the positions (EVEN, ODD) of theta.  The 8x8 view
+(``VElem.to_matrix``) serves only the minimal polynomial.  A D4Context
+holds the field-dependent rest and is safe to share.
 pi_1(G) is read off the pairings <coroot, alpha_i>, the coroot coordinates
 in the fundamental-coweight basis of X_*(T).
 """
 
 from . import linalg
 from .fields import split_top
-from .linalg import mat_mul, mat_sub
+from .linalg import mat_mul
 from .quartic import disc_univariate
 from .polys import Poly, is_squarefree
 
@@ -87,16 +90,11 @@ W0_POSITION_PERMS = {
 }
 
 
-def weight_evec(signs):
-    """e-coordinates (doubled: integer) of the weight with the given
-    (2n_i) pattern; returns the character vector itself (entries in ZZ)."""
-    e1, e2, e3, e4 = signs
-    return (
-        (e1 + e2) // 2,
-        (e3 + e4) // 2,
-        (e1 - e2) // 2,
-        (e3 - e4) // 2,
-    )
+# label -> the e-coordinates of its weight (the character vector, in ZZ)
+WEIGHT_EVEC = {
+    l: ((e1 + e2) // 2, (e3 + e4) // 2, (e1 - e2) // 2, (e3 - e4) // 2)
+    for l, (e1, e2, e3, e4) in LABEL_SIGNS.items()
+}
 
 
 def alpha_coords(evec):
@@ -158,13 +156,31 @@ def _root_entries():
 
 
 ROOT_ENTRIES = _root_entries()
+# per label, the H-simple-root coordinates of its weight: under the torus
+# point with alpha-values x, e_l scales by prod_i x_i^k_i
+WEIGHT_ALPHA = tuple(alpha_coords(WEIGHT_EVEC[l]) for l in LABELS)
+# per alpha_i, the nonzero exponents k_i that WEIGHT_ALPHA takes
+_ALPHA_EXPONENTS = tuple(sorted({m[i] for m in WEIGHT_ALPHA} - {0}) for i in range(4))
 # (primary, partner) entries of the weight basis of V, in label order
-V_ENTRIES = tuple(ROOT_ENTRIES[weight_evec(LABEL_SIGNS[l])] for l in LABELS)
+V_ENTRIES = tuple(ROOT_ENTRIES[WEIGHT_EVEC[l]] for l in LABELS)
 
 # theta splits the positions by S_SIGNS: on (EVEN, ODD) a matrix of V is
 # [[0, X], [Y, 0]]; IOTA keeps both sets
 EVEN = tuple(i for i in range(8) if S_SIGNS[i] == 1)
 ODD = tuple(i for i in range(8) if S_SIGNS[i] == -1)
+
+# The Chevalley basis x_0..x_27 of h: the Cartan elements h_k =
+# diag(POS_CHAR[i][k]), then the root vectors of H_ROOTS (+1 at the primary
+# entry, -1 at the partner).  G_BASIS indexes the basis of g (theta fixes a
+# root vector whose positions have one sign), and V_BASIS the weight vector
+# e_l of each label, which is the root vector of its weight.
+H_ROOTS = tuple(sorted(ROOT_ENTRIES))
+G_ROOTS = tuple(r for r in H_ROOTS if len({S_SIGNS[i] for i in ROOT_ENTRIES[r][0]}) == 1)
+V_ROOTS = tuple(r for r in H_ROOTS if r not in G_ROOTS)
+H_BASIS = tuple(range(4 + len(H_ROOTS)))
+G_BASIS = H_BASIS[:4] + tuple(4 + H_ROOTS.index(r) for r in G_ROOTS)
+V_BASIS = tuple(4 + H_ROOTS.index(WEIGHT_EVEC[l]) for l in LABELS)
+assert len(G_ROOTS) == 8 and set(V_ROOTS) == set(WEIGHT_EVEC.values())
 
 
 # entry (i, j) of V -> (weight coordinate, +1 at its primary entry, -1 at its partner)
@@ -185,6 +201,41 @@ def _sparse_mul(a, b):
     return {e: c for e, c in out.items() if c}
 
 
+def _sparse_sum(terms):
+    """sum c m over the pairs (c, m) of an int and a sparse matrix, zeros dropped."""
+    out = {}
+    for c, m in terms:
+        for e, x in m.items():
+            out[e] = out.get(e, 0) + c * x
+    return {e: x for e, x in out.items() if x}
+
+
+def _brackets():
+    """BRACKETS[s][a]: the terms (b, c) of [e_s, x_a] = sum c x_b, c an int,
+    for e_s in label order.  A coordinate is read at one entry of x_b (the
+    diagonal entry of character e_k for h_k, the primary entry of a root
+    vector); ValueError unless each root vector squares to zero and each
+    bracket is exactly the combination read off, so the table holds over
+    every field."""
+    basis = [{(i, i): c[k] for i, c in enumerate(POS_CHAR) if c[k]} for k in range(4)]
+    basis += [dict(zip(ROOT_ENTRIES[r], (1, -1))) for r in H_ROOTS]
+    if any(_sparse_mul(x, x) for x in basis[4:]):
+        raise ValueError("root vector does not square to zero")
+    units = [tuple(int(j == k) for j in range(4)) for k in range(4)]
+    read = [(POS_CHAR.index(u),) * 2 for u in units] + [ROOT_ENTRIES[r][0] for r in H_ROOTS]
+    table = []
+    for e in (basis[a] for a in V_BASIS):
+        row = []
+        for x in basis:
+            br = _sparse_sum([(1, _sparse_mul(e, x)), (-1, _sparse_mul(x, e))])
+            terms = tuple((b, br[e]) for b, e in enumerate(read) if e in br)
+            if _sparse_sum((c, basis[b]) for b, c in terms) != br:
+                raise ValueError("a bracket is not a combination of the basis of h")
+            row.append(terms)
+        table.append(tuple(row))
+    return tuple(table)
+
+
 def _as_weight_vector(m):
     """(t, c) with the sparse matrix m equal to c e_t for c = +/-1 (e_t is +1
     at the primary entry and -1 at the partner); ValueError otherwise."""
@@ -199,29 +250,26 @@ def _as_weight_vector(m):
 
 def _g_root_moves():
     """root of G -> the moves (s, t, c) with [X, e_s] = c e_t, s and t
-    coordinate indices in label order.
+    coordinate indices in label order, read as -[e_s, X] from ``BRACKETS``.
 
-    Each [X, e_s] must lie in V, and X e_s X must vanish: by linearity
-    (I + cX) v (I - cX) = v + c[X, v] on all of V, so a unipotent acts on
-    the coordinates with no check per call.
+    Each [X, e_s] must be a signed weight vector, and X e_s X must vanish:
+    by linearity (I + cX) v (I - cX) = v + c[X, v] on all of V, so a
+    unipotent acts on the coordinates with no check per call.
     """
     out = {}
-    for root, entries in ROOT_ENTRIES.items():
-        (i, j), _ = entries
-        if S_SIGNS[i] != S_SIGNS[j]:
-            continue  # a root of V
-        x = dict(zip(entries, (1, -1)))
-        if _sparse_mul(x, x):
-            raise ValueError("root vector does not square to zero")
+    for root in G_ROOTS:
+        a = 4 + H_ROOTS.index(root)
+        x = dict(zip(ROOT_ENTRIES[root], (1, -1)))
         moves = []
-        for s, e in enumerate(dict(zip(e_entries, (1, -1))) for e_entries in V_ENTRIES):
-            xe, ex = _sparse_mul(x, e), _sparse_mul(e, x)
-            if _sparse_mul(xe, x):
+        for s, row in enumerate(BRACKETS):
+            if _sparse_mul(_sparse_mul(x, dict(zip(V_ENTRIES[s], (1, -1)))), x):
                 raise ValueError("X e_s X is not zero")
-            br = {k: xe.get(k, 0) - ex.get(k, 0) for k in xe.keys() | ex.keys()}
-            br = {k: c for k, c in br.items() if c}
-            if br:
-                moves.append((s, *_as_weight_vector(br)))
+            if not row[a]:
+                continue
+            (b, c), *rest = row[a]
+            if rest or b not in V_BASIS or c not in (1, -1):
+                raise ValueError("not a signed weight vector of V")
+            moves.append((s, V_BASIS.index(b), -c))
         out[root] = tuple(moves)
     return out
 
@@ -249,6 +297,7 @@ def _block_gather():
     return blocks
 
 
+BRACKETS = _brackets()
 G_ROOT_MOVES = _g_root_moves()
 W0_MOVES = _w0_moves()
 BLOCK_GATHER = _block_gather()
@@ -342,24 +391,6 @@ class TorusGen:
         return TorusGen([x.inverse() for x in self.values])
 
 
-def torus_from_g_root_values(field, lams):
-    """Torus point with chi(a_i) = lams[i], when one exists.
-
-    The a_i span an index-2 sublattice of the root lattice, so the values
-    determine chi only up to a sign and exist only when lam2 lam3 lam4 /
-    lam1 is a square; returns None otherwise (deterministic square root).
-    """
-    l1, l2, l3, l4 = lams
-    s = field.sqrt(l2 * l3 * l4 * l1.inverse())
-    if s is None or not s:
-        return None
-    x2 = s
-    x1 = l2 * x2.inverse()
-    x4 = l3 * x2.inverse()
-    x3 = l4 * x2.inverse()
-    return TorusGen([x1, x2, x3, x4])
-
-
 class UnipGen:
     """exp(c X_root) = I + c X_root for a root of G (X_root^2 = 0)."""
 
@@ -382,60 +413,19 @@ class WeylGen:
 
 
 class D4Context:
-    """All field-dependent structure of the graded pair, built once."""
+    """The weight basis of V and the nilpotents E, e_subreg over one field;
+    the Lie structure is in the module tables.  Safe to share."""
 
     def __init__(self, field):
         if field.char < 5:
             raise ValueError("characteristic must be at least 5")
         self.field = field
-        self._build_bases()
-        self._build_weight_data()
-        self.E = VElem(self, E_COORDS)
-        self.e_subreg = VElem(self, E_SUBREG_COORDS)
-
-    # -- construction of bases --
-
-    def _build_bases(self):
-        f = self.field
-        # Cartan basis h_k: diagonal matrices for the coweight e_k*
-        self.cartan_basis = []
-        for k in range(4):
-            m = linalg.zeros(f, 8, 8)
-            for i in range(8):
-                m[i][i] = f.elem(POS_CHAR[i][k])
-            self.cartan_basis.append(m)
-        # root vectors: one per root, +1 at the primary entry, -1 at the
-        # partner; each squares to zero, so exp(c X) = I + c X
-        self.root_matrix = {}
-        for char, (prim, part) in ROOT_ENTRIES.items():
-            m = linalg.zeros(f, 8, 8)
-            m[prim[0]][prim[1]] = f.one
-            m[part[0]][part[1]] = -f.one
-            if any(any(row) for row in mat_mul(m, m)):
-                raise ValueError("root vector does not square to zero")
-            self.root_matrix[char] = m
-        self.h_roots = sorted(ROOT_ENTRIES)
-        self.g_roots = sorted(G_ROOT_MOVES)
-        self.v_roots = [r for r in self.h_roots if r not in set(self.g_roots)]
-        assert len(self.g_roots) == 8 and len(self.v_roots) == 16
-        # full h basis: 4 cartan + 24 roots (dim 28)
-        self.h_basis = list(self.cartan_basis) + [
-            self.root_matrix[r] for r in self.h_roots
-        ]
-        self.g_basis = list(self.cartan_basis) + [
-            self.root_matrix[r] for r in self.g_roots
-        ]
-
-    def _build_weight_data(self):
-        f = self.field
-        self.weight_evec = {l: weight_evec(LABEL_SIGNS[l]) for l in LABELS}
-        assert set(self.weight_evec.values()) == set(self.v_roots)
         # the weight basis of V: v_basis[l - 1] = e_l
         self.v_basis = tuple(
-            VElem(self, [f.one if m == l else f.zero for m in LABELS]) for l in LABELS
+            VElem(self, [field.one if m == l else field.zero for m in LABELS]) for l in LABELS
         )
-
-    # -- matrix <-> coordinates --
+        self.E = VElem(self, E_COORDS)
+        self.e_subreg = VElem(self, E_SUBREG_COORDS)
 
     def v_coords_to_matrix(self, coords):
         f = self.field
@@ -445,25 +435,6 @@ class D4Context:
                 continue
             m[pi][pj] = m[pi][pj] + c
             m[qi][qj] = m[qi][qj] - c
-        return m
-
-    def h_coords(self, m):
-        """Coordinates of m in the h basis (4 cartan + 24 root entries)."""
-        out = [m[0][0], m[1][1], m[4][4], m[5][5]]
-        for r in self.h_roots:
-            prim, _ = ROOT_ENTRIES[r]
-            out.append(m[prim[0]][prim[1]])
-        return out
-
-    # -- cocharacters --
-
-    def cochar_matrix(self, exps):
-        """d(cocharacter)(2) as a diagonal matrix, exps in e*-coords: the
-        semisimple element h of an sl2-triple with grading cochar."""
-        f = self.field
-        m = linalg.zeros(f, 8, 8)
-        for i in range(8):
-            m[i][i] = f.elem(2 * pairing(exps, POS_CHAR[i]))
         return m
 
     def torus_from_cochar(self, exps, t):
@@ -480,10 +451,13 @@ class D4Context:
         element permutes the coordinates with the signs of ``W0_MOVES``."""
         f = self.field
         if isinstance(gen, TorusGen):
+            powers = [{k: x**k for k in ks} for x, ks in zip(gen.values, _ALPHA_EXPONENTS)]
             coords = []
-            for l in LABELS:
-                c = v[l]
-                coords.append(c * gen.eval_char(f, self.weight_evec[l]) if c else c)
+            for c, m in zip(v.coords, WEIGHT_ALPHA):
+                for pw, k in zip(powers, m):
+                    if c and k:
+                        c = c * pw[k]
+                coords.append(c)
             return VElem(self, coords)
         if isinstance(gen, UnipGen):
             moves = G_ROOT_MOVES.get(gen.root)
@@ -515,17 +489,21 @@ class D4Context:
     # -- invariant-free classification helpers --
 
     def ad_matrix(self, v: VElem, basis):
-        """Matrix of ad(v) restricted to span(basis), in h coordinates."""
-        vm = v.to_matrix()
-        cols = []
-        for b in basis:
-            br = mat_sub(mat_mul(vm, b), mat_mul(b, vm))
-            cols.append(self.h_coords(br))
-        # rows = 28 h-coordinates, columns = basis elements
-        return [[cols[j][i] for j in range(len(basis))] for i in range(28)]
+        """Matrix of ad(v) on the span of the h basis elements x_a, a in
+        basis, in h coordinates: column j is [v, x_a] = sum_s v_s [e_s, x_a]
+        from ``BRACKETS``."""
+        f = self.field
+        mat = [[f.zero] * len(basis) for _ in H_BASIS]
+        for x, row in zip(v.coords, BRACKETS):
+            if not x:
+                continue
+            for j, a in enumerate(basis):
+                for b, c in row[a]:
+                    mat[b][j] = mat[b][j] + x * c
+        return mat
 
     def centralizer_dim(self, v: VElem, ambient="g") -> int:
-        basis = self.g_basis if ambient == "g" else self.h_basis
+        basis = G_BASIS if ambient == "g" else H_BASIS
         mat = self.ad_matrix(v, basis)
         return len(basis) - linalg.rank(self.field, mat)
 

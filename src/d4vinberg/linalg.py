@@ -46,10 +46,6 @@ def identity(field, n):
     return out
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def _prime_vals(mat, field, width):
     """Int values of mat if every row has `width` FElem entries of `field`."""
     out = []

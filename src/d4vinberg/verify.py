@@ -5,7 +5,8 @@ mathematical failures raise AssertionError inside the suite.  Any exception
 a suite raises is reported as passed = False with details {"failure":
 message, "type": exception class name}, so one failing suite never discards
 the others' results.  The CLI and the acceptance tests both run these, so
-reports and pytest agree by construction.
+reports and pytest agree by construction.  The structure suite checks the
+grading on numpy commutators, apart from the bracket table of ``liealg``.
 """
 
 import functools
@@ -19,15 +20,20 @@ from .funcfield import RatFunc, support
 from .invariants import Invariants
 from .liealg import (
     D4Context,
+    G_ROOTS,
     G_SIMPLE,
     LABELS,
     LABEL_SIGNS,
+    POS_CHAR,
     RHO_CHECK,
+    ROOT_ENTRIES,
     S_SIGNS,
     TorusGen,
     UnipGen,
+    V_ROOTS,
     VElem,
     W0_PERMS,
+    WEIGHT_EVEC,
     WeylGen,
     fundamental_group_divisors,
     fundamental_group_order,
@@ -66,19 +72,22 @@ def _suite(name):
     return wrap
 
 
-def _int_mats(ctx, basis):
-    p = ctx.field.char
-    return np.array(
-        [[[x.val % p for x in row] for row in m] for m in basis], dtype=np.int64
-    )
+def _int_bases(p):
+    """The bases of g (the Cartan elements, then the root vectors of G) and
+    of V (its weight vectors) as int64 8x8 matrices mod p."""
+    mats = {root: np.zeros((8, 8), dtype=np.int64) for root in ROOT_ENTRIES}
+    for root, ((i, j), (k, l)) in ROOT_ENTRIES.items():
+        mats[root][i, j], mats[root][k, l] = 1, -1
+    g = [np.diag([c[k] for c in POS_CHAR]) for k in range(4)] + [mats[r] for r in G_ROOTS]
+    return np.array(g) % p, np.array([mats[r] for r in V_ROOTS]) % p
 
 
 @_suite("structure")
 def structure_suite(p=23):
     """Dims (28, 12, 16), weight table, Hasse covers, grading closure."""
-    ctx = D4Context(GF(p))
-    assert len(ctx.h_basis) == 28 and len(ctx.g_basis) == 12
-    assert len(ctx.v_roots) == 16
+    GF(p)  # ValueError unless p is a prime >= 5
+    g_mats, v_mats = _int_bases(p)
+    assert len(ROOT_ENTRIES) + 4 == 28 and len(g_mats) == 12 and len(v_mats) == 16
     # the weight table: labels carry exactly the sixteen sign patterns
     assert sorted(LABEL_SIGNS.values()) == sorted(
         tuple(s) for s in {tuple(x) for x in LABEL_SIGNS.values()}
@@ -108,15 +117,12 @@ def structure_suite(p=23):
             )
             assert diff == 1, "cover is not a single sign flip"
     # roots of G: 8 roots + rank 4 = dim 12
-    assert len(ctx.g_roots) == 8
+    assert len(G_ROOTS) == 8
     # grading closure on all basis pairs, vectorized mod p
     theta_mask = np.outer(S_SIGNS, S_SIGNS)
 
     def theta_np(mats):
         return (mats * theta_mask) % p
-
-    g_mats = _int_mats(ctx, ctx.g_basis)
-    v_mats = _int_mats(ctx, [e.to_matrix() for e in ctx.v_basis])
 
     def comms(a, b):
         prod1 = np.einsum("aij,bjk->abik", a, b)
@@ -142,7 +148,7 @@ def structure_suite(p=23):
     assert total == [0, 0, 0, 0]
     return {
         "dims": (28, 12, 16),
-        "g_roots": len(ctx.g_roots),
+        "g_roots": len(G_ROOTS),
         "covers_of_top": sorted(cover_sets[1]),
     }
 
@@ -153,7 +159,7 @@ def _random_gen(ctx, rng):
     if k == 0:
         return TorusGen([f.random_nonzero(rng) for _ in range(4)])
     if k == 1:
-        return UnipGen(ctx.g_roots[int(rng.integers(0, 8))], f.random(rng))
+        return UnipGen(G_ROOTS[int(rng.integers(0, 8))], f.random(rng))
     return WeylGen(W0_NAMES[int(rng.integers(0, 4))])
 
 
@@ -173,7 +179,7 @@ def invariant_suite(p=23, trials=1000, seed=0):
         t = TorusGen([f.random_nonzero(rng) for _ in range(4)])
         for l, e_l in zip(LABELS, ctx.v_basis):
             img = ctx.act(t, e_l)
-            assert img == e_l.scale(t.eval_char(f, ctx.weight_evec[l]))
+            assert img == e_l.scale(t.eval_char(f, WEIGHT_EVEC[l]))
     # homogeneity (2, 4, 4, 6)
     for _ in range(50):
         v = VElem(ctx, [f.random(rng) for _ in range(16)])
@@ -362,7 +368,7 @@ def geography_suite(p=23, seed=0):
         img = ctx.act(t, e_l)
         scalar = img[l] * e_l[l].inverse()
         dlog = next(k for k in range(-(p - 1), p) if c**k == scalar)
-        assert dlog % (p - 1) == pairing(RHO_CHECK, ctx.weight_evec[l]) % (p - 1)
+        assert dlog % (p - 1) == pairing(RHO_CHECK, WEIGHT_EVEC[l]) % (p - 1)
     return out
 
 

@@ -12,12 +12,14 @@ from d4vinberg.liealg import (
     BLOCK_GATHER,
     D4Context,
     EVEN,
+    G_ROOTS,
     IOTA,
     ODD,
     VElem,
     TorusGen,
     RHO_CHECK,
     UnipGen,
+    WEIGHT_EVEC,
     WeylGen,
     pairing,
     v_blocks,
@@ -178,7 +180,7 @@ def test_subregular_weights():
     # z_V(f) has graded dimensions (3, 2) at contraction weights (2, 4)
     weights = [  # ad-lambda weight of each W basis vector
         next(
-            pairing((2, 1, 0, 1), ctx.weight_evec[l])
+            pairing((2, 1, 0, 1), WEIGHT_EVEC[l])
             for l in range(1, 17)
             if w[l]
         )
@@ -227,7 +229,7 @@ def test_action_and_pi_build_no_8x8_matrix(monkeypatch):
     rng = det_rng(13, "inv-no-matrix")
     v = VElem(ctx, [F.random(rng) for _ in range(16)])
     t = TorusGen([F.random_nonzero(rng) for _ in range(4)])
-    word = [WeylGen("s13.24"), UnipGen(ctx.g_roots[2], F.random(rng)), t, WeylGen("s12.34")]
+    word = [WeylGen("s13.24"), UnipGen(G_ROOTS[2], F.random(rng)), t, WeylGen("s12.34")]
     expected = ctx.act(word, v), inv.pi(v)
     monkeypatch.setattr(liealg.D4Context, "v_coords_to_matrix", no_matrix)
     for module in (linalg, liealg):
@@ -236,6 +238,25 @@ def test_action_and_pi_build_no_8x8_matrix(monkeypatch):
         v.to_matrix()
     assert (ctx.act(word, v), inv.pi(v)) == expected
     assert inv.pi(inv.kostant_section(expected[1])) == expected[1]
+
+
+def test_sl2_data_centralizers_and_lie_disc_build_no_8x8_matrix(monkeypatch):
+    import d4vinberg.liealg as liealg
+
+    def no_matrix(*args):
+        raise AssertionError("8x8 matrix built")
+
+    rng = det_rng(14, "inv-no-matrix-h")
+    while True:
+        v = VElem(ctx, [F.random(rng) for _ in range(16)])
+        if inv.lie_disc_fast(v):
+            break
+    monkeypatch.setattr(liealg.D4Context, "v_coords_to_matrix", no_matrix)
+    fresh = D4Context(GF(23))
+    built = Invariants(fresh)
+    assert built.calibration_json() == inv.calibration_json()
+    assert built.lie_disc(v) == built.lie_disc_fast(v)
+    assert [fresh.centralizer_dim(e, a) for e in (fresh.E, fresh.e_subreg) for a in "gh"] == [0, 4, 1, 6]
 
 
 # -- the one primitive pipeline across representations: boxed FElem,

@@ -6,21 +6,32 @@ from hypothesis import given, settings, strategies as st
 from d4vinberg import linalg
 from d4vinberg.fields import GF
 from d4vinberg.liealg import (
+    BRACKETS,
     D4Context,
+    G_BASIS,
     G_ROOT_MOVES,
+    G_ROOTS,
     G_SIMPLE,
+    H_BASIS,
+    H_ROOTS,
     H_SIMPLE,
     IOTA,
     LABELS,
     LABEL_SIGNS,
+    LAMBDA_CHECK,
+    POS_CHAR,
     RHO_CHECK,
+    ROOT_ENTRIES,
     S_SIGNS,
     W0_MOVES,
     W0_POSITION_PERMS,
     TorusGen,
     UnipGen,
+    V_BASIS,
     V_ENTRIES,
+    V_ROOTS,
     VElem,
+    WEIGHT_EVEC,
     WeylGen,
     alpha_coords,
     fundamental_group_divisors,
@@ -28,7 +39,6 @@ from d4vinberg.liealg import (
     leq,
     pairing,
     w0_label_perm,
-    weight_evec,
 )
 from d4vinberg.rng import det_rng
 
@@ -46,12 +56,53 @@ def _theta(m):
 
 
 def _bracket(a, b):
-    return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+    ab, ba = linalg.mat_mul(a, b), linalg.mat_mul(b, a)
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
+
+
+# -- the 8x8 view of h, the oracle of the bracket table --
+
+
+def _root_matrix(field, root):
+    """The root vector of a root of h: +1 at its primary entry, -1 at the partner."""
+    m = linalg.zeros(field, 8, 8)
+    (pi, pj), (qi, qj) = ROOT_ENTRIES[root]
+    m[pi][pj], m[qi][qj] = field.one, -field.one
+    return m
+
+
+def _h_basis(field):
+    """The Chevalley basis of h as 8x8 matrices: the Cartan elements h_k =
+    diag(POS_CHAR[i][k]), then the root vectors of H_ROOTS."""
+    cartan = [
+        [[field.elem(POS_CHAR[i][k]) if i == j else field.zero for j in range(8)] for i in range(8)]
+        for k in range(4)
+    ]
+    return cartan + [_root_matrix(field, r) for r in H_ROOTS]
+
+
+def _g_basis(field):
+    h = _h_basis(field)
+    return [h[a] for a in G_BASIS]
+
+
+def _h_coords(m):
+    """Coordinates of m in the h basis: the diagonal entries of e_0..e_3, then
+    the primary entries of the roots."""
+    roots = [m[i][j] for (i, j), _ in (ROOT_ENTRIES[r] for r in H_ROOTS)]
+    return [m[0][0], m[1][1], m[4][4], m[5][5]] + roots
+
+
+def _ad_matrix_8x8(v, basis):
+    """ad(v) on span(basis) by 8x8 commutators, in h coordinates (28 rows)."""
+    vm = v.to_matrix()
+    cols = [_h_coords(_bracket(vm, b)) for b in basis]
+    return [[col[i] for col in cols] for i in range(28)]
 
 
 def _unip_matrix(context, root, c):
     """exp(c X) = I + c X for the root vector X of a root of h."""
-    x = context.root_matrix[root]
+    x = _root_matrix(context.field, root)
     one = linalg.identity(context.field, 8)
     return [[one[i][j] + c * x[i][j] for j in range(8)] for i in range(8)]
 
@@ -81,17 +132,17 @@ def _context(p, m=1):
 
 
 def test_dimensions():
-    assert len(ctx.h_basis) == 28
-    assert len(ctx.g_basis) == 12
-    assert len(ctx.v_roots) == 16
-    assert len(ctx.g_roots) == 8
+    assert len(H_BASIS) == 28
+    assert len(G_BASIS) == 12
+    assert len(V_ROOTS) == 16
+    assert len(G_ROOTS) == 8
 
 
 def test_weight_table_matches_roots():
-    assert set(weight_evec(LABEL_SIGNS[l]) for l in LABELS) == set(ctx.v_roots)
+    assert set(WEIGHT_EVEC[l] for l in LABELS) == set(V_ROOTS)
     assert LABEL_SIGNS[1] == (1, 1, 1, 1)
     # alpha0 = product of the top weight: e0 + e1
-    assert weight_evec(LABEL_SIGNS[1]) == (1, 1, 0, 0)
+    assert WEIGHT_EVEC[1] == (1, 1, 0, 0)
 
 
 def test_membership_constraint():
@@ -106,12 +157,13 @@ def test_membership_constraint():
 
 def test_bracket_grading():
     rng = det_rng(1, "lie-grading")
+    g_basis = _g_basis(F)
     for _ in range(20):
         a = VElem(ctx, [F.random(rng) for _ in range(16)]).to_matrix()
         b = VElem(ctx, [F.random(rng) for _ in range(16)]).to_matrix()
         br = _bracket(a, b)
         assert _theta(br) == br  # [V, V] in g
-        g = ctx.g_basis[int(rng.integers(0, 12))]
+        g = g_basis[int(rng.integers(0, 12))]
         br2 = _bracket(g, a)
         assert _theta(br2) == [[-x for x in row] for row in br2]  # [g, V] in V
 
@@ -122,7 +174,7 @@ def test_torus_diagonal_action():
         t = TorusGen([F.random_nonzero(rng) for _ in range(4)])
         for l in LABELS:
             e_l = VElem(ctx, [F.one if m == l else F.zero for m in LABELS])
-            assert ctx.act(t, e_l) == e_l.scale(t.eval_char(F, ctx.weight_evec[l]))
+            assert ctx.act(t, e_l) == e_l.scale(t.eval_char(F, WEIGHT_EVEC[l]))
 
 
 def test_torus_matrix_consistency():
@@ -148,13 +200,13 @@ def test_torus_matrix_consistency():
 
 def test_unipotent_squares_to_zero_and_acts():
     rng = det_rng(4, "lie-unip")
-    for root in ctx.g_roots:
+    for root in G_ROOTS:
         u = UnipGen(root, F.random(rng))
         v = VElem(ctx, [F.random(rng) for _ in range(16)])
         w = ctx.act(u, v)
         assert isinstance(w, VElem)
     # non-G roots do not preserve V
-    bad = next(r for r in ctx.v_roots)
+    bad = next(r for r in V_ROOTS)
     with pytest.raises(ValueError):
         ctx.act(UnipGen(bad, F.one), VElem(ctx, [F.one] * 16))
 
@@ -194,14 +246,36 @@ def test_coordinate_action_matches_8x8_conjugation(q, data):
     f = c.field
     elems = st.integers(0, f.order - 1).map(f.from_int)
     v = VElem(c, data.draw(st.lists(elems, min_size=16, max_size=16)))
-    assert len(c.g_roots) == len(G_ROOT_MOVES) == 8
-    for root in c.g_roots:
+    assert len(G_ROOTS) == len(G_ROOT_MOVES) == 8
+    for root in G_ROOTS:
         a = data.draw(elems)
         u, u_inv = _unip_matrix(c, root, a), _unip_matrix(c, root, -a)
         assert c.act(UnipGen(root, a), v) == _conjugate(c, u, v, u_inv)
     for name in W0_NAMES:
         p = _weyl_matrix(c, name)
         assert c.act(WeylGen(name), v) == _conjugate(c, p, v, linalg.transpose(p))
+
+
+def _graded_spaces():
+    """The h indices of the cochar-weight spaces of V, for rho-check and lambda-check."""
+    spaces = {}
+    for cochar in (RHO_CHECK, LAMBDA_CHECK):
+        for l in LABELS:
+            spaces.setdefault((cochar, pairing(cochar, WEIGHT_EVEC[l])), []).append(V_BASIS[l - 1])
+    return list(spaces.values())
+
+
+@pytest.mark.parametrize("q", [(23, 1), (29, 1), (23, 2)], ids=["F23", "F29", "GF23^2"])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_ad_matrix_matches_8x8_commutators(q, data):
+    c = _context(*q)
+    f = c.field
+    elems = st.integers(0, f.order - 1).map(f.from_int)
+    v = VElem(c, data.draw(st.lists(elems, min_size=16, max_size=16)))
+    h = _h_basis(f)
+    for basis in [H_BASIS, G_BASIS, *_graded_spaces()]:
+        assert c.ad_matrix(v, basis) == _ad_matrix_8x8(v, [h[a] for a in basis])
 
 
 def test_move_tables_check_their_input(monkeypatch):
@@ -218,15 +292,29 @@ def test_move_tables_check_their_input(monkeypatch):
               {primary: 1, partner: -1, V_ENTRIES[6][0]: 1}, {(0, 0): 1}, {}):
         with pytest.raises(ValueError, match="not a signed weight vector"):
             liealg._as_weight_vector(m)
-    # a G root vector whose partner entry leaves so(Psi): [X, e_s] is not in
-    # V for some s, or X e_s X != 0
+    # a G root vector whose partner entry leaves so(Psi): some [e_s, X] is
+    # not in h, and for two of them X e_s X != 0 as well
     root = (1, 0, -1, 0)
     primary, partner = liealg.ROOT_ENTRIES[root]
     assert root in G_ROOT_MOVES and (primary, partner) == ((0, 4), (7, 3))
-    for bad, message in (((3, 7), "not a signed weight vector"), ((0, 1), "not a signed weight vector"),
-                         ((3, 1), "X e_s X")):
+    for bad in ((3, 7), (0, 1), (3, 1)):
         monkeypatch.setitem(liealg.ROOT_ENTRIES, root, (primary, bad))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match="not a combination of the basis of h"):
+            liealg._brackets()
+        if bad != (3, 7):
+            with pytest.raises(ValueError, match="X e_s X"):
+                liealg._g_root_moves()
+    monkeypatch.setitem(liealg.ROOT_ENTRIES, root, (primary, partner))
+    assert liealg._g_root_moves() == G_ROOT_MOVES
+    # a table entry [e_s, X] that is not a signed weight vector: a Cartan
+    # term, a coefficient 2, two terms
+    a = 4 + H_ROOTS.index(root)
+    s, t, c = G_ROOT_MOVES[root][0]
+    for terms in (((0, 1),), ((V_BASIS[t], 2),), ((V_BASIS[t], -c), (V_BASIS[t - 1], 1))):
+        table = [list(row) for row in BRACKETS]
+        table[s][a] = terms
+        monkeypatch.setattr(liealg, "BRACKETS", table)
+        with pytest.raises(ValueError, match="not a signed weight vector"):
             liealg._g_root_moves()
     # a position permutation that does not commute with IOTA
     monkeypatch.setitem(liealg.W0_POSITION_PERMS, "e", (1, 0, 2, 3, 4, 5, 6, 7))
@@ -271,12 +359,12 @@ def test_rho_pairings():
         assert pairing(RHO_CHECK, alpha) == 1
     assert [pairing(RHO_CHECK, a) for a in G_SIMPLE] == [4, 2, 2, 2]
     # the highest V-weight pairs to 5 (not 2): the geography constant
-    assert pairing(RHO_CHECK, weight_evec(LABEL_SIGNS[1])) == 5
+    assert pairing(RHO_CHECK, WEIGHT_EVEC[1]) == 5
 
 
 def test_alpha_coords_integral():
     for l in LABELS:
-        m = alpha_coords(weight_evec(LABEL_SIGNS[l]))
+        m = alpha_coords(WEIGHT_EVEC[l])
         assert all(isinstance(x, int) for x in m)
 
 
@@ -307,34 +395,37 @@ def test_velem_serialization():
 def test_unipotent_inverse_is_the_negated_parameter():
     rng = det_rng(9, "lie-unip-inverse")
     one = linalg.identity(F, 8)
-    assert len(ctx.h_roots) == 24
-    for root in ctx.h_roots:
+    assert len(H_ROOTS) == 24
+    for root in H_ROOTS:
         c = F.random(rng)
         u = _unip_matrix(ctx, root, c)
         u_neg = _unip_matrix(ctx, root, -c)
         assert linalg.mat_mul(u, u_neg) == one
         assert linalg.mat_mul(u_neg, u) == one
     # on coordinates, the action at -c undoes the action at c
-    for root in ctx.g_roots:
+    for root in G_ROOTS:
         c = F.random(rng)
         v = VElem(ctx, [F.random(rng) for _ in range(16)])
         assert ctx.act([UnipGen(root, -c), UnipGen(root, c)], v) == v
         assert ctx.act([UnipGen(root, c), UnipGen(root, -c)], v) == v
 
 
-def test_context_checks_that_root_vectors_square_to_zero(monkeypatch):
+def test_bracket_table_checks_that_root_vectors_square_to_zero(monkeypatch):
     import d4vinberg.liealg as liealg
 
     zero = linalg.zeros(F, 8, 8)
-    for root in ctx.h_roots:
-        x = ctx.root_matrix[root]
+    for root in H_ROOTS:
+        x = _root_matrix(F, root)
         assert linalg.mat_mul(x, x) == zero
     # a partner entry at the transpose makes X^2 = -(E_ii + E_jj) != 0
-    root = ctx.h_roots[0]
-    (i, j), _ = liealg.ROOT_ENTRIES[root]
-    monkeypatch.setitem(liealg.ROOT_ENTRIES, root, ((i, j), (j, i)))
-    with pytest.raises(ValueError, match="square to zero"):
-        D4Context(GF(23))
+    assert len(H_ROOTS) == 24
+    for root in H_ROOTS:
+        (i, j), partner = liealg.ROOT_ENTRIES[root]
+        monkeypatch.setitem(liealg.ROOT_ENTRIES, root, ((i, j), (j, i)))
+        with pytest.raises(ValueError, match="square to zero"):
+            liealg._brackets()
+        monkeypatch.setitem(liealg.ROOT_ENTRIES, root, ((i, j), partner))
+    assert liealg._brackets() == BRACKETS
 
 
 def test_torus_g_root_value_square_identity():
@@ -345,21 +436,37 @@ def test_torus_g_root_value_square_identity():
         t = TorusGen([F.random_nonzero(rng) for _ in range(4)])
         lams = [t.eval_char(F, a) for a in G_SIMPLE]
         for l in LABELS:
-            scale = t.eval_char(F, ctx.weight_evec[l])
+            scale = t.eval_char(F, WEIGHT_EVEC[l])
             prod = F.one
             for lam, e in zip(lams, LABEL_SIGNS[l]):
                 prod = prod * (lam if e > 0 else lam.inverse())
             assert scale * scale == prod
 
 
-def test_torus_from_g_root_values():
-    from d4vinberg.liealg import torus_from_g_root_values
+def _torus_from_g_root_values(field, lams):
+    """Torus point with chi(a_i) = lams[i], when one exists.
 
+    The a_i span an index-2 sublattice of the root lattice, so the values
+    determine chi only up to a sign and exist only when lam2 lam3 lam4 /
+    lam1 is a square; returns None otherwise (deterministic square root).
+    """
+    l1, l2, l3, l4 = lams
+    s = field.sqrt(l2 * l3 * l4 * l1.inverse())
+    if s is None or not s:
+        return None
+    x2 = s
+    x1 = l2 * x2.inverse()
+    x4 = l3 * x2.inverse()
+    x3 = l4 * x2.inverse()
+    return TorusGen([x1, x2, x3, x4])
+
+
+def test_torus_from_g_root_values():
     rng = det_rng(7, "lie-groot2")
     built = 0
     while built < 20:
         lams = [F.random_nonzero(rng) for _ in range(4)]
-        t = torus_from_g_root_values(F, lams)
+        t = _torus_from_g_root_values(F, lams)
         if t is None:
             continue  # requires a square root to exist
         for lam, a in zip(lams, G_SIMPLE):

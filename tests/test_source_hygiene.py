@@ -29,7 +29,6 @@ TEST_ONLY = {
     "pfaffian": "the 8x8 oracle of the block Pfaffian of a V element",
     "even_charpoly": "the 8x8 oracle of char_quartic, checked against Berkowitz",
     "binary_quartic_invariants": "classical I, J: the oracle of quartic.weierstrass",
-    "torus_from_g_root_values": "a torus point from its values on the a_i, against eval_char",
     "Invariants.calibration_json": "the audit dump of the calibration, pinned by digest",
     "VElem.deserialize": "the inverse of VElem.serialize, kept with it as the text API",
     "Poly.from_str": "the inverse of Poly's text form, kept with it as the text API",
