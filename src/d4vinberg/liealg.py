@@ -17,18 +17,17 @@ every field; a root vector X of G sends each e_s to +/-e_t or 0 and
 X v X = 0 on V, so exp(c X) acts as v + c[X, v] (``G_ROOT_MOVES``, read off
 ``BRACKETS``); the Klein group permutes the e_s with signs
 (``W0_MOVES``); and ``BLOCK_GATHER`` fills the blocks X, Y of v = [[0, X],
-[Y, 0]] on the positions (EVEN, ODD) of theta.  The 8x8 view
-(``VElem.to_matrix``) serves only the minimal polynomial.  A D4Context
-holds the field-dependent rest and is safe to share.
+[Y, 0]] on the positions (EVEN, ODD) of theta.  No 8x8 matrix is built:
+``classify`` decides semisimplicity on X, Y and the 4x4 products XY, YX.
+A D4Context holds the field-dependent rest and is safe to share.
 pi_1(G) is read off the pairings <coroot, alpha_i>, the coroot coordinates
 in the fundamental-coweight basis of X_*(T).
 """
 
 from . import linalg
 from .fields import split_top
-from .linalg import mat_mul
 from .quartic import disc_univariate
-from .polys import Poly, is_squarefree
+from .polys import Poly, gcd
 
 # positions 0..7 carry torus characters +/- e_k:
 POS_CHAR = [
@@ -313,6 +312,17 @@ def v_blocks(coords):
     )
 
 
+def _kills(r, m):
+    """Whether r(m) = 0, for a Poly r and a square matrix m over its field
+    (Horner's rule)."""
+    acc = linalg.zeros(r.field, len(m), len(m))
+    for c in reversed(r.coeffs):
+        acc = linalg.mat_mul(acc, m)
+        for i, row in enumerate(acc):
+            row[i] = row[i] + c
+    return not any(map(any, acc))
+
+
 class VElem:
     """Element of V in weight coordinates (label order 1..16)."""
 
@@ -351,9 +361,6 @@ class VElem:
 
     def zero_set(self):
         return frozenset(l for l in LABELS if not self[l])
-
-    def to_matrix(self):
-        return self.ctx.v_coords_to_matrix(self.coords)
 
     def serialize(self):
         f = self.ctx.field
@@ -426,16 +433,6 @@ class D4Context:
         )
         self.E = VElem(self, E_COORDS)
         self.e_subreg = VElem(self, E_SUBREG_COORDS)
-
-    def v_coords_to_matrix(self, coords):
-        f = self.field
-        m = linalg.zeros(f, 8, 8)
-        for c, ((pi, pj), (qi, qj)) in zip(coords, V_ENTRIES):
-            if not c:
-                continue
-            m[pi][pj] = m[pi][pj] + c
-            m[qi][qj] = m[qi][qj] - c
-        return m
 
     def torus_from_cochar(self, exps, t):
         """The torus point cochar(t) as a TorusGen (alpha-values t^<exps, alpha_i>)."""
@@ -517,35 +514,32 @@ class D4Context:
         pf = linalg.det_leibniz(x)
         return Poly(self.field, [pf * pf, c6, c4, c2, self.field.one])
 
-    def is_regular_semisimple(self, v: VElem) -> bool:
-        g = self.char_quartic(v)
-        return bool(disc_univariate(g))
-
-    def minimal_polynomial(self, v: VElem) -> Poly:
-        f = self.field
-        m = v.to_matrix()
-        powers = [linalg.identity(f, 8)]
-        while True:
-            # seek a dependence of the last power on the earlier ones
-            rows = [
-                [powers[k][i][j] for k in range(len(powers))]
-                for i in range(8)
-                for j in range(8)
-            ]
-            target_mat = mat_mul(powers[-1], m)
-            target = [target_mat[i][j] for i in range(8) for j in range(8)]
-            sol = linalg.solve(f, rows, target)
-            if sol is not None:
-                return Poly(f, [-c for c in sol] + [f.one])
-            powers.append(target_mat)
-
     def classify(self, v: VElem):
-        """(regular, semisimple, regular-semisimple) flags."""
-        rs = self.is_regular_semisimple(v)
-        if rs:
+        """(regular, semisimple, regular-semisimple) flags; v is regular
+        semisimple iff g = ``char_quartic(v)`` has a nonzero discriminant.
+
+        Otherwise semisimplicity is read off the blocks of v = [[0, X],
+        [Y, 0]].  v is semisimple iff v^2 = diag(XY, YX) is and ker v =
+        ker v^2: on an eigenspace of v^2 with eigenvalue lambda != 0, v
+        satisfies t^2 - lambda, squarefree as the characteristic is not 2,
+        and on ker v^2 it must vanish.  Given ker v = ker v^2, the generalized
+        kernel of v^2 is its kernel, and XY and YX have the same Jordan
+        blocks at every eigenvalue other than 0 (Flanders, Proc. AMS 2,
+        1951); so v^2 is semisimple iff XY is.  A matrix is semisimple iff
+        the squarefree part r = g / gcd(g, g') of its characteristic
+        polynomial kills it (deg g = 4 < p), and g is that of XY.  So v is
+        semisimple iff r(XY) = 0 and rank X + rank Y = rank XY + rank YX.
+        """
+        g = self.char_quartic(v)
+        if disc_univariate(g):
             return {"regular": True, "semisimple": True, "rs": True}
+        f = self.field
         regular = self.centralizer_dim(v, "g") == 0
-        semisimple = is_squarefree(self.minimal_polynomial(v))
+        x, y = v_blocks(v.coords)
+        xy, yx = linalg.mat_mul(x, y), linalg.mat_mul(y, x)
+        semisimple = _kills(g // gcd(g, g.derivative()), xy) and (
+            linalg.rank(f, x) + linalg.rank(f, y) == linalg.rank(f, xy) + linalg.rank(f, yx)
+        )
         return {"regular": regular, "semisimple": semisimple, "rs": False}
 
     def __repr__(self):

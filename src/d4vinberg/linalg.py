@@ -13,8 +13,8 @@ any commutative ring: ``trace``, ``trace_prod``, ``det_leibniz`` (by the
 signed permutations of ``det_terms``) and ``block_even_coeffs``, the c2,
 c4, c6 of the even characteristic polynomial of [[0, x], [y, 0]] from the
 blocks x and y.  They serve field elements and the symbolic ``MPoly``
-charts of ``invariants``.  The 8x8 ``even_coeffs``, ``even_charpoly`` and
-``pfaffian`` (by perfect matchings) are the tests' oracle.  The Newton
+charts of ``invariants``; no 8x8 matrix is formed (the 8x8 coefficients
+and the Pfaffian by perfect matchings are the tests' oracles).  The Newton
 step ``newton_even`` from power sums to c2, c4, c6 also takes a ``(mul,
 add, scale)`` ring triple, as ``MPoly.eval`` does, so ``numkernels`` runs
 it on dual-number arrays; its divisions by 2, 4 and 6 are scalings by int
@@ -37,13 +37,6 @@ from .multipoly import PY_RING
 
 def zeros(field, n, m):
     return [[field.zero] * m for _ in range(n)]
-
-
-def identity(field, n):
-    out = zeros(field, n, n)
-    for i in range(n):
-        out[i][i] = field.one
-    return out
 
 
 def _prime_vals(mat, field, width):
@@ -213,38 +206,7 @@ def staged_solve(field, residual, n, stages):
     return x
 
 
-def det(field, a):
-    n = len(a)
-    m = [row[:] for row in a]
-    result = field.one
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return field.zero
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            result = -result
-        result = result * m[c][c]
-        inv = m[c][c].inverse()
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return result
-
-
-# -- Pfaffian and determinant as signed sums of products of entries --
-
-
-def _matchings(items):
-    if not items:
-        yield []
-        return
-    first = items[0]
-    for j in range(1, len(items)):
-        rest = items[1:j] + items[j + 1 :]
-        for sub in _matchings(rest):
-            yield [(first, items[j])] + sub
+# -- the determinant as a signed sum of products of entries --
 
 
 def _perm_sign(values):
@@ -259,18 +221,7 @@ def _perm_sign(values):
     return sign
 
 
-_PFAFFIAN_TERMS = {}
 _DET_TERMS = {}
-
-
-def pfaffian_terms(n):
-    """[(sign, ((i1,j1),...))] over perfect matchings of {0..n-1}, cached."""
-    if n not in _PFAFFIAN_TERMS:
-        _PFAFFIAN_TERMS[n] = [
-            (_perm_sign([i for pair in pairs for i in pair]), tuple(pairs))
-            for pairs in _matchings(list(range(n)))
-        ]
-    return _PFAFFIAN_TERMS[n]
 
 
 def det_terms(n):
@@ -293,12 +244,6 @@ def _signed_sum(a, terms):
             term = term * a[k][l]
         acc = term if acc is None else acc + term if sign > 0 else acc - term
     return acc
-
-
-def pfaffian(a):
-    """Pfaffian of an antisymmetric n x n matrix (n even, n >= 2), over any
-    commutative ring, by perfect matchings (division-free)."""
-    return _signed_sum(a, pfaffian_terms(len(a)))
 
 
 def det_leibniz(a):
@@ -342,31 +287,16 @@ def newton_even(t2, t4, t6, char, ring=PY_RING):
     return e2, e4, e6
 
 
-def even_coeffs(a, char):
-    """(c2, c4, c6) with det(xI - a) = x^8 + c2 x^6 + c4 x^4 + c6 x^2 + c8.
-
-    Valid for 8x8 matrices similar to -a^T (odd power traces vanish), which
-    holds throughout so(Psi), with entries in any commutative ring of
-    characteristic char >= 5 (field elements, MPolys over a field).
-    """
-    a2 = mat_mul(a, a)
-    a4 = mat_mul(a2, a2)
-    return newton_even(trace(a2), trace(a4), trace_prod(a2, a4), char)
-
-
 def block_even_coeffs(x, y, char):
-    """(c2, c4, c6) of ``even_coeffs`` for a = [[0, x], [y, 0]] with n x n
-    blocks x and y: a^2 = diag(xy, yx), so tr(a^(2k)) = 2 tr(m^k) with
-    m = xy, and two n x n products replace two 2n x 2n ones."""
+    """(c2, c4, c6) of det(tI - a) = t^2n + c2 t^(2n-2) + c4 t^(2n-4) +
+    c6 t^(2n-6) + ... for a = [[0, x], [y, 0]] with n x n blocks x and y,
+    whose odd power traces vanish: a^2 = diag(xy, yx), so tr(a^(2k)) =
+    2 tr(m^k) with m = xy, and two n x n products replace two 2n x 2n
+    ones."""
     m = mat_mul(x, y)
     m2 = mat_mul(m, m)
     t2, t4, t6 = trace(m), trace(m2), trace_prod(m, m2)
     return newton_even(t2 + t2, t4 + t4, t6 + t6, char)
-
-
-def even_charpoly(field, a):
-    """(c2, c4, c6, c8) of ``even_coeffs``, with c8 = det(a) by elimination."""
-    return (*even_coeffs(a, field.char), det(field, a))
 
 
 def charpoly_berkowitz(field, a):

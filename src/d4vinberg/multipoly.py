@@ -1,9 +1,9 @@
 """Sparse multivariate polynomials over the integers or a field.
 
-Monomials map exponent tuples to coefficients.  Used for the closed-form
-quartic discriminant (integer coefficients, evaluated over arbitrary
-commutative rings) and for the symbolic invariant restrictions to the
-Kostant and subregular charts during calibration.
+Monomials map exponent tuples to coefficients.  Used for the symbolic
+invariant restrictions to the Kostant and subregular charts during
+calibration; ``quartic.delta`` runs over MPolys too, which is how the
+tests hold it to the expanded discriminant.
 
 ``MPoly.eval`` is the one evaluator.  On first use a polynomial compiles a
 plan (the highest exponent of each variable, and each monomial as its
@@ -101,18 +101,6 @@ class MPoly:
             return other
         return MPoly.const(self.nvars, other)
 
-    def partial(self, i):
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            coef = e[i] * c
-            if _nonzero(coef):
-                out[tuple(ne)] = coef
-        return MPoly(self.nvars, out)
-
     def _compile(self):
         tops = [0] * self.nvars
         monos = []
@@ -149,9 +137,6 @@ class MPoly:
             acc = term if acc is None else add(acc, term)
         return 0 if acc is None else acc
 
-    def weighted_degrees(self, weights):
-        return {sum(w * k for w, k in zip(weights, e)) for e in self.terms}
-
     def monomials(self):
         """Sorted list of (coefficient, exponent-tuple)."""
         return [(self.terms[e], e) for e in sorted(self.terms)]
@@ -185,31 +170,3 @@ def _one_like(c):
     if isinstance(c, int):
         return 1
     return c.field.one
-
-
-def det_mpoly(rows):
-    """Determinant of a square matrix of MPolys, by Laplace expansion with
-    memoization over column subsets (division-free)."""
-    n = len(rows)
-    nvars = rows[0][0].nvars
-    memo = {}
-
-    def minor(r, cols):
-        if r == n:
-            return MPoly.const(nvars, 1)
-        key = cols
-        if key in memo:
-            return memo[key]
-        acc = MPoly(nvars, {})
-        sign = 1
-        for idx, c in enumerate(cols):
-            entry = rows[r][c]
-            if not entry.is_zero():
-                sub = minor(r + 1, cols[:idx] + cols[idx + 1 :])
-                term = entry * sub
-                acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        memo[key] = acc
-        return acc
-
-    return minor(0, tuple(range(n)))

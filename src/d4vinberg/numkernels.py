@@ -16,8 +16,9 @@ Delta is the division-free program ``quartic.delta`` over one ``(mul,
 add, scale)`` ring adapter per representation: mod-p int64 arrays
 (``mod_ring``), dual-number pairs (``dual_ring``), index tables
 (``GFTable.ring``), (N, deg+1) polynomial batches (``batch_ring``) and int
-lists (``intlist_ring``).  Only the gradient, for the alpha counts, is the
-expanded ``quartic.delta_gradient()`` through ``MPoly.eval``; grids run in
+lists (``intlist_ring``).  The gradient of the alpha counts is the same
+program over first-order jets of an adapter (``_jet_ring``): at b_i +
+eps_i the eps parts of Delta are its four partials.  Grids run in
 BLOCK-point blocks.  The int-list functions are entry points into
 ``polys``.
 
@@ -45,7 +46,7 @@ from . import polys
 from .fields import GF
 from .liealg import BLOCK_GATHER
 from .linalg import det_terms, newton_even
-from .quartic import delta, delta_gradient
+from .quartic import delta
 from .rng import det_rng
 
 MAX_P = 2**28
@@ -82,18 +83,35 @@ def _grid_blocks(q, n):
         yield [codes // q**k % q for k in reversed(range(n))]
 
 
-def _alpha_counts(q, ring, zero=0):
+def _jet_ring(ring):
+    """First-order jets over ring: (value, [eps_0..eps_3 parts]) with
+    eps_i eps_j = 0, so a product's eps parts follow Leibniz's rule."""
+    mul, add, scale = ring
+    return (
+        lambda a, b: (
+            mul(a[0], b[0]),
+            [add(mul(a[0], y), mul(x, b[0])) for x, y in zip(a[1], b[1])],
+        ),
+        lambda a, b: (add(a[0], b[0]), [add(x, y) for x, y in zip(a[1], b[1])]),
+        lambda c, a: (scale(c, a[0]), [scale(c, x) for x in a[1]]),
+    )
+
+
+def _alpha_counts(q, ring, zero, one):
     """N0 = #{Delta = 0} and the points of {Delta = 0, grad Delta = 0}, as
     four coordinate arrays in code order, over a field of q elements coded
-    0..q-1."""
+    0..q-1 (zero and one are the codes of 0 and 1).  grad Delta is the eps
+    part of ``delta`` at the jet (b_i, e_i) of each coordinate."""
     blocks = []
     for pt in _grid_blocks(q, 4):
         on = delta(pt, ring) == zero
         blocks.append([a[on] for a in pt])
     sub = [np.concatenate(c) for c in zip(*blocks)]
+    jets = [(x, [one if j == i else zero for j in range(4)]) for i, x in enumerate(sub)]
+    _, grad = delta(jets, _jet_ring(ring))
     acc = np.ones(len(sub[0]), dtype=bool)
-    for g in delta_gradient():
-        acc &= g.eval(sub, ring) == zero
+    for g in grad:
+        acc &= g == zero
     return len(sub[0]), [a[acc] for a in sub]
 
 
@@ -103,7 +121,7 @@ def alpha_lift_prime(p):
     Nodal-smooth points contribute p^3 lifts each; gradient-zero points are
     evaluated once over the dual numbers (all their lifts share the value).
     """
-    n0, sing = _alpha_counts(p, mod_ring(p))
+    n0, sing = _alpha_counts(p, mod_ring(p), 0, 1)
     n2 = len(sing[0])
     # tripwire: at gradient-zero points every lift b + eps e has the dual
     # value Delta(b) + eps grad Delta(b) . e = 0
@@ -157,7 +175,7 @@ class GFTable:
 def alpha_counts_table(field):
     """(N0, N2) over a small extension field via index tables."""
     tab = GFTable(field)
-    n0, sing = _alpha_counts(tab.q, tab.ring, field.to_int(field.zero))
+    n0, sing = _alpha_counts(tab.q, tab.ring, field.to_int(field.zero), field.to_int(field.one))
     return n0, len(sing[0])
 
 

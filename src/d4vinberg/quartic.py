@@ -10,53 +10,15 @@ scale)`` ring triple, valid in every characteristic: ints, ``MPoly``, field
 elements, F_q[t] and F_q(t) through Python's operators (``quartic_disc``),
 and the numpy representations of ``numkernels``.  The root of the first
 subresultant S1 = s1 x + s0 of (f, f') (``first_subresultant``, over
-Python's operators) is the double root of f where Delta vanishes.  The oracles are
-``delta_mpoly()``, Delta expanded once over the integers from Res(f, f'),
-``disc_univariate`` and ``binary_quartic_invariants()``; the partials of
-``delta_mpoly()`` (``delta_gradient``) serve the alpha counts.
+Python's operators) is the double root of f where Delta vanishes.  Over
+first-order jets (``numkernels``) the program also gives grad Delta.
+``disc_univariate`` is the discriminant of any univariate polynomial over
+a field, from Res(f, f'); the expanded Delta and the classical invariants
+I, J are the tests' oracles.
 """
 
-from functools import lru_cache
-
-from .multipoly import PY_RING, MPoly, det_mpoly
+from .multipoly import PY_RING
 from . import polys
-
-
-@lru_cache(maxsize=1)
-def disc_monic_quartic_mpoly():
-    """disc(t^4 + a t^3 + b t^2 + c t + d) in ZZ[a,b,c,d] (vars 0..3)."""
-    a = MPoly.var(4, 0)
-    b = MPoly.var(4, 1)
-    c = MPoly.var(4, 2)
-    d = MPoly.var(4, 3)
-    one = MPoly.const(4, 1)
-    zero = MPoly(4, {})
-    f = [one, a, b, c, d]  # highest degree first
-    df = [4 * one, 3 * a, 2 * b, c]
-    rows = []
-    for shift in range(3):
-        rows.append([zero] * shift + f + [zero] * (2 - shift))
-    for shift in range(4):
-        rows.append([zero] * shift + df + [zero] * (3 - shift))
-    return det_mpoly(rows)
-
-
-@lru_cache(maxsize=1)
-def delta_mpoly():
-    """Delta(p2, p4, q4, p6) = disc(t^4+p2 t^3+p4 t^2+p6 t+q4^2), vars
-    ordered (p2, p4, q4, p6).  Weighted-homogeneous of degree 12 for
-    weights (1, 2, 2, 3)."""
-    disc = disc_monic_quartic_mpoly()
-    # disc vars: (a, b, c, d) = (p2, p4, p6, q4^2); reorder to (p2,p4,q4,p6)
-    out = {}
-    for e, coef in disc.terms.items():
-        ea, eb, ec, ed = e
-        key = (ea, eb, 2 * ed, ec)  # q4 exponent doubles, p6 takes c's slot
-        out[key] = out.get(key, 0) + coef
-    delta = MPoly(4, out)
-    degs = delta.weighted_degrees((1, 2, 2, 3))
-    assert degs == {12}, f"discriminant not weighted-homogeneous: {degs}"
-    return delta
 
 
 def _lin(ring, *terms):
@@ -91,8 +53,9 @@ def delta(b, ring=PY_RING):
         Delta = bb (u^2 + d (72u - 432d + 16bb)) + 4u^3
                 + w (-27w + b (18s - 4bb))
 
-    in the notation of ``_ij_prelude``; it equals ``delta_mpoly()`` in
-    ZZ[p2, p4, q4, p6], so it holds in every characteristic.  The ring is
+    in the notation of ``_ij_prelude``; it equals the expanded
+    discriminant in ZZ[p2, p4, q4, p6], so it holds in every
+    characteristic.  The ring is
     a ``(mul, add, scale)`` triple as in ``MPoly.eval``; constants enter
     as int scalings.
     """
@@ -138,12 +101,6 @@ def weierstrass(b, ring=PY_RING):
     )
 
 
-@lru_cache(maxsize=1)
-def delta_gradient():
-    d = delta_mpoly()
-    return tuple(d.partial(i) for i in range(4))
-
-
 def quartic_disc(b):
     """``delta`` over Python's operators: entries in any commutative ring
     with +, * and int multiples.  Not an alias, so that rebinding it (as a
@@ -169,19 +126,3 @@ def disc_univariate(f: polys.Poly):
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     val = res * f.lead().inverse()
     return val if sign > 0 else -val
-
-
-@lru_cache(maxsize=1)
-def binary_quartic_invariants():
-    """(I, J) of the monic quartic t^4+a t^3+b t^2+c t+d in ZZ[a,b,c,d].
-
-    Normalized so that 4 I^3 - J^2 = 27 disc; the curve y^2 = x^3 - 27 I x
-    - 27 J is the Weierstrass model of w^2 = f(t).
-    """
-    a = MPoly.var(4, 0)
-    b = MPoly.var(4, 1)
-    c = MPoly.var(4, 2)
-    d = MPoly.var(4, 3)
-    i_inv = 12 * d - 3 * a * c + b * b
-    j_inv = 72 * b * d - 27 * c * c - 27 * a * a * d + 9 * a * b * c - 2 * b * b * b
-    return i_inv, j_inv

@@ -1,0 +1,249 @@
+"""Independent oracles of the tests, kept out of the package.
+
+The package computes each quantity once, by the division-free programs
+that it runs.  The definitions here compute the same quantities a second,
+slower way, and serve only as the reference of the differential tests:
+
+- Delta expanded once over the integers from the Sylvester determinant of
+  (f, f') (``delta_mpoly``), its partials (``delta_gradient``) and the
+  classical invariants I, J (``binary_quartic_invariants``);
+- the 8x8 view of an element of V (``to_matrix``), its even characteristic
+  coefficients (``even_coeffs``, ``even_charpoly``), its Pfaffian by the
+  105 perfect matchings (``pfaffian``) and its minimal polynomial by a
+  Krylov dependence (``minimal_polynomial``).
+"""
+
+from functools import lru_cache
+
+import numpy as np
+
+from d4vinberg import linalg, numkernels
+from d4vinberg.liealg import V_ENTRIES
+from d4vinberg.linalg import _perm_sign, _signed_sum, mat_mul, newton_even, trace, trace_prod
+from d4vinberg.multipoly import MPoly
+from d4vinberg.polys import Poly
+from d4vinberg.quartic import delta
+
+# -- multivariate polynomials --
+
+
+def partial(poly, i):
+    """d poly / d x_i of an MPoly."""
+    out = {}
+    for e, c in poly.terms.items():
+        if e[i]:
+            ne = list(e)
+            ne[i] -= 1
+            out[tuple(ne)] = e[i] * c
+    return MPoly(poly.nvars, out)
+
+
+def weighted_degrees(poly, weights):
+    """The set of weighted degrees of the monomials of an MPoly."""
+    return {sum(w * k for w, k in zip(weights, e)) for e in poly.terms}
+
+
+def det_mpoly(rows):
+    """Determinant of a square matrix of MPolys, by Laplace expansion with
+    memoization over column subsets (division-free)."""
+    n = len(rows)
+    nvars = rows[0][0].nvars
+    memo = {}
+
+    def minor(r, cols):
+        if r == n:
+            return MPoly.const(nvars, 1)
+        if cols in memo:
+            return memo[cols]
+        acc = MPoly(nvars, {})
+        sign = 1
+        for idx, c in enumerate(cols):
+            entry = rows[r][c]
+            if not entry.is_zero():
+                term = entry * minor(r + 1, cols[:idx] + cols[idx + 1 :])
+                acc = acc + term if sign > 0 else acc - term
+            sign = -sign
+        memo[cols] = acc
+        return acc
+
+    return minor(0, tuple(range(n)))
+
+
+# -- the quartic discriminant, expanded --
+
+
+def _monic_quartic_variables():
+    return tuple(MPoly.var(4, i) for i in range(4))
+
+
+@lru_cache(maxsize=1)
+def disc_monic_quartic_mpoly():
+    """disc(t^4 + a t^3 + b t^2 + c t + d) in ZZ[a,b,c,d] (vars 0..3), as
+    the 7x7 Sylvester determinant of (f, f')."""
+    a, b, c, d = _monic_quartic_variables()
+    one = MPoly.const(4, 1)
+    zero = MPoly(4, {})
+    f = [one, a, b, c, d]  # highest degree first
+    df = [4 * one, 3 * a, 2 * b, c]
+    rows = [[zero] * k + f + [zero] * (2 - k) for k in range(3)]
+    rows += [[zero] * k + df + [zero] * (3 - k) for k in range(4)]
+    return det_mpoly(rows)
+
+
+@lru_cache(maxsize=1)
+def delta_mpoly():
+    """Delta(p2, p4, q4, p6) = disc(t^4+p2 t^3+p4 t^2+p6 t+q4^2), vars
+    ordered (p2, p4, q4, p6).  Weighted-homogeneous of degree 12 for
+    weights (1, 2, 2, 3)."""
+    out = {}
+    # disc vars: (a, b, c, d) = (p2, p4, p6, q4^2); reorder to (p2,p4,q4,p6)
+    for (ea, eb, ec, ed), coef in disc_monic_quartic_mpoly().terms.items():
+        key = (ea, eb, 2 * ed, ec)
+        out[key] = out.get(key, 0) + coef
+    poly = MPoly(4, out)
+    degs = weighted_degrees(poly, (1, 2, 2, 3))
+    assert degs == {12}, f"discriminant not weighted-homogeneous: {degs}"
+    return poly
+
+
+@lru_cache(maxsize=1)
+def delta_gradient():
+    """The four partials of ``delta_mpoly()``."""
+    d = delta_mpoly()
+    return tuple(partial(d, i) for i in range(4))
+
+
+@lru_cache(maxsize=1)
+def binary_quartic_invariants():
+    """(I, J) of the monic quartic t^4+a t^3+b t^2+c t+d in ZZ[a,b,c,d].
+
+    Normalized so that 4 I^3 - J^2 = 27 disc; the curve y^2 = x^3 - 27 I x
+    - 27 J is the Weierstrass model of w^2 = f(t).
+    """
+    a, b, c, d = _monic_quartic_variables()
+    i_inv = 12 * d - 3 * a * c + b * b
+    j_inv = 72 * b * d - 27 * c * c - 27 * a * a * d + 9 * a * b * c - 2 * b * b * b
+    return i_inv, j_inv
+
+
+def alpha_points(q, ring, zero):
+    """The points of {Delta = 0} over a field of q elements coded 0..q-1,
+    as four coordinate arrays in code order, and the mask of those where
+    the four partials of ``delta_mpoly()`` vanish.  The zero set comes from
+    the program ``delta``, which the evaluator tests hold to
+    ``delta_mpoly()``: the expanded plan over all 49^4 points of GF(49)
+    would double the time of the test that compares the singular sets."""
+    blocks = []
+    for pt in numkernels._grid_blocks(q, 4):
+        on = delta(pt, ring) == zero
+        blocks.append([a[on] for a in pt])
+    sub = [np.concatenate(c) for c in zip(*blocks)]
+    singular = np.ones(len(sub[0]), dtype=bool)
+    for g in delta_gradient():
+        singular &= g.eval(sub, ring) == zero
+    return sub, singular
+
+
+# -- 8x8 matrices --
+
+
+def identity(field, n):
+    out = linalg.zeros(field, n, n)
+    for i in range(n):
+        out[i][i] = field.one
+    return out
+
+
+def det(field, a):
+    """Determinant by elimination over a field."""
+    n = len(a)
+    m = [row[:] for row in a]
+    result = field.one
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot is None:
+            return field.zero
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            result = -result
+        result = result * m[c][c]
+        inv = m[c][c].inverse()
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return result
+
+
+def _matchings(items):
+    if not items:
+        yield []
+        return
+    first = items[0]
+    for j in range(1, len(items)):
+        rest = items[1:j] + items[j + 1 :]
+        for sub in _matchings(rest):
+            yield [(first, items[j])] + sub
+
+
+@lru_cache(maxsize=None)
+def pfaffian_terms(n):
+    """[(sign, ((i1,j1),...))] over the perfect matchings of {0..n-1}."""
+    return [
+        (_perm_sign([i for pair in pairs for i in pair]), tuple(pairs))
+        for pairs in _matchings(list(range(n)))
+    ]
+
+
+def pfaffian(a):
+    """Pfaffian of an antisymmetric n x n matrix (n even, n >= 2), over any
+    commutative ring, by perfect matchings (division-free)."""
+    return _signed_sum(a, pfaffian_terms(len(a)))
+
+
+def even_coeffs(a, char):
+    """(c2, c4, c6) with det(xI - a) = x^8 + c2 x^6 + c4 x^4 + c6 x^2 + c8.
+
+    Valid for 8x8 matrices similar to -a^T (odd power traces vanish), which
+    holds throughout so(Psi), with entries in any commutative ring of
+    characteristic char >= 5 (field elements, MPolys over a field).
+    """
+    a2 = mat_mul(a, a)
+    a4 = mat_mul(a2, a2)
+    return newton_even(trace(a2), trace(a4), trace_prod(a2, a4), char)
+
+
+def even_charpoly(field, a):
+    """(c2, c4, c6, c8) of ``even_coeffs``, with c8 = det(a) by elimination."""
+    return (*even_coeffs(a, field.char), det(field, a))
+
+
+def v_coords_to_matrix(field, coords):
+    """The 8x8 matrix of the element of V with these weight coordinates."""
+    m = linalg.zeros(field, 8, 8)
+    for c, ((pi, pj), (qi, qj)) in zip(coords, V_ENTRIES):
+        if c:
+            m[pi][pj] = m[pi][pj] + c
+            m[qi][qj] = m[qi][qj] - c
+    return m
+
+
+def to_matrix(v):
+    """The 8x8 matrix of a VElem."""
+    return v_coords_to_matrix(v.ctx.field, v.coords)
+
+
+def minimal_polynomial(v):
+    """The minimal polynomial of the 8x8 matrix of a VElem: the first power
+    of it that depends linearly on the earlier ones."""
+    f = v.ctx.field
+    m = to_matrix(v)
+    powers = [identity(f, 8)]
+    while True:
+        rows = [[pw[i][j] for pw in powers] for i in range(8) for j in range(8)]
+        target_mat = mat_mul(powers[-1], m)
+        target = [target_mat[i][j] for i in range(8) for j in range(8)]
+        sol = linalg.solve(f, rows, target)
+        if sol is not None:
+            return Poly(f, [-c for c in sol] + [f.one])
+        powers.append(target_mat)

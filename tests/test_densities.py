@@ -18,8 +18,8 @@ from d4vinberg.densities import (
     vol_g,
 )
 from d4vinberg.fields import GF
-from d4vinberg.quartic import delta_gradient, delta_mpoly
 from d4vinberg.rng import det_rng
+from oracles import alpha_points, delta_mpoly
 
 
 def test_alpha_three_routes_q5():
@@ -49,7 +49,11 @@ def test_alpha_closed_form_bound():
 def test_alpha_lift_tripwire_fires(monkeypatch):
     # with no gradient filter every point of {Delta = 0} counts as singular,
     # and the dual-number check at those points must catch it
-    monkeypatch.setattr(numkernels, "delta_gradient", lambda: ())
+    def no_gradient_filter(q, ring, zero, one):
+        sub, _ = alpha_points(q, ring, zero)
+        return len(sub[0]), sub
+
+    monkeypatch.setattr(numkernels, "_alpha_counts", no_gradient_filter)
     with pytest.raises(AssertionError, match="lifts to Delta != 0"):
         numkernels.alpha_lift_prime(5)
 
@@ -63,15 +67,31 @@ def test_alpha_grid_blocks_match_the_whole_grid(monkeypatch, block):
     axis = np.arange(p, dtype=np.int64)
     grid = [g.reshape(-1) for g in np.meshgrid(axis, axis, axis, axis, indexing="ij")]
     on = delta_mpoly().eval(grid, ring) == 0
-    sub = [a[on] for a in grid]
-    singular = np.ones(len(sub[0]), dtype=bool)
-    for g in delta_gradient():
-        singular &= g.eval(sub, ring) == 0
+    sub, singular = alpha_points(p, ring, 0)
+    assert [a.tolist() for a in sub] == [a[on].tolist() for a in grid]
     monkeypatch.setattr(numkernels, "BLOCK", block)
     blocks = list(numkernels._grid_blocks(p, 4))
     assert [np.concatenate(c).tolist() for c in zip(*blocks)] == [a.tolist() for a in grid]
-    n0, sing = numkernels._alpha_counts(p, ring)
+    n0, sing = numkernels._alpha_counts(p, ring, 0, 1)
     assert n0 == len(sub[0])
+    assert [a.tolist() for a in sing] == [a[singular].tolist() for a in sub]
+
+
+@pytest.mark.parametrize("pm", [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (7, 2)], ids=str)
+def test_alpha_singular_set_matches_the_expanded_partials(pm):
+    # the eps parts of the one Delta program over jets against the four
+    # partials of the expanded Delta, on the whole grid
+    p, m = pm
+    if m == 1:
+        q, ring, zero, one = p, numkernels.mod_ring(p), 0, 1
+    else:
+        field = GF(p, m)
+        tab = numkernels.GFTable(field)
+        q, ring = tab.q, tab.ring
+        zero, one = field.to_int(field.zero), field.to_int(field.one)
+    sub, singular = alpha_points(q, ring, zero)
+    n0, sing = numkernels._alpha_counts(q, ring, zero, one)
+    assert n0 == len(sub[0]) and singular.any() and not singular.all()
     assert [a.tolist() for a in sing] == [a[singular].tolist() for a in sub]
 
 

@@ -16,14 +16,8 @@ from d4vinberg.fields import GF
 from d4vinberg.funcfield import RatFunc
 from d4vinberg.multipoly import MPoly
 from d4vinberg.polys import Poly
-from d4vinberg.quartic import (
-    delta,
-    delta_gradient,
-    delta_mpoly,
-    disc_univariate,
-    quartic_disc,
-    quartic_poly,
-)
+from d4vinberg.quartic import delta, disc_univariate, quartic_disc, quartic_poly
+from oracles import delta_gradient, delta_mpoly
 
 SETTINGS = settings(max_examples=60, deadline=None)
 PRIMES = st.sampled_from([5, 7, 11, 23])

@@ -29,6 +29,15 @@ from d4vinberg.multipoly import MPoly
 from d4vinberg.polys import Poly
 from d4vinberg.quartic import quartic_disc
 from d4vinberg.rng import det_rng
+from oracles import (
+    det,
+    even_charpoly,
+    even_coeffs,
+    identity,
+    pfaffian,
+    to_matrix,
+    v_coords_to_matrix,
+)
 
 
 def setup_module(module):
@@ -46,9 +55,9 @@ def test_primitive_consistency_pf_squared():
     rng = det_rng(0, "inv-prim")
     for _ in range(50):
         v = VElem(ctx, [F.random(rng) for _ in range(16)])
-        m = v.to_matrix()
+        m = to_matrix(v)
         c2, c4, pf, c6 = primitives(ctx, v)
-        c8 = linalg.det(F, m)
+        c8 = det(F, m)
         assert pf * pf == c8
         # odd power traces vanish on so(Psi)
         m3 = mat_mul(mat_mul(m, m), m)
@@ -62,8 +71,8 @@ def test_even_charpoly_matches_berkowitz():
     rng = det_rng(1, "inv-charpoly")
     for _ in range(10):
         v = VElem(ctx, [F.random(rng) for _ in range(16)])
-        m = v.to_matrix()
-        c2, c4, c6, c8 = linalg.even_charpoly(F, m)
+        m = to_matrix(v)
+        c2, c4, c6, c8 = even_charpoly(F, m)
         full = linalg.charpoly_berkowitz(F, m)
         assert [x.val for x in full] == [
             c8.val, 0, c6.val, 0, c4.val, 0, c2.val, 0, 1
@@ -215,43 +224,54 @@ def test_extension_field_context():
         assert ext_inv.pi(ext_inv.kostant_section(b)) == b
 
 
-def test_action_and_pi_build_no_8x8_matrix(monkeypatch):
-    import d4vinberg.liealg as liealg
+def _refuse_8x8(monkeypatch):
+    """Make linalg's mat_mul and zeros raise on a matrix with 8 rows or
+    columns, and check that they do."""
+    mat_mul, zeros = linalg.mat_mul, linalg.zeros
+    one = identity(F, 8)
 
-    def no_matrix(*args):
+    def no_matrix():
         raise AssertionError("8x8 matrix built")
 
     def small_mat_mul(a, b):
-        if len(a) == 8 or len(b) == 8:
+        if 8 in (len(a), len(b), len(b[0])):
             no_matrix()
         return mat_mul(a, b)
 
+    def small_zeros(field, n, m):
+        if 8 in (n, m):
+            no_matrix()
+        return zeros(field, n, m)
+
+    monkeypatch.setattr(linalg, "mat_mul", small_mat_mul)
+    monkeypatch.setattr(linalg, "zeros", small_zeros)
+    with pytest.raises(AssertionError, match="8x8"):
+        linalg.mat_mul(one, one)
+    with pytest.raises(AssertionError, match="8x8"):
+        linalg.zeros(F, 8, 8)
+
+
+def test_action_and_pi_build_no_8x8_matrix(monkeypatch):
+    # and classify, whose semisimplicity test runs on the 4x4 blocks
     rng = det_rng(13, "inv-no-matrix")
     v = VElem(ctx, [F.random(rng) for _ in range(16)])
     t = TorusGen([F.random_nonzero(rng) for _ in range(4)])
     word = [WeylGen("s13.24"), UnipGen(G_ROOTS[2], F.random(rng)), t, WeylGen("s12.34")]
-    expected = ctx.act(word, v), inv.pi(v)
-    monkeypatch.setattr(liealg.D4Context, "v_coords_to_matrix", no_matrix)
-    for module in (linalg, liealg):
-        monkeypatch.setattr(module, "mat_mul", small_mat_mul)
-    with pytest.raises(AssertionError, match="8x8"):
-        v.to_matrix()
-    assert (ctx.act(word, v), inv.pi(v)) == expected
+    zero = VElem(ctx, [F.zero] * 16)
+    targets = (zero, ctx.E, ctx.e_subreg, v)
+    expected = ctx.act(word, v), inv.pi(v), [ctx.classify(w) for w in targets]
+    _refuse_8x8(monkeypatch)
+    assert (ctx.act(word, v), inv.pi(v), [ctx.classify(w) for w in targets]) == expected
     assert inv.pi(inv.kostant_section(expected[1])) == expected[1]
 
 
 def test_sl2_data_centralizers_and_lie_disc_build_no_8x8_matrix(monkeypatch):
-    import d4vinberg.liealg as liealg
-
-    def no_matrix(*args):
-        raise AssertionError("8x8 matrix built")
-
     rng = det_rng(14, "inv-no-matrix-h")
     while True:
         v = VElem(ctx, [F.random(rng) for _ in range(16)])
         if inv.lie_disc_fast(v):
             break
-    monkeypatch.setattr(liealg.D4Context, "v_coords_to_matrix", no_matrix)
+    _refuse_8x8(monkeypatch)
     fresh = D4Context(GF(23))
     built = Invariants(fresh)
     assert built.calibration_json() == inv.calibration_json()
@@ -320,7 +340,7 @@ def test_primitives_over_extension_field():
     for _ in range(5):
         v = VElem(ext, [f.random(rng) for _ in range(16)])
         c2, c4, pf, c6 = primitives(ext, v)
-        full = linalg.charpoly_berkowitz(f, v.to_matrix())
+        full = linalg.charpoly_berkowitz(f, to_matrix(v))
         assert full == [pf * pf, 0, c6, 0, c4, 0, c2, 0, 1]
 
 
@@ -340,8 +360,8 @@ def _context(p, m=1):
 def _oracle(m, char):
     """(c2, c4, pf, c6) of an 8x8 matrix of V by the full matrix: its even
     characteristic coefficients and the Pfaffian of its rows in IOTA order."""
-    c2, c4, c6 = linalg.even_coeffs(m, char)
-    return c2, c4, linalg.pfaffian([m[i] for i in IOTA]), c6
+    c2, c4, c6 = even_coeffs(m, char)
+    return c2, c4, pfaffian([m[i] for i in IOTA]), c6
 
 
 def _off_block_entries(m):
@@ -351,7 +371,7 @@ def _off_block_entries(m):
 def _chart_matrix(base, dirs, nvars):
     """The 8x8 MPoly matrix of base + sum_i x_i dirs[i], entry by entry
     from the matrices of base and dirs: the oracle of the chart coordinates."""
-    mats = [base.to_matrix()] + [d.to_matrix() for d in dirs]
+    mats = [to_matrix(base)] + [to_matrix(d) for d in dirs]
     exps = [(0,) * nvars] + [tuple(int(k == i) for k in range(nvars)) for i in range(len(dirs))]
     return [
         [MPoly(nvars, {e: m[i][j] for e, m in zip(exps, mats) if m[i][j]}) for j in range(8)]
@@ -364,7 +384,7 @@ def test_v_is_zero_on_the_diagonal_blocks(charts):
     # sliced from its 8x8 matrix are what BLOCK_GATHER gathers
     for k in range(16):
         coords = [F.one if i == k else F.zero for i in range(16)]
-        m = ctx.v_coords_to_matrix(coords)
+        m = v_coords_to_matrix(F, coords)
         assert not any(_off_block_entries(m))
         sliced = [[m[i][j] for j in ODD] for i in EVEN], [[m[i][j] for j in EVEN] for i in ODD]
         assert v_blocks(coords) == sliced
@@ -384,9 +404,9 @@ def test_block_primitives_match_8x8_oracle(q, data):
     f = c.field
     ints = data.draw(st.lists(st.integers(0, f.order - 1), min_size=16, max_size=16))
     v = VElem(c, [f.from_int(i) for i in ints])
-    m = v.to_matrix()
+    m = to_matrix(v)
     assert primitives(c, v) == _oracle(m, f.char)
-    c2, c4, c6, c8 = linalg.even_charpoly(f, m)
+    c2, c4, c6, c8 = even_charpoly(f, m)
     assert c.char_quartic(v) == Poly(f, [c8, c6, c4, c2, f.one])
 
 
@@ -417,5 +437,5 @@ def test_dual_primitives_value_part_matches_8x8_oracle(p, seed):
     coords = np.random.default_rng(seed).integers(0, p, size=(8, 16, 2), dtype=np.int64)
     duals = numkernels.dual_primitives(coords, p)
     for i, row in enumerate(coords):
-        m = VElem(c, [int(x) for x in row[:, 0]]).to_matrix()
+        m = to_matrix(VElem(c, [int(x) for x in row[:, 0]]))
         assert [int(d[0][i]) for d in duals] == [x.val for x in _oracle(m, p)]

@@ -40,7 +40,9 @@ from d4vinberg.liealg import (
     pairing,
     w0_label_perm,
 )
+from d4vinberg.polys import Poly, is_squarefree
 from d4vinberg.rng import det_rng
+from oracles import identity, minimal_polynomial, to_matrix
 
 W0_NAMES = ("e", "s12.34", "s13.24", "s14.23")
 
@@ -95,7 +97,7 @@ def _h_coords(m):
 
 def _ad_matrix_8x8(v, basis):
     """ad(v) on span(basis) by 8x8 commutators, in h coordinates (28 rows)."""
-    vm = v.to_matrix()
+    vm = to_matrix(v)
     cols = [_h_coords(_bracket(vm, b)) for b in basis]
     return [[col[i] for col in cols] for i in range(28)]
 
@@ -103,7 +105,7 @@ def _ad_matrix_8x8(v, basis):
 def _unip_matrix(context, root, c):
     """exp(c X) = I + c X for the root vector X of a root of h."""
     x = _root_matrix(context.field, root)
-    one = linalg.identity(context.field, 8)
+    one = identity(context.field, 8)
     return [[one[i][j] + c * x[i][j] for j in range(8)] for i in range(8)]
 
 
@@ -117,13 +119,13 @@ def _weyl_matrix(context, name):
 def _velem_from_matrix(context, m):
     """The VElem read off the primary entries of m; asserts that m is its matrix."""
     v = VElem(context, [m[i][j] for (i, j), _ in V_ENTRIES])
-    assert v.to_matrix() == m, "matrix is not in V"
+    assert to_matrix(v) == m, "matrix is not in V"
     return v
 
 
 def _conjugate(context, g, v, g_inv):
     """g v g_inv by 8x8 products: the oracle of the coordinate action."""
-    return _velem_from_matrix(context, linalg.mat_mul(linalg.mat_mul(g, v.to_matrix()), g_inv))
+    return _velem_from_matrix(context, linalg.mat_mul(linalg.mat_mul(g, to_matrix(v)), g_inv))
 
 
 @functools.cache
@@ -148,7 +150,7 @@ def test_weight_table_matches_roots():
 def test_membership_constraint():
     rng = det_rng(0, "lie-membership")
     v = VElem(ctx, [F.random(rng) for _ in range(16)])
-    m = v.to_matrix()
+    m = to_matrix(v)
     # in so(Psi): m^T Psi + Psi m = 0, i.e. m[iota(j)][iota(i)] = -m[i][j]
     assert all(m[IOTA[j]][IOTA[i]] == -m[i][j] for i in range(8) for j in range(8))
     # theta acts as -1 on V
@@ -159,8 +161,8 @@ def test_bracket_grading():
     rng = det_rng(1, "lie-grading")
     g_basis = _g_basis(F)
     for _ in range(20):
-        a = VElem(ctx, [F.random(rng) for _ in range(16)]).to_matrix()
-        b = VElem(ctx, [F.random(rng) for _ in range(16)]).to_matrix()
+        a = to_matrix(VElem(ctx, [F.random(rng) for _ in range(16)]))
+        b = to_matrix(VElem(ctx, [F.random(rng) for _ in range(16)]))
         br = _bracket(a, b)
         assert _theta(br) == br  # [V, V] in g
         g = g_basis[int(rng.integers(0, 12))]
@@ -193,7 +195,7 @@ def test_torus_matrix_consistency():
             alpha_vals.append(x)
         t = TorusGen(alpha_vals)
         v = VElem(ctx, [F.random(rng) for _ in range(16)])
-        m = v.to_matrix()
+        m = to_matrix(v)
         conj = [[diag[i] * m[i][j] * diag[j].inverse() for j in range(8)] for i in range(8)]
         assert ctx.act(t, v) == _velem_from_matrix(ctx, conj)
 
@@ -349,8 +351,28 @@ def test_classify():
     assert ctx.classify(zero) == {"regular": False, "semisimple": True, "rs": False}
     assert ctx.classify(ctx.E) == {"regular": True, "semisimple": False, "rs": False}
     # minimal polynomial of E is a power of t
-    mp = ctx.minimal_polynomial(ctx.E)
+    mp = minimal_polynomial(ctx.E)
     assert all(not mp[i] for i in range(mp.degree))
+
+
+@pytest.mark.parametrize("q", [(7, 1), (11, 1), (5, 2)], ids=["F7", "F11", "GF5^2"])
+def test_block_semisimplicity_matches_the_8x8_minimal_polynomial(q):
+    # sparse elements (1 to 7 nonzero coordinates), so that semisimple,
+    # nilpotent and mixed (neither) elements all occur
+    c = _context(*q)
+    f = c.field
+    rng = det_rng(5, "lie-semisimple", f.order)
+    kinds = set()
+    for _ in range(100):
+        coords = [f.zero] * 16
+        for k in rng.choice(16, size=int(rng.integers(1, 8)), replace=False):
+            coords[int(k)] = f.random_nonzero(rng)
+        v = VElem(c, coords)
+        semisimple = is_squarefree(minimal_polynomial(v))
+        assert c.classify(v)["semisimple"] == semisimple
+        nilpotent = c.char_quartic(v) == Poly(f, [0, 0, 0, 0, 1])
+        kinds.add((semisimple, nilpotent))
+    assert kinds == {(True, False), (False, True), (False, False)}
 
 
 def test_rho_pairings():
@@ -394,7 +416,7 @@ def test_velem_serialization():
 
 def test_unipotent_inverse_is_the_negated_parameter():
     rng = det_rng(9, "lie-unip-inverse")
-    one = linalg.identity(F, 8)
+    one = identity(F, 8)
     assert len(H_ROOTS) == 24
     for root in H_ROOTS:
         c = F.random(rng)

@@ -1,12 +1,9 @@
 from d4vinberg import polys
 from d4vinberg.fields import GF, extension_of
-from d4vinberg.multipoly import MPoly, det_mpoly
+from d4vinberg.multipoly import MPoly
 from d4vinberg.polys import Poly, find_irreducible
 from d4vinberg.quartic import (
-    binary_quartic_invariants,
     delta,
-    delta_mpoly,
-    disc_monic_quartic_mpoly,
     disc_univariate,
     first_subresultant,
     quartic_disc,
@@ -14,6 +11,13 @@ from d4vinberg.quartic import (
     weierstrass,
 )
 from d4vinberg.rng import det_rng
+from oracles import (
+    binary_quartic_invariants,
+    delta_mpoly,
+    det_mpoly,
+    disc_monic_quartic_mpoly,
+    weighted_degrees,
+)
 
 
 def test_disc_t4_plus_1_is_256():
@@ -30,7 +34,7 @@ def test_repeated_root_gives_zero():
 
 
 def test_weighted_homogeneity_degree_12():
-    assert delta_mpoly().weighted_degrees((1, 2, 2, 3)) == {12}
+    assert weighted_degrees(delta_mpoly(), (1, 2, 2, 3)) == {12}
 
 
 def test_resultant_oracle_matches_closed_form():

@@ -26,9 +26,6 @@ REFERRING = sorted(
 
 # top-level definitions of src/ that only the tests refer to: name -> why it stays
 TEST_ONLY = {
-    "pfaffian": "the 8x8 oracle of the block Pfaffian of a V element",
-    "even_charpoly": "the 8x8 oracle of char_quartic, checked against Berkowitz",
-    "binary_quartic_invariants": "classical I, J: the oracle of quartic.weierstrass",
     "Invariants.calibration_json": "the audit dump of the calibration, pinned by digest",
     "VElem.deserialize": "the inverse of VElem.serialize, kept with it as the text API",
     "Poly.from_str": "the inverse of Poly's text form, kept with it as the text API",

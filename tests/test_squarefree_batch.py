@@ -4,17 +4,24 @@ against the scalar polys.is_squarefree_raw, row by row.
 Batches mix degrees 0 to 72 (the degree of Delta at d = 3) with the rows
 where a batched Euclid can go wrong: repeated factors, p-th powers (zero
 derivative), the zero row, nonzero constants, degree 1, and rows padded
-with high zero columns (leading coefficient 0 in the stored width)."""
+with high zero columns (leading coefficient 0 in the stored width).
+
+At P_TOP, the largest prime below MAX_P, the products of
+``_batched_polymul`` and the eliminations of ``squarefree_batch`` reach
+the edge of the int64 range: there the reduction cadence and the bound
+that ``squarefree_batch`` tracks decide whether a result is exact."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from d4vinberg import numkernels, polys
 from d4vinberg.fields import GF
+from d4vinberg.rng import det_rng
 
 SETTINGS = settings(max_examples=40, deadline=None)
 PRIMES = st.sampled_from([5, 7, 23])
 MAX_DEGREE = 72
+P_TOP = 268435399  # the largest prime below numkernels.MAX_P = 2^28 (= MAX_P - 57)
 
 
 def _mul(a, b, p):
@@ -102,3 +109,51 @@ def test_squarefree_batch_conventions():
 def test_row_degrees():
     rows = np.array([[0, 0, 0], [1, 0, 0], [0, 2, 0], [1, 0, 3]], dtype=np.int64)
     assert numkernels.row_degrees(rows).tolist() == [-1, 0, 1, 2]
+
+
+# -- the edge of the int64 range --
+
+
+def _convolve(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % p for c in out]
+
+
+def test_batched_polymul_past_the_reduction_cadence_at_the_top_prime():
+    # the shorter operand has 130 >= 128 columns, so the sums cross the
+    # 128-term reduction; row 0 is all p - 1, the largest residue products
+    p = P_TOP
+    rng = det_rng(0, "polymul-top-prime")
+    a = rng.integers(0, p, size=(3, 130), dtype=np.int64)
+    b = rng.integers(0, p, size=(3, 140), dtype=np.int64)
+    a[0], b[0] = p - 1, p - 1
+    want = [_convolve(x, y, p) for x, y in zip(a.tolist(), b.tolist())]
+    assert numkernels._batched_polymul(a, b, p).tolist() == want
+    assert numkernels._batched_polymul(b, a, p).tolist() == want
+
+
+def test_squarefree_batch_at_the_top_prime():
+    # degrees 40 to 72: dense rows (squarefree almost surely), rows with a
+    # square factor g^2 h, and rows of residues near p
+    p = P_TOP
+    field = GF(p)
+    rng = det_rng(0, "squarefree-top-prime")
+
+    def dense_row(degree):
+        return rng.integers(0, p, size=degree).tolist() + [int(rng.integers(1, p))]
+
+    rows = [dense_row(int(rng.integers(40, 73))) for _ in range(6)]
+    for _ in range(6):
+        g = dense_row(int(rng.integers(1, 12)))
+        rows.append(_mul(_mul(g, g, p), dense_row(int(rng.integers(40, 49))), p))
+    rows.append([p - 1] * 60)
+    rows.append(_mul([p - 1] * 25, [p - 1] * 25, p))
+    arr = np.zeros((len(rows), max(len(r) for r in rows)), dtype=np.int64)
+    for i, r in enumerate(rows):
+        arr[i, : len(r)] = r
+    want = [polys.is_squarefree_raw(field, r) for r in rows]
+    assert True in want and False in want
+    assert numkernels.squarefree_batch(arr, p).tolist() == want
