@@ -11,10 +11,11 @@ Each operation stays in one field: elements of two field objects never mix
 the only conversion, from ints, coefficient sequences and, for an
 extension, elements of its base field.
 
-Every field supplies the two polynomial primitives that ``polys`` builds its
-one univariate layer on, ``poly_mul`` and ``poly_divmod`` on trimmed lists
-of raw values.  ``Field`` holds the generic pair, written against the raw
-element arithmetic; ``PrimeField`` overrides it with a pair on Python ints.
+Every field supplies the polynomial primitives that ``polys`` builds its
+one univariate layer on, ``poly_add``, ``poly_sub``, ``poly_mul`` and
+``poly_divmod`` on trimmed lists of raw values (``trim``): generic ones in
+``Field``, through the raw element arithmetic, and ones on Python ints in
+``PrimeField``.  An int factor only scales the raw value (``_scale``).
 ``ExtField`` multiplies as a base-field product reduced modulo its modulus,
 inverts by the layer's extended Euclid and checks an untrusted modulus with
 its Rabin test (``polys`` is imported inside those functions, since it
@@ -29,6 +30,13 @@ list of such literals at its top-level commas; ``ExtField.elem_from_str``,
 
 from functools import lru_cache
 from math import isqrt
+
+
+def trim(a, z):
+    """The list a without its trailing values z, in place."""
+    while a and a[-1] == z:
+        a.pop()
+    return a
 
 
 def split_top(s):
@@ -92,7 +100,7 @@ class FElem:
         if other.__class__ is FElem and other.field is f:
             return FElem(f, f._mul(self.val, other.val))
         if isinstance(other, int):
-            return FElem(f, f._mul(self.val, f._int_val(other)))
+            return FElem(f, f._scale(self.val, other))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -147,14 +155,14 @@ class FElem:
 
 
 class Field:
-    """Base of the field classes: the generic polynomial pair.
+    """Base of the field classes: the generic polynomial primitives.
 
     A polynomial is a list of raw element values, lowest degree first,
     without trailing zeros; [] is zero.  Results are trimmed; a factor of
-    poly_mul may carry trailing zeros, a divisor may not.  Both methods go
-    through the raw ``_add``/``_sub``/``_mul``/``_inv`` of the field, so
-    they serve every representation; a subclass with a faster one
-    overrides both, and the pair here stays callable on it as
+    poly_mul or a term of poly_add may carry trailing zeros, a divisor may
+    not.  The methods go through the raw ``_add``/``_sub``/``_mul``/``_inv``
+    of the field, so they serve every representation; a subclass with
+    faster ones overrides them, and those here stay callable on it as
     ``Field.poly_mul(field, a, b)``.
     """
 
@@ -166,9 +174,16 @@ class Field:
             if x != z:
                 for j, y in enumerate(b, i):
                     out[j] = add(out[j], mul(x, y))
-        while out and out[-1] == z:
-            out.pop()
-        return out
+        return trim(out, z)
+
+    def poly_add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        add = self._add
+        return trim([add(x, y) for x, y in zip(a, b)] + list(a[len(b):]), self.zero.val)
+
+    def poly_sub(self, a, b):
+        return self.poly_add(a, [self._neg(c) for c in b])
 
     def poly_divmod(self, a, b):
         """(quotient, remainder); b must be trimmed and nonzero."""
@@ -186,10 +201,7 @@ class Field:
                 q[k] = c
                 for j, y in enumerate(b[:db], k):
                     r[j] = sub(r[j], mul(c, y))
-        r = r[:db]
-        while r and r[-1] == z:
-            r.pop()
-        return q, r
+        return q, trim(r[:db], z)
 
     def inv_int(self, k):
         """Inverse of the integer k as a field element (k must be a unit)."""
@@ -231,6 +243,9 @@ class PrimeField(Field):
     def _neg(self, a):
         return (-a) % self.p
 
+    def _scale(self, a, k):
+        return a * k % self.p
+
     def _inv(self, a):
         return pow(a, self.p - 2, self.p)
 
@@ -253,10 +268,20 @@ class PrimeField(Field):
                     j += 1
             i += 1
         p = self.p
-        out = [c % p for c in out]
-        while out and not out[-1]:
-            out.pop()
-        return out
+        return trim([c % p for c in out], 0)
+
+    # poly_add and poly_sub reduce the common part only; one concatenation
+    # builds an exact-size result, without the spare capacity of appending
+
+    def poly_add(self, a, b):
+        p = self.p
+        tail = a[len(b):] if len(a) > len(b) else b[len(a):]
+        return trim([(x + y) % p for x, y in zip(a, b)] + list(tail), 0)
+
+    def poly_sub(self, a, b):
+        p = self.p
+        tail = a[len(b):] if len(a) > len(b) else [-y % p for y in b[len(a):]]
+        return trim([(x - y) % p for x, y in zip(a, b)] + list(tail), 0)
 
     def poly_divmod(self, a, b):
         p = self.p
@@ -274,10 +299,7 @@ class PrimeField(Field):
                 for y in b:
                     r[j] -= c * y
                     j += 1
-        r = [c % p for c in r[:db]]
-        while r and not r[-1]:
-            r.pop()
-        return q, r
+        return q, trim([c % p for c in r[:db]], 0)
 
     def elem(self, x):
         if isinstance(x, FElem):
@@ -369,6 +391,11 @@ class ExtField(Field):
         bf = self.base
         return tuple(bf._neg(x) for x in a)
 
+    def _scale(self, a, k):
+        """a times the int k, coefficient by coefficient (no reduction)."""
+        bf = self.base
+        return tuple(bf._scale(x, k) for x in a)
+
     def _mul(self, a, b):
         """Base-field product, then its remainder modulo the modulus."""
         bf = self.base
@@ -380,10 +407,7 @@ class ExtField(Field):
         from .polys import xgcd_raw
 
         z = self.base.zero.val
-        a = list(a)
-        while a[-1] == z:
-            a.pop()
-        t = xgcd_raw(self.base, self._modv, a)[2]
+        t = xgcd_raw(self.base, self._modv, trim(list(a), z))[2]
         return tuple(t) + (z,) * (self.deg - len(t))
 
     def _int_val(self, k):

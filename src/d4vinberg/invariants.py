@@ -5,9 +5,9 @@ invariants of the 8x8 matrix view: the even characteristic polynomial
 coefficients c2, c4, c6 and the Pfaffian of Psi*v.  ``primitives`` computes
 them once, from the 4x4 blocks X, Y of v = [[0, X], [Y, 0]] that
 ``liealg.v_blocks`` gathers from the 16 weight coordinates, through the
-ring-generic routines of ``linalg`` (c2, c4, c6 from M = XY, and Pf = det X),
-for a VElem and for the symbolic MPoly coordinates of the Kostant and slice
-charts; ``numkernels.dual_primitives`` does the same on dual numbers.  The
+ring-generic routines of ``linalg`` (c2, c4, c6 from M = XY, Pf = det X by
+``det4``), for a VElem and the symbolic MPoly coordinates of the Kostant and
+slice charts; ``numkernels`` does the same on numpy blocks.  The
 points of the charts, symbolic or at field values, come from one
 coordinate-wise pass, ``_chart_coords``.
 The calibration ansatz
@@ -63,11 +63,11 @@ def primitives(ctx: D4Context, v):
     the two 4x4 products of ``linalg.block_even_coeffs``.  Psi permutes
     rows by IOTA, which permutes EVEN evenly, so the antisymmetric Psi v is
     [[0, X'], [-X'^T, 0]] with det X' = det X; the reordering to (EVEN, ODD)
-    is even too, so Pf(Psi v) = det X.
+    is even too, so Pf(Psi v) = det X (``linalg.det4``, 30 products).
     """
     x, y = v_blocks(v.coords if isinstance(v, VElem) else v)
     c2, c4, c6 = linalg.block_even_coeffs(x, y, ctx.field.char)
-    return c2, c4, linalg.det_leibniz(x), c6
+    return c2, c4, linalg.det4(x), c6
 
 
 class Invariants:

@@ -508,10 +508,10 @@ class D4Context:
         """g(T) with det(xI - v) = g(x^2).  On (EVEN, ODD) v is [[0, X],
         [Y, 0]], so c2, c4, c6 come from M = XY (``block_even_coeffs``) and
         c8 = det v = det X det Y = (det X)^2, since det Y = det X on V
-        (c8 = Pf(Psi v)^2)."""
+        (c8 = Pf(Psi v)^2, det X by ``linalg.det4``)."""
         x, y = v_blocks(v.coords)
         c2, c4, c6 = linalg.block_even_coeffs(x, y, self.field.char)
-        pf = linalg.det_leibniz(x)
+        pf = linalg.det4(x)
         return Poly(self.field, [pf * pf, c6, c4, c2, self.field.one])
 
     def classify(self, v: VElem):

@@ -9,12 +9,12 @@ residual.  The Kostant section, the slice lift and the orbit reduction run
 on it.
 
 The invariant primitives are division-free and written once, for entries in
-any commutative ring: ``trace``, ``trace_prod``, ``det_leibniz`` (by the
-signed permutations of ``det_terms``) and ``block_even_coeffs``, the c2,
-c4, c6 of the even characteristic polynomial of [[0, x], [y, 0]] from the
-blocks x and y.  They serve field elements and the symbolic ``MPoly``
-charts of ``invariants``; no 8x8 matrix is formed (the 8x8 coefficients
-and the Pfaffian by perfect matchings are the tests' oracles).  The Newton
+any commutative ring: ``trace``, ``trace_prod``, ``det4`` (by 2x2-minor
+pairs, ``LAPLACE_4``) and ``block_even_coeffs``, the c2, c4, c6 of the
+even characteristic polynomial of [[0, x], [y, 0]] from the blocks x and
+y.  They serve field elements and the symbolic ``MPoly`` charts of
+``invariants``; no 8x8 matrix is formed (the 8x8 coefficients and the
+Pfaffian by perfect matchings are the tests' oracles).  The Newton
 step ``newton_even`` from power sums to c2, c4, c6 also takes a ``(mul,
 add, scale)`` ring triple, as ``MPoly.eval`` does, so ``numkernels`` runs
 it on dual-number arrays; its divisions by 2, 4 and 6 are scalings by int
@@ -28,7 +28,6 @@ input (`ExtField` or `MPoly` entries, plain ints, elements of two field
 objects, ragged rows) takes the generic loop, which behaves as it always did.
 """
 
-from itertools import permutations
 from operator import mul
 
 from .fields import FElem, PrimeField
@@ -206,50 +205,31 @@ def staged_solve(field, residual, n, stages):
     return x
 
 
-# -- the determinant as a signed sum of products of entries --
+# -- the 4x4 determinant by complementary 2x2 minors --
+
+# Laplace expansion along rows (0, 1): det a is the sum over the six column
+# pairs (i, j) of det a[0:2, (i, j)] det a[2:4, (k, l)], where (k, l) is the
+# complement of (i, j), ordered so as to carry the sign of the term.
+LAPLACE_4 = (((0, 1), (2, 3)), ((0, 2), (3, 1)), ((0, 3), (1, 2)),
+             ((1, 2), (0, 3)), ((1, 3), (2, 0)), ((2, 3), (0, 1)))
 
 
-def _perm_sign(values):
-    """Sign of the permutation sending (0, 1, ..., n-1) to values."""
-    values = list(values)
-    sign = 1
-    for i in range(len(values)):
-        while values[i] != i:
-            j = values[i]
-            values[i], values[j] = values[j], values[i]
-            sign = -sign
-    return sign
-
-
-_DET_TERMS = {}
-
-
-def det_terms(n):
-    """[(sign, ((0, s(0)), ..., (n-1, s(n-1))))] over the permutations s of
-    {0..n-1}, cached; the identity comes first."""
-    if n not in _DET_TERMS:
-        _DET_TERMS[n] = [
-            (_perm_sign(perm), tuple(enumerate(perm))) for perm in permutations(range(n))
-        ]
-    return _DET_TERMS[n]
-
-
-def _signed_sum(a, terms):
-    """sum of sign * prod a[i][j] over the (sign, index pairs) terms, whose
-    first term has sign +1, over any commutative ring (division-free)."""
-    acc = None
-    for sign, ((i, j), *rest) in terms:
-        term = a[i][j]
-        for k, l in rest:
-            term = term * a[k][l]
-        acc = term if acc is None else acc + term if sign > 0 else acc - term
-    return acc
-
-
-def det_leibniz(a):
-    """Determinant of a small square matrix over any commutative ring, by
-    the n! terms of the Leibniz formula (division-free)."""
-    return _signed_sum(a, det_terms(len(a)))
+def det4(a):
+    """Determinant of a 4x4 matrix over any commutative ring by ``LAPLACE_4``,
+    30 products (division-free).  FElem entries of one PrimeField are unboxed
+    and the sum is reduced mod p once, as in ``mat_mul``."""
+    first = a[0][0]
+    prime = type(first) is FElem and type(first.field) is PrimeField
+    vals = _prime_vals(a, first.field, 4) if prime else None
+    m = a if vals is None else vals
+    terms = (
+        (m[0][i] * m[1][j] - m[0][j] * m[1][i]) * (m[2][k] * m[3][l] - m[2][l] * m[3][k])
+        for (i, j), (k, l) in LAPLACE_4
+    )
+    acc = next(terms)
+    for term in terms:
+        acc = acc + term
+    return acc if vals is None else FElem(first.field, acc % first.field.p)
 
 
 # -- characteristic polynomial --

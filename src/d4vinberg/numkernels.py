@@ -5,12 +5,14 @@ Length-2 local rings O_v/(pi^2) are equal-characteristic, so they are dual
 numbers k[eps]/(eps^2); ring elements are (value, eps-part) array pairs.
 Small extension residue fields use index tables.
 
-``dual_primitives`` is the dual-number backend of the invariant primitives
-(c2, c4, pf, c6) for the beta Monte Carlo: it keeps only the numpy 4x4
-block products, traces and determinant gather, and runs the Newton step of
-``linalg`` over ``dual_ring``.  Weight coordinates are gathered straight
-into the blocks X, Y of v = [[0, X], [Y, 0]] by the ``liealg.BLOCK_GATHER``
-table, the one that ``liealg.v_blocks`` reads for boxed coordinates.
+The beta Monte Carlo computes the invariant primitives (c2, c4, pf, c6) by
+one numpy program on 4x4 blocks (``_block_primitives``) over a lift of its
+int64 array maps: residues mod p (``_value_lift``) or dual-number pairs
+(``_dual_lift``), the way ``_jet_ring`` lifts a ring adapter.  The blocks
+X, Y of v = [[0, X], [Y, 0]] are gathered by ``liealg.BLOCK_GATHER``, the
+table of ``liealg.v_blocks``, and det X runs on ``linalg.LAPLACE_4``.
+``beta_mc_prime`` filters on the value first: the dual pass runs only on
+the rows whose Delta value is 0.
 
 Delta is the division-free program ``quartic.delta`` over one ``(mul,
 add, scale)`` ring adapter per representation: mod-p int64 arrays
@@ -32,8 +34,9 @@ X_D member, as the nullity of Berlekamp's Q - I in int64 mod p.
 The int64 kernels are exact only for p < MAX_P = 2**28.  The sum that
 binds is a 128-term block of ``_batched_polymul``, which reduces after
 every 128 terms: 128 (p - 1)^2 + p < 2^63.  The widest sum of the beta
-pipeline is now the eps part of ``_dtrace_prod`` on the 4x4 blocks, 32
-products of residues; ``squarefree_batch`` tracks a bound on its entries,
+pipeline is the eps part of tr(M M^2) on the 4x4 blocks, 32 products of
+residues (det X sums at most twelve, see ``_block_det``);
+``squarefree_batch`` tracks a bound on its entries,
 and ``berlekamp_nullity``, whose products of n x n matrices sum n products
 of residues, checks n (p - 1)^2 + p < 2^63.
 The numpy ring adapters and ``squarefree_batch`` reject larger p, and
@@ -45,15 +48,16 @@ import numpy as np
 from . import polys
 from .fields import GF
 from .liealg import BLOCK_GATHER
-from .linalg import det_terms, newton_even
+from .linalg import LAPLACE_4, newton_even
 from .quartic import delta
 from .rng import det_rng
 
 MAX_P = 2**28
 BETA_CHUNK = 20000  # samples per Philox stream of beta_mc_prime
-# rows per dual_primitives call in beta_mc_prime: with small temporaries
-# the allocator reuses their pages instead of returning and refaulting them
-BETA_BLOCK = 500
+# rows per block of beta_mc_prime: a third survive the value pass at q = 5,
+# and on 500-row blocks their dual pass was bound by per-call overhead; the
+# beta stage peaks at 46 MB at 500 and at 2000 rows alike
+BETA_BLOCK = 2000
 BLOCK = 2**16  # grid points per block of the alpha counts and their oracle
 
 
@@ -65,14 +69,36 @@ def _check_p(p):
         raise ValueError(f"p = {p} outside the range 5 <= p < {MAX_P} of the int64 kernels")
 
 
+def _value_lift(p):
+    """Lift to residues mod p: ``(each, bilinear)`` as in ``_dual_lift``."""
+    return (lambda f: f, lambda f: lambda a, b: f(a, b) % p)
+
+
+def _dual_lift(p):
+    """Lift of maps on int64 arrays to dual-number pairs (value, eps) mod
+    p: ``each(f)`` applies a linear f to the value and the eps parts alike
+    (unreduced), ``bilinear(f)`` gives (f(a0, b0), f(a0, b1) + f(a1, b0))
+    reduced mod p, so an eps part sums twice the products of the value."""
+    return (
+        lambda f: lambda *args: tuple(f(*parts) for parts in zip(*args)),
+        lambda f: lambda a, b: (f(a[0], b[0]) % p, (f(a[0], b[1]) + f(a[1], b[0])) % p),
+    )
+
+
+def _lift_ring(lift, p):
+    """The ``(mul, add, scale)`` ring of a lift."""
+    _check_p(p)
+    each, bilinear = lift
+    return (
+        bilinear(np.multiply),
+        each(lambda a, b: (a + b) % p),
+        lambda c, a: each(lambda x: c % p * x % p)(a),
+    )
+
+
 def mod_ring(p):
     """Ring of int64 residue arrays mod p."""
-    _check_p(p)
-    return (
-        lambda a, b: a * b % p,
-        lambda a, b: (a + b) % p,
-        lambda c, a: c % p * a % p,
-    )
+    return _lift_ring(_value_lift(p), p)
 
 
 def _grid_blocks(q, n):
@@ -179,96 +205,85 @@ def alpha_counts_table(field):
     return n0, len(sing[0])
 
 
-# -- dual-number invariant pipeline for the beta Monte Carlo --
-
-
-def _dmul(a, b, p):
-    return (a[0] * b[0] % p, (a[0] * b[1] + a[1] * b[0]) % p)
-
-
-def _dadd(a, b, p):
-    return ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
-
-
-def _dscale(k, a, p):
-    return (k * a[0] % p, k * a[1] % p)
+# -- the invariant pipeline of the beta Monte Carlo on numpy blocks --
 
 
 def dual_ring(p):
     """Ring of dual-number pairs (value array, eps array) mod p."""
-    _check_p(p)
-    return (
-        lambda a, b: _dmul(a, b, p),
-        lambda a, b: _dadd(a, b, p),
-        lambda c, a: _dscale(c % p, a, p),
-    )
-
-
-def _dmatmul(a, b, p):
-    m0 = np.matmul(a[0], b[0]) % p
-    m1 = (np.matmul(a[0], b[1]) + np.matmul(a[1], b[0])) % p
-    return (m0, m1)
-
-
-def _dtrace(a, p):
-    return (np.trace(a[0], axis1=1, axis2=2) % p, np.trace(a[1], axis1=1, axis2=2) % p)
-
-
-def _dtrace_prod(a, b, p):
-    t0 = np.einsum("nij,nji->n", a[0], b[0]) % p
-    t1 = (np.einsum("nij,nji->n", a[0], b[1]) + np.einsum("nij,nji->n", a[1], b[0])) % p
-    return (t0, t1)
+    return _lift_ring(_dual_lift(p), p)
 
 
 # (2, 16) coordinate indices and signs of the entries of the blocks X, Y
 _BLOCK_INDEX, _BLOCK_SIGN = np.array(BLOCK_GATHER, dtype=np.int64).transpose(2, 0, 1)
-# signs (24,) and index pairs (24, 4, 2) of the terms of a 4x4 determinant
-_DET_SIGNS, _DET_PAIRS = (np.array(t, dtype=np.int64) for t in zip(*det_terms(4)))
+# (2, 2, 6) columns (i, j) of the minors of the rows (0, 1) and (2, 3) in
+# the six pairs of linalg.LAPLACE_4
+_LAPLACE_COLS = np.array(LAPLACE_4, dtype=np.int64).transpose(1, 2, 0)
+
+
+def _block_det(x, lift):
+    """det of (N, 4, 4) blocks x of signed residues in (-p, p), over a lift
+    (``_value_lift``, ``_dual_lift``): the sum of the products of the
+    complementary 2x2 minors of ``linalg.LAPLACE_4``, 30 products a row.
+
+    Int64 bound: a minor sums two products of signed residues (four in an
+    eps part), reduced once; the determinant sums six products of residues
+    (twelve in an eps part): each sum is below 12 (p - 1)^2 < 2^63.
+    """
+    bilinear = lift[1]
+    top, bottom = (
+        bilinear(lambda a, b: a[:, r, i] * b[:, r + 1, j] - a[:, r, j] * b[:, r + 1, i])(x, x)
+        for r, (i, j) in zip((0, 2), _LAPLACE_COLS)
+    )
+    return bilinear(lambda a, b: (a * b).sum(axis=1))(top, bottom)
+
+
+def _block_primitives(coords, p, lift):
+    """(c2, c4, pf, c6) of a batch of elements of V over a lift.
+
+    coords are (N, 16) weight coordinates mod p in label order, one array
+    per part of the lift.  ``liealg.BLOCK_GATHER`` gathers them into the
+    4x4 blocks of v = [[0, X], [Y, 0]], (N, 4, 4) arrays of signed residues
+    in (-p, p) (every product reduces).  As in ``invariants.primitives``,
+    c2, c4, c6 come from M = XY by ``linalg.newton_even`` over the lift's
+    ring, and Pf(Psi v) = det X (``_block_det``).
+    """
+    each, bilinear = lift
+    x, y = (
+        each(lambda c: (c[:, index] * sign).reshape(-1, 4, 4))(coords)
+        for index, sign in zip(_BLOCK_INDEX, _BLOCK_SIGN)
+    )
+    matmul = bilinear(np.matmul)
+    m = matmul(x, y)
+    m2 = matmul(m, m)
+    ring = _lift_ring(lift, p)
+    add = ring[1]
+    trace = each(lambda a: np.trace(a, axis1=1, axis2=2) % p)
+    traces = (trace(m), trace(m2), bilinear(lambda a, b: np.einsum("nij,nji->n", a, b))(m, m2))
+    c2, c4, c6 = newton_even(*(add(t, t) for t in traces), p, ring)
+    return c2, c4, _block_det(x, lift), c6
 
 
 def dual_primitives(coords, p):
-    """(c2, c4, pf, c6) of a batch of elements of V over the dual numbers.
-
-    coords is an int64 array (N, 16, 2) of weight coordinates mod p in label
-    order, value part and eps part; each invariant comes back as a dual
-    pair of (N,) arrays.  The coordinates are gathered by
-    ``liealg.BLOCK_GATHER`` into the 4x4 blocks of v = [[0, X], [Y, 0]], as
-    dual pairs of (N, 4, 4) arrays of signed residues in (-p, p) (every
-    product reduces).  As in ``invariants.primitives``, c2, c4, c6 come
-    from M = XY by the Newton step of ``linalg.newton_even`` over
-    ``dual_ring(p)``, and Pf(Psi v) = det X is a gather of the 24 terms of
-    ``linalg.det_terms(4)``.
-    """
-    x, y = (
-        tuple(
-            (coords[:, index, part] * sign).reshape(-1, 4, 4) for part in (0, 1)
-        )
-        for index, sign in zip(_BLOCK_INDEX, _BLOCK_SIGN)
-    )
-    m = _dmatmul(x, y, p)
-    m2 = _dmatmul(m, m, p)
-    ring = dual_ring(p)
-    _, add, _ = ring
-    traces = (_dtrace(m, p), _dtrace(m2, p), _dtrace_prod(m, m2, p))
-    c2, c4, c6 = newton_even(*(add(t, t) for t in traces), p, ring)
-    prod = None
-    for t in range(4):
-        rows, cols = _DET_PAIRS[:, t, 0], _DET_PAIRS[:, t, 1]
-        h = (x[0][:, rows, cols], x[1][:, rows, cols])
-        prod = h if prod is None else _dmul(prod, h, p)
-    pf = (prod[0] @ _DET_SIGNS % p, prod[1] @ _DET_SIGNS % p)
-    return c2, c4, pf, c6
+    """(c2, c4, pf, c6) of a batch of elements of V over the dual numbers:
+    coords is an int64 array (N, 16, 2) of weight coordinates mod p,
+    value part and eps part; each invariant comes back as a dual pair of
+    (N,) arrays (``_block_primitives`` over ``_dual_lift``)."""
+    return _block_primitives((coords[..., 0], coords[..., 1]), p, _dual_lift(p))
 
 
 def beta_mc_prime(p, n_samples, seed):
     """Monte Carlo count of {x in V(O/pi^2) : Delta(pi(x)) = 0 mod pi^2}.
 
     Samples uniform dual-number coordinates, pushes them through the matrix
-    invariants (``dual_primitives``, diagonal normalization) and the
-    quartic discriminant.  Returns the hit count.  Batch i of BETA_CHUNK
-    samples draws from the Philox stream (seed, "beta-mc", i).
+    invariants and the quartic discriminant, and returns the hit count.
+    Batch i of BETA_CHUNK samples draws from the Philox stream (seed,
+    "beta-mc", i).  A block of rows runs the value parts first (over
+    ``_value_lift`` and ``mod_ring``), and the dual numbers only on the rows
+    whose value is 0: dropping eps is a ring map onto F_p, and the Newton
+    step scales by int inverses, so the value part of the dual Delta is
+    Delta of the value parts.
     """
-    ring = dual_ring(p)
+    value_ring, ring = mod_ring(p), dual_ring(p)
     hits = 0
     done = 0
     batch_index = 0
@@ -278,8 +293,9 @@ def beta_mc_prime(p, n_samples, seed):
         batch_index += 1
         coords = rng.integers(0, p, size=(size, 16, 2), dtype=np.int64)
         for lo in range(0, size, BETA_BLOCK):
-            prims = dual_primitives(coords[lo : lo + BETA_BLOCK], p)
-            d0, d1 = delta(prims, ring)
+            block = coords[lo : lo + BETA_BLOCK]
+            value = delta(_block_primitives(block[..., 0], p, _value_lift(p)), value_ring)
+            d0, d1 = delta(dual_primitives(block[value == 0], p), ring)
             hits += int(((d0 == 0) & (d1 == 0)).sum())
         done += size
     return hits
@@ -515,7 +531,7 @@ def intlist_ring(p):
     F = GF(p)
     return (
         F.poly_mul,
-        lambda a, b: polys.add_raw(F, a, b),
+        F.poly_add,
         lambda c, a: F.poly_mul([c % p], a),
     )
 

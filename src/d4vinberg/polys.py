@@ -2,17 +2,17 @@
 
 The raw level works on trimmed lists of raw element values (``FElem.val``),
 lowest degree first, without trailing zeros; [] is the zero polynomial.
-Every field supplies two primitives on such lists, ``field.poly_mul`` and
-``field.poly_divmod``: prime fields run them on Python ints, every other
-field through its raw element arithmetic (``fields.Field``), and the
-field's class picks the pair.  Everything else is written once here on top
-of them and the raw ``_add``/``_sub``/``_mul``/``_inv``: gcd, xgcd, powmod,
-the derivative and p-th root, the squarefree test, squarefree /
-distinct-degree / Cantor-Zassenhaus factorization (von zur Gathen &
-Gerhard, Modern Computer Algebra, ch. 14), the distinct-degree
-irreducibility check, the resultant and ``find_irreducible``.  ``ExtField``
-multiplies and inverts through this layer, and ``numkernels`` keeps its
-int-list entry points as calls into it.
+Every field supplies four primitives on such lists, ``field.poly_add``,
+``poly_sub``, ``poly_mul`` and ``poly_divmod``: prime fields run them on
+Python ints, every other field through its raw element arithmetic
+(``fields.Field``).  Everything else is written once here on top of them
+and the raw ``_add``/``_sub``/``_mul``/``_inv``: gcd, xgcd, powmod, the
+derivative and p-th root, the squarefree test, squarefree / distinct-degree
+/ Cantor-Zassenhaus factorization (von zur Gathen & Gerhard, Modern
+Computer Algebra, ch. 14), the distinct-degree irreducibility check, the
+resultant and ``find_irreducible``.  ``ExtField`` multiplies and inverts
+through this layer, and ``numkernels`` keeps its int-list entry points as
+calls into it.
 
 ``Poly`` is the boxed front end: it stores the raw values in ``vals`` and
 derives ``coeffs``, a tuple of FElem, from them.  Its operands are Polys
@@ -26,7 +26,7 @@ polynomial, so factorizations are reproducible; factors are returned
 sorted, so the result does not depend on the draws.
 """
 
-from .fields import FElem, split_top
+from .fields import FElem, split_top, trim
 from .rng import det_rng
 
 
@@ -35,7 +35,7 @@ class Poly:
 
     def __init__(self, field, coeffs=()):
         self.field = field
-        self.vals = tuple(_trim([field.elem(c).val for c in coeffs], field.zero.val))
+        self.vals = tuple(trim([field.elem(c).val for c in coeffs], field.zero.val))
 
     @staticmethod
     def _of(field, vals):
@@ -103,7 +103,7 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Poly._of(self.field, add_raw(self.field, self.vals, other.vals))
+        return Poly._of(self.field, self.field.poly_add(self.vals, other.vals))
 
     __radd__ = __add__
 
@@ -115,7 +115,7 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Poly._of(self.field, sub_raw(self.field, self.vals, other.vals))
+        return Poly._of(self.field, self.field.poly_sub(self.vals, other.vals))
 
     def __rsub__(self, other):
         return -(self - other)
@@ -167,7 +167,7 @@ class Poly:
             raise ValueError("reversal degree below actual degree")
         z = self.field.zero.val
         vals = [z] * (at_degree - self.degree) + list(reversed(self.vals))
-        return Poly._of(self.field, _trim(vals, z))
+        return Poly._of(self.field, trim(vals, z))
 
     def __call__(self, x):
         result = x * 0  # zero of x's ring: an element or a Poly over self.field
@@ -257,12 +257,6 @@ def find_irreducible(field, degree: int) -> Poly:
 # -- the raw layer: F is the field, polynomials are trimmed raw-value lists --
 
 
-def _trim(a, z):
-    while a and a[-1] == z:
-        a.pop()
-    return a
-
-
 def _pow(F, c, e):
     """c^e for a raw value c."""
     out = F.one.val
@@ -275,23 +269,9 @@ def _pow(F, c, e):
     return out
 
 
-def add_raw(F, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    add = F._add
-    for i, y in enumerate(b):
-        out[i] = add(out[i], y)
-    return _trim(out, F.zero.val)
-
-
-def sub_raw(F, a, b):
-    return add_raw(F, a, [F._neg(c) for c in b])
-
-
 def scale_raw(F, c, a):
     """c * a for a raw value c."""
-    return _trim([F._mul(c, y) for y in a], F.zero.val)
+    return trim([F._mul(c, y) for y in a], F.zero.val)
 
 
 def monic_raw(F, a):
@@ -306,7 +286,7 @@ def deriv_raw(F, a):
     for c in a[1:]:
         out.append(mul(i, c))
         i = add(i, one)
-    return _trim(out, F.zero.val)
+    return trim(out, F.zero.val)
 
 
 def pth_root_raw(F, a):
@@ -332,8 +312,8 @@ def xgcd_raw(F, a, b):
     while r1:
         q, r = F.poly_divmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, sub_raw(F, s0, F.poly_mul(q, s1))
-    t0 = F.poly_divmod(sub_raw(F, r0, F.poly_mul(s0, a)), b)[0] if b else []
+        s0, s1 = s1, F.poly_sub(s0, F.poly_mul(q, s1))
+    t0 = F.poly_divmod(F.poly_sub(r0, F.poly_mul(s0, a)), b)[0] if b else []
     if not r0:
         return r0, s0, t0
     c = F._inv(r0[-1])
@@ -358,7 +338,7 @@ def is_squarefree_raw(F, a):
     """gcd(a, a') constant; trailing zeros are ignored and zero is not
     squarefree.  The Euclid skips normalization: only the degree of the
     gcd matters."""
-    a = _trim(list(a), F.zero.val)
+    a = trim(list(a), F.zero.val)
     if len(a) <= 1:
         return bool(a)
     d = deriv_raw(F, a)
@@ -413,7 +393,7 @@ def distinct_degree_raw(F, f):
             out.append((f, len(f) - 1))
             break
         h = powmod_raw(F, h, q, f)
-        g = gcd_raw(F, f, sub_raw(F, h, x))
+        g = gcd_raw(F, f, F.poly_sub(h, x))
         if len(g) > 1:
             out.append((g, d))
             f = F.poly_divmod(f, g)[0]
@@ -438,13 +418,13 @@ def equal_degree_raw(F, f, d):
         tries += 1
         if tries > 10000:
             raise RuntimeError("equal-degree factorization failed to split")
-        r = _trim([F.random(rng).val for _ in range(len(g) - 1)], z)
+        r = trim([F.random(rng).val for _ in range(len(g) - 1)], z)
         if not r:
             work.append(g)
             continue
         h = gcd_raw(F, g, r)
         if len(h) == 1:
-            h = gcd_raw(F, g, sub_raw(F, powmod_raw(F, r, e, g), [F.one.val]))
+            h = gcd_raw(F, g, F.poly_sub(powmod_raw(F, r, e, g), [F.one.val]))
         if 1 < len(h) < len(g):
             work += [h, F.poly_divmod(g, h)[0]]
         else:
@@ -475,7 +455,7 @@ def is_irreducible_raw(F, f):
     x = h = [F.zero.val, F.one.val]
     for _ in range(n // 2):
         h = powmod_raw(F, h, q, f)
-        if len(gcd_raw(F, f, sub_raw(F, h, x))) > 1:
+        if len(gcd_raw(F, f, F.poly_sub(h, x))) > 1:
             return False
     return True
 

@@ -10,16 +10,19 @@ slower way, and serve only as the reference of the differential tests:
 - the 8x8 view of an element of V (``to_matrix``), its even characteristic
   coefficients (``even_coeffs``, ``even_charpoly``), its Pfaffian by the
   105 perfect matchings (``pfaffian``) and its minimal polynomial by a
-  Krylov dependence (``minimal_polynomial``).
+  Krylov dependence (``minimal_polynomial``);
+- the determinant by the n! signed terms of the Leibniz formula
+  (``det_leibniz``), against which ``linalg.det4`` is checked.
 """
 
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
 from d4vinberg import linalg, numkernels
 from d4vinberg.liealg import V_ENTRIES
-from d4vinberg.linalg import _perm_sign, _signed_sum, mat_mul, newton_even, trace, trace_prod
+from d4vinberg.linalg import mat_mul, newton_even, trace, trace_prod
 from d4vinberg.multipoly import MPoly
 from d4vinberg.polys import Poly
 from d4vinberg.quartic import delta
@@ -142,6 +145,46 @@ def alpha_points(q, ring, zero):
     for g in delta_gradient():
         singular &= g.eval(sub, ring) == zero
     return sub, singular
+
+
+# -- signed sums of products of entries --
+
+
+def _perm_sign(values):
+    """Sign of the permutation sending (0, 1, ..., n-1) to values."""
+    values = list(values)
+    sign = 1
+    for i in range(len(values)):
+        while values[i] != i:
+            j = values[i]
+            values[i], values[j] = values[j], values[i]
+            sign = -sign
+    return sign
+
+
+@lru_cache(maxsize=None)
+def det_terms(n):
+    """[(sign, ((0, s(0)), ..., (n-1, s(n-1))))] over the permutations s of
+    {0..n-1}; the identity comes first."""
+    return [(_perm_sign(perm), tuple(enumerate(perm))) for perm in permutations(range(n))]
+
+
+def _signed_sum(a, terms):
+    """sum of sign * prod a[i][j] over the (sign, index pairs) terms, whose
+    first term has sign +1, over any commutative ring (division-free)."""
+    acc = None
+    for sign, ((i, j), *rest) in terms:
+        term = a[i][j]
+        for k, l in rest:
+            term = term * a[k][l]
+        acc = term if acc is None else acc + term if sign > 0 else acc - term
+    return acc
+
+
+def det_leibniz(a):
+    """Determinant of a small square matrix over any commutative ring, by
+    the n! terms of the Leibniz formula (division-free)."""
+    return _signed_sum(a, det_terms(len(a)))
 
 
 # -- 8x8 matrices --

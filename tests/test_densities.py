@@ -18,6 +18,7 @@ from d4vinberg.densities import (
     vol_g,
 )
 from d4vinberg.fields import GF
+from d4vinberg.quartic import delta
 from d4vinberg.rng import det_rng
 from oracles import alpha_points, delta_mpoly
 
@@ -163,7 +164,8 @@ def test_mc_deterministic():
 
 
 def test_beta_mc_blocks_match_whole_chunks():
-    # the BETA_BLOCK row blocks change no count: one pass per Philox chunk
+    # neither the BETA_BLOCK row blocks nor the value-first filter changes
+    # a count: one unfiltered dual pass per Philox chunk
     p, seed, sizes = 5, 3, (numkernels.BETA_CHUNK, 700)
     hits = 0
     for i, size in enumerate(sizes):
@@ -172,6 +174,33 @@ def test_beta_mc_blocks_match_whole_chunks():
         d0, d1 = delta_mpoly().eval(prims, numkernels.dual_ring(p))
         hits += int(((d0 == 0) & (d1 == 0)).sum())
     assert numkernels.beta_mc_prime(p, sum(sizes), seed) == hits
+
+
+def _value_delta(values, p):
+    """Delta of the value pass of beta_mc_prime on (N, 16) coordinates."""
+    prims = numkernels._block_primitives(values, p, numkernels._value_lift(p))
+    return delta(prims, numkernels.mod_ring(p))
+
+
+@pytest.mark.parametrize("p", [5, 23, 268435399])
+def test_beta_value_pass_is_the_value_part_of_the_dual_delta(p):
+    coords = det_rng(6, "beta-filter", p).integers(0, p, size=(300, 16, 2), dtype=np.int64)
+    coords[:20, :, 0] = 0  # rows of value 0, survivors of the filter at every p
+    coords[20:40, 8:, 0] = 0
+    value = _value_delta(coords[..., 0], p)
+    d0, _ = delta(numkernels.dual_primitives(coords, p), numkernels.dual_ring(p))
+    assert (value == d0).all()
+    assert (value[:40] == 0).all()
+
+
+def test_beta_block_without_survivors_counts_zero():
+    p, n, seed = 23, 5, 0
+    coords = det_rng(seed, "beta-mc", 0).integers(0, p, size=(n, 16, 2), dtype=np.int64)
+    value = _value_delta(coords[..., 0], p)
+    assert value.all()  # no row of the block survives the value pass
+    d0, d1 = delta(numkernels.dual_primitives(coords[value == 0], p), numkernels.dual_ring(p))
+    assert d0.shape == d1.shape == (0,)
+    assert numkernels.beta_mc_prime(p, n, seed) == 0
 
 
 def test_int64_kernels_reject_p_beyond_exact_range():

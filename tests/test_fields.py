@@ -145,6 +145,17 @@ def test_int_operands_read_through_elem(which, index, k):
         assert k / x == fk / x
 
 
+@pytest.mark.parametrize("q", [(5, 2), (23, 2)], ids=["GF25", "GF23^2"])
+def test_ext_times_int_scales_the_coefficients(q):
+    f = GF(*q)
+    p = f.char
+    rng = det_rng(3, "ext-times-int", f.order)
+    for k in (-10**20, -p - 1, -p, -1, 0, 1, p - 1, p, p + 2, 7 * p + 3, 10**20):
+        for a in [f.zero, f.one, f.gen] + [f.random(rng) for _ in range(6)]:
+            want = a * f.elem(k)
+            assert a * k == want == k * a
+
+
 def test_tower_extension():
     f = GF(5)
     from d4vinberg.polys import find_irreducible

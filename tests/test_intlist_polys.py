@@ -78,8 +78,10 @@ def test_squarefree_int_list_matches_is_squarefree(case):
 
 
 class GenericPrimeField(PrimeField):
-    """F_p on the generic pair: the int pair's independent oracle."""
+    """F_p on the generic primitives: the int ones' independent oracle."""
 
+    poly_add = Field.poly_add
+    poly_sub = Field.poly_sub
     poly_mul = Field.poly_mul
     poly_divmod = Field.poly_divmod
 
@@ -99,6 +101,24 @@ def test_int_and_generic_pairs_agree_on_mul_and_divmod(case, data):
     assert fast.poly_divmod(a, b) == generic.poly_divmod(a, b)
     q, r = fast.poly_divmod(product, b)
     assert (q, r) == (a, [])
+
+
+@SETTINGS
+@given(intlist_polys(), st.data())
+def test_int_and_generic_add_and_sub_agree(case, data):
+    """Also where the top coefficients cancel, down to the zero polynomial:
+    b agrees with -a (with a, for the difference) above a drawn degree."""
+    p, a = case
+    fast = GF(p)
+    k = data.draw(st.integers(0, len(a)))
+    low = data.draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
+    neg, same = low + [-c % p for c in a[k:]], low + a[k:]
+    for b in (data.draw(dense(p)), neg):
+        for x, y in ((a, b), (b, a)):
+            assert fast.poly_add(x, y) == Field.poly_add(fast, x, y)
+            assert fast.poly_sub(x, y) == Field.poly_sub(fast, x, y)
+    assert fast.poly_sub(a, same) == Field.poly_sub(fast, a, same)
+    assert fast.poly_add(a, [-c % p for c in a]) == [] == fast.poly_sub(a, a)
 
 
 @SETTINGS

@@ -31,6 +31,7 @@ from d4vinberg.quartic import quartic_disc
 from d4vinberg.rng import det_rng
 from oracles import (
     det,
+    det_leibniz,
     even_charpoly,
     even_coeffs,
     identity,
@@ -439,3 +440,49 @@ def test_dual_primitives_value_part_matches_8x8_oracle(p, seed):
     for i, row in enumerate(coords):
         m = to_matrix(VElem(c, [int(x) for x in row[:, 0]]))
         assert [int(d[0][i]) for d in duals] == [x.val for x in _oracle(m, p)]
+
+
+# -- the 4x4 determinant by complementary 2x2 minors --
+
+
+@pytest.mark.parametrize("q", [(23, 1), (5, 2)], ids=["GF23", "GF5^2"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_det4_matches_leibniz_over_fields(q, data):
+    f = GF(*q)
+    codes = data.draw(st.lists(st.integers(0, f.order - 1), min_size=16, max_size=16))
+    a = [[f.from_int(c) for c in codes[4 * i : 4 * i + 4]] for i in range(4)]
+    got = linalg.det4(a)
+    assert got.field is f and got == det_leibniz(a)
+    # the prime-field int kernel and the generic loop agree
+    ints = [[f.to_int(x) for x in row] for row in a]
+    assert linalg.det4(ints) == det_leibniz(ints)
+
+
+def test_det4_of_symbolic_entries_is_the_leibniz_polynomial():
+    a = [[MPoly.var(16, 4 * i + j) for j in range(4)] for i in range(4)]
+    got = linalg.det4(a)
+    assert got == det_leibniz(a) and len(got.terms) == 24
+    f = GF(23)
+    rng = det_rng(4, "det4-mpoly")
+    b = [[MPoly.var(3, k % 3, f.random(rng)) + f.random(rng) for k in range(4 * i, 4 * i + 4)]
+         for i in range(4)]
+    assert linalg.det4(b) == det_leibniz(b)
+
+
+# the largest prime below MAX_P drives the int64 bound of _block_det to its edge
+@pytest.mark.parametrize("p", [5, 23, 268435399])
+def test_numpy_block_det_matches_boxed(p):
+    assert p < numkernels.MAX_P
+    f = GF(p)
+    rng = np.random.default_rng(p)
+    x = rng.integers(-p + 1, p, size=(40, 4, 4, 2), dtype=np.int64)
+    x[:8] = rng.choice([-p + 1, p - 1], size=(8, 4, 4, 2))
+    value = numkernels._block_det(x[..., 0], numkernels._value_lift(p))
+    dual = numkernels._block_det((x[..., 0], x[..., 1]), numkernels._dual_lift(p))
+    for i, block in enumerate(x):
+        boxed = linalg.det4([[f.elem(int(c)) for c in row] for row in block[..., 0]])
+        assert int(value[i]) == int(dual[0][i]) == boxed.val
+        # the eps part is the t-coefficient of det(x0 + t x1) over F_p[t]
+        pencil = det_leibniz([[Poly(f, [int(c) for c in e]) for e in row] for row in block])
+        assert int(dual[1][i]) == (*pencil.vals, 0, 0)[1]
