@@ -1,18 +1,20 @@
 """The invariant map, the Kostant section, and the subregular slice.
 
-The four invariants are calibrated once from the slice relation
-y(xy + 2q4) = x^3 + p2 x^2 + p4 x + p6; afterwards pi o kappa = id holds on
-the nose and the slice chart is an exact inverse pair.
+The four invariants are the conjugation invariants (c2, c4, Pf, c6); the
+slice chart (x, y) is calibrated once from the slice relation
+y(xy + 2q4) = x^3 + p2 x^2 + p4 x + p6.  Then pi o kappa = id holds on the
+nose and the slice chart is an exact inverse pair.
 """
 
 from d4vinberg import GF, D4Context, Invariants
+from d4vinberg.invariants import CALIBRATION_U
 from d4vinberg.rng import det_rng
 
 ctx = D4Context(GF(23))
 inv = Invariants(ctx)
 F = ctx.field
 
-print("calibration constants u =", [c.val for c in inv.u])
+print("calibration constants u =", list(CALIBRATION_U))
 print("chart functionals xi =", [c.val for c in inv.xi], " eta =", [c.val for c in inv.eta])
 print()
 

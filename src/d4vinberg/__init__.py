@@ -4,7 +4,7 @@ Core layers:
   fields / polys / funcfield   exact F_{p^m}, polynomials, places of F_q(t)
   quartic                      the weighted quartic discriminant
   liealg                       the pair (G, V) inside so_8, weights, actions
-  invariants                   calibrated invariant map, Kostant section, slice
+  invariants                   invariant map, Kostant section, slice chart
   orbits                       vanishing patterns, reduction to the section
   curves                       pointed cubics, minimal data, X_D, stabilizers
   hnweights                    weight poset, cusp table, slopes, tail bounds

@@ -22,7 +22,7 @@ import numpy as np
 from . import numkernels, polys
 from .fields import extension_of
 from .funcfield import RatFunc, support
-from .linalg import kernel_basis, solve
+from .linalg import kernel_basis
 from .polys import Poly
 from .quartic import first_subresultant, quartic_disc, quartic_poly, weierstrass
 from .rng import det_rng
@@ -402,15 +402,18 @@ def _certify_i1(b, delta):
 
     The unit tests go in a pair: one xgcd of s1 s0 with Delta gives w =
     1/(s1 s0), so x0 = -s0^2 w and 1/x0 = -s1^2 w; the factors are
-    tested one by one only when the product fails.  A failed test raises
-    AssertionError naming it and gcd(value, Delta).  By Tate's algorithm
-    ord_v Delta = 1 forces I1; this checks it.
+    tested one by one only when the product fails.  A zero test is one
+    remainder mod Delta.  A failed test raises AssertionError naming it and
+    gcd(value, Delta).  By Tate's algorithm ord_v Delta = 1 forces I1; this
+    checks it.
     """
     if delta.degree < 1:
         return
 
     def check(name, value, unit):
         """value is a unit of A (unit) or zero in A (not unit)."""
+        if not unit and (value % delta).is_zero():
+            return
         g = polys.gcd(value, delta)
         if g.degree != (0 if unit else delta.degree):
             raise AssertionError(f"{name} fails: gcd with Delta {g.to_str()}")
@@ -591,33 +594,22 @@ def two_torsion_field_rank(field, b_polys):
     """Number of K-rational roots of the 2-division cubic of the quartic
     model over K = F_q(t); 0 means E(K)[2] is trivial.
 
-    A K-root of the monic cubic is a polynomial of bounded degree; it is
-    reconstructed from its value at a single place of large degree.
+    A K-root of the monic cubic is a polynomial of degree <= bound, and in
+    the residue field F_q[t]/(mu) of a place of degree bound + 1 the
+    coordinates of its value are its coefficients; each root there is read
+    back as that polynomial and kept if it is a root over K.
     """
     a_coef, b_coef = weierstrass(_as_polys(field, b_polys))
-    bound = max(
-        _ceil_div(a_coef.degree, 2) if not a_coef.is_zero() else 0,
-        _ceil_div(b_coef.degree, 3) if not b_coef.is_zero() else 0,
-        0,
-    )
+    # at least 1 (a zero coefficient has degree -1): a residue field of
+    # degree 1 is no extension
+    bound = max(_ceil_div(a_coef.degree, 2), _ceil_div(b_coef.degree, 3), 1)
     mu = polys.find_irreducible(field, bound + 1)
     ext = extension_of(field, mu.coeffs, trusted=True)
     tau = ext.gen
     cubic = Poly(ext, [Poly(ext, b_coef.coeffs)(tau), Poly(ext, a_coef.coeffs)(tau), 0, 1])
     count = 0
     for root in polys.roots(cubic):
-        # reconstruct the unique polynomial of degree <= bound with value root
-        power = ext.one
-        cols = []
-        for _ in range(bound + 1):
-            cols.append(list(power.val))
-            power = power * tau
-        rows = [[field.elem(cols[j][i]) for j in range(bound + 1)] for i in range(ext.deg)]
-        sol = solve(field, rows, [field.elem(v) for v in root.val])
-        if sol is None:
-            continue
-        cand = Poly(field, sol)
-        check = cand ** 3 + a_coef * cand + b_coef
-        if check.is_zero():
+        cand = Poly(field, root.val)
+        if (cand ** 3 + a_coef * cand + b_coef).is_zero():
             count += 1
     return count

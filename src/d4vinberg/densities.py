@@ -28,6 +28,7 @@ from math import sqrt
 from . import numkernels
 from .fields import GF
 from .funcfield import count_monic_irreducibles
+from .linalg import LAPLACE_4
 from .rng import det_rng
 
 # the Monte Carlo gate of beta_v, in standard errors
@@ -96,7 +97,9 @@ def so4_count_bruteforce(q: int) -> int:
     antidiagonal form (c1.c2 = c1.c3 = c2.c4 = c3.c4 = 0, c2.c3 = c1.c4 =
     1) and det 1.  The Gram matrix of the isotropic vectors picks the c2,
     c3 and c4 candidates by masks; for each (c1, c2) the determinant is
-    the bilinear form c3^T M c4 with M[k, l] = det(c1, c2, e_k, e_l).
+    the bilinear form c3^T M c4 with M[k, l] = det(c1, c2, e_k, e_l): by
+    the Laplace expansion of ``linalg.LAPLACE_4``, the pair ((a, b), (k,
+    l)) puts the 2x2 minor m_ab of (c1, c2) at M[k, l] and -m_ab at M[l, k].
     """
     import numpy as np
 
@@ -113,44 +116,23 @@ def so4_count_bruteforce(q: int) -> int:
     iso = vecs[np.einsum("ni,ij,nj->n", vecs, jmat, vecs) % p == 0]
     iso = iso[iso.any(axis=1)]  # no column of an invertible matrix is 0
     gram = iso @ jmat @ iso.T % p
-    eye = np.eye(4, dtype=np.int64)
-    e_k, e_l = (a.reshape(-1) for a in np.meshgrid(range(4), range(4), indexing="ij"))
+    # the six minors of (c1, c2) times their signed places in M
+    (a, b), (k, l) = np.array(LAPLACE_4).transpose(1, 2, 0)
+    place = np.zeros((6, 4, 4), dtype=np.int64)
+    place[range(6), k, l] = 1
+    place[range(6), l, k] = -1
+    place = place.reshape(6, 16)
     count = 0
     for i, c1 in enumerate(iso):
         js = np.flatnonzero(gram[i] == 0)
-        mats = np.empty((len(js), 16, 4, 4), dtype=np.int64)
-        mats[..., 0] = c1
-        mats[..., 1] = iso[js][:, None, :]
-        mats[..., 2] = eye[e_k]
-        mats[..., 3] = eye[e_l]
-        forms = _det4_mod(mats.reshape(-1, 4, 4), p).reshape(len(js), 4, 4)
+        c2 = iso[js]
+        forms = ((c1[a] * c2[:, b] - c1[b] * c2[:, a]) @ place).reshape(-1, 4, 4)
         for j, form in zip(js, forms):
             m3 = (gram[i] == 0) & (gram[j] == 1)
             m4 = (gram[i] == 1) & (gram[j] == 0)
             dets = iso[m3] @ form @ iso[m4].T % p
             count += int(((dets == 1) & (gram[np.ix_(m3, m4)] == 0)).sum())
     return count
-
-
-def _det4_mod(mats, p):
-    import numpy as np
-
-    # mats: (n, 4, 4) with columns c1..c4; Laplace along the last column
-    out = np.zeros(mats.shape[0], dtype=np.int64)
-    for j in range(4):
-        sign = (-1) ** (j + 3)
-        minor = _det3_mod(np.delete(np.delete(mats, 3, axis=2), j, axis=1), p)
-        out = (out + sign * mats[:, j, 3] * minor) % p
-    return out % p
-
-
-def _det3_mod(mats, p):
-    a = mats
-    return (
-        a[:, 0, 0] * (a[:, 1, 1] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 1])
-        - a[:, 0, 1] * (a[:, 1, 0] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 0])
-        + a[:, 0, 2] * (a[:, 1, 0] * a[:, 2, 1] - a[:, 1, 1] * a[:, 2, 0])
-    ) % p
 
 
 def vol_g(q: int) -> Fraction:

@@ -1,32 +1,32 @@
 """The invariant map pi: V -> B, the Kostant section and the subregular slice.
 
-The four invariants are calibrated combinations of primitive conjugation
+The four invariants (p2, p4, q4, p6) of v are primitive conjugation
 invariants of the 8x8 matrix view: the even characteristic polynomial
-coefficients c2, c4, c6 and the Pfaffian of Psi*v.  ``primitives`` computes
-them once, from the 4x4 blocks X, Y of v = [[0, X], [Y, 0]] that
-``liealg.v_blocks`` gathers from the 16 weight coordinates, through the
-ring-generic routines of ``linalg`` (c2, c4, c6 from M = XY, Pf = det X by
-``det4``), for a VElem and the symbolic MPoly coordinates of the Kostant and
-slice charts; ``numkernels`` does the same on numpy blocks.  The
-points of the charts, symbolic or at field values, come from one
+coefficients c2, c4, c6 and the Pfaffian of Psi*v, so pi(v) = (c2, c4, Pf,
+c6) (for the stable grading, Thorne, Algebra & Number Theory 7, 2013).
+``primitives`` computes them once, from the 4x4 blocks X, Y of v = [[0, X],
+[Y, 0]] that ``liealg.v_blocks`` gathers from the 16 weight coordinates,
+through the ring-generic routines of ``linalg`` (c2, c4, c6 from M = XY,
+Pf = det X by ``det4``), for a VElem and the symbolic MPoly coordinates of
+the Kostant and slice charts; ``numkernels`` does the same on numpy blocks.
+The points of the charts, symbolic or at field values, come from one
 coordinate-wise pass, ``_chart_coords``.
-The calibration ansatz
 
-    p2 = u1 c2,  q4 = u2 Pf,  p4 = u3 c4 + u4 c2^2 + u5 Pf,
-    p6 = u6 c6 + u7 c2 c4 + u8 c2^3 + u9 c2 Pf
-
-(written once, in ``_ansatz_monomials``; ``_apply_u`` evaluates it) is
-solved over the prime field so that the plane-cubic relation
-y(xy + 2 q4) = x^3 + p2 x^2 + p4 x + p6 holds identically on the subregular
-slice, with x, y weight-2 linear chart functions.  The solution is unique up
-to rescaling the degree-1 generator and a simultaneous sign flip of (q4, y);
-the lexicographically least valid tuple is fixed as canonical.  All chart
-data (F, f, centralizer bases, calibration constants) is rational over the
-prime field and gets embedded coordinatewise into extension contexts.  The
-sl2 lowering elements (for h = 2 cochar in Cartan coordinates) and the graded
-centralizers solve ``D4Context.ad_matrix`` on weight spaces, as h indices of
-the bracket table ``liealg.BRACKETS``; the Kostant section and the slice
-lift are triangular solves of chart polynomials by ``linalg.staged_solve``.
+The calibration finds the weight-2 linear chart functions x, y on the
+subregular slice for which the plane-cubic relation
+y(xy + 2 q4) = x^3 + p2 x^2 + p4 x + p6 holds identically
+(``_slice_relation``): ``_search_chart_functions`` filters the candidates on
+seeded slice points over the prime field, and exactly one candidate
+satisfies the relation exactly.  Nothing is left to normalize: rescaling x
+by alpha and y by +-alpha breaks the relation unless alpha = 1 and the sign
+is +.  The calibration report gives pi in the nine coefficients of a
+general ansatz, ``CALIBRATION_U``.  All chart data (F, f, centralizer
+bases, chart functions) is rational over the prime field and gets embedded
+coordinatewise into extension contexts.  The sl2 lowering elements (for
+h = 2 cochar in Cartan coordinates) and the graded centralizers solve
+``D4Context.ad_matrix`` on weight spaces, as h indices of the bracket table
+``liealg.BRACKETS``; the Kostant section and the slice lift are triangular
+solves of chart polynomials by ``linalg.staged_solve``.
 """
 
 import json
@@ -52,6 +52,12 @@ from .rng import det_rng
 
 MIN_LIE_CHAR = 23  # standing hypothesis for the section/slice machinery
 
+# pi as the calibration report prints it: u1..u9 of the ansatz
+#     p2 = u1 c2,  q4 = u2 Pf,  p4 = u3 c4 + u4 c2^2 + u5 Pf,
+#     p6 = u6 c6 + u7 c2 c4 + u8 c2^3 + u9 c2 Pf,
+# in which pi = (c2, c4, Pf, c6) is the unit.
+CALIBRATION_U = (1, 1, 1, 0, 0, 1, 0, 0, 0)
+
 
 def primitives(ctx: D4Context, v):
     """(c2, c4, pf, c6) of v; valid for any p >= 5.
@@ -71,7 +77,8 @@ def primitives(ctx: D4Context, v):
 
 
 class Invariants:
-    """Calibrated invariant theory for a D4Context with char >= 23.
+    """pi, the Kostant section and the subregular slice chart of a
+    D4Context with char >= 23.
 
     `seed` only chooses the 40 random slice points that filter the chart
     search; the exact slice-relation check then leaves one solution, so the
@@ -125,52 +132,41 @@ class Invariants:
         return VElem(self.ctx, [f.elem(c.val) for c in v_p.coords])
 
     def _embed_scalar(self, c):
-        return self.ctx.field.elem(c.val if not isinstance(c, int) else c)
+        return self.ctx.field.elem(c.val)
 
     # -- calibration over the prime field --
 
     def _calibrate(self):
         pctx = self._pctx
-        pf = pctx.field
         c_syms = _chart_primitives(pctx, pctx.e_subreg, self._W_p, nvars=5)
         c2s = c_syms[0]
         # linear part of C2 on the weight-2 coordinates (vars 0..2)
         c2_lin = [_coeff_of_var(c2s, i) for i in range(3)]
         if not any(c2_lin):
             raise RuntimeError("degree-2 invariant restricts to zero on the slice")
-        plane = linalg.kernel_basis(pf, [c2_lin])
+        plane = linalg.kernel_basis(pctx.field, [c2_lin])
         assert len(plane) == 2, "nilpotent-direction plane must be 2-dimensional"
         branches = _nilpotent_branches(pctx, c_syms, plane)
         assert len(branches) == 3, f"expected 3 nilpotent branches, got {len(branches)}"
-        sol = _search_chart_functions(pctx, c_syms, branches, self.seed)
-        xi, eta = sol
-        u = _solve_u_ansatz(pf, c_syms, xi, eta)
-        u, xi, eta = _canonicalize(pf, u, xi, eta)
-        self._u_p, self._xi_p, self._eta_p = u, xi, eta
-        self.u = tuple(self._embed_scalar(c) for c in u)
-        self.xi = tuple(self._embed_scalar(c) for c in xi)
-        self.eta = tuple(self._embed_scalar(c) for c in eta)
-        # final exact verification of the slice relation over the prime field
-        rel = _slice_relation(c_syms, xi, eta, u)
-        assert rel.is_zero(), "calibration failed the slice identity"
+        self._xi_p, self._eta_p = _search_chart_functions(pctx, c_syms, branches, self.seed)
+        self.xi = tuple(self._embed_scalar(c) for c in self._xi_p)
+        self.eta = tuple(self._embed_scalar(c) for c in self._eta_p)
 
     def _build_charts(self):
         ctx = self.ctx
-        k_prims = _chart_primitives(ctx, self.E, self.Z, nvars=4)
+        self._kappa_b_polys = _chart_primitives(ctx, self.E, self.Z, nvars=4)
         s_prims = _chart_primitives(ctx, self.e, self.W, nvars=5)
-        self._kappa_b_polys = _apply_u(self.u, k_prims)
-        p2, p4, q4, _ = _apply_u(self.u, s_prims)
         # slice_lift's equations: x, y and p2, then p4 and q4
-        self._lift_polys = [*_chart_xy(5, self.xi, self.eta), p2, p4, q4]
+        self._lift_polys = [*_chart_xy(5, self.xi, self.eta), *s_prims[:3]]
         if ctx is not self._pctx:
-            rel = _slice_relation(s_prims, self.xi, self.eta, self.u)
+            rel = _slice_relation(s_prims, self.xi, self.eta)
             assert rel.is_zero(), "slice identity failed over the extension"
 
     # -- public operations --
 
     def pi(self, v: VElem):
-        """Calibrated invariants (p2, p4, q4, p6) of v."""
-        return _apply_u(self.u, primitives(self.ctx, v))
+        """The invariants (p2, p4, q4, p6) = (c2, c4, pf, c6) of v."""
+        return primitives(self.ctx, v)
 
     def kostant_section(self, b) -> VElem:
         """kappa_b: the point of E + z_h(F) with pi = b (graded triangular solve)."""
@@ -260,7 +256,7 @@ class Invariants:
         f = self._pctx.field
         data = {
             "p": f.char,
-            "u": [c.val for c in self._u_p],
+            "u": list(CALIBRATION_U),
             "xi": [c.val for c in self._xi_p],
             "eta": [c.val for c in self._eta_p],
             "F": self._F_p.serialize(),
@@ -403,7 +399,7 @@ def _nilpotent_branches(ctx, c_syms, plane):
 
 
 def _search_chart_functions(ctx, c_syms, branches, seed):
-    """Find (xi, eta) with the cubic relation, for the diagonal unit ansatz.
+    """Find (xi, eta) with the cubic relation for pi = (c2, c4, pf, c6).
 
     Candidates xi = x1 phi0 + x2 phi1, eta = x1 psi0 + x2 psi1 + y3 nvec
     are filtered on 40 random slice points in int arithmetic mod p (the
@@ -473,16 +469,10 @@ def _search_chart_functions(ctx, c_syms, branches, seed):
                             candidates.append((xi, eta))
     sols = []
     for xi, eta in candidates:
-        rel = _slice_relation(c_syms, xi, eta, _unit_u(f))
-        if rel.is_zero():
+        if _slice_relation(c_syms, xi, eta).is_zero():
             sols.append((xi, eta))
     assert len(sols) == 1, f"chart search found {len(sols)} solutions"
     return sols[0]
-
-
-def _unit_u(field):
-    one, zero = field.one, field.zero
-    return (one, one, one, zero, zero, one, zero, zero, zero)
 
 
 def _chart_xy(nvars, xi, eta):
@@ -494,75 +484,8 @@ def _chart_xy(nvars, xi, eta):
     return linear(xi), linear(eta)
 
 
-def _relation_parts(c_syms, xi, eta):
-    """(free, parts) with y(xy + 2 q4) - (x^3 + p2 x^2 + p4 x + p6) equal to
-    free + sum_k u_k parts[k] on the slice, since the ansatz is linear in u."""
-    x, y = _chart_xy(c_syms[0].nvars, xi, eta)
-    factor = (-(x * x), -x, 2 * y, -1)  # of p2, p4, q4, p6 in the relation
-    monos = _ansatz_monomials(c_syms)
-    parts = [factor[slot] * mono for slot, mono in zip(_U_SLOTS, monos)]
-    return y * x * y - x * x * x, parts
-
-
-def _slice_relation(c_syms, xi, eta, u):
-    """y(xy + 2 q4) - (x^3 + p2 x^2 + p4 x + p6) on the slice, symbolically."""
-    rel, parts = _relation_parts(c_syms, xi, eta)
-    for u_k, part in zip(u, parts):
-        rel = rel + u_k * part
-    return rel
-
-
-def _solve_u_ansatz(field, c_syms, xi, eta):
-    """Solve the 9-coefficient ansatz linearly given the chart functions."""
-    free, parts = _relation_parts(c_syms, xi, eta)
-    exps = sorted(set(free.terms).union(*(b.terms for b in parts)))
-    zero = field.zero
-    rows = [[b.terms.get(e, zero) for b in parts] for e in exps]
-    rhs = [-(free.terms.get(e, zero)) for e in exps]
-    sol = linalg.solve(field, rows, rhs)
-    assert sol is not None, "u-ansatz solve failed"
-    # verify (the system is overdetermined)
-    assert _slice_relation(c_syms, xi, eta, sol).is_zero(), "u-ansatz verification failed"
-    return tuple(sol)
-
-
-def _canonicalize(field, u, xi, eta):
-    """Lexicographically least tuple over the (rescale, sign-flip) orbit."""
-    best = None
-    for alpha_i in range(1, field.order):
-        alpha = field.from_int(alpha_i)
-        a2 = alpha * alpha
-        a3 = a2 * alpha
-        for s in (field.one, -field.one):
-            weight = (alpha, a2, s * a2, a3)  # of p2, p4, q4, p6
-            cu = tuple(weight[slot] * c for slot, c in zip(_U_SLOTS, u))
-            cxi = tuple(alpha * c for c in xi)
-            ceta = tuple(s * alpha * c for c in eta)
-            key = tuple(c.val for c in cu + cxi + ceta)
-            if best is None or key < best[0]:
-                best = (key, cu, cxi, ceta)
-    return best[1], best[2], best[3]
-
-
-# the invariant, an index into (p2, p4, q4, p6), that each u_k feeds
-_U_SLOTS = (0, 2, 1, 1, 1, 3, 3, 3, 3)
-
-
-def _ansatz_monomials(prims):
-    """The monomials that u1..u9 multiply in the u-ansatz
-
-        p2 = u1 c2,  q4 = u2 Pf,  p4 = u3 c4 + u4 c2^2 + u5 Pf,
-        p6 = u6 c6 + u7 c2 c4 + u8 c2^3 + u9 c2 Pf.
-    """
-    c2, c4, pf, c6 = prims
-    c2c2 = c2 * c2
-    return (c2, pf, c4, c2c2, pf, c6, c2 * c4, c2c2 * c2, c2 * pf)
-
-
-def _apply_u(u, prims):
-    """Calibrated (p2, p4, q4, p6) from the primitives (c2, c4, pf, c6)."""
-    out = [None] * 4
-    for u_k, slot, mono in zip(u, _U_SLOTS, _ansatz_monomials(prims)):
-        term = u_k * mono
-        out[slot] = term if out[slot] is None else out[slot] + term
-    return tuple(out)
+def _slice_relation(c_syms, xi, eta):
+    """y(xy + 2 pf) - (x^3 + c2 x^2 + c4 x + c6) on the slice, symbolically."""
+    c2, c4, pf, c6 = c_syms
+    x, y = _chart_xy(c2.nvars, xi, eta)
+    return y * (x * y + 2 * pf) - x * (x * (x + c2) + c4) - c6

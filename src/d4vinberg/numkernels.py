@@ -5,10 +5,12 @@ Length-2 local rings O_v/(pi^2) are equal-characteristic, so they are dual
 numbers k[eps]/(eps^2); ring elements are (value, eps-part) array pairs.
 Small extension residue fields use index tables.
 
-The beta Monte Carlo computes the invariant primitives (c2, c4, pf, c6) by
-one numpy program on 4x4 blocks (``_block_primitives``) over a lift of its
-int64 array maps: residues mod p (``_value_lift``) or dual-number pairs
-(``_dual_lift``), the way ``_jet_ring`` lifts a ring adapter.  The blocks
+The beta Monte Carlo computes the invariant primitives (c2, c4, pf, c6),
+which are pi = (p2, p4, q4, p6) itself (``invariants.pi``), so Delta of
+the primitives is Delta o pi by definition.  It runs one numpy program on
+4x4 blocks (``_block_primitives``) over a lift of its int64 array maps:
+residues mod p (``_value_lift``) or dual-number pairs (``_dual_lift``),
+the way ``_jet_ring`` lifts a ring adapter.  The blocks
 X, Y of v = [[0, X], [Y, 0]] are gathered by ``liealg.BLOCK_GATHER``, the
 table of ``liealg.v_blocks``, and det X runs on ``linalg.LAPLACE_4``.
 ``beta_mc_prime`` filters on the value first: the dual pass runs only on

@@ -17,7 +17,7 @@ import numpy as np
 from . import curves, densities, hnweights, orbits
 from .fields import GF
 from .funcfield import RatFunc, support
-from .invariants import Invariants
+from .invariants import CALIBRATION_U, Invariants
 from .liealg import (
     D4Context,
     G_ROOTS,
@@ -215,7 +215,7 @@ def invariant_suite(p=23, trials=1000, seed=0):
     assert ctx.centralizer_dim(inv.e, "h") == 6
     return {
         "trials": trials,
-        "u": [c.val for c in inv._u_p],
+        "u": list(CALIBRATION_U),
         "kostant_roundtrips": 100,
     }
 

@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -29,7 +32,7 @@ from d4vinberg.invariants import Invariants
 from d4vinberg.liealg import D4Context
 from d4vinberg.multipoly import MPoly
 from d4vinberg.polys import Poly
-from d4vinberg.quartic import quartic_disc, quartic_poly
+from d4vinberg.quartic import quartic_disc, quartic_poly, weierstrass
 from d4vinberg.rng import det_rng
 
 
@@ -490,6 +493,22 @@ def test_i1_certificate_raises_at_a_non_i1_place():
             _certify_i1(b, t)
 
 
+def test_i1_certificate_zero_tests_fail_off_the_discriminant():
+    # at a place where Delta does not vanish, s1 and s0 can be units while
+    # x0 = -s0/s1 is no double root: the remainder decides the zero test,
+    # and the gcd with the place, 1, names the failure
+    field = GF(5)
+    t = Poly.x(field)
+    for coeffs, place, test in (
+        (([1, 2], [2, 2], [4, 2], [2, 3]), t, "f(x0) = 0"),
+        (([2, 3], [4, 3], [1, 3], [2]), t + 1, "f'(x0) = 0"),
+    ):
+        b = tuple(Poly(field, c) for c in coeffs)
+        assert not (disc_poly(field, b) % place).is_zero()
+        with pytest.raises(AssertionError, match=re.escape(f"{test} fails: gcd with Delta 1")):
+            _certify_i1(b, place)
+
+
 def test_i1_certificate_agrees_with_the_oracle_per_place():
     # random small tuples, every place of Delta, squarefree or not
     field = GF(5)
@@ -573,6 +592,49 @@ def test_two_torsion_field_rank_trivial_on_xd():
     field = GF(5)
     for b in sample_xd(field, 1, 5, seed=14):
         assert two_torsion_field_rank(field, b) == 0
+
+
+def _k_roots_bruteforce(field, b):
+    """K-roots of x^3 + A x + B over K = F_q(t), tried over every
+    polynomial c of degree <= max(deg A / 2, deg B / 3): a K-root of the
+    monic cubic is in F_q[t], and a larger deg c leaves c^3 uncancelled."""
+    a_coef, b_coef = weierstrass(b)
+    bound = max(a_coef.degree // 2, b_coef.degree // 3, 0)
+    count = 0
+    for coeffs in itertools.product(list(field), repeat=bound + 1):
+        c = Poly(field, coeffs)
+        if (c ** 3 + a_coef * c + b_coef).is_zero():
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_two_torsion_field_rank_matches_bruteforce(q):
+    # random tuples of degree <= the weight of each entry, constant ones
+    # among them; the counts 0, 1 and 3 all occur
+    field = GF(q)
+    rng = det_rng(18, "curves-two-torsion-rank")
+    counts = set()
+    for _ in range(80):
+        b = tuple(
+            Poly(field, [field.random(rng) for _ in range(int(rng.integers(1, w + 2)))])
+            for w in WEIGHTS
+        )
+        count = two_torsion_field_rank(field, b)
+        assert count == _k_roots_bruteforce(field, b)
+        counts.add(count)
+    assert {0, 1, 3} <= counts
+
+
+def test_two_torsion_field_rank_single_root():
+    # f = (x^2 + t)(x^2 + x + t) = x^4 + x^3 + 2t x^2 + t x + t^2 splits into
+    # two quadratics over F_5(t) in one way only: one K-rational 2-torsion point
+    field = GF(5)
+    t = Poly.x(field)
+    b = (Poly.const(field, field.one), 2 * t, t, t)
+    assert not disc_poly(field, b).is_zero()
+    assert _k_roots_bruteforce(field, b) == 1
+    assert two_torsion_field_rank(field, b) == 1
 
 
 def test_two_torsion_field_rank_detects_split_torsion():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from d4vinberg import linalg, numkernels
 from d4vinberg.fields import GF
-from d4vinberg.invariants import Invariants, _chart_primitives, primitives
+from d4vinberg.invariants import Invariants, _chart_primitives, _slice_relation, primitives
 from d4vinberg.liealg import (
     BLOCK_GATHER,
     D4Context,
@@ -80,12 +80,41 @@ def test_even_charpoly_matches_berkowitz():
         ]
 
 
-def test_calibration_is_canonical_diagonal():
-    # lexicographically least valid calibration: unit diagonal ansatz
-    assert [c.val for c in inv._u_p] == [1, 1, 1, 0, 0, 1, 0, 0, 0]
-    data = json.loads(inv.calibration_json())
-    assert data["p"] == 23
+@functools.cache
+def _invariants(p, m=1):
+    return inv if (p, m) == (23, 1) else Invariants(D4Context(GF(p, m)))
+
+
+@pytest.mark.parametrize("p", [23, 29])
+def test_calibration_is_the_unit_relation(p):
+    # the chart functions satisfy y(xy + 2 pf) = x^3 + c2 x^2 + c4 x + c6,
+    # and no rescaling (alpha xi, s alpha eta) other than (1, +1) does, so
+    # no normalization is left to choose
+    p_inv = _invariants(p)
+    data = json.loads(p_inv.calibration_json())
+    assert data["p"] == p
+    assert data["u"] == [1, 1, 1, 0, 0, 1, 0, 0, 0]
     assert len(data["Z"]) == 4 and len(data["W"]) == 5
+    f = p_inv.ctx.field
+    c_syms = _chart_primitives(p_inv.ctx, p_inv.e, p_inv.W, nvars=5)
+    assert _slice_relation(c_syms, p_inv.xi, p_inv.eta).is_zero()
+    for alpha in (f.one, f.elem(2), f.elem(p - 1)):
+        for s in (f.one, -f.one):
+            if (alpha, s) == (f.one, f.one):
+                continue
+            xi = tuple(alpha * c for c in p_inv.xi)
+            eta = tuple(s * alpha * c for c in p_inv.eta)
+            assert not _slice_relation(c_syms, xi, eta).is_zero()
+
+
+@pytest.mark.parametrize("m", [1, 2], ids=["F23", "GF23^2"])
+def test_pi_is_the_primitives(m):
+    ext_inv = _invariants(23, m)
+    f = ext_inv.ctx.field
+    rng = det_rng(18, "inv-pi-primitives")
+    for _ in range(10):
+        v = VElem(ext_inv.ctx, [f.random(rng) for _ in range(16)])
+        assert ext_inv.pi(v) == primitives(ext_inv.ctx, v)
 
 
 def test_pi_of_nilpotents_is_zero():
@@ -216,9 +245,8 @@ def test_lie_disc_vanishes_with_delta():
 
 
 def test_extension_field_context():
-    ext_ctx = D4Context(GF(23, 2))
-    ext_inv = Invariants(ext_ctx)
-    f = ext_ctx.field
+    ext_inv = _invariants(23, 2)
+    f = ext_inv.ctx.field
     rng = det_rng(11, "inv-ext")
     for _ in range(10):
         b = tuple(f.random(rng) for _ in range(4))

@@ -2,14 +2,15 @@
 
 Every name that a module of ``src/d4vinberg`` imports at module level is
 used in that module (``__init__.py``, which re-exports, is exempt).  Every
-top-level function and class of the package, and every method of a
-top-level class, dunders excepted, is referenced from code (not from a
-docstring or a comment) somewhere in ``src/``, ``tests/``, ``demos/`` or
-``perfbench/`` outside its own definition.  A method counts as referenced
-by any attribute or name that spells it.  Those that only the tests refer
-to are listed in ``TEST_ONLY`` (methods as ``Class.method``) with the
-reason each one stays; a reference from ``perfbench/`` may also be a
-string, as its trace targets are.
+top-level function and class of the package, every method of a top-level
+class and every module-level name bound by assignment, dunders excepted,
+is referenced from code (not from a docstring or a comment) somewhere in
+``src/``, ``tests/``, ``demos/`` or ``perfbench/`` outside its own
+definition.  A method counts as referenced by any attribute or name that
+spells it; a name that is assigned to is bound, not referenced.  Those
+that only the tests refer to are listed in ``TEST_ONLY`` (methods as
+``Class.method``) with the reason each one stays; a reference from
+``perfbench/`` may also be a string, as its trace targets are.
 """
 
 import ast
@@ -56,10 +57,10 @@ def test_module_level_imports_are_used(path):
 
 
 def _references(node):
-    """Identifiers that code under node refers to: names, attributes and
-    imported names."""
+    """Identifiers that code under node refers to: names (other than
+    assignment targets), attributes and imported names."""
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
             yield n.id
         elif isinstance(n, ast.Attribute):
             yield n.attr
@@ -97,9 +98,21 @@ def _owned(tree):
             yield (owner + (item.name,) if isinstance(item, _FUNCTIONS) else owner), item
 
 
+def _bound_names(target):
+    """The names an assignment target binds, tuples unpacked."""
+    if isinstance(target, ast.Name):
+        yield target.id
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _bound_names(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _bound_names(target.value)
+
+
 def _definitions(tree):
-    """(path, name) of the top-level functions and classes of tree and of
-    the methods of its top-level classes, dunders excepted."""
+    """(path, name) of the top-level functions and classes of tree, of the
+    methods of its top-level classes and of the names its module-level
+    assignments bind (the callers skip dunders)."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             yield (node.name,), node.name
@@ -108,6 +121,11 @@ def _definitions(tree):
                     yield (node.name, item.name), f"{node.name}.{item.name}"
         elif isinstance(node, _FUNCTIONS):
             yield (node.name,), node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in _bound_names(target):
+                    yield (name,), name
 
 
 def unreferenced_definitions(defining, referring, string_keys=()):
@@ -175,6 +193,25 @@ def test_scanner_finds_unreferenced_methods():
     ]
     got = unreferenced_definitions({"a": a}, {"a": a, "b": b}, string_keys={"b"})
     assert ("a", "Cls.traced") not in got
+
+
+def test_scanner_finds_unreferenced_module_names():
+    a = ast.parse(
+        "USED = 1\n"
+        "UNUSED = 2\n"
+        "_PAIR_A, (_PAIR_B, *_REST) = 3, (4, 5)\n"
+        "TYPED: int = USED + _PAIR_A\n"
+        "TABLE = {}\n"
+        "TABLE['key'] = 6\n"
+        "__all__ = ['UNUSED']\n"
+        "def f(): return TYPED, Cls\n"
+        "class Cls:\n    ATTR = 5\n"
+    )
+    b = ast.parse("from a import f\nf()\nTARGETS = ('_REST',)\n")
+    got = unreferenced_definitions({"a": a}, {"a": a, "b": b})
+    assert got == [("a", "UNUSED"), ("a", "_PAIR_B"), ("a", "_REST")]
+    got = unreferenced_definitions({"a": a}, {"a": a, "b": b}, string_keys={"b"})
+    assert got == [("a", "UNUSED"), ("a", "_PAIR_B")]
 
 
 def test_every_definition_is_referenced():
