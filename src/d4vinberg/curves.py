@@ -3,26 +3,26 @@
 Model: Y(XY + 2 q4 Z^2) = X^3 + p2 X^2 Z + p4 X Z^2 + p6 Z^3, with the three
 collinear marked points O = [0:1:0], P = [-1:1:0], Q = [1:1:0] on Z = 0.
 The group law is chord-tangent with base point O directly on the plane
-model, so divisibility questions never leave the curve.  Multiplying the
-affine equation by x gives (xy + q4)^2 = f(x) with f the defining quartic,
-which is what ties the curve side to the invariant theory.
+model, by the polar forms of the cubic, so divisibility questions never
+leave the curve.  Multiplying the affine equation by x gives (xy + q4)^2
+= f(x) with f the defining quartic, which ties the curves to the
+invariant theory.
 
 Over F_q(t), tuples of the box H^0(X, B_D) are sampled by the numpy box
-filter ``numkernels.xd_box_filter``, and ``xd_membership`` certifies the
-reduction type of every finite bad fibre at once in F_q[t]/(Delta) and
+filter ``numkernels.xd_box_filter``; ``xd_membership`` certifies every bad
+fibre I1 at once in F_q[t]/(Delta), by two units and two zero tests, and
 counts the bad places by Berlekamp's matrix, without factoring Delta.
 
 Desk-scale enumeration is guarded by max_q (default 101).
 """
 
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
 from . import numkernels, polys
 from .fields import extension_of
 from .funcfield import RatFunc, support
-from .linalg import kernel_basis
 from .polys import Poly
 from .quartic import first_subresultant, quartic_disc, quartic_poly, weierstrass
 from .rng import det_rng
@@ -35,8 +35,10 @@ class PointedCurve:
 
     The curve side of the paper needs E[2] and 2E, and both come from one
     doubling table, ``doubled_set``: #E[2] = #E / #2E and t is 2-divisible
-    iff t is in the table.  ``order_of`` and ``group_structure`` add points
-    until they reach O; nothing on the verification path calls them.
+    iff t is in the table.  A chord or tangent (``_third``) costs two
+    gradients, a value of F for a tangent, and one inverse.  ``order_of``
+    and ``group_structure`` add points until they reach O; nothing on the
+    verification path calls them.
     """
 
     def __init__(self, field, b, max_q=DEFAULT_MAX_Q):
@@ -89,40 +91,28 @@ class PointedCurve:
 
     # -- chord-tangent machinery --
 
-    def _combine(self, p1, p2, t):
-        return tuple(a + t * b for a, b in zip(p1, p2))
-
     def _third(self, p1, p2):
-        """Third intersection of the line through p1, p2 (tangent if equal)."""
-        f = self.field
+        """Third intersection of the line through p1, p2 (tangent if equal).
+
+        For p1 on F, F(s p1 + t r) = s^2 t A + s t^2 B + t^3 C with A =
+        grad F(p1).r, B = grad F(r).p1, C = F(r).  A chord (r = p2, C = 0)
+        meets F again at B p1 - A p2.  A tangent takes r = grad F(p1) x e_i
+        (A = 0) for the first i with p1_i != 0: r_i = 0, so r is no multiple
+        of p1, and r != 0, since grad F(p1).p1 = 0 (Euler) and p1_i != 0
+        keep grad F(p1) off e_i.  It meets F again at C p1 - B r.
+        """
         if p1 == p2:
-            line = self.gradient(p1)
-            basis = kernel_basis(f, [list(line)])
-            assert len(basis) == 2, "tangent line degenerate"
-            r = None
-            for v in basis:
-                cr = _cross(p1, v)
-                if any(cr):
-                    r = tuple(v)
-                    break
-            assert r is not None
-            c3 = self.equation(r)
-            c2 = self.equation(self._combine(p1, r, f.one)) - c3
-            if c3:
-                t3 = -c2 * c3.inverse()
-                return self._normalize(self._combine(p1, r, t3))
-            return self._normalize(r)
-        cp = self.equation(self._combine(p1, p2, f.one))
-        cm = self.equation(self._combine(p1, p2, -f.one))
-        half = f.inv_int(2)
-        c1 = (cp - cm) * half
-        c2 = (cp + cm) * half
-        if c2:
-            t3 = -c1 * c2.inverse()
-            return self._normalize(self._combine(p1, p2, t3))
-        if c1:
-            return self._normalize(p2)
-        raise AssertionError("line contained in a smooth cubic")
+            gx, gy, gz = self.gradient(p1)
+            zero = self.field.zero
+            i = next(i for i, v in enumerate(p1) if v)
+            r = ((zero, gz, -gy), (-gz, zero, gx), (gy, -gx, zero))[i]
+            b, c = _dot(self.gradient(r), p1), self.equation(r)
+            pt = tuple(c * x - b * y for x, y in zip(p1, r))
+        else:
+            a, b = _dot(self.gradient(p1), p2), _dot(self.gradient(p2), p1)
+            pt = tuple(b * x - a * y for x, y in zip(p1, p2))
+        assert any(pt), "line contained in a smooth cubic"
+        return self._normalize(pt)
 
     def add(self, p1, p2):
         return self._third(self.O, self._third(p1, p2))
@@ -161,6 +151,7 @@ class PointedCurve:
             return self._points
         f = self.field
         p2, p4, q4, p6 = self.b
+        quartic = quartic_poly(f, self.b)
         sqrt_table = {}
         for x in f:
             sqrt_table.setdefault(x * x, x)
@@ -172,7 +163,7 @@ class PointedCurve:
                     pts.append((f.zero, y, f.one))
                 continue
             # x y^2 + 2 q4 y - g(x) = 0; discriminant/4 = f(x) for the quartic
-            fx = quartic_poly(f, self.b)(x)
+            fx = quartic(x)
             root = sqrt_table.get(fx)
             if root is None:
                 continue
@@ -223,12 +214,8 @@ class PointedCurve:
         return t in self.doubled_set()
 
 
-def _cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def curve_group(field, b, max_q=DEFAULT_MAX_Q):
@@ -305,25 +292,15 @@ def minimal_data(field, b) -> MinimalData:
                 ords.setdefault(place, [0, 0, 0, 0])[i] += o
     n_map = {}
     for place, place_ords in ords.items():
-        cands = []
-        for i, (o, w) in enumerate(zip(place_ords, WEIGHTS)):
-            if b[i].is_zero():
-                continue
-            cands.append(_ceil_div(-o, w))
-        n_v = max(cands)
+        n_v = max(_ceil_div(-o, w) for r, o, w in zip(b, place_ords, WEIGHTS) if not r.is_zero())
         if n_v:
             n_map[place] = n_v
     # rescale by the finite part; infinity is bookkeeping only
-    u = Poly.const(field, field.one)
-    for place, n_v in n_map.items():
-        if place.is_infinite:
-            continue
-        u = u * place.poly ** n_v if n_v > 0 else u
-    num_scale = RatFunc(u)
-    for place, n_v in n_map.items():
-        if not place.is_infinite and n_v < 0:
-            num_scale = num_scale / RatFunc(place.poly ** (-n_v))
-    b_min = tuple(r * num_scale**w for r, w in zip(b, WEIGHTS))
+    scale = prod(
+        (RatFunc(place.poly) ** n_v for place, n_v in n_map.items() if not place.is_infinite),
+        start=RatFunc(Poly.const(field, field.one)),
+    )
+    b_min = tuple(r * scale**w for r, w in zip(b, WEIGHTS))
     degree = sum(n_v * place.degree for place, n_v in n_map.items())
     return MinimalData(n_map, b_min, degree)
 
@@ -393,19 +370,20 @@ def _certify_i1(b, delta):
       its root; f(x0) = f'(x0) = 0 confirms the double root, and it is
       not a triple root, which would give gcd(f, f') degree 2;
     - x0 is a unit (so is s0), and fx = fy = fval = 0 at (x0, y0 =
-      -q4/x0): the singular point of the plane model;
-    - the Hessian det_h of the point is a unit: the point is a node.
-      This needs no test of its own: det_h = -2 f''(x0) - 4 fx is an
-      identity, so with fx = 0 it is -2 f''(x0), and f''(x0) vanishes at
-      a double root only if it is a triple root (characteristic not 2),
-      which the unit s1 excludes.
+      -q4/x0), the singular point of the plane model.  With x0 y0 = -q4,
+      fy = 2 x0 y0 + 2 q4 is 0, x0^2 fx = f(x0) - x0 f'(x0) and x0 fval =
+      -f(x0): the zero tests of f(x0) and f'(x0) give all three;
+    - the Hessian det_h of the point is a unit: the point is a node.  As
+      det_h = -2 f''(x0) - 4 fx identically, with fx = 0 it is
+      -2 f''(x0), and f''(x0) vanishes at a double root only if it is a
+      triple root (characteristic not 2), which the unit s1 excludes.
 
+    So only s1 and x0 are tested as units, and f(x0) and f'(x0) as zeros.
     The unit tests go in a pair: one xgcd of s1 s0 with Delta gives w =
-    1/(s1 s0), so x0 = -s0^2 w and 1/x0 = -s1^2 w; the factors are
-    tested one by one only when the product fails.  A zero test is one
-    remainder mod Delta.  A failed test raises AssertionError naming it and
-    gcd(value, Delta).  By Tate's algorithm ord_v Delta = 1 forces I1; this
-    checks it.
+    1/(s1 s0), so x0 = -s0^2 w; the factors are tested one by one only
+    when the product fails.  A zero test is one remainder mod Delta.  A
+    failed test raises AssertionError naming it and gcd(value, Delta).  By
+    Tate's algorithm ord_v Delta = 1 forces I1; this checks it.
     """
     if delta.degree < 1:
         return
@@ -429,11 +407,6 @@ def _certify_i1(b, delta):
     x3 = xx * x0 % delta
     check("f(x0) = 0", xx * xx + p2 * x3 + p4 * xx + p6 * x0 + q4 * q4, False)
     check("f'(x0) = 0", 4 * x3 + 3 * p2 * xx + 2 * p4 * x0 + p6, False)
-    y0 = q4 * s1 * s1 * w % delta
-    yy = y0 * y0 % delta
-    check("fx = 0", yy - 3 * xx - 2 * p2 * x0 - p4, False)
-    check("fy = 0", 2 * x0 * y0 + 2 * q4, False)
-    check("fval = 0", x0 * yy + 2 * q4 * y0 - (x3 + p2 * xx + p4 * x0 + p6), False)
 
 
 def kodaira_of_reduction(kv, b_red):

@@ -203,10 +203,6 @@ class Field:
                     r[j] = sub(r[j], mul(c, y))
         return q, trim(r[:db], z)
 
-    def inv_int(self, k):
-        """Inverse of the integer k as a field element (k must be a unit)."""
-        return self.elem(k).inverse()
-
     def sqrt(self, a):
         """A square root of a, or None.  Deterministic: the first root in
         enumeration order (prime fields: the smallest int value)."""

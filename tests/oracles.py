@@ -12,7 +12,10 @@ slower way, and serve only as the reference of the differential tests:
   105 perfect matchings (``pfaffian``) and its minimal polynomial by a
   Krylov dependence (``minimal_polynomial``);
 - the determinant by the n! signed terms of the Leibniz formula
-  (``det_leibniz``), against which ``linalg.det4`` is checked.
+  (``det_leibniz``), against which ``linalg.det4`` is checked;
+- the third point of a chord or tangent of a pointed cubic from values
+  of the cubic on the line (``third_by_evaluation``), against which the
+  polar-form law of ``PointedCurve._third`` is checked.
 """
 
 from functools import lru_cache
@@ -290,3 +293,47 @@ def minimal_polynomial(v):
         if sol is not None:
             return Poly(f, [-c for c in sol] + [f.one])
         powers.append(target_mat)
+
+
+# -- the chord-tangent law, by evaluations of the cubic --
+
+
+def _on_line(p1, p2, t):
+    return tuple(a + t * b for a, b in zip(p1, p2))
+
+
+def third_by_evaluation(curve, p1, p2):
+    """Third intersection of the line through p1, p2 with a PointedCurve
+    (tangent if equal), from values of F on the line.  A chord reads the
+    coefficients of F(p1 + t p2) = c1 t + c2 t^2 off t = +-1.  A tangent
+    takes a direction r from a kernel basis of grad F(p1), with r
+    independent of p1, and reads F(p1 + t r) = c2 t^2 + c3 t^3 off
+    t = 0, 1."""
+    f = curve.field
+    if p1 == p2:
+        basis = linalg.kernel_basis(f, [list(curve.gradient(p1))])
+        assert len(basis) == 2, "tangent line degenerate"
+        r = next(tuple(v) for v in basis if any(_cross(p1, v)))
+        c3 = curve.equation(r)
+        c2 = curve.equation(_on_line(p1, r, f.one)) - c3
+        if c3:
+            return curve._normalize(_on_line(p1, r, -c2 * c3.inverse()))
+        return curve._normalize(r)
+    cp = curve.equation(_on_line(p1, p2, f.one))
+    cm = curve.equation(_on_line(p1, p2, -f.one))
+    half = f.elem(2).inverse()
+    c1 = (cp - cm) * half
+    c2 = (cp + cm) * half
+    if c2:
+        return curve._normalize(_on_line(p1, p2, -c1 * c2.inverse()))
+    if c1:
+        return curve._normalize(p2)
+    raise AssertionError("line contained in a smooth cubic")
+
+
+def _cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )

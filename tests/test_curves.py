@@ -34,6 +34,7 @@ from d4vinberg.multipoly import MPoly
 from d4vinberg.polys import Poly
 from d4vinberg.quartic import quartic_disc, quartic_poly, weierstrass
 from d4vinberg.rng import det_rng
+from oracles import third_by_evaluation
 
 
 def _random_smooth_b(field, rng):
@@ -82,6 +83,25 @@ def test_group_axioms_and_structure():
         # the exponent kills every point
         for p in pts[:6]:
             assert c.mul(n2, p) == c.O
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (23, 1), (5, 2)])
+def test_chord_tangent_matches_the_evaluation_oracle(p, m):
+    # every ordered pair of points, an equal pair being a tangent; GF(5^2)
+    # runs the generic FElem path.  Among the chords, some are tangent at
+    # one end, where the third point is that end
+    field = GF(p, m)
+    rng = det_rng(19, "curves-polar")
+    for _ in range(2):
+        curve = PointedCurve(field, _random_smooth_b(field, rng))
+        pts = curve.points()
+        ends = 0
+        for p1 in pts:
+            for p2 in pts:
+                third = curve._third(p1, p2)
+                assert third == third_by_evaluation(curve, p1, p2)
+                ends += p1 != p2 and third in (p1, p2)
+        assert ends
 
 
 def test_mul_is_double_and_add_from_the_top_bit(monkeypatch):
@@ -509,6 +529,19 @@ def test_i1_certificate_zero_tests_fail_off_the_discriminant():
             _certify_i1(b, place)
 
 
+def test_i1_certificate_zero_tests_fail_below_the_degree_of_delta():
+    # constant tuples off the discriminant: the tested value is a nonzero
+    # constant, of lower degree than the place, so its remainder mod the
+    # place is itself (the quotient by the place is 0)
+    field = GF(5)
+    t = Poly.x(field)
+    for coeffs, test in (((0, 0, 1, 1), "f(x0) = 0"), ((0, 2, 1, 1), "f'(x0) = 0")):
+        b = tuple(Poly.const(field, field.elem(c)) for c in coeffs)
+        assert not disc_poly(field, b).is_zero()
+        with pytest.raises(AssertionError, match=re.escape(f"{test} fails: gcd with Delta 1")):
+            _certify_i1(b, t)
+
+
 def test_i1_certificate_agrees_with_the_oracle_per_place():
     # random small tuples, every place of Delta, squarefree or not
     field = GF(5)
@@ -539,6 +572,23 @@ def test_hessian_identity_behind_the_certificate():
     fx = y0 * y0 - 3 * x0 * x0 - 2 * p2 * x0 - p4
     det_h = (-6 * x0 - 2 * p2) * (2 * x0) - (2 * y0) * (2 * y0)
     assert (det_h + 2 * f2 + 4 * fx).is_zero()
+
+
+def test_node_identities_behind_the_certificate():
+    # with x0 y0 = -q4 (q4 = -x0 y0 below), fy = 0, x0^2 fx = f(x0) -
+    # x0 f'(x0) and x0 fval = -f(x0) as polynomials in x0, y0, p2, p4, p6:
+    # the zero tests of f(x0) and f'(x0) in _certify_i1 put (x0, y0) at
+    # the singular point of the plane model once x0 is a unit
+    x0, y0, p2, p4, p6 = (MPoly.var(5, i) for i in range(5))
+    q4 = -x0 * y0
+    f = x0**4 + p2 * x0**3 + p4 * x0 * x0 + p6 * x0 + q4 * q4
+    f1 = 4 * x0**3 + 3 * p2 * x0 * x0 + 2 * p4 * x0 + p6
+    fx = y0 * y0 - 3 * x0 * x0 - 2 * p2 * x0 - p4
+    fy = 2 * x0 * y0 + 2 * q4
+    fval = x0 * y0 * y0 + 2 * q4 * y0 - (x0**3 + p2 * x0 * x0 + p4 * x0 + p6)
+    assert fy.is_zero()
+    assert (x0 * x0 * fx - (f - x0 * f1)).is_zero()
+    assert (x0 * fval + f).is_zero()
 
 
 def _at_infinity(b, d):

@@ -9,9 +9,12 @@ with high zero columns (leading coefficient 0 in the stored width).
 At P_TOP, the largest prime below MAX_P, the products of
 ``_batched_polymul`` and the eliminations of ``squarefree_batch`` reach
 the edge of the int64 range: there the reduction cadence and the bound
-that ``squarefree_batch`` tracks decide whether a result is exact."""
+that ``squarefree_batch`` tracks decide whether a result is exact.  At
+P_GUARD that bound first crosses 2^63 below 2^64, and a spy on the
+reduction sees where the guard puts it."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from d4vinberg import numkernels, polys
@@ -124,15 +127,18 @@ def _convolve(a, b, p):
 
 def test_batched_polymul_past_the_reduction_cadence_at_the_top_prime():
     # the shorter operand has 130 >= 128 columns, so the sums cross the
-    # 128-term reduction; row 0 is all p - 1, the largest residue products
+    # 128-term reduction, and then 260 >= 2 * 128, so they cross it twice
+    # (129 terms of (p - 1)^2 exceed 2^63); row 0 is all p - 1, the largest
+    # residue products
     p = P_TOP
     rng = det_rng(0, "polymul-top-prime")
-    a = rng.integers(0, p, size=(3, 130), dtype=np.int64)
-    b = rng.integers(0, p, size=(3, 140), dtype=np.int64)
-    a[0], b[0] = p - 1, p - 1
-    want = [_convolve(x, y, p) for x, y in zip(a.tolist(), b.tolist())]
-    assert numkernels._batched_polymul(a, b, p).tolist() == want
-    assert numkernels._batched_polymul(b, a, p).tolist() == want
+    for width in (130, 260):
+        a = rng.integers(0, p, size=(3, width), dtype=np.int64)
+        b = rng.integers(0, p, size=(3, width + 10), dtype=np.int64)
+        a[0], b[0] = p - 1, p - 1
+        want = [_convolve(x, y, p) for x, y in zip(a.tolist(), b.tolist())]
+        assert numkernels._batched_polymul(a, b, p).tolist() == want
+        assert numkernels._batched_polymul(b, a, p).tolist() == want
 
 
 def test_squarefree_batch_at_the_top_prime():
@@ -157,3 +163,46 @@ def test_squarefree_batch_at_the_top_prime():
     want = [polys.is_squarefree_raw(field, r) for r in rows]
     assert True in want and False in want
     assert numkernels.squarefree_batch(arr, p).tolist() == want
+
+
+P_GUARD = 1649993  # the guard first reduces after one unreduced step, below 2^64
+
+
+def _required_reductions(p, steps):
+    """Reductions that the stated bound forces in `steps` eliminations,
+    each as late as the bound allows: |entries| <= p - 1 after a
+    reduction, times 2 (p - 1) per elimination, and below 2^63 after
+    every one."""
+    count, bound = 0, p - 1
+    for _ in range(steps):
+        if 2 * (p - 1) * bound >= 2**63:
+            count, bound = count + 1, p - 1
+        bound *= 2 * (p - 1)
+    return count
+
+
+@pytest.mark.parametrize("p", [5, P_GUARD])
+def test_squarefree_batch_reduces_where_the_int64_bound_requires(monkeypatch, p):
+    # rows of degree 23, at least one squarefree, take 2 * 23 eliminations:
+    # each lowers deg A + deg B (2 * 23 - 1 at the start) by one, down to -1
+    # (A or B zero, the other a constant gcd).  At P_GUARD one step gives
+    # 2 (p - 1)^2 and a second would give 4 (p - 1)^3, in [2^63, 2^64), so
+    # a guard at 2^64, or a bound grown by p - 1 per step, reduces every
+    # other step; at p = 5 a bound grown by 2 (p - 2) per step reduces after
+    # 23 steps, not 20 (4 * 8^23 > 2^63)
+    calls = []
+    reduce = numkernels._reduce
+
+    def spy(x, p_, tmp):
+        calls.append(p_)
+        reduce(x, p_, tmp)
+
+    monkeypatch.setattr(numkernels, "_reduce", spy)
+    rng = det_rng(p, "squarefree-guard")
+    rows = rng.integers(0, p, size=(6, 24), dtype=np.int64)
+    rows[:, -1] = rng.integers(1, p, size=6)
+    want = [polys.is_squarefree_raw(GF(p), r) for r in rows.tolist()]
+    assert True in want
+    assert numkernels.squarefree_batch(rows, p).tolist() == want
+    # a and b are reduced together
+    assert len(calls) == 2 * _required_reductions(p, 2 * 23) > 0

@@ -42,11 +42,26 @@ def test_berlekamp_nullity_edges():
         coeffs = GF(p).poly_mul(coeffs, [-r % p, 1])
     assert numkernels.berlekamp_nullity(coeffs + [0, 0], p) == 5
     assert numkernels.berlekamp_nullity([3], p) == 0
+    assert numkernels.berlekamp_nullity([4, 2], p) == 1
     with pytest.raises(ValueError):
         numkernels.berlekamp_nullity(coeffs, 3)
     # 199 (p - 1)^2 >= 2^63 near MAX_P: refused before any product
     with pytest.raises(ValueError, match="int64"):
         numkernels.berlekamp_nullity([1] * 200, numkernels.MAX_P - 1)
+
+
+@pytest.mark.parametrize("p, n", [(261383387, 134), (251343949, 146)])
+def test_berlekamp_nullity_at_the_edge_of_its_int64_bound(p, n):
+    # n is the largest degree that n (p - 1)^2 + p < 2^63 admits at p, and
+    # at these p a bound of (p - 2)^2 would admit n + 1 (the first p), and
+    # one of (p + 1)^2 would refuse n (the second)
+    assert n * (p - 1) ** 2 + p < 2**63 <= (n + 1) * (p - 1) ** 2 + p
+    coeffs = [1]
+    for r in range(1, n + 1):
+        coeffs = GF(p).poly_mul(coeffs, [p - r, 1])
+    assert numkernels.berlekamp_nullity(coeffs, p) == n
+    with pytest.raises(ValueError, match="int64"):
+        numkernels.berlekamp_nullity(GF(p).poly_mul(coeffs, [p - n - 1, 1]), p)
 
 
 @pytest.mark.parametrize("p, d", [(5, 0), (5, 1), (7, 1), (5, 2)])
