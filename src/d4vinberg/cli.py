@@ -73,12 +73,13 @@ def _emit(payload, args, cfg):
     if cfg["format"] == "csv" and isinstance(payload, dict) and "rows" in payload:
         buf = io.StringIO()
         rows = payload["rows"]
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(
-                {k: (";".join(map(str, v)) if isinstance(v, (list, tuple)) else v) for k, v in row.items()}
-            )
+        if rows:  # no rows, no columns: an empty file
+            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+            writer.writeheader()
+            for row in rows:
+                writer.writerow(
+                    {k: (";".join(map(str, v)) if isinstance(v, (list, tuple)) else v) for k, v in row.items()}
+                )
         text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"

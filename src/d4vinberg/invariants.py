@@ -15,12 +15,13 @@ coordinate-wise pass, ``_chart_coords``.
 The calibration finds the weight-2 linear chart functions x, y on the
 subregular slice for which the plane-cubic relation
 y(xy + 2 q4) = x^3 + p2 x^2 + p4 x + p6 holds identically
-(``_slice_relation``): ``_search_chart_functions`` filters the candidates on
-seeded slice points over the prime field, and exactly one candidate
-satisfies the relation exactly.  Nothing is left to normalize: rescaling x
-by alpha and y by +-alpha breaks the relation unless alpha = 1 and the sign
-is +.  The calibration report gives pi in the nine coefficients of a
-general ansatz, ``CALIBRATION_U``.  All chart data (F, f, centralizer
+(``_slice_relation``).  The relation is linear in them on its monomials of
+mixed weight, so ``_chart_functions`` reads them off the symbolic
+primitives by three 2x2 solves, and the exact relation certifies the
+solution.  Nothing is left to normalize: rescaling x by alpha and y by
++-alpha breaks the relation unless alpha = 1 and the sign is +.  The
+calibration report gives pi in the nine coefficients of a general ansatz,
+``CALIBRATION_U``.  All chart data (F, f, centralizer
 bases, chart functions) is rational over the prime field and gets embedded
 coordinatewise into extension contexts.  The sl2 lowering elements (for
 h = 2 cochar in Cartan coordinates) and the graded centralizers solve
@@ -80,9 +81,8 @@ class Invariants:
     """pi, the Kostant section and the subregular slice chart of a
     D4Context with char >= 23.
 
-    `seed` only chooses the 40 random slice points that filter the chart
-    search; the exact slice-relation check then leaves one solution, so the
-    calibration does not depend on the seed.
+    The calibration is a linear solve with no random points, so `seed` is
+    unused; it stays for the callers that pass it.
     """
 
     def __init__(self, ctx: D4Context, seed: int = 0):
@@ -91,14 +91,12 @@ class Invariants:
                 f"section and slice machinery requires characteristic >= {MIN_LIE_CHAR}"
             )
         self.ctx = ctx
-        self.seed = seed
         p = ctx.field.char
         if isinstance(ctx.field, PrimeField):
             self._pctx = ctx
         else:
             self._pctx = D4Context(GF(p))
         self._build_sl2_data()
-        self._calibrate()
         self._build_charts()
 
     # -- sl2 data over the prime field, embedded into ctx --
@@ -134,33 +132,21 @@ class Invariants:
     def _embed_scalar(self, c):
         return self.ctx.field.elem(c.val)
 
-    # -- calibration over the prime field --
-
-    def _calibrate(self):
-        pctx = self._pctx
-        c_syms = _chart_primitives(pctx, pctx.e_subreg, self._W_p, nvars=5)
-        c2s = c_syms[0]
-        # linear part of C2 on the weight-2 coordinates (vars 0..2)
-        c2_lin = [_coeff_of_var(c2s, i) for i in range(3)]
-        if not any(c2_lin):
-            raise RuntimeError("degree-2 invariant restricts to zero on the slice")
-        plane = linalg.kernel_basis(pctx.field, [c2_lin])
-        assert len(plane) == 2, "nilpotent-direction plane must be 2-dimensional"
-        branches = _nilpotent_branches(pctx, c_syms, plane)
-        assert len(branches) == 3, f"expected 3 nilpotent branches, got {len(branches)}"
-        self._xi_p, self._eta_p = _search_chart_functions(pctx, c_syms, branches, self.seed)
-        self.xi = tuple(self._embed_scalar(c) for c in self._xi_p)
-        self.eta = tuple(self._embed_scalar(c) for c in self._eta_p)
+    # -- calibration over the prime field, slice and Kostant charts --
 
     def _build_charts(self):
-        ctx = self.ctx
+        ctx, pctx = self.ctx, self._pctx
         self._kappa_b_polys = _chart_primitives(ctx, self.E, self.Z, nvars=4)
-        s_prims = _chart_primitives(ctx, self.e, self.W, nvars=5)
-        # slice_lift's equations: x, y and p2, then p4 and q4
-        self._lift_polys = [*_chart_xy(5, self.xi, self.eta), *s_prims[:3]]
-        if ctx is not self._pctx:
+        s_prims = _chart_primitives(pctx, pctx.e_subreg, self._W_p, nvars=5)
+        self._xi_p, self._eta_p = _chart_functions(pctx.field, s_prims)
+        self.xi = tuple(self._embed_scalar(c) for c in self._xi_p)
+        self.eta = tuple(self._embed_scalar(c) for c in self._eta_p)
+        if ctx is not pctx:
+            s_prims = _chart_primitives(ctx, self.e, self.W, nvars=5)
             rel = _slice_relation(s_prims, self.xi, self.eta)
             assert rel.is_zero(), "slice identity failed over the extension"
+        # slice_lift's equations: x, y and p2, then p4 and q4
+        self._lift_polys = [*_chart_xy(5, self.xi, self.eta), *s_prims[:3]]
 
     # -- public operations --
 
@@ -347,19 +333,9 @@ def _chart_coords(base, directions, t):
     return coords
 
 
-def _unit(nvars, i):
-    """Exponent tuple of the variable x_i."""
-    return tuple(int(k == i) for k in range(nvars))
-
-
-def _coeff_of_var(poly: MPoly, i):
-    """Coefficient of the plain variable x_i in an affine-in-x_i polynomial."""
-    c = poly.terms.get(_unit(poly.nvars, i))
-    if c is None:
-        # zero of the right type
-        sample = next(iter(poly.terms.values()), None)
-        return sample.field.zero if sample is not None else 0
-    return c
+def _monomial(nvars, *idx):
+    """Exponent tuple of the product of the variables x_i, i in idx."""
+    return tuple(idx.count(k) for k in range(nvars))
 
 
 def _solve_chart(field, polys_, targets, stages):
@@ -372,114 +348,39 @@ def _solve_chart(field, polys_, targets, stages):
     return linalg.staged_solve(field, residual, len(targets), [(s, s) for s in stages])
 
 
-def _nilpotent_branches(ctx, c_syms, plane):
-    """The three lines of the central fibre: directions d in the C2-kernel
-    plane with a (unique) weight-4 completion making the ray nilpotent.
+def _chart_functions(field, c_syms):
+    """(xi, eta) of the chart functions x = xi . t[:3], y = eta . t[:3] for
+    which the slice relation holds, by three 2x2 solves.
 
-    Contraction-equivariance means checking the four invariants at a single
-    nonzero point of each candidate ray.
+    The slice coordinates t have weights (2, 2, 2, 4, 4) under the
+    contraction, and c2, c4, pf, c6 are homogeneous of weights 2, 4, 4, 6,
+    so the mixed monomials t_k t_j (k < 3 <= j) of the relation come only
+    from 2 y pf - x c4 - c6.  With l4_j, lp_j the coefficients of t_j in c4
+    and pf and m_kj that of t_k t_j in c6, each k gives
+    2 eta_k lp_j - xi_k l4_j = m_kj (j = 3, 4).  The weight-4 block
+    [l4, lp] is invertible, so (xi, eta) is unique, and the exact relation
+    is its certificate.
     """
-    f = ctx.field
-    _, c4s, pfs, _ = c_syms
-    l4 = [_coeff_of_var(c4s, i) for i in (3, 4)]
-    lp = [_coeff_of_var(pfs, i) for i in (3, 4)]
-    assert linalg.rank(f, [l4, lp]) == 2, "weight-4 chart block is singular"
-    out = []
-    d1, d2 = plane
-    dirs = [[a + t * b for a, b in zip(d1, d2)] for t in f] + [list(d2)]
-    for d in dirs:
-        point = (d[0], d[1], d[2], f.zero, f.zero)
-        const4, constp = c4s.eval(point), pfs.eval(point)
-        sol = linalg.solve(f, [l4, lp], [-const4, -constp])
-        cs = [f.elem(d[0]), f.elem(d[1]), f.elem(d[2]), sol[0], sol[1]]
-        vals = [p.eval(tuple(cs)) for p in c_syms]
-        if all(not v for v in vals):
-            out.append((tuple(d), (sol[0], sol[1])))
-    return out
+    _, c4s, pfs, c6s = c_syms
 
+    def coeff(poly, *idx):
+        return poly.terms.get(_monomial(poly.nvars, *idx), field.zero)
 
-def _search_chart_functions(ctx, c_syms, branches, seed):
-    """Find (xi, eta) with the cubic relation for pi = (c2, c4, pf, c6).
-
-    Candidates xi = x1 phi0 + x2 phi1, eta = x1 psi0 + x2 psi1 + y3 nvec
-    are filtered on 40 random slice points in int arithmetic mod p (the
-    seed only chooses these points); survivors must then satisfy the slice
-    relation exactly, and exactly one must.
-    """
-    f = ctx.field
-    p = f.p
-    c2s, c4s, pfs, c6s = c_syms
-    rng = det_rng(seed, "calibration-points")
-    pts = []
-    for _ in range(40):
-        cs = [f.random(rng) for _ in range(5)]
-        vals = (
-            [c for c in cs[:3]],
-            c2s.eval(cs),
-            c4s.eval(cs),
-            pfs.eval(cs),
-            c6s.eval(cs),
-        )
-        pts.append(vals)
-
-    def dot(u, z):
-        return sum(a.val * b.val for a, b in zip(u, z)) % p
-
-    candidates = []
-    dirs = [b[0] for b in branches]
-    for i0 in range(3):
-        d0 = dirs[i0]
-        others = [dirs[j] for j in range(3) if j != i0]
-        phi = linalg.kernel_basis(f, [list(d0)])
-        if len(phi) != 2:
-            continue
-        for dplus, dminus in (others, others[::-1]):
-            # y values on the plane are pinned by x: y(d+) = x(d+), y(d-) = -x(d-)
-            rows = [list(dplus), list(dminus)]
-            psi = []
-            for base in phi:
-                xp = sum((a * b for a, b in zip(base, dplus)), f.zero)
-                xm = sum((a * b for a, b in zip(base, dminus)), f.zero)
-                s = linalg.solve(f, rows, [xp, -xm])
-                psi.append(s)
-            nvec = linalg.kernel_basis(f, rows)
-            assert len(nvec) == 1
-            nvec = nvec[0]
-            # per point: phi.z, psi.z, nvec.z and c2, c4, 2 pf, c6 as ints
-            per_point = [
-                (dot(phi[0], z), dot(phi[1], z), dot(psi[0], z), dot(psi[1], z),
-                 dot(nvec, z), c2.val, c4.val, 2 * pf.val, c6.val)
-                for z, c2, c4, pf, c6 in pts
-            ]
-            for x1 in range(p):
-                for x2 in range(p):
-                    for y3 in range(p):
-                        for a0, a1, b0, b1, n, c2, c4, pf2, c6 in per_point:
-                            x = (x1 * a0 + x2 * a1) % p
-                            y = (x1 * b0 + x2 * b1 + y3 * n) % p
-                            if (y * (x * y + pf2) - x * (x * (x + c2) + c4) - c6) % p:
-                                break
-                        else:
-                            fx1, fx2, fy3 = f.elem(x1), f.elem(x2), f.elem(y3)
-                            xi = tuple(fx1 * a + fx2 * b for a, b in zip(phi[0], phi[1]))
-                            eta = tuple(
-                                fx1 * a + fx2 * b + fy3 * c
-                                for a, b, c in zip(psi[0], psi[1], nvec)
-                            )
-                            candidates.append((xi, eta))
-    sols = []
-    for xi, eta in candidates:
-        if _slice_relation(c_syms, xi, eta).is_zero():
-            sols.append((xi, eta))
-    assert len(sols) == 1, f"chart search found {len(sols)} solutions"
-    return sols[0]
+    l4 = [coeff(c4s, j) for j in (3, 4)]
+    lp = [coeff(pfs, j) for j in (3, 4)]
+    assert linalg.rank(field, [l4, lp]) == 2, "weight-4 chart block is singular"
+    rows = [[-a, 2 * b] for a, b in zip(l4, lp)]
+    xi, eta = zip(*(linalg.solve(field, rows, [coeff(c6s, k, j) for j in (3, 4)])
+                    for k in range(3)))
+    assert _slice_relation(c_syms, xi, eta).is_zero(), "slice relation fails on the chart"
+    return xi, eta
 
 
 def _chart_xy(nvars, xi, eta):
     """The chart functions x = xi . (x0, x1, x2) and y = eta . (x0, x1, x2)."""
 
     def linear(coeffs):
-        return MPoly(nvars, {_unit(nvars, i): c for i, c in enumerate(coeffs)})
+        return MPoly(nvars, {_monomial(nvars, i): c for i, c in enumerate(coeffs)})
 
     return linear(xi), linear(eta)
 

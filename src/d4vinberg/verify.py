@@ -167,7 +167,7 @@ def _random_gen(ctx, rng):
 def invariant_suite(p=23, trials=1000, seed=0):
     """G-invariance, homogeneity, slice relation, Kostant round trips."""
     ctx = D4Context(GF(p))
-    inv = Invariants(ctx, seed=seed)
+    inv = Invariants(ctx)
     f = ctx.field
     rng = det_rng(seed, "invariant-suite")
     for _ in range(trials):
@@ -224,7 +224,7 @@ def invariant_suite(p=23, trials=1000, seed=0):
 def disc_compare_suite(p=23, n=100, seed=0):
     """Lie discriminant proportional to disc(f) with one constant ratio."""
     ctx = D4Context(GF(p))
-    inv = Invariants(ctx, seed=seed)
+    inv = Invariants(ctx)
     ratio = inv.lie_disc_compare(n=n, seed=seed)
     # a nilpotent-direction spot check: both sides vanish together
     rng = det_rng(seed, "disc-zero")
@@ -243,7 +243,7 @@ def disc_compare_suite(p=23, n=100, seed=0):
 def orbit_suite(p=23, planted=100, pattern_trials=1000, seed=0):
     """Planted reductions recover w; parabolic patterns force Delta = 0."""
     ctx = D4Context(GF(p))
-    inv = Invariants(ctx, seed=seed)
+    inv = Invariants(ctx)
     f = ctx.field
     rng = det_rng(seed, "orbit-suite")
     recovered = 0
@@ -290,7 +290,7 @@ def stabilizer_suite(p=23, n=100, seed=0, max_q=101):
     ways: the doubling table and the 2-division polynomial."""
     field = GF(p)
     ctx = D4Context(field)
-    inv = Invariants(ctx, seed=seed)
+    inv = Invariants(ctx)
     rng = det_rng(seed, "stabilizer-suite")
     hist = {}
     done = 0

@@ -15,7 +15,11 @@ slower way, and serve only as the reference of the differential tests:
   (``det_leibniz``), against which ``linalg.det4`` is checked;
 - the third point of a chord or tangent of a pointed cubic from values
   of the cubic on the line (``third_by_evaluation``), against which the
-  polar-form law of ``PointedCurve._third`` is checked.
+  polar-form law of ``PointedCurve._third`` is checked;
+- the chart functions (x, y) of the subregular slice by a search over
+  F_p^3 through the three lines of the central fibre
+  (``search_chart_functions``), against which the linear solve
+  ``invariants._chart_functions`` is checked.
 """
 
 from functools import lru_cache
@@ -24,11 +28,13 @@ from itertools import permutations
 import numpy as np
 
 from d4vinberg import linalg, numkernels
+from d4vinberg.invariants import _slice_relation
 from d4vinberg.liealg import V_ENTRIES
 from d4vinberg.linalg import mat_mul, newton_even, trace, trace_prod
 from d4vinberg.multipoly import MPoly
 from d4vinberg.polys import Poly
 from d4vinberg.quartic import delta
+from d4vinberg.rng import det_rng
 
 # -- multivariate polynomials --
 
@@ -337,3 +343,112 @@ def _cross(a, b):
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     )
+
+
+# -- the slice chart functions, by search over F_p^3 --
+
+
+def _linear_coeffs(poly, idx, field):
+    """Coefficients of the plain variables x_i, i in idx, of an MPoly."""
+    units = [tuple(int(k == i) for k in range(poly.nvars)) for i in idx]
+    return [poly.terms.get(u, field.zero) for u in units]
+
+
+def nilpotent_branches(ctx, c_syms, plane):
+    """The three lines of the central fibre: directions d in the C2-kernel
+    plane with a (unique) weight-4 completion making the ray nilpotent.
+
+    Contraction-equivariance means checking the four invariants at a single
+    nonzero point of each candidate ray.
+    """
+    f = ctx.field
+    _, c4s, pfs, _ = c_syms
+    l4 = _linear_coeffs(c4s, (3, 4), f)
+    lp = _linear_coeffs(pfs, (3, 4), f)
+    assert linalg.rank(f, [l4, lp]) == 2, "weight-4 chart block is singular"
+    out = []
+    d1, d2 = plane
+    dirs = [[a + t * b for a, b in zip(d1, d2)] for t in f] + [list(d2)]
+    for d in dirs:
+        point = (d[0], d[1], d[2], f.zero, f.zero)
+        const4, constp = c4s.eval(point), pfs.eval(point)
+        sol = linalg.solve(f, [l4, lp], [-const4, -constp])
+        cs = [f.elem(d[0]), f.elem(d[1]), f.elem(d[2]), sol[0], sol[1]]
+        vals = [p.eval(tuple(cs)) for p in c_syms]
+        if all(not v for v in vals):
+            out.append((tuple(d), (sol[0], sol[1])))
+    return out
+
+
+def search_chart_functions(ctx, c_syms, seed):
+    """(xi, eta) with the cubic relation for pi = (c2, c4, pf, c6), by search.
+
+    The three lines of the central fibre pin x and y on the C2-kernel
+    plane up to three unknowns: candidates xi = x1 phi0 + x2 phi1,
+    eta = x1 psi0 + x2 psi1 + y3 nvec, over the six orderings of the lines
+    and all of F_p^3.  They are filtered on 40 random slice points in int
+    arithmetic mod p (the seed only chooses these points); survivors must
+    then satisfy the slice relation exactly, and exactly one must.
+    """
+    f = ctx.field
+    p = f.p
+    c2s, c4s, pfs, c6s = c_syms
+    c2_lin = _linear_coeffs(c2s, range(3), f)
+    assert any(c2_lin), "degree-2 invariant restricts to zero on the slice"
+    plane = linalg.kernel_basis(f, [c2_lin])
+    assert len(plane) == 2, "nilpotent-direction plane must be 2-dimensional"
+    branches = nilpotent_branches(ctx, c_syms, plane)
+    assert len(branches) == 3, f"expected 3 nilpotent branches, got {len(branches)}"
+    rng = det_rng(seed, "calibration-points")
+    pts = []
+    for _ in range(40):
+        cs = [f.random(rng) for _ in range(5)]
+        pts.append((cs[:3], c2s.eval(cs), c4s.eval(cs), pfs.eval(cs), c6s.eval(cs)))
+
+    def dot(u, z):
+        return sum(a.val * b.val for a, b in zip(u, z)) % p
+
+    candidates = []
+    dirs = [b[0] for b in branches]
+    for i0 in range(3):
+        d0 = dirs[i0]
+        others = [dirs[j] for j in range(3) if j != i0]
+        phi = linalg.kernel_basis(f, [list(d0)])
+        if len(phi) != 2:
+            continue
+        for dplus, dminus in (others, others[::-1]):
+            # y values on the plane are pinned by x: y(d+) = x(d+), y(d-) = -x(d-)
+            rows = [list(dplus), list(dminus)]
+            psi = []
+            for base in phi:
+                xp = sum((a * b for a, b in zip(base, dplus)), f.zero)
+                xm = sum((a * b for a, b in zip(base, dminus)), f.zero)
+                psi.append(linalg.solve(f, rows, [xp, -xm]))
+            nvec = linalg.kernel_basis(f, rows)
+            assert len(nvec) == 1
+            nvec = nvec[0]
+            # per point: phi.z, psi.z, nvec.z and c2, c4, 2 pf, c6 as ints
+            per_point = [
+                (dot(phi[0], z), dot(phi[1], z), dot(psi[0], z), dot(psi[1], z),
+                 dot(nvec, z), c2.val, c4.val, 2 * pf.val, c6.val)
+                for z, c2, c4, pf, c6 in pts
+            ]
+            for x1 in range(p):
+                for x2 in range(p):
+                    for y3 in range(p):
+                        for a0, a1, b0, b1, n, c2, c4, pf2, c6 in per_point:
+                            x = (x1 * a0 + x2 * a1) % p
+                            y = (x1 * b0 + x2 * b1 + y3 * n) % p
+                            if (y * (x * y + pf2) - x * (x * (x + c2) + c4) - c6) % p:
+                                break
+                        else:
+                            fx1, fx2, fy3 = f.elem(x1), f.elem(x2), f.elem(y3)
+                            xi = tuple(fx1 * a + fx2 * b for a, b in zip(phi[0], phi[1]))
+                            eta = tuple(
+                                fx1 * a + fx2 * b + fy3 * c
+                                for a, b, c in zip(psi[0], psi[1], nvec)
+                            )
+                            candidates.append((xi, eta))
+    sols = [(xi, eta) for xi, eta in candidates if _slice_relation(c_syms, xi, eta).is_zero()]
+    assert len(sols) == 1, f"chart search found {len(sols)} solutions"
+    return sols[0]

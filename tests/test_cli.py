@@ -49,6 +49,16 @@ def test_curves_csv(tmp_path):
     assert len(lines) == 5
 
 
+def test_curves_csv_without_rows(tmp_path):
+    out_path = tmp_path / "curves.csv"
+    code = main(
+        ["curves", "--p", "5", "--d", "1", "--n-samples", "0",
+         "--format", "csv", "--out", str(out_path)]
+    )
+    assert code == 0
+    assert out_path.read_text() == ""
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p = 23\nn-samples = 3\nseed = 9\n")

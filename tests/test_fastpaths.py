@@ -1,7 +1,9 @@
 """Differential tests of the prime-field fast paths against the boxed loops
-they replace: the int kernel of linalg.mat_mul/mat_vec, the bitmask
-enumeration of upward-closed sets and the int chart search behind the
-Invariants calibration."""
+they replace: the int kernel of linalg.mat_mul/mat_vec and the bitmask
+enumeration of upward-closed sets; and the pinned digest of the
+Invariants calibration, whose chart functions are one linear solve
+(``test_invariants`` checks it against the search over F_p^3 in
+``oracles``)."""
 
 import hashlib
 
@@ -205,7 +207,8 @@ def test_bitmask_upward_closed_matches_brute_force():
     assert got == reference_upward_closed()
 
 
-# SHA-256 of calibration_json() as computed by the boxed FElem chart search
+# SHA-256 of calibration_json(): the digests of the chart search over F_p^3,
+# which the linear solve of the chart functions reproduces
 CALIBRATION_SHA256 = {
     23: "2e75c5bc2705b21b28786efa708eeb33fa29b3153b20ff6852bc9e2af1372a20",
     29: "edf739accaa914851e04167b74118a6e0fb0cbbd3c17eeb67d833b66ffc90efc",

@@ -3,11 +3,17 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from d4vinberg import linalg, numkernels
 from d4vinberg.fields import GF
-from d4vinberg.invariants import Invariants, _chart_primitives, _slice_relation, primitives
+from d4vinberg.invariants import (
+    Invariants,
+    _chart_functions,
+    _chart_primitives,
+    _slice_relation,
+    primitives,
+)
 from d4vinberg.liealg import (
     BLOCK_GATHER,
     D4Context,
@@ -36,8 +42,10 @@ from oracles import (
     even_coeffs,
     identity,
     pfaffian,
+    search_chart_functions,
     to_matrix,
     v_coords_to_matrix,
+    weighted_degrees,
 )
 
 
@@ -105,6 +113,51 @@ def test_calibration_is_the_unit_relation(p):
             xi = tuple(alpha * c for c in p_inv.xi)
             eta = tuple(s * alpha * c for c in p_inv.eta)
             assert not _slice_relation(c_syms, xi, eta).is_zero()
+
+
+@pytest.mark.parametrize("m", [1, 2], ids=["F23", "GF23^2"])
+def test_slice_primitives_are_weight_graded(m):
+    # the linear solve of _chart_functions rests on this grading: on
+    # e + sum t_i W_i, with t of weights (2, 2, 2, 4, 4), c2, c4, pf, c6 are
+    # homogeneous of weights 2, 4, 4, 6
+    p_inv = _invariants(23, m)
+    c_syms = _chart_primitives(p_inv.ctx, p_inv.e, p_inv.W, nvars=5)
+    grading = [weighted_degrees(c, (2, 2, 2, 4, 4)) for c in c_syms]
+    assert grading == [{2}, {4}, {4}, {6}]
+
+
+@pytest.mark.parametrize("p", [23, 29, 31, 37])
+def test_chart_functions_match_search_oracle(p):
+    p_inv = _invariants(p)
+    c_syms = _chart_primitives(p_inv.ctx, p_inv.e, p_inv.W, nvars=5)
+    xi, eta = _chart_functions(p_inv.ctx.field, c_syms)
+    assert (xi, eta) == (p_inv.xi, p_inv.eta)
+    assert (xi, eta) == search_chart_functions(p_inv.ctx, c_syms, seed=0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_chart_functions_follow_a_graded_change_of_slice_basis(data):
+    # x and y are functions on the slice: in the directions
+    # W'_k = sum_l A_kl W_l, with A invertible and block diagonal for the
+    # weights (2, 2, 2 | 4, 4), their coefficients are A xi and A eta (the
+    # canonical chart has equal pf-coefficients of t3 and t4; a generic
+    # weight-4 block tells them apart)
+    entries = st.integers(0, 22).map(F.elem)
+
+    def block(n):
+        rows = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+        assume(linalg.rank(F, rows) == n)
+        return rows
+
+    def combine(row, directions):
+        return sum((w.scale(c) for c, w in zip(row, directions)), VElem(ctx, [F.zero] * 16))
+
+    a2, a4 = block(3), block(2)
+    dirs = [combine(row, inv.W[:3]) for row in a2] + [combine(row, inv.W[3:]) for row in a4]
+    xi, eta = _chart_functions(F, _chart_primitives(ctx, inv.e, dirs, nvars=5))
+    assert list(xi) == [sum((a * c for a, c in zip(row, inv.xi)), F.zero) for row in a2]
+    assert list(eta) == [sum((a * c for a, c in zip(row, inv.eta)), F.zero) for row in a2]
 
 
 @pytest.mark.parametrize("m", [1, 2], ids=["F23", "GF23^2"])
