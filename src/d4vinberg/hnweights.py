@@ -5,13 +5,20 @@ Slope vectors live in X_*(T)_Q and are stored by their pairings with the
 simple roots a_1..a_4 of G (rational 4-tuples).  The eleven-row table
 certifying that deep-cusp strata vanish in the limit is hardcoded as data
 and recomputed from the poset; both bulleted conditions are checked row by
-row.  Tail bounds are exact sums of geometric series in q^(1/4), reported
-as rational upper bounds.
+row.  Tail bounds are exact sums of geometric series in q^(-1/8), reported
+as floats (terms summed in insertion order) and rational upper bounds.
+The four-axis product of a row is built once per (steps, truncation) on
+dense int64 arrays, by one shifted slice per axis term, in the dict
+product's first-occurrence order; every coefficient is at most (2T)^4,
+checked against 2^63 - 1 before any array is built.
 """
 
 from array import array
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
+
+import numpy as np
 
 from .liealg import LABELS, LABEL_OF_SIGNS, LABEL_SIGNS, leq, lambda_max, W0_PERMS
 
@@ -281,35 +288,14 @@ class QPowerSum:
     """Exact finite sums of integer multiples of q^(-e/8), integer e >= 0.
 
     Eighth-integer exponents cover everything the boundary sums produce
-    (sigma coordinates in (1/2)Z paired against weights in (1/2)Z)."""
+    (sigma coordinates in (1/2)Z paired against weights in (1/2)Z).  The
+    terms are summed in insertion order, which is part of the report."""
 
     __slots__ = ("q", "terms")
 
-    def __init__(self, q, terms=None):
+    def __init__(self, q, terms):
         self.q = q
-        self.terms = dict(terms or {})  # int exponent (units of 1/8) -> int coeff
-
-    @staticmethod
-    def monomial(q, exponent: Fraction, coeff=1):
-        e8 = Fraction(exponent) * 8
-        assert e8.denominator == 1 and e8 >= 0
-        return QPowerSum(q, {int(e8): coeff})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-            if not out[e]:
-                del out[e]
-        return QPowerSum(self.q, out)
-
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return QPowerSum(self.q, out)
+        self.terms = dict(terms)  # int exponent (units of 1/8) -> int coeff
 
     def to_float(self):
         root8 = self.q ** 0.125
@@ -336,26 +322,78 @@ def _eighth_root_floor(n):
     return isqrt(isqrt(isqrt(n)))
 
 
+# every coefficient of a product of k axes of 2T unit terms is at most
+# (2T)^k, the sum of them all, and the int64 arrays hold at most this
+INT64_MAX = 2**63 - 1
+
+
+@lru_cache(maxsize=32)
+def _axis_product(steps, truncation):
+    """prod_i sum_{j=1..2T} q^(-j steps[i] / 8) as two read-only int64
+    arrays, the exponents (in eighths) in first-occurrence order and their
+    coefficients.
+
+    That is the order in which a dict product, multiplying the axes in
+    turn with the running product in the outer loop and j in the inner
+    one, inserts them.  The product is held densely over its exponent
+    range: coef[e], and rank[e], the position of e in the running order
+    (``none`` if absent).  Axis term j adds the running product shifted by
+    j * step with one slice each; e's first occurrence comes from the
+    lowest-ranked e - j * step, and one lexsort on (that rank, j) orders
+    the new terms.  Every step is > 0, so the 2T terms of an axis are
+    distinct.
+    """
+    n = 2 * truncation
+    if n ** len(steps) > INT64_MAX:
+        raise ValueError(f"truncation {truncation}: coefficients up to {n}^{len(steps)} "
+                         "overflow int64")
+    none = INT64_MAX
+    coef = np.ones(1, np.int64)
+    rank = np.zeros(1, np.int64)
+    for step in steps:
+        assert type(step) is int and step > 0, step
+        width = len(coef)
+        new_coef = np.zeros(width + n * step, np.int64)
+        new_rank = np.full(len(new_coef), none, np.int64)
+        first_j = np.zeros(len(new_coef), np.int64)
+        for j in range(1, n + 1):
+            cells = slice(j * step, j * step + width)
+            new_coef[cells] += coef
+            earlier = rank < new_rank[cells]
+            np.copyto(new_rank[cells], rank, where=earlier)
+            np.copyto(first_j[cells], j, where=earlier)
+        (present,) = np.nonzero(new_rank != none)
+        order = present[np.lexsort((first_j[present], new_rank[present]))]
+        coef, rank = new_coef, np.full(len(new_coef), none, np.int64)
+        rank[order] = np.arange(len(order))
+    coef = coef[order]
+    order.setflags(write=False)
+    coef.setflags(write=False)
+    return order, coef
+
+
 def boundary_tail_bound(m_key, d, truncation, q):
     """Truncated lattice-sum bound for the boundary stratum of M.
 
     Sum over sigma in Lambda_B^pos with coordinates in -(1/2)Z, each
     magnitude <= truncation, of q^(d (sum p - |M|) + <sigma, w(M,p)>).
-    The summand factors over coordinates, so the sum is a product of
-    truncated geometric series; everything is exact in powers of q^(1/4).
+    The summand factors over coordinates, so the sum is q^(-lead) times a
+    product of truncated geometric series, exact in powers of q^(1/8).
+    sigma_i = -j/2, j = 1..2T, gives the term q^(-j w_i / 4) (w_i is
+    2w(M,p)_i), so axis i steps by 2 w_i eighths; the axis product does
+    not depend on d or q and is shared.
     """
+    if q < 2:
+        raise ValueError(f"q = {q}: the tail bound needs q >= 2")
+    if truncation < 1:
+        raise ValueError(f"truncation {truncation}: the tail bound needs truncation >= 1")
     key = tuple(sorted(m_key))
     _, p_vals, _, exp_wp2 = CUSP_TABLE[key]
-    wp2 = [Fraction(x) for x in exp_wp2]  # both conditions verified elsewhere
     p_sum = sum(Fraction(x) for x in p_vals)
-    size = len(key)
-    lead_exp = -Fraction(d) * (p_sum - size)  # positive: q^{-lead_exp} prefactor
+    lead_exp = -Fraction(d) * (p_sum - len(key))  # positive: q^{-lead_exp} prefactor
     assert lead_exp > 0
-    out = QPowerSum.monomial(q, lead_exp)
-    for w_i in wp2:
-        # sigma_i = -j/2, j = 1..2T: each term is q^{-j w_i / 4} (w_i is 2w)
-        axis = QPowerSum(q, {})
-        for j in range(1, 2 * truncation + 1):
-            axis = axis + QPowerSum.monomial(q, Fraction(j) * w_i / 4)
-        out = out * axis
-    return out
+    lead8 = 8 * lead_exp  # in eighths, as are the steps (> 0 by the second condition)
+    steps = [2 * Fraction(x) for x in exp_wp2]
+    assert lead8.denominator == 1 and all(s.denominator == 1 for s in steps)
+    exps, coefs = _axis_product(tuple(map(int, steps)), truncation)
+    return QPowerSum(q, zip((exps + int(lead8)).tolist(), coefs.tolist()))

@@ -23,7 +23,8 @@ inverses mod the characteristic (p >= 5).
 `mat_mul` and `mat_vec` have a prime-field int kernel.  When every entry of
 both operands is an `FElem` of one and the same `PrimeField` (and the shapes
 are rectangular and agree), the values are unboxed to Python ints, each dot
-product is reduced mod p once, and the results are boxed again.  Any other
+product is reduced mod p once, and the results are boxed again.  `det4` and
+`charpoly_berkowitz` unbox their matrix once in the same way.  Any other
 input (`ExtField` or `MPoly` entries, plain ints, elements of two field
 objects, ragged rows) takes the generic loop, which behaves as it always did.
 """
@@ -285,35 +286,44 @@ def charpoly_berkowitz(field, a):
     Returns coefficients lowest-degree-first, length n+1, leading 1.
     Cross-check path for the fast even charpoly; also used for ad matrices
     whose size exceeds the characteristic (Newton would divide by p).
+    A matrix of FElems of the PrimeField `field` is unboxed once, as in
+    ``det4``: it runs on ints, each dot product reduced mod p, and the
+    coefficients are boxed at the end.  Other entries take the boxed loop.
     """
     n = len(a)
-    one, zero = field.one, field.zero
+    vals = _prime_vals(a, field, n) if type(field) is PrimeField else None
+    if vals is None:
+        m, one, zero, apply = a, field.one, field.zero, mat_vec
+
+        def dot(xs, ys):
+            acc = zero
+            for x, y in zip(xs, ys):
+                acc = acc + x * y
+            return acc
+    else:
+        m, one, p = vals, 1, field.p
+
+        def dot(xs, ys):
+            return sum(map(mul, xs, ys)) % p
+
+        def apply(sub, v):
+            return [dot(r, v) for r in sub]
+
     # Berkowitz: iteratively build the char poly vector via Toeplitz products
-    vec = [one, -a[0][0]]
+    vec = [one, -m[0][0]]
     for i in range(1, n):
-        m = a[i][i]
-        row = a[i][:i]  # R
-        col = [a[k][i] for k in range(i)]  # S
-        sub = [r[:i] for r in a[:i]]  # principal submatrix
+        row = m[i][:i]  # R
+        cur = [m[k][i] for k in range(i)]  # S
+        sub = [r[:i] for r in m[:i]]  # principal submatrix
         # products R A^j S for j = 0..i-1
         products = []
-        cur = col
         for _ in range(i):
-            acc = zero
-            for x, y in zip(row, cur):
-                acc = acc + x * y
-            products.append(acc)
-            cur = mat_vec(sub, cur)
-        # Toeplitz multiply: new vector length i+2
-        diag = [one, -m] + [-p for p in products]
-        new = []
-        for r in range(i + 2):
-            acc = zero
-            lo = max(0, r - (len(diag) - 1))
-            hi = min(r, len(vec) - 1)
-            for k in range(lo, hi + 1):
-                acc = acc + diag[r - k] * vec[k]
-            new.append(acc)
-        vec = new
+            products.append(dot(row, cur))
+            cur = apply(sub, cur)
+        # Toeplitz multiply: new vector length i+2, entry r = sum_k diag[r-k] vec[k]
+        diag = [one, -m[i][i]] + [-x for x in products]
+        vec = [dot(vec, diag[r::-1]) for r in range(i + 2)]
     # vec holds coefficients from x^n down to x^0
+    if vals is not None:
+        vec = [FElem(field, v % p) for v in vec]
     return list(reversed(vec))

@@ -19,15 +19,20 @@ slower way, and serve only as the reference of the differential tests:
 - the chart functions (x, y) of the subregular slice by a search over
   F_p^3 through the three lines of the central fibre
   (``search_chart_functions``), against which the linear solve
-  ``invariants._chart_functions`` is checked.
+  ``invariants._chart_functions`` is checked;
+- the cusp-table tail bounds by the dict product of ``QPowerSum``s
+  (``tail_bound_by_dicts``), term order included, against which the dense
+  shifted-slice product ``hnweights._axis_product`` is checked.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
 from d4vinberg import linalg, numkernels
+from d4vinberg.hnweights import CUSP_TABLE, QPowerSum
 from d4vinberg.invariants import _slice_relation
 from d4vinberg.liealg import V_ENTRIES
 from d4vinberg.linalg import mat_mul, newton_even, trace, trace_prod
@@ -452,3 +457,56 @@ def search_chart_functions(ctx, c_syms, seed):
     sols = [(xi, eta) for xi, eta in candidates if _slice_relation(c_syms, xi, eta).is_zero()]
     assert len(sols) == 1, f"chart search found {len(sols)} solutions"
     return sols[0]
+
+
+# -- the cusp-table tail bounds, by dict products --
+
+
+def qps_monomial(q, exponent, coeff=1):
+    """coeff q^(-exponent) as a QPowerSum; the exponent must be a
+    nonnegative multiple of 1/8."""
+    e8 = Fraction(exponent) * 8
+    assert e8.denominator == 1 and e8 >= 0
+    return QPowerSum(q, {int(e8): coeff})
+
+
+def qps_add(a, b):
+    out = dict(a.terms)
+    for e, c in b.terms.items():
+        out[e] = out.get(e, 0) + c
+        if not out[e]:
+            del out[e]
+    return QPowerSum(a.q, out)
+
+
+def qps_mul(a, b):
+    """The product by a double loop over the terms of a, then of b; a new
+    exponent is inserted where it first occurs in that order."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = e1 + e2
+            out[e] = out.get(e, 0) + c1 * c2
+    return QPowerSum(a.q, out)
+
+
+def axis_product_by_dicts(q, exponent, steps, truncation):
+    """q^(-exponent) prod_i sum_{j=1..2T} q^(-j steps[i] / 8), one axis
+    after the other, each axis built term by term."""
+    out = qps_monomial(q, exponent)
+    for step in steps:
+        axis = QPowerSum(q, {})
+        for j in range(1, 2 * truncation + 1):
+            axis = qps_add(axis, qps_monomial(q, Fraction(j * step, 8)))
+        out = qps_mul(out, axis)
+    return out
+
+
+def tail_bound_by_dicts(m_key, d, truncation, q):
+    """``hnweights.boundary_tail_bound`` by dict products: the leading
+    monomial q^(-d (|M| - sum p)) times one geometric axis per coordinate,
+    whose term j is q^(-j w_i / 4) for w_i = 2w(M,p)_i."""
+    key = tuple(sorted(m_key))
+    _, p_vals, _, wp2 = CUSP_TABLE[key]
+    lead = d * (len(key) - sum(Fraction(x) for x in p_vals))
+    return axis_product_by_dicts(q, lead, [2 * Fraction(w) for w in wp2], truncation)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from d4vinberg.cli import main
 
 
@@ -16,6 +18,21 @@ def test_cusp_table_json(capsys):
     assert data["passed"]
     assert len(data["rows"]) == 11
     assert data["c0"][0] == [1]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--p", "0"], ["--p", "-5"], ["--p", "1"], ["--truncation", "0"],
+     ["--truncation", "27555"]],
+)
+def test_cusp_table_rejects_a_bad_q_or_truncation(flags, capsys):
+    # q < 2 has no decreasing tail, truncation 0 an empty one, and past
+    # T = 27554 the coefficients overflow int64: each is a failed report
+    code, out = run_cli(["cusp-table", *flags], capsys)
+    assert code == 1
+    data = json.loads(out)
+    assert data["passed"] is False
+    assert data["failure"]["type"] == "ValueError"
 
 
 def test_cusp_table_csv_columns(tmp_path):

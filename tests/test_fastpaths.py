@@ -18,6 +18,8 @@ from d4vinberg.invariants import Invariants
 from d4vinberg.liealg import D4Context, LABELS, leq
 from d4vinberg.multipoly import MPoly
 
+from oracles import det
+
 SETTINGS = settings(max_examples=60, deadline=None)
 PRIMES = st.sampled_from([5, 23, 2**61 - 1])
 
@@ -188,6 +190,42 @@ def test_mixed_inputs_behave_as_the_boxed_loop():
         for v in (y[0], [row[0] for row in y]):
             assert outcome(linalg.mat_vec, x, v) == outcome(reference_mat_vec, x, v)
     assert outcome(reference_mat_mul, a, cases[0][1]) is TypeError
+
+
+@st.composite
+def square_matrix(draw):
+    p = draw(st.sampled_from([5, 23, 101]))
+    n = draw(st.integers(1, 28))
+    return p, draw(matrix(p, n, n))
+
+
+@settings(max_examples=10, deadline=None)
+@given(square_matrix())
+def test_int_berkowitz_matches_the_boxed_loop(case):
+    # the same matrix as constants of GF(p^2) takes the boxed loop, whose
+    # coefficients are those of the prime field
+    p, a = case
+    f, ext = GF(p), GF(p, 2)
+    got = linalg.charpoly_berkowitz(f, a)
+    assert len(got) == len(a) + 1 and got[-1] == f.one
+    assert_boxed_in(got, f)
+    lifted = [[ext.elem(x) for x in row] for row in a]
+    assert linalg.charpoly_berkowitz(ext, lifted) == [ext.elem(c) for c in got]
+
+
+def test_prime_berkowitz_takes_the_int_kernel(monkeypatch):
+    f = GF(23)
+    a = _random_matrix(f, np.random.default_rng(15), 6, 6)
+    expected = linalg.charpoly_berkowitz(f, a)
+    for t in f:  # 23 points fix a polynomial of degree 6: det(tI - a)
+        shifted = [[t * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(a)]
+        assert sum(c * t**k for k, c in enumerate(expected)) == det(f, shifted)
+
+    def boxed(self, other):
+        raise AssertionError("boxed multiplication on the prime-field path")
+
+    monkeypatch.setattr(FElem, "__mul__", boxed)
+    assert linalg.charpoly_berkowitz(f, a) == expected
 
 
 def reference_upward_closed():
