@@ -336,9 +336,10 @@ def xd_membership(field, b, d):
     ``numkernels.berlekamp_nullity``) and infinity when ord_inf = 1.
     One certificate, ``_certify_i1``, covers every bad fibre: the finite
     ones at once in F_q[t]/(Delta), and the one at infinity in F_q[s]/(s)
-    on the tuple in the chart s = 1/t, (s^2dw b(1/s)) for the weights w,
-    whose Delta vanishes at s = 0 to order ord_inf.  A fibre that is not
-    I1 raises AssertionError, so every bad place of a member is I1.
+    on the coefficients of b at the box degrees 2dw (weights w): the
+    tuple (s^2dw b(1/s)) in the chart s = 1/t, whose Delta vanishes at
+    s = 0 to order ord_inf, reduced at s = 0.  A fibre that is not I1
+    raises AssertionError, so every bad place of a member is I1.
     """
     if field.order != field.char:
         raise ValueError("X_D membership implemented for prime fields")
@@ -352,8 +353,8 @@ def xd_membership(field, b, d):
         return XDMembership(False, None, ord_inf, delta)
     _certify_i1(b, delta)
     if ord_inf:
-        b_rev = tuple(p.reversed(at_degree=k) for p, k in zip(b, bounds))
-        _certify_i1(b_rev, Poly.x(field))
+        top = tuple(Poly.const(field, p[k]) for p, k in zip(b, bounds))
+        _certify_i1(top, Poly.x(field))
     bad = numkernels.berlekamp_nullity(delta.vals, field.char) + ord_inf
     return XDMembership(True, bad, ord_inf, delta)
 
@@ -378,12 +379,13 @@ def _certify_i1(b, delta):
       -2 f''(x0), and f''(x0) vanishes at a double root only if it is a
       triple root (characteristic not 2), which the unit s1 excludes.
 
-    So only s1 and x0 are tested as units, and f(x0) and f'(x0) as zeros.
-    The unit tests go in a pair: one xgcd of s1 s0 with Delta gives w =
-    1/(s1 s0), so x0 = -s0^2 w; the factors are tested one by one only
-    when the product fails.  A zero test is one remainder mod Delta.  A
-    failed test raises AssertionError naming it and gcd(value, Delta).  By
-    Tate's algorithm ord_v Delta = 1 forces I1; this checks it.
+    So only s1 and x0 are tested as units, and f(x0) and f'(x0) as zeros,
+    at (X : Z) = (-s0 : s1), with no inverse: the units as one pair,
+    gcd(s1 s0, Delta) = 1 (one by one only when it fails), the zeros as
+    Fh = Z^4 f(x0) and dFh/dX = Z^3 f'(x0) for Fh(X, Z) = Z^4 f(X/Z),
+    one remainder mod Delta each; Z is a unit, so they vanish where f(x0)
+    and f'(x0) do.  A failed test raises AssertionError naming it and
+    gcd(value, Delta).  By Tate's algorithm ord_v Delta = 1 forces I1.
     """
     if delta.degree < 1:
         return
@@ -398,15 +400,14 @@ def _certify_i1(b, delta):
 
     p2, p4, q4, p6 = b
     s1, s0 = first_subresultant(b)
-    g, w, _ = polys.xgcd(s1 * s0, delta)
-    if g.degree:
+    if polys.gcd(s1 * s0, delta).degree:
         check("s1 unit", s1, True)
         check("x0 unit", s0, True)
-    x0 = -s0 * s0 * w % delta
-    xx = x0 * x0 % delta
-    x3 = xx * x0 % delta
-    check("f(x0) = 0", xx * xx + p2 * x3 + p4 * xx + p6 * x0 + q4 * q4, False)
-    check("f'(x0) = 0", 4 * x3 + 3 * p2 * xx + 2 * p4 * x0 + p6, False)
+    x, z = -s0, s1
+    xx, xz, zz = x * x % delta, x * z % delta, z * z % delta
+    z3 = zz * z % delta
+    check("f(x0) = 0", xx * (xx + p2 * xz + p4 * zz) + z3 * (p6 * x + q4 * q4 * z), False)
+    check("f'(x0) = 0", x * (4 * xx + 3 * p2 * xz + 2 * p4 * zz) + p6 * z3, False)
 
 
 def kodaira_of_reduction(kv, b_red):

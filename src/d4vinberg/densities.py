@@ -33,6 +33,9 @@ from .rng import det_rng
 
 # the Monte Carlo gate of beta_v, in standard errors
 SIGMA_GATE = 4
+# the largest exponent 8 sum n N_n of q in delta_b_truncated's denominator:
+# at degree 6, q = 7 (1094416) takes ~2 s and q = 11 (15576976) over 100 s
+MAX_TRUNCATION_EXPONENT = 2_000_000
 
 
 def alpha_closed_form(q_v: int) -> Fraction:
@@ -213,7 +216,15 @@ def place_count(q: int, degree: int) -> int:
 
 
 def delta_b_truncated(q: int, max_degree: int) -> Fraction:
-    """prod over places of degree <= max_degree of (1 - alpha_v)."""
+    """prod over places of degree <= max_degree of (1 - alpha_v); the N_n
+    of degree n bring q^(8 n N_n) to its denominator, and past
+    MAX_TRUNCATION_EXPONENT it raises ValueError before any product."""
+    exponent = 8 * sum(n * place_count(q, n) for n in range(1, max_degree + 1))
+    if exponent > MAX_TRUNCATION_EXPONENT:
+        raise ValueError(
+            f"delta_B truncated at degree {max_degree} over q = {q} needs a "
+            f"denominator of q^{exponent}, past q^{MAX_TRUNCATION_EXPONENT}"
+        )
     out = Fraction(1)
     for n in range(1, max_degree + 1):
         out *= (1 - alpha_closed_form(q**n)) ** place_count(q, n)

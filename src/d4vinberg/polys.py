@@ -6,13 +6,14 @@ Every field supplies four primitives on such lists, ``field.poly_add``,
 ``poly_sub``, ``poly_mul`` and ``poly_divmod``: prime fields run them on
 Python ints, every other field through its raw element arithmetic
 (``fields.Field``).  Everything else is written once here on top of them
-and the raw ``_add``/``_sub``/``_mul``/``_inv``: gcd, xgcd, powmod, the
+and the raw ``_add``/``_sub``/``_mul``/``_inv``: gcd, powmod, the
 derivative and p-th root, the squarefree test, squarefree / distinct-degree
 / Cantor-Zassenhaus factorization (von zur Gathen & Gerhard, Modern
 Computer Algebra, ch. 14), the distinct-degree irreducibility check, the
-resultant and ``find_irreducible``.  ``ExtField`` multiplies and inverts
-through this layer, and ``numkernels`` keeps its int-list entry points as
-calls into it.
+resultant and ``find_irreducible``.  ``ExtField`` multiplies through this
+layer and inverts by its raw-level ``xgcd_raw``, which has no Poly-level
+wrapper, and ``numkernels`` keeps its int-list entry points as calls into
+it.
 
 ``Poly`` is the boxed front end: it stores the raw values in ``vals`` and
 derives ``coeffs``, a tuple of FElem, from them.  Its operands are Polys
@@ -161,14 +162,6 @@ class Poly:
     def derivative(self):
         return Poly._of(self.field, deriv_raw(self.field, self.vals))
 
-    def reversed(self, at_degree):
-        """Coefficient reversal x^at_degree * self(1/x)."""
-        if at_degree < self.degree:
-            raise ValueError("reversal degree below actual degree")
-        z = self.field.zero.val
-        vals = [z] * (at_degree - self.degree) + list(reversed(self.vals))
-        return Poly._of(self.field, trim(vals, z))
-
     def __call__(self, x):
         result = x * 0  # zero of x's ring: an element or a Poly over self.field
         for c in reversed(self.coeffs):
@@ -195,12 +188,6 @@ class Poly:
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd (zero for two zeros)."""
     return Poly._of(a.field, gcd_raw(a.field, a.vals, b.vals))
-
-
-def xgcd(a: Poly, b: Poly):
-    """(g, s, t) monic with s*a + t*b = g."""
-    f = a.field
-    return tuple(Poly._of(f, v) for v in xgcd_raw(f, a.vals, b.vals))
 
 
 def is_squarefree(fpoly: Poly) -> bool:

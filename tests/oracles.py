@@ -22,7 +22,12 @@ slower way, and serve only as the reference of the differential tests:
   ``invariants._chart_functions`` is checked;
 - the cusp-table tail bounds by the dict product of ``QPowerSum``s
   (``tail_bound_by_dicts``), term order included, against which the dense
-  shifted-slice product ``hnweights._axis_product`` is checked.
+  shifted-slice product ``hnweights._axis_product`` is checked;
+- the I1 certificate in affine form, x0 = -s0/s1 by an inverse mod Delta
+  (``certify_i1_by_inverse``), against which the projective form
+  ``curves._certify_i1`` is checked, and the coefficient reversal
+  x^k p(1/x) (``reversed_poly``) that moves a tuple to the chart at
+  infinity.
 """
 
 from fractions import Fraction
@@ -31,14 +36,14 @@ from itertools import permutations
 
 import numpy as np
 
-from d4vinberg import linalg, numkernels
+from d4vinberg import linalg, numkernels, polys
 from d4vinberg.hnweights import CUSP_TABLE, QPowerSum
 from d4vinberg.invariants import _slice_relation
 from d4vinberg.liealg import V_ENTRIES
 from d4vinberg.linalg import mat_mul, newton_even, trace, trace_prod
 from d4vinberg.multipoly import MPoly
-from d4vinberg.polys import Poly
-from d4vinberg.quartic import delta
+from d4vinberg.polys import Poly, xgcd_raw
+from d4vinberg.quartic import delta, first_subresultant
 from d4vinberg.rng import det_rng
 
 # -- multivariate polynomials --
@@ -510,3 +515,42 @@ def tail_bound_by_dicts(m_key, d, truncation, q):
     _, p_vals, _, wp2 = CUSP_TABLE[key]
     lead = d * (len(key) - sum(Fraction(x) for x in p_vals))
     return axis_product_by_dicts(q, lead, [2 * Fraction(w) for w in wp2], truncation)
+
+
+# -- the I1 certificate, by an inverse --
+
+
+def reversed_poly(p, at_degree):
+    """Coefficient reversal x^at_degree * p(1/x) of a Poly."""
+    if at_degree < p.degree:
+        raise ValueError("reversal degree below actual degree")
+    return Poly(p.field, [p[at_degree - i] for i in range(at_degree + 1)])
+
+
+def certify_i1_by_inverse(b, delta):
+    """``curves._certify_i1`` in affine form: one xgcd of s1 s0 with Delta
+    gives w = 1/(s1 s0), so x0 = -s0^2 w, and f(x0), f'(x0) are tested
+    as zeros mod Delta.  The same tests, in the same order, raise the
+    same AssertionError messages."""
+    if delta.degree < 1:
+        return
+
+    def check(name, value, unit):
+        if not unit and (value % delta).is_zero():
+            return
+        g = polys.gcd(value, delta)
+        if g.degree != (0 if unit else delta.degree):
+            raise AssertionError(f"{name} fails: gcd with Delta {g.to_str()}")
+
+    p2, p4, q4, p6 = b
+    s1, s0 = first_subresultant(b)
+    field = delta.field
+    g, w, _ = (Poly._of(field, v) for v in xgcd_raw(field, (s1 * s0).vals, delta.vals))
+    if g.degree:
+        check("s1 unit", s1, True)
+        check("x0 unit", s0, True)
+    x0 = -s0 * s0 * w % delta
+    xx = x0 * x0 % delta
+    x3 = xx * x0 % delta
+    check("f(x0) = 0", xx * xx + p2 * x3 + p4 * xx + p6 * x0 + q4 * q4, False)
+    check("f'(x0) = 0", 4 * x3 + 3 * p2 * xx + 2 * p4 * x0 + p6, False)

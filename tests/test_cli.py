@@ -100,6 +100,17 @@ def test_densities_oracle_flag(capsys):
     assert data["reports"]["so4_oracle"] == 14400
 
 
+def test_densities_at_the_default_p_fails_fast(capsys):
+    # at p = 23 the exact degree-6 truncation of delta_B is out of reach:
+    # a structured ValueError record, not an endless product
+    code, out = run_cli(["densities", "--d", "0", "--n-samples", "0"], capsys)
+    assert code == 1
+    data = json.loads(out)
+    assert data["config"]["p"] == 23
+    assert data["passed"] is False
+    assert data["failure"]["type"] == "ValueError"
+
+
 def test_failure_is_structured(monkeypatch, capsys):
     import d4vinberg.cli as cli_mod
 

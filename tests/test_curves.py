@@ -34,7 +34,7 @@ from d4vinberg.multipoly import MPoly
 from d4vinberg.polys import Poly
 from d4vinberg.quartic import quartic_disc, quartic_poly, weierstrass
 from d4vinberg.rng import det_rng
-from oracles import third_by_evaluation
+from oracles import certify_i1_by_inverse, reversed_poly, third_by_evaluation
 
 
 def _random_smooth_b(field, rng):
@@ -564,6 +564,41 @@ def test_i1_certificate_agrees_with_the_oracle_per_place():
     assert verdicts == {True, False}
 
 
+def _certificate_outcome(certify, b, modulus):
+    """None if the certificate passes, else its AssertionError message."""
+    try:
+        certify(b, modulus)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 4), min_size=12, max_size=12),
+    st.integers(0, 4),
+    st.integers(0, 99),
+    st.integers(0, 99),
+)
+def test_i1_certificate_agrees_with_the_inverse_form(coeffs, c, i, j):
+    # the projective certificate and the affine one by an inverse mod
+    # Delta pass together or fail with the same message, modulo each
+    # place of Delta, Delta itself and a product of two places (the
+    # places of Delta and t + c; equal places give a square)
+    field = GF(5)
+    t = Poly.x(field)
+    b = tuple(Poly(field, coeffs[3 * k : 3 * k + 3]) for k in range(4))
+    delta = disc_poly(field, b)
+    assume(delta.degree >= 1)
+    places = [g for g, _ in polys.factor(delta)]
+    both = places + [t + c]
+    moduli = places + [delta, both[i % len(both)] * both[j % len(both)]]
+    for modulus in moduli:
+        assert _certificate_outcome(_certify_i1, b, modulus) == _certificate_outcome(
+            certify_i1_by_inverse, b, modulus
+        )
+
+
 def test_hessian_identity_behind_the_certificate():
     # det_h = -2 f''(x0) - 4 fx as polynomials in x0, y0, p2, p4: the node
     # test of _certify_i1 follows from fx = 0 and a double, not triple, root
@@ -593,13 +628,21 @@ def test_node_identities_behind_the_certificate():
 
 def _at_infinity(b, d):
     """b in the chart s = 1/t, reversed at the B_D bounds."""
-    return tuple(p.reversed(at_degree=2 * d * w) for p, w in zip(b, WEIGHTS))
+    return tuple(reversed_poly(p, 2 * d * w) for p, w in zip(b, WEIGHTS))
+
+
+def _box_degree_tuple(b, d):
+    """The coefficients of b at the B_D bounds 2dw, as constants: the
+    tuple that xd_membership certifies at infinity."""
+    field = b[0].field
+    return tuple(Poly.const(field, p[2 * d * w]) for p, w in zip(b, WEIGHTS))
 
 
 def test_i1_certificate_at_infinity_agrees_with_the_oracle():
     # members with ord_inf = 1 are I1 at s = 0; random tuples with a bad
-    # fibre at infinity give both verdicts, and the certificate mod s
-    # agrees with kodaira_of_reduction on the reduction at s = 0
+    # fibre at infinity give both verdicts, and the certificate mod s, on
+    # the reversed tuple and on the box-degree tuple (its reduction at
+    # s = 0) alike, agrees with kodaira_of_reduction there
     field = GF(5)
     s = Poly.x(field)
     cases = [
@@ -617,12 +660,13 @@ def test_i1_certificate_at_infinity_agrees_with_the_oracle():
     for b, d, member in cases:
         b_rev = _at_infinity(b, d)
         oracle = kodaira_of_reduction(field, tuple(p[0] for p in b_rev)) == "I1"
-        try:
-            _certify_i1(b_rev, s)
-            certified = True
-        except AssertionError:
-            certified = False
-        assert certified == oracle
+        for chart in (b_rev, _box_degree_tuple(b, d)):
+            try:
+                _certify_i1(chart, s)
+                certified = True
+            except AssertionError:
+                certified = False
+            assert certified == oracle
         assert oracle or not member
         verdicts.add(oracle)
     assert verdicts == {True, False}

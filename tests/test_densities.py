@@ -5,6 +5,7 @@ import pytest
 
 from d4vinberg import numkernels
 from d4vinberg.densities import (
+    MAX_TRUNCATION_EXPONENT,
     alpha_bruteforce,
     alpha_closed_form,
     alpha_v,
@@ -20,7 +21,7 @@ from d4vinberg.densities import (
 from d4vinberg.fields import GF
 from d4vinberg.quartic import delta
 from d4vinberg.rng import det_rng
-from oracles import alpha_points, delta_mpoly
+from oracles import alpha_points, delta_mpoly, reversed_poly
 
 
 def test_alpha_three_routes_q5():
@@ -139,6 +140,17 @@ def test_delta_b_truncated_monotone():
     assert vals[0] == (1 - alpha_closed_form(5)) ** 6
 
 
+def test_delta_b_truncated_refuses_an_oversized_product():
+    # q = 11 at degree 6 builds a denominator of q^15576976: refused before
+    # any product, while q = 5 and 7 stay within the bound
+    def exponent(q):
+        return 8 * sum(n * place_count(q, n) for n in range(1, 7))
+
+    assert exponent(5) < exponent(7) <= MAX_TRUNCATION_EXPONENT < exponent(11)
+    with pytest.raises(ValueError, match="q = 11 needs a denominator of q\\^15576976"):
+        delta_b_truncated(11, 6)
+
+
 def test_delta_b_tail_bound_dominates():
     # the tail bound really bounds sum of alpha over higher-degree places
     q, b = 5, 6
@@ -239,6 +251,6 @@ def test_infinity_coordinate_change():
         if delta.is_zero():
             continue
         ord_inf = 24 * d - delta.degree
-        rev = delta.reversed(at_degree=24 * d)
+        rev = reversed_poly(delta, 24 * d)
         low = next((i for i, c in enumerate(rev.coeffs) if c), None)
         assert low == ord_inf

@@ -7,8 +7,9 @@ subset fail to kill?
 The first argument is a module of the tree, the second a comma-separated
 list of functions in it (methods as Class.method), and the rest are
 pytest arguments.  The tree is copied to a temporary directory, and only
-the copy is ever written.  Each mutant changes one node inside the named
-functions:
+the copy is ever written.  Each mutant changes one node of the arguments
+or the body of a named function (never its decorators or its return
+annotation):
 
 - an operator swap: + and -, * to +, / and // to *, % to //, ** to *,
   & and |, << and >>, ``and`` and ``or``;
@@ -37,6 +38,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import deque
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,12 +87,24 @@ def find_function(tree, qualname):
     raise SystemExit(f"no function {qualname}")
 
 
+def function_nodes(func):
+    """The nodes of func's arguments and body, breadth first: ast.walk(func)
+    without func itself, its decorators and its return annotation."""
+    todo = deque([func.args, *func.body])
+    nodes = []
+    while todo:
+        node = todo.popleft()
+        nodes.append(node)
+        todo.extend(ast.iter_child_nodes(node))
+    return nodes
+
+
 def mutation_sites(func):
-    """(index of the node in ast.walk(func), slot, replacement) for every
-    mutant of func.  slot is "op", ("ops", k) for the k-th operator of a
-    comparison, or "value"."""
+    """(index of the node in function_nodes(func), slot, replacement) for
+    every mutant of func.  slot is "op", ("ops", k) for the k-th operator
+    of a comparison, or "value"."""
     sites = []
-    for i, node in enumerate(ast.walk(func)):
+    for i, node in enumerate(function_nodes(func)):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in BINOPS:
             sites.append((i, "op", BINOPS[type(node.op)]()))
         elif isinstance(node, ast.BoolOp):
@@ -106,7 +120,7 @@ def mutate(tree, qualname, site):
     """A copy of tree with one mutant applied, and (line, before, after)."""
     index, slot, new = site
     tree = copy.deepcopy(tree)
-    node = list(ast.walk(find_function(tree, qualname)))[index]
+    node = function_nodes(find_function(tree, qualname))[index]
     before = ast.unparse(node)
     if slot == "op":
         node.op = new
