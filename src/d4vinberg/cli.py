@@ -45,6 +45,8 @@ def _merged(args):
             cfg[key] = _DEFAULTS[key]
     cfg["oracle"] = bool(args.oracle or cfg.get("oracle") in ("1", "true"))
     cfg["format"] = args.format or cfg.get("format", "json")
+    if cfg["format"] not in ("json", "csv"):
+        raise ValueError(f"format {cfg['format']!r} is neither json nor csv")
     return cfg
 
 
@@ -70,7 +72,7 @@ def _strip_volatile(obj):
 
 def _emit(payload, args, cfg):
     payload = _strip_volatile(payload)
-    if cfg["format"] == "csv" and isinstance(payload, dict) and "rows" in payload:
+    if cfg.get("format") == "csv" and isinstance(payload, dict) and "rows" in payload:
         buf = io.StringIO()
         rows = payload["rows"]
         if rows:  # no rows, no columns: an empty file
@@ -123,8 +125,7 @@ def cmd_curves(args, cfg):
     d = cfg["d"]
     sampled = curves.sample_xd(field, d, cfg["n_samples"], seed=cfg["seed"])
     rows = []
-    for b in sampled:
-        member = curves.xd_membership(field, b, d)
+    for b, member in zip(sampled, curves.xd_membership(field, sampled, d)):
         reduction = _first_good_reduction(field, b)
         row = {
             "p2": b[0].to_str(),
@@ -206,7 +207,7 @@ def cmd_densities(args, cfg):
         q, mc=(cfg["n_samples"], cfg["seed"]) if q == cfg["p"] and cfg["n_samples"] > 0 else None
     )
     reports["beta"] = json.loads(rep.to_json())
-    trunc = densities.delta_b_truncated(q, 6)
+    trunc = densities.delta_b_truncations(q, 6)[-1]
     # the exact rational has a q^15000-scale denominator; report the value
     # in float precision plus the exact operand sizes
     reports["delta_b_truncated_deg6"] = {
@@ -275,10 +276,11 @@ def main(argv=None):
     parser.add_argument("--format", choices=("json", "csv"))
     parser.add_argument("--oracle", action="store_true", help="enable brute-force cross-checks")
     args = parser.parse_args(argv)
-    cfg = _merged(args)
+    cfg = {}  # a config file that fails to read or parse leaves it empty
     try:
+        cfg = _merged(args)
         payload = COMMANDS[args.command](args, cfg)
-    except (AssertionError, ValueError) as exc:
+    except (AssertionError, ValueError, OSError) as exc:
         failure = {
             "config": {k: cfg[k] for k in sorted(cfg)},
             "passed": False,

@@ -8,10 +8,10 @@ leave the curve.  Multiplying the affine equation by x gives (xy + q4)^2
 = f(x) with f the defining quartic, which ties the curves to the
 invariant theory.
 
-Over F_q(t), tuples of the box H^0(X, B_D) are sampled by the numpy box
-filter ``numkernels.xd_box_filter``; ``xd_membership`` certifies every bad
-fibre I1 at once in F_q[t]/(Delta), by two units and two zero tests, and
-counts the bad places by Berlekamp's matrix, without factoring Delta.
+Over F_q(t), the numpy box filter ``numkernels.xd_box_filter`` decides
+membership in X_D for ``sample_xd`` and for ``xd_membership``, which, on
+a block of tuples, certifies every bad fibre of each member I1 at once in
+F_q[t]/(Delta) and counts its bad places by Berlekamp's matrix.
 
 Desk-scale enumeration is guarded by max_q (default 101).
 """
@@ -325,15 +325,16 @@ class XDMembership:
         return f"XDMembership(in_xd={self.in_xd}, ord_inf={self.ord_inf})"
 
 
-def xd_membership(field, b, d):
-    """Membership of a coefficient tuple in H^0(X, B_D)^sf, D = d*infinity.
+def xd_membership(field, bs, d):
+    """Membership in H^0(X, B_D)^sf, D = d*infinity, of each tuple of bs.
 
-    b: four Polys (p2, p4, q4, p6) over a prime field, subject to degree
-    bounds (2d, 4d, 4d, 6d).  in_xd iff Delta is nonzero and squarefree
-    and ord_inf = 24d - deg Delta <= 1; a non-member returns right after
-    these tests, with bad_places None.  For a member, bad_places counts
-    the zeros of Delta (the Berlekamp nullity,
-    ``numkernels.berlekamp_nullity``) and infinity when ord_inf = 1.
+    bs: tuples of four Polys (p2, p4, q4, p6) over a prime field, subject
+    to degree bounds (2d, 4d, 4d, 6d), all checked before any work; one
+    XDMembership per tuple, in order.  One ``numkernels.xd_box_filter``
+    call gives each Delta and in_xd: Delta nonzero and squarefree and
+    ord_inf = 24d - deg Delta <= 1.  A non-member has bad_places None; a
+    member's counts the zeros of Delta (``numkernels.berlekamp_nullity``)
+    and infinity when ord_inf = 1.
     One certificate, ``_certify_i1``, covers every bad fibre: the finite
     ones at once in F_q[t]/(Delta), and the one at infinity in F_q[s]/(s)
     on the coefficients of b at the box degrees 2dw (weights w): the
@@ -343,20 +344,27 @@ def xd_membership(field, b, d):
     """
     if field.order != field.char:
         raise ValueError("X_D membership implemented for prime fields")
-    b = _as_polys(field, b)
+    bs = [_as_polys(field, b) for b in bs]
     bounds = tuple(w * 2 * d for w in WEIGHTS)
-    if any(p.degree > bound for p, bound in zip(b, bounds)):
+    if any(p.degree > bound for b in bs for p, bound in zip(b, bounds)):
         raise ValueError("coefficient degrees exceed the B_D box")
-    delta = disc_poly(field, b)
-    ord_inf = None if delta.is_zero() else 24 * d - delta.degree
-    if ord_inf is None or ord_inf > 1 or not polys.is_squarefree(delta):
-        return XDMembership(False, None, ord_inf, delta)
-    _certify_i1(b, delta)
-    if ord_inf:
-        top = tuple(Poly.const(field, p[k]) for p, k in zip(b, bounds))
-        _certify_i1(top, Poly.x(field))
-    bad = numkernels.berlekamp_nullity(delta.vals, field.char) + ord_inf
-    return XDMembership(True, bad, ord_inf, delta)
+    arrays = [
+        np.array([b[i].vals + (0,) * (k - b[i].degree) for b in bs], np.int64).reshape(-1, k + 1)
+        for i, k in enumerate(bounds)
+    ]
+    out = []
+    for b, row, in_xd in zip(bs, *numkernels.xd_box_filter(field.char, arrays)):
+        delta = Poly._of(field, np.trim_zeros(row, "b").tolist())
+        ord_inf = None if delta.is_zero() else 24 * d - delta.degree
+        bad = None
+        if in_xd:
+            _certify_i1(b, delta)
+            if ord_inf:
+                top = tuple(Poly.const(field, p[k]) for p, k in zip(b, bounds))
+                _certify_i1(top, Poly.x(field))
+            bad = numkernels.berlekamp_nullity(delta.vals, field.char) + ord_inf
+        out.append(XDMembership(bool(in_xd), bad, ord_inf, delta))
+    return out
 
 
 def _certify_i1(b, delta):
@@ -455,15 +463,10 @@ def _as_polys(field, b):
     return tuple(x if isinstance(x, Poly) else Poly.const(field, field.elem(x)) for x in b)
 
 
-def disc_poly(field, b) -> Poly:
-    """Delta(b) for polynomial coefficient tuples (constants are lifted)."""
-    return quartic_disc(_as_polys(field, b))
-
-
 def in_xd_fast(field, b, d) -> bool:
     """Boxed one-row in_XD test: nonzero squarefree discriminant, simple at
     infinity; the oracle of ``numkernels.xd_box_filter``."""
-    delta = disc_poly(field, b)
+    delta = quartic_disc(_as_polys(field, b))
     if delta.is_zero():
         return False
     if 24 * d - delta.degree > 1:

@@ -215,9 +215,9 @@ def place_count(q: int, degree: int) -> int:
     return n + 1 if degree == 1 else n
 
 
-def delta_b_truncated(q: int, max_degree: int) -> Fraction:
-    """prod over places of degree <= max_degree of (1 - alpha_v); the N_n
-    of degree n bring q^(8 n N_n) to its denominator, and past
+def delta_b_truncations(q: int, max_degree: int) -> list:
+    """[delta_b_truncated(q, k) for k = 0..max_degree], one running product.
+    Degree n's N_n places bring q^(8 n N_n) to the denominator; past
     MAX_TRUNCATION_EXPONENT it raises ValueError before any product."""
     exponent = 8 * sum(n * place_count(q, n) for n in range(1, max_degree + 1))
     if exponent > MAX_TRUNCATION_EXPONENT:
@@ -225,10 +225,15 @@ def delta_b_truncated(q: int, max_degree: int) -> Fraction:
             f"delta_B truncated at degree {max_degree} over q = {q} needs a "
             f"denominator of q^{exponent}, past q^{MAX_TRUNCATION_EXPONENT}"
         )
-    out = Fraction(1)
+    out = [Fraction(1)]
     for n in range(1, max_degree + 1):
-        out *= (1 - alpha_closed_form(q**n)) ** place_count(q, n)
+        out.append(out[-1] * (1 - alpha_closed_form(q**n)) ** place_count(q, n))
     return out
+
+
+def delta_b_truncated(q: int, max_degree: int) -> Fraction:
+    """prod over places of degree <= max_degree of (1 - alpha_v)."""
+    return delta_b_truncations(q, max_degree)[-1]
 
 
 def delta_b_tail_bound(q: int, beyond_degree: int) -> Fraction:
@@ -246,12 +251,12 @@ def delta_b_tail_bound(q: int, beyond_degree: int) -> Fraction:
 def delta_b_montecarlo(field, d: int, n: int, seed: int):
     """Empirical in_XD fraction over H^0(X, B_D), D = d*infinity, batched.
 
-    Returns (fraction, stderr, hits).  Matches curves.xd_membership: the
-    affine discriminant must be squarefree, nonzero, and have at most a
-    simple zero at infinity (24 d - deg Delta <= 1).  Chunk i of 4000
-    samples draws from the Philox stream (seed, "delta-b-mc", i); each
-    chunk is one call of ``numkernels.xd_box_filter``, the filter that
-    ``curves.sample_xd`` uses, with no per-row Python.
+    Returns (fraction, stderr, hits).  Matches ``numkernels.xd_box_filter``,
+    the X_D filter of ``curves``: the affine discriminant must be nonzero
+    and squarefree with at most a simple zero at infinity, 24 d - deg
+    Delta <= 1.  Chunk i of 4000 samples draws from the Philox stream
+    (seed, "delta-b-mc", i) and is one call of the filter, with no per-row
+    Python.
     """
     import numpy as np
 

@@ -26,7 +26,7 @@ eps_i the eps parts of Delta are its four partials.  Grids run in
 BLOCK-point blocks.  The int-list functions are entry points into
 ``polys``.
 
-The delta_B Monte Carlo and the X_D sampler share one box filter,
+The delta_B Monte Carlo, X_D sampling and membership share one box filter,
 ``xd_box_filter``, batched end to end: ``delta_poly_batch`` gives Delta of
 a chunk of rows, ``row_degrees`` their degrees, and ``squarefree_batch``
 runs gcd(f, f') for all rows in lockstep.  ``berlekamp_nullity`` counts

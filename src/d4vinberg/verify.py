@@ -417,7 +417,8 @@ def densities_suite(q=5, beta_n=10**6, delta_d=3, delta_n=10**5, seed=0, slow=Fa
     rep = densities.beta_v(q, mc=(beta_n, seed))
     details["beta_mc"] = rep.mc_estimate
     # truncated product vs Monte Carlo in_XD fraction
-    trunc = densities.delta_b_truncated(q, 6)
+    vals = densities.delta_b_truncations(q, 6)[1:]
+    trunc = vals[-1]
     tail = densities.delta_b_tail_bound(q, 6)
     field = GF(q)
     frac, stderr, hits = densities.delta_b_montecarlo(field, delta_d, delta_n, seed)
@@ -425,7 +426,6 @@ def densities_suite(q=5, beta_n=10**6, delta_d=3, delta_n=10**5, seed=0, slow=Fa
     allowance = 4 * stderr + float(tail)
     assert gap <= allowance, f"delta_B MC gap {gap} > {allowance}"
     # monotone decreasing truncations
-    vals = [densities.delta_b_truncated(q, k) for k in range(1, 7)]
     assert all(vals[i] > vals[i + 1] for i in range(len(vals) - 1))
     details["delta_b"] = {
         "truncated_deg6": float(trunc),
@@ -445,8 +445,7 @@ def minimal_model_suite(q=5, samples_per_d=500, seed=0, torsion_checks=10):
     details = {"bad_places": 0, "samples": 0}
     for d in (1, 2):
         got = curves.sample_xd(field, d, samples_per_d, seed=seed + d)
-        for b in got:
-            member = curves.xd_membership(field, b, d)
+        for member in curves.xd_membership(field, got, d):
             assert member.in_xd
             assert 24 * d - member.delta.degree == member.ord_inf
             assert member.ord_inf <= 1

@@ -27,7 +27,10 @@ slower way, and serve only as the reference of the differential tests:
   (``certify_i1_by_inverse``), against which the projective form
   ``curves._certify_i1`` is checked, and the coefficient reversal
   x^k p(1/x) (``reversed_poly``) that moves a tuple to the chart at
-  infinity.
+  infinity;
+- X_D membership one tuple at a time, on the boxed Delta (``disc_poly``)
+  and the boxed squarefree test (``xd_membership_by_row``), against
+  which the block form ``curves.xd_membership`` is checked.
 """
 
 from fractions import Fraction
@@ -37,13 +40,14 @@ from itertools import permutations
 import numpy as np
 
 from d4vinberg import linalg, numkernels, polys
+from d4vinberg.curves import WEIGHTS, XDMembership, _as_polys, _certify_i1
 from d4vinberg.hnweights import CUSP_TABLE, QPowerSum
 from d4vinberg.invariants import _slice_relation
 from d4vinberg.liealg import V_ENTRIES
 from d4vinberg.linalg import mat_mul, newton_even, trace, trace_prod
 from d4vinberg.multipoly import MPoly
 from d4vinberg.polys import Poly, xgcd_raw
-from d4vinberg.quartic import delta, first_subresultant
+from d4vinberg.quartic import delta, first_subresultant, quartic_disc
 from d4vinberg.rng import det_rng
 
 # -- multivariate polynomials --
@@ -554,3 +558,32 @@ def certify_i1_by_inverse(b, delta):
     x3 = xx * x0 % delta
     check("f(x0) = 0", xx * xx + p2 * x3 + p4 * xx + p6 * x0 + q4 * q4, False)
     check("f'(x0) = 0", 4 * x3 + 3 * p2 * xx + 2 * p4 * x0 + p6, False)
+
+
+# -- X_D membership, one tuple at a time --
+
+
+def disc_poly(field, b):
+    """Delta(b) for polynomial coefficient tuples (constants are lifted)."""
+    return quartic_disc(_as_polys(field, b))
+
+
+def xd_membership_by_row(field, b, d):
+    """``curves.xd_membership`` of the one tuple b, on the boxed Delta and
+    the boxed squarefree test: a non-member returns right after them."""
+    if field.order != field.char:
+        raise ValueError("X_D membership implemented for prime fields")
+    b = _as_polys(field, b)
+    bounds = tuple(w * 2 * d for w in WEIGHTS)
+    if any(p.degree > bound for p, bound in zip(b, bounds)):
+        raise ValueError("coefficient degrees exceed the B_D box")
+    delta = disc_poly(field, b)
+    ord_inf = None if delta.is_zero() else 24 * d - delta.degree
+    if ord_inf is None or ord_inf > 1 or not polys.is_squarefree(delta):
+        return XDMembership(False, None, ord_inf, delta)
+    _certify_i1(b, delta)
+    if ord_inf:
+        top = tuple(Poly.const(field, p[k]) for p, k in zip(b, bounds))
+        _certify_i1(top, Poly.x(field))
+    bad = numkernels.berlekamp_nullity(delta.vals, field.char) + ord_inf
+    return XDMembership(True, bad, ord_inf, delta)

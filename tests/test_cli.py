@@ -90,6 +90,29 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert data["reports"]["alpha"] == "437/3125"
 
 
+@pytest.mark.parametrize(
+    "text, kind, message",
+    [
+        ("p = abc\n", "ValueError", "invalid literal for int() with base 10: 'abc'"),
+        (None, "FileNotFoundError", "No such file or directory"),
+        ("format = xml\n", "ValueError", "format 'xml' is neither json nor csv"),
+    ],
+)
+def test_a_bad_config_file_is_a_failed_report(tmp_path, capsys, text, kind, message):
+    # an unparsable value, a missing file and an unknown format: each a
+    # structured failure record with exit code 1, not a traceback or a
+    # silent fallback to JSON
+    cfg = tmp_path / "run.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    code, out = run_cli(["geography", "--config", str(cfg)], capsys)
+    assert code == 1
+    data = json.loads(out)
+    assert data["passed"] is False
+    assert data["failure"]["type"] == kind
+    assert message in data["failure"]["message"]
+
+
 def test_densities_oracle_flag(capsys):
     code, out = run_cli(
         ["densities", "--p", "5", "--d", "0", "--n-samples", "0", "--oracle"], capsys

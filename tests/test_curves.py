@@ -1,5 +1,6 @@
 import itertools
 import re
+from math import prod
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from d4vinberg.curves import (
     PointedCurve,
     _certify_i1,
     curve_group,
-    disc_poly,
     in_xd_fast,
     kodaira_of_reduction,
     minimal_data,
@@ -34,7 +34,13 @@ from d4vinberg.multipoly import MPoly
 from d4vinberg.polys import Poly
 from d4vinberg.quartic import quartic_disc, quartic_poly, weierstrass
 from d4vinberg.rng import det_rng
-from oracles import certify_i1_by_inverse, reversed_poly, third_by_evaluation
+from oracles import (
+    certify_i1_by_inverse,
+    disc_poly,
+    reversed_poly,
+    third_by_evaluation,
+    xd_membership_by_row,
+)
 
 
 def _random_smooth_b(field, rng):
@@ -363,7 +369,7 @@ def test_xd_membership_edges():
         b = tuple(Poly.const(field, field.random(rng)) for _ in range(4))
         if not disc_poly(field, b).is_zero():
             break
-    m = xd_membership(field, b, 0)
+    m = xd_membership(field, [b], 0)[0]
     assert m.in_xd and m.bad_places == 0 and m.ord_inf == 0
     # a (t-1)^2 divisor is rejected
     while True:
@@ -372,7 +378,7 @@ def test_xd_membership_edges():
             break
     sq = (t - 1) * (t - 1)
     b_bad = (found[0] * sq, found[1] * sq**2, found[2] * sq**2, found[3] * sq**3)
-    m_bad = xd_membership(field, b_bad, 3)
+    m_bad = xd_membership(field, [b_bad], 3)[0]
     assert not m_bad.in_xd and m_bad.bad_places is None
     # Delta scales by sq^12 = (t - 1)^24
     orders = {g.to_str(): mult for g, mult in polys.factor(m_bad.delta)}
@@ -383,9 +389,156 @@ def test_xd_membership_needs_a_prime_field():
     field = GF(5, 2)
     b = tuple(Poly.const(field, field.one) for _ in range(4))
     with pytest.raises(ValueError):
-        xd_membership(field, b, 0)
+        xd_membership(field, [b], 0)
     with pytest.raises(ValueError):
         sample_xd(field, 1, 1, seed=0)
+
+
+def _poly_in_box(draw, field, degree):
+    """A Poly over field of degree at most degree (the zero one included)."""
+    p = field.char
+    return Poly(field, draw(st.lists(st.integers(0, p - 1), max_size=degree + 1)))
+
+
+def _double_zero_at_infinity(field, d, a, k):
+    """A tuple in the B_D box with ord_inf = 2: in the chart s = 1/t its
+    quartic has the roots a(1 + s), a(1 - s), c(1 + s), a^2 (1 - s)/c for
+    c = k a, k not in {0, 1, -1}, so q4 = a^2 (1 - s^2), and at s = 0 two
+    roots meet (a double root, others simple): Delta has a double zero."""
+    s = Poly.x(field)
+    c = a * k % field.char
+    roots = [a * (1 + s), a * (1 - s), c * (1 + s), a * a * pow(c, -1, field.char) * (1 - s)]
+    e = [sum((prod(r) for r in itertools.combinations(roots, n)), Poly(field)) for n in (1, 2, 3)]
+    chart = (-e[0], e[1], a * a * (1 - s * s), -e[2])
+    return tuple(reversed_poly(x, 2 * d * w) for x, w in zip(chart, WEIGHTS))
+
+
+@st.composite
+def xd_blocks(draw):
+    """(field, d, block): tuples of H^0(X, B_D) tagged by kind, shuffled:
+    sampled members, a zero Delta (q4 = p6 = 0), constants given as ints,
+    random tuples, and for d > 0 a double zero at infinity and a square
+    factor (a tuple scaled by u^w for u = t + c)."""
+    p, d = draw(st.sampled_from([5, 7])), draw(st.integers(0, 2))
+    field = GF(p)
+    block = [("member", b) for b in sample_xd(field, d, 2, seed=draw(st.integers(0, 99)))]
+    zero = [_poly_in_box(draw, field, 2 * d * w) for w in WEIGHTS[:2]]
+    block.append(("zero", (*zero, Poly(field), Poly(field))))
+    block.append(("constants", tuple(draw(st.lists(st.integers(0, p - 1), min_size=4, max_size=4)))))
+    for _ in range(draw(st.integers(0, 3))):
+        block.append(("random", tuple(_poly_in_box(draw, field, 2 * d * w) for w in WEIGHTS)))
+    if d:
+        a, k = draw(st.integers(1, p - 1)), draw(st.integers(2, p - 2))
+        block.append(("infinity", _double_zero_at_infinity(field, d, a, k)))
+        u = Poly(field, [draw(st.integers(0, p - 1)), 1])
+        base = [_poly_in_box(draw, field, (2 * d - 1) * w) for w in WEIGHTS]
+        block.append(("square", tuple(x * u**w for x, w in zip(base, WEIGHTS))))
+    return field, d, draw(st.permutations(block))
+
+
+def _block_outcome(field, bs, d, membership):
+    """The memberships of bs, or the message of the AssertionError raised."""
+    try:
+        return [
+            (m.in_xd, m.bad_places, m.ord_inf, m.delta.vals) for m in membership(field, bs, d)
+        ]
+    except AssertionError as exc:
+        return str(exc)
+
+
+def _by_row(field, bs, d):
+    return [xd_membership_by_row(field, b, d) for b in bs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(xd_blocks())
+def test_xd_membership_block_matches_the_row_oracle(case):
+    field, d, block = case
+    bs = [b for _, b in block]
+    got = xd_membership(field, bs, d)
+    assert len(got) == len(bs)
+    for (kind, b), m in zip(block, got):
+        want = xd_membership_by_row(field, b, d)
+        assert (m.in_xd, m.bad_places, m.ord_inf, m.delta) == (
+            want.in_xd, want.bad_places, want.ord_inf, want.delta
+        )
+        assert type(m.in_xd) is bool
+        # the kinds are what they claim to be
+        assert kind != "member" or m.in_xd
+        assert kind != "zero" or m.ord_inf is None
+        assert kind != "infinity" or (m.ord_inf == 2 and not m.in_xd)
+        assert kind != "square" or not m.in_xd
+        assert kind != "constants" or m.in_xd == (d == 0 and m.ord_inf is not None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(xd_blocks())
+def test_xd_membership_block_fails_as_the_row_oracle(case):
+    # with both squarefree tests forced to pass, a square factor reaches
+    # the certificate, whose first failure in block order has the message
+    # of the first failure row by row
+    field, d, block = case
+    bs = [b for _, b in block]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numkernels, "squarefree_batch", lambda rows, p: np.ones(len(rows), bool))
+        mp.setattr(polys, "is_squarefree", lambda f: True)
+        assert _block_outcome(field, bs, d, xd_membership) == _block_outcome(
+            field, bs, d, _by_row
+        )
+
+
+def test_xd_membership_raises_at_a_forced_square_factor(monkeypatch):
+    # (t - 1)^w times a tuple of degrees <= w with deg Delta = 12, between
+    # two members at d = 1: Delta = (t - 1)^12 Delta(base) has degree 24
+    # and fails the squarefree test; forced past it, the tuple is zero at
+    # t = 1 and fails the certificate there
+    field = GF(5)
+    rng = det_rng(19, "curves-square")
+    while True:
+        base = tuple(Poly(field, [field.random(rng) for _ in range(w + 1)]) for w in WEIGHTS)
+        if disc_poly(field, base).degree == 12:
+            break
+    u = Poly(field, [-1, 1])
+    member = sample_xd(field, 1, 1, seed=3)[0]
+    bs = [member, tuple(x * u**w for x, w in zip(base, WEIGHTS)), member]
+    got = xd_membership(field, bs, 1)
+    assert [m.in_xd for m in got] == [True, False, True] and got[1].ord_inf == 0
+    monkeypatch.setattr(numkernels, "squarefree_batch", lambda rows, p: np.ones(len(rows), bool))
+    monkeypatch.setattr(polys, "is_squarefree", lambda f: True)
+    with pytest.raises(AssertionError) as block_error:
+        xd_membership(field, bs, 1)
+    with pytest.raises(AssertionError) as row_error:
+        _by_row(field, bs, 1)
+    assert str(block_error.value) == str(row_error.value)
+    assert str(block_error.value) == "s1 unit fails: gcd with Delta 1,4,0,0,0,4,1"
+
+
+def test_xd_membership_of_an_empty_block():
+    assert xd_membership(GF(5), [], 1) == []
+
+
+@pytest.mark.parametrize("at", [0, 2, 4])
+@pytest.mark.parametrize("coefficient", range(4))
+def test_xd_membership_checks_the_whole_block_first(monkeypatch, at, coefficient):
+    # one tuple past the box anywhere in the block raises ValueError before
+    # the box filter runs; a tuple at the box degrees is in the box
+    field = GF(5)
+    at_box = tuple(Poly(field, [1] * (2 * w + 1)) for w in WEIGHTS)
+    bs = sample_xd(field, 1, 3, seed=5) + [at_box]
+    over = list(at_box)
+    over[coefficient] = over[coefficient] * Poly.x(field)
+    bs.insert(at, tuple(over))
+
+    def no_filter(p, arrays):
+        raise RuntimeError("the box filter ran")
+
+    monkeypatch.setattr(numkernels, "xd_box_filter", no_filter)
+    with pytest.raises(ValueError, match="exceed the B_D box"):
+        xd_membership(field, bs, 1)
+    with pytest.raises(RuntimeError):
+        xd_membership(field, bs[:at] + bs[at + 1 :], 1)
+    with pytest.raises(ValueError, match="prime fields"):
+        xd_membership(GF(5, 2), [], 1)
 
 
 def test_xd_infinity_double_zero_detected():
@@ -406,7 +559,7 @@ def test_xd_infinity_double_zero_detected():
             continue
         if not polys.is_squarefree(delta):
             continue
-        m = xd_membership(field, b, d)
+        m = xd_membership(field, [b], d)[0]
         assert not m.in_xd and m.ord_inf == 2 and m.bad_places is None
         found += 1
     assert found > 0
@@ -466,7 +619,7 @@ def test_sample_xd_deterministic_and_valid():
         [p.to_str() for p in b] for b in s1
     ] == [[p.to_str() for p in b] for b in s2]
     for b in s1:
-        assert xd_membership(field, b, 1).in_xd
+        assert xd_membership(field, [b], 1)[0].in_xd
 
 
 def test_i1_certificate_against_per_place_oracle():
@@ -476,7 +629,7 @@ def test_i1_certificate_against_per_place_oracle():
     checked = at_infinity = 0
     for d, count in ((1, 30), (2, 6)):
         for b in sample_xd(field, d, count, seed=16):
-            m = xd_membership(field, b, d)
+            m = xd_membership(field, [b], d)[0]
             at_infinity += m.ord_inf
             places = polys.factor(m.delta)
             assert all(mult == 1 for _, mult in places)
@@ -647,7 +800,7 @@ def test_i1_certificate_at_infinity_agrees_with_the_oracle():
     s = Poly.x(field)
     cases = [
         (b, d, True) for d, count in ((1, 40), (2, 10)) for b in sample_xd(field, d, count, seed=16)
-        if xd_membership(field, b, d).ord_inf == 1
+        if xd_membership(field, [b], d)[0].ord_inf == 1
     ]
     assert cases
     rng = det_rng(17, "curves-infinity")

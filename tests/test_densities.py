@@ -13,6 +13,7 @@ from d4vinberg.densities import (
     delta_b_montecarlo,
     delta_b_tail_bound,
     delta_b_truncated,
+    delta_b_truncations,
     place_count,
     so4_count_bruteforce,
     so4_count_formula,
@@ -21,7 +22,7 @@ from d4vinberg.densities import (
 from d4vinberg.fields import GF
 from d4vinberg.quartic import delta
 from d4vinberg.rng import det_rng
-from oracles import alpha_points, delta_mpoly, reversed_poly
+from oracles import alpha_points, delta_mpoly, disc_poly, reversed_poly
 
 
 def test_alpha_three_routes_q5():
@@ -151,6 +152,28 @@ def test_delta_b_truncated_refuses_an_oversized_product():
         delta_b_truncated(11, 6)
 
 
+@pytest.mark.parametrize("q", [5, 7])
+def test_delta_b_truncations_are_the_prefixes(q):
+    # one running product gives every truncation: prefix k is the product
+    # over the places of degree <= k, delta_b_truncated(q, k)
+    vals = delta_b_truncations(q, 6)
+    assert len(vals) == 7 and vals[0] == 1
+    assert vals[1] == (1 - alpha_closed_form(q)) ** (q + 1)
+    assert vals[1:] == [delta_b_truncated(q, k) for k in range(1, 7)]
+
+
+def test_delta_b_truncations_refuse_before_any_product(monkeypatch):
+    # the refusal at q = 11 reads only the top degree's exponent
+    import d4vinberg.densities as densities_mod
+
+    def no_product(q_v):
+        raise AssertionError("a product was started")
+
+    monkeypatch.setattr(densities_mod, "alpha_closed_form", no_product)
+    with pytest.raises(ValueError, match="degree 6 over q = 11 needs a denominator of q\\^15576976"):
+        delta_b_truncations(11, 6)
+
+
 def test_delta_b_tail_bound_dominates():
     # the tail bound really bounds sum of alpha over higher-degree places
     q, b = 5, 6
@@ -235,7 +258,6 @@ def test_int64_kernels_reject_p_beyond_exact_range():
 def test_infinity_coordinate_change():
     # ord at infinity via degree bookkeeping equals ord of the reversed
     # discriminant at s = 0 (the coordinate-change check, run once)
-    from d4vinberg.curves import disc_poly
     from d4vinberg.polys import Poly
     from d4vinberg.rng import det_rng
 
