@@ -40,7 +40,10 @@ def _merged(args):
         if cli_val is not None:
             cfg[key] = cli_val
         elif file_val is not None:
-            cfg[key] = int(file_val)
+            try:
+                cfg[key] = int(file_val)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
         else:
             cfg[key] = _DEFAULTS[key]
     cfg["oracle"] = bool(args.oracle or cfg.get("oracle") in ("1", "true"))

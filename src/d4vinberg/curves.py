@@ -24,7 +24,7 @@ from . import numkernels, polys
 from .fields import extension_of
 from .funcfield import RatFunc, support
 from .polys import Poly
-from .quartic import first_subresultant, quartic_disc, quartic_poly, weierstrass
+from .quartic import quartic_disc, quartic_poly, weierstrass
 from .rng import det_rng
 
 DEFAULT_MAX_Q = 101
@@ -333,14 +333,15 @@ def xd_membership(field, bs, d):
     XDMembership per tuple, in order.  One ``numkernels.xd_box_filter``
     call gives each Delta and in_xd: Delta nonzero and squarefree and
     ord_inf = 24d - deg Delta <= 1.  A non-member has bad_places None; a
-    member's counts the zeros of Delta (``numkernels.berlekamp_nullity``)
-    and infinity when ord_inf = 1.
-    One certificate, ``_certify_i1``, covers every bad fibre: the finite
-    ones at once in F_q[t]/(Delta), and the one at infinity in F_q[s]/(s)
-    on the coefficients of b at the box degrees 2dw (weights w): the
-    tuple (s^2dw b(1/s)) in the chart s = 1/t, whose Delta vanishes at
-    s = 0 to order ord_inf, reduced at s = 0.  A fibre that is not I1
-    raises AssertionError, so every bad place of a member is I1.
+    member's counts the zeros of Delta (``numkernels.berlekamp_nullity``,
+    one call for the block) and infinity when ord_inf = 1.
+    One certificate, ``_certify_i1_block``, covers every bad fibre of the
+    block: the finite ones of each member at once in F_q[t]/(Delta), and
+    the one at infinity in F_q[s]/(s) on the coefficients of b at the box
+    degrees 2dw (weights w): the tuple (s^2dw b(1/s)) in the chart s =
+    1/t, whose Delta vanishes at s = 0 to order ord_inf, reduced at s = 0.
+    A fibre that is not I1 raises AssertionError, so every bad place of a
+    member is I1.
     """
     if field.order != field.char:
         raise ValueError("X_D membership implemented for prime fields")
@@ -348,30 +349,46 @@ def xd_membership(field, bs, d):
     bounds = tuple(w * 2 * d for w in WEIGHTS)
     if any(p.degree > bound for b in bs for p, bound in zip(b, bounds)):
         raise ValueError("coefficient degrees exceed the B_D box")
-    arrays = [
-        np.array([b[i].vals + (0,) * (k - b[i].degree) for b in bs], np.int64).reshape(-1, k + 1)
-        for i, k in enumerate(bounds)
+    arrays = [_pack([b[i] for b in bs], k + 1) for i, k in enumerate(bounds)]
+    rows, mask = numkernels.xd_box_filter(field.char, arrays)
+    deltas = [
+        Poly._of(field, row[: k + 1].tolist()) for row, k in zip(rows, numkernels.row_degrees(rows))
     ]
-    out = []
-    for b, row, in_xd in zip(bs, *numkernels.xd_box_filter(field.char, arrays)):
-        delta = Poly._of(field, np.trim_zeros(row, "b").tolist())
-        ord_inf = None if delta.is_zero() else 24 * d - delta.degree
-        bad = None
-        if in_xd:
-            _certify_i1(b, delta)
-            if ord_inf:
-                top = tuple(Poly.const(field, p[k]) for p, k in zip(b, bounds))
-                _certify_i1(top, Poly.x(field))
-            bad = numkernels.berlekamp_nullity(delta.vals, field.char) + ord_inf
-        out.append(XDMembership(bool(in_xd), bad, ord_inf, delta))
-    return out
+    ord_inf = [None if delta.is_zero() else 24 * d - delta.degree for delta in deltas]
+    members = np.flatnonzero(mask).tolist()
+    # each member's finite pair, then its pair at infinity, in block order
+    pairs = []
+    for i in members:
+        pairs.append((bs[i], deltas[i]))
+        if ord_inf[i]:
+            top = tuple(Poly.const(field, p[k]) for p, k in zip(bs[i], bounds))
+            pairs.append((top, Poly.x(field)))
+    _certify_i1_block(field, pairs)
+    bad = dict(zip(members, numkernels.berlekamp_nullity(rows[members], field.char).tolist()))
+    return [
+        XDMembership(i in bad, bad[i] + ord_inf[i] if i in bad else None, ord_inf[i], delta)
+        for i, delta in enumerate(deltas)
+    ]
 
 
-def _certify_i1(b, delta):
-    """The fibre at every zero of a squarefree Delta is I1, certified in
-    A = F_q[t]/(Delta), the product of the residue fields k_v (Della Dora,
-    Dicrescenzo & Duval, EUROCAL '85): an identity or a unit in A holds
-    at every finite bad place at once.  The tests of
+def _pack(polys_, width):
+    """The coefficients of Polys over a prime field, lowest degree first,
+    as the rows of an (N, width) int64 array."""
+    return np.array([f.vals + (0,) * (width - len(f.vals)) for f in polys_], np.int64).reshape(
+        -1, width
+    )
+
+
+# the tests of the I1 certificate, in order, and whether each value must
+# be a unit (else zero) mod Delta
+I1_TESTS = (("s1 unit", True), ("x0 unit", True), ("f(x0) = 0", False), ("f'(x0) = 0", False))
+
+
+def _certify_i1_block(field, pairs):
+    """For each pair (b, Delta) of a block, the fibre of b at every zero of
+    Delta is I1, certified in A = F_q[t]/(Delta), the product of the
+    residue fields k_v (Della Dora, Dicrescenzo & Duval, EUROCAL '85): an
+    identity or a unit in A holds at every place at once.  The tests of
     ``kodaira_of_reduction`` read, in A:
 
     - s1 is a unit (``quartic.first_subresultant``): with Res(f, f') =
@@ -389,33 +406,36 @@ def _certify_i1(b, delta):
 
     So only s1 and x0 are tested as units, and f(x0) and f'(x0) as zeros,
     at (X : Z) = (-s0 : s1), with no inverse: the units as one pair,
-    gcd(s1 s0, Delta) = 1 (one by one only when it fails), the zeros as
-    Fh = Z^4 f(x0) and dFh/dX = Z^3 f'(x0) for Fh(X, Z) = Z^4 f(X/Z),
-    one remainder mod Delta each; Z is a unit, so they vanish where f(x0)
-    and f'(x0) do.  A failed test raises AssertionError naming it and
-    gcd(value, Delta).  By Tate's algorithm ord_v Delta = 1 forces I1.
+    gcd(s1 s0, Delta) = 1, the zeros as Fh = Z^4 f(x0) and dFh/dX =
+    Z^3 f'(x0) for Fh(X, Z) = Z^4 f(X/Z), one remainder mod Delta each; Z
+    is a unit, so they vanish where f(x0) and f'(x0) do.  By Tate's
+    algorithm ord_v Delta = 1 forces I1.
+
+    The pairs run on numpy by ``numkernels.i1_certificate``, grouped by
+    deg Delta; a Delta of degree < 1 has no zero to test.  The first
+    failing pair in block order raises AssertionError naming its first
+    failed test (``I1_TESTS``) and gcd(value, Delta), which is 1 for a
+    unit and Delta for a zero.
     """
-    if delta.degree < 1:
-        return
-
-    def check(name, value, unit):
-        """value is a unit of A (unit) or zero in A (not unit)."""
-        if not unit and (value % delta).is_zero():
-            return
-        g = polys.gcd(value, delta)
-        if g.degree != (0 if unit else delta.degree):
-            raise AssertionError(f"{name} fails: gcd with Delta {g.to_str()}")
-
-    p2, p4, q4, p6 = b
-    s1, s0 = first_subresultant(b)
-    if polys.gcd(s1 * s0, delta).degree:
-        check("s1 unit", s1, True)
-        check("x0 unit", s0, True)
-    x, z = -s0, s1
-    xx, xz, zz = x * x % delta, x * z % delta, z * z % delta
-    z3 = zz * z % delta
-    check("f(x0) = 0", xx * (xx + p2 * xz + p4 * zz) + z3 * (p6 * x + q4 * q4 * z), False)
-    check("f'(x0) = 0", x * (4 * xx + 3 * p2 * xz + 2 * p4 * zz) + p6 * z3, False)
+    failed = []
+    for n in {delta.degree for _, delta in pairs if delta.degree >= 1}:
+        group = [i for i, (_, delta) in enumerate(pairs) if delta.degree == n]
+        coeffs = [
+            _pack(column, max(1, max(len(f.vals) for f in column)))
+            for column in zip(*(pairs[i][0] for i in group))
+        ]
+        moduli = _pack([pairs[i][1] for i in group], n + 1)
+        ok, values = numkernels.i1_certificate(field.char, coeffs, moduli)
+        if not ok.all():
+            j = int(np.argmin(ok))
+            failed.append((group[j], [v[j] for v in values]))
+    if failed:
+        i, values = min(failed, key=lambda f: f[0])
+        delta = pairs[i][1]
+        for (name, unit), value in zip(I1_TESTS, values):
+            g = polys.gcd(Poly(field, value.tolist()), delta)
+            if g.degree != (0 if unit else delta.degree):
+                raise AssertionError(f"{name} fails: gcd with Delta {g.to_str()}")
 
 
 def kodaira_of_reduction(kv, b_red):
@@ -425,7 +445,7 @@ def kodaira_of_reduction(kv, b_red):
     (two simple others) whose plane point is a node; 'other' otherwise.
     The double root, when unique, is automatically rational, so locating
     the singular point needs no residue-field enumeration.  Per place it
-    is the oracle of ``_certify_i1``.
+    is the oracle of ``_certify_i1_block``.
     """
     delta = quartic_disc(b_red)
     if delta:

@@ -29,20 +29,32 @@ BLOCK-point blocks.  The int-list functions are entry points into
 The delta_B Monte Carlo, X_D sampling and membership share one box filter,
 ``xd_box_filter``, batched end to end: ``delta_poly_batch`` gives Delta of
 a chunk of rows, ``row_degrees`` their degrees, and ``squarefree_batch``
-runs gcd(f, f') for all rows in lockstep.  ``berlekamp_nullity`` counts
-the irreducible factors of a squarefree polynomial, the bad places of an
-X_D member, as the nullity of Berlekamp's Q - I in int64 mod p.
+runs gcd(f, f') for all rows in lockstep.  That lockstep elimination,
+``_eliminate``, takes any two row batches (``gcd_degrees``), and with the
+second batch held fixed and monic it is the remainder mod a per-row
+polynomial (``_remainder``).  The members of X_D run on blocks too:
+``i1_certificate`` is the I1 certificate of ``curves`` in F_p[t]/(Delta)
+(a gcd degree and two remainders per row), and ``berlekamp_nullity``
+counts the irreducible factors of each row of a stack, the bad places of
+an X_D member, as the nullity of Berlekamp's Q - I on (rows, n, n) int64
+stacks of at most STACK entries.
 
-The int64 kernels are exact only for p < MAX_P = 2**28.  The sum that
-binds is a 128-term block of ``_batched_polymul``, which reduces after
-every 128 terms: 128 (p - 1)^2 + p < 2^63.  The widest sum of the beta
-pipeline is the eps part of tr(M M^2) on the 4x4 blocks, 32 products of
-residues (det X sums at most twelve, see ``_block_det``);
-``squarefree_batch`` tracks a bound on its entries,
-and ``berlekamp_nullity``, whose products of n x n matrices sum n products
-of residues, checks n (p - 1)^2 + p < 2^63.
-The numpy ring adapters and ``squarefree_batch`` reject larger p, and
-p < 5 (the Newton step of the beta pipeline divides by 2, 4 and 6).
+The int64 kernels are exact only for p < MAX_P = 2**28, and each states
+its bound:
+- ``_batched_polymul`` reduces after every 128 terms: 128 (p - 1)^2 + p
+  < 2^63;
+- the widest sum of the beta pipeline is the eps part of tr(M M^2) on the
+  4x4 blocks, 32 products of residues (det X sums at most twelve, see
+  ``_block_det``);
+- ``_eliminate`` tracks a bound on its entries, which a step multiplies
+  by 2 (p - 1), and reduces before it could reach 2^63;
+- ``_remainder`` adds at most (p - 1)^2 a step, and reduces every 128
+  steps at p near MAX_P;
+- Berlekamp's mat-vecs sum n products of residues, and its elimination
+  adds less than (p - 1)^2 per column, so ``berlekamp_nullity`` checks
+  n (p - 1)^2 + p < 2^63 at its largest degree n.
+The numpy ring adapters and the X_D kernels reject larger p, and p < 5
+(the Newton step of the beta pipeline divides by 2, 4 and 6).
 """
 
 import numpy as np
@@ -51,7 +63,7 @@ from . import polys
 from .fields import GF
 from .liealg import BLOCK_GATHER
 from .linalg import LAPLACE_4, newton_even
-from .quartic import delta
+from .quartic import delta, first_subresultant, homogenized
 from .rng import det_rng
 
 MAX_P = 2**28
@@ -368,50 +380,46 @@ def _reduce(x, p, tmp):
     x -= tmp
 
 
-def squarefree_batch(rows, p):
-    """Squarefree test of every row of an (N, m) array of mod-p polynomial
-    coefficients (lowest degree first), as ``polys.is_squarefree_raw``:
-    zero is not squarefree, a nonzero constant is.
+def _lead_first(rows, deg, width):
+    """Rows of residues (lowest degree first) stored leading coefficient
+    first at their degrees deg in width columns: column j holds the
+    coefficient of x^(deg - j), 0 past x^0.  Also returns the exponents
+    deg - j."""
+    expo = deg[:, None] - np.arange(width)
+    return np.where(expo >= 0, np.take_along_axis(rows, np.maximum(expo, 0), axis=1), 0), expo
 
-    gcd(f, f') runs for all rows in lockstep on int64, exact for p < MAX_P.
-    A and B are stored leading coefficient first at a formal degree, so the
-    elimination C = lc(B) A - lc(A) B needs neither an inverse nor an
+
+def _eliminate(a, da, b, db, p):
+    """deg gcd(A, B) of each pair of rows, -1 for two zeros, by lockstep
+    elimination on int64.
+
+    a and b are (N, w) arrays of residues mod p, each row stored leading
+    coefficient first at a formal degree (da, db; -1 for zero, below w),
+    and in each row at least one of the two leads is nonzero.  The
+    elimination C = lc(B) A - lc(A) B then needs neither an inverse nor an
     alignment, and its column 0 is zero.  In each step every live row
     replaces one of A, B by C shifted left one column: A when lc(A) = 0
     (then C = lc(B) A), or when both leads are nonzero and deg A >= deg B;
     else B (C is then -lc(A) B, or B - x^k A up to a unit).  The one left
-    alone keeps a nonzero lead: lc(A) != 0 at the start, and a step
-    leaves alone only a polynomial whose lead it found nonzero.  So deg A
-    + deg B falls by one per step.  Entries are reduced mod p only when
-    the next step could leave the int64 range.  A row is done when A or B
-    reaches formal degree -1, that is, is zero; the other one is then the
-    gcd with a nonzero lead, and the row is squarefree iff its degree is 0.
+    alone keeps a nonzero lead, as a step leaves alone only a polynomial
+    whose lead it found nonzero.  So deg A + deg B falls by one per step.
+    A row is done when A or B reaches formal degree -1, that is, is zero;
+    the other one is then the gcd with a nonzero lead, at its degree.
+
+    Int64 bound: a step takes |entries| <= bound to 2 (p - 1) bound, so a
+    and b are reduced mod p only when the next step could reach 2^63.
     """
-    _check_p(p)
-    rows = np.asarray(rows, dtype=np.int64) % p
-    deg = row_degrees(rows)
-    out = deg == 0
-    idx = np.flatnonzero(deg > 0)
-    if len(idx) == 0:
-        return out
-    da = deg[idx]
-    # column j holds the coefficient of x^(deg - j); f' at formal degree
-    # deg - 1 is then column-wise (deg - j) f_(deg - j)
-    expo = da[:, None] - np.arange(da.max() + 1)
-    a = np.where(expo >= 0, np.take_along_axis(rows[idx], np.maximum(expo, 0), axis=1), 0)
-    b = expo % p * a % p
-    db = da - 1
+    out = np.empty(len(a), dtype=np.int64)
+    idx = np.arange(len(a))
     bound = p - 1  # of |entries| of a and b
     combo, tmp = np.empty_like(a), np.empty_like(a)
-    while True:
+    while len(idx):
         live = (da >= 0) & (db >= 0)
-        done = ~live
-        if done.any():
-            out[idx[done]] = np.maximum(da, db)[done] == 0
+        if not live.all():
+            out[idx[~live]] = np.maximum(da, db)[~live]
             idx, a, b, da, db = idx[live], a[live], b[live], da[live], db[live]
             combo, tmp = np.empty_like(a), np.empty_like(a)
-            if not len(idx):
-                return out
+            continue
         width = int(max(da.max(), db.max())) + 1
         a, b, combo, tmp = a[:, :width], b[:, :width], combo[:, :width], tmp[:, :width]
         if 2 * (p - 1) * bound >= 2**63:
@@ -426,10 +434,112 @@ def squarefree_batch(rows, p):
         np.multiply(lead_a[:, None], b[:, 1:], out=t)
         c -= t
         bound *= 2 * (p - 1)
+        assert bound < 2**63
         for poly, deg_, mask in ((a, da, into_a), (b, db, ~into_a)):
             np.copyto(poly[:, :-1], c, where=mask[:, None])
             poly[mask, -1] = 0
             deg_ -= mask
+    return out
+
+
+def gcd_degrees(a, b, p):
+    """deg gcd(a, b) of each pair of rows of two arrays of residues mod p
+    (lowest degree first), -1 for two zero rows, as ``polys.gcd``: the
+    lockstep ``_eliminate`` with each row at its degree."""
+    _check_p(p)
+    da, db = row_degrees(a), row_degrees(b)
+    width = max(a.shape[1], b.shape[1])
+    return _eliminate(_lead_first(a, da, width)[0], da, _lead_first(b, db, width)[0], db, p)
+
+
+def squarefree_batch(rows, p):
+    """Squarefree test of every row of an (N, m) array of mod-p polynomial
+    coefficients (lowest degree first), as ``polys.is_squarefree_raw``:
+    zero is not squarefree, a nonzero constant is.
+
+    deg gcd(f, f') = 0 by ``_eliminate``, for all rows in lockstep on
+    int64, exact for p < MAX_P: f at its degree (a nonzero lead), and f'
+    at formal degree deg f - 1, column j of its lead-first row being
+    (deg - j) f_(deg - j).
+    """
+    _check_p(p)
+    rows = np.asarray(rows, dtype=np.int64) % p
+    deg = row_degrees(rows)
+    out = deg == 0
+    idx = np.flatnonzero(deg > 0)
+    if len(idx):
+        da = deg[idx]
+        a, expo = _lead_first(rows[idx], da, da.max() + 1)
+        out[idx] = _eliminate(a, da, expo % p * a % p, da - 1, p) == 0
+    return out
+
+
+def _remainder(a, f, p):
+    """a mod f for each row: a is (N, w), f is (N, n + 1) with monic rows
+    of degree n >= 1, both lowest degree first and residues mod p; the
+    remainders come back as (N, min(w, n)) residues.
+
+    This is the step of ``_eliminate`` with B = f held fixed: as lc(B) =
+    1, C = A - lc(A) x^k B drops the lead of A, one column a step, until
+    deg A < n, and the pseudo-remainder (Knuth, TAOCP vol. 2, 4.6.1) is
+    the remainder.  Int64 bound: a step adds at most (p - 1)^2 to
+    |entries|, so A is reduced only when the next step could reach 2^63,
+    every 128 steps at p near MAX_P.
+    """
+    n = f.shape[1] - 1
+    a = a[:, ::-1].copy()  # lead first at formal degree w - 1
+    spare = np.empty_like(a)
+    low = f[:, n - 1 :: -1]  # f_(n-1), ..., f_0
+    tmp = np.empty_like(low)
+    bound = p - 1  # of |entries| of a
+    while a.shape[1] > n:
+        if bound + (p - 1) ** 2 >= 2**63:
+            _reduce(a, p, spare[:, : a.shape[1]])
+            bound = p - 1
+        np.multiply(a[:, :1] % p, low, out=tmp)
+        a[:, 1 : n + 1] -= tmp
+        bound += (p - 1) ** 2
+        assert bound < 2**63
+        a = a[:, 1:]
+    return a[:, ::-1] % p
+
+
+def _inverse(x, p):
+    """x^(p - 2) mod p of an int64 array of residues: the inverse of each
+    nonzero one, and 0 for 0, by square-and-multiply on products below
+    p^2 < 2^63."""
+    out = np.ones_like(x)
+    for bit in bin(p - 2)[2:]:
+        out = out * out % p
+        if bit == "1":
+            out = out * x % p
+    return out
+
+
+def i1_certificate(p, coeff_arrays, moduli):
+    """The I1 certificate of ``curves`` for a batch of tuples b = (p2, p4,
+    q4, p6) and moduli Delta of one degree n >= 1: the four (N, k + 1)
+    arrays of b and the (N, n + 1) array of Delta, lowest degree first,
+    residues mod p.
+
+    Returns (ok, (s1, s0, Fh, dFh)): row i passes iff ok[i], and the four
+    arrays hold its tested values.  S1 = s1 x + s0 is the first
+    subresultant of (f, f') (``quartic.first_subresultant`` over
+    ``batch_ring``); the pair of units is gcd(s1 s0, Delta) = 1
+    (``gcd_degrees``); Fh and dFh are the remainders mod Delta of Fh(X, Z)
+    = Z^4 f(X/Z) and dFh/dX at (X, Z) = (-s0, s1) (``quartic.homogenized``
+    over F_p[t]/(Delta): ``_batched_polymul``, then ``_remainder`` mod the
+    monic Delta), the zero tests.
+    """
+    _check_p(p)
+    n = moduli.shape[1] - 1
+    monic = moduli * _inverse(moduli[:, n], p)[:, None] % p
+    mul, add, scale = batch_ring(p)
+    s1, s0 = first_subresultant(coeff_arrays, (mul, add, scale))
+    quotient = (lambda a, b: _remainder(mul(a, b), monic, p), add, scale)
+    fh, dfh = homogenized(coeff_arrays, (scale(-1, s0), s1), quotient)
+    ok = (gcd_degrees(mul(s1, s0), monic, p) == 0) & ~fh.any(axis=1) & ~dfh.any(axis=1)
+    return ok, (s1, s0, fh, dfh)
 
 
 def xd_box_filter(p, coeff_arrays):
@@ -451,67 +561,103 @@ def xd_box_filter(p, coeff_arrays):
 
 # -- Berlekamp's place count --
 
-
-def _rank_mod(a, p):
-    """Rank of an (n, n) int64 matrix of residues mod p by elimination.
-
-    Only the pivot row and the multipliers are reduced, so each step adds
-    less than (p - 1)^2 to an entry's size: exact while n (p - 1)^2 + p <
-    2^63, as ``berlekamp_nullity`` checks."""
-    a = a.copy()
-    rank = 0
-    for col in range(a.shape[1]):
-        column = a[rank:, col] % p
-        nz = np.flatnonzero(column)
-        if not len(nz):
-            continue
-        k = nz[0]
-        if k:
-            a[[rank, rank + k]] = a[[rank + k, rank]]
-            column[[0, k]] = column[[k, 0]]
-        pivot_row = a[rank, col + 1 :] % p
-        factors = column[1:] * pow(int(column[0]), -1, p) % p
-        a[rank + 1 :, col + 1 :] -= factors[:, None] * pivot_row
-        rank += 1
-    return rank
+# entries of one (rows, n, n) stack of Berlekamp's matrices, 256 KB of int64:
+# a minimal-models pass then peaks in its sampling, not here, and smaller
+# stacks are slower
+STACK = 2**15
 
 
-def berlekamp_nullity(coeffs, p):
-    """dim ker(Q - I) for f mod p given as an int list (lowest degree
-    first), 0 for a constant: the number of irreducible factors of a
-    squarefree f (Berlekamp, Bell Syst. Tech. J. 46, 1967).
+def _rank_stack(a, p):
+    """Ranks mod p of an (S, n, n) int64 stack of entries in (-p, p)
+    (overwritten), by lockstep Gauss-Jordan elimination: in each column
+    every stack takes one pivot, its first row not yet a pivot with a
+    nonzero entry, and subtracts multiples of it from every row.  The
+    pivot row itself goes to 0 mod p, but no pivot row is read again.
 
-    Column i of Q is x^(i p) mod f.  With C the companion matrix of monic
-    f (multiplication by x on 1, x, ..., x^(n-1)), C^p is multiplication
-    by x^p, so column i is (C^p)^i e_0; C^p comes by square-and-multiply
-    and the rank by elimination mod p, all on int64 with no float BLAS.
-    Each matrix product sums n products of residues: exact while
-    n (p - 1)^2 + p < 2^63, which is checked (p < MAX_P by ``_check_p``).
+    Only the pivot row and the multipliers are reduced, so a column adds
+    less than (p - 1)^2 to an entry's size: exact while n (p - 1)^2 + p
+    < 2^63, as ``berlekamp_nullity`` checks."""
+    s, n, _ = a.shape
+    assert n * (p - 1) ** 2 + p < 2**63
+    stacks = np.arange(s)
+    free = np.ones((s, n), dtype=bool)
+    for col in range(n):
+        column = a[:, :, col] % p
+        candidates = free & (column != 0)
+        found = candidates.any(axis=1)
+        pivot = np.argmax(candidates, axis=1)
+        factors = column * (_inverse(column[stacks, pivot], p) * found)[:, None] % p
+        a[:, :, col + 1 :] -= factors[:, :, None] * (a[stacks, pivot, col + 1 :] % p)[:, None, :]
+        free[stacks[found], pivot[found]] = False
+    return n - free.sum(axis=1)
+
+
+def _berlekamp_matrix(f, p):
+    """Q - I for each row of f, an (S, n + 1) array of residues mod p of
+    degree n >= 1 (lowest first), as an (S, n, n) stack of entries in
+    (-p, p).
+
+    Column i of Q is x^(i p) mod f.  x^p mod f comes by square-and-multiply
+    on the rows: a square is ``_batched_polymul`` and ``_remainder``, a
+    product by x a shift and one step of ``_remainder``.  Column j of C^p,
+    the matrix of multiplication by x^p on 1, x, ..., x^(n-1), is
+    x^(p + j) mod f, one more shift-and-reduce step each, and column i of
+    Q is C^p times column i - 1, one batched mat-vec each: n steps, not
+    O(p).  C^p is freed on return, before the elimination.
+    """
+    s, n = f.shape[0], f.shape[1] - 1
+    f = f * _inverse(f[:, n], p)[:, None] % p
+    zero = np.zeros((s, 1), dtype=np.int64)
+
+    def times_x(r):
+        return _remainder(np.concatenate((zero, r), axis=1), f, p)
+
+    r = np.ones((s, 1), dtype=np.int64)
+    for bit in bin(p)[2:]:
+        r = _remainder(_batched_polymul(r, r, p), f, p)
+        if bit == "1":
+            r = times_x(r)
+    cp = np.zeros((s, n, n), dtype=np.int64)
+    cp[:, : r.shape[1], 0] = r
+    for j in range(1, n):
+        cp[:, :, j] = times_x(cp[:, :, j - 1])
+    q = np.zeros_like(cp)
+    q[:, 0, 0] = 1
+    for i in range(1, n):
+        # n products of residues: below n (p - 1)^2
+        q[:, :, i] = np.matmul(cp, q[:, :, i - 1 : i])[:, :, 0] % p
+    q[:, np.arange(n), np.arange(n)] -= 1
+    return q
+
+
+def berlekamp_nullity(rows, p):
+    """dim ker(Q - I) of each row of an (N, m) array of mod-p polynomials
+    (lowest degree first), 0 for a constant: the number of irreducible
+    factors of a squarefree row (Berlekamp, Bell Syst. Tech. J. 46, 1967),
+    as an int64 array.
+
+    Rows are grouped by degree n and run in stacks of at most STACK // n^2
+    rows (``_berlekamp_matrix``, ``_rank_stack``), all on int64 with no
+    float BLAS.  A
+    mat-vec sums n products of residues, and the elimination adds less
+    than (p - 1)^2 to an entry per column: exact while n (p - 1)^2 + p <
+    2^63, which is checked at the largest degree before any product (p <
+    MAX_P by ``_check_p``).
     """
     _check_p(p)
-    f = np.trim_zeros(np.asarray(coeffs, dtype=np.int64) % p, "b")
-    n = len(f) - 1
-    if n < 1:
-        return 0
-    if n * (p - 1) ** 2 + p >= 2**63:
-        raise ValueError(f"degree {n} at p = {p} leaves the int64 range of Berlekamp's matrices")
-    f = f * pow(int(f[-1]), -1, p) % p
-    comp = np.zeros((n, n), dtype=np.int64)
-    comp[1:, :-1] = np.eye(n - 1, dtype=np.int64)
-    comp[:, -1] = -f[:-1] % p
-    step, e = np.eye(n, dtype=np.int64), p
-    while e:
-        if e & 1:
-            step = step @ comp % p
-        e >>= 1
-        if e:
-            comp = comp @ comp % p
-    q = np.zeros((n, n), dtype=np.int64)
-    q[0, 0] = 1
-    for i in range(1, n):
-        q[:, i] = step @ q[:, i - 1] % p
-    q[np.arange(n), np.arange(n)] -= 1
-    return n - _rank_mod(q % p, p)
+    rows = np.asarray(rows, dtype=np.int64) % p
+    deg = row_degrees(rows)
+    top = int(deg.max(initial=0))
+    if top * (p - 1) ** 2 + p >= 2**63:
+        raise ValueError(f"degree {top} at p = {p} leaves the int64 range of Berlekamp's matrices")
+    out = np.zeros(len(rows), dtype=np.int64)
+    for n in set(deg[deg > 0].tolist()):
+        idx = np.flatnonzero(deg == n)
+        size = max(1, STACK // n**2)
+        for lo in range(0, len(idx), size):
+            stack = idx[lo : lo + size]
+            out[stack] = n - _rank_stack(_berlekamp_matrix(rows[stack, : n + 1], p), p)
+    return out
 
 
 # -- int-list entry points into the polynomial layer of polys --

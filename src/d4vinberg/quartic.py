@@ -9,8 +9,9 @@ normalization 27 Delta = 4 I^3 - J^2 of Cremona (2001) and Bhargava-Shankar
 scale)`` ring triple, valid in every characteristic: ints, ``MPoly``, field
 elements, F_q[t] and F_q(t) through Python's operators (``quartic_disc``),
 and the numpy representations of ``numkernels``.  The root of the first
-subresultant S1 = s1 x + s0 of (f, f') (``first_subresultant``, over
-Python's operators) is the double root of f where Delta vanishes.  Over
+subresultant S1 = s1 x + s0 of (f, f') (``first_subresultant``) is the
+double root of f where Delta vanishes, and ``homogenized`` gives Z^4 f(X/Z)
+and its X-partial; both are programs over the same rings.  Over
 first-order jets (``numkernels``) the program also gives grad Delta.
 ``disc_univariate`` is the discriminant of any univariate polynomial over
 a field, from Res(f, f'); the expanded Delta and the classical invariants
@@ -70,9 +71,10 @@ def delta(b, ring=PY_RING):
     )
 
 
-def first_subresultant(b):
-    """(s1, s0) with S1 = s1 x + s0 the first subresultant of (f, f'), over
-    Python's operators (eleven products):
+def first_subresultant(b, ring):
+    """(s1, s0) with S1 = s1 x + s0 the first subresultant of (f, f'), as
+    a division-free program of eleven products over a ``(mul, add,
+    scale)`` ring, like ``delta``:
 
         s1 = 2 (a^2 (3ac - bb + 6d) + b (4bb - 14ac - 16d) + 18c^2)
         s0 = c (4bb - 3ac - a^2 b + 48d) + ad (9a^2 - 32b)
@@ -82,12 +84,43 @@ def first_subresultant(b):
     and x^0.  Where Res(f, f') = 0 and s1 != 0, gcd(f, f') is S1 up to a
     unit, so x0 = -s0/s1 is the one double root of f.
     """
+    mul = ring[0]
     p2, p4, q4, p6 = b
-    d = q4 * q4
-    aa, ac, bb = p2 * p2, p2 * p6, p4 * p4
-    s1 = 2 * (aa * (3 * ac - bb + 6 * d) + p4 * (4 * bb - 14 * ac - 16 * d) + 18 * (p6 * p6))
-    s0 = p6 * (4 * bb - 3 * ac - aa * p4 + 48 * d) + p2 * d * (9 * aa - 32 * p4)
+    d, aa, ac, bb = mul(q4, q4), mul(p2, p2), mul(p2, p6), mul(p4, p4)
+    s1 = _lin(
+        ring,
+        (2, mul(aa, _lin(ring, (3, ac), (-1, bb), (6, d)))),
+        (2, mul(p4, _lin(ring, (4, bb), (-14, ac), (-16, d)))),
+        (36, mul(p6, p6)),
+    )
+    s0 = _lin(
+        ring,
+        (1, mul(p6, _lin(ring, (4, bb), (-3, ac), (-1, mul(aa, p4)), (48, d)))),
+        (1, mul(mul(p2, d), _lin(ring, (9, aa), (-32, p4)))),
+    )
     return s1, s0
+
+
+def homogenized(b, point, ring):
+    """(Fh, dFh/dX) at point = (X, Z), with Fh(X, Z) = Z^4 f(X/Z), as a
+    division-free program of thirteen products over a ring:
+
+        Fh = X^2 (X^2 + p2 XZ + p4 Z^2) + Z^3 (p6 X + q4^2 Z)
+        dFh/dX = X (4 X^2 + 3 p2 XZ + 2 p4 Z^2) + p6 Z^3
+    """
+    mul = ring[0]
+    p2, p4, q4, p6 = b
+    x, z = point
+    xx, zz = mul(x, x), mul(z, z)
+    z3 = mul(zz, z)
+    p2xz, p4zz = mul(p2, mul(x, z)), mul(p4, zz)
+    fh = _lin(
+        ring,
+        (1, mul(xx, _lin(ring, (1, xx), (1, p2xz), (1, p4zz)))),
+        (1, mul(z3, _lin(ring, (1, mul(p6, x)), (1, mul(mul(q4, q4), z))))),
+    )
+    dfh = _lin(ring, (1, mul(x, _lin(ring, (4, xx), (3, p2xz), (2, p4zz)))), (1, mul(p6, z3)))
+    return fh, dfh
 
 
 def weierstrass(b, ring=PY_RING):

@@ -23,14 +23,16 @@ slower way, and serve only as the reference of the differential tests:
 - the cusp-table tail bounds by the dict product of ``QPowerSum``s
   (``tail_bound_by_dicts``), term order included, against which the dense
   shifted-slice product ``hnweights._axis_product`` is checked;
-- the I1 certificate in affine form, x0 = -s0/s1 by an inverse mod Delta
-  (``certify_i1_by_inverse``), against which the projective form
-  ``curves._certify_i1`` is checked, and the coefficient reversal
-  x^k p(1/x) (``reversed_poly``) that moves a tuple to the chart at
-  infinity;
-- X_D membership one tuple at a time, on the boxed Delta (``disc_poly``)
-  and the boxed squarefree test (``xd_membership_by_row``), against
-  which the block form ``curves.xd_membership`` is checked.
+- the I1 certificate of one tuple on boxed ``Poly``s (``certify_i1_by_row``),
+  against which the block certificate ``curves._certify_i1_block`` is
+  checked; the same certificate in affine form, x0 = -s0/s1 by an inverse
+  mod Delta (``certify_i1_by_inverse``), against which the projective
+  form is checked; and the coefficient reversal x^k p(1/x)
+  (``reversed_poly``) that moves a tuple to the chart at infinity;
+- X_D membership one tuple at a time, on the boxed Delta (``disc_poly``),
+  the boxed squarefree test, the row certificate and the number of
+  factors of ``polys.factor`` (``xd_membership_by_row``), against which
+  the block form ``curves.xd_membership`` is checked.
 """
 
 from fractions import Fraction
@@ -40,12 +42,12 @@ from itertools import permutations
 import numpy as np
 
 from d4vinberg import linalg, numkernels, polys
-from d4vinberg.curves import WEIGHTS, XDMembership, _as_polys, _certify_i1
+from d4vinberg.curves import WEIGHTS, XDMembership, _as_polys
 from d4vinberg.hnweights import CUSP_TABLE, QPowerSum
 from d4vinberg.invariants import _slice_relation
 from d4vinberg.liealg import V_ENTRIES
 from d4vinberg.linalg import mat_mul, newton_even, trace, trace_prod
-from d4vinberg.multipoly import MPoly
+from d4vinberg.multipoly import PY_RING, MPoly
 from d4vinberg.polys import Poly, xgcd_raw
 from d4vinberg.quartic import delta, first_subresultant, quartic_disc
 from d4vinberg.rng import det_rng
@@ -531,33 +533,57 @@ def reversed_poly(p, at_degree):
     return Poly(p.field, [p[at_degree - i] for i in range(at_degree + 1)])
 
 
+def _check(name, value, unit, delta):
+    """value is a unit of F_q[t]/(Delta) (unit) or zero in it (not unit),
+    else AssertionError naming the test and gcd(value, Delta)."""
+    if not unit and (value % delta).is_zero():
+        return
+    g = polys.gcd(value, delta)
+    if g.degree != (0 if unit else delta.degree):
+        raise AssertionError(f"{name} fails: gcd with Delta {g.to_str()}")
+
+
+def certify_i1_by_row(b, delta):
+    """The I1 certificate of ``curves._certify_i1_block`` for one tuple b
+    and its Delta, on boxed Polys: gcd(s1 s0, Delta) = 1 (s1 and s0 one by
+    one only when it fails), then Fh = Z^4 f(x0) and dFh/dX = Z^3 f'(x0)
+    at (X, Z) = (-s0, s1), each a remainder mod Delta, with the squares
+    and the cube of X and Z reduced mod Delta first.  A failed test raises
+    AssertionError naming it and gcd(value, Delta)."""
+    if delta.degree < 1:
+        return
+    p2, p4, q4, p6 = b
+    s1, s0 = first_subresultant(b, PY_RING)
+    if polys.gcd(s1 * s0, delta).degree:
+        _check("s1 unit", s1, True, delta)
+        _check("x0 unit", s0, True, delta)
+    x, z = -s0, s1
+    xx, xz, zz = x * x % delta, x * z % delta, z * z % delta
+    z3 = zz * z % delta
+    fh = xx * (xx + p2 * xz + p4 * zz) + z3 * (p6 * x + q4 * q4 * z)
+    _check("f(x0) = 0", fh, False, delta)
+    _check("f'(x0) = 0", x * (4 * xx + 3 * p2 * xz + 2 * p4 * zz) + p6 * z3, False, delta)
+
+
 def certify_i1_by_inverse(b, delta):
-    """``curves._certify_i1`` in affine form: one xgcd of s1 s0 with Delta
+    """``certify_i1_by_row`` in affine form: one xgcd of s1 s0 with Delta
     gives w = 1/(s1 s0), so x0 = -s0^2 w, and f(x0), f'(x0) are tested
     as zeros mod Delta.  The same tests, in the same order, raise the
     same AssertionError messages."""
     if delta.degree < 1:
         return
-
-    def check(name, value, unit):
-        if not unit and (value % delta).is_zero():
-            return
-        g = polys.gcd(value, delta)
-        if g.degree != (0 if unit else delta.degree):
-            raise AssertionError(f"{name} fails: gcd with Delta {g.to_str()}")
-
     p2, p4, q4, p6 = b
-    s1, s0 = first_subresultant(b)
+    s1, s0 = first_subresultant(b, PY_RING)
     field = delta.field
     g, w, _ = (Poly._of(field, v) for v in xgcd_raw(field, (s1 * s0).vals, delta.vals))
     if g.degree:
-        check("s1 unit", s1, True)
-        check("x0 unit", s0, True)
+        _check("s1 unit", s1, True, delta)
+        _check("x0 unit", s0, True, delta)
     x0 = -s0 * s0 * w % delta
     xx = x0 * x0 % delta
     x3 = xx * x0 % delta
-    check("f(x0) = 0", xx * xx + p2 * x3 + p4 * xx + p6 * x0 + q4 * q4, False)
-    check("f'(x0) = 0", 4 * x3 + 3 * p2 * xx + 2 * p4 * x0 + p6, False)
+    _check("f(x0) = 0", xx * xx + p2 * x3 + p4 * xx + p6 * x0 + q4 * q4, False, delta)
+    _check("f'(x0) = 0", 4 * x3 + 3 * p2 * xx + 2 * p4 * x0 + p6, False, delta)
 
 
 # -- X_D membership, one tuple at a time --
@@ -570,7 +596,8 @@ def disc_poly(field, b):
 
 def xd_membership_by_row(field, b, d):
     """``curves.xd_membership`` of the one tuple b, on the boxed Delta and
-    the boxed squarefree test: a non-member returns right after them."""
+    the boxed squarefree test (a non-member returns right after them),
+    ``certify_i1_by_row`` and the factors of ``polys.factor``."""
     if field.order != field.char:
         raise ValueError("X_D membership implemented for prime fields")
     b = _as_polys(field, b)
@@ -581,9 +608,9 @@ def xd_membership_by_row(field, b, d):
     ord_inf = None if delta.is_zero() else 24 * d - delta.degree
     if ord_inf is None or ord_inf > 1 or not polys.is_squarefree(delta):
         return XDMembership(False, None, ord_inf, delta)
-    _certify_i1(b, delta)
+    certify_i1_by_row(b, delta)
     if ord_inf:
         top = tuple(Poly.const(field, p[k]) for p, k in zip(b, bounds))
-        _certify_i1(top, Poly.x(field))
-    bad = numkernels.berlekamp_nullity(delta.vals, field.char) + ord_inf
+        certify_i1_by_row(top, Poly.x(field))
+    bad = len(polys.factor(delta)) + ord_inf
     return XDMembership(True, bad, ord_inf, delta)

@@ -113,6 +113,16 @@ def test_a_bad_config_file_is_a_failed_report(tmp_path, capsys, text, kind, mess
     assert message in data["failure"]["message"]
 
 
+@pytest.mark.parametrize("line, key", [("p = abc", "p"), ("n-samples = 1e3", "n_samples")])
+def test_a_non_integer_config_value_names_its_key(tmp_path, capsys, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out = run_cli(["geography", "--config", str(cfg)], capsys)
+    assert code == 1
+    message = json.loads(out)["failure"]["message"]
+    assert message.startswith(f"config key '{key}': invalid literal for int()")
+
+
 def test_densities_oracle_flag(capsys):
     code, out = run_cli(
         ["densities", "--p", "5", "--d", "0", "--n-samples", "0", "--oracle"], capsys

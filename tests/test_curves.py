@@ -12,7 +12,7 @@ from d4vinberg.curves import (
     WEIGHTS,
     MinimalData,
     PointedCurve,
-    _certify_i1,
+    _certify_i1_block,
     curve_group,
     in_xd_fast,
     kodaira_of_reduction,
@@ -34,6 +34,7 @@ from d4vinberg.multipoly import MPoly
 from d4vinberg.polys import Poly
 from d4vinberg.quartic import quartic_disc, quartic_poly, weierstrass
 from d4vinberg.rng import det_rng
+from oracles import certify_i1_by_row as _certify_i1
 from oracles import (
     certify_i1_by_inverse,
     disc_poly,
@@ -750,6 +751,79 @@ def test_i1_certificate_agrees_with_the_inverse_form(coeffs, c, i, j):
         assert _certificate_outcome(_certify_i1, b, modulus) == _certificate_outcome(
             certify_i1_by_inverse, b, modulus
         )
+
+
+def _block_outcome_of_pairs(certify, field, pairs):
+    """None if every pair passes, else the message of the first failure."""
+    try:
+        certify(field, pairs)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def _pairs_by_row(field, pairs):
+    for b, modulus in pairs:
+        _certify_i1(b, modulus)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([5, 7]),
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 6), min_size=12, max_size=12),
+            st.integers(0, 99),
+            st.integers(0, 99),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_block_certificate_fails_as_the_row_oracle(p, rows):
+    # blocks of pairs (b, modulus) with moduli of mixed degrees: a place
+    # of Delta, Delta itself, a product of two places of Delta and t + 1
+    # (a square when they are equal), and a constant; the block passes iff
+    # every pair passes the row certificate, or raises the message of the
+    # first pair that fails
+    field = GF(p)
+    t = Poly.x(field)
+    pairs = []
+    for coeffs, i, j in rows:
+        b = tuple(Poly(field, [c % p for c in coeffs[3 * k : 3 * k + 3]]) for k in range(4))
+        delta = disc_poly(field, b)
+        places = [g for g, _ in polys.factor(delta)] if delta.degree >= 1 else []
+        both = places + [t + 1]
+        moduli = [delta, both[i % len(both)] * both[j % len(both)], Poly.const(field, 2)]
+        pairs.append((b, moduli[i % 3] if delta.degree >= 1 else moduli[1]))
+    assert _block_outcome_of_pairs(_certify_i1_block, field, pairs) == _block_outcome_of_pairs(
+        _pairs_by_row, field, pairs
+    )
+
+
+def test_block_certificate_gives_the_pinned_messages():
+    # the pinned failures of the row certificate, in one block with a
+    # passing member between them: the block raises each one's message
+    # when it comes first
+    field = GF(5)
+    t = Poly.x(field)
+    one = Poly.const(field, field.one)
+    member = sample_xd(field, 1, 1, seed=3)[0]
+    cases = [
+        ((t + 3, t, t + 2, t + 2), t, "s1 unit", "0,1"),
+        ((one * 2, t + 2, t, t * 3), t, "x0 unit", "0,1"),
+        (tuple(Poly(field, c) for c in ([1, 2], [2, 2], [4, 2], [2, 3])), t, "f(x0) = 0", "1"),
+        (tuple(Poly(field, c) for c in ([2, 3], [4, 3], [1, 3], [2])), t + 1, "f'(x0) = 0", "1"),
+        (tuple(Poly.const(field, field.elem(c)) for c in (0, 0, 1, 1)), t, "f(x0) = 0", "1"),
+        (tuple(Poly.const(field, field.elem(c)) for c in (0, 2, 1, 1)), t, "f'(x0) = 0", "1"),
+    ]
+    passing = (member, disc_poly(field, member))
+    _certify_i1_block(field, [passing])
+    for k, (_, _, test, gcd) in enumerate(cases):
+        later = [(b, modulus) for b, modulus, _, _ in cases[k:]]
+        with pytest.raises(AssertionError) as error:
+            _certify_i1_block(field, [passing] + later)
+        assert str(error.value) == f"{test} fails: gcd with Delta {gcd}"
 
 
 def test_hessian_identity_behind_the_certificate():

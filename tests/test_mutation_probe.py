@@ -32,10 +32,11 @@ def test_decorator_arguments_are_no_sites():
 def test_undecorated_sites_are_unchanged():
     # without decorators or a return annotation, the walk is ast.walk of
     # the whole definition less the definition itself, in the same order
-    tree, func = _function("curves.py", "_certify_i1")
+    tree, func = _function("numkernels.py", "_remainder")
     assert not func.decorator_list and func.returns is None
     assert probe.function_nodes(func) == list(ast.walk(func))[1:]
     sites = probe.mutation_sites(func)
-    assert len(sites) == 39
-    mutants = [probe.mutate(tree, "_certify_i1", site)[1] for site in sites]
-    assert ("s1 * s0", "s1 + s0") in {(before, after) for _, before, after in mutants}
+    assert len(sites) == 41
+    mutants = [probe.mutate(tree, "_remainder", site)[1] for site in sites]
+    pairs = {(before, after) for _, before, after in mutants}
+    assert ("a[:, ::-1] % p", "a[:, ::-1] // p") in pairs

@@ -1,11 +1,14 @@
-from d4vinberg import polys
+import numpy as np
+
+from d4vinberg import numkernels, polys
 from d4vinberg.fields import GF, extension_of
-from d4vinberg.multipoly import MPoly
+from d4vinberg.multipoly import PY_RING, MPoly
 from d4vinberg.polys import Poly, find_irreducible
 from d4vinberg.quartic import (
     delta,
     disc_univariate,
     first_subresultant,
+    homogenized,
     quartic_disc,
     quartic_poly,
     weierstrass,
@@ -94,7 +97,7 @@ def test_first_subresultant_is_the_sylvester_minors():
     rows = [f + [zero], [zero] + f]
     rows += [[zero] * k + df + [zero] * (2 - k) for k in range(3)]
     s1, s0 = (det_mpoly([r[:4] + [r[col]] for r in rows]) for col in (4, 5))
-    assert first_subresultant(_variables()) == (s1, s0)
+    assert first_subresultant(_variables(), PY_RING) == (s1, s0)
 
 
 def test_first_subresultant_root_is_the_double_root():
@@ -104,13 +107,35 @@ def test_first_subresultant_root_is_the_double_root():
     seen = 0
     while seen < 20:
         b = tuple(field.random(rng) for _ in range(4))
-        s1, s0 = first_subresultant(b)
+        s1, s0 = first_subresultant(b, PY_RING)
         if quartic_disc(b) or not s1:
             continue
         f = quartic_poly(field, b)
         g = polys.gcd(f, f.derivative())
         assert g.degree == 1 and -g[0] == -s0 * s1.inverse()
         seen += 1
+
+
+def test_homogenized_is_z4_f_of_x_over_z():
+    # Fh(X, Z) = X^4 + p2 X^3 Z + p4 X^2 Z^2 + p6 X Z^3 + q4^2 Z^4
+    p2, p4, q4, p6, x, z = (MPoly.var(6, i) for i in range(6))
+    fh = x**4 + p2 * x**3 * z + p4 * x * x * z * z + p6 * x * z**3 + q4 * q4 * z**4
+    dfh = 4 * x**3 + 3 * p2 * x * x * z + 2 * p4 * x * z * z + p6 * z**3
+    assert homogenized((p2, p4, q4, p6), (x, z), PY_RING) == (fh, dfh)
+
+
+def test_first_subresultant_over_polynomial_batches():
+    # the program over numkernels.batch_ring, row by row the one over Polys
+    p = 7
+    field = GF(p)
+    rng = det_rng(4, "subresultant-batch")
+    arrays = [rng.integers(0, p, size=(6, 2 * w + 1), dtype=np.int64) for w in (1, 2, 2, 3)]
+    arrays[2][0] = 0  # a zero q4
+    got = first_subresultant(arrays, numkernels.batch_ring(p))
+    for i in range(6):
+        b = tuple(Poly(field, a[i].tolist()) for a in arrays)
+        for row, want in zip(got, first_subresultant(b, PY_RING)):
+            assert Poly(field, row[i].tolist()) == want
 
 
 def test_disc_over_polynomial_ring():

@@ -181,7 +181,7 @@ def _required_reductions(p, steps):
     return count
 
 
-@pytest.mark.parametrize("p", [5, P_GUARD])
+@pytest.mark.parametrize("p", [5, P_GUARD, 32749])
 def test_squarefree_batch_reduces_where_the_int64_bound_requires(monkeypatch, p):
     # rows of degree 23, at least one squarefree, take 2 * 23 eliminations:
     # each lowers deg A + deg B (2 * 23 - 1 at the start) by one, down to -1
@@ -189,7 +189,8 @@ def test_squarefree_batch_reduces_where_the_int64_bound_requires(monkeypatch, p)
     # 2 (p - 1)^2 and a second would give 4 (p - 1)^3, in [2^63, 2^64), so
     # a guard at 2^64, or a bound grown by p - 1 per step, reduces every
     # other step; at p = 5 a bound grown by 2 (p - 2) per step reduces after
-    # 23 steps, not 20 (4 * 8^23 > 2^63)
+    # 23 steps, not 20 (4 * 8^23 > 2^63); at p = 32749 a guard of
+    # 3 (p - 1) bound would reduce after one step, not two (22 times, not 15)
     calls = []
     reduce = numkernels._reduce
 
@@ -206,3 +207,28 @@ def test_squarefree_batch_reduces_where_the_int64_bound_requires(monkeypatch, p)
     assert numkernels.squarefree_batch(rows, p).tolist() == want
     # a and b are reduced together
     assert len(calls) == 2 * _required_reductions(p, 2 * 23) > 0
+
+
+@pytest.mark.parametrize("degree", [9, 18])
+def test_gcd_degrees_reduce_where_the_int64_bound_requires(monkeypatch, degree):
+    # pairs of degree (k, k), one of them coprime, take 2k + 1
+    # eliminations at p = 5: the stated bound first reduces at step 21,
+    # so never in 19 steps and once in 37; a bound grown by 3 (p - 1) or
+    # 2 (p + 1) a step would reduce at step 18 already
+    calls = []
+    reduce = numkernels._reduce
+
+    def spy(x, p_, tmp):
+        calls.append(p_)
+        reduce(x, p_, tmp)
+
+    monkeypatch.setattr(numkernels, "_reduce", spy)
+    p = 5
+    rng = det_rng(degree, "gcd-guard")
+    a, b = rng.integers(0, p, size=(2, 6, degree + 1), dtype=np.int64)
+    a[:, -1], b[:, -1] = 1, 2
+    field = GF(p)
+    want = [len(polys.gcd_raw(field, x, y)) - 1 for x, y in zip(a.tolist(), b.tolist())]
+    assert 0 in want
+    assert numkernels.gcd_degrees(a, b, p).tolist() == want
+    assert len(calls) == 2 * _required_reductions(p, 2 * degree + 1) == 2 * (degree > 9)

@@ -2,7 +2,7 @@
 subset fail to kill?
 
     python tools/mutation_probe.py src/d4vinberg/curves.py \\
-        _certify_i1,PointedCurve._third tests/test_curves.py -k certificate
+        _certify_i1_block,PointedCurve._third tests/test_curves.py -k certificate
 
 The first argument is a module of the tree, the second a comma-separated
 list of functions in it (methods as Class.method), and the rest are
