@@ -120,9 +120,6 @@ class PointedCurve:
     def neg(self, p):
         return self._third(p, self._oo)
 
-    def sub(self, p1, p2):
-        return self.add(p1, self.neg(p2))
-
     def mul(self, n, p):
         """n p by double-and-add from the top bit of |n|."""
         if n < 0:

@@ -52,11 +52,10 @@ def alpha_v(q_v: int) -> Fraction:
     up to 64 it runs over index tables.  The result is checked against the
     closed form (hard failure on mismatch).
     """
-    p = _char_of(q_v)
-    if q_v == p:
+    p, m = _prime_power(q_v)
+    if m == 1:
         num = numkernels.alpha_lift_prime(p)
     elif q_v <= 64:
-        m = _degree_of(q_v, p)
         n0, n2 = numkernels.alpha_counts_table(GF(p, m))
         num = (n0 - n2) * q_v**3 + n2 * q_v**4
     else:
@@ -68,25 +67,22 @@ def alpha_v(q_v: int) -> Fraction:
 
 def alpha_bruteforce(q_v: int) -> Fraction:
     """Exhaustive q_v^8 oracle (prime q_v only; q_v <= 7 is comfortable)."""
-    p = _char_of(q_v)
-    if q_v != p:
+    if _prime_power(q_v)[1] != 1:
         raise ValueError("brute force oracle implemented for prime q_v")
-    return Fraction(numkernels.alpha_brute_prime(p), q_v**8)
+    return Fraction(numkernels.alpha_brute_prime(q_v), q_v**8)
 
 
-def _char_of(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            return p
-    raise ValueError
-
-
-def _degree_of(q, p):
-    m = 0
-    while q > 1:
-        q //= p
+def _prime_power(q):
+    """(p, m) with q = p^m for a prime p and m >= 1; a ValueError naming q
+    otherwise."""
+    p = next((d for d in range(2, q + 1) if q % d == 0), None)  # least prime factor
+    m, rest = 0, q
+    while p and rest % p == 0:
+        rest //= p
         m += 1
-    return m
+    if p is None or rest != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    return p, m
 
 
 def so4_count_formula(q: int) -> int:
@@ -107,7 +103,7 @@ def so4_count_bruteforce(q: int) -> int:
     import numpy as np
 
     p = q
-    if _char_of(q) != q:
+    if _prime_power(q)[1] != 1:
         raise ValueError("oracle restricted to prime q")
     rng = np.arange(q, dtype=np.int64)
     vecs = np.stack(
@@ -186,10 +182,9 @@ def beta_v(q_v: int, mc: tuple = None) -> DensityReport:
     mc_data = None
     if mc is not None:
         n, seed = mc
-        p = _char_of(q_v)
-        if q_v != p:
+        if _prime_power(q_v)[1] != 1:
             raise ValueError("Monte Carlo beta implemented for prime q_v")
-        hits = numkernels.beta_mc_prime(p, n, seed)
+        hits = numkernels.beta_mc_prime(q_v, n, seed)
         mean = hits / n
         stderr = sqrt(max(mean * (1 - mean), 1e-12) / n)
         dev = abs(mean - float(beta))

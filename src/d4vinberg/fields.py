@@ -203,16 +203,6 @@ class Field:
                     r[j] = sub(r[j], mul(c, y))
         return q, trim(r[:db], z)
 
-    def sqrt(self, a):
-        """A square root of a, or None.  Deterministic: the first root in
-        enumeration order (prime fields: the smallest int value)."""
-        a = self.elem(a)
-        if not a:
-            return self.zero
-        if self.chi(a) != 1:
-            return None
-        return next(x for x in self if x * x == a)
-
 
 class PrimeField(Field):
     """F_p for an odd prime p >= 5; element values are ints in [0, p)."""

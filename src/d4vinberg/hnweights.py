@@ -238,7 +238,6 @@ def clifford_h0(split_degrees, twist):
     subtraction is applied piecewise, which is the form the orbit-count
     argument uses; the single-piece statement follows).
     """
-    gx = 0
     degs = sorted(split_degrees, reverse=True)
     n = len(degs)
     h0 = sum(max(0, e + twist + 1) for e in degs)
@@ -250,15 +249,14 @@ def clifford_h0(split_degrees, twist):
             pieces[-1][1] += 1
         else:
             pieces.append([e, 1])
-    # semistable bound per piece
+    # semistable bound per piece; on P^1, g = 0, so h0 = rank (1 - g + mu)
+    # above mu = 2g - 2 = -2, and the band 0 <= mu <= 2g - 2 is empty
     for e, rank in pieces:
         mu = e + twist
         piece_h0 = rank * max(0, mu + 1)
         if mu < 0 and piece_h0 != 0:
             ok = False
-        if 0 <= mu <= 2 * gx - 2:
-            ok = False  # empty band on P^1
-        if mu > 2 * gx - 2 and piece_h0 != rank * (1 - gx + mu):
+        if mu > -2 and piece_h0 != rank * (1 + mu):
             ok = False
     # slope-zero refinement, when applicable
     total_deg = sum(degs)
@@ -268,15 +266,10 @@ def clifford_h0(split_degrees, twist):
         bound = n * (1 + twist) - sum(r * (1 + e + twist) for e, r in neg)
         if h0 > bound:
             ok = False
-        if twist + q0_low < 0:
-            # the sub-bundle of negative twisted slope has no sections
-            if any(r * max(0, e + twist + 1) for e, r in neg):
-                ok = False
-            if h0 > bound:
-                ok = False
-        if twist + q0_low > 2 * gx - 2 and h0 != n * (1 - gx + twist):
+        # the sub-bundle of negative twisted slope has no sections
+        if twist + q0_low < 0 and any(r * max(0, e + twist + 1) for e, r in neg):
             ok = False
-        if 0 <= twist + q0_low <= 2 * gx - 2 and h0 > n * (1 + twist):
+        if twist + q0_low > -2 and h0 != n * (1 + twist):
             ok = False
     return h0, ok
 

@@ -4,11 +4,10 @@ The four invariants (p2, p4, q4, p6) of v are primitive conjugation
 invariants of the 8x8 matrix view: the even characteristic polynomial
 coefficients c2, c4, c6 and the Pfaffian of Psi*v, so pi(v) = (c2, c4, Pf,
 c6) (for the stable grading, Thorne, Algebra & Number Theory 7, 2013).
-``primitives`` computes them once, from the 4x4 blocks X, Y of v = [[0, X],
-[Y, 0]] that ``liealg.v_blocks`` gathers from the 16 weight coordinates,
-through the ring-generic routines of ``linalg`` (c2, c4, c6 from M = XY,
-Pf = det X by ``det4``), for a VElem and the symbolic MPoly coordinates of
-the Kostant and slice charts; ``numkernels`` does the same on numpy blocks.
+``liealg.primitives`` computes them once, from the 4x4 blocks X, Y of
+v = [[0, X], [Y, 0]], for a VElem and for the symbolic MPoly coordinates of
+the Kostant and slice charts; ``pi`` and ``_chart_primitives`` call it, and
+``numkernels`` does the same on numpy blocks.
 The points of the charts, symbolic or at field values, come from one
 coordinate-wise pass, ``_chart_coords``.
 
@@ -45,7 +44,7 @@ from .liealg import (
     TorusGen,
     V_BASIS,
     WEIGHT_EVEC,
-    v_blocks,
+    primitives,
 )
 from .multipoly import MPoly
 from .quartic import quartic_disc
@@ -58,23 +57,6 @@ MIN_LIE_CHAR = 23  # standing hypothesis for the section/slice machinery
 #     p6 = u6 c6 + u7 c2 c4 + u8 c2^3 + u9 c2 Pf,
 # in which pi = (c2, c4, Pf, c6) is the unit.
 CALIBRATION_U = (1, 1, 1, 0, 0, 1, 0, 0, 0)
-
-
-def primitives(ctx: D4Context, v):
-    """(c2, c4, pf, c6) of v; valid for any p >= 5.
-
-    v is a VElem, or its 16 weight coordinates in any commutative ring over
-    ctx.field (the symbolic charts pass MPolys).  On (EVEN, ODD) its matrix
-    is [[0, X], [Y, 0]], with X and Y gathered from the coordinates by
-    ``liealg.v_blocks`` (no 8x8 matrix is built), so c2, c4, c6 come from
-    the two 4x4 products of ``linalg.block_even_coeffs``.  Psi permutes
-    rows by IOTA, which permutes EVEN evenly, so the antisymmetric Psi v is
-    [[0, X'], [-X'^T, 0]] with det X' = det X; the reordering to (EVEN, ODD)
-    is even too, so Pf(Psi v) = det X (``linalg.det4``, 30 products).
-    """
-    x, y = v_blocks(v.coords if isinstance(v, VElem) else v)
-    c2, c4, c6 = linalg.block_even_coeffs(x, y, ctx.field.char)
-    return c2, c4, linalg.det4(x), c6
 
 
 class Invariants:

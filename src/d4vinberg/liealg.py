@@ -18,14 +18,16 @@ X v X = 0 on V, so exp(c X) acts as v + c[X, v] (``G_ROOT_MOVES``, read off
 ``BRACKETS``); the Klein group permutes the e_s with signs
 (``W0_MOVES``); and ``BLOCK_GATHER`` fills the blocks X, Y of v = [[0, X],
 [Y, 0]] on the positions (EVEN, ODD) of theta.  No 8x8 matrix is built:
-``classify`` decides semisimplicity on X, Y and the 4x4 products XY, YX.
+``primitives``, the one computation of pi(v) = (c2, c4, Pf, c6), works on
+X and Y, ``char_quartic`` reads its coefficients off pi, and ``classify``
+decides semisimplicity on X, Y and the 4x4 products XY, YX.
 A D4Context holds the field-dependent rest and is safe to share.
 pi_1(G) is read off the pairings <coroot, alpha_i>, the coroot coordinates
 in the fundamental-coweight basis of X_*(T).
 """
 
 from . import linalg
-from .fields import split_top
+from .fields import FElem, PrimeField, split_top
 from .quartic import disc_univariate
 from .polys import Poly, gcd
 
@@ -375,6 +377,35 @@ class VElem:
         return f"VElem({self.serialize()})"
 
 
+def primitives(ctx, v):
+    """(c2, c4, pf, c6) of v, the invariant map pi; valid for any p >= 5.
+
+    v is a VElem, or its 16 weight coordinates in any commutative ring over
+    ctx.field (the symbolic charts of ``invariants`` pass MPolys).  On
+    (EVEN, ODD) its matrix is [[0, X], [Y, 0]], with X and Y gathered by
+    ``v_blocks`` (no 8x8 matrix is built), so c2, c4, c6 come from the two
+    4x4 products of ``linalg.block_even_coeffs``.  Psi permutes rows by
+    IOTA, which permutes EVEN evenly, so the antisymmetric Psi v is
+    [[0, X'], [-X'^T, 0]] with det X' = det X; the reordering to (EVEN, ODD)
+    is even too, so Pf(Psi v) = det X (``linalg.det4``, 30 products).
+
+    A VElem over a PrimeField is unboxed here, once: its coordinates become
+    Python ints (an FElem may hold an np.int64, whose unreduced sums would
+    overflow), the blocks run on them, and the four results are reduced mod
+    p and boxed.  Every other input uses the operators of its entries.
+    """
+    field = ctx.field
+    prime = isinstance(v, VElem) and type(field) is PrimeField
+    if prime:
+        coords = [int(c.val) for c in v.coords]
+    else:
+        coords = v.coords if isinstance(v, VElem) else v
+    x, y = v_blocks(coords)
+    c2, c4, c6 = linalg.block_even_coeffs(x, y, field.char)
+    out = c2, c4, linalg.det4(x), c6
+    return tuple(FElem(field, c % field.p) for c in out) if prime else out
+
+
 class TorusGen:
     """Element of the adjoint torus T(k) = Hom(root lattice, k^x), stored by
     its values on the H-simple roots (alpha_1..alpha_4)."""
@@ -505,13 +536,9 @@ class D4Context:
         return len(basis) - linalg.rank(self.field, mat)
 
     def char_quartic(self, v: VElem) -> Poly:
-        """g(T) with det(xI - v) = g(x^2).  On (EVEN, ODD) v is [[0, X],
-        [Y, 0]], so c2, c4, c6 come from M = XY (``block_even_coeffs``) and
-        c8 = det v = det X det Y = (det X)^2, since det Y = det X on V
-        (c8 = Pf(Psi v)^2, det X by ``linalg.det4``)."""
-        x, y = v_blocks(v.coords)
-        c2, c4, c6 = linalg.block_even_coeffs(x, y, self.field.char)
-        pf = linalg.det4(x)
+        """g(T) with det(xI - v) = g(x^2), read off ``primitives``: c8 =
+        det v = det X det Y = (det X)^2 = Pf^2, since det Y = det X on V."""
+        c2, c4, pf, c6 = primitives(self, v)
         return Poly(self.field, [pf * pf, c6, c4, c2, self.field.one])
 
     def classify(self, v: VElem):

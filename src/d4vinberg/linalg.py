@@ -20,13 +20,12 @@ add, scale)`` ring triple, as ``MPoly.eval`` does, so ``numkernels`` runs
 it on dual-number arrays; its divisions by 2, 4 and 6 are scalings by int
 inverses mod the characteristic (p >= 5).
 
-`mat_mul` and `mat_vec` have a prime-field int kernel.  When every entry of
-both operands is an `FElem` of one and the same `PrimeField` (and the shapes
-are rectangular and agree), the values are unboxed to Python ints, each dot
-product is reduced mod p once, and the results are boxed again.  `det4` and
-`charpoly_berkowitz` unbox their matrix once in the same way.  Any other
-input (`ExtField` or `MPoly` entries, plain ints, elements of two field
-objects, ragged rows) takes the generic loop, which behaves as it always did.
+``charpoly_berkowitz`` unboxes a matrix of FElems of its PrimeField once and
+runs on Python ints, each dot product reduced mod p, boxing only the
+coefficients; the 28x28 ad matrices of ``lie_disc`` take this route.  Every
+other routine here is one generic loop over the operators of its entries:
+over a prime field the invariant primitives get ints from their caller
+(``liealg.primitives`` unboxes v once).
 """
 
 from operator import mul
@@ -57,27 +56,9 @@ def _prime_vals(mat, field, width):
     return out
 
 
-def _prime_dots(rows, cols, k):
-    """[[r . c for c in cols] for r in rows] by the int kernel, or None
-    unless every row and column has k entries, all FElems of one PrimeField."""
-    first = cols[0][0] if cols and cols[0] else None
-    if type(first) is not FElem or type(first.field) is not PrimeField:
-        return None
-    field = first.field
-    cv = _prime_vals(cols, field, k)
-    rv = _prime_vals(rows, field, k) if cv is not None else None
-    if rv is None:
-        return None
-    p = field.p
-    return [[FElem(field, sum(map(mul, r, c)) % p) for c in cv] for r in rv]
-
-
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     bt = [[b[r][c] for r in range(k)] for c in range(m)]
-    out = _prime_dots(a, bt, k)
-    if out is not None:
-        return out
     out = []
     for i in range(n):
         row_a = a[i]
@@ -88,19 +69,6 @@ def mat_mul(a, b):
                 acc = acc + row_a[t] * col[t]
             row.append(acc)
         out.append(row)
-    return out
-
-
-def mat_vec(a, v):
-    out = _prime_dots(a, [v], len(v))
-    if out is not None:
-        return [row[0] for row in out]
-    out = []
-    for row in a:
-        acc = row[0] * v[0]
-        for t in range(1, len(v)):
-            acc = acc + row[t] * v[t]
-        out.append(acc)
     return out
 
 
@@ -217,20 +185,15 @@ LAPLACE_4 = (((0, 1), (2, 3)), ((0, 2), (3, 1)), ((0, 3), (1, 2)),
 
 def det4(a):
     """Determinant of a 4x4 matrix over any commutative ring by ``LAPLACE_4``,
-    30 products (division-free).  FElem entries of one PrimeField are unboxed
-    and the sum is reduced mod p once, as in ``mat_mul``."""
-    first = a[0][0]
-    prime = type(first) is FElem and type(first.field) is PrimeField
-    vals = _prime_vals(a, first.field, 4) if prime else None
-    m = a if vals is None else vals
+    30 products (division-free)."""
     terms = (
-        (m[0][i] * m[1][j] - m[0][j] * m[1][i]) * (m[2][k] * m[3][l] - m[2][l] * m[3][k])
+        (a[0][i] * a[1][j] - a[0][j] * a[1][i]) * (a[2][k] * a[3][l] - a[2][l] * a[3][k])
         for (i, j), (k, l) in LAPLACE_4
     )
     acc = next(terms)
     for term in terms:
         acc = acc + term
-    return acc if vals is None else FElem(first.field, acc % first.field.p)
+    return acc
 
 
 # -- characteristic polynomial --
@@ -286,14 +249,14 @@ def charpoly_berkowitz(field, a):
     Returns coefficients lowest-degree-first, length n+1, leading 1.
     Cross-check path for the fast even charpoly; also used for ad matrices
     whose size exceeds the characteristic (Newton would divide by p).
-    A matrix of FElems of the PrimeField `field` is unboxed once, as in
-    ``det4``: it runs on ints, each dot product reduced mod p, and the
-    coefficients are boxed at the end.  Other entries take the boxed loop.
+    A matrix of FElems of the PrimeField `field` is unboxed once: it runs
+    on ints, each dot product reduced mod p, and the coefficients are boxed
+    at the end.  Other entries take the boxed loop.
     """
     n = len(a)
     vals = _prime_vals(a, field, n) if type(field) is PrimeField else None
     if vals is None:
-        m, one, zero, apply = a, field.one, field.zero, mat_vec
+        m, one, zero = a, field.one, field.zero
 
         def dot(xs, ys):
             acc = zero
@@ -306,9 +269,6 @@ def charpoly_berkowitz(field, a):
         def dot(xs, ys):
             return sum(map(mul, xs, ys)) % p
 
-        def apply(sub, v):
-            return [dot(r, v) for r in sub]
-
     # Berkowitz: iteratively build the char poly vector via Toeplitz products
     vec = [one, -m[0][0]]
     for i in range(1, n):
@@ -319,7 +279,7 @@ def charpoly_berkowitz(field, a):
         products = []
         for _ in range(i):
             products.append(dot(row, cur))
-            cur = apply(sub, cur)
+            cur = [dot(r, cur) for r in sub]
         # Toeplitz multiply: new vector length i+2, entry r = sum_k diag[r-k] vec[k]
         diag = [one, -m[i][i]] + [-x for x in products]
         vec = [dot(vec, diag[r::-1]) for r in range(i + 2)]

@@ -257,7 +257,7 @@ def _block_primitives(coords, p, lift):
     coords are (N, 16) weight coordinates mod p in label order, one array
     per part of the lift.  ``liealg.BLOCK_GATHER`` gathers them into the
     4x4 blocks of v = [[0, X], [Y, 0]], (N, 4, 4) arrays of signed residues
-    in (-p, p) (every product reduces).  As in ``invariants.primitives``,
+    in (-p, p) (every product reduces).  As in ``liealg.primitives``,
     c2, c4, c6 come from M = XY by ``linalg.newton_even`` over the lift's
     ring, and Pf(Psi v) = det X (``_block_det``).
     """

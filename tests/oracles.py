@@ -13,6 +13,8 @@ slower way, and serve only as the reference of the differential tests:
   Krylov dependence (``minimal_polynomial``);
 - the determinant by the n! signed terms of the Leibniz formula
   (``det_leibniz``), against which ``linalg.det4`` is checked;
+- a square root in a finite field by search (``square_root``), the first
+  in enumeration order, for the tests that build squares;
 - the third point of a chord or tangent of a pointed cubic from values
   of the cubic on the line (``third_by_evaluation``), against which the
   polar-form law of ``PointedCurve._third`` is checked;
@@ -220,6 +222,11 @@ def identity(field, n):
     for i in range(n):
         out[i][i] = field.one
     return out
+
+
+def square_root(field, a):
+    """The first x of field, in enumeration order, with x^2 = a, or None."""
+    return next((x for x in field if x * x == a), None)
 
 
 def det(field, a):

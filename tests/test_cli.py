@@ -144,6 +144,16 @@ def test_densities_at_the_default_p_fails_fast(capsys):
     assert data["failure"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("flags, q", [(["--p", "35"], 35), (["--m", "0"], 1)])
+def test_densities_at_a_q_that_is_no_prime_power_fails(flags, q, capsys):
+    # q = 35 must not pass for GF(5^2), nor q = 1 raise an empty ValueError
+    code, out = run_cli(["densities", *flags, "--d", "0", "--n-samples", "0"], capsys)
+    assert code == 1
+    data = json.loads(out)
+    assert data["passed"] is False
+    assert data["failure"] == {"type": "ValueError", "message": f"q = {q} is not a prime power"}
+
+
 def test_failure_is_structured(monkeypatch, capsys):
     import d4vinberg.cli as cli_mod
 

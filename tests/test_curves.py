@@ -39,6 +39,7 @@ from oracles import (
     certify_i1_by_inverse,
     disc_poly,
     reversed_poly,
+    square_root,
     third_by_evaluation,
     xd_membership_by_row,
 )
@@ -211,7 +212,7 @@ def test_fully_split_two_torsion():
         c0 = f[0]
         if field.chi(c0) != 1:
             continue
-        q4 = field.sqrt(c0)
+        q4 = square_root(field, c0)
         b = (f[3], f[2], q4, f[1])
         if quartic_disc(b):
             break
@@ -278,7 +279,7 @@ def test_doubling_table_on_full_two_torsion_curve():
     for _ in range(20):
         r1 = pts[int(rng.integers(0, len(pts)))]
         r2 = pts[int(rng.integers(0, len(pts)))]
-        t = curve.sub(r1, r2)
+        t = curve.add(r1, curve.neg(r2))
         assert curve.is_two_divisible(t) == (t in halves)
 
 

@@ -1,9 +1,9 @@
 """Differential tests of the prime-field fast paths against the boxed loops
-they replace: the int kernel of linalg.mat_mul/mat_vec and the bitmask
-enumeration of upward-closed sets; and the pinned digest of the
-Invariants calibration, whose chart functions are one linear solve
-(``test_invariants`` checks it against the search over F_p^3 in
-``oracles``)."""
+they replace: the int route of liealg.primitives, Berkowitz on ints and the
+bitmask enumeration of upward-closed sets; linalg.mat_mul on mixed inputs;
+and the pinned digest of the Invariants calibration, whose chart functions
+are one linear solve (``test_invariants`` checks it against the search over
+F_p^3 in ``oracles``)."""
 
 import hashlib
 
@@ -15,13 +15,10 @@ from d4vinberg import linalg
 from d4vinberg.fields import GF, FElem, PrimeField
 from d4vinberg.hnweights import enumerate_upward_closed
 from d4vinberg.invariants import Invariants
-from d4vinberg.liealg import D4Context, LABELS, leq
+from d4vinberg.liealg import D4Context, LABELS, VElem, leq, primitives
 from d4vinberg.multipoly import MPoly
 
 from oracles import det
-
-SETTINGS = settings(max_examples=60, deadline=None)
-PRIMES = st.sampled_from([5, 23, 2**61 - 1])
 
 
 def reference_mat_mul(a, b):
@@ -40,16 +37,6 @@ def reference_mat_mul(a, b):
     return out
 
 
-def reference_mat_vec(a, v):
-    out = []
-    for row in a:
-        acc = row[0] * v[0]
-        for t in range(1, len(v)):
-            acc = acc + row[t] * v[t]
-        out.append(acc)
-    return out
-
-
 def outcome(fn, *args):
     """The result of fn, or the type of the exception it raised."""
     try:
@@ -65,53 +52,48 @@ def matrix(draw, p, rows, cols):
     return [[FElem(f, draw(vals)) for _ in range(cols)] for _ in range(rows)]
 
 
-@st.composite
-def prime_product(draw):
-    p = draw(PRIMES)
-    n, k, m = (draw(st.integers(1, 6)) for _ in range(3))
-    return p, draw(matrix(p, n, k)), draw(matrix(p, k, m))
-
-
 def assert_boxed_in(result, field):
     for x in result:
         assert type(x) is FElem and x.field is field and type(x.val) is int
         assert 0 <= x.val < field.p
 
 
-@SETTINGS
-@given(prime_product())
-def test_int_mat_mul_matches_boxed_loop(case):
-    p, a, b = case
-    got = linalg.mat_mul(a, b)
-    assert got == reference_mat_mul(a, b)
-    assert_boxed_in([x for row in got for x in row], GF(p))
-
-
-@SETTINGS
-@given(prime_product())
-def test_int_mat_vec_matches_boxed_loop(case):
-    p, a, b = case
-    v = [row[0] for row in b]
-    got = linalg.mat_vec(a, v)
-    assert got == reference_mat_vec(a, v)
-    assert_boxed_in(got, GF(p))
-
-
 def _random_matrix(field, rng, n, m):
     return [[field.random(rng) for _ in range(m)] for _ in range(n)]
 
 
-def test_prime_matrices_take_the_int_kernel(monkeypatch):
-    f = GF(23)
+@st.composite
+def prime_velem(draw):
+    """A random VElem at p in {5, 23, 29} with int values, or at p = 2^31 - 1
+    with np.int64 values, whose unreduced sums of products overflow int64."""
+    p = draw(st.sampled_from([5, 23, 29, 2**31 - 1]))
+    ctx = D4Context(GF(p))
+    vals = draw(st.lists(st.integers(0, p - 1), min_size=16, max_size=16))
+    box = np.int64 if p > 29 else int
+    return ctx, VElem(ctx, [FElem(ctx.field, box(x)) for x in vals])
+
+
+@settings(max_examples=60, deadline=None)
+@given(prime_velem())
+def test_primitives_int_route_matches_the_generic_route(case):
+    # a coordinate list takes the boxed field operations, a VElem the ints
+    ctx, v = case
+    got = primitives(ctx, v)
+    assert got == primitives(ctx, list(v.coords))
+    assert_boxed_in(got, ctx.field)
+
+
+def test_prime_primitives_make_no_boxed_product(monkeypatch):
+    ctx = D4Context(GF(23))
     rng = np.random.default_rng(10)
-    a, b = _random_matrix(f, rng, 8, 8), _random_matrix(f, rng, 8, 8)
-    expected = reference_mat_mul(a, b), reference_mat_vec(a, b[0])
+    v = VElem(ctx, [ctx.field.random(rng) for _ in range(16)])
+    expected = primitives(ctx, list(v.coords))
 
     def boxed(self, other):
         raise AssertionError("boxed multiplication on the prime-field path")
 
     monkeypatch.setattr(FElem, "__mul__", boxed)
-    assert (linalg.mat_mul(a, b), linalg.mat_vec(a, b[0])) == expected
+    assert primitives(ctx, v) == expected
 
 
 def test_extension_field_matrices_take_the_generic_loop():
@@ -120,26 +102,20 @@ def test_extension_field_matrices_take_the_generic_loop():
     for n, k, m in ((2, 3, 4), (4, 4, 1)):
         a, b = _random_matrix(f, rng, n, k), _random_matrix(f, rng, k, m)
         assert linalg.mat_mul(a, b) == reference_mat_mul(a, b)
-        v = [row[0] for row in b]
-        assert linalg.mat_vec(a, v) == reference_mat_vec(a, v)
 
 
 def test_extension_entries_after_a_prime_first_entry():
     # the first entry is a base-field element, the rest live in GF(5^2): the
-    # fields do not mix, so the boxed loop raises on an FElem product; a
-    # kernel that read only the first entry would fail otherwise, on the
-    # tuple values of the extension
+    # fields do not mix, so the loop raises on an FElem product
     f, ext = GF(5), GF(5, 2)
     rng = np.random.default_rng(12)
     a = _random_matrix(ext, rng, 3, 3)
     a[0][0] = f.elem(3)
     b = _random_matrix(f, rng, 3, 3)
-    cases = ((linalg.mat_mul, reference_mat_mul, a, b), (linalg.mat_mul, reference_mat_mul, b, a),
-             (linalg.mat_vec, reference_mat_vec, b, a[0]))
-    for fn, reference, x, y in cases:
-        assert outcome(fn, x, y) == outcome(reference, x, y) == TypeError
+    for x, y in ((a, b), (b, a)):
+        assert outcome(linalg.mat_mul, x, y) == outcome(reference_mat_mul, x, y) == TypeError
         with pytest.raises(TypeError, match="'FElem' and 'FElem'"):
-            fn(x, y)
+            linalg.mat_mul(x, y)
 
 
 def test_mpoly_matrices_take_the_generic_loop():
@@ -152,10 +128,9 @@ def test_mpoly_matrices_take_the_generic_loop():
     a = [[entry() for _ in range(3)] for _ in range(2)]
     b = [[entry() for _ in range(2)] for _ in range(3)]
     assert linalg.mat_mul(a, b) == reference_mat_mul(a, b)
-    # a prime-field matrix times MPolys: the kernel sees a non-FElem and steps aside
+    # a prime-field matrix times MPolys
     c = _random_matrix(f, rng, 2, 2)
     assert linalg.mat_mul(c, a) == reference_mat_mul(c, a)
-    assert linalg.mat_vec(c, [row[0] for row in a]) == reference_mat_vec(c, [row[0] for row in a])
 
 
 def test_mixed_inputs_behave_as_the_boxed_loop():
@@ -185,10 +160,7 @@ def test_mixed_inputs_behave_as_the_boxed_loop():
     cases.append((short, a))
     cases.append((a, short))
     for x, y in cases:
-        expected = outcome(reference_mat_mul, x, y)
-        assert outcome(linalg.mat_mul, x, y) == expected
-        for v in (y[0], [row[0] for row in y]):
-            assert outcome(linalg.mat_vec, x, v) == outcome(reference_mat_vec, x, v)
+        assert outcome(linalg.mat_mul, x, y) == outcome(reference_mat_mul, x, y)
     assert outcome(reference_mat_mul, a, cases[0][1]) is TypeError
 
 

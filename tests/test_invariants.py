@@ -12,7 +12,6 @@ from d4vinberg.invariants import (
     _chart_functions,
     _chart_primitives,
     _slice_relation,
-    primitives,
 )
 from d4vinberg.liealg import (
     BLOCK_GATHER,
@@ -28,6 +27,7 @@ from d4vinberg.liealg import (
     WEIGHT_EVEC,
     WeylGen,
     pairing,
+    primitives,
     v_blocks,
 )
 from d4vinberg.linalg import mat_mul

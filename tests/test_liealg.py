@@ -42,7 +42,7 @@ from d4vinberg.liealg import (
 )
 from d4vinberg.polys import Poly, is_squarefree
 from d4vinberg.rng import det_rng
-from oracles import identity, minimal_polynomial, to_matrix
+from oracles import identity, minimal_polynomial, square_root, to_matrix
 
 W0_NAMES = ("e", "s12.34", "s13.24", "s14.23")
 
@@ -473,7 +473,7 @@ def _torus_from_g_root_values(field, lams):
     lam1 is a square; returns None otherwise (deterministic square root).
     """
     l1, l2, l3, l4 = lams
-    s = field.sqrt(l2 * l3 * l4 * l1.inverse())
+    s = square_root(field, l2 * l3 * l4 * l1.inverse())
     if s is None or not s:
         return None
     x2 = s

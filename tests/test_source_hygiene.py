@@ -6,11 +6,14 @@ top-level function and class of the package, every method of a top-level
 class and every module-level name bound by assignment, dunders excepted,
 is referenced from code (not from a docstring or a comment) somewhere in
 ``src/``, ``tests/``, ``demos/`` or ``perfbench/`` outside its own
-definition.  A method counts as referenced by any attribute or name that
-spells it; a name that is assigned to is bound, not referenced.  Those
-that only the tests refer to are listed in ``TEST_ONLY`` (methods as
-``Class.method``) with the reason each one stays; a reference from
-``perfbench/`` may also be a string, as its trace targets are.
+definition.  A function, class or module-level name counts as referenced
+by any name, attribute or import that spells it; a name that is assigned
+to is bound, not referenced.  A method counts only through an attribute
+that spells it (``x.name``), so a local or an imported function of the
+same name does not hide an unused method.  Those that only the tests
+refer to are listed in ``TEST_ONLY`` (methods as ``Class.method``) with
+the reason each one stays; a reference from ``perfbench/`` may also be a
+string, as its trace targets are.
 """
 
 import ast
@@ -57,15 +60,16 @@ def test_module_level_imports_are_used(path):
 
 
 def _references(node):
-    """Identifiers that code under node refers to: names (other than
-    assignment targets), attributes and imported names."""
+    """(identifier, whether it is an attribute) for each identifier that
+    code under node refers to: names (other than assignment targets),
+    attributes and imported names."""
     for n in ast.walk(node):
         if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
-            yield n.id
+            yield n.id, False
         elif isinstance(n, ast.Attribute):
-            yield n.attr
+            yield n.attr, True
         elif isinstance(n, ast.alias):
-            yield n.name.split(".")[-1]
+            yield n.name.split(".")[-1], False
 
 
 def _string_references(node):
@@ -132,23 +136,27 @@ def unreferenced_definitions(defining, referring, string_keys=()):
     """(key, name) of each definition of ``_definitions`` in the trees of
     defining ({key: tree}) that no tree in referring ({key: tree}) refers
     to outside the definition itself.  The trees whose keys are in
-    string_keys refer by their strings too."""
-    refs = {}  # name -> {(key, owner path of the referring statement)}
+    string_keys refer by their strings too.  A method is referred to only
+    by an attribute or a string."""
+    # name -> {(key, owner path of the referring statement, whether the
+    # reference can name a method)}
+    refs = {}
     for key, tree in referring.items():
         for owner, node in _owned(tree):
             names = list(_references(node))
             if key in string_keys:
-                names += _string_references(node)
-            for name in names:
-                refs.setdefault(name, set()).add((key, owner))
+                names += [(part, True) for part in _string_references(node)]
+            for name, member in names:
+                refs.setdefault(name, set()).add((key, owner, member))
     out = []
     for key, tree in defining.items():
         for path, name in _definitions(tree):
             if path[-1].startswith("__") and path[-1].endswith("__"):
                 continue
+            method = len(path) == 2
             outside = [
-                1 for k, owner in refs.get(path[-1], ())
-                if k != key or owner[: len(path)] != path
+                1 for k, owner, member in refs.get(path[-1], ())
+                if (member or not method) and (k != key or owner[: len(path)] != path)
             ]
             if not outside:
                 out.append((key, name))
@@ -193,6 +201,31 @@ def test_scanner_finds_unreferenced_methods():
     ]
     got = unreferenced_definitions({"a": a}, {"a": a, "b": b}, string_keys={"b"})
     assert ("a", "Cls.traced") not in got
+
+
+def test_scanner_counts_a_method_only_by_attribute():
+    # a local, an imported function and a parameter that spell a method do
+    # not use it; an attribute or a perfbench string does
+    a = ast.parse(
+        "class Cls:\n"
+        "    def sub(self): pass\n"
+        "    def sqrt(self): pass\n"
+        "    def scale(self): pass\n"
+        "    def called(self): pass\n"
+        "    def traced(self): pass\n"
+    )
+    b = ast.parse(
+        "from math import sqrt\n"
+        "from a import Cls\n"
+        "def f(x, scale):\n"
+        "    sub = sqrt(x) * scale\n"
+        "    return sub, Cls().called()\n"
+        "TARGETS = ('Cls.traced',)\n"
+    )
+    got = unreferenced_definitions({"a": a}, {"a": a, "b": b})
+    assert got == [("a", "Cls.sub"), ("a", "Cls.sqrt"), ("a", "Cls.scale"), ("a", "Cls.traced")]
+    got = unreferenced_definitions({"a": a}, {"a": a, "b": b}, string_keys={"b"})
+    assert got == [("a", "Cls.sub"), ("a", "Cls.sqrt"), ("a", "Cls.scale")]
 
 
 def test_scanner_finds_unreferenced_module_names():
