@@ -197,6 +197,8 @@ def cmd_geography(args, cfg):
 
 
 def cmd_densities(args, cfg):
+    if cfg["m"] < 1:
+        raise ValueError(f"extension degree m = {cfg['m']} must be >= 1")
     q = cfg["p"] ** cfg["m"]
     reports = {}
     alpha = densities.alpha_v(q) if q <= 64 else densities.alpha_closed_form(q)

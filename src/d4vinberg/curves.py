@@ -55,7 +55,6 @@ class PointedCurve:
         self.Q = (f.one, f.one, f.zero)
         self._points = None
         self._doubled = None
-        self._oo = self._third(self.O, self.O)
 
     # -- the plane model --
 
@@ -116,22 +115,6 @@ class PointedCurve:
 
     def add(self, p1, p2):
         return self._third(self.O, self._third(p1, p2))
-
-    def neg(self, p):
-        return self._third(p, self._oo)
-
-    def mul(self, n, p):
-        """n p by double-and-add from the top bit of |n|."""
-        if n < 0:
-            return self.mul(-n, self.neg(p))
-        if not n:
-            return self.O
-        acc = p
-        for bit in bin(n)[3:]:
-            acc = self.add(acc, acc)
-            if bit == "1":
-                acc = self.add(acc, p)
-        return acc
 
     def order_of(self, p):
         n = 1
@@ -558,8 +541,9 @@ def stabilizer_count_from_degrees(degrees):
     return count // 2
 
 
-def stabilizer_two_torsion(inv, b, extension_degree=1):
-    """#Z_G(kappa_b)(F_{q^m}) computed on the group side.
+def stabilizer_two_torsion(inv, b):
+    """#Z_G(kappa_b)(F_q) computed on the group side, over the field F_q of
+    inv's context (a prime field or an extension GF(p, m)).
 
     Takes the calibrated invariant context, forms kappa_b, reads off the
     even characteristic quartic of its matrix (the eigenvalue-pair data of
@@ -569,12 +553,7 @@ def stabilizer_two_torsion(inv, b, extension_degree=1):
     b = tuple(ctx.field.elem(x) for x in b)
     if not quartic_disc(b):
         raise ValueError("Delta(b) = 0")
-    kb = inv.kostant_section(b)
-    g = ctx.char_quartic(kb)
-    if extension_degree > 1:
-        mu = polys.find_irreducible(ctx.field, extension_degree)
-        ext = extension_of(ctx.field, mu.coeffs, trusted=True)
-        g = Poly(ext, [ext.elem(c) for c in g.coeffs])
+    g = ctx.char_quartic(inv.kostant_section(b))
     degrees = []
     for fpoly, mult in polys.factor(g):
         degrees += [fpoly.degree] * mult

@@ -533,6 +533,8 @@ def GF(p, m=1, modulus=None):
     GF(p, m) is GF(p, m) and elements of two calls mix.  An explicit
     modulus builds a new field object.
     """
+    if m < 1:
+        raise ValueError(f"extension degree m = {m} must be >= 1")
     bf = _prime_field(p)
     if m == 1:
         if modulus is not None:

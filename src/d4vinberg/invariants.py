@@ -21,8 +21,10 @@ solution.  Nothing is left to normalize: rescaling x by alpha and y by
 +-alpha breaks the relation unless alpha = 1 and the sign is +.  The
 calibration report gives pi in the nine coefficients of a general ansatz,
 ``CALIBRATION_U``.  All chart data (F, f, centralizer
-bases, chart functions) is rational over the prime field and gets embedded
-coordinatewise into extension contexts.  The sl2 lowering elements (for
+bases, chart functions) is solved once, in the context's own field: every
+input of those solves has prime-field entries, so over F_{p^m} row
+reduction picks the pivots it picks over F_p and lands on the same
+prime-field values.  The sl2 lowering elements (for
 h = 2 cochar in Cartan coordinates) and the graded centralizers solve
 ``D4Context.ad_matrix`` on weight spaces, as h indices of the bracket table
 ``liealg.BRACKETS``; the Kostant section and the slice lift are triangular
@@ -32,7 +34,6 @@ solves of chart polynomials by ``linalg.staged_solve``.
 import json
 
 from . import linalg
-from .fields import GF, PrimeField
 from .liealg import (
     D4Context,
     H_BASIS,
@@ -61,9 +62,11 @@ CALIBRATION_U = (1, 1, 1, 0, 0, 1, 0, 0, 0)
 
 class Invariants:
     """pi, the Kostant section and the subregular slice chart of a
-    D4Context with char >= 23.
+    D4Context with char >= 23, over any finite field F_{p^m}.
 
-    The calibration is a linear solve with no random points, so `seed` is
+    F, f, Z, W and the chart functions (xi, eta) are computed directly in
+    ctx.field, and ``calibration_json`` prints that field's values.  The
+    calibration is a linear solve with no random points, so `seed` is
     unused; it stays for the callers that pass it.
     """
 
@@ -73,62 +76,20 @@ class Invariants:
                 f"section and slice machinery requires characteristic >= {MIN_LIE_CHAR}"
             )
         self.ctx = ctx
-        p = ctx.field.char
-        if isinstance(ctx.field, PrimeField):
-            self._pctx = ctx
-        else:
-            self._pctx = D4Context(GF(p))
-        self._build_sl2_data()
-        self._build_charts()
-
-    # -- sl2 data over the prime field, embedded into ctx --
-
-    def _build_sl2_data(self):
-        pctx = self._pctx
-        self._F_p = _solve_lowering(pctx, pctx.E, RHO_CHECK)
-        self._f_p = _solve_lowering(pctx, pctx.e_subreg, LAMBDA_CHECK)
-        self._Z_p = _graded_centralizer_basis(
-            pctx, self._F_p, RHO_CHECK, expect_weights=(-1, -3, -3, -5), expect_h_dim=4
+        self.E, self.e = ctx.E, ctx.e_subreg
+        self.F = _solve_lowering(ctx, self.E, RHO_CHECK)
+        self.f = _solve_lowering(ctx, self.e, LAMBDA_CHECK)
+        self.Z = _graded_centralizer_basis(
+            ctx, self.F, RHO_CHECK, expect_weights=(-1, -3, -3, -5), expect_h_dim=4
         )
-        self._W_p = _graded_centralizer_basis(
-            pctx,
-            self._f_p,
-            LAMBDA_CHECK,
-            expect_weights=(-1, -1, -1, -3, -3),
-            expect_h_dim=6,
+        self.W = _graded_centralizer_basis(
+            ctx, self.f, LAMBDA_CHECK, expect_weights=(-1, -1, -1, -3, -3), expect_h_dim=6
         )
-        # embed into the working context
-        self.E = self._embed_v(self._pctx.E)
-        self.F = self._embed_v(self._F_p)
-        self.e = self._embed_v(self._pctx.e_subreg)
-        self.f = self._embed_v(self._f_p)
-        self.Z = [self._embed_v(z) for z in self._Z_p]
-        self.W = [self._embed_v(w) for w in self._W_p]
-
-    def _embed_v(self, v_p: VElem) -> VElem:
-        f = self.ctx.field
-        if self.ctx is self._pctx:
-            return v_p
-        return VElem(self.ctx, [f.elem(c.val) for c in v_p.coords])
-
-    def _embed_scalar(self, c):
-        return self.ctx.field.elem(c.val)
-
-    # -- calibration over the prime field, slice and Kostant charts --
-
-    def _build_charts(self):
-        ctx, pctx = self.ctx, self._pctx
-        self._kappa_b_polys = _chart_primitives(ctx, self.E, self.Z, nvars=4)
-        s_prims = _chart_primitives(pctx, pctx.e_subreg, self._W_p, nvars=5)
-        self._xi_p, self._eta_p = _chart_functions(pctx.field, s_prims)
-        self.xi = tuple(self._embed_scalar(c) for c in self._xi_p)
-        self.eta = tuple(self._embed_scalar(c) for c in self._eta_p)
-        if ctx is not pctx:
-            s_prims = _chart_primitives(ctx, self.e, self.W, nvars=5)
-            rel = _slice_relation(s_prims, self.xi, self.eta)
-            assert rel.is_zero(), "slice identity failed over the extension"
+        self._kappa_b_polys = _chart_primitives(ctx, self.E, self.Z)
+        s_prims = _chart_primitives(ctx, self.e, self.W)
+        self.xi, self.eta = _chart_functions(ctx.field, s_prims)
         # slice_lift's equations: x, y and p2, then p4 and q4
-        self._lift_polys = [*_chart_xy(5, self.xi, self.eta), *s_prims[:3]]
+        self._lift_polys = [*_chart_xy(len(self.W), self.xi, self.eta), *s_prims[:3]]
 
     # -- public operations --
 
@@ -194,7 +155,7 @@ class Invariants:
 
         return disc_univariate(self.ctx.char_quartic(v))
 
-    def lie_disc_compare(self, n=100, seed=0):
+    def lie_disc_compare(self, n, seed):
         """Constant ratio quartic_disc(pi(v)) / lie_disc(v) over rs samples;
         the first three also check lie_disc_fast against lie_disc."""
         f = self.ctx.field
@@ -221,16 +182,15 @@ class Invariants:
         return self.ctx.torus_from_cochar(RHO_CHECK, t)
 
     def calibration_json(self) -> str:
-        f = self._pctx.field
         data = {
-            "p": f.char,
+            "p": self.ctx.field.char,
             "u": list(CALIBRATION_U),
-            "xi": [c.val for c in self._xi_p],
-            "eta": [c.val for c in self._eta_p],
-            "F": self._F_p.serialize(),
-            "f_subreg": self._f_p.serialize(),
-            "Z": [z.serialize() for z in self._Z_p],
-            "W": [w.serialize() for w in self._W_p],
+            "xi": [c.val for c in self.xi],
+            "eta": [c.val for c in self.eta],
+            "F": self.F.serialize(),
+            "f_subreg": self.f.serialize(),
+            "Z": [z.serialize() for z in self.Z],
+            "W": [w.serialize() for w in self.W],
         }
         return json.dumps(data, indent=2, sort_keys=True)
 
@@ -291,13 +251,14 @@ def _graded_centralizer_basis(ctx, y: VElem, cochar, expect_weights, expect_h_di
     return [out[i] for i in order]
 
 
-def _chart_primitives(ctx, base: VElem, directions, nvars):
-    """Symbolic (C2, C4, PF, C6) on base + sum_i x_i * directions[i]."""
-    one = ctx.field.one
+def _chart_primitives(ctx, base: VElem, directions):
+    """Symbolic (C2, C4, PF, C6) on base + sum_i x_i * directions[i], in
+    one variable x_i per direction."""
+    one, nvars = ctx.field.one, len(directions)
     return primitives(ctx, _chart_coords(
         [MPoly.const(nvars, c) for c in base.coords],
         directions,
-        [MPoly.var(nvars, i, one) for i in range(len(directions))],
+        [MPoly.var(nvars, i, one) for i in range(nvars)],
     ))
 
 

@@ -19,7 +19,7 @@ X v X = 0 on V, so exp(c X) acts as v + c[X, v] (``G_ROOT_MOVES``, read off
 (``W0_MOVES``); and ``BLOCK_GATHER`` fills the blocks X, Y of v = [[0, X],
 [Y, 0]] on the positions (EVEN, ODD) of theta.  No 8x8 matrix is built:
 ``primitives``, the one computation of pi(v) = (c2, c4, Pf, c6), works on
-X and Y, ``char_quartic`` reads its coefficients off pi, and ``classify``
+X and Y, ``char_quartic`` is ``quartic_poly`` of pi, and ``classify``
 decides semisimplicity on X, Y and the 4x4 products XY, YX.
 A D4Context holds the field-dependent rest and is safe to share.
 pi_1(G) is read off the pairings <coroot, alpha_i>, the coroot coordinates
@@ -28,7 +28,7 @@ in the fundamental-coweight basis of X_*(T).
 
 from . import linalg
 from .fields import FElem, PrimeField, split_top
-from .quartic import disc_univariate
+from .quartic import disc_univariate, quartic_poly
 from .polys import Poly, gcd
 
 # positions 0..7 carry torus characters +/- e_k:
@@ -530,16 +530,15 @@ class D4Context:
                     mat[b][j] = mat[b][j] + x * c
         return mat
 
-    def centralizer_dim(self, v: VElem, ambient="g") -> int:
+    def centralizer_dim(self, v: VElem, ambient) -> int:
         basis = G_BASIS if ambient == "g" else H_BASIS
         mat = self.ad_matrix(v, basis)
         return len(basis) - linalg.rank(self.field, mat)
 
     def char_quartic(self, v: VElem) -> Poly:
-        """g(T) with det(xI - v) = g(x^2), read off ``primitives``: c8 =
-        det v = det X det Y = (det X)^2 = Pf^2, since det Y = det X on V."""
-        c2, c4, pf, c6 = primitives(self, v)
-        return Poly(self.field, [pf * pf, c6, c4, c2, self.field.one])
+        """g(T) with det(xI - v) = g(x^2): the quartic f(t) of b = pi(v),
+        since c8 = det v = det X det Y = (det X)^2 = Pf^2 (det Y = det X on V)."""
+        return quartic_poly(self.field, primitives(self, v))
 
     def classify(self, v: VElem):
         """(regular, semisimple, regular-semisimple) flags; v is regular

@@ -17,7 +17,10 @@ slower way, and serve only as the reference of the differential tests:
   in enumeration order, for the tests that build squares;
 - the third point of a chord or tangent of a pointed cubic from values
   of the cubic on the line (``third_by_evaluation``), against which the
-  polar-form law of ``PointedCurve._third`` is checked;
+  polar-form law of ``PointedCurve._third`` is checked; with it the
+  negation ``curve_neg`` and the double-and-add multiple ``curve_mul``
+  through ``PointedCurve.add``, the group law against which the doubling
+  table and ``group_structure`` are checked;
 - the chart functions (x, y) of the subregular slice by a search over
   F_p^3 through the three lines of the central fibre
   (``search_chart_functions``), against which the linear solve
@@ -358,6 +361,27 @@ def third_by_evaluation(curve, p1, p2):
     if c1:
         return curve._normalize(p2)
     raise AssertionError("line contained in a smooth cubic")
+
+
+def curve_neg(curve, p):
+    """-p on a PointedCurve: the third point of the line through p and the
+    tangent point of O, both by ``third_by_evaluation``."""
+    return third_by_evaluation(curve, p, third_by_evaluation(curve, curve.O, curve.O))
+
+
+def curve_mul(curve, n, p):
+    """n p by double-and-add from the top bit of |n|, through curve.add:
+    the group-law oracle of the doubling table."""
+    if n < 0:
+        return curve_mul(curve, -n, curve_neg(curve, p))
+    if not n:
+        return curve.O
+    acc = p
+    for bit in bin(n)[3:]:
+        acc = curve.add(acc, acc)
+        if bit == "1":
+            acc = curve.add(acc, p)
+    return acc
 
 
 def _cross(a, b):

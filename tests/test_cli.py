@@ -144,14 +144,27 @@ def test_densities_at_the_default_p_fails_fast(capsys):
     assert data["failure"]["type"] == "ValueError"
 
 
-@pytest.mark.parametrize("flags, q", [(["--p", "35"], 35), (["--m", "0"], 1)])
+@pytest.mark.parametrize("flags, q", [(["--p", "35"], 35)])
 def test_densities_at_a_q_that_is_no_prime_power_fails(flags, q, capsys):
-    # q = 35 must not pass for GF(5^2), nor q = 1 raise an empty ValueError
+    # q = 35 must not pass for GF(5^2)
     code, out = run_cli(["densities", *flags, "--d", "0", "--n-samples", "0"], capsys)
     assert code == 1
     data = json.loads(out)
     assert data["passed"] is False
     assert data["failure"] == {"type": "ValueError", "message": f"q = {q} is not a prime power"}
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_densities_at_an_extension_degree_below_one_fails(m, capsys):
+    # refused before q = p^m is formed: m = 0 gives no empty ValueError on
+    # q = 1, and m = -1 no TypeError traceback on a float q
+    code, out = run_cli(["densities", "--m", str(m), "--d", "0", "--n-samples", "0"], capsys)
+    assert code == 1
+    data = json.loads(out)
+    assert data["passed"] is False
+    assert data["config"]["m"] == m
+    message = f"extension degree m = {m} must be >= 1"
+    assert data["failure"] == {"type": "ValueError", "message": message}
 
 
 def test_failure_is_structured(monkeypatch, capsys):

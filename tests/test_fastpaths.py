@@ -1,9 +1,10 @@
 """Differential tests of the prime-field fast paths against the boxed loops
 they replace: the int route of liealg.primitives, Berkowitz on ints and the
-bitmask enumeration of upward-closed sets; linalg.mat_mul on mixed inputs;
-and the pinned digest of the Invariants calibration, whose chart functions
-are one linear solve (``test_invariants`` checks it against the search over
-F_p^3 in ``oracles``)."""
+bitmask enumeration of upward-closed sets; linalg.mat_mul against the ring
+laws of the matrix product, which do not re-run its loop, and on mixed
+inputs; and the pinned digest of the Invariants calibration, whose chart
+functions are one linear solve (``test_invariants`` checks it against the
+search over F_p^3 in ``oracles``)."""
 
 import hashlib
 
@@ -19,22 +20,6 @@ from d4vinberg.liealg import D4Context, LABELS, VElem, leq, primitives
 from d4vinberg.multipoly import MPoly
 
 from oracles import det
-
-
-def reference_mat_mul(a, b):
-    """The boxed triple loop: one field operation per product and sum."""
-    n, k, m = len(a), len(b), len(b[0])
-    bt = [[b[r][c] for r in range(k)] for c in range(m)]
-    out = []
-    for i in range(n):
-        row = []
-        for col in bt:
-            acc = a[i][0] * col[0]
-            for t in range(1, k):
-                acc = acc + a[i][t] * col[t]
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def outcome(fn, *args):
@@ -96,12 +81,81 @@ def test_prime_primitives_make_no_boxed_product(monkeypatch):
     assert primitives(ctx, v) == expected
 
 
-def test_extension_field_matrices_take_the_generic_loop():
-    f = GF(5, 2)
-    rng = np.random.default_rng(11)
-    for n, k, m in ((2, 3, 4), (4, 4, 1)):
-        a, b = _random_matrix(f, rng, n, k), _random_matrix(f, rng, k, m)
-        assert linalg.mat_mul(a, b) == reference_mat_mul(a, b)
+def _unit(zero, one, n, m, i, j):
+    """The n x m matrix with one at (i, j) and zero elsewhere."""
+    return [[one if (r, c) == (i, j) else zero for c in range(m)] for r in range(n)]
+
+
+def _eye(zero, one, n):
+    return [[one if r == c else zero for c in range(n)] for r in range(n)]
+
+
+def _mat_add(a, b):
+    return [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def assert_ring_laws(zero, one, a, b, c, d):
+    """mat_mul on a (n x k), b and c (k x m) and d (m x l) against laws that
+    do not re-run its loop: unit matrices move one row or column (with
+    bilinearity, this fixes the product), the identity is neutral, and the
+    product is associative and distributive."""
+    n, k, m = len(a), len(b), len(b[0])
+    mul = linalg.mat_mul
+    for i in range(n):
+        for j in range(k):
+            e = _unit(zero, one, n, k, i, j)
+            assert mul(e, b) == [b[j] if r == i else [zero] * m for r in range(n)]
+    for i in range(k):
+        for j in range(m):
+            e = _unit(zero, one, k, m, i, j)
+            assert mul(a, e) == [[row[i] if col == j else zero for col in range(m)] for row in a]
+    assert mul(_eye(zero, one, n), a) == a == mul(a, _eye(zero, one, k))
+    assert mul(mul(a, b), d) == mul(a, mul(b, d))
+    assert mul(a, _mat_add(b, c)) == _mat_add(mul(a, b), mul(a, c))
+    assert mul(_mat_add(b, c), d) == _mat_add(mul(b, d), mul(c, d))
+
+
+# (n, k, m, l): a is n x k, b and c are k x m, d is m x l
+SHAPES = st.lists(st.integers(1, 4), min_size=4, max_size=4)
+
+
+@settings(max_examples=20, deadline=None)
+@given(shape=SHAPES, seed=st.integers(0, 2**32 - 1))
+def test_mat_mul_ring_laws_over_an_extension_field(shape, seed):
+    f = GF(23, 2)
+    rng = np.random.default_rng(seed)
+    n, k, m, l = shape
+    a, b, c, d = (_random_matrix(f, rng, r, s) for r, s in ((n, k), (k, m), (k, m), (m, l)))
+    assert_ring_laws(f.zero, f.one, a, b, c, d)
+
+
+@settings(max_examples=10, deadline=None)
+@given(shape=SHAPES, seed=st.integers(0, 2**32 - 1))
+def test_mat_mul_ring_laws_on_mpoly_matrices(shape, seed):
+    # evaluation at a point is a ring map, so it commutes with the product
+    f = GF(23)
+    rng = np.random.default_rng(seed)
+
+    def entry():
+        exps = rng.integers(0, 3, size=(2, 2)).tolist()
+        return MPoly(2, {tuple(e): f.random(rng) for e in exps})
+
+    def matrix_of(r, s):
+        return [[entry() for _ in range(s)] for _ in range(r)]
+
+    n, k, m, l = shape
+    a, b, c, d = (matrix_of(r, s) for r, s in ((n, k), (k, m), (k, m), (m, l)))
+    assert_ring_laws(MPoly(2), MPoly.const(2, f.one), a, b, c, d)
+    point = [f.random(rng) for _ in range(2)]
+
+    def at(mat):
+        return [[f.elem(x.eval(point)) for x in row] for row in mat]
+
+    assert at(linalg.mat_mul(a, b)) == linalg.mat_mul(at(a), at(b))
+    # a prime-field matrix times MPolys, against the MPoly constants
+    e = _random_matrix(f, rng, 2, n)
+    constants = [[MPoly.const(2, x) for x in row] for row in e]
+    assert linalg.mat_mul(e, a) == linalg.mat_mul(constants, a)
 
 
 def test_extension_entries_after_a_prime_first_entry():
@@ -113,55 +167,43 @@ def test_extension_entries_after_a_prime_first_entry():
     a[0][0] = f.elem(3)
     b = _random_matrix(f, rng, 3, 3)
     for x, y in ((a, b), (b, a)):
-        assert outcome(linalg.mat_mul, x, y) == outcome(reference_mat_mul, x, y) == TypeError
         with pytest.raises(TypeError, match="'FElem' and 'FElem'"):
             linalg.mat_mul(x, y)
 
 
-def test_mpoly_matrices_take_the_generic_loop():
-    f = GF(23)
-    rng = np.random.default_rng(13)
-
-    def entry():
-        return MPoly(2, {(int(rng.integers(0, 3)), int(rng.integers(0, 3))): f.random(rng)})
-
-    a = [[entry() for _ in range(3)] for _ in range(2)]
-    b = [[entry() for _ in range(2)] for _ in range(3)]
-    assert linalg.mat_mul(a, b) == reference_mat_mul(a, b)
-    # a prime-field matrix times MPolys
-    c = _random_matrix(f, rng, 2, 2)
-    assert linalg.mat_mul(c, a) == reference_mat_mul(c, a)
-
-
 def test_mixed_inputs_behave_as_the_boxed_loop():
+    # fields that do not mix raise TypeError and ragged shapes IndexError;
+    # int and np.int64 entries act as the field elements they stand for
     f, g = GF(23), GF(29)
     other23 = PrimeField(23)  # equal to GF(23) but a different object
     rng = np.random.default_rng(14)
     a = _random_matrix(f, rng, 3, 3)
-    cases = []
     for b_field in (g, other23):
-        cases.append((a, _random_matrix(b_field, rng, 3, 2)))
-    with_ints = _random_matrix(f, rng, 3, 3)
-    with_ints[1][2] = 7
-    cases.append((a, with_ints))
-    cases.append((with_ints, a))
-    numpy_vals = _random_matrix(f, rng, 3, 3)
-    numpy_vals[2][0] = FElem(f, np.int64(5))
-    cases.append((a, numpy_vals))
-    # int64 values at p = 2^31 - 1: each product fits in 64 bits, a sum of three does not
-    big = GF(2**31 - 1)
-    top = [[FElem(big, big.p - 1)] * 3 for _ in range(3)]
-    cases.append(([[FElem(big, np.int64(big.p - 1))] * 3] * 3, top))
-    ragged = [row[:] for row in a]
-    ragged[1] = ragged[1] + [f.one]  # longer row: the loop reads only k entries
-    cases.append((ragged, a))
+        b = _random_matrix(b_field, rng, 3, 2)
+        assert outcome(linalg.mat_mul, a, b) is TypeError
     short = [row[:] for row in a]
     short[2] = short[2][:2]
-    cases.append((short, a))
-    cases.append((a, short))
-    for x, y in cases:
-        assert outcome(linalg.mat_mul, x, y) == outcome(reference_mat_mul, x, y)
-    assert outcome(reference_mat_mul, a, cases[0][1]) is TypeError
+    assert outcome(linalg.mat_mul, short, a) is IndexError
+    assert outcome(linalg.mat_mul, a, short) is IndexError
+
+    def boxed(mat):
+        return [[f.elem(int(x.val) if isinstance(x, FElem) else x) for x in row] for row in mat]
+
+    with_ints = _random_matrix(f, rng, 3, 3)
+    with_ints[1][2] = 7
+    numpy_vals = _random_matrix(f, rng, 3, 3)
+    numpy_vals[2][0] = FElem(f, np.int64(5))
+    for x, y in ((a, with_ints), (with_ints, a), (a, numpy_vals)):
+        assert linalg.mat_mul(x, y) == linalg.mat_mul(boxed(x), boxed(y))
+    # int64 values at p = 2^31 - 1: each product fits in 64 bits, a sum of
+    # three does not; every entry is 3 (p - 1)^2 = 3
+    big = GF(2**31 - 1)
+    top = [[FElem(big, big.p - 1)] * 3 for _ in range(3)]
+    wide = [[FElem(big, np.int64(big.p - 1))] * 3] * 3
+    assert linalg.mat_mul(wide, top) == [[big.elem(3)] * 3] * 3
+    ragged = [row[:] for row in a]
+    ragged[1] = ragged[1] + [f.one]  # longer row: the loop reads only k entries
+    assert linalg.mat_mul(ragged, a) == linalg.mat_mul(a, a)
 
 
 @st.composite

@@ -15,6 +15,12 @@ def test_rejects_small_characteristic():
             GF(p)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_rejects_an_extension_degree_below_one(m):
+    with pytest.raises(ValueError, match=f"extension degree m = {m} must be >= 1"):
+        GF(23, m)
+
+
 def test_prime_field_axioms():
     f = GF(23)
     rng = det_rng(0, "fields-axioms")

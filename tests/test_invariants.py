@@ -104,7 +104,7 @@ def test_calibration_is_the_unit_relation(p):
     assert data["u"] == [1, 1, 1, 0, 0, 1, 0, 0, 0]
     assert len(data["Z"]) == 4 and len(data["W"]) == 5
     f = p_inv.ctx.field
-    c_syms = _chart_primitives(p_inv.ctx, p_inv.e, p_inv.W, nvars=5)
+    c_syms = _chart_primitives(p_inv.ctx, p_inv.e, p_inv.W)
     assert _slice_relation(c_syms, p_inv.xi, p_inv.eta).is_zero()
     for alpha in (f.one, f.elem(2), f.elem(p - 1)):
         for s in (f.one, -f.one):
@@ -121,7 +121,7 @@ def test_slice_primitives_are_weight_graded(m):
     # e + sum t_i W_i, with t of weights (2, 2, 2, 4, 4), c2, c4, pf, c6 are
     # homogeneous of weights 2, 4, 4, 6
     p_inv = _invariants(23, m)
-    c_syms = _chart_primitives(p_inv.ctx, p_inv.e, p_inv.W, nvars=5)
+    c_syms = _chart_primitives(p_inv.ctx, p_inv.e, p_inv.W)
     grading = [weighted_degrees(c, (2, 2, 2, 4, 4)) for c in c_syms]
     assert grading == [{2}, {4}, {4}, {6}]
 
@@ -129,7 +129,7 @@ def test_slice_primitives_are_weight_graded(m):
 @pytest.mark.parametrize("p", [23, 29, 31, 37])
 def test_chart_functions_match_search_oracle(p):
     p_inv = _invariants(p)
-    c_syms = _chart_primitives(p_inv.ctx, p_inv.e, p_inv.W, nvars=5)
+    c_syms = _chart_primitives(p_inv.ctx, p_inv.e, p_inv.W)
     xi, eta = _chart_functions(p_inv.ctx.field, c_syms)
     assert (xi, eta) == (p_inv.xi, p_inv.eta)
     assert (xi, eta) == search_chart_functions(p_inv.ctx, c_syms, seed=0)
@@ -155,7 +155,7 @@ def test_chart_functions_follow_a_graded_change_of_slice_basis(data):
 
     a2, a4 = block(3), block(2)
     dirs = [combine(row, inv.W[:3]) for row in a2] + [combine(row, inv.W[3:]) for row in a4]
-    xi, eta = _chart_functions(F, _chart_primitives(ctx, inv.e, dirs, nvars=5))
+    xi, eta = _chart_functions(F, _chart_primitives(ctx, inv.e, dirs))
     assert list(xi) == [sum((a * c for a, c in zip(row, inv.xi)), F.zero) for row in a2]
     assert list(eta) == [sum((a * c for a, c in zip(row, inv.eta)), F.zero) for row in a2]
 
@@ -306,6 +306,23 @@ def test_extension_field_context():
         assert ext_inv.pi(ext_inv.kostant_section(b)) == b
 
 
+def test_extension_calibration_is_the_prime_field_one_lifted():
+    # the solves run in GF(23^2) itself; their inputs have prime-field
+    # entries, so they must land on the F_23 calibration, coordinate by
+    # coordinate
+    ext_inv = _invariants(23, 2)
+    ext = ext_inv.ctx.field
+
+    def lift(v):
+        return VElem(ext_inv.ctx, [ext.elem(c) for c in v.coords])
+
+    assert ext_inv.F == lift(inv.F) and ext_inv.f == lift(inv.f)
+    assert ext_inv.Z == [lift(z) for z in inv.Z]
+    assert ext_inv.W == [lift(w) for w in inv.W]
+    assert ext_inv.xi == tuple(ext.elem(c) for c in inv.xi)
+    assert ext_inv.eta == tuple(ext.elem(c) for c in inv.eta)
+
+
 def _refuse_8x8(monkeypatch):
     """Make linalg's mat_mul and zeros raise on a matrix with 8 rows or
     columns, and check that they do."""
@@ -369,8 +386,8 @@ def test_sl2_data_centralizers_and_lie_disc_build_no_8x8_matrix(monkeypatch):
 def charts():
     """(base, directions, symbolic primitives) of the slice and Kostant charts."""
     return {
-        "slice": (inv.e, inv.W, _chart_primitives(ctx, inv.e, inv.W, nvars=5)),
-        "kostant": (inv.E, inv.Z, _chart_primitives(ctx, inv.E, inv.Z, nvars=4)),
+        "slice": (inv.e, inv.W, _chart_primitives(ctx, inv.e, inv.W)),
+        "kostant": (inv.E, inv.Z, _chart_primitives(ctx, inv.E, inv.Z)),
     }
 
 
@@ -410,7 +427,7 @@ def test_dual_primitives_eps_part_is_directional_derivative(seed):
     # over k[eps], f(x + eps y) = f(x) + eps * (d/dt) f(x + t y) at t = 0
     coords, duals = _dual_batch(seed, 4)
     for i, row in enumerate(coords):
-        syms = _chart_primitives(ctx, _velem(row[:, 0]), [_velem(row[:, 1])], nvars=1)
+        syms = _chart_primitives(ctx, _velem(row[:, 0]), [_velem(row[:, 1])])
         linear = [F.elem(s.terms.get((1,), 0)).val for s in syms]
         assert [int(d[1][i]) for d in duals] == linear
 
@@ -500,7 +517,7 @@ def test_block_primitives_match_8x8_oracle_on_random_charts(q, data):
     f = c.field
     coords = st.lists(st.integers(0, f.order - 1), min_size=16, max_size=16)
     base, *dirs = (VElem(c, [f.from_int(i) for i in data.draw(coords)]) for _ in range(3))
-    got, want = _chart_primitives(c, base, dirs, 2), _oracle(_chart_matrix(base, dirs, 2), f.char)
+    got, want = _chart_primitives(c, base, dirs), _oracle(_chart_matrix(base, dirs, 2), f.char)
     assert all(isinstance(g, MPoly) for g in got) and got == want
 
 

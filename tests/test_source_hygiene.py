@@ -10,7 +10,11 @@ definition.  A function, class or module-level name counts as referenced
 by any name, attribute or import that spells it; a name that is assigned
 to is bound, not referenced.  A method counts only through an attribute
 that spells it (``x.name``), so a local or an imported function of the
-same name does not hide an unused method.  Those that only the tests
+same name does not hide an unused method; and ``self.name`` inside a
+class that binds ``name`` on ``self`` is that class's own attribute, so it
+counts only for a method of that class, and ``mod.name`` of a module
+imported from outside the package (``operator.mul``) names that module's
+member, not one of ours.  Those that only the tests
 refer to are listed in ``TEST_ONLY`` (methods as ``Class.method``) with
 the reason each one stays; a reference from ``perfbench/`` may also be a
 string, as its trace targets are.
@@ -59,17 +63,45 @@ def test_module_level_imports_are_used(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
 
 
-def _references(node):
-    """(identifier, whether it is an attribute) for each identifier that
-    code under node refers to: names (other than assignment targets),
-    attributes and imported names."""
+def _is_self_attribute(node):
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    )
+
+
+def _self_bound(cls):
+    """The names that the methods of class cls assign on self."""
+    return frozenset(
+        n.attr for n in ast.walk(cls) if _is_self_attribute(n) and isinstance(n.ctx, ast.Store)
+    )
+
+
+def _outside_modules(tree, inside):
+    """The names that the import statements of tree bind to modules whose
+    top-level name is not in inside."""
+    return frozenset(
+        a.asname or a.name.split(".")[0]
+        for n in ast.walk(tree) if isinstance(n, ast.Import)
+        for a in n.names if a.name.split(".")[0] not in inside
+    )
+
+
+def _references(node, self_bound=frozenset(), modules=frozenset()):
+    """(identifier, whether it is an attribute, whether it is self.name of a
+    name in self_bound) for each identifier that code under node refers
+    to: names (other than assignment targets), attributes (but not those
+    of the modules named in modules) and imported names."""
     for n in ast.walk(node):
         if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
-            yield n.id, False
+            yield n.id, False, False
         elif isinstance(n, ast.Attribute):
-            yield n.attr, True
+            if isinstance(n.value, ast.Name) and n.value.id in modules:
+                continue
+            yield n.attr, True, _is_self_attribute(n) and n.attr in self_bound
         elif isinstance(n, ast.alias):
-            yield n.name.split(".")[-1], False
+            yield n.name.split(".")[-1], False, False
 
 
 def _string_references(node):
@@ -89,17 +121,19 @@ _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _owned(tree):
-    """(owner path, node) over the statements of tree: a top-level
-    statement is owned by (its name,), and within a top-level class each
-    method by (class, method) and every other part by (class,)."""
+    """(owner path, node, names bound on self) over the statements of tree:
+    a top-level statement is owned by (its name,), and within a top-level
+    class each method by (class, method) and every other part by (class,);
+    the names are the class's ``_self_bound``, and none outside a class."""
     for node in tree.body:
         owner = (getattr(node, "name", None),)
         if not isinstance(node, ast.ClassDef):
-            yield owner, node
+            yield owner, node, frozenset()
             continue
-        yield owner, ast.Module(body=[*node.bases, *node.keywords, *node.decorator_list])
+        bound = _self_bound(node)
+        yield owner, ast.Module(body=[*node.bases, *node.keywords, *node.decorator_list]), bound
         for item in node.body:
-            yield (owner + (item.name,) if isinstance(item, _FUNCTIONS) else owner), item
+            yield (owner + (item.name,) if isinstance(item, _FUNCTIONS) else owner), item, bound
 
 
 def _bound_names(target):
@@ -137,17 +171,21 @@ def unreferenced_definitions(defining, referring, string_keys=()):
     defining ({key: tree}) that no tree in referring ({key: tree}) refers
     to outside the definition itself.  The trees whose keys are in
     string_keys refer by their strings too.  A method is referred to only
-    by an attribute or a string."""
+    by an attribute or a string; self.name of a name that a class binds on
+    self refers only to a method of that class, and an attribute of a
+    module from outside the package or the defining modules to none."""
     # name -> {(key, owner path of the referring statement, whether the
-    # reference can name a method)}
+    # reference can name a method, whether it is a self-bound attribute)}
     refs = {}
+    inside = {"d4vinberg", *(Path(str(key)).stem for key in defining)}
     for key, tree in referring.items():
-        for owner, node in _owned(tree):
-            names = list(_references(node))
+        modules = _outside_modules(tree, inside)
+        for owner, node, bound in _owned(tree):
+            names = list(_references(node, bound, modules))
             if key in string_keys:
-                names += [(part, True) for part in _string_references(node)]
-            for name, member in names:
-                refs.setdefault(name, set()).add((key, owner, member))
+                names += [(part, True, False) for part in _string_references(node)]
+            for name, member, own in names:
+                refs.setdefault(name, set()).add((key, owner, member, own))
     out = []
     for key, tree in defining.items():
         for path, name in _definitions(tree):
@@ -155,8 +193,10 @@ def unreferenced_definitions(defining, referring, string_keys=()):
                 continue
             method = len(path) == 2
             outside = [
-                1 for k, owner, member in refs.get(path[-1], ())
-                if (member or not method) and (k != key or owner[: len(path)] != path)
+                1 for k, owner, member, own in refs.get(path[-1], ())
+                if (member or not method)
+                and (not own or (method and (k, owner[0]) == (key, path[0])))
+                and (k != key or owner[: len(path)] != path)
             ]
             if not outside:
                 out.append((key, name))
@@ -226,6 +266,30 @@ def test_scanner_counts_a_method_only_by_attribute():
     assert got == [("a", "Cls.sub"), ("a", "Cls.sqrt"), ("a", "Cls.scale"), ("a", "Cls.traced")]
     got = unreferenced_definitions({"a": a}, {"a": a, "b": b}, string_keys={"b"})
     assert got == [("a", "Cls.sub"), ("a", "Cls.sqrt"), ("a", "Cls.scale")]
+
+
+def test_scanner_counts_self_attributes_only_for_their_class():
+    # Table binds mul and size on self, so its self.mul and self.size are
+    # its own attributes and use no method of Curve; Curve binds neither,
+    # so its self.size uses Curve.size.  An attribute of an outside module
+    # names none of them; one of another object may name any method
+    a = ast.parse(
+        "class Table:\n"
+        "    def __init__(self, n):\n"
+        "        self.mul = [0] * n\n"
+        "        self.size = len(self.mul)\n"
+        "    def lookup(self, i): return self.mul[i] + self.size\n"
+        "class Curve:\n"
+        "    def mul(self, n): return self.mul(n - 1)\n"
+        "    def size(self): pass\n"
+        "    def double(self): return self.size()\n"
+    )
+    b = ast.parse("from a import Curve, Table\nTable(3).lookup(0)\nCurve().double()\n")
+    assert unreferenced_definitions({"a": a}, {"a": a, "b": b}) == [("a", "Curve.mul")]
+    c = ast.parse("import operator\nfrom a import Table\nRING = (operator.mul, operator.size)\n")
+    assert unreferenced_definitions({"a": a}, {"a": a, "b": b, "c": c}) == [("a", "Curve.mul")]
+    d = ast.parse("import a\nfrom a import Table\nTable(1).mul, a.Curve\n")
+    assert unreferenced_definitions({"a": a}, {"a": a, "b": b, "d": d}) == []
 
 
 def test_scanner_finds_unreferenced_module_names():
