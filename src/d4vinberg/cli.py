@@ -197,8 +197,6 @@ def cmd_geography(args, cfg):
 
 
 def cmd_densities(args, cfg):
-    if cfg["m"] < 1:
-        raise ValueError(f"extension degree m = {cfg['m']} must be >= 1")
     q = cfg["p"] ** cfg["m"]
     reports = {}
     alpha = densities.alpha_v(q) if q <= 64 else densities.alpha_closed_form(q)
@@ -284,6 +282,8 @@ def main(argv=None):
     cfg = {}  # a config file that fails to read or parse leaves it empty
     try:
         cfg = _merged(args)
+        if cfg["m"] < 1:
+            raise ValueError(f"extension degree m = {cfg['m']} must be >= 1")
         payload = COMMANDS[args.command](args, cfg)
     except (AssertionError, ValueError, OSError) as exc:
         failure = {

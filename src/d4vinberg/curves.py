@@ -8,10 +8,12 @@ leave the curve.  Multiplying the affine equation by x gives (xy + q4)^2
 = f(x) with f the defining quartic, which ties the curves to the
 invariant theory.
 
-Over F_q(t), the numpy box filter ``numkernels.xd_box_filter`` decides
-membership in X_D for ``sample_xd`` and for ``xd_membership``, which, on
-a block of tuples, certifies every bad fibre of each member I1 at once in
-F_q[t]/(Delta) and counts its bad places by Berlekamp's matrix.
+Over F_q(t), the numpy row test ``numkernels.xd_delta_mask`` decides
+membership in X_D: ``sample_xd`` reads it through the sieved box filter
+``numkernels.xd_box_filter``, and ``xd_membership`` runs it on the Delta
+of every tuple of a block, then certifies every bad fibre of each member
+I1 at once in F_q[t]/(Delta) and counts its bad places by Berlekamp's
+matrix.
 
 Desk-scale enumeration is guarded by max_q (default 101).
 """
@@ -310,11 +312,13 @@ def xd_membership(field, bs, d):
 
     bs: tuples of four Polys (p2, p4, q4, p6) over a prime field, subject
     to degree bounds (2d, 4d, 4d, 6d), all checked before any work; one
-    XDMembership per tuple, in order.  One ``numkernels.xd_box_filter``
-    call gives each Delta and in_xd: Delta nonzero and squarefree and
-    ord_inf = 24d - deg Delta <= 1.  A non-member has bad_places None; a
-    member's counts the zeros of Delta (``numkernels.berlekamp_nullity``,
-    one call for the block) and infinity when ord_inf = 1.
+    XDMembership per tuple, in order.  One ``numkernels.delta_poly_batch``
+    call gives every Delta, with no sieve, as non-members report theirs
+    too, and one ``numkernels.xd_delta_mask`` call each in_xd: Delta
+    nonzero and squarefree and ord_inf = 24d - deg Delta <= 1.  A
+    non-member has bad_places None; a member's counts the zeros of Delta
+    (``numkernels.berlekamp_nullity``, one call for the block) and
+    infinity when ord_inf = 1.
     One certificate, ``_certify_i1_block``, covers every bad fibre of the
     block: the finite ones of each member at once in F_q[t]/(Delta), and
     the one at infinity in F_q[s]/(s) on the coefficients of b at the box
@@ -330,7 +334,8 @@ def xd_membership(field, bs, d):
     if any(p.degree > bound for b in bs for p, bound in zip(b, bounds)):
         raise ValueError("coefficient degrees exceed the B_D box")
     arrays = [_pack([b[i] for b in bs], k + 1) for i, k in enumerate(bounds)]
-    rows, mask = numkernels.xd_box_filter(field.char, arrays)
+    rows = numkernels.delta_poly_batch(field.char, arrays)
+    mask = numkernels.xd_delta_mask(rows, d, field.char)
     deltas = [
         Poly._of(field, row[: k + 1].tolist()) for row, k in zip(rows, numkernels.row_degrees(rows))
     ]
@@ -484,9 +489,10 @@ def sample_xd(field, d, count, seed):
     The tries come in blocks of SAMPLE_BLOCK rows, one (SAMPLE_BLOCK,
     16 d + 4) draw from the stream (seed, "sample-xd") with columns
     p2 | p4 | q4 | p6: the draws of one scalar per coefficient, tuple by
-    tuple.  ``numkernels.xd_box_filter`` tests a block, and its members
-    are accepted in order, so the samples and the count of tries are
-    those of one row at a time.
+    tuple.  ``numkernels.xd_box_filter`` tests a block (the mask only,
+    sieved at the places of degree 1 where they are few), and its
+    members are accepted in order, so the samples and the count of tries
+    are those of one row at a time.
     """
     p = field.char
     if field.order != p:
@@ -499,7 +505,7 @@ def sample_xd(field, d, count, seed):
     drawn = 0
     while len(out) < count:
         block = rng.integers(0, p, size=(SAMPLE_BLOCK, sum(widths)), dtype=np.int64)
-        _, mask = numkernels.xd_box_filter(p, np.split(block, splits, axis=1))
+        mask = numkernels.xd_box_filter(p, np.split(block, splits, axis=1))
         for i in np.flatnonzero(mask)[: count - len(out)]:
             if drawn + i >= max_tries:
                 break

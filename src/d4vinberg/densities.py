@@ -246,12 +246,15 @@ def delta_b_tail_bound(q: int, beyond_degree: int) -> Fraction:
 def delta_b_montecarlo(field, d: int, n: int, seed: int):
     """Empirical in_XD fraction over H^0(X, B_D), D = d*infinity, batched.
 
-    Returns (fraction, stderr, hits).  Matches ``numkernels.xd_box_filter``,
-    the X_D filter of ``curves``: the affine discriminant must be nonzero
-    and squarefree with at most a simple zero at infinity, 24 d - deg
-    Delta <= 1.  Chunk i of 4000 samples draws from the Philox stream
-    (seed, "delta-b-mc", i) and is one call of the filter, with no per-row
-    Python.
+    Returns (fraction, stderr, hits).  A hit is a tuple that
+    ``numkernels.xd_box_filter`` passes, the X_D test of ``curves``: the
+    affine discriminant must be nonzero and squarefree with at most a
+    simple zero at infinity, 24 d - deg Delta <= 1.  Chunk i of 4000
+    samples draws from the Philox stream (seed, "delta-b-mc", i) and is
+    one call of the filter, with no per-row Python.  Only the mask is
+    read, so the filter may sieve: where q + 1 <= SIEVE_RATIO d it
+    rejects the tuples with a double zero of Delta at a place of degree 1
+    before it computes Delta.
     """
     import numpy as np
 
@@ -271,7 +274,7 @@ def delta_b_montecarlo(field, d: int, n: int, seed: int):
             rng.integers(0, p, size=(size, 2 * d * w + 1), dtype=np.int64)
             for w in weights
         ]
-        hits += int(numkernels.xd_box_filter(p, arrays)[1].sum())
+        hits += int(numkernels.xd_box_filter(p, arrays).sum())
         done += size
     frac = hits / n
     stderr = sqrt(max(frac * (1 - frac), 1e-12) / n)

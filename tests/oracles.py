@@ -37,7 +37,13 @@ slower way, and serve only as the reference of the differential tests:
 - X_D membership one tuple at a time, on the boxed Delta (``disc_poly``),
   the boxed squarefree test, the row certificate and the number of
   factors of ``polys.factor`` (``xd_membership_by_row``), against which
-  the block form ``curves.xd_membership`` is checked.
+  the block form ``curves.xd_membership`` is checked;
+- the X_D box filter with no sieve, Delta and the row test on every row
+  (``xd_box_filter_unsieved``), against which the sieved mask of
+  ``numkernels.xd_box_filter`` is checked; and a double zero of a boxed
+  Delta at a place of degree 1 by evaluation at each one
+  (``double_zero_of_degree_one``), against which the sieve
+  ``numkernels._degree_one_sieve`` is checked.
 """
 
 from fractions import Fraction
@@ -645,3 +651,20 @@ def xd_membership_by_row(field, b, d):
         certify_i1_by_row(top, Poly.x(field))
     bad = len(polys.factor(delta)) + ord_inf
     return XDMembership(True, bad, ord_inf, delta)
+
+
+def xd_box_filter_unsieved(p, coeff_arrays):
+    """The X_D mask of ``numkernels.xd_box_filter`` with no sieve: Delta of
+    every row (``delta_poly_batch``) and the row test ``xd_delta_mask``."""
+    d = (coeff_arrays[0].shape[1] - 1) // 2
+    return numkernels.xd_delta_mask(numkernels.delta_poly_batch(p, coeff_arrays), d, p)
+
+
+def double_zero_of_degree_one(field, delta, d):
+    """Whether a boxed Delta of formal degree 24 d has a double zero at a
+    place of degree 1: Delta(a) = Delta'(a) = 0 at some a in the field
+    (everywhere for Delta = 0), or 24 d - deg Delta >= 2 at infinity."""
+    if delta.is_zero() or 24 * d - delta.degree >= 2:
+        return True
+    slope = delta.derivative()
+    return any(delta(a) == field.zero and slope(a) == field.zero for a in field)

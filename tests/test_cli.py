@@ -167,6 +167,28 @@ def test_densities_at_an_extension_degree_below_one_fails(m, capsys):
     assert data["failure"] == {"type": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize("command, m", [("verify-algebra", 0), ("curves", -1)])
+def test_every_command_refuses_an_extension_degree_below_one(command, m, capsys):
+    # the same record as densities, before the command runs: verify-algebra
+    # would run m = 2 and curves no m at all, and both echo m in the report
+    code, out = run_cli([command, "--m", str(m)], capsys)
+    assert code == 1
+    data = json.loads(out)
+    assert data["passed"] is False
+    assert data["config"]["m"] == m
+    message = f"extension degree m = {m} must be >= 1"
+    assert data["failure"] == {"type": "ValueError", "message": message}
+
+
+def test_a_failed_report_exits_one(monkeypatch, capsys):
+    import d4vinberg.cli as cli_mod
+
+    monkeypatch.setitem(cli_mod.COMMANDS, "geography", lambda args, cfg: {"passed": False})
+    code, out = run_cli(["geography"], capsys)
+    assert code == 1
+    assert json.loads(out) == {"passed": False}
+
+
 def test_failure_is_structured(monkeypatch, capsys):
     import d4vinberg.cli as cli_mod
 

@@ -530,7 +530,8 @@ def test_xd_membership_of_an_empty_block():
 @pytest.mark.parametrize("coefficient", range(4))
 def test_xd_membership_checks_the_whole_block_first(monkeypatch, at, coefficient):
     # one tuple past the box anywhere in the block raises ValueError before
-    # the box filter runs; a tuple at the box degrees is in the box
+    # Delta of the block is computed; a tuple at the box degrees is in the
+    # box
     field = GF(5)
     at_box = tuple(Poly(field, [1] * (2 * w + 1)) for w in WEIGHTS)
     bs = sample_xd(field, 1, 3, seed=5) + [at_box]
@@ -538,10 +539,10 @@ def test_xd_membership_checks_the_whole_block_first(monkeypatch, at, coefficient
     over[coefficient] = over[coefficient] * Poly.x(field)
     bs.insert(at, tuple(over))
 
-    def no_filter(p, arrays):
-        raise RuntimeError("the box filter ran")
+    def no_delta(p, arrays):
+        raise RuntimeError("Delta of the block ran")
 
-    monkeypatch.setattr(numkernels, "xd_box_filter", no_filter)
+    monkeypatch.setattr(numkernels, "delta_poly_batch", no_delta)
     with pytest.raises(ValueError, match="exceed the B_D box"):
         xd_membership(field, bs, 1)
     with pytest.raises(RuntimeError):
@@ -610,7 +611,7 @@ def test_sample_xd_budget_counts_single_rows(monkeypatch, row, accepted):
         n = arrays[0].shape[0]
         mask = np.arange(drawn[0], drawn[0] + n) == row
         drawn[0] += n
-        return None, mask
+        return mask
 
     monkeypatch.setattr(numkernels, "xd_box_filter", accept_one_row)
     if accepted:

@@ -5,13 +5,15 @@ stack; its oracle is the length of ``polys.factor``.  ``gcd_degrees``
 runs the lockstep elimination of ``squarefree_batch`` on two batches; its
 oracle is ``polys.gcd``.  ``_remainder`` is the same elimination with the
 second batch held fixed; its oracle is ``poly_divmod``.  ``xd_box_filter``
-tests a batch of tuples of H^0(X, B_D) at once; its oracle is the boxed
-one-row ``curves.in_xd_fast``.
+tests a batch of tuples of H^0(X, B_D) at once; its oracles are the
+unsieved filter ``oracles.xd_box_filter_unsieved`` and the boxed one-row
+``curves.in_xd_fast``.  Its sieve at the places of degree 1 is held to
+``oracles.double_zero_of_degree_one`` on the boxed Delta of each row.
 
 At P_TOP, the largest prime below MAX_P, each kernel's int64 bound is
-tight: the reductions of ``_eliminate`` and ``_remainder`` and the bound
-n (p - 1)^2 + p < 2^63 of Berlekamp's matrices decide whether a result is
-exact."""
+tight: the reductions of ``_eliminate`` and ``_remainder``, the bound
+n (p - 1)^2 + p < 2^63 of Berlekamp's matrices and the 128-term slices of
+the sieve's jet product decide whether a result is exact."""
 
 import numpy as np
 import pytest
@@ -21,7 +23,9 @@ from d4vinberg import numkernels, polys
 from d4vinberg.curves import WEIGHTS, in_xd_fast
 from d4vinberg.fields import GF
 from d4vinberg.polys import Poly
+from d4vinberg.quartic import delta
 from d4vinberg.rng import det_rng
+from oracles import disc_poly, double_zero_of_degree_one, xd_box_filter_unsieved
 
 P_TOP = 268435399  # the largest prime below numkernels.MAX_P = 2^28
 
@@ -327,8 +331,10 @@ def test_remainder_reduces_where_the_int64_bound_requires(monkeypatch, p, steps)
     assert calls == _remainder_reductions(p, n + steps, n)
 
 
-@pytest.mark.parametrize("p, d", [(5, 0), (5, 1), (7, 1), (5, 2)])
+@pytest.mark.parametrize("p, d", [(5, 0), (5, 1), (7, 1), (5, 2), (23, 1)])
 def test_box_filter_matches_in_xd_fast(p, d):
+    # at p = 23, d = 1 the box filter does not sieve, so the row test
+    # alone rejects a double zero at infinity
     field = GF(p)
     rng = det_rng(21, f"box-filter-{p}", d)
     arrays = [rng.integers(0, p, size=(200, 2 * d * w + 1), dtype=np.int64) for w in WEIGHTS]
@@ -337,9 +343,172 @@ def test_box_filter_matches_in_xd_fast(p, d):
     for a in arrays:
         a[20] = 0
         a[21:40, a.shape[1] // 2 :] = 0
-    delta, mask = numkernels.xd_box_filter(p, arrays)
-    assert delta.shape == (200, 24 * d + 1)
+    # and rows whose box-degree coefficients (0, 2c, c, 0) give (t^2 + c)^2,
+    # two double roots, where Delta vanishes to order 2: at d >= 1 most of
+    # them have a zero of order exactly 2 at infinity
+    if d:
+        c = rng.integers(1, p, size=20)
+        arrays[0][40:60, -1] = arrays[3][40:60, -1] = 0
+        arrays[1][40:60, -1], arrays[2][40:60, -1] = 2 * c % p, c
+    assert numkernels.delta_poly_batch(p, arrays).shape == (200, 24 * d + 1)
+    mask = numkernels.xd_box_filter(p, arrays)
     for i in range(200):
         b = tuple(Poly(field, a[i].tolist()) for a in arrays)
         assert bool(mask[i]) == in_xd_fast(field, b, d)
     assert 0 < mask.sum() < 200
+
+
+# -- the sieve at the places of degree 1 --
+
+
+def _box_arrays(d, tuples):
+    """Tuples of int lists (p2, p4, q4, p6) as the four (N, 2 d w + 1)
+    arrays of H^0(X, B_D)."""
+    return [_rows([b[i] for b in tuples], 2 * d * w + 1) for i, w in enumerate(WEIGHTS)]
+
+
+def _double_zero_at(field, rng, d, a):
+    """A tuple of the box (d >= 1) whose Delta vanishes to order >= 12 at
+    the place a, a in F_p or a = p for infinity: each b_i is (t - a)^w_i
+    times a random polynomial, or of degree <= (2 d - 1) w_i at infinity.
+    Delta has weight 12, so Delta(u^w b) = u^12 Delta(b)."""
+    p = field.char
+    out = []
+    for w in WEIGHTS:
+        c = rng.integers(0, p, size=(2 * d - 1) * w + 1).tolist()
+        out.append(_product(field, [c] + [[-a % p, 1]] * w) if a < p else c)
+    return out
+
+
+def _square_of_a_quadratic(field, rng, d):
+    """A tuple of the box (d >= 1) with Delta = g^(12 d) Delta(c): g the
+    first monic irreducible quadratic and c random constants with
+    Delta(c) != 0.  Delta has degree 24 d and no zero of degree 1, so the
+    sieve lets it through, and it is not squarefree."""
+    p = field.char
+    g = next(polys.monic_irreducibles(field, 2)).vals
+    while True:
+        c = rng.integers(1, p, size=4).tolist()
+        if delta(c) % p:
+            return [_product(field, [[x]] + [g] * (d * w)) for x, w in zip(c, WEIGHTS)]
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+def test_degree_one_table_holds_the_jets_of_each_place(w):
+    # c(t) = sum c_j t^j has value sum c_j a^j and slope sum j c_j a^(j-1)
+    # at a in F_p; s^(w-1) c(1/s) has value c_(w-1) and slope c_(w-2) at 0
+    p = 5
+    table = numkernels._degree_one_table(w, p)
+    assert table.shape == (w, 2 * (p + 1))
+    for j in range(w):
+        assert table[j, :p].tolist() == [pow(a, j, p) for a in range(p)]
+        slopes = [j * pow(a, j - 1, p) % p if j else 0 for a in range(p)]
+        assert table[j, p + 1 : 2 * p + 1].tolist() == slopes
+    assert table[:, p].tolist() == [int(j == w - 1) for j in range(w)]
+    assert table[:, 2 * p + 1].tolist() == [int(j == w - 2) for j in range(w)]
+
+
+@st.composite
+def sieve_blocks(draw):
+    """(p, d, tuples, planted, squares): random tuples of H^0(X, B_D) as int
+    lists, then planted rows: a zero Delta (q4 = p6 = 0) and, at d >= 1,
+    double zeros at drawn places of degree 1 and the square of an
+    irreducible quadratic.  p and d fall on both sides of the sieve's
+    rule."""
+    p = draw(st.sampled_from([5, 7, 23, 101]))
+    d = draw(st.integers(0, 3))
+    field = GF(p)
+    rng = det_rng(draw(st.integers(0, 2**32)), "sieve-blocks", p)
+    tuples = [
+        [rng.integers(0, p, size=2 * d * w + 1).tolist() for w in WEIGHTS]
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    zero = [rng.integers(0, p, size=2 * d * w + 1).tolist() for w in WEIGHTS[:2]] + [[], []]
+    planted, squares = [len(tuples)], []
+    tuples.append(zero)
+    if d:
+        for a in draw(st.lists(st.integers(0, p), max_size=3)):
+            planted.append(len(tuples))
+            tuples.append(_double_zero_at(field, rng, d, a))
+        squares.append(len(tuples))
+        tuples.append(_square_of_a_quadratic(field, rng, d))
+    order = draw(st.permutations(range(len(tuples))))
+    where = {old: new for new, old in enumerate(order)}
+    return (
+        p,
+        d,
+        [tuples[i] for i in order],
+        [where[i] for i in planted],
+        [where[i] for i in squares],
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(sieve_blocks())
+def test_sieved_mask_matches_the_unsieved_filter(case):
+    p, d, tuples, planted, squares = case
+    field = GF(p)
+    arrays = _box_arrays(d, tuples)
+    mask = numkernels.xd_box_filter(p, arrays)
+    want = xd_box_filter_unsieved(p, arrays)
+    sieve = numkernels._degree_one_sieve(p, arrays)
+    assert mask.tolist() == want.tolist()
+    # the sieve never rejects a member
+    assert not (want & ~sieve).any()
+    for i, b in enumerate(tuples):
+        b = tuple(Poly(field, c) for c in b)
+        assert bool(want[i]) == in_xd_fast(field, b, d)
+        assert bool(sieve[i]) != double_zero_of_degree_one(field, disc_poly(field, b), d)
+    assert not sieve[planted].any()
+    assert sieve[squares].all() and not mask[squares].any()
+
+
+@pytest.mark.parametrize("p, d", [(5, 1), (7, 2), (23, 3), (101, 1)])
+def test_sieve_rejects_a_double_zero_at_every_place_of_degree_one(p, d):
+    field = GF(p)
+    rng = det_rng(d, "sieve-places", p)
+    tuples = [_double_zero_at(field, rng, d, a) for a in range(p + 1)]
+    tuples.append(_square_of_a_quadratic(field, rng, d))
+    arrays = _box_arrays(d, tuples)
+    sieve = numkernels._degree_one_sieve(p, arrays)
+    assert not sieve[:-1].any() and sieve[-1]
+    assert not numkernels.xd_box_filter(p, arrays).any()
+
+
+@pytest.mark.parametrize(
+    "p, d, sieved",
+    [(5, 0, False), (5, 1, True), (7, 1, True), (11, 1, False), (17, 2, False),
+     (13, 2, True), (23, 3, True), (29, 3, False), (101, 2, False)],
+)
+def test_box_filter_sieves_where_the_places_are_few(monkeypatch, p, d, sieved):
+    # the rule p + 1 <= SIEVE_RATIO d, SIEVE_RATIO = 8
+    calls = []
+    sieve = numkernels._degree_one_sieve
+
+    def spy(p_, arrays):
+        calls.append(p_)
+        return sieve(p_, arrays)
+
+    monkeypatch.setattr(numkernels, "_degree_one_sieve", spy)
+    rng = det_rng(d, "sieve-rule", p)
+    arrays = [rng.integers(0, p, size=(20, 2 * d * w + 1), dtype=np.int64) for w in WEIGHTS]
+    assert numkernels.xd_box_filter(p, arrays).tolist() == xd_box_filter_unsieved(p, arrays).tolist()
+    assert calls == ([p] if sieved else [])
+
+
+@pytest.mark.parametrize("p", [P_TOP, numkernels.MAX_P])
+def test_jet_product_is_exact_at_the_top_prime(p):
+    # 128 (p - 1)^2 < 2^63 <= 129 (p - 1)^2 at P_TOP: sums of 128 products
+    # of residues are exact and sums of 129 are not, so the product runs
+    # in slices of 128 terms; width 300 takes three.  The stated bound
+    # admits every modulus up to MAX_P and refuses MAX_P + 1
+    assert 128 * (p - 1) ** 2 < 2**63 <= 129 * (p - 1) ** 2
+    top = numkernels._product_mod(np.full((2, 300), p - 1), np.full((300, 3), p - 1), p)
+    assert top.tolist() == [[300 % p] * 3] * 2
+    rng = det_rng(0, "jet-product", p)
+    a = rng.integers(0, p, size=(3, 300), dtype=np.int64)
+    b = rng.integers(0, p, size=(300, 4), dtype=np.int64)
+    want = [[sum(x * y for x, y in zip(row, col)) % p for col in b.T.tolist()] for row in a.tolist()]
+    assert numkernels._product_mod(a, b, p).tolist() == want
+    with pytest.raises(AssertionError):
+        numkernels._product_mod(a, b, numkernels.MAX_P + 1)
