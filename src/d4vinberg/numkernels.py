@@ -1,6 +1,7 @@
 """Vectorized mod-p kernels for the density enumerations and Monte Carlo.
 
-Everything here is exact integer arithmetic on int64 arrays reduced mod p.
+Everything here is exact integer arithmetic on numpy integer arrays
+reduced mod p, each reduction by floor division (``_reduce``, ``_mod``).
 Length-2 local rings O_v/(pi^2) are equal-characteristic, so they are dual
 numbers k[eps]/(eps^2); ring elements are (value, eps-part) array pairs.
 Small extension residue fields use index tables.
@@ -8,7 +9,7 @@ Small extension residue fields use index tables.
 The beta Monte Carlo computes the invariant primitives (c2, c4, pf, c6),
 which are pi = (p2, p4, q4, p6) itself (``invariants.pi``), so Delta of
 the primitives is Delta o pi by definition.  It runs one numpy program on
-4x4 blocks (``_block_primitives``) over a lift of its int64 array maps:
+4x4 blocks (``_block_primitives``) over a lift of its integer array maps:
 residues mod p (``_value_lift``) or dual-number pairs (``_dual_lift``),
 the way ``_jet_ring`` lifts a ring adapter.  The blocks
 X, Y of v = [[0, X], [Y, 0]] are gathered by ``liealg.BLOCK_GATHER``, the
@@ -17,7 +18,7 @@ table of ``liealg.v_blocks``, and det X runs on ``linalg.LAPLACE_4``.
 the rows whose Delta value is 0.
 
 Delta is the division-free program ``quartic.delta`` over one ``(mul,
-add, scale)`` ring adapter per representation: mod-p int64 arrays
+add, scale)`` ring adapter per representation: mod-p integer arrays
 (``mod_ring``), dual-number pairs (``dual_ring``), index tables
 (``GFTable.ring``), (N, deg+1) polynomial batches (``batch_ring``) and int
 lists (``intlist_ring``).  The gradient of the alpha counts is the same
@@ -43,27 +44,27 @@ polynomial (``_remainder``).  The members of X_D run on blocks too:
 ``i1_certificate`` is the I1 certificate of ``curves`` in F_p[t]/(Delta)
 (a gcd degree and two remainders per row), and ``berlekamp_nullity``
 counts the irreducible factors of each row of a stack, the bad places of
-an X_D member, as the nullity of Berlekamp's Q - I on (rows, n, n) int64
+an X_D member, as the nullity of Berlekamp's Q - I on (rows, n, n)
 stacks of at most STACK entries.
 
-The int64 kernels are exact only for p < MAX_P = 2**28, and each states
-its bound:
-- ``_batched_polymul`` reduces after every 128 terms: 128 (p - 1)^2 + p
-  < 2^63;
-- the widest sum of the beta pipeline is the eps part of tr(M M^2) on the
-  4x4 blocks, 32 products of residues (det X sums at most twelve, see
-  ``_block_det``);
-- the jets of the sieve, ``_product_mod``, sum products of residues in
-  slices of 128 terms, exact for any width;
-- ``_eliminate`` tracks a bound on its entries, which a step multiplies
-  by 2 (p - 1), and reduces before it could reach 2^63;
-- ``_remainder`` adds at most (p - 1)^2 a step, and reduces every 128
-  steps at p near MAX_P;
-- Berlekamp's mat-vecs sum n products of residues, and its elimination
-  adds less than (p - 1)^2 per column, so ``berlekamp_nullity`` checks
-  n (p - 1)^2 + p < 2^63 at its largest degree n.
-The numpy ring adapters and the X_D kernels reject larger p, and p < 5
-(the Newton step of the beta pipeline divides by 2, 4 and 6).
+Each kernel states how many products of residues it sums before a
+reduction and runs at ``_width(p, terms)``, the narrowest of int16,
+int32 and int64 that holds terms (p - 1)^2 + p; its entry point casts
+once (after the int64 Philox draws) and returns bool or int64 as always:
+- the beta pipeline: 32 products, the eps part of tr(M M^2) (det X sums
+  twelve, ``_block_det``): int16 to p = 31, int32 to 8191;
+- ``_batched_polymul`` and the sieve's ``_product_mod``: 128 products
+  between reductions: int16 to p = 13, int32 to 4093;
+- ``_eliminate``: one step, 2 (p - 1)^2; a step multiplies its tracked
+  bound by 2 (p - 1), and it reduces before the bound could pass the
+  width's maximum; ``_remainder`` likewise adds (p - 1)^2 a step;
+- Berlekamp's mat-vecs and elimination: n products at degree n (and the
+  128 of its squarings).
+int64 holds them all for p < MAX_P = 2**28; the ring adapters and the
+X_D kernels reject larger p, and p < 5 (the beta pipeline's Newton step
+divides by 2, 4 and 6).  numpy keeps an array's dtype in arithmetic with
+a Python int (NEP 50, numpy 2.0), but widens sums and traces not given
+one.
 """
 
 import numpy as np
@@ -77,10 +78,11 @@ from .rng import det_rng
 
 MAX_P = 2**28
 BETA_CHUNK = 20000  # samples per Philox stream of beta_mc_prime
-# rows per block of beta_mc_prime: a third survive the value pass at q = 5,
-# and on 500-row blocks their dual pass was bound by per-call overhead; the
-# beta stage peaks at 46 MB at 500 and at 2000 rows alike
-BETA_BLOCK = 2000
+# bytes per coordinate of a block of beta_mc_prime, 2000 rows of int64: a
+# third survive the value pass at q = 5, and on 500-row blocks their dual
+# pass was bound by per-call overhead; the stage peaks at 46 MB at 500 and
+# at 2000 rows alike; at int16, 8000-row blocks took a quarter less time
+BETA_BLOCK = 16000
 BLOCK = 2**16  # grid points per block of the alpha counts and their oracle
 
 
@@ -92,19 +94,28 @@ def _check_p(p):
         raise ValueError(f"p = {p} outside the range 5 <= p < {MAX_P} of the int64 kernels")
 
 
+def _width(p, terms):
+    """The narrowest of int16, int32 and int64 that holds terms (p - 1)^2 +
+    p: terms products of residues mod p and one more residue."""
+    for dtype in (np.int16, np.int32, np.int64):
+        if terms * (p - 1) ** 2 + p <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    raise ValueError(f"{terms} products of residues mod {p} leave the int64 range")
+
+
 def _value_lift(p):
     """Lift to residues mod p: ``(each, bilinear)`` as in ``_dual_lift``."""
-    return (lambda f: f, lambda f: lambda a, b: f(a, b) % p)
+    return (lambda f: f, lambda f: lambda a, b: _mod(f(a, b), p))
 
 
 def _dual_lift(p):
-    """Lift of maps on int64 arrays to dual-number pairs (value, eps) mod
+    """Lift of maps on integer arrays to dual-number pairs (value, eps) mod
     p: ``each(f)`` applies a linear f to the value and the eps parts alike
     (unreduced), ``bilinear(f)`` gives (f(a0, b0), f(a0, b1) + f(a1, b0))
     reduced mod p, so an eps part sums twice the products of the value."""
     return (
         lambda f: lambda *args: tuple(f(*parts) for parts in zip(*args)),
-        lambda f: lambda a, b: (f(a[0], b[0]) % p, (f(a[0], b[1]) + f(a[1], b[0])) % p),
+        lambda f: lambda a, b: (_mod(f(a[0], b[0]), p), _mod(f(a[0], b[1]) + f(a[1], b[0]), p)),
     )
 
 
@@ -114,22 +125,23 @@ def _lift_ring(lift, p):
     each, bilinear = lift
     return (
         bilinear(np.multiply),
-        each(lambda a, b: (a + b) % p),
-        lambda c, a: each(lambda x: c % p * x % p)(a),
+        each(lambda a, b: _mod(a + b, p)),
+        lambda c, a: each(lambda x: _mod(c % p * x, p))(a),
     )
 
 
 def mod_ring(p):
-    """Ring of int64 residue arrays mod p."""
+    """Ring of residue arrays mod p."""
     return _lift_ring(_value_lift(p), p)
 
 
 def _grid_blocks(q, n):
     """The q^n points of {0..q-1}^n in code order (the first coordinate
-    most significant), BLOCK points at a time, as n coordinate arrays."""
+    most significant), BLOCK points at a time, as n coordinate arrays at
+    the width of two products (a dual-number product)."""
     for start in range(0, q**n, BLOCK):
         codes = np.arange(start, min(start + BLOCK, q**n), dtype=np.int64)
-        yield [codes // q**k % q for k in reversed(range(n))]
+        yield [_mod(codes // q**k, q).astype(_width(q, 2)) for k in reversed(range(n))]
 
 
 def _jet_ring(ring):
@@ -193,7 +205,7 @@ def alpha_brute_prime(p):
 
 
 class GFTable:
-    """Index-table arithmetic for a small extension field (vectorized)."""
+    """Index-table arithmetic on int16 codes for a small extension field."""
 
     def __init__(self, field):
         self.field = field
@@ -202,8 +214,8 @@ class GFTable:
             raise ValueError("index tables limited to q <= 64")
         self.q = q
         elems = sorted(field, key=field.to_int)
-        self.add = np.zeros((q, q), dtype=np.int64)
-        self.mul = np.zeros((q, q), dtype=np.int64)
+        self.add = np.zeros((q, q), dtype=np.int16)
+        self.mul = np.zeros((q, q), dtype=np.int16)
         for a in elems:
             ia = field.to_int(a)
             for b in elems:
@@ -211,7 +223,7 @@ class GFTable:
                 self.add[ia, ib] = field.to_int(a + b)
                 self.mul[ia, ib] = field.to_int(a * b)
         embed = np.array(
-            [field.to_int(field.elem(k)) for k in range(field.char)], dtype=np.int64
+            [field.to_int(field.elem(k)) for k in range(field.char)], dtype=np.int16
         )
         add, mul, p = self.add, self.mul, field.char
         self.ring = (
@@ -236,8 +248,9 @@ def dual_ring(p):
     return _lift_ring(_dual_lift(p), p)
 
 
-# (2, 16) coordinate indices and signs of the entries of the blocks X, Y
-_BLOCK_INDEX, _BLOCK_SIGN = np.array(BLOCK_GATHER, dtype=np.int64).transpose(2, 0, 1)
+# (2, 16) coordinate indices and signs of the entries of the blocks X, Y;
+# the signs are int8, so that a product takes the coordinates' dtype
+_BLOCK_INDEX, _BLOCK_SIGN = np.array(BLOCK_GATHER, dtype=np.int8).transpose(2, 0, 1)
 # (2, 2, 6) columns (i, j) of the minors of the rows (0, 1) and (2, 3) in
 # the six pairs of linalg.LAPLACE_4
 _LAPLACE_COLS = np.array(LAPLACE_4, dtype=np.int64).transpose(1, 2, 0)
@@ -248,16 +261,16 @@ def _block_det(x, lift):
     (``_value_lift``, ``_dual_lift``): the sum of the products of the
     complementary 2x2 minors of ``linalg.LAPLACE_4``, 30 products a row.
 
-    Int64 bound: a minor sums two products of signed residues (four in an
-    eps part), reduced once; the determinant sums six products of residues
-    (twelve in an eps part): each sum is below 12 (p - 1)^2 < 2^63.
+    Bound: a minor sums two products of signed residues (four in an eps
+    part), reduced once; the determinant sums six products of residues
+    (twelve in an eps part), in the dtype of x.
     """
     bilinear = lift[1]
     top, bottom = (
         bilinear(lambda a, b: a[:, r, i] * b[:, r + 1, j] - a[:, r, j] * b[:, r + 1, i])(x, x)
         for r, (i, j) in zip((0, 2), _LAPLACE_COLS)
     )
-    return bilinear(lambda a, b: (a * b).sum(axis=1))(top, bottom)
+    return bilinear(lambda a, b: (a * b).sum(axis=1, dtype=a.dtype))(top, bottom)
 
 
 def _block_primitives(coords, p, lift):
@@ -280,7 +293,7 @@ def _block_primitives(coords, p, lift):
     m2 = matmul(m, m)
     ring = _lift_ring(lift, p)
     add = ring[1]
-    trace = each(lambda a: np.trace(a, axis1=1, axis2=2) % p)
+    trace = each(lambda a: _mod(a.trace(axis1=1, axis2=2, dtype=a.dtype), p))
     traces = (trace(m), trace(m2), bilinear(lambda a, b: np.einsum("nij,nji->n", a, b))(m, m2))
     c2, c4, c6 = newton_even(*(add(t, t) for t in traces), p, ring)
     return c2, c4, _block_det(x, lift), c6
@@ -288,7 +301,7 @@ def _block_primitives(coords, p, lift):
 
 def dual_primitives(coords, p):
     """(c2, c4, pf, c6) of a batch of elements of V over the dual numbers:
-    coords is an int64 array (N, 16, 2) of weight coordinates mod p,
+    coords is an integer array (N, 16, 2) of weight coordinates mod p,
     value part and eps part; each invariant comes back as a dual pair of
     (N,) arrays (``_block_primitives`` over ``_dual_lift``)."""
     return _block_primitives((coords[..., 0], coords[..., 1]), p, _dual_lift(p))
@@ -300,13 +313,16 @@ def beta_mc_prime(p, n_samples, seed):
     Samples uniform dual-number coordinates, pushes them through the matrix
     invariants and the quartic discriminant, and returns the hit count.
     Batch i of BETA_CHUNK samples draws from the Philox stream (seed,
-    "beta-mc", i).  A block of rows runs the value parts first (over
-    ``_value_lift`` and ``mod_ring``), and the dual numbers only on the rows
-    whose value is 0: dropping eps is a ring map onto F_p, and the Newton
-    step scales by int inverses, so the value part of the dual Delta is
-    Delta of the value parts.
+    "beta-mc", i), cast to ``_width`` of its widest sum, 32 products, in
+    blocks of BETA_BLOCK bytes a coordinate.  A block runs the value parts
+    first (over ``_value_lift`` and ``mod_ring``), and the dual numbers only
+    on the rows whose value is 0: dropping eps is a ring map onto F_p, and
+    the Newton step scales by int inverses, so the value part of the dual
+    Delta is Delta of the value parts.
     """
     value_ring, ring = mod_ring(p), dual_ring(p)
+    width = _width(p, 32)
+    rows = BETA_BLOCK // width.itemsize
     hits = 0
     done = 0
     batch_index = 0
@@ -314,9 +330,9 @@ def beta_mc_prime(p, n_samples, seed):
         size = min(BETA_CHUNK, n_samples - done)
         rng = det_rng(seed, "beta-mc", batch_index)
         batch_index += 1
-        coords = rng.integers(0, p, size=(size, 16, 2), dtype=np.int64)
-        for lo in range(0, size, BETA_BLOCK):
-            block = coords[lo : lo + BETA_BLOCK]
+        coords = rng.integers(0, p, size=(size, 16, 2), dtype=np.int64).astype(width)
+        for lo in range(0, size, rows):
+            block = coords[lo : lo + rows]
             value = delta(_block_primitives(block[..., 0], p, _value_lift(p)), value_ring)
             d0, d1 = delta(dual_primitives(block[value == 0], p), ring)
             hits += int(((d0 == 0) & (d1 == 0)).sum())
@@ -331,20 +347,22 @@ def _batched_polymul(a, b, p):
     """(N, da+1) x (N, db+1) -> (N, da+db+1), coefficients mod p.
 
     Residue products are formed in one buffer, summed unreduced and
-    reduced every 128 terms: 128 (p - 1)^2 + p < 2^63 for p < MAX_P.
+    reduced every 128 terms, in the dtype of a, whose maximum must hold
+    128 (p - 1)^2 + p.
     """
     if a.shape[1] > b.shape[1]:
         a, b = b, a
     n, da1 = a.shape
     db1 = b.shape[1]
-    out = np.zeros((n, da1 + db1 - 1), dtype=np.int64)
-    term = np.empty_like(b)
+    out = np.zeros((n, da1 + db1 - 1), dtype=a.dtype)
+    assert 128 * (p - 1) ** 2 + p <= np.iinfo(out.dtype).max
+    term, tmp = np.empty_like(b), np.empty_like(out)
     for i in range(da1):
         np.multiply(a[:, i : i + 1], b, out=term)
         out[:, i : i + db1] += term
         if i % 128 == 127:
-            out %= p
-    out %= p
+            _reduce(out, p, tmp)
+    _reduce(out, p, tmp)
     return out
 
 
@@ -352,7 +370,7 @@ def _batched_polyadd(a, b, p):
     if a.shape[1] < b.shape[1]:
         a, b = b, a
     out = a.copy()
-    out[:, : b.shape[1]] = (out[:, : b.shape[1]] + b) % p
+    out[:, : b.shape[1]] = _mod(out[:, : b.shape[1]] + b, p)
     return out
 
 
@@ -362,7 +380,7 @@ def batch_ring(p):
     return (
         lambda a, b: _batched_polymul(a, b, p),
         lambda a, b: _batched_polyadd(a, b, p),
-        lambda c, a: c % p * a % p,
+        lambda c, a: _mod(c % p * a, p),
     )
 
 
@@ -370,8 +388,9 @@ def delta_poly_batch(p, coeff_arrays):
     """Batched Delta for polynomial coefficient tuples (arrays (N, deg+1),
     lowest degree first, residues mod p).  Row i holds the coefficients of
     Delta of tuple i, up to the weighted degree 24 d of Delta when the
-    arrays are those of H^0(X, B_D) (widths 2 d w + 1)."""
-    return delta(coeff_arrays, batch_ring(p))
+    arrays are those of H^0(X, B_D) (widths 2 d w + 1), as int64; the
+    products run at the width of ``_batched_polymul``'s 128 terms."""
+    return delta([c.astype(_width(p, 128)) for c in coeff_arrays], batch_ring(p)).astype(np.int64)
 
 
 def row_degrees(rows):
@@ -389,6 +408,13 @@ def _reduce(x, p, tmp):
     x -= tmp
 
 
+def _mod(x, p):
+    """x mod p as a new array, by the floor division of ``_reduce``."""
+    out = np.floor_divide(x, p)
+    out *= p
+    return np.subtract(x, out, out=out)
+
+
 def _lead_first(rows, deg, width):
     """Rows of residues (lowest degree first) stored leading coefficient
     first at their degrees deg in width columns: column j holds the
@@ -400,7 +426,7 @@ def _lead_first(rows, deg, width):
 
 def _eliminate(a, da, b, db, p):
     """deg gcd(A, B) of each pair of rows, -1 for two zeros, by lockstep
-    elimination on int64.
+    elimination, as int64.
 
     a and b are (N, w) arrays of residues mod p, each row stored leading
     coefficient first at a formal degree (da, db; -1 for zero, below w),
@@ -415,11 +441,13 @@ def _eliminate(a, da, b, db, p):
     A row is done when A or B reaches formal degree -1, that is, is zero;
     the other one is then the gcd with a nonzero lead, at its degree.
 
-    Int64 bound: a step takes |entries| <= bound to 2 (p - 1) bound, so a
-    and b are reduced mod p only when the next step could reach 2^63.
+    Bound: a step takes |entries| <= bound to 2 (p - 1) bound, so a and b
+    are reduced mod p only when the next step could pass the maximum of
+    their dtype, which must hold 2 (p - 1)^2.
     """
     out = np.empty(len(a), dtype=np.int64)
     idx = np.arange(len(a))
+    top = np.iinfo(a.dtype).max
     bound = p - 1  # of |entries| of a and b
     combo, tmp = np.empty_like(a), np.empty_like(a)
     while len(idx):
@@ -431,11 +459,11 @@ def _eliminate(a, da, b, db, p):
             continue
         width = int(max(da.max(), db.max())) + 1
         a, b, combo, tmp = a[:, :width], b[:, :width], combo[:, :width], tmp[:, :width]
-        if 2 * (p - 1) * bound >= 2**63:
+        if 2 * (p - 1) * bound > top:
             _reduce(a, p, tmp)
             _reduce(b, p, tmp)
             bound = p - 1
-        lead_a, lead_b = a[:, 0] % p, b[:, 0] % p
+        lead_a, lead_b = _mod(a[:, 0], p), _mod(b[:, 0], p)
         into_a = (lead_a == 0) | ((lead_b != 0) & (da >= db))
         # C shifted left: column 0 of C is zero mod p
         c, t = combo[:, 1:], tmp[:, 1:]
@@ -443,7 +471,7 @@ def _eliminate(a, da, b, db, p):
         np.multiply(lead_a[:, None], b[:, 1:], out=t)
         c -= t
         bound *= 2 * (p - 1)
-        assert bound < 2**63
+        assert bound <= top
         for poly, deg_, mask in ((a, da, into_a), (b, db, ~into_a)):
             np.copyto(poly[:, :-1], c, where=mask[:, None])
             poly[mask, -1] = 0
@@ -454,8 +482,9 @@ def _eliminate(a, da, b, db, p):
 def gcd_degrees(a, b, p):
     """deg gcd(a, b) of each pair of rows of two arrays of residues mod p
     (lowest degree first), -1 for two zero rows, as ``polys.gcd``: the
-    lockstep ``_eliminate`` with each row at its degree."""
+    lockstep ``_eliminate``, at the width of one step."""
     _check_p(p)
+    a, b = a.astype(_width(p, 2)), b.astype(_width(p, 2))
     da, db = row_degrees(a), row_degrees(b)
     width = max(a.shape[1], b.shape[1])
     return _eliminate(_lead_first(a, da, width)[0], da, _lead_first(b, db, width)[0], db, p)
@@ -466,20 +495,20 @@ def squarefree_batch(rows, p):
     coefficients (lowest degree first), as ``polys.is_squarefree_raw``:
     zero is not squarefree, a nonzero constant is.
 
-    deg gcd(f, f') = 0 by ``_eliminate``, for all rows in lockstep on
-    int64, exact for p < MAX_P: f at its degree (a nonzero lead), and f'
-    at formal degree deg f - 1, column j of its lead-first row being
-    (deg - j) f_(deg - j).
+    deg gcd(f, f') = 0 by ``_eliminate``, for all rows in lockstep at the
+    width of one step: f at its degree (a nonzero lead), and f' at formal
+    degree deg f - 1, column j of its lead-first row being (deg - j)
+    f_(deg - j).
     """
     _check_p(p)
-    rows = np.asarray(rows, dtype=np.int64) % p
+    rows = _mod(np.asarray(rows, dtype=np.int64), p).astype(_width(p, 2))
     deg = row_degrees(rows)
     out = deg == 0
     idx = np.flatnonzero(deg > 0)
     if len(idx):
         da = deg[idx]
         a, expo = _lead_first(rows[idx], da, da.max() + 1)
-        out[idx] = _eliminate(a, da, expo % p * a % p, da - 1, p) == 0
+        out[idx] = _eliminate(a, da, _mod(_mod(expo, p).astype(a.dtype) * a, p), da - 1, p) == 0
     return out
 
 
@@ -491,37 +520,38 @@ def _remainder(a, f, p):
     This is the step of ``_eliminate`` with B = f held fixed: as lc(B) =
     1, C = A - lc(A) x^k B drops the lead of A, one column a step, until
     deg A < n, and the pseudo-remainder (Knuth, TAOCP vol. 2, 4.6.1) is
-    the remainder.  Int64 bound: a step adds at most (p - 1)^2 to
-    |entries|, so A is reduced only when the next step could reach 2^63,
-    every 128 steps at p near MAX_P.
+    the remainder.  Bound: a step adds at most (p - 1)^2 to |entries|, so
+    A is reduced only when the next step could pass the maximum of its
+    dtype, every 128 steps at p near MAX_P on int64.
     """
     n = f.shape[1] - 1
     a = a[:, ::-1].copy()  # lead first at formal degree w - 1
     spare = np.empty_like(a)
     low = f[:, n - 1 :: -1]  # f_(n-1), ..., f_0
     tmp = np.empty_like(low)
+    top = np.iinfo(a.dtype).max
     bound = p - 1  # of |entries| of a
     while a.shape[1] > n:
-        if bound + (p - 1) ** 2 >= 2**63:
+        if bound + (p - 1) ** 2 > top:
             _reduce(a, p, spare[:, : a.shape[1]])
             bound = p - 1
-        np.multiply(a[:, :1] % p, low, out=tmp)
+        np.multiply(_mod(a[:, :1], p), low, out=tmp)
         a[:, 1 : n + 1] -= tmp
         bound += (p - 1) ** 2
-        assert bound < 2**63
+        assert bound <= top
         a = a[:, 1:]
-    return a[:, ::-1] % p
+    return _mod(a[:, ::-1], p)
 
 
 def _inverse(x, p):
-    """x^(p - 2) mod p of an int64 array of residues: the inverse of each
-    nonzero one, and 0 for 0, by square-and-multiply on products below
-    p^2 < 2^63."""
+    """x^(p - 2) mod p of an array of residues: the inverse of each
+    nonzero one, and 0 for 0, by square-and-multiply on products of
+    residues."""
     out = np.ones_like(x)
     for bit in bin(p - 2)[2:]:
-        out = out * out % p
+        out = _mod(out * out, p)
         if bit == "1":
-            out = out * x % p
+            out = _mod(out * x, p)
     return out
 
 
@@ -532,7 +562,8 @@ def i1_certificate(p, coeff_arrays, moduli):
     residues mod p.
 
     Returns (ok, (s1, s0, Fh, dFh)): row i passes iff ok[i], and the four
-    arrays hold its tested values.  S1 = s1 x + s0 is the first
+    int64 arrays hold its tested values, computed at the width of
+    ``_batched_polymul``'s 128 terms.  S1 = s1 x + s0 is the first
     subresultant of (f, f') (``quartic.first_subresultant`` over
     ``batch_ring``); the pair of units is gcd(s1 s0, Delta) = 1
     (``gcd_degrees``); Fh and dFh are the remainders mod Delta of Fh(X, Z)
@@ -542,13 +573,15 @@ def i1_certificate(p, coeff_arrays, moduli):
     """
     _check_p(p)
     n = moduli.shape[1] - 1
-    monic = moduli * _inverse(moduli[:, n], p)[:, None] % p
+    width = _width(p, 128)
+    coeff_arrays, moduli = [c.astype(width) for c in coeff_arrays], moduli.astype(width)
+    monic = _mod(moduli * _inverse(moduli[:, n], p)[:, None], p)
     mul, add, scale = batch_ring(p)
     s1, s0 = first_subresultant(coeff_arrays, (mul, add, scale))
     quotient = (lambda a, b: _remainder(mul(a, b), monic, p), add, scale)
     fh, dfh = homogenized(coeff_arrays, (scale(-1, s0), s1), quotient)
     ok = (gcd_degrees(mul(s1, s0), monic, p) == 0) & ~fh.any(axis=1) & ~dfh.any(axis=1)
-    return ok, (s1, s0, fh, dfh)
+    return ok, tuple(x.astype(np.int64) for x in (s1, s0, fh, dfh))
 
 
 def xd_delta_mask(rows, d, p):
@@ -564,10 +597,14 @@ def xd_delta_mask(rows, d, p):
 
 
 def _product_mod(a, b, p):
-    """a @ b mod p of int64 residue arrays (N, w) and (w, k), summed in
-    slices of 128 terms: 128 (p - 1)^2 < 2^63 for p < MAX_P."""
-    assert 128 * (p - 1) ** 2 < 2**63
-    return sum(a[:, i : i + 128] @ b[i : i + 128] % p for i in range(0, a.shape[1], 128)) % p
+    """a @ b mod p of residue arrays (N, w) and (w, k) of one dtype whose
+    maximum holds 128 (p - 1)^2 + p: slices of 128 terms, each added to the
+    reduced sum of those before it."""
+    assert 128 * (p - 1) ** 2 + p <= np.iinfo(a.dtype).max
+    acc = 0
+    for i in range(0, a.shape[1], 128):
+        acc = _mod(acc + a[:, i : i + 128] @ b[i : i + 128], p)
+    return acc
 
 
 def _degree_one_table(w, p):
@@ -581,8 +618,8 @@ def _degree_one_table(w, p):
     slope = np.zeros((w, p + 1), dtype=np.int64)
     value[0, :p] = 1
     for j in range(1, w):
-        value[j, :p] = value[j - 1, :p] * np.arange(p) % p
-        slope[j, :p] = j * value[j - 1, :p] % p
+        value[j, :p] = _mod(value[j - 1, :p] * np.arange(p), p)
+        slope[j, :p] = _mod(j * value[j - 1, :p], p)
     value[w - 1, p] = 1
     if w > 1:
         slope[w - 2, p] = 1
@@ -600,12 +637,14 @@ def _degree_one_sieve(p, coeff_arrays):
     (top, second-top) of the box-degree coefficients of b it gives
     s^(24 d) Delta(b(1/s)) to first order at s = 0.  All p + 1 places are
     one ``delta`` call on (N, p + 1) arrays, whose jets are one
-    ``_product_mod`` per coefficient array (``_degree_one_table``).
+    ``_product_mod`` per coefficient array (``_degree_one_table``), at
+    the width of its 128-term slices.
     """
     _check_p(p)
+    width = _width(p, 128)
     jets = []
     for c in coeff_arrays:
-        both = _product_mod(c, _degree_one_table(c.shape[1], p), p)
+        both = _product_mod(c.astype(width), _degree_one_table(c.shape[1], p).astype(width), p)
         jets.append((both[:, : p + 1], both[:, p + 1 :]))
     value, slope = delta(jets, dual_ring(p))
     return ((value != 0) | (slope != 0)).all(axis=1)
@@ -647,33 +686,34 @@ def xd_box_filter(p, coeff_arrays):
 
 # -- Berlekamp's place count --
 
-# entries of one (rows, n, n) stack of Berlekamp's matrices, 256 KB of int64:
+# entries of one (rows, n, n) stack of Berlekamp's matrices, 256 KB at int64:
 # a minimal-models pass then peaks in its sampling, not here, and smaller
 # stacks are slower
 STACK = 2**15
 
 
 def _rank_stack(a, p):
-    """Ranks mod p of an (S, n, n) int64 stack of entries in (-p, p)
+    """Ranks mod p of an (S, n, n) stack of entries in (-p, p)
     (overwritten), by lockstep Gauss-Jordan elimination: in each column
     every stack takes one pivot, its first row not yet a pivot with a
     nonzero entry, and subtracts multiples of it from every row.  The
     pivot row itself goes to 0 mod p, but no pivot row is read again.
 
     Only the pivot row and the multipliers are reduced, so a column adds
-    less than (p - 1)^2 to an entry's size: exact while n (p - 1)^2 + p
-    < 2^63, as ``berlekamp_nullity`` checks."""
+    less than (p - 1)^2 to an entry's size: exact while the maximum of
+    the dtype holds n (p - 1)^2 + p, as ``berlekamp_nullity`` sees to."""
     s, n, _ = a.shape
-    assert n * (p - 1) ** 2 + p < 2**63
+    assert n * (p - 1) ** 2 + p <= np.iinfo(a.dtype).max
     stacks = np.arange(s)
     free = np.ones((s, n), dtype=bool)
     for col in range(n):
-        column = a[:, :, col] % p
+        column = _mod(a[:, :, col], p)
         candidates = free & (column != 0)
         found = candidates.any(axis=1)
         pivot = np.argmax(candidates, axis=1)
-        factors = column * (_inverse(column[stacks, pivot], p) * found)[:, None] % p
-        a[:, :, col + 1 :] -= factors[:, :, None] * (a[stacks, pivot, col + 1 :] % p)[:, None, :]
+        factors = _mod(column * (_inverse(column[stacks, pivot], p) * found)[:, None], p)
+        pivot_row = _mod(a[stacks, pivot, col + 1 :], p)
+        a[:, :, col + 1 :] -= factors[:, :, None] * pivot_row[:, None, :]
         free[stacks[found], pivot[found]] = False
     return n - free.sum(axis=1)
 
@@ -692,18 +732,18 @@ def _berlekamp_matrix(f, p):
     O(p).  C^p is freed on return, before the elimination.
     """
     s, n = f.shape[0], f.shape[1] - 1
-    f = f * _inverse(f[:, n], p)[:, None] % p
-    zero = np.zeros((s, 1), dtype=np.int64)
+    f = _mod(f * _inverse(f[:, n], p)[:, None], p)
+    zero = np.zeros((s, 1), dtype=f.dtype)
 
     def times_x(r):
         return _remainder(np.concatenate((zero, r), axis=1), f, p)
 
-    r = np.ones((s, 1), dtype=np.int64)
+    r = np.ones((s, 1), dtype=f.dtype)
     for bit in bin(p)[2:]:
         r = _remainder(_batched_polymul(r, r, p), f, p)
         if bit == "1":
             r = times_x(r)
-    cp = np.zeros((s, n, n), dtype=np.int64)
+    cp = np.zeros((s, n, n), dtype=f.dtype)
     cp[:, : r.shape[1], 0] = r
     for j in range(1, n):
         cp[:, :, j] = times_x(cp[:, :, j - 1])
@@ -711,7 +751,7 @@ def _berlekamp_matrix(f, p):
     q[:, 0, 0] = 1
     for i in range(1, n):
         # n products of residues: below n (p - 1)^2
-        q[:, :, i] = np.matmul(cp, q[:, :, i - 1 : i])[:, :, 0] % p
+        q[:, :, i] = _mod(np.matmul(cp, q[:, :, i - 1 : i])[:, :, 0], p)
     q[:, np.arange(n), np.arange(n)] -= 1
     return q
 
@@ -723,19 +763,17 @@ def berlekamp_nullity(rows, p):
     as an int64 array.
 
     Rows are grouped by degree n and run in stacks of at most STACK // n^2
-    rows (``_berlekamp_matrix``, ``_rank_stack``), all on int64 with no
-    float BLAS.  A
+    rows (``_berlekamp_matrix``, ``_rank_stack``), with no float BLAS.  A
     mat-vec sums n products of residues, and the elimination adds less
-    than (p - 1)^2 to an entry per column: exact while n (p - 1)^2 + p <
-    2^63, which is checked at the largest degree before any product (p <
-    MAX_P by ``_check_p``).
+    than (p - 1)^2 to an entry per column, so the stacks run at the
+    ``_width`` of n terms at the largest degree n (and of the 128 of
+    ``_batched_polymul``), which refuses a degree past int64 before any
+    product (p < MAX_P by ``_check_p``).
     """
     _check_p(p)
-    rows = np.asarray(rows, dtype=np.int64) % p
+    rows = _mod(np.asarray(rows, dtype=np.int64), p)
     deg = row_degrees(rows)
-    top = int(deg.max(initial=0))
-    if top * (p - 1) ** 2 + p >= 2**63:
-        raise ValueError(f"degree {top} at p = {p} leaves the int64 range of Berlekamp's matrices")
+    rows = rows.astype(_width(p, max(int(deg.max(initial=0)), 128)))
     out = np.zeros(len(rows), dtype=np.int64)
     for n in set(deg[deg > 0].tolist()):
         idx = np.flatnonzero(deg == n)

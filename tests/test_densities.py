@@ -247,6 +247,9 @@ def test_int64_kernels_reject_p_beyond_exact_range():
             lambda: numkernels.beta_mc_prime(p, 10, 0),
             lambda: numkernels.delta_poly_batch(p, [rows] * 4),
             lambda: numkernels.squarefree_batch(rows, p),
+            lambda: numkernels.gcd_degrees(rows, rows, p),
+            lambda: numkernels.xd_box_filter(p, [rows] * 4),
+            lambda: numkernels.berlekamp_nullity(rows, p),
             lambda: numkernels.alpha_lift_prime(p),
             lambda: numkernels.alpha_brute_prime(p),
         ]

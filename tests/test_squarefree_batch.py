@@ -9,9 +9,11 @@ with high zero columns (leading coefficient 0 in the stored width).
 At P_TOP, the largest prime below MAX_P, the products of
 ``_batched_polymul`` and the eliminations of ``squarefree_batch`` reach
 the edge of the int64 range: there the reduction cadence and the bound
-that ``squarefree_batch`` tracks decide whether a result is exact.  At
-P_GUARD that bound first crosses 2^63 below 2^64, and a spy on the
-reduction sees where the guard puts it."""
+that ``squarefree_batch`` tracks decide whether a result is exact.  The
+elimination runs at the narrowest width that holds one step (int16 at
+p = 5, int32 at 32749, int64 at P_GUARD); at P_GUARD its bound first
+crosses 2^63 below 2^64, and a spy on the reduction sees where the guard
+puts it at each width."""
 
 import numpy as np
 import pytest
@@ -169,13 +171,14 @@ P_GUARD = 1649993  # the guard first reduces after one unreduced step, below 2^6
 
 
 def _required_reductions(p, steps):
-    """Reductions that the stated bound forces in `steps` eliminations,
-    each as late as the bound allows: |entries| <= p - 1 after a
-    reduction, times 2 (p - 1) per elimination, and below 2^63 after
-    every one."""
+    """Reductions that the stated bound forces in `steps` eliminations at
+    the width of one step, each as late as the bound allows: |entries| <=
+    p - 1 after a reduction, times 2 (p - 1) per elimination, and at most
+    the width's maximum after every one."""
+    top = np.iinfo(numkernels._width(p, 2)).max
     count, bound = 0, p - 1
     for _ in range(steps):
-        if 2 * (p - 1) * bound >= 2**63:
+        if 2 * (p - 1) * bound > top:
             count, bound = count + 1, p - 1
         bound *= 2 * (p - 1)
     return count
@@ -185,16 +188,22 @@ def _required_reductions(p, steps):
 def test_squarefree_batch_reduces_where_the_int64_bound_requires(monkeypatch, p):
     # rows of degree 23, at least one squarefree, take 2 * 23 eliminations:
     # each lowers deg A + deg B (2 * 23 - 1 at the start) by one, down to -1
-    # (A or B zero, the other a constant gcd).  At P_GUARD one step gives
-    # 2 (p - 1)^2 and a second would give 4 (p - 1)^3, in [2^63, 2^64), so
-    # a guard at 2^64, or a bound grown by p - 1 per step, reduces every
-    # other step; at p = 5 a bound grown by 2 (p - 2) per step reduces after
-    # 23 steps, not 20 (4 * 8^23 > 2^63); at p = 32749 a guard of
-    # 3 (p - 1) bound would reduce after one step, not two (22 times, not 15)
+    # (A or B zero, the other a constant gcd).  At P_GUARD (int64) one step
+    # gives 2 (p - 1)^2 and a second would give 4 (p - 1)^3, in [2^63,
+    # 2^64), so the bound reduces before every step but the first (45
+    # times), and a guard at 2^64, or a bound grown by p - 1 per step,
+    # reduces every other step.  At p = 5 (int16, 4 * 8^4 <= 2^15 - 1 <
+    # 4 * 8^5) the bound reduces every four steps (11 times), and one grown
+    # by 3 (p - 1) per step every three (15 times).  32749 is the largest
+    # prime whose step 2 (p - 1)^2 + p fits int32; there the bound reduces
+    # before every step but the first (45 times), and a guard of 3 (p - 1)
+    # bound would reduce before the first step too
+    width, reductions = {5: (np.int16, 11), P_GUARD: (np.int64, 45), 32749: (np.int32, 45)}[p]
     calls = []
     reduce = numkernels._reduce
 
     def spy(x, p_, tmp):
+        assert x.dtype == width
         calls.append(p_)
         reduce(x, p_, tmp)
 
@@ -206,19 +215,20 @@ def test_squarefree_batch_reduces_where_the_int64_bound_requires(monkeypatch, p)
     assert True in want
     assert numkernels.squarefree_batch(rows, p).tolist() == want
     # a and b are reduced together
-    assert len(calls) == 2 * _required_reductions(p, 2 * 23) > 0
+    assert len(calls) == 2 * _required_reductions(p, 2 * 23) == 2 * reductions
 
 
 @pytest.mark.parametrize("degree", [9, 18])
 def test_gcd_degrees_reduce_where_the_int64_bound_requires(monkeypatch, degree):
     # pairs of degree (k, k), one of them coprime, take 2k + 1
-    # eliminations at p = 5: the stated bound first reduces at step 21,
-    # so never in 19 steps and once in 37; a bound grown by 3 (p - 1) or
-    # 2 (p + 1) a step would reduce at step 18 already
+    # eliminations at p = 5, on int16: the stated bound reduces before
+    # steps 5, 9, 13, ..., so 4 times in 19 steps and 9 in 37; a bound
+    # grown by 3 (p - 1) or 2 (p + 1) a step would reduce every three steps
     calls = []
     reduce = numkernels._reduce
 
     def spy(x, p_, tmp):
+        assert x.dtype == np.int16
         calls.append(p_)
         reduce(x, p_, tmp)
 
@@ -231,4 +241,4 @@ def test_gcd_degrees_reduce_where_the_int64_bound_requires(monkeypatch, degree):
     want = [len(polys.gcd_raw(field, x, y)) - 1 for x, y in zip(a.tolist(), b.tolist())]
     assert 0 in want
     assert numkernels.gcd_degrees(a, b, p).tolist() == want
-    assert len(calls) == 2 * _required_reductions(p, 2 * degree + 1) == 2 * (degree > 9)
+    assert len(calls) == 2 * _required_reductions(p, 2 * degree + 1) == 2 * (4 + 5 * (degree > 9))
