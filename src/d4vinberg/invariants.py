@@ -85,11 +85,17 @@ class Invariants:
         self.W = _graded_centralizer_basis(
             ctx, self.f, LAMBDA_CHECK, expect_weights=(-1, -1, -1, -3, -3), expect_h_dim=6
         )
-        self._kappa_b_polys = _chart_primitives(ctx, self.E, self.Z)
+        k_prims = _chart_primitives(ctx, self.E, self.Z)
         s_prims = _chart_primitives(ctx, self.e, self.W)
         self.xi, self.eta = _chart_functions(ctx.field, s_prims)
-        # slice_lift's equations: x, y and p2, then p4 and q4
-        self._lift_polys = [*_chart_xy(len(self.W), self.xi, self.eta), *s_prims[:3]]
+        # the equations of the chart solves, in the coordinates of ctx.rep:
+        # the Kostant section's pi = b, and slice_lift's x, y and p2, then
+        # p4 and q4
+        rep = ctx.rep
+        self._kappa_eqs = [rep.poly(m) for m in k_prims]
+        self._lift_eqs = [
+            rep.poly(m) for m in (*_chart_xy(len(self.W), self.xi, self.eta), *s_prims[:3])
+        ]
 
     # -- public operations --
 
@@ -99,31 +105,34 @@ class Invariants:
 
     def kostant_section(self, b) -> VElem:
         """kappa_b: the point of E + z_h(F) with pi = b (graded triangular solve)."""
-        f = self.ctx.field
-        b = [f.elem(x) for x in b]
-        t = _solve_chart(f, self._kappa_b_polys, b, stages=((0,), (1, 2), (3,)))
+        rep = self.ctx.rep
+        b = [rep.coord(x) for x in b]
+        t = _solve_chart(rep, self._kappa_eqs, b, stages=((0,), (1, 2), (3,)))
         return self._kappa_point(t)
 
     def _kappa_point(self, t) -> VElem:
-        return VElem(self.ctx, _chart_coords(self.E.coords, self.Z, t))
+        """E + sum t_k Z_k for t in the coordinates of ctx.rep."""
+        ctx = self.ctx
+        coords = _chart_coords(self.E.coords, [z.coords for z in self.Z], t)
+        return VElem._of(ctx, ctx.rep.reduce(coords))
 
     def slice_param(self, cs) -> VElem:
-        f = self.ctx.field
-        cs = [f.elem(c) for c in cs]
+        ctx = self.ctx
+        cs = [ctx.rep.coord(c) for c in cs]
         if len(cs) != 5:
             raise ValueError("five slice coordinates required")
-        return VElem(self.ctx, _chart_coords(self.e.coords, self.W, cs))
+        coords = _chart_coords(self.e.coords, [w.coords for w in self.W], cs)
+        return VElem._of(ctx, ctx.rep.reduce(coords))
 
     def slice_coords(self, v: VElem):
         """(x, y, b) for v in Sigma; raises if v is not on the slice."""
-        f = self.ctx.field
+        f, rep = self.ctx.field, self.ctx.rep
         diff = v - self.e
-        cols = [w.coords for w in self.W]
-        rows = [[cols[j][i] for j in range(5)] for i in range(16)]
-        sol = linalg.solve(f, rows, list(diff.coords))
+        rows = [list(col) for col in zip(*(w.coords for w in self.W))]
+        sol = linalg.solve(rep.ring, rows, list(diff.coords))
         if sol is None or self.slice_param(sol) != v:
             raise ValueError("element is not on the slice")
-        cs = sol
+        cs = list(map(rep.box, sol))
         x = sum((a * c for a, c in zip(self.xi, cs[:3])), f.zero)
         y = sum((a * c for a, c in zip(self.eta, cs[:3])), f.zero)
         return x, y, self.pi(v)
@@ -131,12 +140,13 @@ class Invariants:
     def slice_lift(self, b, x, y) -> VElem:
         """The point of Sigma over b with chart values (x, y): the weight-2
         coordinates from (x, y, p2), then the weight-4 ones from (p4, q4)."""
-        f = self.ctx.field
+        f, rep = self.ctx.field, self.ctx.rep
         b = tuple(f.elem(v) for v in b)
         x, y = f.elem(x), f.elem(y)
         if y * (x * y + 2 * b[2]) != x ** 3 + b[0] * x * x + b[1] * x + b[3]:
             raise ValueError("(x, y) does not satisfy the cubic relation for b")
-        t = _solve_chart(f, self._lift_polys, [x, y, *b[:3]], stages=((0, 1, 2), (3, 4)))
+        targets = [rep.coord(c) for c in (x, y, *b[:3])]
+        t = _solve_chart(rep, self._lift_eqs, targets, stages=((0, 1, 2), (3, 4)))
         v = self.slice_param(t)
         assert self.pi(v) == b, "slice lift landed on the wrong fibre"
         return v
@@ -144,9 +154,9 @@ class Invariants:
     def lie_disc(self, v: VElem):
         """Product of the 24 nonzero ad-eigenvalues: the degree-4 coefficient
         of the characteristic polynomial of ad(v) on h (Berkowitz)."""
-        mat = self.ctx.ad_matrix(v, H_BASIS)
-        coeffs = linalg.charpoly_berkowitz(self.ctx.field, mat)
-        return coeffs[4]
+        rep = self.ctx.rep
+        coeffs = linalg.charpoly_berkowitz(rep.ring, self.ctx.ad_matrix(v, H_BASIS))
+        return rep.box(coeffs[4])
 
     def lie_disc_fast(self, v: VElem):
         """disc of the even characteristic quartic; equals lie_disc on
@@ -208,15 +218,15 @@ def _solve_lowering(ctx, nilpotent_up: VElem, cochar) -> VElem:
     """Unique Y in V of cochar-weight -1 with [X, Y] = h, the semisimple
     element 2 d(cochar)(1) of the sl2-triple: in h coordinates, 2 cochar on
     the Cartan elements and 0 on the root vectors."""
-    f = ctx.field
+    rep = ctx.rep
     labels, basis = _weight_space(cochar, -1)
     rows = ctx.ad_matrix(nilpotent_up, basis)
-    target = [f.elem(2 * k) for k in cochar] + [f.zero] * (len(rows) - len(cochar))
-    sol = linalg.solve(f, rows, target)
+    target = [rep.coord(2 * k) for k in cochar] + [rep.ring.zero] * (len(rows) - len(cochar))
+    sol = linalg.solve(rep.ring, rows, target)
     assert sol is not None, "no lowering element: sl2 solve failed"
-    hom = linalg.kernel_basis(f, rows)
+    hom = linalg.kernel_basis(rep.ring, rows)
     assert not hom, "lowering element is not unique"
-    coords = [f.zero] * 16
+    coords = [rep.ring.zero] * 16
     for l, c in zip(labels, sol):
         coords[l - 1] = c
     return VElem(ctx, coords)
@@ -228,7 +238,7 @@ def _graded_centralizer_basis(ctx, y: VElem, cochar, expect_weights, expect_h_di
     expect_h_dim pins the full centralizer dimension in h (regular: 4,
     subregular: 6); expect_weights the graded dimensions of the V part.
     """
-    f = ctx.field
+    ring = ctx.rep.ring
     full = ctx.centralizer_dim(y, "h")
     assert full == expect_h_dim, f"centralizer dimension {full} != {expect_h_dim}"
     out = []
@@ -238,8 +248,8 @@ def _graded_centralizer_basis(ctx, y: VElem, cochar, expect_weights, expect_h_di
         labels, basis = _weight_space(cochar, wt)
         if not labels:
             continue
-        for vec in linalg.kernel_basis(f, ctx.ad_matrix(y, basis)):
-            coords = [f.zero] * 16
+        for vec in linalg.kernel_basis(ring, ctx.ad_matrix(y, basis)):
+            coords = [ring.zero] * 16
             for l, c in zip(labels, vec):
                 coords[l - 1] = c
             out.append(VElem(ctx, coords))
@@ -253,24 +263,27 @@ def _graded_centralizer_basis(ctx, y: VElem, cochar, expect_weights, expect_h_di
 
 def _chart_primitives(ctx, base: VElem, directions):
     """Symbolic (C2, C4, PF, C6) on base + sum_i x_i * directions[i], in
-    one variable x_i per direction."""
-    one, nvars = ctx.field.one, len(directions)
-    return primitives(ctx, _chart_coords(
+    one variable x_i per direction, with coefficients in ctx.field: they
+    are computed on the coordinates of ctx.rep and boxed once."""
+    rep, nvars = ctx.rep, len(directions)
+    prims = primitives(ctx, _chart_coords(
         [MPoly.const(nvars, c) for c in base.coords],
-        directions,
-        [MPoly.var(nvars, i, one) for i in range(nvars)],
+        [d.coords for d in directions],
+        [MPoly.var(nvars, i, rep.ring.one) for i in range(nvars)],
     ))
+    return tuple(MPoly(nvars, {e: rep.box(c) for e, c in m.terms.items()}) for m in prims)
 
 
 def _chart_coords(base, directions, t):
     """The 16 coordinates of base + sum_k t[k] directions[k], in one pass
-    over the nonzero coordinates of each direction: base is a coordinate
-    sequence and t holds field elements, or MPoly variables for a chart."""
+    over the nonzero coordinates of each direction: base and directions
+    are coordinate sequences and t holds their values, or MPoly variables
+    for a chart.  Int coordinates come back unreduced."""
     coords = list(base)
     for c, d in zip(t, directions):
         if not c:
             continue
-        for l, a in enumerate(d.coords):
+        for l, a in enumerate(d):
             if a:
                 coords[l] = coords[l] + c * a
     return coords
@@ -281,14 +294,16 @@ def _monomial(nvars, *idx):
     return tuple(idx.count(k) for k in range(nvars))
 
 
-def _solve_chart(field, polys_, targets, stages):
-    """t with polys_[i](t) = targets[i], by ``linalg.staged_solve``: a stage
-    is a tuple of unknowns, and equation i serves the stage of unknown i."""
+def _solve_chart(rep, polys_, targets, stages):
+    """t with polys_[i](t) = targets[i], by ``linalg.staged_solve`` over
+    rep.ring, in the coordinates of a ``D4Context.rep`` (the polynomials
+    with the coefficients of ``rep.poly``): a stage is a tuple of unknowns,
+    and equation i serves the stage of unknown i."""
 
     def residual(t, eqs):
-        return [polys_[i].eval(t) - targets[i] for i in eqs]
+        return rep.reduce([polys_[i].eval(t) - targets[i] for i in eqs])
 
-    return linalg.staged_solve(field, residual, len(targets), [(s, s) for s in stages])
+    return linalg.staged_solve(rep.ring, residual, len(targets), [(s, s) for s in stages])
 
 
 def _chart_functions(field, c_syms):

@@ -21,13 +21,20 @@ X v X = 0 on V, so exp(c X) acts as v + c[X, v] (``G_ROOT_MOVES``, read off
 ``primitives``, the one computation of pi(v) = (c2, c4, Pf, c6), works on
 X and Y, ``char_quartic`` is ``quartic_poly`` of pi, and ``classify``
 decides semisimplicity on X, Y and the 4x4 products XY, YX.
-A D4Context holds the field-dependent rest and is safe to share.
+A D4Context holds the field-dependent rest and is safe to share, with its
+one choice of coordinates, ``rep``: over a prime field a VElem holds Python
+ints in [0, p), converted once when it is built, and the action, pi, the
+ad matrices and the solves of ``invariants`` and ``orbits`` run on them
+(the eliminations over ``linalg.ModP``); values are boxed into FElems only
+where they leave, by ``v[label]``, ``serialize`` and pi.  Over an extension
+field the coordinates are FElems.
 pi_1(G) is read off the pairings <coroot, alpha_i>, the coroot coordinates
 in the fundamental-coweight basis of X_*(T).
 """
 
 from . import linalg
 from .fields import FElem, PrimeField, split_top
+from .multipoly import MPoly
 from .quartic import disc_univariate, quartic_poly
 from .polys import Poly, gcd
 
@@ -160,8 +167,10 @@ ROOT_ENTRIES = _root_entries()
 # per label, the H-simple-root coordinates of its weight: under the torus
 # point with alpha-values x, e_l scales by prod_i x_i^k_i
 WEIGHT_ALPHA = tuple(alpha_coords(WEIGHT_EVEC[l]) for l in LABELS)
-# per alpha_i, the nonzero exponents k_i that WEIGHT_ALPHA takes
+# per alpha_i, the nonzero exponents k_i that WEIGHT_ALPHA takes, and per
+# label the pairs (i, k_i) with k_i != 0
 _ALPHA_EXPONENTS = tuple(sorted({m[i] for m in WEIGHT_ALPHA} - {0}) for i in range(4))
+_WEIGHT_FACTORS = tuple(tuple((i, k) for i, k in enumerate(m) if k) for m in WEIGHT_ALPHA)
 # (primary, partner) entries of the weight basis of V, in label order
 V_ENTRIES = tuple(ROOT_ENTRIES[WEIGHT_EVEC[l]] for l in LABELS)
 
@@ -325,35 +334,106 @@ def _kills(r, m):
     return not any(map(any, acc))
 
 
+class _IntCoords:
+    """Coordinates over a PrimeField: Python ints in [0, p), converted once
+    (``coord``) and boxed again only on the way out (``box``).  Sums and
+    products run unreduced and ``reduce`` brings them back to [0, p); the
+    eliminations run on ``ring``, a ``linalg.ModP``."""
+
+    def __init__(self, field):
+        self.field, self.p = field, field.p
+        self.ring = linalg.ModP(field.p)
+
+    def coord(self, x):
+        """An int, or an FElem of the field (ValueError for another field),
+        as a Python int in [0, p); an FElem may hold an np.int64."""
+        if x.__class__ is FElem and x.field is self.field:
+            return int(x.val)
+        if isinstance(x, int):
+            return x % self.p
+        return int(self.field.elem(x).val)
+
+    def box(self, c):
+        return FElem(self.field, c % self.p)
+
+    def reduce(self, cs):
+        p = self.p
+        return tuple([c % p for c in cs])
+
+    def power(self, x, k):
+        return pow(x, k, self.p)
+
+    def poly(self, m):
+        """The MPoly m with the int values of its coefficients."""
+        return MPoly(m.nvars, {e: c.val for e, c in m.terms.items()})
+
+
+class _FieldCoords:
+    """Coordinates over an extension field: its FElems, with the operators
+    of the field; ``reduce`` and ``poly`` change nothing."""
+
+    def __init__(self, field):
+        self.field = self.ring = field
+        self.coord = self.box = field.elem
+
+    def reduce(self, cs):
+        return tuple(cs)
+
+    def power(self, x, k):
+        return x**k
+
+    def poly(self, m):
+        return m
+
+
 class VElem:
-    """Element of V in weight coordinates (label order 1..16)."""
+    """Element of V in weight coordinates (label order 1..16).
+
+    The coordinates are those of ``ctx.rep``: over a PrimeField, Python ints
+    in [0, p), converted once here; over an extension field, FElems.
+    ``v[label]`` and ``serialize`` give field elements.
+    """
 
     __slots__ = ("ctx", "coords")
 
     def __init__(self, ctx, coords):
         self.ctx = ctx
-        self.coords = tuple(ctx.field.elem(c) for c in coords)
+        self.coords = tuple(map(ctx.rep.coord, coords))
         if len(self.coords) != 16:
             raise ValueError("16 weight coordinates required")
 
+    @classmethod
+    def _of(cls, ctx, coords):
+        """The VElem with these coordinates, already in ``ctx.rep`` form."""
+        v = object.__new__(cls)
+        v.ctx, v.coords = ctx, coords
+        return v
+
     def __getitem__(self, label):
-        return self.coords[label - 1]
+        return self.ctx.rep.box(self.coords[label - 1])
 
     def __add__(self, other):
-        return VElem(self.ctx, [a + b for a, b in zip(self.coords, other.coords)])
+        rep = self.ctx.rep
+        return VElem._of(self.ctx, rep.reduce([a + b for a, b in zip(self.coords, other.coords)]))
 
     def __sub__(self, other):
-        return VElem(self.ctx, [a - b for a, b in zip(self.coords, other.coords)])
+        rep = self.ctx.rep
+        return VElem._of(self.ctx, rep.reduce([a - b for a, b in zip(self.coords, other.coords)]))
 
     def __neg__(self):
-        return VElem(self.ctx, [-a for a in self.coords])
+        return VElem._of(self.ctx, self.ctx.rep.reduce([-a for a in self.coords]))
 
     def scale(self, c):
-        c = self.ctx.field.elem(c)
-        return VElem(self.ctx, [c * a for a in self.coords])
+        rep = self.ctx.rep
+        c = rep.coord(c)
+        return VElem._of(self.ctx, rep.reduce([c * a for a in self.coords]))
 
     def __eq__(self, other):
-        return isinstance(other, VElem) and self.coords == other.coords
+        return (
+            isinstance(other, VElem)
+            and self.ctx.field is other.ctx.field
+            and self.coords == other.coords
+        )
 
     def __hash__(self):
         return hash(self.coords)
@@ -362,11 +442,11 @@ class VElem:
         return not any(self.coords)
 
     def zero_set(self):
-        return frozenset(l for l in LABELS if not self[l])
+        return frozenset(l for l, c in zip(LABELS, self.coords) if not c)
 
     def serialize(self):
         f = self.ctx.field
-        return ",".join(f.elem_to_str(c) for c in self.coords)
+        return ",".join(f.elem_to_str(self[l]) for l in LABELS)
 
     @staticmethod
     def deserialize(ctx, s):
@@ -389,21 +469,15 @@ def primitives(ctx, v):
     [[0, X'], [-X'^T, 0]] with det X' = det X; the reordering to (EVEN, ODD)
     is even too, so Pf(Psi v) = det X (``linalg.det4``, 30 products).
 
-    A VElem over a PrimeField is unboxed here, once: its coordinates become
-    Python ints (an FElem may hold an np.int64, whose unreduced sums would
-    overflow), the blocks run on them, and the four results are reduced mod
-    p and boxed.  Every other input uses the operators of its entries.
+    A VElem's coordinates are read as they are held: over a PrimeField the
+    blocks run on unreduced Python ints, and the four results are boxed by
+    ``ctx.rep``.  Every other input uses the operators of its entries.
     """
-    field = ctx.field
-    prime = isinstance(v, VElem) and type(field) is PrimeField
-    if prime:
-        coords = [int(c.val) for c in v.coords]
-    else:
-        coords = v.coords if isinstance(v, VElem) else v
-    x, y = v_blocks(coords)
-    c2, c4, c6 = linalg.block_even_coeffs(x, y, field.char)
+    velem = isinstance(v, VElem)
+    x, y = v_blocks(v.coords if velem else v)
+    c2, c4, c6 = linalg.block_even_coeffs(x, y, ctx.field.char)
     out = c2, c4, linalg.det4(x), c6
-    return tuple(FElem(field, c % field.p) for c in out) if prime else out
+    return tuple(map(ctx.rep.box, out)) if velem else out
 
 
 class TorusGen:
@@ -458,6 +532,8 @@ class D4Context:
         if field.char < 5:
             raise ValueError("characteristic must be at least 5")
         self.field = field
+        # the one choice of coordinates: ints over a prime field
+        self.rep = (_IntCoords if type(field) is PrimeField else _FieldCoords)(field)
         # the weight basis of V: v_basis[l - 1] = e_l
         self.v_basis = tuple(
             VElem(self, [field.one if m == l else field.zero for m in LABELS]) for l in LABELS
@@ -474,37 +550,40 @@ class D4Context:
 
     def act_gen(self, gen, v: VElem) -> VElem:
         """One generator on weight coordinates: a torus point scales each
-        coordinate by its character, exp(c X) adds c[X, v] by the moves of
+        coordinate by its character, computed once per call from the powers
+        of the alpha-values, exp(c X) adds c[X, v] by the moves of
         ``G_ROOT_MOVES`` (ValueError for a root outside G) and a Klein-group
-        element permutes the coordinates with the signs of ``W0_MOVES``."""
-        f = self.field
+        element permutes the coordinates with the signs of ``W0_MOVES``.
+        The values of a generator must lie in the context's field."""
+        rep = self.rep
         if isinstance(gen, TorusGen):
-            powers = [{k: x**k for k in ks} for x, ks in zip(gen.values, _ALPHA_EXPONENTS)]
+            powers = [
+                {k: rep.power(x, k) for k in ks}
+                for x, ks in zip(map(rep.coord, gen.values), _ALPHA_EXPONENTS)
+            ]
             coords = []
-            for c, m in zip(v.coords, WEIGHT_ALPHA):
-                for pw, k in zip(powers, m):
-                    if c and k:
-                        c = c * pw[k]
+            for c, factors in zip(v.coords, _WEIGHT_FACTORS):
+                for i, k in factors:
+                    c = c * powers[i][k]
                 coords.append(c)
-            return VElem(self, coords)
-        if isinstance(gen, UnipGen):
+        elif isinstance(gen, UnipGen):
             moves = G_ROOT_MOVES.get(gen.root)
             if moves is None:
                 raise ValueError(f"{gen.root} is not a root of G")
-            c = f.elem(gen.c)
+            c = rep.coord(gen.c)
             neg_c = -c
             coords = list(v.coords)
             for s, t, sign in moves:
                 x = v.coords[s]
                 if x:
                     coords[t] = coords[t] + (c if sign > 0 else neg_c) * x
-            return VElem(self, coords)
-        if isinstance(gen, WeylGen):
+        elif isinstance(gen, WeylGen):
             coords = [None] * 16
             for x, (t, sign) in zip(v.coords, W0_MOVES[gen.name]):
                 coords[t] = x if sign > 0 else -x
-            return VElem(self, coords)
-        raise TypeError(f"not a group generator: {gen!r}")
+        else:
+            raise TypeError(f"not a group generator: {gen!r}")
+        return VElem._of(self, rep.reduce(coords))
 
     def act(self, gens, v: VElem) -> VElem:
         """Apply a generator or a word of generators (leftmost outermost)."""
@@ -519,9 +598,11 @@ class D4Context:
     def ad_matrix(self, v: VElem, basis):
         """Matrix of ad(v) on the span of the h basis elements x_a, a in
         basis, in h coordinates: column j is [v, x_a] = sum_s v_s [e_s, x_a]
-        from ``BRACKETS``."""
-        f = self.field
-        mat = [[f.zero] * len(basis) for _ in H_BASIS]
+        from ``BRACKETS``.  Its entries are in the coordinates of ``rep``,
+        unreduced ints over a prime field, for the eliminations over
+        ``rep.ring``."""
+        zero = self.rep.ring.zero
+        mat = [[zero] * len(basis) for _ in H_BASIS]
         for x, row in zip(v.coords, BRACKETS):
             if not x:
                 continue
@@ -532,8 +613,7 @@ class D4Context:
 
     def centralizer_dim(self, v: VElem, ambient) -> int:
         basis = G_BASIS if ambient == "g" else H_BASIS
-        mat = self.ad_matrix(v, basis)
-        return len(basis) - linalg.rank(self.field, mat)
+        return len(basis) - linalg.rank(self.rep.ring, self.ad_matrix(v, basis))
 
     def char_quartic(self, v: VElem) -> Poly:
         """g(T) with det(xI - v) = g(x^2): the quartic f(t) of b = pi(v),
@@ -561,7 +641,7 @@ class D4Context:
             return {"regular": True, "semisimple": True, "rs": True}
         f = self.field
         regular = self.centralizer_dim(v, "g") == 0
-        x, y = v_blocks(v.coords)
+        x, y = v_blocks([v[l] for l in LABELS])
         xy, yx = linalg.mat_mul(x, y), linalg.mat_mul(y, x)
         semisimple = _kills(g // gcd(g, g.derivative()), xy) and (
             linalg.rank(f, x) + linalg.rank(f, y) == linalg.rank(f, xy) + linalg.rank(f, yx)

@@ -20,40 +20,22 @@ add, scale)`` ring triple, as ``MPoly.eval`` does, so ``numkernels`` runs
 it on dual-number arrays; its divisions by 2, 4 and 6 are scalings by int
 inverses mod the characteristic (p >= 5).
 
-``charpoly_berkowitz`` unboxes a matrix of FElems of its PrimeField once and
-runs on Python ints, each dot product reduced mod p, boxing only the
-coefficients; the 28x28 ad matrices of ``lie_disc`` take this route.  Every
-other routine here is one generic loop over the operators of its entries:
-over a prime field the invariant primitives get ints from their caller
-(``liealg.primitives`` unboxes v once).
+The eliminations (``rank``, ``kernel_basis``, ``solve``, ``staged_solve``)
+and ``charpoly_berkowitz`` take a field, or a ``ModP`` for Python ints mod
+a prime p: the int entry point of the prime-field Lie side, whose callers
+hold ints already (``liealg.D4Context.rep``), so nothing is unboxed here.
+Every other routine is one generic loop over the operators of its entries,
+which over a prime field get ints from their caller.
 """
 
 from operator import mul
 
-from .fields import FElem, PrimeField
+from .fields import FElem
 from .multipoly import PY_RING
 
 
 def zeros(field, n, m):
     return [[field.zero] * m for _ in range(n)]
-
-
-def _prime_vals(mat, field, width):
-    """Int values of mat if every row has `width` FElem entries of `field`."""
-    out = []
-    for row in mat:
-        if len(row) != width:
-            return None
-        vals = []
-        for x in row:
-            if type(x) is not FElem or x.field is not field:
-                return None
-            v = x.val
-            if type(v) is not int:
-                return None
-            vals.append(v)
-        out.append(vals)
-    return out
 
 
 def mat_mul(a, b):
@@ -76,8 +58,38 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+class ModP:
+    """The integers mod a prime p as Python ints in [0, p).  Passed where
+    ``rank``, ``kernel_basis``, ``solve``, ``staged_solve`` and
+    ``charpoly_berkowitz`` take a field, it runs them on ints: the rows of
+    an elimination are reduced mod p on entry and after each row operation,
+    so its inputs may be unreduced."""
+
+    __slots__ = ("p", "zero", "one")
+
+    def __init__(self, p):
+        self.p, self.zero, self.one = p, 0, 1
+
+
+def _as_is(row):
+    return row
+
+
+def _ops(field):
+    """(inverse, row reduction) of the eliminations over field: pow and % p
+    over a ModP, the entries' own operators over a field."""
+    if type(field) is ModP:
+        p = field.p
+        return (lambda a: pow(a, -1, p)), (lambda row: [x % p for x in row])
+    return FElem.inverse, _as_is
+
+
 def _row_echelon(field, mat, aug=None):
     """In-place row reduction; returns pivot column list."""
+    inverse, red = _ops(field)
+    mat[:] = map(red, mat)
+    if aug is not None:
+        aug[:] = map(red, aug)
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
     pivots = []
@@ -89,16 +101,16 @@ def _row_echelon(field, mat, aug=None):
         mat[r], mat[pivot] = mat[pivot], mat[r]
         if aug is not None:
             aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [x * inv for x in mat[r]]
+        inv = inverse(mat[r][c])
+        mat[r] = red([x * inv for x in mat[r]])
         if aug is not None:
-            aug[r] = [x * inv for x in aug[r]]
+            aug[r] = red([x * inv for x in aug[r]])
         for i in range(rows):
             if i != r and mat[i][c]:
                 f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+                mat[i] = red([x - f * y for x, y in zip(mat[i], mat[r])])
                 if aug is not None:
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+                    aug[i] = red([x - f * y for x, y in zip(aug[i], aug[r])])
         pivots.append(c)
         r += 1
         if r == rows:
@@ -120,6 +132,7 @@ def kernel_basis(field, a):
     cols = len(a[0])
     m = [row[:] for row in a]
     pivots = _row_echelon(field, m)
+    red = _ops(field)[1]
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
     basis = []
@@ -128,7 +141,7 @@ def kernel_basis(field, a):
         v[fc] = field.one
         for r, pc in enumerate(pivots):
             v[pc] = -m[r][fc]
-        basis.append(v)
+        basis.append(red(v))
     return basis
 
 
@@ -249,41 +262,37 @@ def charpoly_berkowitz(field, a):
     Returns coefficients lowest-degree-first, length n+1, leading 1.
     Cross-check path for the fast even charpoly; also used for ad matrices
     whose size exceeds the characteristic (Newton would divide by p).
-    A matrix of FElems of the PrimeField `field` is unboxed once: it runs
-    on ints, each dot product reduced mod p, and the coefficients are boxed
-    at the end.  Other entries take the boxed loop.
+    Over a ``ModP`` it runs on ints, each dot product reduced mod p, and
+    returns ints; over a field, on the operators of its entries.
     """
-    n = len(a)
-    vals = _prime_vals(a, field, n) if type(field) is PrimeField else None
-    if vals is None:
-        m, one, zero = a, field.one, field.zero
+    n, one, red = len(a), field.one, _ops(field)[1]
+    if type(field) is ModP:
+        p = field.p
+
+        def dot(xs, ys):
+            return sum(map(mul, xs, ys)) % p
+    else:
+        zero = field.zero
 
         def dot(xs, ys):
             acc = zero
             for x, y in zip(xs, ys):
                 acc = acc + x * y
             return acc
-    else:
-        m, one, p = vals, 1, field.p
-
-        def dot(xs, ys):
-            return sum(map(mul, xs, ys)) % p
 
     # Berkowitz: iteratively build the char poly vector via Toeplitz products
-    vec = [one, -m[0][0]]
+    vec = [one, -a[0][0]]
     for i in range(1, n):
-        row = m[i][:i]  # R
-        cur = [m[k][i] for k in range(i)]  # S
-        sub = [r[:i] for r in m[:i]]  # principal submatrix
+        row = a[i][:i]  # R
+        cur = [a[k][i] for k in range(i)]  # S
+        sub = [r[:i] for r in a[:i]]  # principal submatrix
         # products R A^j S for j = 0..i-1
         products = []
         for _ in range(i):
             products.append(dot(row, cur))
             cur = [dot(r, cur) for r in sub]
         # Toeplitz multiply: new vector length i+2, entry r = sum_k diag[r-k] vec[k]
-        diag = [one, -m[i][i]] + [-x for x in products]
+        diag = [one, -a[i][i]] + [-x for x in products]
         vec = [dot(vec, diag[r::-1]) for r in range(i + 2)]
     # vec holds coefficients from x^n down to x^0
-    if vals is not None:
-        vec = [FElem(field, v % p) for v in vec]
-    return list(reversed(vec))
+    return red(vec[::-1])

@@ -6,11 +6,12 @@ calibration; ``quartic.delta`` runs over MPolys too, which is how the
 tests hold it to the expanded discriminant.
 
 ``MPoly.eval`` is the one evaluator.  On first use a polynomial compiles a
-plan (the highest exponent of each variable, and each monomial as its
-coefficient and (variable, exponent) factors); evaluation builds one power
-table per variable and forms one product per monomial.  The ring is a
-``(mul, add, scale)`` triple, so the same plan runs over Python ring
-elements and over the vectorized representations in ``numkernels``.
+plan, each monomial as its coefficient and one variable index per factor,
+and evaluation forms one product per monomial.  The ring is a ``(mul, add,
+scale)`` triple, so the same plan runs over Python ring elements and over
+the vectorized representations in ``numkernels``.  A polynomial with int
+coefficients evaluates at an int point to its exact, unreduced value, which
+is how the chart solves of ``invariants`` run over a prime field.
 """
 
 import operator
@@ -102,14 +103,10 @@ class MPoly:
         return MPoly.const(self.nvars, other)
 
     def _compile(self):
-        tops = [0] * self.nvars
-        monos = []
-        for e, c in self.terms.items():
-            factors = tuple((i, k) for i, k in enumerate(e) if k)
-            for i, k in factors:
-                tops[i] = max(tops[i], k)
-            monos.append((c, factors))
-        return tops, monos
+        """Each monomial as its coefficient and one variable index per factor."""
+        return [
+            (c, tuple(i for i, k in enumerate(e) for _ in range(k))) for e, c in self.terms.items()
+        ]
 
     def eval(self, args, ring=PY_RING):
         """Value at the point args over a commutative ring.
@@ -121,18 +118,11 @@ class MPoly:
         mul, add, scale = ring
         if self._plan is None:
             self._plan = self._compile()
-        tops, monos = self._plan
-        powers = []
-        for x, top in zip(args, tops):
-            row = [None, x]
-            for _ in range(top - 1):
-                row.append(mul(row[-1], x))
-            powers.append(row)
         acc = None
-        for c, factors in monos:
+        for c, idx in self._plan:
             term = None
-            for i, k in factors:
-                term = powers[i][k] if term is None else mul(term, powers[i][k])
+            for i in idx:
+                term = args[i] if term is None else mul(term, args[i])
             term = c if term is None else scale(c, term)
             acc = term if acc is None else add(acc, term)
         return 0 if acc is None else acc

@@ -119,7 +119,7 @@ def reduce_trivial(inv, v: VElem) -> ReductionResult:
     unknowns given the earlier stages.
     """
     ctx = inv.ctx
-    f = ctx.field
+    f, rep = ctx.field, ctx.rep
     pat = pattern_classify(v)
     if pat.kind != "weierstrass_S":
         raise ValueError("element does not have a Weierstrass vanishing pattern")
@@ -144,8 +144,8 @@ def reduce_trivial(inv, v: VElem) -> ReductionResult:
         return ctx.act(word, base)
 
     def residual(x, labels):
-        img = apply_unipotents(x[4:], inv._kappa_point(x[:4]))
-        return [v2[l] - img[l] for l in labels]
+        img = apply_unipotents(x[4:], inv._kappa_point(x[:4])).coords
+        return rep.reduce([v2.coords[l - 1] - img[l - 1] for l in labels])
 
     # unknowns x = (t0..t3, c0..c3): kappa coordinates, then unipotent parameters
     stages = (
@@ -153,13 +153,13 @@ def reduce_trivial(inv, v: VElem) -> ReductionResult:
         ((1, 2, 4), _NEG_HEIGHT_LABELS[-3]),
         ((3,), _NEG_HEIGHT_LABELS[-5]),
     )
-    x = linalg.staged_solve(f, residual, 8, stages)
+    x = linalg.staged_solve(rep.ring, residual, 8, stages)
     ts, cs = x[:4], x[4:]
     kappa_t = inv._kappa_point(ts)
     assert apply_unipotents(cs, kappa_t) == v2, "unipotent solve failed"
     kb = inv.kostant_section(b)
     assert kappa_t == kb, "kappa point does not match the section over pi(v)"
-    u_inv = [UnipGen(r, -c) for r, c in zip(neg_roots, cs)]
+    u_inv = [UnipGen(r, rep.box(-c)) for r, c in zip(neg_roots, cs)]
     word = [w] + u_inv + [t_gen.inverse(), w]
     certified = ctx.act(word, v) == ctx.act(w, kb)
     if not certified:

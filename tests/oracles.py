@@ -56,7 +56,7 @@ from d4vinberg import linalg, numkernels, polys
 from d4vinberg.curves import WEIGHTS, XDMembership, _as_polys
 from d4vinberg.hnweights import CUSP_TABLE, QPowerSum
 from d4vinberg.invariants import _slice_relation
-from d4vinberg.liealg import V_ENTRIES
+from d4vinberg.liealg import LABELS, V_ENTRIES
 from d4vinberg.linalg import mat_mul, newton_even, trace, trace_prod
 from d4vinberg.multipoly import PY_RING, MPoly
 from d4vinberg.polys import Poly, xgcd_raw
@@ -314,7 +314,7 @@ def v_coords_to_matrix(field, coords):
 
 def to_matrix(v):
     """The 8x8 matrix of a VElem."""
-    return v_coords_to_matrix(v.ctx.field, v.coords)
+    return v_coords_to_matrix(v.ctx.field, [v[l] for l in LABELS])
 
 
 def minimal_polynomial(v):

@@ -61,10 +61,12 @@ def prime_velem(draw):
 @settings(max_examples=60, deadline=None)
 @given(prime_velem())
 def test_primitives_int_route_matches_the_generic_route(case):
-    # a coordinate list takes the boxed field operations, a VElem the ints
+    # a list of the boxed coordinates takes the field operations, a VElem
+    # the ints it holds
     ctx, v = case
+    assert all(type(c) is int for c in v.coords)
     got = primitives(ctx, v)
-    assert got == primitives(ctx, list(v.coords))
+    assert got == primitives(ctx, [v[l] for l in LABELS])
     assert_boxed_in(got, ctx.field)
 
 
@@ -72,7 +74,7 @@ def test_prime_primitives_make_no_boxed_product(monkeypatch):
     ctx = D4Context(GF(23))
     rng = np.random.default_rng(10)
     v = VElem(ctx, [ctx.field.random(rng) for _ in range(16)])
-    expected = primitives(ctx, list(v.coords))
+    expected = primitives(ctx, [v[l] for l in LABELS])
 
     def boxed(self, other):
         raise AssertionError("boxed multiplication on the prime-field path")
@@ -216,13 +218,17 @@ def square_matrix(draw):
 @settings(max_examples=10, deadline=None)
 @given(square_matrix())
 def test_int_berkowitz_matches_the_boxed_loop(case):
-    # the same matrix as constants of GF(p^2) takes the boxed loop, whose
+    # the values as ints mod p take the int kernel; the matrix of FElems and
+    # the same matrix as constants of GF(p^2) take the boxed loop, whose
     # coefficients are those of the prime field
     p, a = case
     f, ext = GF(p), GF(p, 2)
-    got = linalg.charpoly_berkowitz(f, a)
-    assert len(got) == len(a) + 1 and got[-1] == f.one
-    assert_boxed_in(got, f)
+    got = linalg.charpoly_berkowitz(linalg.ModP(p), [[x.val for x in row] for row in a])
+    assert len(got) == len(a) + 1 and got[-1] == 1
+    assert all(type(c) is int and 0 <= c < p for c in got)
+    boxed = linalg.charpoly_berkowitz(f, a)
+    assert_boxed_in(boxed, f)
+    assert boxed == [f.elem(c) for c in got]
     lifted = [[ext.elem(x) for x in row] for row in a]
     assert linalg.charpoly_berkowitz(ext, lifted) == [ext.elem(c) for c in got]
 
@@ -239,7 +245,9 @@ def test_prime_berkowitz_takes_the_int_kernel(monkeypatch):
         raise AssertionError("boxed multiplication on the prime-field path")
 
     monkeypatch.setattr(FElem, "__mul__", boxed)
-    assert linalg.charpoly_berkowitz(f, a) == expected
+    # unreduced and negative ints are read mod p
+    ints = [[x.val - 23 * (i + j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+    assert linalg.charpoly_berkowitz(linalg.ModP(23), ints) == [c.val for c in expected]
 
 
 def reference_upward_closed():

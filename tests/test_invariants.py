@@ -19,7 +19,10 @@ from d4vinberg.liealg import (
     EVEN,
     G_ROOTS,
     IOTA,
+    LABELS,
+    LAMBDA_CHECK,
     ODD,
+    POS_CHAR,
     VElem,
     TorusGen,
     RHO_CHECK,
@@ -314,7 +317,7 @@ def test_extension_calibration_is_the_prime_field_one_lifted():
     ext = ext_inv.ctx.field
 
     def lift(v):
-        return VElem(ext_inv.ctx, [ext.elem(c) for c in v.coords])
+        return VElem(ext_inv.ctx, [ext.elem(v[l]) for l in LABELS])
 
     assert ext_inv.F == lift(inv.F) and ext_inv.f == lift(inv.f)
     assert ext_inv.Z == [lift(z) for z in inv.Z]
@@ -362,6 +365,20 @@ def test_action_and_pi_build_no_8x8_matrix(monkeypatch):
     _refuse_8x8(monkeypatch)
     assert (ctx.act(word, v), inv.pi(v), [ctx.classify(w) for w in targets]) == expected
     assert inv.pi(inv.kostant_section(expected[1])) == expected[1]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_lowering_elements_complete_sl2_triples(m):
+    # [X, Y] = h by 8x8 commutators: h = 2 d(cochar)(1) is the diagonal
+    # matrix of 2 <cochar, e-character of each position>
+    p_inv = _invariants(23, m)
+    f = p_inv.ctx.field
+    for up, down, cochar in ((p_inv.E, p_inv.F, RHO_CHECK), (p_inv.e, p_inv.f, LAMBDA_CHECK)):
+        x, y = to_matrix(up), to_matrix(down)
+        bracket = [[a - b for a, b in zip(r, s)] for r, s in zip(mat_mul(x, y), mat_mul(y, x))]
+        h = [[f.elem(2 * pairing(cochar, POS_CHAR[i])) if i == j else f.zero for j in range(8)]
+             for i in range(8)]
+        assert bracket == h
 
 
 def test_sl2_data_centralizers_and_lie_disc_build_no_8x8_matrix(monkeypatch):
