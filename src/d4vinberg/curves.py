@@ -250,6 +250,16 @@ class MinimalData:
         return f"MinimalData(L_degree={self.L_degree}, places={len(self.n)})"
 
 
+def delta_vanishes(b):
+    """Whether Delta(b) = 0 for b in F_q(t)^4, tested on F_q[t]: with D the
+    monic lcm of the denominators, Delta(b_i D^w_i) = D^24 Delta(b)."""
+    den = b[0].den
+    for r in b[1:]:
+        den = den * (r.den // polys.gcd(den, r.den))
+    cleared = [r.num * (den // r.den) * den ** (w - 1) for r, w in zip(b, WEIGHTS)]
+    return quartic_disc(cleared).is_zero()
+
+
 def minimal_data(field, b) -> MinimalData:
     """Minimal weighted-integral model of b = (p2, p4, q4, p6) over F_q(t).
 
@@ -262,9 +272,12 @@ def minimal_data(field, b) -> MinimalData:
     at any finite place); the exponent at infinity has no global uniformizer
     to absorb it and lives in the bundle degree, so b_min is a fixed point:
     rerunning on it leaves no finite places and reproduces it.
+
+    All arithmetic is on F_q[t] (``delta_vanishes``, then two products of
+    polynomials), and each entry of b_min is formed once as a RatFunc.
     """
     b = [x if isinstance(x, RatFunc) else RatFunc(x) for x in b]
-    if quartic_disc(tuple(b)).is_zero():
+    if delta_vanishes(b):
         raise ValueError("discriminant must be nonzero")
     # a place outside every support has n_v = 0, so it needs no entry
     ords = {}
@@ -278,11 +291,10 @@ def minimal_data(field, b) -> MinimalData:
         if n_v:
             n_map[place] = n_v
     # rescale by the finite part; infinity is bookkeeping only
-    scale = prod(
-        (RatFunc(place.poly) ** n_v for place, n_v in n_map.items() if not place.is_infinite),
-        start=RatFunc(Poly.const(field, field.one)),
-    )
-    b_min = tuple(r * scale**w for r, w in zip(b, WEIGHTS))
+    finite = [(place.poly, n_v) for place, n_v in n_map.items() if not place.is_infinite]
+    up = prod((pi**n for pi, n in finite if n > 0), start=Poly.const(field, field.one))
+    down = prod((pi**-n for pi, n in finite if n < 0), start=Poly.const(field, field.one))
+    b_min = tuple(RatFunc(r.num * up**w, r.den * down**w) for r, w in zip(b, WEIGHTS))
     degree = sum(n_v * place.degree for place, n_v in n_map.items())
     return MinimalData(n_map, b_min, degree)
 

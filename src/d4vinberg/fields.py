@@ -30,6 +30,7 @@ list of such literals at its top-level commas; ``ExtField.elem_from_str``,
 
 from functools import lru_cache
 from math import isqrt
+from operator import index
 
 
 def trim(a, z):
@@ -292,7 +293,7 @@ class PrimeField(Field):
             if x.field is not self:
                 raise ValueError("element of a different field")
             return x
-        return FElem(self, self._int_val(x))
+        return FElem(self, index(x) % self.p)
 
     def random(self, rng):
         return FElem(self, int(rng.integers(0, self.p)))
@@ -407,8 +408,8 @@ class ExtField(Field):
                 vals = [x.val] + [self.base.zero.val] * (self.deg - 1)
                 return FElem(self, tuple(vals))
             raise ValueError("element of a different field")
-        if isinstance(x, int):
-            return FElem(self, self._int_val(x))
+        if hasattr(x, "__index__"):  # an int or a numpy integer
+            return FElem(self, self._int_val(index(x)))
         # sequence of base-coercible coefficients
         vals = [self.base.elem(c).val for c in x]
         if len(vals) > self.deg:

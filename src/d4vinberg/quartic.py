@@ -7,15 +7,16 @@ homogeneous convention: weights (1,2,2,3) on (p2,p4,q4,p6) with t of weight
 normalization 27 Delta = 4 I^3 - J^2 of Cremona (2001) and Bhargava-Shankar
 (2015), are one division-free straight-line program over a ``(mul, add,
 scale)`` ring triple, valid in every characteristic: ints, ``MPoly``, field
-elements, F_q[t] and F_q(t) through Python's operators (``quartic_disc``),
-and the numpy representations of ``numkernels``.  The root of the first
-subresultant S1 = s1 x + s0 of (f, f') (``first_subresultant``) is the
-double root of f where Delta vanishes, and ``homogenized`` gives Z^4 f(X/Z)
-and its X-partial; both are programs over the same rings.  Over
-first-order jets (``numkernels``) the program also gives grad Delta.
-``disc_univariate`` is the discriminant of any univariate polynomial over
-a field, from Res(f, f'); the expanded Delta and the classical invariants
-I, J are the tests' oracles.
+elements and F_q[t] through Python's operators (``quartic_disc``), and the
+numpy representations of ``numkernels``.  Over F_q(t), ``curves.minimal_data``
+tests Delta on F_q[t] after clearing denominators by weight; RatFunc stays
+at the API boundary.  The root of the first subresultant S1 = s1 x + s0 of
+(f, f') (``first_subresultant``) is the double root of f where Delta
+vanishes, and ``homogenized`` gives Z^4 f(X/Z) and its X-partial; both are
+programs over the same rings.  Over first-order jets (``numkernels``) the
+program also gives grad Delta.  ``disc_univariate`` is the discriminant of
+any univariate polynomial over a field, from Res(f, f'); the expanded Delta
+and the classical invariants I, J are the tests' oracles.
 """
 
 from .multipoly import PY_RING

@@ -465,7 +465,7 @@ def minimal_model_suite(q=5, samples_per_d=500, seed=0, torsion_checks=10):
     for _ in range(20):
         while True:
             b = tuple(random_ratfunc() for _ in range(4))
-            if not quartic_disc(b).is_zero():
+            if not curves.delta_vanishes(b):
                 break
         md = curves.minimal_data(field, b)
         md2 = curves.minimal_data(field, md.b_min)

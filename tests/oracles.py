@@ -43,17 +43,24 @@ slower way, and serve only as the reference of the differential tests:
   ``numkernels.xd_box_filter`` is checked; and a double zero of a boxed
   Delta at a place of degree 1 by evaluation at each one
   (``double_zero_of_degree_one``), against which the sieve
-  ``numkernels._degree_one_sieve`` is checked.
+  ``numkernels._degree_one_sieve`` is checked;
+- the minimal model over F_q(t) in ``RatFunc`` arithmetic throughout
+  (``minimal_data_by_ratfunc``): Delta of b as a rational function, and
+  b rescaled by a ``RatFunc`` product of uniformizers, against which
+  ``curves.minimal_data`` and its test on F_q[t], ``curves.delta_vanishes``,
+  are checked.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import prod
 
 import numpy as np
 
 from d4vinberg import linalg, numkernels, polys
-from d4vinberg.curves import WEIGHTS, XDMembership, _as_polys
+from d4vinberg.curves import WEIGHTS, MinimalData, XDMembership, _as_polys
+from d4vinberg.funcfield import RatFunc, support
 from d4vinberg.hnweights import CUSP_TABLE, QPowerSum
 from d4vinberg.invariants import _slice_relation
 from d4vinberg.liealg import LABELS, V_ENTRIES
@@ -668,3 +675,33 @@ def double_zero_of_degree_one(field, delta, d):
         return True
     slope = delta.derivative()
     return any(delta(a) == field.zero and slope(a) == field.zero for a in field)
+
+
+# -- minimal models in RatFunc arithmetic --
+
+
+def minimal_data_by_ratfunc(field, b):
+    """``curves.minimal_data`` with every step over F_q(t): Delta of the
+    RatFunc tuple for the nonzero test, n_v = max_i ceil(-ord_v(b_i) / w_i)
+    from ``support``, and b_i times scale^w_i for scale the RatFunc product
+    of pi^n_v over the finite places."""
+    b = [x if isinstance(x, RatFunc) else RatFunc(x) for x in b]
+    if quartic_disc(tuple(b)).is_zero():
+        raise ValueError("discriminant must be nonzero")
+    ords = {}
+    for i, r in enumerate(b):
+        if not r.is_zero():
+            for place, o in support(r):
+                ords.setdefault(place, [0, 0, 0, 0])[i] += o
+    n_map = {}
+    for place, place_ords in ords.items():
+        n_v = max(-(o // w) for r, o, w in zip(b, place_ords, WEIGHTS) if not r.is_zero())
+        if n_v:
+            n_map[place] = n_v
+    scale = prod(
+        (RatFunc(place.poly) ** n_v for place, n_v in n_map.items() if not place.is_infinite),
+        start=RatFunc(Poly.const(field, field.one)),
+    )
+    b_min = tuple(r * scale**w for r, w in zip(b, WEIGHTS))
+    degree = sum(n_v * place.degree for place, n_v in n_map.items())
+    return MinimalData(n_map, b_min, degree)

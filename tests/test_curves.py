@@ -15,6 +15,7 @@ from d4vinberg.curves import (
     PointedCurve,
     _certify_i1_block,
     curve_group,
+    delta_vanishes,
     in_xd_fast,
     kodaira_of_reduction,
     minimal_data,
@@ -41,6 +42,7 @@ from oracles import (
     curve_mul,
     curve_neg,
     disc_poly,
+    minimal_data_by_ratfunc,
     reversed_poly,
     square_root,
     third_by_evaluation,
@@ -320,6 +322,19 @@ def test_minimal_data_weighted_example():
     assert md.L_degree == 0
 
 
+@pytest.mark.parametrize("k", [-3, -2, 2, 3])
+def test_minimal_data_undoes_a_weighted_power(k):
+    # b0 is constant, hence minimal at every finite place; u^w b0 with
+    # u = (t + 1)^k has n_v = -k at t + 1 and no other finite place
+    field = GF(7)
+    b0 = tuple(RatFunc(Poly.const(field, field.elem(c))) for c in (1, 2, 3, 5))
+    assert not quartic_disc(b0).is_zero()
+    u = RatFunc(Poly.x(field) + 1) ** k
+    md = minimal_data(field, tuple(x * u**w for x, w in zip(b0, WEIGHTS)))
+    assert {pl.poly.to_str(): n for pl, n in md.n.items() if not pl.is_infinite} == {"1,1": -k}
+    assert md.b_min == b0 and md.L_degree == 0
+
+
 def test_minimal_data_idempotent_and_substitution_invariant():
     field = GF(5)
     t = Poly.x(field)
@@ -349,6 +364,65 @@ def test_already_minimal():
             break
     md = minimal_data(field, b)
     assert not md.n and md.L_degree == 0
+
+
+def _ratfuncs(field):
+    """Nonzero RatFuncs of numerator and denominator degree <= 2, constant
+    denominators included."""
+    coeffs = st.lists(st.integers(0, field.char - 1), min_size=1, max_size=3).filter(any)
+    return st.builds(lambda n, d: RatFunc(Poly(field, n), Poly(field, d)), coeffs, coeffs)
+
+
+@st.composite
+def rational_tuples(draw):
+    """(field, b) over GF(5) or GF(7): b of four random RatFuncs, up to two
+    of them zero, or with Delta = 0 as u^w (2a, a^2 + 2c, c, 2ac), whose
+    quartic is the square (x^2 + a x + c)^2, or u^w (a, c, 0, 0), whose
+    quartic has x^2 as a factor."""
+    field = GF(draw(st.sampled_from([5, 7])))
+    r = _ratfuncs(field)
+    shape = draw(st.sampled_from(["random", "random", "square", "double root at 0"]))
+    if shape == "random":
+        zeros = draw(st.sets(st.integers(0, 3), max_size=2))
+        b = [draw(r) for _ in range(4)]
+        return field, tuple(0 * x if i in zeros else x for i, x in enumerate(b))
+    a, c, u = draw(r), draw(r), draw(r)
+    b = (2 * a, a * a + 2 * c, c, 2 * a * c) if shape == "square" else (a, c, 0 * a, 0 * a)
+    return field, tuple(x * u**w for x, w in zip(b, WEIGHTS))
+
+
+@settings(max_examples=120, deadline=None)
+@given(rational_tuples())
+def test_minimal_data_matches_the_ratfunc_oracle(case):
+    # the oracle tests Delta over RatFunc, not by delta_vanishes, and
+    # rescales by one RatFunc product, not by the up/down polynomials
+    field, b = case
+    try:
+        want = minimal_data_by_ratfunc(field, b)
+    except ValueError:
+        with pytest.raises(ValueError, match="discriminant must be nonzero"):
+            minimal_data(field, b)
+        return
+    got = minimal_data(field, b)
+    assert (got.n, got.b_min, got.L_degree) == (want.n, want.b_min, want.L_degree)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rational_tuples())
+def test_delta_vanishes_is_the_ratfunc_verdict(case):
+    _, b = case
+    assert delta_vanishes(b) == quartic_disc(b).is_zero()
+
+
+@pytest.mark.parametrize("i", [0, 3])
+def test_delta_vanishes_clears_a_pole_of_one_entry(i):
+    # Delta(0, 2, 1, 0) = 0, the quartic being (x^2 + 1)^2; a pole at t = -1
+    # in entry i alone makes Delta nonzero, so dropping it would flip the verdict
+    field = GF(5)
+    b = [RatFunc(Poly.const(field, field.elem(c))) for c in (0, 2, 1, 0)]
+    assert delta_vanishes(b)
+    b[i] = RatFunc(Poly.const(field, field.one), Poly.x(field) + 1)
+    assert not delta_vanishes(b) and not quartic_disc(b).is_zero()
 
 
 def singular_points_bruteforce(kv, b_red):

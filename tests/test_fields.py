@@ -2,6 +2,7 @@ import operator
 import time
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -149,6 +150,21 @@ def test_int_operands_read_through_elem(which, index, k):
         assert x / k == x / fk
     if x:
         assert k / x == fk / x
+
+
+@pytest.mark.parametrize("q", [(23,), (5, 2)], ids=["GF23", "GF25"])
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8, np.int8])
+def test_numpy_integers_become_python_int_values(kind, q):
+    f = GF(*q)
+    for k in (0, 1, 22, 23, 100, -1):
+        if not np.iinfo(kind).min <= k <= np.iinfo(kind).max:
+            continue
+        x, want = f.elem(kind(k)), f.elem(k)
+        assert all(type(v) is int for v in (x.val if len(q) == 2 else [x.val]))
+        assert bool(x) is bool(want)
+        assert x == want and want == x
+        assert hash(x) == hash(want)
+        assert x * 2 == want * 2 and x + x == want + want
 
 
 @pytest.mark.parametrize("q", [(5, 2), (23, 2)], ids=["GF25", "GF23^2"])
