@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import curves, densities, hnweights, verify
-from .fields import GF
+from .fields import GF, is_prime
 from .quartic import quartic_disc
 
 
@@ -171,6 +171,8 @@ def cmd_stabilizer_check(args, cfg):
 
 
 def cmd_cusp_table(args, cfg):
+    if not is_prime(cfg["p"]):
+        raise ValueError(f"p = {cfg['p']} is not a prime")
     rows = hnweights.verify_cusp_table()
     tail_bounds = {}
     for r in rows:

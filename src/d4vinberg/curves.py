@@ -4,9 +4,10 @@ Model: Y(XY + 2 q4 Z^2) = X^3 + p2 X^2 Z + p4 X Z^2 + p6 Z^3, with the three
 collinear marked points O = [0:1:0], P = [-1:1:0], Q = [1:1:0] on Z = 0.
 The group law is chord-tangent with base point O directly on the plane
 model, by the polar forms of the cubic, so divisibility questions never
-leave the curve.  Multiplying the affine equation by x gives (xy + q4)^2
-= f(x) with f the defining quartic, which ties the curves to the
-invariant theory.
+leave the curve.  It runs in the coordinates of ``field.coords``, ints
+over a prime field (``fields`` owns that choice).  Multiplying the affine
+equation by x gives (xy + q4)^2 = f(x) with f the defining quartic, which
+ties the curves to the invariant theory.
 
 Over F_q(t), the numpy row test ``numkernels.xd_delta_mask`` decides
 membership in X_D: ``sample_xd`` reads it through the sieved box filter
@@ -18,6 +19,7 @@ matrix.
 Desk-scale enumeration is guarded by max_q (default 101).
 """
 
+from functools import cached_property
 from math import lcm, prod
 
 import numpy as np
@@ -35,8 +37,14 @@ DEFAULT_MAX_Q = 101
 class PointedCurve:
     """Smooth pointed cubic over a finite field with the chord-tangent law.
 
+    b, O, P, Q and the points of the law are held in ``field.coords``
+    (ints in [0, p) or FElems), and ``equation`` to ``add`` are written
+    once for both; ``_third`` reduces its point.  FElems leave by
+    ``points`` and ``doubled_set``; ``order_of`` and ``is_two_divisible``
+    take a point in either form.
+
     The curve side of the paper needs E[2] and 2E, and both come from one
-    doubling table, ``doubled_set``: #E[2] = #E / #2E and t is 2-divisible
+    doubling table, ``_doubled``: #E[2] = #E / #2E and t is 2-divisible
     iff t is in the table.  A chord or tangent (``_third``) costs two
     gradients, a value of F for a tangent, and one inverse.  ``order_of``
     and ``group_structure`` add points until they reach O; nothing on the
@@ -45,18 +53,20 @@ class PointedCurve:
 
     def __init__(self, field, b, max_q=DEFAULT_MAX_Q):
         self.field = field
-        self.b = tuple(field.elem(x) for x in b)
-        self.disc = quartic_disc(self.b)
-        if not self.disc:
+        b = tuple(field.elem(x) for x in b)
+        if not quartic_disc(b):
             raise ValueError("singular curve: discriminant vanishes")
         if field.order > max_q:
             raise ValueError(f"field size {field.order} exceeds enumeration bound {max_q}")
-        f = field
-        self.O = (f.zero, f.one, f.zero)
-        self.P = (-f.one, f.one, f.zero)
-        self.Q = (f.one, f.one, f.zero)
-        self._points = None
-        self._doubled = None
+        self.coords = field.coords
+        self.b = self._coord(b)
+        self.O, self.P, self.Q = map(self._coord, ((0, 1, 0), (-1, 1, 0), (1, 1, 0)))
+
+    def _coord(self, pt):
+        return tuple(map(self.coords.coord, pt))
+
+    def _box(self, pt):
+        return tuple(map(self.coords.box, pt))
 
     # -- the plane model --
 
@@ -77,18 +87,11 @@ class PointedCurve:
         fz = 4 * q4 * y * z - p2 * x * x - 2 * p4 * x * z - 3 * p6 * z * z
         return (fx, fy, fz)
 
-    def contains(self, pt):
-        return not self.equation(pt)
-
     def _normalize(self, pt):
-        x, y, z = pt
-        if z:
-            inv = z.inverse()
-            return (x * inv, y * inv, self.field.one)
-        if y:
-            inv = y.inverse()
-            return (x * inv, self.field.one, self.field.zero)
-        return (self.field.one, self.field.zero, self.field.zero)
+        """The reduced nonzero pt scaled to 1 at its last nonzero coordinate."""
+        k = self.coords
+        s = k.inverse(next(c for c in reversed(pt) if c))
+        return tuple(k.reduce([c * s for c in pt]))
 
     # -- chord-tangent machinery --
 
@@ -102,16 +105,17 @@ class PointedCurve:
         of p1, and r != 0, since grad F(p1).p1 = 0 (Euler) and p1_i != 0
         keep grad F(p1) off e_i.  It meets F again at C p1 - B r.
         """
+        k = self.coords
         if p1 == p2:
             gx, gy, gz = self.gradient(p1)
-            zero = self.field.zero
             i = next(i for i, v in enumerate(p1) if v)
-            r = ((zero, gz, -gy), (-gz, zero, gx), (gy, -gx, zero))[i]
-            b, c = _dot(self.gradient(r), p1), self.equation(r)
-            pt = tuple(c * x - b * y for x, y in zip(p1, r))
+            r = ((k.zero, gz, -gy), (-gz, k.zero, gx), (gy, -gx, k.zero))[i]
+            b, c = k.dot(self.gradient(r), p1), self.equation(r)
+            pt = [c * x - b * y for x, y in zip(p1, r)]
         else:
-            a, b = _dot(self.gradient(p1), p2), _dot(self.gradient(p2), p1)
-            pt = tuple(b * x - a * y for x, y in zip(p1, p2))
+            a, b = k.dot(self.gradient(p1), p2), k.dot(self.gradient(p2), p1)
+            pt = [b * x - a * y for x, y in zip(p1, p2)]
+        pt = k.reduce(pt)
         assert any(pt), "line contained in a smooth cubic"
         return self._normalize(pt)
 
@@ -119,8 +123,8 @@ class PointedCurve:
         return self._third(self.O, self._third(p1, p2))
 
     def order_of(self, p):
+        p = cur = self._coord(p)
         n = 1
-        cur = p
         while cur != self.O:
             cur = self.add(cur, p)
             n += 1
@@ -128,40 +132,41 @@ class PointedCurve:
 
     # -- enumeration --
 
-    def points(self):
-        if self._points is not None:
-            return self._points
-        f = self.field
+    @cached_property
+    def _points(self):
+        """O, P, Q, then the affine points in field order, in coordinates."""
+        k = self.coords
         p2, p4, q4, p6 = self.b
-        quartic = quartic_poly(f, self.b)
+        xs = list(map(k.coord, self.field))
         sqrt_table = {}
-        for x in f:
-            sqrt_table.setdefault(x * x, x)
-        pts = [self.O, self.P, self.Q]
-        for x in f:
+        for x, sq in zip(xs, k.reduce([x * x for x in xs])):
+            sqrt_table.setdefault(sq, x)
+        # x y^2 + 2 q4 y - g(x) = 0; discriminant/4 = f(x) for the quartic
+        quartic = k.reduce([(((x + p2) * x + p4) * x + p6) * x + q4 * q4 for x in xs])
+        affine = []
+        for x, fx in zip(xs, quartic):
             if not x:
                 if q4:
-                    y = p6 * (2 * q4).inverse()
-                    pts.append((f.zero, y, f.one))
+                    affine.append((x, p6 * k.inverse(2 * q4)))
                 continue
-            # x y^2 + 2 q4 y - g(x) = 0; discriminant/4 = f(x) for the quartic
-            fx = quartic(x)
             root = sqrt_table.get(fx)
             if root is None:
                 continue
-            xinv = x.inverse()
-            if not fx:
-                pts.append((x, -q4 * xinv, f.one))
-            else:
-                pts.append((x, (-q4 + root) * xinv, f.one))
-                pts.append((x, (-q4 - root) * xinv, f.one))
-        for pt in pts:
-            assert self.contains(pt)
-        self._points = pts
+            xinv = k.inverse(x)
+            affine.append((x, (root - q4) * xinv))
+            if fx:
+                affine.append((x, (-q4 - root) * xinv))
+        ys = k.reduce([y for _, y in affine])
+        pts = [self.O, self.P, self.Q] + [(x, y, k.one) for (x, _), y in zip(affine, ys)]
+        assert not any(k.reduce(map(self.equation, pts))), "a point off the curve"
         return pts
 
+    def points(self):
+        """E(F_q) as FElem triples: O, P, Q, then the affine points."""
+        return [self._box(pt) for pt in self._points]
+
     def point_count(self):
-        n = len(self.points())
+        n = len(self._points)
         q = self.field.order
         assert (n - q - 1) ** 2 <= 4 * q, "Hasse bound violated"
         return n
@@ -170,7 +175,7 @@ class PointedCurve:
         """(n1, n2) with E(F_q) = Z/n1 x Z/n2, n1 | n2, from the order of
         every point (uncached; the demo prints it, the tests use it as the
         oracle of the doubling table)."""
-        pts = self.points()
+        pts = self._points
         n = len(pts)
         exponent = 1
         for p in pts:
@@ -179,25 +184,24 @@ class PointedCurve:
         assert n1 * n2 == n and n2 % n1 == 0, "not of rank <= 2 shape"
         return n1, n2
 
+    @cached_property
+    def _doubled(self):
+        """2E(F_q) = {P + P} in coordinates, built once per curve."""
+        return frozenset(self.add(p, p) for p in self._points)
+
     def doubled_set(self):
-        """2E(F_q) = {P + P}, built once per curve."""
-        if self._doubled is None:
-            self._doubled = frozenset(self.add(p, p) for p in self.points())
-        return self._doubled
+        """2E(F_q) as FElem triples."""
+        return frozenset(map(self._box, self._doubled))
 
     def two_torsion_count(self):
         """#E[2] = #E / #2E: doubling is a homomorphism with kernel E[2]."""
-        n, m = len(self.points()), len(self.doubled_set())
+        n, m = len(self._points), len(self._doubled)
         assert n % m == 0 and n // m in (1, 2, 4), "doubling table is not a group map"
         return n // m
 
     def is_two_divisible(self, t):
         """t in 2E(F_q), read from the doubling table."""
-        return t in self.doubled_set()
-
-
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+        return self._coord(t) in self._doubled
 
 
 def curve_group(field, b, max_q=DEFAULT_MAX_Q):
@@ -509,6 +513,8 @@ def sample_xd(field, d, count, seed):
     p = field.char
     if field.order != p:
         raise ValueError("X_D sampling implemented for prime fields")
+    if d < 0:
+        raise ValueError(f"divisor degree d = {d} must be >= 0")
     max_tries = 200 * count + 1000
     widths = [w * 2 * d + 1 for w in WEIGHTS]
     splits = np.cumsum(widths)[:-1]

@@ -21,6 +21,12 @@ inverts by the layer's extended Euclid and checks an untrusted modulus with
 its Rabin test (``polys`` is imported inside those functions, since it
 imports this module).
 
+Each field hands out one coordinate object, ``field.coords``, the one
+owner of the choice between ints and FElems: a PrimeField's is
+``Residues``, Python ints in [0, p) run unreduced and boxed into FElems
+only on the way out; an extension field is its own, FElems with their
+operators.  ``liealg``, ``curves`` and ``linalg`` are written once on it.
+
 Text format (bit-exact round trip): prime elements as decimal integers,
 extension elements as comma-separated coefficient tuples "(c0,c1,...)", so
 an element of a tower nests them, "((0,1),(2,3))".  ``split_top`` splits a
@@ -30,7 +36,9 @@ list of such literals at its top-level commas; ``ExtField.elem_from_str``,
 
 from functools import lru_cache
 from math import isqrt
-from operator import index
+from operator import index, mul
+
+from .multipoly import MPoly
 
 
 def trim(a, z):
@@ -137,7 +145,8 @@ class FElem:
         return FElem(self.field, self.field._inv(self.val))
 
     def __bool__(self):
-        return self.val != self.field.zero.val
+        # ``not`` makes a bool of the numpy.bool of a raw np.int64 value
+        return not self.val == self.field.zero.val
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -165,7 +174,34 @@ class Field:
     of the field, so they serve every representation; a subclass with
     faster ones overrides them, and those here stay callable on it as
     ``Field.poly_mul(field, a, b)``.
+
+    ``coord`` to ``poly`` make a field its own coordinate object (FElems
+    with their operators): an extension's ``coords``, and the ring of
+    ``linalg`` on matrices of FElems.
     """
+
+    def coord(self, x):
+        return self.elem(x)
+
+    box = coord
+
+    def reduce(self, cs):
+        return list(cs)
+
+    def power(self, x, k):
+        return x**k
+
+    def inverse(self, x):
+        return x.inverse()
+
+    def dot(self, xs, ys):
+        acc = self.zero
+        for x, y in zip(xs, ys):
+            acc = acc + x * y
+        return acc
+
+    def poly(self, m):
+        return m
 
     def poly_mul(self, a, b):
         z = self.zero.val
@@ -209,7 +245,7 @@ class PrimeField(Field):
     """F_p for an odd prime p >= 5; element values are ints in [0, p)."""
 
     def __init__(self, p):
-        if p < 5 or not _is_prime(p):
+        if p < 5 or not is_prime(p):
             raise ValueError(f"characteristic must be a prime >= 5, got {p}")
         self.p = p
         self.char = p
@@ -217,6 +253,7 @@ class PrimeField(Field):
         self.degree = 1
         self.zero = FElem(self, 0)
         self.one = FElem(self, 1)
+        self.coords = Residues(self)
 
     def _add(self, a, b):
         return (a + b) % self.p
@@ -334,6 +371,47 @@ class PrimeField(Field):
         return f"F_{self.p}"
 
 
+class Residues:
+    """The coordinate object of a PrimeField: Python ints in [0, p), taken
+    once from ints and FElems (``coord``) and boxed again on the way out
+    (``box``).  Sums and products run unreduced; ``reduce``, ``dot`` and
+    the eliminations of ``linalg`` bring them back to [0, p)."""
+
+    __slots__ = ("field", "p", "zero", "one")
+
+    def __init__(self, field):
+        self.field, self.p, self.zero, self.one = field, field.p, 0, 1
+
+    def coord(self, x):
+        """An int, or an FElem of the field (ValueError for another field),
+        as a Python int in [0, p); an FElem may hold an np.int64."""
+        if x.__class__ is FElem and x.field is self.field:
+            return int(x.val)
+        if isinstance(x, int):
+            return x % self.p
+        return int(self.field.elem(x).val)
+
+    def box(self, c):
+        return FElem(self.field, c % self.p)
+
+    def reduce(self, cs):
+        p = self.p
+        return [c % p for c in cs]
+
+    def power(self, x, k):
+        return pow(x, k, self.p)
+
+    def inverse(self, x):
+        return pow(x, -1, self.p)
+
+    def dot(self, xs, ys):
+        return sum(map(mul, xs, ys)) % self.p
+
+    def poly(self, m):
+        """The MPoly m with the int values of its coefficients."""
+        return MPoly(m.nvars, {e: c.val for e, c in m.terms.items()})
+
+
 class ExtField(Field):
     """base[x]/(modulus), modulus monic irreducible over base.
 
@@ -365,6 +443,7 @@ class ExtField(Field):
         gen = [base.zero.val] * self.deg
         gen[1] = base.one.val
         self.gen = FElem(self, tuple(gen))
+        self.coords = self
 
     def _add(self, a, b):
         bf = self.base
@@ -489,7 +568,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 318665857834031151167461
 
 
-def _is_prime(n):
+def is_prime(n):
     if n < 2:
         return False
     for q in _MR_BASES:

@@ -129,7 +129,7 @@ class Invariants:
         f, rep = self.ctx.field, self.ctx.rep
         diff = v - self.e
         rows = [list(col) for col in zip(*(w.coords for w in self.W))]
-        sol = linalg.solve(rep.ring, rows, list(diff.coords))
+        sol = linalg.solve(rep, rows, list(diff.coords))
         if sol is None or self.slice_param(sol) != v:
             raise ValueError("element is not on the slice")
         cs = list(map(rep.box, sol))
@@ -155,7 +155,7 @@ class Invariants:
         """Product of the 24 nonzero ad-eigenvalues: the degree-4 coefficient
         of the characteristic polynomial of ad(v) on h (Berkowitz)."""
         rep = self.ctx.rep
-        coeffs = linalg.charpoly_berkowitz(rep.ring, self.ctx.ad_matrix(v, H_BASIS))
+        coeffs = linalg.charpoly_berkowitz(rep, self.ctx.ad_matrix(v, H_BASIS))
         return rep.box(coeffs[4])
 
     def lie_disc_fast(self, v: VElem):
@@ -221,12 +221,12 @@ def _solve_lowering(ctx, nilpotent_up: VElem, cochar) -> VElem:
     rep = ctx.rep
     labels, basis = _weight_space(cochar, -1)
     rows = ctx.ad_matrix(nilpotent_up, basis)
-    target = [rep.coord(2 * k) for k in cochar] + [rep.ring.zero] * (len(rows) - len(cochar))
-    sol = linalg.solve(rep.ring, rows, target)
+    target = [rep.coord(2 * k) for k in cochar] + [rep.zero] * (len(rows) - len(cochar))
+    sol = linalg.solve(rep, rows, target)
     assert sol is not None, "no lowering element: sl2 solve failed"
-    hom = linalg.kernel_basis(rep.ring, rows)
+    hom = linalg.kernel_basis(rep, rows)
     assert not hom, "lowering element is not unique"
-    coords = [rep.ring.zero] * 16
+    coords = [rep.zero] * 16
     for l, c in zip(labels, sol):
         coords[l - 1] = c
     return VElem(ctx, coords)
@@ -238,7 +238,7 @@ def _graded_centralizer_basis(ctx, y: VElem, cochar, expect_weights, expect_h_di
     expect_h_dim pins the full centralizer dimension in h (regular: 4,
     subregular: 6); expect_weights the graded dimensions of the V part.
     """
-    ring = ctx.rep.ring
+    rep = ctx.rep
     full = ctx.centralizer_dim(y, "h")
     assert full == expect_h_dim, f"centralizer dimension {full} != {expect_h_dim}"
     out = []
@@ -248,8 +248,8 @@ def _graded_centralizer_basis(ctx, y: VElem, cochar, expect_weights, expect_h_di
         labels, basis = _weight_space(cochar, wt)
         if not labels:
             continue
-        for vec in linalg.kernel_basis(ring, ctx.ad_matrix(y, basis)):
-            coords = [ring.zero] * 16
+        for vec in linalg.kernel_basis(rep, ctx.ad_matrix(y, basis)):
+            coords = [rep.zero] * 16
             for l, c in zip(labels, vec):
                 coords[l - 1] = c
             out.append(VElem(ctx, coords))
@@ -269,7 +269,7 @@ def _chart_primitives(ctx, base: VElem, directions):
     prims = primitives(ctx, _chart_coords(
         [MPoly.const(nvars, c) for c in base.coords],
         [d.coords for d in directions],
-        [MPoly.var(nvars, i, rep.ring.one) for i in range(nvars)],
+        [MPoly.var(nvars, i, rep.one) for i in range(nvars)],
     ))
     return tuple(MPoly(nvars, {e: rep.box(c) for e, c in m.terms.items()}) for m in prims)
 
@@ -295,15 +295,15 @@ def _monomial(nvars, *idx):
 
 
 def _solve_chart(rep, polys_, targets, stages):
-    """t with polys_[i](t) = targets[i], by ``linalg.staged_solve`` over
-    rep.ring, in the coordinates of a ``D4Context.rep`` (the polynomials
-    with the coefficients of ``rep.poly``): a stage is a tuple of unknowns,
-    and equation i serves the stage of unknown i."""
+    """t with polys_[i](t) = targets[i], by ``linalg.staged_solve`` in the
+    coordinates of rep, a ``D4Context.rep`` (the polynomials with the
+    coefficients of ``rep.poly``): a stage is a tuple of unknowns, and
+    equation i serves the stage of unknown i."""
 
     def residual(t, eqs):
         return rep.reduce([polys_[i].eval(t) - targets[i] for i in eqs])
 
-    return linalg.staged_solve(rep.ring, residual, len(targets), [(s, s) for s in stages])
+    return linalg.staged_solve(rep, residual, len(targets), [(s, s) for s in stages])
 
 
 def _chart_functions(field, c_syms):

@@ -21,20 +21,19 @@ X v X = 0 on V, so exp(c X) acts as v + c[X, v] (``G_ROOT_MOVES``, read off
 ``primitives``, the one computation of pi(v) = (c2, c4, Pf, c6), works on
 X and Y, ``char_quartic`` is ``quartic_poly`` of pi, and ``classify``
 decides semisimplicity on X, Y and the 4x4 products XY, YX.
-A D4Context holds the field-dependent rest and is safe to share, with its
-one choice of coordinates, ``rep``: over a prime field a VElem holds Python
-ints in [0, p), converted once when it is built, and the action, pi, the
-ad matrices and the solves of ``invariants`` and ``orbits`` run on them
-(the eliminations over ``linalg.ModP``); values are boxed into FElems only
-where they leave, by ``v[label]``, ``serialize`` and pi.  Over an extension
-field the coordinates are FElems.
+A D4Context holds the field-dependent rest and is safe to share, with the
+coordinate object of its field, ``rep = field.coords`` (``fields`` owns
+the choice): over a prime field a VElem holds Python ints in [0, p),
+converted once when it is built, and the action, pi, the ad matrices and
+the solves of ``invariants`` and ``orbits`` run on them; values are boxed
+into FElems only where they leave, by ``v[label]``, ``serialize`` and pi.
+Over an extension field the coordinates are FElems.
 pi_1(G) is read off the pairings <coroot, alpha_i>, the coroot coordinates
 in the fundamental-coweight basis of X_*(T).
 """
 
 from . import linalg
-from .fields import FElem, PrimeField, split_top
-from .multipoly import MPoly
+from .fields import split_top
 from .quartic import disc_univariate, quartic_poly
 from .polys import Poly, gcd
 
@@ -334,63 +333,11 @@ def _kills(r, m):
     return not any(map(any, acc))
 
 
-class _IntCoords:
-    """Coordinates over a PrimeField: Python ints in [0, p), converted once
-    (``coord``) and boxed again only on the way out (``box``).  Sums and
-    products run unreduced and ``reduce`` brings them back to [0, p); the
-    eliminations run on ``ring``, a ``linalg.ModP``."""
-
-    def __init__(self, field):
-        self.field, self.p = field, field.p
-        self.ring = linalg.ModP(field.p)
-
-    def coord(self, x):
-        """An int, or an FElem of the field (ValueError for another field),
-        as a Python int in [0, p); an FElem may hold an np.int64."""
-        if x.__class__ is FElem and x.field is self.field:
-            return int(x.val)
-        if isinstance(x, int):
-            return x % self.p
-        return int(self.field.elem(x).val)
-
-    def box(self, c):
-        return FElem(self.field, c % self.p)
-
-    def reduce(self, cs):
-        p = self.p
-        return tuple([c % p for c in cs])
-
-    def power(self, x, k):
-        return pow(x, k, self.p)
-
-    def poly(self, m):
-        """The MPoly m with the int values of its coefficients."""
-        return MPoly(m.nvars, {e: c.val for e, c in m.terms.items()})
-
-
-class _FieldCoords:
-    """Coordinates over an extension field: its FElems, with the operators
-    of the field; ``reduce`` and ``poly`` change nothing."""
-
-    def __init__(self, field):
-        self.field = self.ring = field
-        self.coord = self.box = field.elem
-
-    def reduce(self, cs):
-        return tuple(cs)
-
-    def power(self, x, k):
-        return x**k
-
-    def poly(self, m):
-        return m
-
-
 class VElem:
     """Element of V in weight coordinates (label order 1..16).
 
-    The coordinates are those of ``ctx.rep``: over a PrimeField, Python ints
-    in [0, p), converted once here; over an extension field, FElems.
+    The coordinates are those of ``ctx.rep = field.coords``: over a
+    PrimeField, ints in [0, p), converted once here; else FElems.
     ``v[label]`` and ``serialize`` give field elements.
     """
 
@@ -406,7 +353,7 @@ class VElem:
     def _of(cls, ctx, coords):
         """The VElem with these coordinates, already in ``ctx.rep`` form."""
         v = object.__new__(cls)
-        v.ctx, v.coords = ctx, coords
+        v.ctx, v.coords = ctx, tuple(coords)
         return v
 
     def __getitem__(self, label):
@@ -532,8 +479,7 @@ class D4Context:
         if field.char < 5:
             raise ValueError("characteristic must be at least 5")
         self.field = field
-        # the one choice of coordinates: ints over a prime field
-        self.rep = (_IntCoords if type(field) is PrimeField else _FieldCoords)(field)
+        self.rep = field.coords
         # the weight basis of V: v_basis[l - 1] = e_l
         self.v_basis = tuple(
             VElem(self, [field.one if m == l else field.zero for m in LABELS]) for l in LABELS
@@ -600,8 +546,8 @@ class D4Context:
         basis, in h coordinates: column j is [v, x_a] = sum_s v_s [e_s, x_a]
         from ``BRACKETS``.  Its entries are in the coordinates of ``rep``,
         unreduced ints over a prime field, for the eliminations over
-        ``rep.ring``."""
-        zero = self.rep.ring.zero
+        ``rep``."""
+        zero = self.rep.zero
         mat = [[zero] * len(basis) for _ in H_BASIS]
         for x, row in zip(v.coords, BRACKETS):
             if not x:
@@ -613,7 +559,7 @@ class D4Context:
 
     def centralizer_dim(self, v: VElem, ambient) -> int:
         basis = G_BASIS if ambient == "g" else H_BASIS
-        return len(basis) - linalg.rank(self.rep.ring, self.ad_matrix(v, basis))
+        return len(basis) - linalg.rank(self.rep, self.ad_matrix(v, basis))
 
     def char_quartic(self, v: VElem) -> Poly:
         """g(T) with det(xI - v) = g(x^2): the quartic f(t) of b = pi(v),

@@ -21,16 +21,12 @@ it on dual-number arrays; its divisions by 2, 4 and 6 are scalings by int
 inverses mod the characteristic (p >= 5).
 
 The eliminations (``rank``, ``kernel_basis``, ``solve``, ``staged_solve``)
-and ``charpoly_berkowitz`` take a field, or a ``ModP`` for Python ints mod
-a prime p: the int entry point of the prime-field Lie side, whose callers
-hold ints already (``liealg.D4Context.rep``), so nothing is unboxed here.
-Every other routine is one generic loop over the operators of its entries,
-which over a prime field get ints from their caller.
+and ``charpoly_berkowitz`` take a field or its ``coords`` (see ``fields``)
+and call its ``inverse``, ``reduce`` and ``dot``: on a PrimeField's
+``Residues`` they run on the ints their callers hold (``D4Context.rep``).
+Every other routine is one generic loop over the operators of its entries.
 """
 
-from operator import mul
-
-from .fields import FElem
 from .multipoly import PY_RING
 
 
@@ -58,35 +54,9 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-class ModP:
-    """The integers mod a prime p as Python ints in [0, p).  Passed where
-    ``rank``, ``kernel_basis``, ``solve``, ``staged_solve`` and
-    ``charpoly_berkowitz`` take a field, it runs them on ints: the rows of
-    an elimination are reduced mod p on entry and after each row operation,
-    so its inputs may be unreduced."""
-
-    __slots__ = ("p", "zero", "one")
-
-    def __init__(self, p):
-        self.p, self.zero, self.one = p, 0, 1
-
-
-def _as_is(row):
-    return row
-
-
-def _ops(field):
-    """(inverse, row reduction) of the eliminations over field: pow and % p
-    over a ModP, the entries' own operators over a field."""
-    if type(field) is ModP:
-        p = field.p
-        return (lambda a: pow(a, -1, p)), (lambda row: [x % p for x in row])
-    return FElem.inverse, _as_is
-
-
 def _row_echelon(field, mat, aug=None):
-    """In-place row reduction; returns pivot column list."""
-    inverse, red = _ops(field)
+    """In-place row reduction by ``field.reduce``; returns pivot columns."""
+    red = field.reduce
     mat[:] = map(red, mat)
     if aug is not None:
         aug[:] = map(red, aug)
@@ -101,7 +71,7 @@ def _row_echelon(field, mat, aug=None):
         mat[r], mat[pivot] = mat[pivot], mat[r]
         if aug is not None:
             aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = inverse(mat[r][c])
+        inv = field.inverse(mat[r][c])
         mat[r] = red([x * inv for x in mat[r]])
         if aug is not None:
             aug[r] = red([x * inv for x in aug[r]])
@@ -132,7 +102,6 @@ def kernel_basis(field, a):
     cols = len(a[0])
     m = [row[:] for row in a]
     pivots = _row_echelon(field, m)
-    red = _ops(field)[1]
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
     basis = []
@@ -141,7 +110,7 @@ def kernel_basis(field, a):
         v[fc] = field.one
         for r, pc in enumerate(pivots):
             v[pc] = -m[r][fc]
-        basis.append(red(v))
+        basis.append(field.reduce(v))
     return basis
 
 
@@ -262,24 +231,10 @@ def charpoly_berkowitz(field, a):
     Returns coefficients lowest-degree-first, length n+1, leading 1.
     Cross-check path for the fast even charpoly; also used for ad matrices
     whose size exceeds the characteristic (Newton would divide by p).
-    Over a ``ModP`` it runs on ints, each dot product reduced mod p, and
+    On ``Residues`` it runs on ints, each dot product reduced mod p, and
     returns ints; over a field, on the operators of its entries.
     """
-    n, one, red = len(a), field.one, _ops(field)[1]
-    if type(field) is ModP:
-        p = field.p
-
-        def dot(xs, ys):
-            return sum(map(mul, xs, ys)) % p
-    else:
-        zero = field.zero
-
-        def dot(xs, ys):
-            acc = zero
-            for x, y in zip(xs, ys):
-                acc = acc + x * y
-            return acc
-
+    n, one, dot = len(a), field.one, field.dot
     # Berkowitz: iteratively build the char poly vector via Toeplitz products
     vec = [one, -a[0][0]]
     for i in range(1, n):
@@ -295,4 +250,4 @@ def charpoly_berkowitz(field, a):
         diag = [one, -a[i][i]] + [-x for x in products]
         vec = [dot(vec, diag[r::-1]) for r in range(i + 2)]
     # vec holds coefficients from x^n down to x^0
-    return red(vec[::-1])
+    return field.reduce(vec[::-1])

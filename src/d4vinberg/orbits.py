@@ -153,7 +153,7 @@ def reduce_trivial(inv, v: VElem) -> ReductionResult:
         ((1, 2, 4), _NEG_HEIGHT_LABELS[-3]),
         ((3,), _NEG_HEIGHT_LABELS[-5]),
     )
-    x = linalg.staged_solve(rep.ring, residual, 8, stages)
+    x = linalg.staged_solve(rep, residual, 8, stages)
     ts, cs = x[:4], x[4:]
     kappa_t = inv._kappa_point(ts)
     assert apply_unipotents(cs, kappa_t) == v2, "unipotent solve failed"

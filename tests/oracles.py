@@ -20,7 +20,8 @@ slower way, and serve only as the reference of the differential tests:
   polar-form law of ``PointedCurve._third`` is checked; with it the
   negation ``curve_neg`` and the double-and-add multiple ``curve_mul``
   through ``PointedCurve.add``, the group law against which the doubling
-  table and ``group_structure`` are checked;
+  table and ``group_structure`` are checked, all on the points of
+  ``coord_points``;
 - the chart functions (x, y) of the subregular slice by a search over
   F_p^3 through the three lines of the central fibre
   (``search_chart_functions``), against which the linear solve
@@ -353,8 +354,19 @@ def third_by_evaluation(curve, p1, p2):
     coefficients of F(p1 + t p2) = c1 t + c2 t^2 off t = +-1.  A tangent
     takes a direction r from a kernel basis of grad F(p1), with r
     independent of p1, and reads F(p1 + t r) = c2 t^2 + c3 t^3 off
-    t = 0, 1."""
-    f = curve.field
+    t = 0, 1.
+
+    The points come and go in the curve's coordinates (``coord_points``),
+    but the oracle runs on their FElems: F and grad F of an FElem point
+    are FElems, b's ints acting as field constants, and the third point is
+    scaled to 1 at its last nonzero coordinate here, not by the curve."""
+    f, k = curve.field, curve.coords
+    p1, p2 = (tuple(map(k.box, p)) for p in (p1, p2))
+
+    def normalized(pt):
+        s = next(c for c in reversed(pt) if c).inverse()
+        return tuple(k.coord(c * s) for c in pt)
+
     if p1 == p2:
         basis = linalg.kernel_basis(f, [list(curve.gradient(p1))])
         assert len(basis) == 2, "tangent line degenerate"
@@ -362,18 +374,24 @@ def third_by_evaluation(curve, p1, p2):
         c3 = curve.equation(r)
         c2 = curve.equation(_on_line(p1, r, f.one)) - c3
         if c3:
-            return curve._normalize(_on_line(p1, r, -c2 * c3.inverse()))
-        return curve._normalize(r)
+            return normalized(_on_line(p1, r, -c2 * c3.inverse()))
+        return normalized(r)
     cp = curve.equation(_on_line(p1, p2, f.one))
     cm = curve.equation(_on_line(p1, p2, -f.one))
     half = f.elem(2).inverse()
     c1 = (cp - cm) * half
     c2 = (cp + cm) * half
     if c2:
-        return curve._normalize(_on_line(p1, p2, -c1 * c2.inverse()))
+        return normalized(_on_line(p1, p2, -c1 * c2.inverse()))
     if c1:
-        return curve._normalize(p2)
+        return normalized(p2)
     raise AssertionError("line contained in a smooth cubic")
+
+
+def coord_points(curve):
+    """The points of a PointedCurve as its public ``points`` boxes them,
+    taken back into the curve's coordinates, where its group law runs."""
+    return [tuple(map(curve.coords.coord, pt)) for pt in curve.points()]
 
 
 def curve_neg(curve, p):

@@ -35,6 +35,29 @@ def test_cusp_table_rejects_a_bad_q_or_truncation(flags, capsys):
     assert data["failure"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["curves", "--d", "-1"], "divisor degree d = -1 must be >= 0"),
+     (["cusp-table", "--p", "6"], "p = 6 is not a prime")],
+)
+def test_a_config_outside_the_contract_is_a_named_refusal(argv, message, capsys):
+    # a negative divisor degree and a --p that is no prime: a named
+    # ValueError before any work, not numpy's message or a passing report
+    code, out = run_cli(argv, capsys)
+    assert code == 1
+    data = json.loads(out)
+    assert data["passed"] is False
+    assert data["failure"] == {"type": "ValueError", "message": message}
+
+
+def test_curves_at_divisor_degree_zero(capsys):
+    # D = 0 takes constant tuples, whose Delta is a nonzero constant; the
+    # refusal of d < 0 must leave d = 0 alone
+    code, out = run_cli(["curves", "--d", "0", "--n-samples", "2"], capsys)
+    assert code == 0
+    assert [row["disc_degree"] for row in json.loads(out)["rows"]] == [0, 0]
+
+
 def test_cusp_table_csv_columns(tmp_path):
     out_path = tmp_path / "table.csv"
     code = main(["cusp-table", "--format", "csv", "--out", str(out_path)])

@@ -28,7 +28,7 @@ from d4vinberg.curves import (
     weierstrass_two_torsion,
     xd_membership,
 )
-from d4vinberg.fields import GF
+from d4vinberg.fields import GF, FElem
 from d4vinberg.funcfield import Place, RatFunc
 from d4vinberg.invariants import Invariants
 from d4vinberg.liealg import D4Context
@@ -39,6 +39,7 @@ from d4vinberg.rng import det_rng
 from oracles import certify_i1_by_row as _certify_i1
 from oracles import (
     certify_i1_by_inverse,
+    coord_points,
     curve_mul,
     curve_neg,
     disc_poly,
@@ -71,12 +72,12 @@ def test_marked_points_and_infinity_line():
     field = GF(23)
     rng = det_rng(0, "curves-marked")
     c = PointedCurve(field, _random_smooth_b(field, rng))
+    assert not any(c.coords.reduce(map(c.equation, (c.O, c.P, c.Q))))
     for pt in (c.O, c.P, c.Q):
-        assert c.contains(pt)
         assert not pt[2]  # on the line Z = 0
     # the marked points are always smooth (gradient nonzero)
     for pt in (c.O, c.P, c.Q):
-        assert any(c.gradient(pt))
+        assert any(c.coords.reduce(c.gradient(pt)))
 
 
 def test_group_axioms_and_structure():
@@ -84,7 +85,7 @@ def test_group_axioms_and_structure():
     rng = det_rng(1, "curves-group")
     for _ in range(5):
         c = PointedCurve(field, _random_smooth_b(field, rng))
-        pts = c.points()
+        pts = coord_points(c)
         n = c.point_count()
         q = field.order
         assert (n - q - 1) ** 2 <= 4 * q  # Hasse window
@@ -107,7 +108,7 @@ def test_chord_tangent_matches_the_evaluation_oracle(p, m):
     rng = det_rng(19, "curves-polar")
     for _ in range(2):
         curve = PointedCurve(field, _random_smooth_b(field, rng))
-        pts = curve.points()
+        pts = coord_points(curve)
         ends = 0
         for p1 in pts:
             for p2 in pts:
@@ -120,7 +121,7 @@ def test_chord_tangent_matches_the_evaluation_oracle(p, m):
 def test_mul_is_double_and_add_from_the_top_bit(monkeypatch):
     field = GF(23)
     c = PointedCurve(field, _random_smooth_b(field, det_rng(10, "curves-mul")))
-    p = next(pt for pt in c.points() if c.order_of(pt) > 13)
+    p = next(pt for pt in coord_points(c) if c.order_of(pt) > 13)
     multiples = {0: c.O}
     for n in range(1, 14):
         multiples[n] = c.add(multiples[n - 1], p)
@@ -236,7 +237,7 @@ def _v2(n):
 def _check_doubling_table(curve):
     """The doubling table against the order oracle: (n1, n2) from
     ``group_structure`` and e_i = v2(n_i)."""
-    pts = curve.points()
+    pts = coord_points(curve)
     n1, n2 = curve.group_structure()
     e1, e2 = _v2(n1), _v2(n2)
     tt = curve.two_torsion_count()
@@ -280,16 +281,62 @@ def test_doubling_table_on_full_two_torsion_curve():
     assert curve.two_torsion_count() == 4
     _check_doubling_table(curve)
     # with n1 = 2, E = Z/2 + <g> for any g of order n2, so 2E = <2g>
-    pts = curve.points()
+    pts = coord_points(curve)
     g2 = curve_mul(curve, 2, next(p for p in pts if curve.order_of(p) == n2))
     halves = {curve_mul(curve, j, g2) for j in range(n2 // 2)}
-    assert curve.doubled_set() == halves
+    assert curve.doubled_set() == {tuple(map(field.elem, h)) for h in halves}
     # [R - R'] in 2E(F_q) on random pairs
     for _ in range(20):
         r1 = pts[int(rng.integers(0, len(pts)))]
         r2 = pts[int(rng.integers(0, len(pts)))]
         t = curve.add(r1, curve_neg(curve, r2))
         assert curve.is_two_divisible(t) == (t in halves)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.sampled_from([23, 29]), coeffs=st.lists(st.integers(0, 28), min_size=4, max_size=4))
+def test_int_doubling_table_matches_the_boxed_law_over_the_extension(p, coeffs):
+    # the oracle: the same b as constants of GF(p^2), whose coordinates are
+    # FElems and whose products are ExtField ones; a point of E(F_p) embeds
+    # as a constant, so every int double must lift to the boxed double
+    field, ext = GF(p), GF(p, 2)
+    b = tuple(field.elem(c) for c in coeffs)
+    assume(quartic_disc(b))
+    curve = PointedCurve(field, b)
+    boxed = PointedCurve(ext, tuple(map(ext.elem, b)), max_q=ext.order)
+
+    def lift(pt):
+        return tuple(map(ext.elem, pt))
+
+    pts = curve.points()
+    assert all(type(c) is FElem and c.field is field for pt in pts for c in pt)
+    assert all(type(c) is int and 0 <= c < p for pt in coord_points(curve) for c in pt)
+    table = {lift(pt): boxed.add(lift(pt), lift(pt)) for pt in pts}
+    assert {lift(pt): lift(curve.add(pt, pt)) for pt in coord_points(curve)} == table
+    doubles = curve.doubled_set()
+    assert {lift(pt) for pt in doubles} == set(table.values())
+    assert curve.two_torsion_count() == len(pts) // len(set(table.values()))
+    # is_two_divisible reads a point boxed or in coordinates
+    for pt, c in zip(pts, coord_points(curve)):
+        assert curve.is_two_divisible(pt) == curve.is_two_divisible(c) == (pt in doubles)
+
+
+def test_doubled_set_makes_no_boxed_product(monkeypatch):
+    field = GF(23)
+    rng = det_rng(12, "curves-int")
+    bs = [_random_smooth_b(field, rng) for _ in range(5)]
+    expected = [
+        (c.doubled_set(), c.two_torsion_count())
+        for c in (PointedCurve(field, b) for b in bs)
+    ]
+    curves = [PointedCurve(field, b) for b in bs]
+
+    def boxed(self, other):
+        raise AssertionError("boxed multiplication on the prime-field path")
+
+    monkeypatch.setattr(FElem, "__mul__", boxed)
+    monkeypatch.setattr(FElem, "__rmul__", boxed)
+    assert [(c.doubled_set(), c.two_torsion_count()) for c in curves] == expected
 
 
 def test_curve_side_computes_no_element_order(monkeypatch):

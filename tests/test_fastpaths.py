@@ -223,7 +223,7 @@ def test_int_berkowitz_matches_the_boxed_loop(case):
     # coefficients are those of the prime field
     p, a = case
     f, ext = GF(p), GF(p, 2)
-    got = linalg.charpoly_berkowitz(linalg.ModP(p), [[x.val for x in row] for row in a])
+    got = linalg.charpoly_berkowitz(f.coords, [[x.val for x in row] for row in a])
     assert len(got) == len(a) + 1 and got[-1] == 1
     assert all(type(c) is int and 0 <= c < p for c in got)
     boxed = linalg.charpoly_berkowitz(f, a)
@@ -247,7 +247,7 @@ def test_prime_berkowitz_takes_the_int_kernel(monkeypatch):
     monkeypatch.setattr(FElem, "__mul__", boxed)
     # unreduced and negative ints are read mod p
     ints = [[x.val - 23 * (i + j) for j, x in enumerate(row)] for i, row in enumerate(a)]
-    assert linalg.charpoly_berkowitz(linalg.ModP(23), ints) == [c.val for c in expected]
+    assert linalg.charpoly_berkowitz(f.coords, ints) == [c.val for c in expected]
 
 
 def reference_upward_closed():

@@ -6,8 +6,9 @@ The oracle is the boxed path: the same inputs as constants of GF(p^2),
 whose coordinates stay FElems and whose products are ExtField ones.  A
 prime-field element embeds as a constant, so every int result must lift
 to the extension-field result.  Also here: the one-field rule on the int
-path, np.int64 inputs at a prime whose products overflow int64, and
-``linalg.ModP`` against the boxed eliminations.
+path, np.int64 inputs at a prime whose products overflow int64, and the
+eliminations on a prime field's coordinate object, ``GF(p).coords``,
+against the boxed ones.
 """
 
 from functools import lru_cache
@@ -269,8 +270,10 @@ def test_np_int64_inputs_match_the_boxed_route(vals, alphas, c, root):
     v = VElem(ctx, [box(x) for x in vals])
     assert_int_coords(v)
     # a TorusGen tests its values for zero, which an FElem holding an
-    # np.int64 cannot answer with a bool, so its values are bare np.int64s
-    word = [TorusGen([np.int64(x) for x in alphas]), UnipGen(root, box(c)), WeylGen("s14.23")]
+    # np.int64 answers with a bool; the bare np.int64 of a coordinate also
+    # reads as a field value
+    word = [TorusGen([box(x) for x in alphas[:2]] + [np.int64(x) for x in alphas[2:]]),
+            UnipGen(root, box(c)), WeylGen("s14.23")]
     got = ctx.act(word, v)
     assert_int_coords(got)
     lift_v = VElem(ext_ctx, [ext.elem(int(x)) for x in vals])
@@ -286,7 +289,7 @@ def test_np_int64_inputs_match_the_boxed_route(vals, alphas, c, root):
     assert tuple(ext.elem(x) for x in b) == primitives(ext_ctx, ext_ctx.act(lift_word, lift_v))
 
 
-# -- linalg.ModP against the boxed eliminations --
+# -- the eliminations on GF(p).coords against the boxed ones --
 
 
 @settings(max_examples=40, deadline=None)
@@ -297,8 +300,10 @@ def test_np_int64_inputs_match_the_boxed_route(vals, alphas, c, root):
     st.data(),
 )
 def test_modp_eliminations_match_the_boxed_ones(p, rows, cols, data):
-    # ModP reads unreduced and negative ints; the boxed field gets them reduced
-    f, ring = GF(p), linalg.ModP(p)
+    # the coordinate object reads unreduced and negative ints; the boxed
+    # field gets them reduced
+    f = GF(p)
+    ring = f.coords
     ints = st.integers(-3 * p, 3 * p)
     a = [data.draw(st.lists(ints, min_size=cols, max_size=cols)) for _ in range(rows)]
     b = data.draw(st.lists(ints, min_size=rows, max_size=rows))
@@ -315,6 +320,6 @@ def test_modp_eliminations_match_the_boxed_ones(p, rows, cols, data):
 
 def test_the_empty_system():
     # no equations: rank 0, and the empty solution of zero unknowns
-    for field in (GF(23), linalg.ModP(23)):
+    for field in (GF(23), GF(23).coords):
         assert linalg.rank(field, []) == 0 and linalg.kernel_basis(field, []) == []
         assert linalg.solve(field, [], []) == []
